@@ -63,6 +63,7 @@ type Device struct {
 	pend map[int]*zonePend
 
 	stats Stats
+	pages nand.PageRuns // page batching of the current read
 }
 
 type zonePend struct {
@@ -241,8 +242,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	d.stats.ZoneMapLookups++
 	out := make([][]byte, n)
 	sb := d.zoneMap[zone]
-	type pageKey struct{ chip, block, page int }
-	pages := make(map[pageKey]int64)
+	d.pages.Reset()
 	for i := int64(0); i < n; i++ {
 		l := lba + i
 		if l >= z.WP || sb < 0 {
@@ -255,11 +255,11 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		}
 		addr := d.loc(sb, l-z.Start)
 		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
-		pages[pageKey{addr.Chip, addr.Block, addr.Page}] += units.Sector
+		d.pages.Add(addr)
 	}
 	done := at
-	for pk, bytes := range pages {
-		end, err := d.arr.ReadPage(at, pk.chip, pk.block, pk.page, bytes)
+	for _, r := range d.pages.Runs() {
+		end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 		if err != nil {
 			return nil, at, err
 		}

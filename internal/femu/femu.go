@@ -57,6 +57,7 @@ type Device struct {
 	ppu       int
 	bufs      map[int]*zoneBuf
 	stats     Stats
+	pages     nand.PageRuns // page batching of the current read
 }
 
 // New builds the device. The geometry's SLC region is ignored (FEMU has no
@@ -220,8 +221,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		return nil, at, err
 	}
 	out := make([][]byte, n)
-	type pageKey struct{ chip, block, page int }
-	pages := make(map[pageKey]int64)
+	d.pages.Reset()
 	for i := int64(0); i < n; i++ {
 		l := lba + i
 		if l >= z.WP {
@@ -234,11 +234,11 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		}
 		addr := d.loc(zone, l-z.Start)
 		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
-		pages[pageKey{addr.Chip, addr.Block, addr.Page}] += units.Sector
+		d.pages.Add(addr)
 	}
 	done := at
-	for pk, bytes := range pages {
-		end, err := d.arr.ReadPage(at, pk.chip, pk.block, pk.page, bytes)
+	for _, r := range d.pages.Runs() {
+		end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 		if err != nil {
 			return nil, at, err
 		}

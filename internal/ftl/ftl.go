@@ -307,11 +307,11 @@ type FTL struct {
 	// Reused scratch storage for the single-entrant write path (the FTL's
 	// re-entrancy contract above makes plain fields safe): per-call slices
 	// here would otherwise dominate steady-state allocations.
-	wsScratch  []slc.Write // stage{Sectors,Conventional,TailSectors} builds
-	combineIdx []int64     // combine: pending staged indices
-	combineBuf [][]byte    // combine: merged program-unit sector views
-	readRuns   []pageRun   // ReadInto: per-page media read batching
-	padScratch [][]byte    // FinishZone: all-nil payload views for pad-out
+	wsScratch  []slc.Write   // stage{Sectors,Conventional,TailSectors} builds
+	combineIdx []int64       // combine: pending staged indices
+	combineBuf [][]byte      // combine: merged program-unit sector views
+	readRuns   nand.PageRuns // ReadInto/StageRead: per-page media read batching
+	padScratch [][]byte      // FinishZone: all-nil payload views for pad-out
 
 	l2pLogPending int64 // mapping updates awaiting an L2P-log flush
 	l2pLogChip    int   // round-robin chip for log programs
@@ -419,10 +419,6 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 	if p.Shards != 1 {
 		f.sharder = arr.NewReadSharder(p.Shards)
 		f.procs = runtime.GOMAXPROCS(0)
-		// The sharder's parked workers (started lazily on the first
-		// parallel drain) reference the sharder, not the FTL, so the FTL
-		// stays collectable and its finalizer can release them.
-		runtime.SetFinalizer(f, func(f *FTL) { f.sharder.Stop() })
 	}
 	f.zoneCap = f.sbSectors
 	if p.AlignZones {
@@ -472,6 +468,7 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 		return nil, err
 	}
 	f.zstate = make([]zoneState, f.numZones)
+	f.freeSBs = make([]int, 0, geo.NormalBlocks())
 	for i := range f.zstate {
 		f.zstate[i] = zoneState{sb: -1, conv: i < p.ConventionalZones, staged: make(map[int64]struct{})}
 		// Conventional zones never bind a reserved superblock; their
@@ -507,15 +504,19 @@ type headEntry struct {
 // the per-sector read path uses instead of 64-bit division.
 func (f *FTL) initAddrFastPaths() {
 	f.firstNormal = f.geo.FirstNormalBlock()
-	f.headTab = make([]headEntry, f.sbSectors)
 	chips := int64(f.geo.Chips())
-	for off := int64(0); off < f.sbSectors; off++ {
-		k := off / f.puSectors
-		rem := off % f.puSectors
-		f.headTab[off] = headEntry{
-			chip:   uint16(k % chips),
-			page:   uint16((k/chips)*int64(f.pagesPerPU) + rem/int64(f.spp)),
-			sector: uint16(rem % int64(f.spp)),
+	// Program unit k stripes to chip k mod chips, unit row k div chips. The
+	// table is built per device, a unit at a time with running page and
+	// sector counters: dividing per entry made it the largest single cost
+	// of building a small device.
+	f.headTab = make([]headEntry, 0, f.sbSectors)
+	for k := int64(0); int64(len(f.headTab)) < f.sbSectors; k++ {
+		e := headEntry{chip: uint16(k % chips), page: uint16((k / chips) * int64(f.pagesPerPU))}
+		for rem := int64(0); rem < f.puSectors && int64(len(f.headTab)) < f.sbSectors; rem++ {
+			f.headTab = append(f.headTab, e)
+			if e.sector++; int(e.sector) == f.spp {
+				e.sector, e.page = 0, e.page+1
+			}
 		}
 	}
 	if f.zoneCap > 0 && f.zoneCap&(f.zoneCap-1) == 0 {

@@ -36,15 +36,17 @@ func (f *FTL) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 		f.stats.ResetDiscards += fl.Sectors()
 	}
 
-	// Invalidate the zone's staged SLC sectors (pend + tail + stale).
+	// Invalidate the zone's staged SLC sectors (pend + tail + stale). The
+	// set is emptied with clear, not key by key: deletions leave tombstones
+	// that make the map reallocate every few resets.
 	for g := range zs.staged {
 		if f.staging.IsValid(g) {
 			if err := f.staging.Invalidate(g); err != nil {
 				return at, err
 			}
 		}
-		delete(zs.staged, g)
 	}
+	clear(zs.staged)
 	zs.pend = zs.pend[:0]
 	zs.tailSet = false
 	zs.tailContig = false

@@ -49,11 +49,7 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 
 	// Per-page batching of media reads: sectors that resolve to the same
 	// flash page cost one sense plus the transfer of the needed sectors.
-	// The batch lives in reused scratch (first-touch order, found by linear
-	// scan with a last-run fast path — requests are short and page-sorted)
-	// so replay order matches the old map+order pair without its per-call
-	// allocations.
-	runs := f.readRuns[:0]
+	f.readRuns.Reset()
 	fetchDone := at
 
 	for i := int64(0); i < n; i++ {
@@ -86,26 +82,10 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 		if err != nil {
 			return at, err
 		}
-		ppa := f.ppaOf(addr)
-		dst[i] = f.arr.Payload(ppa)
-		hit = false
-		if m := len(runs); m > 0 && runs[m-1].chip == addr.Chip && runs[m-1].block == addr.Block && runs[m-1].page == addr.Page {
-			runs[m-1].bytes += units.Sector
-			hit = true
-		} else {
-			for j := range runs {
-				if runs[j].chip == addr.Chip && runs[j].block == addr.Block && runs[j].page == addr.Page {
-					runs[j].bytes += units.Sector
-					hit = true
-					break
-				}
-			}
-		}
-		if !hit {
-			runs = append(runs, pageRun{chip: addr.Chip, block: addr.Block, page: addr.Page, bytes: units.Sector})
-		}
+		dst[i] = f.arr.Payload(f.ppaOf(addr))
+		f.readRuns.Add(addr)
 	}
-	f.readRuns = runs
+	runs := f.readRuns.Runs()
 
 	// III: read the data pages. Reads whose mapping had to be fetched
 	// cannot start before the fetch completes; for simplicity the whole
@@ -113,7 +93,7 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 	// observation that misses make read latency unstable.
 	start := fetchDone
 	for j := range runs {
-		end, err := f.arr.ReadPage(start, runs[j].chip, runs[j].block, runs[j].page, runs[j].bytes)
+		end, err := f.arr.ReadPage(start, runs[j].Chip, runs[j].Block, runs[j].Page, runs[j].Bytes)
 		if err != nil {
 			return at, err
 		}
@@ -195,13 +175,6 @@ func (f *FTL) readOne(at sim.Time, lba int64, dst [][]byte) (sim.Time, error) {
 		f.record(obs.StageHostRead, obs.CauseNone, at, done, zone, lba, 1)
 	}
 	return done, nil
-}
-
-// pageRun accumulates the transfer bytes of one distinct flash page during
-// ReadInto's per-page batching.
-type pageRun struct {
-	chip, block, page int
-	bytes             int64
 }
 
 // fetchMapping loads the L2P entry covering lpa from the in-flash mapping

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/nand"
@@ -122,7 +123,7 @@ func (f *FTL) StageRead(at sim.Time, lba, n int64, dst [][]byte) {
 	}
 
 	var fence *sim.Fence
-	runs := f.readRuns[:0]
+	f.readRuns.Reset()
 	for i := int64(0); i < n; i++ {
 		l := lba + i
 		dst[i] = nil
@@ -149,34 +150,17 @@ func (f *FTL) StageRead(at sim.Time, lba, n int64, dst [][]byte) {
 			// read and no completion-side bookkeeping happens.
 			op.err = err
 			f.armFence(op, fence)
-			f.readRuns = runs
 			return
 		}
-		ppa := f.ppaOf(addr)
-		dst[i] = f.arr.Payload(ppa)
-		hit = false
-		if m := len(runs); m > 0 && runs[m-1].chip == addr.Chip && runs[m-1].block == addr.Block && runs[m-1].page == addr.Page {
-			runs[m-1].bytes += units.Sector
-			hit = true
-		} else {
-			for j := range runs {
-				if runs[j].chip == addr.Chip && runs[j].block == addr.Block && runs[j].page == addr.Page {
-					runs[j].bytes += units.Sector
-					hit = true
-					break
-				}
-			}
-		}
-		if !hit {
-			runs = append(runs, pageRun{chip: addr.Chip, block: addr.Block, page: addr.Page, bytes: units.Sector})
-		}
+		dst[i] = f.arr.Payload(f.ppaOf(addr))
+		f.readRuns.Add(addr)
 	}
-	f.readRuns = runs
+	runs := f.readRuns.Runs()
 	f.armFence(op, fence)
 	for j := range runs {
 		b.jobs = append(b.jobs, nandReadJob{
-			Kind: jobDataRead, Chip: runs[j].chip, At: at, Dep: fence,
-			Block: runs[j].block, Page: runs[j].page, XferBytes: runs[j].bytes,
+			Kind: jobDataRead, Chip: runs[j].Chip, At: at, Dep: fence,
+			Block: runs[j].Block, Page: runs[j].Page, XferBytes: runs[j].Bytes,
 		})
 	}
 	op.ndata = int32(len(runs))
@@ -283,7 +267,15 @@ func (f *FTL) DrainStagedReads(emit func(i int, done sim.Time, err error)) {
 		return
 	}
 	parallel := len(b.jobs) >= parallelDrainMin && f.procs > 1
+	hadWorkers := f.sharder.Workers() > 0
 	f.sharder.Execute(b.jobs, parallel)
+	if !hadWorkers && f.sharder.Workers() > 0 {
+		// The parked workers reference the sharder, not the FTL, so the
+		// FTL stays collectable and its finalizer can release them. Only a
+		// device that started workers carries one: a finalizer keeps the
+		// FTL and every table it owns alive for an extra collection cycle.
+		runtime.SetFinalizer(f, func(f *FTL) { f.sharder.Stop() })
+	}
 	for i := range b.ops {
 		op := &b.ops[i]
 		fetchDone := op.at

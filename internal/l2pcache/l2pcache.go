@@ -99,8 +99,12 @@ type Cache struct {
 	// whose base count (TotalSectors/span) is small enough, turning
 	// Lookup's hash probe into an array load. The map remains the source
 	// of truth — ix is maintained alongside it on insert and remove and
-	// never holds a node the map lacks. nil for unindexed granularities.
-	ix [3][]*node
+	// never holds a node the map lacks. ixLen is the index size, 0 for
+	// unindexed granularities; the index itself is allocated on the
+	// granularity's first insert, so a cache that never holds a page entry
+	// never pays for the page index.
+	ix    [3][]*node
+	ixLen [3]int64
 
 	used  int64 // bytes of unpinned+pinned entries
 	stats Stats
@@ -139,7 +143,7 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 		}
 		if s > 0 {
 			if n := total / s; n > 0 && n <= maxDirectIndex {
-				c.ix[g] = make([]*node, n)
+				c.ixLen[g] = n
 			}
 		}
 	}
@@ -275,9 +279,12 @@ func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bo
 	nd.key, nd.psn, nd.pinned = k, basePSN, pinned
 	c.pushFront(nd)
 	c.m[k] = nd
-	if ix := c.ix[g]; ix != nil {
-		if i := k.base() / c.span[g]; uint64(i) < uint64(len(ix)) {
-			ix[i] = nd
+	if n := c.ixLen[g]; n > 0 {
+		if c.ix[g] == nil {
+			c.ix[g] = make([]*node, n)
+		}
+		if i := k.base() / c.span[g]; i < n {
+			c.ix[g][i] = nd
 		}
 	}
 	c.n++

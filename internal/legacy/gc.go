@@ -5,7 +5,6 @@ import (
 
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
-	"github.com/conzone/conzone/internal/units"
 )
 
 // ensureGC keeps enough free normal superblocks to absorb an incoming run
@@ -63,17 +62,16 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 	}
 	if len(offs) > 0 {
 		// Read them (page-grouped).
-		type pageKey struct{ chip, block, page int }
-		pages := make(map[pageKey]int64)
+		d.pages.Reset()
 		for _, off := range offs {
 			addr, err := d.physLoc(phys(int64(victim)*d.sbSectors + off))
 			if err != nil {
 				return at, err
 			}
-			pages[pageKey{addr.Chip, addr.Block, addr.Page}] += units.Sector
+			d.pages.Add(addr)
 		}
-		for pk, bytes := range pages {
-			end, err := d.arr.ReadPage(at, pk.chip, pk.block, pk.page, bytes)
+		for _, r := range d.pages.Runs() {
+			end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 			if err != nil {
 				return at, err
 			}

@@ -80,6 +80,8 @@ type Device struct {
 	totalSectors int64
 	bufAvail     sim.Time
 	stats        Stats
+
+	pages nand.PageRuns // page batching of the current read or GC pass
 }
 
 // New builds a legacy device over a fresh array with the given geometry.
@@ -395,8 +397,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		return nil, at, fmt.Errorf("legacy: read [%d,%d) out of range", lba, lba+n)
 	}
 	out := make([][]byte, n)
-	type pageKey struct{ chip, block, page int }
-	pages := make(map[pageKey]int64)
+	d.pages.Reset()
 	fetchDone := at
 	for i := int64(0); i < n; i++ {
 		l := lba + i
@@ -433,11 +434,11 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 			return nil, at, err
 		}
 		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
-		pages[pageKey{addr.Chip, addr.Block, addr.Page}] += units.Sector
+		d.pages.Add(addr)
 	}
 	done := fetchDone
-	for pk, bytes := range pages {
-		end, err := d.arr.ReadPage(fetchDone, pk.chip, pk.block, pk.page, bytes)
+	for _, r := range d.pages.Runs() {
+		end, err := d.arr.ReadPage(fetchDone, r.Chip, r.Block, r.Page, r.Bytes)
 		if err != nil {
 			return nil, at, err
 		}

@@ -15,6 +15,7 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Gran is the aggregation magnitude recorded in an entry's map bits.
@@ -48,13 +49,54 @@ type PSN int64
 const InvalidPSN PSN = -1
 
 // Table is the page-granularity mapping table with per-entry map bits.
+//
+// The table is sparse by zone: a zone's entries are allocated on the zone's
+// first Set and released as a whole by InvalidateZone, so an all-invalid
+// table costs one slice header pair per zone and a device pays for the
+// zones it wrote. Entries store the PSN plus one — the zero value is
+// "unmapped" — so a fresh zone table needs no fill loop, and released zone
+// tables wait on a freelist (cleared when reused) instead of going back to
+// the garbage collector.
 type Table struct {
-	psn  []PSN
-	bits []Gran
+	zones []zoneMap // by zone index; zero until the zone's first Set
+	free  []zoneMap // released by InvalidateZone
 
-	chunkSectors int64 // logical sectors per chunk (1024 = 4 MiB)
-	zoneSectors  int64 // logical sectors per zone
-	aggLimit     PSN   // PSNs >= aggLimit (SLC/staging space) never aggregate
+	total    int64 // logical sectors mapped
+	chunk    span  // logical sectors per chunk (1024 = 4 MiB)
+	zone     span  // logical sectors per zone
+	aggLimit PSN   // PSNs >= aggLimit (SLC/staging space) never aggregate
+}
+
+// zoneMap holds one zone's entries, indexed by zone offset.
+type zoneMap struct {
+	psn  []PSN  // PSN + 1; 0 = unmapped
+	bits []Gran // map bits
+}
+
+// span is a sector count with a shift/mask fast path for powers of two,
+// which every shipped configuration uses: the lookup path then never
+// divides by a variable.
+type span struct {
+	n     int64
+	mask  int64
+	shift uint
+	pow2  bool
+}
+
+func newSpan(n int64) span {
+	s := span{n: n}
+	if n&(n-1) == 0 {
+		s.pow2, s.mask, s.shift = true, n-1, uint(bits.TrailingZeros64(uint64(n)))
+	}
+	return s
+}
+
+// split returns x / s.n and x % s.n for non-negative x.
+func (s *span) split(x int64) (q, r int64) {
+	if s.pow2 {
+		return x >> s.shift, x & s.mask
+	}
+	return x / s.n, x % s.n
 }
 
 // Config sizes a table.
@@ -85,33 +127,36 @@ func NewTable(cfg Config) (*Table, error) {
 	if cfg.AggLimit < 0 {
 		return nil, fmt.Errorf("mapping: negative AggLimit %d", cfg.AggLimit)
 	}
-	t := &Table{
-		psn:          make([]PSN, cfg.TotalSectors),
-		bits:         make([]Gran, cfg.TotalSectors),
-		chunkSectors: cfg.ChunkSectors,
-		zoneSectors:  cfg.ZoneSectors,
-		aggLimit:     cfg.AggLimit,
-	}
-	for i := range t.psn {
-		t.psn[i] = InvalidPSN
-	}
-	return t, nil
+	return &Table{
+		zones:    make([]zoneMap, cfg.TotalSectors/cfg.ZoneSectors),
+		total:    cfg.TotalSectors,
+		chunk:    newSpan(cfg.ChunkSectors),
+		zone:     newSpan(cfg.ZoneSectors),
+		aggLimit: cfg.AggLimit,
+	}, nil
 }
 
 // TotalSectors returns the logical address space size.
-func (t *Table) TotalSectors() int64 { return int64(len(t.psn)) }
+func (t *Table) TotalSectors() int64 { return t.total }
 
 // ChunkSectors returns the aggregation chunk size in sectors.
-func (t *Table) ChunkSectors() int64 { return t.chunkSectors }
+func (t *Table) ChunkSectors() int64 { return t.chunk.n }
 
 // ZoneSectors returns the zone size in sectors.
-func (t *Table) ZoneSectors() int64 { return t.zoneSectors }
+func (t *Table) ZoneSectors() int64 { return t.zone.n }
 
 func (t *Table) check(lpa int64) error {
-	if lpa < 0 || lpa >= int64(len(t.psn)) {
-		return fmt.Errorf("mapping: LPA %d out of range [0,%d)", lpa, len(t.psn))
+	if lpa < 0 || lpa >= t.total {
+		return fmt.Errorf("mapping: LPA %d out of range [0,%d)", lpa, t.total)
 	}
 	return nil
+}
+
+// locate returns the zone table covering an in-range lpa — its slices are
+// nil while the zone holds no mapping — and lpa's offset in the zone.
+func (t *Table) locate(lpa int64) (*zoneMap, int64) {
+	zi, off := t.zone.split(lpa)
+	return &t.zones[zi], off
 }
 
 // Set records lpa -> psn at page granularity. If the covering chunk or zone
@@ -124,10 +169,21 @@ func (t *Table) Set(lpa int64, psn PSN) error {
 	if psn < 0 {
 		return fmt.Errorf("mapping: Set with invalid PSN %d", psn)
 	}
-	if t.bits[lpa] != Page {
-		t.demote(lpa)
+	z, off := t.locate(lpa)
+	if z.psn == nil {
+		if n := len(t.free); n > 0 {
+			*z = t.free[n-1]
+			t.free = t.free[:n-1]
+			clear(z.psn)
+			clear(z.bits)
+		} else {
+			*z = zoneMap{psn: make([]PSN, t.zone.n), bits: make([]Gran, t.zone.n)}
+		}
 	}
-	t.psn[lpa] = psn
+	if z.bits[off] != Page {
+		t.demote(z, off)
+	}
+	z.psn[off] = psn + 1
 	return nil
 }
 
@@ -136,25 +192,27 @@ func (t *Table) Invalidate(lpa int64) error {
 	if err := t.check(lpa); err != nil {
 		return err
 	}
-	if t.bits[lpa] != Page {
-		t.demote(lpa)
+	z, off := t.locate(lpa)
+	if z.psn == nil {
+		return nil
 	}
-	t.psn[lpa] = InvalidPSN
+	if z.bits[off] != Page {
+		t.demote(z, off)
+	}
+	z.psn[off] = 0
 	return nil
 }
 
-// demote clears the aggregation covering lpa down to page granularity.
-func (t *Table) demote(lpa int64) {
-	var base, n int64
-	if t.bits[lpa] == Zone {
-		base = lpa - lpa%t.zoneSectors
-		n = t.zoneSectors
-	} else {
-		base = lpa - lpa%t.chunkSectors
-		n = t.chunkSectors
+// demote clears the aggregation covering zone offset off down to page
+// granularity.
+func (t *Table) demote(z *zoneMap, off int64) {
+	run := z.bits
+	if z.bits[off] != Zone {
+		_, r := t.chunk.split(off)
+		run = z.bits[off-r : off-r+t.chunk.n]
 	}
-	for i := base; i < base+n; i++ {
-		t.bits[i] = Page
+	for i := range run {
+		run[i] = Page
 	}
 }
 
@@ -163,7 +221,11 @@ func (t *Table) Get(lpa int64) (PSN, bool) {
 	if t.check(lpa) != nil {
 		return InvalidPSN, false
 	}
-	p := t.psn[lpa]
+	z, off := t.locate(lpa)
+	if z.psn == nil {
+		return InvalidPSN, false
+	}
+	p := z.psn[off] - 1
 	return p, p != InvalidPSN
 }
 
@@ -172,20 +234,24 @@ func (t *Table) Bits(lpa int64) Gran {
 	if t.check(lpa) != nil {
 		return Page
 	}
-	return t.bits[lpa]
+	z, off := t.locate(lpa)
+	if z.bits == nil {
+		return Page
+	}
+	return z.bits[off]
 }
 
-// aggregatableRun reports whether [base, base+n) is valid, physically
-// consecutive, below the aggregation limit, and starts on an n-aligned
-// physical boundary — the paper's "compare the physical address to the
-// physical chunk/physical zone boundary" test.
-func (t *Table) aggregatableRun(base, n int64) bool {
-	first := t.psn[base]
-	if first == InvalidPSN || first >= t.aggLimit || int64(first)%n != 0 {
+// aggregatableRun reports whether the n entries from zone offset base are
+// valid, physically consecutive, below the aggregation limit, and start on
+// an n-aligned physical boundary — the paper's "compare the physical
+// address to the physical chunk/physical zone boundary" test.
+func (t *Table) aggregatableRun(z *zoneMap, base, n int64) bool {
+	first := z.psn[base]
+	if first == 0 || first-1 >= t.aggLimit || int64(first-1)%n != 0 {
 		return false
 	}
-	for i := int64(1); i < n; i++ {
-		if t.psn[base+i] != first+PSN(i) {
+	for i, p := range z.psn[base : base+n] {
+		if p != first+PSN(i) {
 			return false
 		}
 	}
@@ -199,15 +265,20 @@ func (t *Table) TryAggregateChunk(lpa int64) bool {
 	if t.check(lpa) != nil {
 		return false
 	}
-	base := lpa - lpa%t.chunkSectors
-	if t.bits[base] >= Chunk {
-		return true
-	}
-	if !t.aggregatableRun(base, t.chunkSectors) {
+	z, off := t.locate(lpa)
+	if z.psn == nil {
 		return false
 	}
-	for i := base; i < base+t.chunkSectors; i++ {
-		t.bits[i] = Chunk
+	_, r := t.chunk.split(off)
+	base := off - r
+	if z.bits[base] >= Chunk {
+		return true
+	}
+	if !t.aggregatableRun(z, base, t.chunk.n) {
+		return false
+	}
+	for i := base; i < base+t.chunk.n; i++ {
+		z.bits[i] = Chunk
 	}
 	return true
 }
@@ -218,15 +289,18 @@ func (t *Table) TryAggregateZone(lpa int64) bool {
 	if t.check(lpa) != nil {
 		return false
 	}
-	base := lpa - lpa%t.zoneSectors
-	if t.bits[base] == Zone {
-		return true
-	}
-	if !t.aggregatableRun(base, t.zoneSectors) {
+	z, _ := t.locate(lpa)
+	if z.psn == nil {
 		return false
 	}
-	for i := base; i < base+t.zoneSectors; i++ {
-		t.bits[i] = Zone
+	if z.bits[0] == Zone {
+		return true
+	}
+	if !t.aggregatableRun(z, 0, t.zone.n) {
+		return false
+	}
+	for i := range z.bits {
+		z.bits[i] = Zone
 	}
 	return true
 }
@@ -238,18 +312,18 @@ func (t *Table) Effective(lpa int64) (baseLPA int64, g Gran, base PSN, ok bool) 
 	if t.check(lpa) != nil {
 		return 0, Page, InvalidPSN, false
 	}
-	if t.psn[lpa] == InvalidPSN {
+	z, off := t.locate(lpa)
+	if z.psn == nil || z.psn[off] == 0 {
 		return lpa, Page, InvalidPSN, false
 	}
-	switch t.bits[lpa] {
+	switch z.bits[off] {
 	case Zone:
-		baseLPA = lpa - lpa%t.zoneSectors
-		return baseLPA, Zone, t.psn[baseLPA], true
+		return lpa - off, Zone, z.psn[0] - 1, true
 	case Chunk:
-		baseLPA = lpa - lpa%t.chunkSectors
-		return baseLPA, Chunk, t.psn[baseLPA], true
+		_, r := t.chunk.split(off)
+		return lpa - r, Chunk, z.psn[off-r] - 1, true
 	default:
-		return lpa, Page, t.psn[lpa], true
+		return lpa, Page, z.psn[off] - 1, true
 	}
 }
 
@@ -257,24 +331,24 @@ func (t *Table) Effective(lpa int64) (baseLPA int64, g Gran, base PSN, ok bool) 
 func (t *Table) SectorsOf(g Gran) int64 {
 	switch g {
 	case Zone:
-		return t.zoneSectors
+		return t.zone.n
 	case Chunk:
-		return t.chunkSectors
+		return t.chunk.n
 	default:
 		return 1
 	}
 }
 
 // InvalidateZone clears every mapping of the zone containing lpa and resets
-// the map bits, as a zone reset does.
+// the map bits, as a zone reset does: the zone's table is released whole.
 func (t *Table) InvalidateZone(lpa int64) error {
 	if err := t.check(lpa); err != nil {
 		return err
 	}
-	base := lpa - lpa%t.zoneSectors
-	for i := base; i < base+t.zoneSectors; i++ {
-		t.psn[i] = InvalidPSN
-		t.bits[i] = Page
+	z, _ := t.locate(lpa)
+	if z.psn != nil {
+		t.free = append(t.free, *z)
+		*z = zoneMap{}
 	}
 	return nil
 }
@@ -284,58 +358,67 @@ func (t *Table) MappedInRange(lo, hi int64) int64 {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > int64(len(t.psn)) {
-		hi = int64(len(t.psn))
+	if hi > t.total {
+		hi = t.total
 	}
 	var n int64
-	for i := lo; i < hi; i++ {
-		if t.psn[i] != InvalidPSN {
-			n++
+	for lo < hi {
+		z, off := t.locate(lo)
+		end := off + (hi - lo)
+		if end > t.zone.n {
+			end = t.zone.n
 		}
+		if z.psn != nil {
+			for _, p := range z.psn[off:end] {
+				if p != 0 {
+					n++
+				}
+			}
+		}
+		lo += end - off
 	}
 	return n
 }
 
 // ValidCount returns the number of valid entries (test/diagnostic helper).
-func (t *Table) ValidCount() int64 {
-	var n int64
-	for _, p := range t.psn {
-		if p != InvalidPSN {
-			n++
-		}
-	}
-	return n
-}
+func (t *Table) ValidCount() int64 { return t.MappedInRange(0, t.total) }
 
 // CheckInvariants verifies internal consistency: aggregated regions are
 // uniformly marked and their runs really are contiguous and aligned. It
 // returns the first violation found, or nil. Tests call this after random
 // operation sequences.
 func (t *Table) CheckInvariants() error {
-	for base := int64(0); base < int64(len(t.psn)); base += t.chunkSectors {
-		g := t.bits[base]
-		n := t.chunkSectors
-		if g == Zone {
-			n = t.zoneSectors
-			if base%t.zoneSectors != 0 {
-				// Zone marks are checked from the zone base; interior
-				// chunks are validated there.
-				if t.bits[base-base%t.zoneSectors] != Zone {
-					return fmt.Errorf("mapping: chunk %d marked zone but zone base is not", base)
-				}
-				continue
-			}
-		}
-		if g == Page {
+	for zi := range t.zones {
+		z := &t.zones[zi]
+		if z.psn == nil {
 			continue
 		}
-		for i := base; i < base+n; i++ {
-			if t.bits[i] != g {
-				return fmt.Errorf("mapping: non-uniform bits in run at %d (gran %v)", base, g)
+		zbase := int64(zi) * t.zone.n
+		for base := int64(0); base < t.zone.n; base += t.chunk.n {
+			g := z.bits[base]
+			n := t.chunk.n
+			if g == Zone {
+				n = t.zone.n
+				if base != 0 {
+					// Zone marks are checked from the zone base; interior
+					// chunks are validated there.
+					if z.bits[0] != Zone {
+						return fmt.Errorf("mapping: chunk %d marked zone but zone base is not", zbase+base)
+					}
+					continue
+				}
 			}
-		}
-		if !t.aggregatableRun(base, n) {
-			return fmt.Errorf("mapping: run at %d marked %v but not contiguous/aligned", base, g)
+			if g == Page {
+				continue
+			}
+			for i := base; i < base+n; i++ {
+				if z.bits[i] != g {
+					return fmt.Errorf("mapping: non-uniform bits in run at %d (gran %v)", zbase+base, g)
+				}
+			}
+			if !t.aggregatableRun(z, base, n) {
+				return fmt.Errorf("mapping: run at %d marked %v but not contiguous/aligned", zbase+base, g)
+			}
 		}
 	}
 	return nil

@@ -62,15 +62,20 @@ type Array struct {
 	chips    []*sim.Resource
 	channels []*sim.Resource
 	blocks   [][]blockState // [chip][block]
-	payload  [][]byte       // per linear sector; nil = no stored payload
-	written  []bool         // per linear sector; programmed at least once since erase
 	counters Counters
 	chanTab  []*sim.Resource // per-chip channel resource (chanOf without the modulo)
 	meta     []blockInfo     // per-block media/pages/latency, derived at construction
 	xferTab  []time.Duration // channel transfer time by n/Sector, for sector multiples up to one PU
-	slabs    slabArena       // per-array payload slab freelist (see slab.go)
-	obs      *obs.Recorder   // nil when observation is off
-	faults   FaultInjector   // nil = media never fails
+
+	// Sparse per-sector state (see slab.go): one chunk per chunkSectors
+	// linear sectors, nil until a sector of it is programmed.
+	nsectors   int64          // geo.TotalSectors()
+	chunks     []*sectorChunk // by linear sector >> chunkShift
+	freeChunks []*sectorChunk // all-zero chunks released by erases
+	slabs      slabArena      // payload buffers by handle
+
+	obs    *obs.Recorder // nil when observation is off
+	faults FaultInjector // nil = media never fails
 
 	// lastProgStart models each chip's cache register (cache-program
 	// pipeline): a data transfer for program n+1 may begin once program n
@@ -89,11 +94,9 @@ type Array struct {
 	powerCuts  int64
 	recoveries int64
 
-	// Per-sector OOB metadata and the global program sequence counter
-	// (see power.go). oobLPA is -1 for never-stamped sectors.
-	oobLPA []int64
-	oobSeq []int64
-	seq    int64
+	// seq is the global program sequence counter OOB stamps draw from
+	// (see power.go).
+	seq int64
 
 	// Durable metadata journal: resets and retirements (see power.go).
 	journal []MetaRecord
@@ -134,15 +137,9 @@ func NewArray(geo Geometry, lat LatencyTable, engine *sim.Engine) (*Array, error
 	for c := range a.blocks {
 		a.blocks[c] = make([]blockState, geo.BlocksPerChip)
 	}
-	n := geo.TotalSectors()
-	a.payload = make([][]byte, n)
-	a.written = make([]bool, n)
+	a.nsectors = geo.TotalSectors()
+	a.chunks = make([]*sectorChunk, (a.nsectors+chunkMask)>>chunkShift)
 	a.lastProgStart = make([]sim.Time, geo.Chips())
-	a.oobLPA = make([]int64, n)
-	for i := range a.oobLPA {
-		a.oobLPA[i] = -1
-	}
-	a.oobSeq = make([]int64, n)
 	return a, nil
 }
 
@@ -370,13 +367,11 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 
 	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: startPage})
 	for i := 0; i < nsect; i++ {
-		idx := int64(base) + int64(i)
-		a.written[idx] = true
+		var src []byte
 		if sectors != nil {
-			a.setPayload(idx, sectors[i])
-		} else {
-			a.setPayload(idx, nil)
+			src = sectors[i]
 		}
+		a.program(int64(base)+int64(i), src)
 	}
 	bs.nextSector = startSector + nsect
 
@@ -427,9 +422,7 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 		return xferEnd, progEnd, fmt.Errorf("nand: partial program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
 	}
 
-	idx := int64(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector}))
-	a.written[idx] = true
-	a.setPayload(idx, payload)
+	a.program(int64(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector})), payload)
 	bs.nextSector = lin + 1
 
 	a.counters.PartialPrograms++
@@ -509,13 +502,11 @@ func (a *Array) ProgramSLCPage(at sim.Time, chip, block, page int, sectors [][]b
 
 	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page})
 	for s := 0; s < spp; s++ {
-		idx := int64(base) + int64(s)
-		a.written[idx] = true
+		var src []byte
 		if sectors != nil {
-			a.setPayload(idx, sectors[s])
-		} else {
-			a.setPayload(idx, nil)
+			src = sectors[s]
 		}
+		a.program(int64(base)+int64(s), src)
 	}
 	bs.nextSector = (page + 1) * spp
 
@@ -553,15 +544,8 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 	}
 	bs.nextSector = 0
 	bs.eraseCount++
-	spp := a.geo.SectorsPerPage()
 	base := int64(a.geo.PPAOf(Addr{Chip: chip, Block: block}))
-	n := int64(a.geo.maxPagesPerBlock() * spp)
-	for i := int64(0); i < n; i++ {
-		a.dropPayload(base + i)
-		a.written[base+i] = false
-		a.oobLPA[base+i] = -1
-		a.oobSeq[base+i] = 0
-	}
+	a.eraseSectors(base, base+int64(a.geo.maxPagesPerBlock()*a.geo.SectorsPerPage()))
 	a.counters.Erases++
 	a.engine.Observe(end)
 	a.record(obs.StageNANDErase, at, end, chip, 0)
@@ -571,10 +555,11 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 // IsWritten reports whether the sector at ppa has been programmed since the
 // last erase of its block.
 func (a *Array) IsWritten(ppa PPA) bool {
-	if ppa < 0 || int64(ppa) >= int64(len(a.written)) {
+	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return false
 	}
-	return a.written[ppa]
+	c := a.chunkOf(int64(ppa))
+	return c != nil && c.written>>uint(ppa&chunkMask)&1 != 0
 }
 
 // Payload returns the stored bytes of one written sector, or nil when the
@@ -586,10 +571,18 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // unrelated data. Callers that let the bytes escape the current media
 // operation (oracles, host-boundary copies) must use PayloadCopy instead.
 func (a *Array) Payload(ppa PPA) []byte {
-	if ppa < 0 || int64(ppa) >= int64(len(a.payload)) {
+	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return nil
 	}
-	return a.payload[ppa]
+	c := a.chunkOf(int64(ppa))
+	if c == nil {
+		return nil
+	}
+	h := c.slab[ppa&chunkMask]
+	if h == 0 {
+		return nil
+	}
+	return a.slabs.buf(h)
 }
 
 // PayloadCopy returns a freshly allocated copy of the sector's stored bytes

@@ -40,13 +40,15 @@ type imageFile struct {
 // SaveImage writes the array's durable state to path, replacing any
 // existing file. The in-memory array is unchanged.
 func (a *Array) SaveImage(path string) error {
+	// The v1 layout is dense: one flag and one stamp per linear sector,
+	// -1 marking a never-stamped sector. Absent chunks keep those defaults.
 	img := imageFile{
 		Version:  imageVersion,
 		Geo:      a.geo,
-		Written:  a.written,
+		Written:  make([]bool, a.nsectors),
 		Payload:  make(map[int64][]byte),
-		OOBLPA:   a.oobLPA,
-		OOBSeq:   a.oobSeq,
+		OOBLPA:   make([]int64, a.nsectors),
+		OOBSeq:   make([]int64, a.nsectors),
 		Seq:      a.seq,
 		Journal:  a.journal,
 		Counters: a.counters,
@@ -58,9 +60,21 @@ func (a *Array) SaveImage(path string) error {
 			img.Blocks[c][b] = imageBlock{NextSector: bs.nextSector, EraseCount: bs.eraseCount}
 		}
 	}
-	for i, p := range a.payload {
-		if p != nil {
-			img.Payload[int64(i)] = p
+	for i := range img.OOBLPA {
+		img.OOBLPA[i] = -1
+	}
+	for ci, c := range a.chunks {
+		if c == nil {
+			continue
+		}
+		base := int64(ci) << chunkShift
+		for i := int64(0); i < chunkSectors && base+i < a.nsectors; i++ {
+			img.Written[base+i] = c.written>>uint(i)&1 != 0
+			img.OOBLPA[base+i] = c.oobLPA[i] - 1
+			img.OOBSeq[base+i] = c.oobSeq[i]
+			if h := c.slab[i]; h != 0 {
+				img.Payload[base+i] = a.slabs.buf(h)
+			}
 		}
 	}
 	f, err := os.Create(path)
@@ -115,9 +129,15 @@ func LoadArray(path string, lat LatencyTable) (*Array, error) {
 			a.blocks[c][b] = blockState{nextSector: bs.NextSector, eraseCount: bs.EraseCount}
 		}
 	}
-	copy(a.written, img.Written)
-	copy(a.oobLPA, img.OOBLPA)
-	copy(a.oobSeq, img.OOBSeq)
+	// An erased sector touches nothing: its chunk stays absent.
+	for i := int64(0); i < n; i++ {
+		if img.Written[i] {
+			a.touch(i).written |= 1 << uint(i&chunkMask)
+		}
+		if img.OOBLPA[i] != -1 || img.OOBSeq[i] != 0 {
+			a.stamp(i, img.OOBLPA[i], img.OOBSeq[i])
+		}
+	}
 	a.seq = img.Seq
 	a.journal = img.Journal
 	a.counters = img.Counters
@@ -125,7 +145,12 @@ func LoadArray(path string, lat LatencyTable) (*Array, error) {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("nand: image %s: payload index %d out of range", path, idx)
 		}
-		a.setPayload(idx, p)
+		if !img.Written[idx] {
+			return nil, fmt.Errorf("nand: image %s: payload on unwritten sector %d", path, idx)
+		}
+		h := a.slabs.get()
+		copy(a.slabs.buf(h), p)
+		a.touch(idx).slab[idx&chunkMask] = h
 	}
 	return a, nil
 }

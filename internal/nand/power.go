@@ -100,26 +100,46 @@ func (a *Array) gate(end sim.Time) error {
 // assigns it the next program sequence number.
 func (a *Array) StampOOB(ppa PPA, lpa int64) {
 	a.seq++
-	a.oobLPA[ppa] = lpa
-	a.oobSeq[ppa] = a.seq
+	a.stamp(int64(ppa), lpa, a.seq)
+}
+
+// stamp stores an OOB stamp on linear sector idx.
+func (a *Array) stamp(idx, lpa, seq int64) {
+	c := a.touch(idx)
+	i := idx & chunkMask
+	c.stamped |= 1 << uint(i)
+	c.oobLPA[i] = lpa + 1
+	c.oobSeq[i] = seq
 }
 
 // CopyOOB duplicates src's OOB stamp onto dst, keeping the original
 // sequence number — used when the device relocates data without logically
 // rewriting it (bad-block relocation), so the copy neither gains nor loses
-// priority against other copies of the same LPA.
+// priority against other copies of the same LPA. An unstamped src leaves
+// dst unstamped.
 func (a *Array) CopyOOB(dst, src PPA) {
-	a.oobLPA[dst] = a.oobLPA[src]
-	a.oobSeq[dst] = a.oobSeq[src]
+	if sc := a.chunkOf(int64(src)); sc != nil && sc.stamped>>uint(src&chunkMask)&1 != 0 {
+		a.stamp(int64(dst), sc.oobLPA[src&chunkMask]-1, sc.oobSeq[src&chunkMask])
+		return
+	}
+	if c := a.chunkOf(int64(dst)); c != nil {
+		i := dst & chunkMask
+		c.stamped &^= 1 << uint(i)
+		c.oobLPA[i], c.oobSeq[i] = 0, 0
+	}
 }
 
 // OOB returns the stamped logical address and sequence number of a sector,
 // or (-1, 0) when the sector was never stamped since its last erase.
 func (a *Array) OOB(ppa PPA) (lpa int64, seq int64) {
-	if ppa < 0 || int64(ppa) >= int64(len(a.oobLPA)) {
+	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return -1, 0
 	}
-	return a.oobLPA[ppa], a.oobSeq[ppa]
+	c := a.chunkOf(int64(ppa))
+	if c == nil {
+		return -1, 0
+	}
+	return c.oobLPA[ppa&chunkMask] - 1, c.oobSeq[ppa&chunkMask]
 }
 
 // NextSeq consumes and returns the next program sequence number without

@@ -3,6 +3,7 @@ package nand
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
@@ -94,6 +95,7 @@ type ReadSharder struct {
 	stop    chan struct{}
 	done    sync.WaitGroup
 	started bool
+	alive   atomic.Int32 // worker goroutines that have not exited
 }
 
 // NewReadSharder partitions the array's chips into n per-channel shards
@@ -198,10 +200,16 @@ func (s *ReadSharder) ensureWorkers() {
 		return
 	}
 	s.started = true
+	s.alive.Add(int32(s.nshards))
 	for q := 0; q < s.nshards; q++ {
 		go s.worker(q)
 	}
 }
+
+// Workers reports how many of the sharder's worker goroutines are alive:
+// none before the first parallel batch, one per shard from then on — a Stop
+// is owed — and none again once a Stop has taken effect.
+func (s *ReadSharder) Workers() int { return int(s.alive.Load()) }
 
 // Stop terminates the worker goroutines. Safe to call multiple times and
 // with workers never started; must not race an Execute.
@@ -214,6 +222,7 @@ func (s *ReadSharder) Stop() {
 }
 
 func (s *ReadSharder) worker(q int) {
+	defer s.alive.Add(-1)
 	for {
 		select {
 		case <-s.wake[q]:

@@ -2,6 +2,7 @@ package nand
 
 import (
 	"testing"
+	"time"
 
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
@@ -43,6 +44,38 @@ func TestReadSharderPartition(t *testing.T) {
 		s.Stop()
 		s.Stop() // idempotent
 	}
+}
+
+// waitWorkers waits until exactly n of s's worker goroutines are alive.
+func waitWorkers(t *testing.T, s *ReadSharder, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); s.Workers() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shard worker goroutines alive, want %d", s.Workers(), n)
+		}
+	}
+}
+
+// TestReadSharderStopAfterStart covers the other half of Stop's contract:
+// with workers running (a parallel batch over two shards started them), a
+// first Stop makes every worker exit and a second is a no-op.
+func TestReadSharderStopAfterStart(t *testing.T) {
+	a := shardTestArray(t)
+	s := a.NewReadSharder(0)
+	if s.Workers() != 0 {
+		t.Fatal("a fresh sharder reports live workers")
+	}
+	jobs := make([]ReadJob, 2*a.geo.Chips())
+	for i := range jobs {
+		jobs[i] = ReadJob{Kind: JobDataRead, Chip: i % a.geo.Chips(), XferBytes: units.Sector}
+	}
+	s.Execute(jobs, true)
+	if s.Workers() != s.Shards() {
+		t.Fatalf("a parallel batch over two shards left %d workers, want %d", s.Workers(), s.Shards())
+	}
+	s.Stop()
+	s.Stop()
+	waitWorkers(t, s, 0)
 }
 
 // TestReadSharderExecuteEquivalence runs the same job batch inline and in

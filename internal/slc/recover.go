@@ -113,6 +113,7 @@ func (r *Region) Recover(at sim.Time, retired []int) (sim.Time, error) {
 			}
 			r.cur = i
 			r.pos = pos
+			r.tables(i)
 		}
 	}
 	return done, nil
@@ -130,6 +131,7 @@ func (r *Region) MarkValid(idx, lpa int64) error {
 	if r.sbs[sb].inFree {
 		return fmt.Errorf("slc: mark valid on free superblock %d", sb)
 	}
+	r.tables(sb)
 	if r.sbs[sb].valid[pos] {
 		return fmt.Errorf("slc: double mark of index %d", idx)
 	}

@@ -57,9 +57,14 @@ func (s Stats) Delta(prev Stats) Stats {
 
 type superblock struct {
 	validCount int
-	valid      []bool
-	lpa        []int64
 	inFree     bool
+
+	// valid and lpa are the per-position liveness flags and reverse map.
+	// They are nil until the superblock first takes data (bind, or a
+	// recovery mount that finds it written), so a region costs what was
+	// staged; a collected superblock keeps its cleared tables for reuse.
+	valid []bool
+	lpa   []int64
 
 	// retired freezes the superblock out of service after a program or
 	// erase failure: it is never written, collected or freed again, but any
@@ -87,18 +92,11 @@ type Region struct {
 	// Reused scratch storage: the staging path runs on every premature
 	// flush, so per-call slices here would dominate the emulator's
 	// steady-state allocation profile.
-	idxScratch  []int64   // Append result accumulator (returned, then reused)
-	pageScratch [][]byte  // one page's sector views for ProgramSLCPage
-	runScratch  []pageRun // per-page read batching in ReadSectors
-	moveScratch []int64   // GC: victim's live indices
-	wsScratch   []Write   // GC: migration writes
-}
-
-// pageRun accumulates the transfer bytes of one distinct flash page during
-// ReadSectors batching.
-type pageRun struct {
-	chip, block, page int
-	bytes             int64
+	idxScratch  []int64       // Append result accumulator (returned, then reused)
+	pageScratch [][]byte      // one page's sector views for ProgramSLCPage
+	pages       nand.PageRuns // per-page read batching in ReadSectors
+	moveScratch []int64       // GC: victim's live indices
+	wsScratch   []Write       // GC: migration writes
 }
 
 // SetRecorder attaches a lifecycle recorder; nil disables GC spans.
@@ -138,16 +136,24 @@ func NewRegion(arr *nand.Array, blocks []int) (*Region, error) {
 		pageScratch: make([][]byte, g.SectorsPerPage()),
 	}
 	r.sbs = make([]superblock, len(blocks))
+	r.free = make([]int, len(blocks))
 	for i := range r.sbs {
-		r.sbs[i] = superblock{
-			valid:  make([]bool, r.sbCap),
-			lpa:    make([]int64, r.sbCap),
-			inFree: true,
-		}
-		r.free = append(r.free, i)
+		r.sbs[i].inFree = true
+		r.free[i] = i
 	}
 	return r, nil
 }
+
+// tables makes superblock sb ready to track validity.
+func (r *Region) tables(sb int) {
+	if r.sbs[sb].valid == nil {
+		r.sbs[sb].valid = make([]bool, r.sbCap)
+		r.sbs[sb].lpa = make([]int64, r.sbCap)
+	}
+}
+
+// live reports whether position pos of the superblock holds a live sector.
+func (sb *superblock) live(pos int64) bool { return sb.valid != nil && sb.valid[pos] }
 
 // SuperblockCount returns the number of superblocks the region owns.
 func (r *Region) SuperblockCount() int { return len(r.sbs) }
@@ -312,6 +318,7 @@ func (r *Region) bind() error {
 	r.cur = r.free[0]
 	r.free = r.free[1:]
 	r.sbs[r.cur].inFree = false
+	r.tables(r.cur)
 	r.pos = 0
 	return nil
 }
@@ -424,7 +431,7 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 func (r *Region) rollback(idxs []int64) {
 	for _, idx := range idxs {
 		sb, pos, err := r.locate(idx)
-		if err != nil || !r.sbs[sb].valid[pos] {
+		if err != nil || !r.sbs[sb].live(pos) {
 			continue
 		}
 		r.sbs[sb].valid[pos] = false
@@ -441,7 +448,7 @@ func (r *Region) Invalidate(idx int64) error {
 	if err != nil {
 		return err
 	}
-	if !r.sbs[sb].valid[pos] {
+	if !r.sbs[sb].live(pos) {
 		return fmt.Errorf("slc: double invalidate of index %d", idx)
 	}
 	r.sbs[sb].valid[pos] = false
@@ -456,7 +463,7 @@ func (r *Region) IsValid(idx int64) bool {
 	if err != nil {
 		return false
 	}
-	return r.sbs[sb].valid[pos]
+	return r.sbs[sb].live(pos)
 }
 
 // LPAAt returns the reverse-mapped logical address of a live staged sector.
@@ -465,7 +472,7 @@ func (r *Region) LPAAt(idx int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !r.sbs[sb].valid[pos] {
+	if !r.sbs[sb].live(pos) {
 		return 0, fmt.Errorf("slc: index %d is not valid", idx)
 	}
 	return r.sbs[sb].lpa[pos], nil
@@ -506,36 +513,17 @@ func (r *Region) Payload(idx int64) []byte {
 // never lose acknowledged writes.
 func (r *Region) ReadSectors(at sim.Time, idxs []int64) (sim.Time, error) {
 	// Batch per distinct page in first-touch order (deterministic replay).
-	// A scratch slice with a linear scan replaces the old map+order pair:
-	// requests are short and usually page-sorted, so the last-run check
-	// catches nearly every hit, and nothing is allocated per call.
-	runs := r.runScratch[:0]
+	r.pages.Reset()
 	for _, idx := range idxs {
 		a, err := r.AddrOf(idx)
 		if err != nil {
 			return at, err
 		}
-		hit := false
-		if n := len(runs); n > 0 && runs[n-1].chip == a.Chip && runs[n-1].block == a.Block && runs[n-1].page == a.Page {
-			runs[n-1].bytes += units.Sector
-			hit = true
-		} else {
-			for j := range runs {
-				if runs[j].chip == a.Chip && runs[j].block == a.Block && runs[j].page == a.Page {
-					runs[j].bytes += units.Sector
-					hit = true
-					break
-				}
-			}
-		}
-		if !hit {
-			runs = append(runs, pageRun{chip: a.Chip, block: a.Block, page: a.Page, bytes: units.Sector})
-		}
+		r.pages.Add(a)
 	}
-	r.runScratch = runs
 	done := at
-	for i := range runs {
-		end, err := r.arr.ReadPageReliable(at, runs[i].chip, runs[i].block, runs[i].page, runs[i].bytes)
+	for _, run := range r.pages.Runs() {
+		end, err := r.arr.ReadPageReliable(at, run.Chip, run.Block, run.Page, run.Bytes)
 		if err != nil {
 			return at, err
 		}
@@ -590,9 +578,9 @@ func (r *Region) Collect(at sim.Time, victim int, rel Relocator) (sim.Time, erro
 
 	// Move valid sectors, if any.
 	moves := r.moveScratch[:0]
-	for pos := int64(0); pos < r.sbCap; pos++ {
-		if sb.valid[pos] {
-			moves = append(moves, int64(victim)*r.sbCap+pos)
+	for pos, v := range sb.valid {
+		if v {
+			moves = append(moves, int64(victim)*r.sbCap+int64(pos))
 		}
 	}
 	r.moveScratch = moves

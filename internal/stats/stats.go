@@ -16,9 +16,11 @@ import (
 // sub-buckets, HDR-histogram style. It supports percentile estimation with
 // bounded relative error and exact tracking of min/max/sum.
 type Histogram struct {
-	// buckets[i][j]: major bucket i covers [2^i us, 2^(i+1) us) split into
-	// subBuckets linear sub-buckets; bucket 0 covers [0, 1us).
-	counts [][]int64
+	// counts[i][j]: major bucket i covers [2^i us, 2^(i+1) us) split into
+	// subBuckets linear sub-buckets; bucket 0 covers [0, 1us). One block,
+	// nil until first use: a histogram is built per device result and per
+	// workload run, so it costs one allocation, not one per major bucket.
+	counts *[majorBuckets][subBuckets]int64
 	total  int64
 	sum    time.Duration
 	min    time.Duration
@@ -41,10 +43,7 @@ func NewHistogram() *Histogram {
 // Histogram is usable (Record and Merge call it).
 func (h *Histogram) init() {
 	if h.counts == nil {
-		h.counts = make([][]int64, majorBuckets)
-		for i := range h.counts {
-			h.counts[i] = make([]int64, subBuckets)
-		}
+		h.counts = new([majorBuckets][subBuckets]int64)
 		h.min = math.MaxInt64
 	}
 }
@@ -186,10 +185,8 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		for j := range h.counts[i] {
-			h.counts[i][j] = 0
-		}
+	if h.counts != nil {
+		*h.counts = [majorBuckets][subBuckets]int64{}
 	}
 	h.total = 0
 	h.sum = 0
