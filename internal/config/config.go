@@ -169,7 +169,8 @@ func (c DeviceConfig) Save(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// Load reads a configuration written by Save and validates it.
+// Load reads a configuration written by Save and validates it. A key that names
+// no field is ignored, so files saved before a parameter was removed still load.
 func Load(path string) (DeviceConfig, error) {
 	var c DeviceConfig
 	b, err := os.ReadFile(path)

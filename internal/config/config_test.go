@@ -118,6 +118,18 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresRemovedKey loads a file Save wrote at PR 12, verbatim: its
+// FTL object still carries the read-executor knob PR 13 deleted, set to 4.
+func TestLoadIgnoresRemovedKey(t *testing.T) {
+	got, err := Load(filepath.Join("testdata", "saved_by_pr12.json"))
+	if err != nil {
+		t.Fatalf("config saved by the previous version rejected: %v", err)
+	}
+	if want := Small(); got != want {
+		t.Errorf("loaded config differs from Small():\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestLoadRejectsBadFile(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/l2pcache"
@@ -139,15 +138,6 @@ type Params struct {
 	// wear-coupled fault model fails more often from the first operation.
 	// 0 — the default — builds a factory-fresh device.
 	PreWearErases int64
-
-	// Shards selects channel-sharded read execution (internal/nand
-	// ReadSharder): host reads are staged, their sim reservations run on
-	// per-channel shards, and results merge deterministically back in
-	// submission order — bit-identical to sequential execution at any
-	// shard count and GOMAXPROCS. 0 (the default) auto-selects one shard
-	// per channel; 1 disables staging entirely (the pure sequential
-	// path); N>1 uses min(N, channels) shards.
-	Shards int
 }
 
 // Stats aggregates the FTL-level counters on top of the substrate stats.
@@ -310,20 +300,14 @@ type FTL struct {
 	wsScratch  []slc.Write   // stage{Sectors,Conventional,TailSectors} builds
 	combineIdx []int64       // combine: pending staged indices
 	combineBuf [][]byte      // combine: merged program-unit sector views
-	readRuns   nand.PageRuns // ReadInto/StageRead: per-page media read batching
+	readRuns   nand.PageRuns // ReadInto: per-page media read batching
 	padScratch [][]byte      // FinishZone: all-nil payload views for pad-out
 
 	l2pLogPending int64 // mapping updates awaiting an L2P-log flush
 	l2pLogChip    int   // round-robin chip for log programs
 
-	// Channel-sharded read execution (shardread.go). sharder is nil when
-	// Params.Shards == 1; batch holds the staged-but-undrained reads;
-	// procs caches GOMAXPROCS at construction (querying it takes the
-	// scheduler lock, and staleness is harmless — execution strategy
-	// cannot affect results).
-	sharder *nand.ReadSharder
-	batch   readBatch
-	procs   int
+	compatDone []sim.Time // benchcompat.go: results StageRead remembered,
+	compatErr  []error    // emitted and cleared by DrainStagedReads
 
 	stats Stats
 	obs   *obs.Recorder // nil when observation is off
@@ -415,10 +399,6 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 		}
 		f.inj = inj
 		arr.SetFaultInjector(inj)
-	}
-	if p.Shards != 1 {
-		f.sharder = arr.NewReadSharder(p.Shards)
-		f.procs = runtime.GOMAXPROCS(0)
 	}
 	f.zoneCap = f.sbSectors
 	if p.AlignZones {

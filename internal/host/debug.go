@@ -34,9 +34,6 @@ type DebugState struct {
 func (c *Controller) DebugSnapshot() DebugState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Staged reads are outstanding but neither pending nor completed;
-	// drain them so the snapshot's queue accounting balances.
-	c.drainStaged()
 	st := DebugState{
 		NextTag:         c.nextTag,
 		Outstanding:     append([]int(nil), c.out...),

@@ -370,8 +370,8 @@ func FormatTail(r *Recorder, n int) string {
 // order (all fields), and the per-stage / per-(stage, cause) aggregates
 // including each stage's latency summary. Two recorders fed identical
 // event streams produce identical fingerprints, which is how the
-// channel-sharded execution tests assert that telemetry and trace output
-// stay byte-identical to the sequential path. Nil-safe: a nil recorder
+// determinism tests assert that telemetry and trace output
+// stay byte-identical from run to run. Nil-safe: a nil recorder
 // fingerprints to the digest of an empty state.
 func (r *Recorder) Fingerprint() [32]byte {
 	h := sha256.New()
