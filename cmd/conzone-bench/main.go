@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -182,11 +183,22 @@ func main() {
 	order := []string{"table1", "table2", "fig6a", "fig6b", "fig7", "fig8", "ablations", "emulators"}
 
 	if *exp == "all" {
-		for _, name := range order {
+		// What the run cost goes to stderr, after the last table, so stdout
+		// stays diffable between runs.
+		took := make([]time.Duration, len(order))
+		began := time.Now()
+		for i, name := range order {
+			t0 := time.Now()
 			if err := runners[name](cfg, opt); err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}
+			took[i] = time.Since(t0)
 		}
+		suite := time.Since(began)
+		for i, name := range order {
+			fmt.Fprintf(os.Stderr, "wall time: %-9s %7.3fs\n", name, took[i].Seconds())
+		}
+		fmt.Fprintf(os.Stderr, "wall time: %-9s %7.3fs\n", "suite", suite.Seconds())
 		return
 	}
 	run, ok := runners[*exp]
@@ -328,7 +340,13 @@ func runAblations(cfg config.DeviceConfig, opt experiments.Options) error {
 		fmt.Printf("\n%s: %s -> %s\n", res.Name, res.Baseline, res.Variant)
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "metric\tbaseline\tvariant")
-		for k, v := range res.Metrics {
+		names := make([]string, 0, len(res.Metrics))
+		for k := range res.Metrics {
+			names = append(names, k)
+		}
+		sort.Strings(names) // map order would make two runs' tables differ
+		for _, k := range names {
+			v := res.Metrics[k]
 			fmt.Fprintf(w, "%s\t%.3f\t%.3f\n", k, v[0], v[1])
 		}
 		if err := w.Flush(); err != nil {

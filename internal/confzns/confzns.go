@@ -42,7 +42,8 @@ type Stats struct {
 type Device struct {
 	arr       *nand.Array
 	zones     *zns.Manager
-	geo       nand.Geometry
+	chips     int // geo.Chips()
+	firstNorm int // geo.FirstNormalBlock()
 	rng       *sim.Rand
 	params    Params
 	puSectors int64
@@ -83,7 +84,8 @@ func New(geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
 	}
 	d := &Device{
 		arr:       arr,
-		geo:       geo,
+		chips:     geo.Chips(),
+		firstNorm: geo.FirstNormalBlock(),
 		rng:       sim.NewRand(p.Seed),
 		params:    p,
 		puSectors: geo.ProgramUnit / units.Sector,
@@ -144,10 +146,10 @@ func (d *Device) bind(zone int) (int, error) {
 
 func (d *Device) loc(sb int, off int64) nand.Addr {
 	k := off / d.puSectors
-	chips := int64(d.geo.Chips())
+	chips := int64(d.chips)
 	return nand.Addr{
 		Chip:   int(k % chips),
-		Block:  d.geo.FirstNormalBlock() + sb,
+		Block:  d.firstNorm + sb,
 		Page:   int(k/chips)*d.ppu + int(off%d.puSectors)/d.spp,
 		Sector: int(off % d.puSectors % int64(d.spp)),
 	}
@@ -254,7 +256,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 			continue
 		}
 		addr := d.loc(sb, l-z.Start)
-		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
+		out[i] = d.arr.Payload(d.arr.PPAOf(addr))
 		d.pages.Add(addr)
 	}
 	done := at
@@ -281,8 +283,8 @@ func (d *Device) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	delete(d.pend, zone)
 	done := at
 	if sb := d.zoneMap[zone]; sb >= 0 {
-		block := d.geo.FirstNormalBlock() + sb
-		for chip := 0; chip < d.geo.Chips(); chip++ {
+		block := d.firstNorm + sb
+		for chip := 0; chip < d.chips; chip++ {
 			dn, err := d.arr.Erase(at, chip, block)
 			if err != nil {
 				return at, err

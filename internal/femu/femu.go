@@ -48,7 +48,8 @@ type zoneBuf struct {
 type Device struct {
 	arr       *nand.Array
 	zones     *zns.Manager
-	geo       nand.Geometry
+	chips     int // geo.Chips()
+	firstNorm int // geo.FirstNormalBlock()
 	rng       *sim.Rand
 	params    Params
 	puSectors int64
@@ -73,7 +74,8 @@ func New(geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
 	}
 	d := &Device{
 		arr:       arr,
-		geo:       geo,
+		chips:     geo.Chips(),
+		firstNorm: geo.FirstNormalBlock(),
 		rng:       sim.NewRand(p.Seed),
 		params:    p,
 		puSectors: geo.ProgramUnit / units.Sector,
@@ -116,10 +118,10 @@ func (d *Device) jitter() sim.Duration {
 // loc maps (zone, offset) to the flash address in zone-indexed superblock.
 func (d *Device) loc(zone int, off int64) nand.Addr {
 	k := off / d.puSectors
-	chips := int64(d.geo.Chips())
+	chips := int64(d.chips)
 	return nand.Addr{
 		Chip:   int(k % chips),
-		Block:  d.geo.FirstNormalBlock() + zone,
+		Block:  d.firstNorm + zone,
 		Page:   int(k/chips)*d.ppu + int(off%d.puSectors)/d.spp,
 		Sector: int(off % d.puSectors % int64(d.spp)),
 	}
@@ -233,7 +235,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 			continue
 		}
 		addr := d.loc(zone, l-z.Start)
-		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
+		out[i] = d.arr.Payload(d.arr.PPAOf(addr))
 		d.pages.Add(addr)
 	}
 	done := at
@@ -259,8 +261,8 @@ func (d *Device) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	}
 	delete(d.bufs, zone)
 	done := at
-	block := d.geo.FirstNormalBlock() + zone
-	for chip := 0; chip < d.geo.Chips(); chip++ {
+	block := d.firstNorm + zone
+	for chip := 0; chip < d.chips; chip++ {
 		dn, err := d.arr.Erase(at, chip, block)
 		if err != nil {
 			return at, err

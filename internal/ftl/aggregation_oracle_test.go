@@ -1,0 +1,376 @@
+package ftl
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"github.com/conzone/conzone/internal/l2pcache"
+	"github.com/conzone/conzone/internal/mapping"
+	"github.com/conzone/conzone/internal/sim"
+)
+
+// The write path used to rescan the current chunk from its base before
+// offering it to the table (fullyMapped below); it now offers every touched
+// chunk and lets the table refuse in O(1). This file keeps the old rule as
+// the reference: a shadow table follows the device's page-granularity
+// translations and is promoted by the rescan rule, and the device's map bits
+// must equal the shadow's at every LPA after every operation. The L2P cache
+// contents and ftl.Stats at the end of each stream are pinned to the digests
+// the rescan code itself produced at b9f1aa8.
+
+// fullyMapped is the deleted pre-scan: n sectors from lpa are all valid.
+func fullyMapped(t *mapping.Table, lpa, n int64) bool {
+	for i := int64(0); i < n; i++ {
+		if _, ok := t.Get(lpa + i); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// rescanAggregate is aggregateAfterWrite as it stood at b9f1aa8, applied to
+// the shadow table after [off, off+n) of the zone starting at zstart changed.
+func rescanAggregate(ref *mapping.Table, zstart, off, n, chunk, zoneCap int64, zones bool) {
+	for c := off / chunk; c <= (off+n-1)/chunk; c++ {
+		lpa := zstart + c*chunk
+		if (c+1)*chunk <= off+n || fullyMapped(ref, lpa, chunk) {
+			ref.TryAggregateChunk(lpa)
+		}
+	}
+	if zones && off+n == zoneCap {
+		ref.TryAggregateZone(zstart)
+	}
+}
+
+// aggOracle drives one FTL and its shadow.
+type aggOracle struct {
+	t   *testing.T
+	f   *FTL
+	ref *mapping.Table
+	rng *sim.Rand
+	at  sim.Time
+	ops int
+}
+
+func newAggOracle(t *testing.T, seed uint64, mut func(*Params)) *aggOracle {
+	t.Helper()
+	f := newTestFTL(t, mut)
+	ref, err := mapping.NewTable(mapping.Config{
+		TotalSectors: f.TotalSectors(),
+		ChunkSectors: f.params.ChunkSectors,
+		ZoneSectors:  f.zoneCap,
+		AggLimit:     f.aggLimit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &aggOracle{t: t, f: f, ref: ref, rng: sim.NewRand(seed)}
+}
+
+// sync copies every translation the last operation changed into the shadow,
+// promotes the shadow by the rescan rule, and compares the map bits.
+func (o *aggOracle) sync(what string) {
+	o.t.Helper()
+	o.ops++
+	f, tab := o.f, o.f.Table()
+	for zone := 0; zone < f.numZones; zone++ {
+		zstart := int64(zone) * f.zoneCap
+		if tab.MappedInRange(zstart, zstart+f.zoneCap)+o.ref.MappedInRange(zstart, zstart+f.zoneCap) == 0 {
+			continue
+		}
+		runStart := int64(-1)
+		for off := int64(0); off <= f.zoneCap; off++ {
+			changed := false
+			if off < f.zoneCap {
+				p, ok := tab.Get(zstart + off)
+				rp, rok := o.ref.Get(zstart + off)
+				switch {
+				case ok && (!rok || p != rp):
+					if err := o.ref.Set(zstart+off, p); err != nil {
+						o.t.Fatal(err)
+					}
+					changed = true
+				case !ok && rok:
+					o.t.Fatalf("op %d (%s): LPA %d lost its mapping without a reset", o.ops, what, zstart+off)
+				}
+			}
+			if changed && runStart < 0 {
+				runStart = off
+			}
+			if !changed && runStart >= 0 {
+				if !f.params.DisableAggregation {
+					rescanAggregate(o.ref, zstart, runStart, off-runStart,
+						f.params.ChunkSectors, f.zoneCap, f.params.AggregateZones)
+				}
+				runStart = -1
+			}
+		}
+	}
+	for lpa := int64(0); lpa < f.TotalSectors(); lpa++ {
+		if got, want := tab.Bits(lpa), o.ref.Bits(lpa); got != want {
+			o.t.Fatalf("op %d (%s): map bits of LPA %d = %v, the rescan rule gives %v", o.ops, what, lpa, got, want)
+		}
+	}
+}
+
+func (o *aggOracle) wp(zone int) int64 {
+	z, err := o.f.Zones().Zone(zone)
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	return z.WP - z.Start
+}
+
+// write appends up to n sectors at the zone's write pointer and reports how
+// many it wrote (0 when the zone is full).
+func (o *aggOracle) write(zone int, n int64) int64 {
+	o.t.Helper()
+	off := o.wp(zone)
+	if room := o.f.zoneCap - off; n > room {
+		n = room
+	}
+	if n == 0 {
+		return 0
+	}
+	lba := int64(zone)*o.f.zoneCap + off
+	d, err := o.f.Write(o.at, lba, make([][]byte, n)) // timing-only: no payloads
+	if err != nil {
+		o.t.Fatalf("op %d: write zone %d [%d,+%d): %v", o.ops, zone, off, n, err)
+	}
+	o.at = d
+	o.sync(fmt.Sprintf("write z%d [%d,+%d)", zone, off, n))
+	return n
+}
+
+func (o *aggOracle) flush(zone int) {
+	o.t.Helper()
+	d, err := o.f.Flush(o.at, zone)
+	if err != nil {
+		o.t.Fatalf("op %d: flush zone %d: %v", o.ops, zone, err)
+	}
+	o.at = d
+	o.sync(fmt.Sprintf("flush z%d", zone))
+}
+
+func (o *aggOracle) reset(zone int) {
+	o.t.Helper()
+	d, err := o.f.ResetZone(o.at, zone)
+	if err != nil {
+		o.t.Fatalf("op %d: reset zone %d: %v", o.ops, zone, err)
+	}
+	o.at = d
+	if err := o.ref.InvalidateZone(int64(zone) * o.f.zoneCap); err != nil {
+		o.t.Fatal(err)
+	}
+	o.sync(fmt.Sprintf("reset z%d", zone))
+}
+
+// read reads a random written range of the zone, so the cache sees lookups,
+// fetches and — under Pinned — the entries the write path inserted.
+func (o *aggOracle) read(zone int) {
+	o.t.Helper()
+	w := o.wp(zone)
+	if w == 0 {
+		return
+	}
+	off := o.rng.Int63n(w)
+	n := 1 + o.rng.Int63n(min(w-off, 8))
+	_, d, err := o.f.Read(o.at, int64(zone)*o.f.zoneCap+off, n)
+	if err != nil {
+		o.t.Fatalf("op %d: read zone %d [%d,+%d): %v", o.ops, zone, off, n, err)
+	}
+	o.at = d
+	o.sync(fmt.Sprintf("read z%d [%d,+%d)", zone, off, n))
+}
+
+// fill writes the zone to capacity in random pieces of at most maxPiece
+// sectors, flushing after a piece with probability flushPct/100.
+func (o *aggOracle) fill(zone int, maxPiece, flushPct int64) {
+	for o.write(zone, 1+o.rng.Int63n(maxPiece)) > 0 {
+		if o.rng.Int63n(100) < flushPct {
+			o.flush(zone)
+		}
+		if o.rng.Int63n(4) == 0 {
+			o.read(zone)
+		}
+	}
+	o.flush(zone)
+}
+
+// digest hashes what the change of rule must not move: the translation and
+// map bits of every LPA, the cache contents in LRU order, the FTL and cache
+// counters, and the clock.
+func (o *aggOracle) digest() string {
+	h := sha256.New()
+	tab := o.f.Table()
+	for lpa := int64(0); lpa < o.f.TotalSectors(); lpa++ {
+		p, _ := tab.Get(lpa)
+		fmt.Fprintf(h, "%d:%d:%d ", lpa, p, tab.Bits(lpa))
+	}
+	o.f.Cache().ForEach(func(e l2pcache.Entry) bool {
+		fmt.Fprintf(h, "%+v ", e)
+		return true
+	})
+	fmt.Fprintf(h, "%+v %+v %d", o.f.Stats(), o.f.Cache().Stats(), o.at)
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// aggStreams are the seeded operation streams, one per write-path shape
+// that reaches aggregateAfterWrite.
+var aggStreams = []struct {
+	name string
+	run  func(o *aggOracle)
+}{
+	// Large sequential writes: program units land directly, chunks and
+	// the zone complete in order (Fig. 5).
+	{"seqfill", func(o *aggOracle) {
+		for zone := 0; zone < 3; zone++ {
+			o.fill(zone, 96, 0)
+		}
+	}},
+	// Sub-unit writes flushed early: the partial run is staged in SLC and
+	// the next flush combines it into a full unit (Fig. 3 ②③), so chunks
+	// complete through the combine path.
+	{"flush-combine", func(o *aggOracle) {
+		for zone := 0; zone < 2; zone++ {
+			o.fill(zone, 23, 60)
+		}
+	}},
+	// The head region written whole, then the alignment tail staged in
+	// small flushed pieces of two zones in turn: one tail stays
+	// zone-linear, the other does not.
+	{"tail", func(o *aggOracle) {
+		head := o.f.sbSectors
+		o.write(0, head)
+		o.write(1, head)
+		for o.wp(0) < o.f.zoneCap || o.wp(1) < o.f.zoneCap {
+			for zone := 0; zone < 2; zone++ {
+				if o.write(zone, 1+o.rng.Int63n(40)) > 0 {
+					o.flush(zone)
+				}
+			}
+		}
+		o.reset(1) // a retained tail holds staging space until its zone resets
+		o.fill(2, 64, 10)
+	}},
+	// Fill, read, reset, refill differently: the zone's table is released
+	// and reused, and Pinned entries must follow.
+	{"reset-refill", func(o *aggOracle) {
+		o.fill(0, 96, 0)
+		o.read(0)
+		o.reset(0)
+		for o.wp(0) < 200 {
+			o.write(0, 1+o.rng.Int63n(30))
+			o.flush(0)
+		}
+		o.read(0)
+		o.reset(0)
+		o.fill(0, 48, 20)
+		o.fill(1, 96, 0)
+		o.reset(1)
+	}},
+	// Four zones on two write buffers: premature flushes, staging, SLC
+	// garbage collection relocating staged sectors, resets of full zones.
+	{"conflict-mix", func(o *aggOracle) {
+		for i := 0; i < 400; i++ {
+			zone := int(o.rng.Int63n(4))
+			switch r := o.rng.Int63n(10); {
+			case r < 6:
+				if o.write(zone, 1+o.rng.Int63n(48)) == 0 {
+					o.reset(zone)
+				}
+			case r < 7:
+				o.flush(zone)
+			default:
+				o.read(zone)
+			}
+		}
+		for zone := 0; zone < 4; zone++ {
+			o.flush(zone)
+		}
+	}},
+}
+
+// aggGolden holds, per stream and configuration, the digests of seeds 1-3
+// the rescan write path produced at b9f1aa8 (the parent of the change that deleted
+// it). A digest that moves means a promotion decision, a pinned insert or a
+// counter changed.
+var aggGolden = map[string]string{
+	"seqfill/BITMAP":               "65add6c4d55941bb6608c848a5c59170fa5eb12e426999e5",
+	"seqfill/BITMAP/noagg":         "23fec7b98b264623712cf74d2bb9fa8c06d7346988bb467d",
+	"seqfill/MULTIPLE":             "a9a8974d2ca4bfe9e887bbbfe3adb207d76a8abe66fc6b9c",
+	"seqfill/MULTIPLE/noagg":       "1a9ce696acb367fe8a23fd8f6f933ece5b0557697b47fd89",
+	"seqfill/PINNED":               "eb83003c398797630dff81f98f4603c49937d26a182247c5",
+	"seqfill/PINNED/noagg":         "23fec7b98b264623712cf74d2bb9fa8c06d7346988bb467d",
+	"seqfill/PINNED/nozone":        "b4c1aa7113c2aaa96c11e7d3349a56c879c4063e1cabd313",
+	"flush-combine/BITMAP":         "6556af64dfc9fa107f69aaa35872d537f2d4581254b47866",
+	"flush-combine/BITMAP/noagg":   "1ea449fe9d3bdc4b76834b1f76ddb46108676003e081d407",
+	"flush-combine/MULTIPLE":       "781ab71bc9619978db4b936934cf07d716698b36c5a89558",
+	"flush-combine/MULTIPLE/noagg": "a3e2815c94986a6206bcd15e01a89bf87027efbab4160a30",
+	"flush-combine/PINNED":         "d2c96aaa947fb0ab3b1d8283c0d39d7c4f7ffb7d9820e87a",
+	"flush-combine/PINNED/noagg":   "1ea449fe9d3bdc4b76834b1f76ddb46108676003e081d407",
+	"flush-combine/PINNED/nozone":  "72dd9854dd78dc7d941603e2375991fa5ef0d8b40c7126c5",
+	"tail/BITMAP":                  "18f252599b915062f54271e5b46196241e483a6b75e75347",
+	"tail/BITMAP/noagg":            "bd169315b0a4c09b2657ed263a0f7ca5cb0cba94f87bdca7",
+	"tail/MULTIPLE":                "0c0685748b34a3816923eaa174d56b3d7bdfda6a8681b7e9",
+	"tail/MULTIPLE/noagg":          "d9ad8dc95b31079c343858e4cf3283611d89be5e8b1715fb",
+	"tail/PINNED":                  "e0570f009adcd3d4adf303d37600f12560bea72045e39af5",
+	"tail/PINNED/noagg":            "bd169315b0a4c09b2657ed263a0f7ca5cb0cba94f87bdca7",
+	"tail/PINNED/nozone":           "e0570f009adcd3d4adf303d37600f12560bea72045e39af5",
+	"reset-refill/BITMAP":          "2a25df31f77843a6e6da59d1b342ff6850044c4b24a7ff5e",
+	"reset-refill/BITMAP/noagg":    "bacf1d44857b5e08d04d73ec332d866f452e8d0dcde32bb7",
+	"reset-refill/MULTIPLE":        "3d21246b42cf5420d22248bdd9970a3fd48158fbb4662b00",
+	"reset-refill/MULTIPLE/noagg":  "bc93ed9e2494902de6eea6d6a44b1fca9a46e6688c61a062",
+	"reset-refill/PINNED":          "2d39c374437a4b0695baedfdd2cae707114b0ec54d5cd3c8",
+	"reset-refill/PINNED/noagg":    "bacf1d44857b5e08d04d73ec332d866f452e8d0dcde32bb7",
+	"reset-refill/PINNED/nozone":   "18d561e679c0193d28b887cd535fcb7d63967b479f9b5e77",
+	"conflict-mix/BITMAP":          "1bf54be810f67ae00c3d6ee443d0ed46fbd03980b2d4e00f",
+	"conflict-mix/BITMAP/noagg":    "66fdd0cae449851ec4ad63ee5539fda86d2610de5d6a74d8",
+	"conflict-mix/MULTIPLE":        "281ffaed15175206f12c584817d06b5d716b197f592a6791",
+	"conflict-mix/MULTIPLE/noagg":  "b8fede8250ad0b09fe4795493b580a1e00ddd042345f8ec7",
+	"conflict-mix/PINNED":          "2c4af74cd690f7710c51d8acddb3e2033fedf737a2844ec2",
+	"conflict-mix/PINNED/noagg":    "66fdd0cae449851ec4ad63ee5539fda86d2610de5d6a74d8",
+	"conflict-mix/PINNED/nozone":   "2c4af74cd690f7710c51d8acddb3e2033fedf737a2844ec2",
+}
+
+func TestAggregationMatchesRescanOracle(t *testing.T) {
+	type variant struct {
+		name string
+		mut  func(*Params)
+	}
+	var variants []variant
+	for _, s := range []Strategy{Bitmap, Multiple, Pinned} {
+		variants = append(variants,
+			variant{s.String(), func(p *Params) { p.Search = s }},
+			variant{s.String() + "/noagg", func(p *Params) { p.Search, p.DisableAggregation = s, true }})
+	}
+	variants = append(variants, variant{"PINNED/nozone", func(p *Params) { p.Search, p.AggregateZones = Pinned, false }})
+
+	promoted := false
+	for _, st := range aggStreams {
+		for _, v := range variants {
+			name := st.name + "/" + v.name
+			t.Run(name, func(t *testing.T) {
+				var digests string
+				for seed := uint64(1); seed <= 3; seed++ {
+					o := newAggOracle(t, seed, v.mut)
+					st.run(o)
+					if err := o.f.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					for lpa := int64(0); lpa < o.f.TotalSectors(); lpa += o.f.params.ChunkSectors {
+						promoted = promoted || o.f.Table().Bits(lpa) != mapping.Page
+					}
+					digests += o.digest()
+				}
+				if want := aggGolden[name]; digests != want {
+					t.Errorf("seeds 1-3 digest %s, the rescan write path gave %s", digests, want)
+				}
+			})
+		}
+	}
+	if !promoted {
+		t.Error("no stream ever promoted a chunk: the oracle compared nothing")
+	}
+}

@@ -161,7 +161,7 @@ func (f *FTL) copySB(at sim.Time, srcBlock, dstBlock int) (done sim.Time, copied
 					rd = d
 				}
 			}
-			base := f.geo.PPAOf(nand.Addr{Chip: chip, Block: srcBlock, Page: page0})
+			base := f.ppaOf(nand.Addr{Chip: chip, Block: srcBlock, Page: page0})
 			for k := 0; k < nsect; k++ {
 				// Borrowed slab views; ProgramPU copies them into pooled
 				// storage before returning, and src is never erased here.
@@ -182,7 +182,7 @@ func (f *FTL) copySB(at sim.Time, srcBlock, dstBlock int) (done sim.Time, copied
 			}
 			// The relocated copies keep their original OOB stamps: same
 			// logical addresses, same positions in global program order.
-			dstBase := f.geo.PPAOf(nand.Addr{Chip: chip, Block: dstBlock, Page: page0})
+			dstBase := f.ppaOf(nand.Addr{Chip: chip, Block: dstBlock, Page: page0})
 			for k := 0; k < nsect; k++ {
 				f.arr.CopyOOB(dstBase+nand.PPA(k), base+nand.PPA(k))
 			}

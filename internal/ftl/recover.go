@@ -149,7 +149,7 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 		// The first programmed unit on chip c is always PU c (per-chip
 		// programs append in offset order), so its OOB stamp names the
 		// owning zone.
-		lpa, _ := f.arr.OOB(f.geo.PPAOf(nand.Addr{Chip: firstChip, Block: block}))
+		lpa, _ := f.arr.OOB(f.ppaOf(nand.Addr{Chip: firstChip, Block: block}))
 		if lpa >= 0 {
 			z := int(lpa / f.zoneCap)
 			wantOff := int64(firstChip) * f.puSectors
@@ -212,7 +212,7 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 				// Sector s of chip c belongs to PU c + (s/puSectors)*chips.
 				k := int64(c) + (s/f.puSectors)*int64(chips)
 				off := k*f.puSectors + s%f.puSectors
-				lpa, seq := f.arr.OOB(f.geo.PPAOf(nand.Addr{Chip: c, Block: block}) + nand.PPA(s))
+				lpa, seq := f.arr.OOB(f.ppaOf(nand.Addr{Chip: c, Block: block}) + nand.PPA(s))
 				if lpa != int64(zone)*f.zoneCap+off {
 					valid = false // not conzone-written media: treat as garbage
 					break headScan
@@ -234,7 +234,7 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 		if err != nil {
 			return done, err
 		}
-		ppa := f.geo.PPAOf(addr)
+		ppa := f.ppaOf(addr)
 		if !f.arr.IsWritten(ppa) {
 			continue
 		}

@@ -401,7 +401,7 @@ func (f *FTL) programPU(at sim.Time, zone int, puStart int64, sectors [][]byte) 
 	z, _ := f.zones.Zone(zone)
 	// OOB stamps for recovery: every sector of the landed unit records its
 	// logical address and position in global program order.
-	stampBase := f.geo.PPAOf(nand.Addr{Chip: addr.Chip, Block: addr.Block, Page: addr.Page - addr.Page%f.pagesPerPU})
+	stampBase := f.ppaOf(nand.Addr{Chip: addr.Chip, Block: addr.Block, Page: addr.Page - addr.Page%f.pagesPerPU})
 	for i := int64(0); i < f.puSectors; i++ {
 		f.arr.StampOOB(stampBase+nand.PPA(i), z.Start+puStart+i)
 	}
@@ -570,7 +570,9 @@ func (f *FTL) stageTailSectors(at sim.Time, zone int, off int64, seg [][]byte) (
 // aggregateAfterWrite tries to widen map entries after [off, off+n) of the
 // zone was written with zone-linear PSNs: any chunk that completed is
 // promoted, and if the zone is fully written and zone aggregation is
-// enabled, the zone entry is promoted (Fig. 5 ②).
+// enabled, the zone entry is promoted (Fig. 5 ②). Every touched chunk is
+// offered: while a chunk is still filling the table refuses it in O(1), so
+// there is no completeness check here.
 func (f *FTL) aggregateAfterWrite(zone int, off, n int64) {
 	if f.params.DisableAggregation {
 		return
@@ -581,13 +583,11 @@ func (f *FTL) aggregateAfterWrite(zone int, off, n int64) {
 	lastChunk := (off + n - 1) / chunk
 	for c := firstChunk; c <= lastChunk; c++ {
 		lpa := z.Start + c*chunk
-		if (c+1)*chunk <= off+n || f.fullyMapped(lpa, chunk) {
-			wasAgg := f.table.Bits(lpa) >= mapping.Chunk
-			if f.table.TryAggregateChunk(lpa) && !wasAgg && f.params.Search == Pinned {
-				_, g, base, ok := f.table.Effective(lpa)
-				if ok && g == mapping.Chunk {
-					f.cache.Insert(mapping.Chunk, lpa, base, true)
-				}
+		wasAgg := f.table.Bits(lpa) >= mapping.Chunk
+		if f.table.TryAggregateChunk(lpa) && !wasAgg && f.params.Search == Pinned {
+			_, g, base, ok := f.table.Effective(lpa)
+			if ok && g == mapping.Chunk {
+				f.cache.Insert(mapping.Chunk, lpa, base, true)
 			}
 		}
 	}
@@ -601,16 +601,6 @@ func (f *FTL) aggregateAfterWrite(zone int, off, n int64) {
 			}
 		}
 	}
-}
-
-// fullyMapped reports whether n sectors from lpa are all valid.
-func (f *FTL) fullyMapped(lpa, n int64) bool {
-	for i := int64(0); i < n; i++ {
-		if _, ok := f.table.Get(lpa + i); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // stageWrites builds the staging write list for consecutive LPAs starting

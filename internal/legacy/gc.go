@@ -87,7 +87,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 			p := phys(int64(victim)*d.sbSectors + off)
 			addr, _ := d.physLoc(p)
 			lpas = append(lpas, sb.lpa[off])
-			payloads = append(payloads, d.arr.Payload(d.geo.PPAOf(addr)))
+			payloads = append(payloads, d.arr.Payload(d.arr.PPAOf(addr)))
 			sb.valid[off] = false
 			sb.validCount--
 		}
@@ -132,8 +132,8 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 	}
 
 	// Erase the victim on every chip and free it.
-	block := d.geo.FirstNormalBlock() + victim
-	for chip := 0; chip < d.geo.Chips(); chip++ {
+	block := d.firstNorm + victim
+	for chip := 0; chip < d.chips; chip++ {
 		end, err := d.arr.Erase(done, chip, block)
 		if err != nil {
 			return at, err

@@ -59,7 +59,6 @@ type sbState struct {
 type Device struct {
 	arr     *nand.Array
 	params  Params
-	geo     nand.Geometry
 	bufs    *wbuf.Manager
 	staging *slc.Region
 	cache   *pageCache
@@ -69,6 +68,8 @@ type Device struct {
 	puSectors  int64
 	spp        int
 	pagesPerPU int
+	chips      int // geo.Chips()
+	firstNorm  int // geo.FirstNormalBlock()
 	numSB      int
 	stagedBase phys
 
@@ -115,7 +116,8 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 	d := &Device{
 		arr:        arr,
 		params:     p,
-		geo:        geo,
+		chips:      geo.Chips(),
+		firstNorm:  geo.FirstNormalBlock(),
 		sbSectors:  geo.SuperblockBytes() / units.Sector,
 		puSectors:  geo.ProgramUnit / units.Sector,
 		spp:        geo.SectorsPerPage(),
@@ -142,7 +144,7 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.cache = newPageCache(p.L2PCacheBytes / p.L2PEntryBytes)
+	d.cache = newPageCache(p.L2PCacheBytes/p.L2PEntryBytes, d.totalSectors)
 	d.sbs = make([]sbState, numSB)
 	for i := range d.sbs {
 		d.sbs[i] = sbState{
@@ -183,10 +185,10 @@ func (d *Device) physLoc(p phys) (nand.Addr, error) {
 	sb := int(p / d.sbSectors)
 	off := p % d.sbSectors
 	k := off / d.puSectors
-	chips := int64(d.geo.Chips())
+	chips := int64(d.chips)
 	return nand.Addr{
 		Chip:   int(k % chips),
-		Block:  d.geo.FirstNormalBlock() + sb,
+		Block:  d.firstNorm + sb,
 		Page:   int(k/chips)*d.pagesPerPU + int(off%d.puSectors)/d.spp,
 		Sector: int(off % d.puSectors % int64(d.spp)),
 	}, nil
@@ -391,16 +393,31 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 }
 
 // Read serves a host read, charging map fetches with sequential prefetch
-// on cache misses.
+// on cache misses. The returned payload entries are borrowed views of the
+// media or the write buffer, stable until the next device operation.
 func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	if n <= 0 || lba < 0 || lba+n > d.totalSectors {
-		return nil, at, fmt.Errorf("legacy: read [%d,%d) out of range", lba, lba+n)
+	out := make([][]byte, max(n, 0)) // ReadInto rejects n <= 0
+	done, err := d.ReadInto(at, lba, n, out)
+	if err != nil {
+		return nil, at, err
 	}
-	out := make([][]byte, n)
+	return out, done, nil
+}
+
+// ReadInto is Read with caller-provided payload storage: out must hold
+// exactly n entries.
+func (d *Device) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, error) {
+	if n <= 0 || lba < 0 || lba+n > d.totalSectors {
+		return at, fmt.Errorf("legacy: read [%d,%d) out of range", lba, lba+n)
+	}
+	if int64(len(out)) != n {
+		return at, fmt.Errorf("legacy: ReadInto dst holds %d entries, want %d", len(out), n)
+	}
 	d.pages.Reset()
 	fetchDone := at
 	for i := int64(0); i < n; i++ {
 		l := lba + i
+		out[i] = nil
 		if p, ok := d.bufs.ReadSector(0, l); ok {
 			out[i] = p
 			d.stats.BufferReads++
@@ -412,7 +429,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 			// prefetch window of sequential successors.
 			dn, err := d.arr.ChargeMapRead(at, d.mapChip(l))
 			if err != nil {
-				return nil, at, err
+				return at, err
 			}
 			if dn > fetchDone {
 				fetchDone = dn
@@ -431,16 +448,16 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 		}
 		addr, err := d.physLoc(p)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
-		out[i] = d.arr.Payload(d.geo.PPAOf(addr))
+		out[i] = d.arr.Payload(d.arr.PPAOf(addr))
 		d.pages.Add(addr)
 	}
 	done := fetchDone
 	for _, r := range d.pages.Runs() {
 		end, err := d.arr.ReadPage(fetchDone, r.Chip, r.Block, r.Page, r.Bytes)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
 		if end > done {
 			done = end
@@ -448,7 +465,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	}
 	d.stats.HostReadBytes += n * units.Sector
 	d.arr.Engine().Observe(done)
-	return out, done, nil
+	return done, nil
 }
 
 func (d *Device) mapChip(lpa int64) int {
@@ -456,5 +473,5 @@ func (d *Device) mapChip(lpa int64) int {
 	if per <= 0 {
 		per = 1
 	}
-	return int((lpa / per) % int64(d.geo.Chips()))
+	return int((lpa / per) % int64(d.chips))
 }

@@ -283,7 +283,7 @@ func TestWAFAboveOneUnderRandomWrites(t *testing.T) {
 }
 
 func TestPageCache(t *testing.T) {
-	c := newPageCache(3)
+	c := newPageCache(3, 100)
 	if c.lookup(1) {
 		t.Error("hit on empty cache")
 	}
@@ -315,7 +315,7 @@ func TestPageCache(t *testing.T) {
 }
 
 func TestPageCacheMinCapacity(t *testing.T) {
-	c := newPageCache(0)
+	c := newPageCache(0, 100)
 	c.insert(1)
 	if !c.lookup(1) {
 		t.Error("cache with clamped capacity unusable")

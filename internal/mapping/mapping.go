@@ -245,9 +245,18 @@ func (t *Table) Bits(lpa int64) Gran {
 // valid, physically consecutive, below the aggregation limit, and start on
 // an n-aligned physical boundary — the paper's "compare the physical
 // address to the physical chunk/physical zone boundary" test.
+//
+// The run's last entry is compared before the walk: a zone fills front to
+// back, so while a chunk is still being written its last entry is unmapped
+// and the test costs O(1) per call, not O(write frontier). The full walk
+// runs only when both ends already fit — once per completed run, or when
+// the mismatch is strictly inside.
 func (t *Table) aggregatableRun(z *zoneMap, base, n int64) bool {
 	first := z.psn[base]
 	if first == 0 || first-1 >= t.aggLimit || int64(first-1)%n != 0 {
+		return false
+	}
+	if z.psn[base+n-1] != first+PSN(n-1) {
 		return false
 	}
 	for i, p := range z.psn[base : base+n] {

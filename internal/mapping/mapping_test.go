@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,5 +314,119 @@ func TestMappingInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// walkAggregatable is the aggregation test without the last-entry shortcut:
+// every entry of the run compared in order, read through the public Get.
+func walkAggregatable(tbl *Table, baseLPA, n int64, aggLimit PSN) bool {
+	first, ok := tbl.Get(baseLPA)
+	if !ok || first >= aggLimit || int64(first)%n != 0 {
+		return false
+	}
+	for i := int64(0); i < n; i++ {
+		if p, ok := tbl.Get(baseLPA + i); !ok || p != first+PSN(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAggregationRejectCases pins the O(1) reject against the cases it could
+// get wrong: the run's last entry is tested before the walk, so a mismatch
+// anywhere else must still be found by the walk, and a mismatch at the last
+// entry alone must be enough.
+func TestAggregationRejectCases(t *testing.T) {
+	// The limit is aligned to both run lengths, so "at the limit" means the
+	// same for a chunk and a zone.
+	const chunk, zone, limit = 8, 32, 960
+	fixed := func(p PSN) func(int64) PSN { return func(int64) PSN { return p } }
+	keep := func(*Table, int64) {}
+	cases := []struct {
+		name string
+		base func(n int64) PSN   // PSN of the run's first entry
+		edit func(*Table, int64) // applied after the clean fill of n entries
+		want bool
+	}{
+		{"clean", fixed(64), keep, true},
+		{"last entry wrong", fixed(64), func(tb *Table, n int64) { _ = tb.Set(n-1, 500) }, false},
+		{"last entry unmapped", fixed(64), func(tb *Table, n int64) { _ = tb.Invalidate(n - 1) }, false},
+		{"middle entry wrong", fixed(64), func(tb *Table, n int64) { _ = tb.Set(n/2, 500) }, false},
+		{"middle entry unmapped", fixed(64), func(tb *Table, n int64) { _ = tb.Invalidate(n / 2) }, false},
+		{"second entry wrong", fixed(64), func(tb *Table, n int64) { _ = tb.Set(1, 500) }, false},
+		{"first entry unmapped", fixed(64), func(tb *Table, n int64) { _ = tb.Invalidate(0) }, false},
+		{"first entry wrong", fixed(64), func(tb *Table, n int64) { _ = tb.Set(0, 32) }, false},
+		{"unaligned first", fixed(65), keep, false},
+		{"run ends at the limit", func(n int64) PSN { return limit - PSN(n) }, keep, true},
+		{"run starts at the limit", fixed(limit), keep, false},
+		{"run above the limit", fixed(limit + zone), keep, false},
+	}
+	for _, tc := range cases {
+		for _, g := range []Gran{Chunk, Zone} {
+			tbl, err := NewTable(Config{TotalSectors: 2 * zone, ChunkSectors: chunk, ZoneSectors: zone, AggLimit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, try := int64(chunk), tbl.TryAggregateChunk
+			if g == Zone {
+				n, try = zone, tbl.TryAggregateZone
+			}
+			fillRun(t, tbl, 0, tc.base(n), n)
+			tc.edit(tbl, n)
+			if walk := walkAggregatable(tbl, 0, n, limit); walk != tc.want {
+				t.Fatalf("%s/%v: the case itself is wrong: the full walk says %v", tc.name, g, walk)
+			}
+			if got := try(0); got != tc.want {
+				t.Errorf("%s/%v: aggregated = %v, want %v", tc.name, g, got, tc.want)
+			}
+			if got := tbl.Bits(n-1) == g; got != tc.want {
+				t.Errorf("%s/%v: last entry marked %v, want promoted = %v", tc.name, g, tbl.Bits(n-1), tc.want)
+			}
+			if err := tbl.CheckInvariants(); err != nil {
+				t.Errorf("%s/%v: %v", tc.name, g, err)
+			}
+		}
+	}
+}
+
+// TestAggregationMatchesFullWalk compares promotion decisions with the full
+// walk on seeded tables whose runs are clean except for a few random edits.
+func TestAggregationMatchesFullWalk(t *testing.T) {
+	const chunk, zone, limit = 8, 32, 96
+	rng := rand.New(rand.NewSource(14))
+	promoted := 0
+	for iter := 0; iter < 2000; iter++ {
+		tbl, err := NewTable(Config{TotalSectors: zone, ChunkSectors: chunk, ZoneSectors: zone, AggLimit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillRun(t, tbl, 0, PSN(rng.Intn(5)*chunk), zone)
+		for e := rng.Intn(3); e > 0; e-- {
+			lpa := int64(rng.Intn(zone))
+			if rng.Intn(2) == 0 {
+				_ = tbl.Invalidate(lpa)
+			} else {
+				_ = tbl.Set(lpa, PSN(rng.Intn(limit+chunk)))
+			}
+		}
+		for base := int64(0); base < zone; base += chunk {
+			want := walkAggregatable(tbl, base, chunk, limit)
+			if got := tbl.TryAggregateChunk(base); got != want {
+				t.Fatalf("iter %d chunk %d: aggregated = %v, full walk says %v", iter, base, got, want)
+			}
+			if want {
+				promoted++
+			}
+		}
+		want := walkAggregatable(tbl, 0, zone, limit)
+		if got := tbl.TryAggregateZone(0); got != want {
+			t.Fatalf("iter %d zone: aggregated = %v, full walk says %v", iter, got, want)
+		}
+		if err := tbl.CheckInvariants(); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+	}
+	if promoted == 0 {
+		t.Error("no run ever qualified: the comparison is vacuous")
 	}
 }

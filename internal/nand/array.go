@@ -143,8 +143,13 @@ func NewArray(geo Geometry, lat LatencyTable, engine *sim.Engine) (*Array, error
 	return a, nil
 }
 
-// Geometry returns the array's geometry.
+// Geometry returns the array's geometry. It copies the struct: layers that
+// address the array per operation keep what they derive from it.
 func (a *Array) Geometry() Geometry { return a.geo }
+
+// PPAOf is Geometry.PPAOf without the copy of the geometry, the form the
+// per-sector paths of the layers above use.
+func (a *Array) PPAOf(ad Addr) PPA { return a.geo.ppaOf(ad) }
 
 // Latencies returns the timing table in use.
 func (a *Array) Latencies() LatencyTable { return a.lat }
@@ -287,7 +292,7 @@ func (a *Array) readPage(at sim.Time, chip, block, page int, xferBytes int64, re
 // without mutating block state (the paper defers map persistence to future
 // work, §III-E).
 func (a *Array) ChargeMapRead(at sim.Time, chip int) (sim.Time, error) {
-	if chip < 0 || chip >= a.geo.Chips() {
+	if chip < 0 || chip >= len(a.chips) {
 		return at, fmt.Errorf("nand: chip %d out of range", chip)
 	}
 	lat := a.lat.For(SLCMode)
@@ -326,7 +331,7 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 	if media == SLCMode {
 		return at, at, fmt.Errorf("nand: ProgramPU on SLC-mode block %d", block)
 	}
-	ppu := a.geo.PagesPerPU()
+	ppu := a.geo.pagesPerPU()
 	if startPage%ppu != 0 || startPage+ppu > a.geo.PagesPerBlock {
 		return at, at, fmt.Errorf("nand: PU at page %d not aligned or out of block", startPage)
 	}
@@ -340,7 +345,7 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 		}
 	}
 	bs := &a.blocks[chip][block]
-	spp := a.geo.SectorsPerPage()
+	spp := a.geo.sectorsPerPage()
 	startSector := startPage * spp
 	if bs.nextSector != startSector {
 		return at, at, fmt.Errorf("nand: out-of-order program: block %d/%d expects sector %d, got %d",
@@ -365,7 +370,7 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 		return xferEnd, progEnd, fmt.Errorf("nand: program %d/%d page %d: %w", chip, block, startPage, ErrProgramFail)
 	}
 
-	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: startPage})
+	base := a.PPAOf(Addr{Chip: chip, Block: block, Page: startPage})
 	for i := 0; i < nsect; i++ {
 		var src []byte
 		if sectors != nil {
@@ -390,13 +395,13 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 	if err := a.checkAddr(chip, block); err != nil {
 		return at, at, err
 	}
-	if a.geo.MediaOf(block) != SLCMode {
+	if a.meta[block].media != SLCMode {
 		return at, at, fmt.Errorf("nand: partial program on non-SLC block %d", block)
 	}
 	if page < 0 || page >= a.geo.SLCPagesPerBlock {
 		return at, at, fmt.Errorf("nand: page %d out of SLC block range [0,%d)", page, a.geo.SLCPagesPerBlock)
 	}
-	spp := a.geo.SectorsPerPage()
+	spp := a.geo.sectorsPerPage()
 	if sector < 0 || sector >= spp {
 		return at, at, fmt.Errorf("nand: sector %d out of page range [0,%d)", sector, spp)
 	}
@@ -422,7 +427,7 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 		return xferEnd, progEnd, fmt.Errorf("nand: partial program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
 	}
 
-	a.program(int64(a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector})), payload)
+	a.program(int64(a.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector})), payload)
 	bs.nextSector = lin + 1
 
 	a.counters.PartialPrograms++
@@ -439,7 +444,7 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 // future work, §III-E), but the bus/die time and the blocking it causes
 // are real.
 func (a *Array) ChargeMapProgram(at sim.Time, chip int) (sim.Time, error) {
-	if chip < 0 || chip >= a.geo.Chips() {
+	if chip < 0 || chip >= len(a.chips) {
 		return at, fmt.Errorf("nand: chip %d out of range", chip)
 	}
 	lat := a.lat.For(SLCMode)
@@ -467,13 +472,13 @@ func (a *Array) ProgramSLCPage(at sim.Time, chip, block, page int, sectors [][]b
 	if err := a.checkAddr(chip, block); err != nil {
 		return at, at, err
 	}
-	if a.geo.MediaOf(block) != SLCMode {
+	if a.meta[block].media != SLCMode {
 		return at, at, fmt.Errorf("nand: SLC page program on non-SLC block %d", block)
 	}
 	if page < 0 || page >= a.geo.SLCPagesPerBlock {
 		return at, at, fmt.Errorf("nand: page %d out of SLC block range [0,%d)", page, a.geo.SLCPagesPerBlock)
 	}
-	spp := a.geo.SectorsPerPage()
+	spp := a.geo.sectorsPerPage()
 	if sectors != nil && len(sectors) != spp {
 		return at, at, fmt.Errorf("nand: SLC page payload %d sectors, want %d", len(sectors), spp)
 	}
@@ -500,7 +505,7 @@ func (a *Array) ProgramSLCPage(at sim.Time, chip, block, page int, sectors [][]b
 		return xferEnd, progEnd, fmt.Errorf("nand: page program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
 	}
 
-	base := a.geo.PPAOf(Addr{Chip: chip, Block: block, Page: page})
+	base := a.PPAOf(Addr{Chip: chip, Block: block, Page: page})
 	for s := 0; s < spp; s++ {
 		var src []byte
 		if sectors != nil {
@@ -527,7 +532,7 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 	if err := a.checkAddr(chip, block); err != nil {
 		return at, err
 	}
-	lat := a.lat.For(a.geo.MediaOf(block))
+	lat := a.meta[block].lat
 	_, end := a.chips[chip].Reserve(at, lat.Erase)
 	if err := a.gate(end); err != nil {
 		// Torn erase: the block keeps its pre-erase contents and write
@@ -535,7 +540,7 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 		return end, err
 	}
 	bs := &a.blocks[chip][block]
-	if a.faults != nil && a.faults.EraseFails(a.geo.MediaOf(block), chip, block, bs.eraseCount) {
+	if a.faults != nil && a.faults.EraseFails(a.meta[block].media, chip, block, bs.eraseCount) {
 		bs.eraseCount++
 		a.counters.Erases++
 		a.engine.Observe(end)
@@ -544,8 +549,8 @@ func (a *Array) Erase(at sim.Time, chip, block int) (sim.Time, error) {
 	}
 	bs.nextSector = 0
 	bs.eraseCount++
-	base := int64(a.geo.PPAOf(Addr{Chip: chip, Block: block}))
-	a.eraseSectors(base, base+int64(a.geo.maxPagesPerBlock()*a.geo.SectorsPerPage()))
+	base := int64(a.PPAOf(Addr{Chip: chip, Block: block}))
+	a.eraseSectors(base, base+int64(a.geo.maxPagesPerBlock()*a.geo.sectorsPerPage()))
 	a.counters.Erases++
 	a.engine.Observe(end)
 	a.record(obs.StageNANDErase, at, end, chip, 0)

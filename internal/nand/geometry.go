@@ -115,10 +115,10 @@ func (g Geometry) Chips() int { return g.Channels * g.ChipsPerChannel }
 func (g Geometry) ChannelOf(chip int) int { return chip % g.Channels }
 
 // SectorsPerPage returns the 4 KiB sectors per flash page.
-func (g Geometry) SectorsPerPage() int { return int(g.PageSize / units.Sector) }
+func (g Geometry) SectorsPerPage() int { return g.sectorsPerPage() }
 
 // PagesPerPU returns the flash pages covered by one normal-media program.
-func (g Geometry) PagesPerPU() int { return int(g.ProgramUnit / g.PageSize) }
+func (g Geometry) PagesPerPU() int { return g.pagesPerPU() }
 
 // PUsPerBlock returns the program units per normal block.
 func (g Geometry) PUsPerBlock() int { return g.PagesPerBlock / g.PagesPerPU() }
@@ -166,8 +166,17 @@ func (g Geometry) PagesIn(block int) int {
 	return g.PagesPerBlock
 }
 
+// Geometry is 104 bytes and a value receiver copies it on every call, even
+// an inlined one, so Array's per-operation paths reach what they need
+// through the pointer-receiver forms below; the exported methods above and
+// PPAOf delegate to them.
+
+func (g *Geometry) sectorsPerPage() int { return int(g.PageSize / units.Sector) }
+
+func (g *Geometry) pagesPerPU() int { return int(g.ProgramUnit / g.PageSize) }
+
 // maxPagesPerBlock returns the page capacity used for address linearisation.
-func (g Geometry) maxPagesPerBlock() int {
+func (g *Geometry) maxPagesPerBlock() int {
 	if g.SLCPagesPerBlock > g.PagesPerBlock {
 		return g.SLCPagesPerBlock
 	}
@@ -177,8 +186,10 @@ func (g Geometry) maxPagesPerBlock() int {
 // PPAOf linearises a structured address. Addresses in the gap between a
 // block's media page count and the linearisation stride are representable
 // but never programmable.
-func (g Geometry) PPAOf(a Addr) PPA {
-	spp := g.SectorsPerPage()
+func (g Geometry) PPAOf(a Addr) PPA { return g.ppaOf(a) }
+
+func (g *Geometry) ppaOf(a Addr) PPA {
+	spp := g.sectorsPerPage()
 	ppb := g.maxPagesPerBlock()
 	return PPA(((int64(a.Chip)*int64(g.BlocksPerChip)+int64(a.Block))*int64(ppb)+
 		int64(a.Page))*int64(spp) + int64(a.Sector))

@@ -127,6 +127,7 @@ func TestPagesIn(t *testing.T) {
 
 func TestPPARoundTrip(t *testing.T) {
 	g := testGeometry()
+	arr := newTestArray(t) // its precomputed strides must give the same PPAs
 	f := func(chip, block, page, sector uint8) bool {
 		a := Addr{
 			Chip:   int(chip) % g.Chips(),
@@ -135,7 +136,7 @@ func TestPPARoundTrip(t *testing.T) {
 			Sector: int(sector) % g.SectorsPerPage(),
 		}
 		p := g.PPAOf(a)
-		if p < 0 || int64(p) >= g.TotalSectors() {
+		if p < 0 || int64(p) >= g.TotalSectors() || arr.PPAOf(a) != p {
 			return false
 		}
 		return g.DecodePPA(p) == a

@@ -404,7 +404,6 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			done = end
 		}
 		sb := &r.sbs[r.cur]
-		geo := r.arr.Geometry()
 		for k := int64(0); k < took; k++ {
 			idx := int64(r.cur)*r.sbCap + r.pos
 			sb.valid[r.pos] = true
@@ -415,7 +414,7 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			// OOB stamp for recovery: the staged copy's logical address and
 			// its position in global program order.
 			if a, err := r.AddrOf(idx); err == nil {
-				r.arr.StampOOB(geo.PPAOf(a), ws[i+int(k)].LPA)
+				r.arr.StampOOB(r.arr.PPAOf(a), ws[i+int(k)].LPA)
 			}
 		}
 		i += int(took)
@@ -500,7 +499,7 @@ func (r *Region) Payload(idx int64) []byte {
 	if err != nil {
 		return nil
 	}
-	return r.arr.Payload(r.arr.Geometry().PPAOf(addr))
+	return r.arr.Payload(r.arr.PPAOf(addr))
 }
 
 // ReadSectors charges the flash reads needed to fetch the given staged

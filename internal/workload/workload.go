@@ -25,6 +25,13 @@ type Device interface {
 	TotalSectors() int64
 }
 
+// ReaderInto is the optional allocation-free read surface: the device fills
+// dst (exactly n entries) with the borrowed views Read would return. The
+// synchronous driver reads through it where a device offers it.
+type ReaderInto interface {
+	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
+}
+
 // Zoned is the optional zoned-device surface.
 type Zoned interface {
 	Device
@@ -373,6 +380,11 @@ func Run(dev Device, job Job) (Result, error) {
 		zdev = z
 	}
 	zf, _ := dev.(ZoneFlusher)
+	ri, _ := dev.(ReaderInto)
+	// One payload container serves every operation of the job: devices copy
+	// the entries of a write out before returning, and a read's views are
+	// dropped before the next operation.
+	container := make([][]byte, job.BlockBytes/units.Sector)
 
 	// failed decides what an operation error means for the job: abort
 	// (ContinueOnError unset), stop early (read-only degradation — every
@@ -439,7 +451,7 @@ func Run(dev Device, job Job) (Result, error) {
 		var complete sim.Time
 		var err error
 		if job.Pattern.IsWrite() {
-			payloads := make([][]byte, opBytes/units.Sector)
+			payloads := container[:opBytes/units.Sector]
 			if job.WithData {
 				for s := range payloads {
 					payloads[s] = fillPayload(lba + int64(s))
@@ -470,7 +482,12 @@ func Run(dev Device, job Job) (Result, error) {
 				}
 			}
 		} else {
-			_, complete, err = dev.Read(submit, lba, opBytes/units.Sector)
+			n := opBytes / units.Sector
+			if ri != nil {
+				complete, err = ri.ReadInto(submit, lba, n, container[:n])
+			} else {
+				_, complete, err = dev.Read(submit, lba, n)
+			}
 			if err != nil {
 				if !job.ContinueOnError {
 					return Result{}, fmt.Errorf("workload %s: read lba %d: %w", job.Name, lba, err)
@@ -540,6 +557,9 @@ func Prefill(dev Device, at sim.Time, offsetBytes, rangeBytes int64, withData bo
 		zoneBytes = z.ZoneCapSectors() * units.Sector
 	}
 	end := offsetBytes + rangeBytes
+	// Devices copy a write's entries out before returning, so one container
+	// serves every block.
+	container := make([][]byte, block/units.Sector)
 	for pos := offsetBytes; pos < end; {
 		n := int64(block)
 		if pos+n > end {
@@ -551,8 +571,7 @@ func Prefill(dev Device, at sim.Time, offsetBytes, rangeBytes int64, withData bo
 				n = boundary - pos
 			}
 		}
-		sectors := n / units.Sector
-		payloads := make([][]byte, sectors)
+		payloads := container[:n/units.Sector]
 		if withData {
 			for s := range payloads {
 				payloads[s] = fillPayload(pos/units.Sector + int64(s))
