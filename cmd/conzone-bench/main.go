@@ -35,6 +35,7 @@ import (
 	"github.com/conzone/conzone"
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/experiments"
+	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
 
@@ -437,13 +438,10 @@ func runMetrics(cfg config.DeviceConfig, jsonPath, chromePath string) error {
 		return err
 	}
 	// Cold-cache random reads inside zone 1's written extent.
-	state := uint64(0x9E3779B97F4A7C15)
+	rng := sim.NewRand(0)
 	span := int64(rounds) * ioBytes
 	for i := 0; i < 256; i++ {
-		state ^= state >> 12
-		state ^= state << 25
-		state ^= state >> 27
-		off := int64(state*0x2545F4914F6CDD1D) % (span / conzone.SectorSize)
+		off := int64(rng.Uint64()) % (span / conzone.SectorSize)
 		if off < 0 {
 			off = -off
 		}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/conzone/conzone"
 	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/telemetry"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -36,7 +37,7 @@ type randomWriter struct {
 	zones []int   // working set
 	offs  []int64 // next write offset per working-set zone
 	buf   []byte
-	state uint64 // xorshift64* PRNG
+	rng   *sim.Rand
 }
 
 // tsWriteBytes is the per-step burst size: 48 KiB, the paper's Fig. 6(b)
@@ -45,9 +46,9 @@ const tsWriteBytes = 48 << 10
 
 func newRandomWriter(dev *conzone.Device, numZones int) *randomWriter {
 	w := &randomWriter{
-		dev:   dev,
-		buf:   make([]byte, tsWriteBytes),
-		state: 0x9E3779B97F4A7C15,
+		dev: dev,
+		buf: make([]byte, tsWriteBytes),
+		rng: sim.NewRand(0),
 	}
 	// Use zones from the upper half of the LBA space, clear of any
 	// conventional zones at the front. An even count keeps both write
@@ -60,16 +61,9 @@ func newRandomWriter(dev *conzone.Device, numZones int) *randomWriter {
 	return w
 }
 
-func (w *randomWriter) rand() uint64 {
-	w.state ^= w.state >> 12
-	w.state ^= w.state << 25
-	w.state ^= w.state >> 27
-	return w.state * 0x2545F4914F6CDD1D
-}
-
 // step performs one random-zone write, resetting the zone when full.
 func (w *randomWriter) step() error {
-	i := int(w.rand() % uint64(len(w.zones)))
+	i := int(w.rng.Uint64() % uint64(len(w.zones)))
 	zb := w.dev.ZoneBytes()
 	if w.offs[i]+tsWriteBytes > zb {
 		if err := w.dev.ResetZone(w.zones[i]); err != nil {

@@ -31,6 +31,7 @@ import (
 
 	"github.com/conzone/conzone"
 	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/sim"
 )
 
 func main() {
@@ -94,12 +95,9 @@ func drive(dev *conzone.Device) {
 	}
 	offs := make([]int64, n)
 	buf := make([]byte, burst)
-	state := uint64(0x9E3779B97F4A7C15)
+	rng := sim.NewRand(0)
 	for {
-		state ^= state >> 12
-		state ^= state << 25
-		state ^= state >> 27
-		i := int((state * 0x2545F4914F6CDD1D) % uint64(n))
+		i := int(rng.Uint64() % uint64(n))
 		if offs[i]+burst > zb {
 			if err := dev.ResetZone(base + i); err != nil {
 				fmt.Fprintln(os.Stderr, "conzone-serve: workload stopped:", err)

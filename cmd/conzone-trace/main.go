@@ -20,6 +20,7 @@ import (
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/obs"
+	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/trace"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
@@ -97,12 +98,9 @@ func generate(cfg config.DeviceConfig, kind string, ops int, path string) error 
 		// Prefill one zone, then read it randomly.
 		recs = append(recs, trace.Record{At: 0, Op: trace.OpWrite, LBA: 0, Sectors: zc})
 		recs = append(recs, trace.Record{At: 0, Op: trace.OpFlush})
-		state := uint64(0x9E3779B97F4A7C15)
+		rng := sim.NewRand(0)
 		for i := 0; i < ops; i++ {
-			state ^= state >> 12
-			state ^= state << 25
-			state ^= state >> 27
-			lba := int64(state*0x2545F4914F6CDD1D) % zc
+			lba := int64(rng.Uint64()) % zc
 			if lba < 0 {
 				lba = -lba
 			}

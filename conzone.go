@@ -33,7 +33,6 @@ import (
 
 	"github.com/conzone/conzone/internal/check"
 	"github.com/conzone/conzone/internal/config"
-	"github.com/conzone/conzone/internal/confzns"
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/femu"
 	"github.com/conzone/conzone/internal/ftl"
@@ -556,10 +555,11 @@ type (
 	WorkloadDevice = workload.Device
 	// LegacyDevice is the traditional page-mapping baseline device.
 	LegacyDevice = legacy.Device
-	// FEMUDevice is the FEMU-personality comparator device.
+	// FEMUDevice is the FEMU-lineage comparator device; NewFEMU and
+	// NewConfZNS build its two personalities.
 	FEMUDevice = femu.Device
-	// ConfZNSDevice is the ConfZNS-personality comparator device.
-	ConfZNSDevice = confzns.Device
+	// ConfZNSDevice is FEMUDevice, named for what NewConfZNS returns.
+	ConfZNSDevice = femu.Device
 )
 
 // Job patterns.

@@ -223,17 +223,15 @@ func newReplayer(p Personality, cfg config.DeviceConfig) (*replayer, error) {
 		if d, err = cfg.NewLegacy(); err == nil {
 			r.dev = d
 		}
-	case FEMU:
-		fd, e := cfg.NewFEMU()
+	case FEMU, ConfZNS:
+		build := cfg.NewFEMU
+		if p == ConfZNS {
+			build = cfg.NewConfZNS
+		}
+		fd, e := build()
 		err = e
 		if err == nil {
 			r.dev, r.zd = fd, fd
-		}
-	case ConfZNS:
-		cd, e := cfg.NewConfZNS()
-		err = e
-		if err == nil {
-			r.dev, r.zd = cd, cd
 		}
 	default:
 		err = fmt.Errorf("check: unknown personality %d", int(p))

@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/conzone/conzone/internal/confzns"
 	"github.com/conzone/conzone/internal/femu"
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/legacy"
@@ -19,15 +18,17 @@ import (
 	"github.com/conzone/conzone/internal/units"
 )
 
-// DeviceConfig bundles everything needed to build any of the three device
-// models over the same media.
+// DeviceConfig bundles everything needed to build any of the device models
+// over the same media. FEMU and ConfZNS parameterise the two personalities
+// of the one FEMU-lineage device; which personality a value builds is
+// decided by NewFEMU/NewConfZNS, not by a field.
 type DeviceConfig struct {
 	Geometry nand.Geometry
 	Latency  nand.LatencyTable
 	FTL      ftl.Params
 	Legacy   legacy.Params
 	FEMU     femu.Params
-	ConfZNS  confzns.Params
+	ConfZNS  femu.Params
 }
 
 // Paper returns the §IV-A evaluation configuration.
@@ -76,7 +77,7 @@ func Paper() DeviceConfig {
 			VMExitMax: 60 * time.Microsecond,
 			Seed:      0x5EED,
 		},
-		ConfZNS: confzns.Params{
+		ConfZNS: femu.Params{
 			VMExitMin: 20 * time.Microsecond,
 			VMExitMax: 60 * time.Microsecond,
 			Seed:      0xC0F2,
@@ -131,10 +132,10 @@ func (c DeviceConfig) Validate() error {
 	if _, err := legacy.New(c.Geometry, c.Latency, c.Legacy); err != nil {
 		return fmt.Errorf("config: legacy params: %w", err)
 	}
-	if _, err := femu.New(c.Geometry, c.Latency, c.FEMU); err != nil {
+	if _, err := c.NewFEMU(); err != nil {
 		return fmt.Errorf("config: FEMU params: %w", err)
 	}
-	if _, err := confzns.New(c.Geometry, c.Latency, c.ConfZNS); err != nil {
+	if _, err := c.NewConfZNS(); err != nil {
 		return fmt.Errorf("config: ConfZNS params: %w", err)
 	}
 	return nil
@@ -152,12 +153,12 @@ func (c DeviceConfig) NewLegacy() (*legacy.Device, error) {
 
 // NewFEMU builds the FEMU-personality device.
 func (c DeviceConfig) NewFEMU() (*femu.Device, error) {
-	return femu.New(c.Geometry, c.Latency, c.FEMU)
+	return femu.New(femu.Stock, c.Geometry, c.Latency, c.FEMU)
 }
 
 // NewConfZNS builds the ConfZNS-personality device.
-func (c DeviceConfig) NewConfZNS() (*confzns.Device, error) {
-	return confzns.New(c.Geometry, c.Latency, c.ConfZNS)
+func (c DeviceConfig) NewConfZNS() (*femu.Device, error) {
+	return femu.New(femu.ConfZNS, c.Geometry, c.Latency, c.ConfZNS)
 }
 
 // Save writes the configuration as indented JSON.

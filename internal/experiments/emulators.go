@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/femu"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
@@ -34,10 +35,11 @@ type EmulatorRow struct {
 func RunEmulatorComparison(cfg config.DeviceConfig, opt Options) ([]EmulatorRow, error) {
 	var rows []EmulatorRow
 
-	type deviceStats interface {
-		workload.Device
-	}
-	run := func(name string, dev deviceStats, premature func() bool, slcPath func() bool, l2p func() bool) error {
+	// models reports which of the three consumer behaviours the device
+	// registered after the run; nil means it has nothing to register them
+	// with (the FEMU lineage: no conflict machinery, heterogeneous media or
+	// L2P cost model).
+	run := func(name string, dev workload.Device, models func() (premature, slcPath, l2p bool)) error {
 		zdev, ok := dev.(workload.Zoned)
 		if !ok {
 			return fmt.Errorf("%s is not zoned", name)
@@ -69,14 +71,11 @@ func RunEmulatorComparison(cfg config.DeviceConfig, opt Options) ([]EmulatorRow,
 		if err != nil {
 			return fmt.Errorf("%s read: %w", name, err)
 		}
-		rows = append(rows, EmulatorRow{
-			Emulator:             name,
-			WriteBW:              w.BandwidthMiBps,
-			RandReadKIOPS:        r.KIOPS(),
-			ModelsPrematureFlush: premature(),
-			ModelsSLC:            slcPath(),
-			ModelsL2PCache:       l2p(),
-		})
+		row := EmulatorRow{Emulator: name, WriteBW: w.BandwidthMiBps, RandReadKIOPS: r.KIOPS()}
+		if models != nil {
+			row.ModelsPrematureFlush, row.ModelsSLC, row.ModelsL2PCache = models()
+		}
+		rows = append(rows, row)
 		return nil
 	}
 
@@ -84,36 +83,23 @@ func RunEmulatorComparison(cfg config.DeviceConfig, opt Options) ([]EmulatorRow,
 	if err != nil {
 		return nil, err
 	}
-	if err := run("ConZone", cz,
-		func() bool { return cz.Stats().PrematureFlushes > 0 },
-		func() bool { return cz.Stats().StagedSectors > 0 },
-		func() bool { return cz.Cache().Stats().Misses > 0 },
-	); err != nil {
+	if err := run("ConZone", cz, func() (bool, bool, bool) {
+		return cz.Stats().PrematureFlushes > 0, cz.Stats().StagedSectors > 0, cz.Cache().Stats().Misses > 0
+	}); err != nil {
 		return nil, err
 	}
 
-	fm, err := cfg.NewFEMU()
-	if err != nil {
-		return nil, err
-	}
-	if err := run("FEMU", fm,
-		func() bool { return false }, // no conflict machinery exists
-		func() bool { return false },
-		func() bool { return false },
-	); err != nil {
-		return nil, err
-	}
-
-	cz2, err := cfg.NewConfZNS()
-	if err != nil {
-		return nil, err
-	}
-	if err := run("ConfZNS", cz2,
-		func() bool { return false },
-		func() bool { return false },
-		func() bool { return false },
-	); err != nil {
-		return nil, err
+	for _, c := range []struct {
+		name  string
+		build func() (*femu.Device, error)
+	}{{"FEMU", cfg.NewFEMU}, {"ConfZNS", cfg.NewConfZNS}} {
+		dev, err := c.build()
+		if err != nil {
+			return nil, err
+		}
+		if err := run(c.name, dev, nil); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

@@ -1,11 +1,22 @@
-// Package femu models the FEMU emulator's ZNS mode as the paper
-// characterises it (§II-C, Table I and §IV-B): write buffers are present,
-// but there is no L2P cache or FTL cost model, no heterogeneous media, and
-// no channel bandwidth model; and because FEMU runs inside a KVM guest,
-// every host I/O carries tens of microseconds of virtualisation latency
-// ("host/client switching"), which is what ruins its flash-scale read
-// latencies. The package exists so Fig. 6(a)'s four-way comparison can be
-// regenerated.
+// Package femu models the FEMU lineage of ZNS emulators as the paper
+// characterises it (§II-C, Table I and §IV-B), so Fig. 6(a)'s comparison and
+// Table I's capability matrix can be regenerated. The whole lineage has no
+// L2P cache or FTL cost model, no heterogeneous media and no channel
+// bandwidth model; and because FEMU runs inside a KVM guest, every host I/O
+// carries tens of microseconds of virtualisation latency ("host/client
+// switching"), which is what ruins its flash-scale read latencies.
+//
+// One device implements it, built as one of two personalities that differ
+// in exactly two Table I rows:
+//
+//   - Stock is FEMU's own ZNS mode: a write buffer per zone (the host waits
+//     for the buffer, only the next write waits for the chips, and sub-unit
+//     data stays volatile — there is no premature-flush machinery), zones
+//     placed on superblocks by identity.
+//   - ConfZNS is the ConfZNS fork: a zone-mapping FTL (a zone binds a free
+//     superblock on its first write and unbinds on reset) and no write
+//     buffer, so every host write costs a program operation on the target
+//     chip at once, however small it is, and the host waits for the media.
 package femu
 
 import (
@@ -17,7 +28,28 @@ import (
 	"github.com/conzone/conzone/internal/zns"
 )
 
-// Params configures the FEMU personality.
+// Personality names a member of the FEMU lineage. The set is closed: a
+// personality is a pair of Table I rows, not a pair of switches.
+type Personality int
+
+const (
+	Stock   Personality = iota // FEMU's ZNS mode: write buffer, identity zone placement
+	ConfZNS                    // the ConfZNS fork: zone map, no write buffer
+)
+
+func (p Personality) String() string {
+	if p == ConfZNS {
+		return "confzns"
+	}
+	return "femu"
+}
+
+// writeBuffer and zoneMap are the two Table I capabilities a personality
+// decides.
+func (p Personality) writeBuffer() bool { return p == Stock }
+func (p Personality) zoneMap() bool     { return p == ConfZNS }
+
+// Params configures a device of either personality.
 type Params struct {
 	// VMExitMin/Max bound the per-I/O virtualisation latency added to
 	// every host command, drawn uniformly. The paper attributes
@@ -32,40 +64,52 @@ type Params struct {
 type Stats struct {
 	HostReadBytes    int64
 	HostWrittenBytes int64
-	PUPrograms       int64
-	UnflushableTails int64 // flushes that found sub-unit data FEMU cannot drain
+	Programs         int64 // program operations, including a bufferless device's charged sub-unit tails
+	UnflushableTails int64 // flushes that found sub-unit data a write buffer cannot drain
+	ZoneMapLookups   int64
 }
 
+// zoneBuf holds a zone's data that has not filled a program unit yet. With
+// a write buffer that is the volatile buffer; without one the data was
+// already charged, and the program covering the unit re-programs it —
+// exactly the cost of having no buffer. Either way reads are served from it.
 type zoneBuf struct {
-	start    int64
+	start    int64 // lba of payloads[0]
 	payloads [][]byte
-	avail    sim.Time
+	avail    sim.Time // write buffer: when its data has been handed to the chips
 }
 
-// Device is the FEMU-like ZNS device: zone-linear placement with one write
-// buffer per open zone (so no premature-flush machinery), an unthrottled
-// channel, and VM-exit jitter on completions.
+// Device is a FEMU-lineage ZNS device: zone-linear placement in one
+// superblock per zone, an unthrottled channel, and VM-exit jitter on
+// completions.
 type Device struct {
+	pers      Personality
 	arr       *nand.Array
 	zones     *zns.Manager
 	chips     int // geo.Chips()
-	firstNorm int // geo.FirstNormalBlock()
 	rng       *sim.Rand
 	params    Params
 	puSectors int64
 	sbSectors int64
-	spp       int
-	ppu       int
 	bufs      map[int]*zoneBuf
 	stats     Stats
 	pages     nand.PageRuns // page batching of the current read
+
+	// The zone-mapping FTL (nil without one): zone -> superblock, -1 when
+	// unbound, and the free superblocks in first-fit order.
+	zoneMap []int
+	freeSBs []int
 }
 
-// New builds the device. The geometry's SLC region is ignored (FEMU has no
-// heterogeneous media); its channel bandwidth is overridden to unlimited.
-func New(geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
+// New builds a device of the given personality. The geometry's SLC region is
+// ignored (no heterogeneous media); its channel bandwidth is overridden to
+// unlimited.
+func New(pers Personality, geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
+	if pers != Stock && pers != ConfZNS {
+		return nil, fmt.Errorf("femu: unknown personality %d", int(pers))
+	}
 	if p.VMExitMin < 0 || p.VMExitMax < p.VMExitMin {
-		return nil, fmt.Errorf("femu: bad VM exit latency range [%v,%v]", p.VMExitMin, p.VMExitMax)
+		return nil, fmt.Errorf("%v: bad VM exit latency range [%v,%v]", pers, p.VMExitMin, p.VMExitMax)
 	}
 	geo.ChannelMiBps = 0 // the paper: FEMU cannot simulate channel bandwidth
 	arr, err := nand.NewArray(geo, lat, sim.NewEngine())
@@ -73,15 +117,13 @@ func New(geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
+		pers:      pers,
 		arr:       arr,
 		chips:     geo.Chips(),
-		firstNorm: geo.FirstNormalBlock(),
 		rng:       sim.NewRand(p.Seed),
 		params:    p,
 		puSectors: geo.ProgramUnit / units.Sector,
 		sbSectors: geo.SuperblockBytes() / units.Sector,
-		spp:       geo.SectorsPerPage(),
-		ppu:       geo.PagesPerPU(),
 		bufs:      make(map[int]*zoneBuf),
 	}
 	d.zones, err = zns.NewManager(zns.Config{
@@ -92,6 +134,13 @@ func New(geo nand.Geometry, lat nand.LatencyTable, p Params) (*Device, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if pers.zoneMap() {
+		d.zoneMap = make([]int, d.zones.NumZones())
+		for i := range d.zoneMap {
+			d.zoneMap[i] = -1
+			d.freeSBs = append(d.freeSBs, i)
+		}
 	}
 	return d, nil
 }
@@ -115,22 +164,49 @@ func (d *Device) jitter() sim.Duration {
 	return d.rng.Duration(d.params.VMExitMin, d.params.VMExitMax)
 }
 
-// loc maps (zone, offset) to the flash address in zone-indexed superblock.
-func (d *Device) loc(zone int, off int64) nand.Addr {
-	k := off / d.puSectors
-	chips := int64(d.chips)
-	return nand.Addr{
-		Chip:   int(k % chips),
-		Block:  d.firstNorm + zone,
-		Page:   int(k/chips)*d.ppu + int(off%d.puSectors)/d.spp,
-		Sector: int(off % d.puSectors % int64(d.spp)),
+// superblock returns the superblock backing the zone: the zone's own index,
+// or what the zone map holds (-1 while unbound).
+func (d *Device) superblock(zone int) int {
+	if !d.pers.zoneMap() {
+		return zone
 	}
+	d.stats.ZoneMapLookups++
+	return d.zoneMap[zone]
 }
 
-// Write buffers the data per zone and programs full units as they form.
+// bind is superblock for the write path: an unbound zone takes the first
+// free superblock.
+func (d *Device) bind(zone int) (int, error) {
+	sb := d.superblock(zone)
+	if sb >= 0 {
+		return sb, nil
+	}
+	if len(d.freeSBs) == 0 {
+		return -1, fmt.Errorf("%v: no free superblock for zone %d", d.pers, zone)
+	}
+	d.zoneMap[zone] = d.freeSBs[0]
+	d.freeSBs = d.freeSBs[1:]
+	return d.zoneMap[zone], nil
+}
+
+// Write accepts a sequential zone write and programs full units as they
+// form. With a write buffer the host is acknowledged once the data is
+// buffered. Without one the device charges media time on every write: a
+// sub-unit tail costs one program's latency on its chip anyway (the device
+// must make it durable somehow — ConfZNS charges the operation without
+// modelling where partial data lives; the media state is written when the
+// unit completes), and the host waits for the media.
 func (d *Device) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error) {
 	n := int64(len(payloads))
 	zone, err := d.zones.ValidateWrite(lba, n)
+	if err != nil {
+		return at, err
+	}
+	sb, err := d.bind(zone)
+	if err != nil {
+		return at, err
+	}
+	z, err := d.zones.Zone(zone)
 	if err != nil {
 		return at, err
 	}
@@ -148,60 +224,54 @@ func (d *Device) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, err
 	b.payloads = append(b.payloads, payloads...)
 	release, done := at, at
 	for int64(len(b.payloads)) >= d.puSectors {
-		rel, dn, err := d.programPU(at, zone, b.start, b.payloads[:d.puSectors])
+		addr := d.arr.StripeAddr(sb, b.start-z.Start)
+		rel, dn, err := d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page, b.payloads[:d.puSectors])
 		if err != nil {
 			return at, err
 		}
+		d.stats.Programs++
 		b.start += d.puSectors
 		b.payloads = b.payloads[d.puSectors:]
-		if rel > release {
-			release = rel
-		}
-		if dn > done {
-			done = dn
-		}
+		release, done = sim.Max(release, rel), sim.Max(done, dn)
 	}
-	// Like FEMU, the next write waits only until the buffer's data has
-	// been handed to the chips, not until the programs finish.
-	b.avail = release
+	ack := at
+	if d.pers.writeBuffer() {
+		// Like FEMU, the next write waits only until the buffer's data has
+		// been handed to the chips, not until the programs finish.
+		b.avail = release
+	} else {
+		if len(b.payloads) > 0 {
+			dn, err := d.arr.ChargeMapProgram(at, d.arr.StripeAddr(sb, b.start-z.Start).Chip)
+			if err != nil {
+				return at, err
+			}
+			d.stats.Programs++
+			done = sim.Max(done, dn)
+		}
+		ack = done // no buffer to hide behind
+	}
 	if err := d.zones.CommitWrite(lba, n); err != nil {
 		return at, err
 	}
 	d.stats.HostWrittenBytes += n * units.Sector
 	d.arr.Engine().Observe(done)
-	return at.Add(d.jitter()), nil
+	return ack.Add(d.jitter()), nil
 }
 
-func (d *Device) programPU(at sim.Time, zone int, startLBA int64, sectors [][]byte) (release, done sim.Time, err error) {
-	z, err := d.zones.Zone(zone)
-	if err != nil {
-		return at, at, err
-	}
-	off := startLBA - z.Start
-	addr := d.loc(zone, off)
-	release, done, err = d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page-addr.Page%d.ppu, sectors)
-	if err != nil {
-		return at, at, err
-	}
-	d.stats.PUPrograms++
-	return release, done, nil
-}
-
-// Flush is a no-op for sub-unit data: FEMU's ZNS mode has no secondary
-// buffer to absorb partial programs, so data below a programming unit
-// simply stays in the volatile buffer until the unit completes — one of
-// the reasons the paper gives for FEMU being unable to reproduce premature
-// write-buffer flush behaviour (§II-C). Full units were already programmed
-// on the write path.
+// Flush moves no data in either personality. A write buffer cannot drain
+// sub-unit data — FEMU's ZNS mode has no secondary buffer to absorb partial
+// programs, so it stays volatile until the unit completes, one of the
+// reasons the paper gives for FEMU being unable to reproduce premature
+// write-buffer flush behaviour (§II-C) — and a bufferless device charged its
+// tails on the write path. Full units were already programmed there.
 func (d *Device) Flush(at sim.Time, zone int) (sim.Time, error) {
-	b := d.bufs[zone]
-	if b != nil && len(b.payloads) > 0 {
+	if b := d.bufs[zone]; d.pers.writeBuffer() && b != nil && len(b.payloads) > 0 {
 		d.stats.UnflushableTails++
 	}
 	return at, nil
 }
 
-// FlushAll applies Flush to every zone buffer.
+// FlushAll applies Flush to every zone.
 func (d *Device) FlushAll(at sim.Time) (sim.Time, error) {
 	for zone := range d.bufs {
 		if _, err := d.Flush(at, zone); err != nil {
@@ -211,8 +281,9 @@ func (d *Device) FlushAll(at sim.Time) (sim.Time, error) {
 	return at, nil
 }
 
-// Read serves a host read: direct arithmetic translation, no mapping cost,
-// unthrottled transfer, plus VM-exit latency.
+// Read serves a host read: arithmetic translation (through the zone map
+// where there is one, one lookup per request), no mapping cost, unthrottled
+// transfer, plus VM-exit latency.
 func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	zone, err := d.zones.ValidateRead(lba, n)
 	if err != nil {
@@ -222,19 +293,20 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	if err != nil {
 		return nil, at, err
 	}
+	sb := d.superblock(zone)
 	out := make([][]byte, n)
 	d.pages.Reset()
 	for i := int64(0); i < n; i++ {
 		l := lba + i
-		if l >= z.WP {
+		if l >= z.WP || sb < 0 {
 			continue // unwritten tail reads as zeros
 		}
-		// Data still in the zone buffer?
+		// Data of a unit that has not been programmed yet?
 		if b := d.bufs[zone]; b != nil && l >= b.start && l < b.start+int64(len(b.payloads)) {
 			out[i] = b.payloads[l-b.start]
 			continue
 		}
-		addr := d.loc(zone, l-z.Start)
+		addr := d.arr.StripeAddr(sb, l-z.Start)
 		out[i] = d.arr.Payload(d.arr.PPAOf(addr))
 		d.pages.Add(addr)
 	}
@@ -254,21 +326,32 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	return out, done, nil
 }
 
-// ResetZone resets a zone: erase its superblock and drop the buffer.
+// ResetZone resets a zone: erase its superblock, drop its buffered data
+// and, with a zone map, return the superblock to the free pool.
 func (d *Device) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	if err := d.zones.Reset(zone); err != nil {
 		return at, err
 	}
 	delete(d.bufs, zone)
+	sb := zone
+	if d.pers.zoneMap() {
+		sb = d.zoneMap[zone]
+	}
 	done := at
-	block := d.firstNorm + zone
-	for chip := 0; chip < d.chips; chip++ {
-		dn, err := d.arr.Erase(at, chip, block)
-		if err != nil {
-			return at, err
+	if sb >= 0 {
+		block := d.arr.StripeAddr(sb, 0).Block
+		for chip := 0; chip < d.chips; chip++ {
+			dn, err := d.arr.Erase(at, chip, block)
+			if err != nil {
+				return at, err
+			}
+			if dn > done {
+				done = dn
+			}
 		}
-		if dn > done {
-			done = dn
+		if d.pers.zoneMap() {
+			d.freeSBs = append(d.freeSBs, sb)
+			d.zoneMap[zone] = -1
 		}
 	}
 	d.arr.Engine().Observe(done)

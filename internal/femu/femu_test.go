@@ -24,9 +24,12 @@ func testParams() Params {
 	return Params{VMExitMin: 20 * time.Microsecond, VMExitMax: 60 * time.Microsecond, Seed: 1}
 }
 
-func newTestDevice(t *testing.T) *Device {
+// personalities is the table shared assertions run over.
+var personalities = []Personality{Stock, ConfZNS}
+
+func newTestDevice(t *testing.T, pers Personality) *Device {
 	t.Helper()
-	d, err := New(testGeo(), nand.DefaultLatencies(), testParams())
+	d, err := New(pers, testGeo(), nand.DefaultLatencies(), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,53 +53,69 @@ func payloadsFor(lba, n int64) [][]byte {
 }
 
 func TestNewValidation(t *testing.T) {
-	p := testParams()
-	p.VMExitMax = p.VMExitMin - 1
-	if _, err := New(testGeo(), nand.DefaultLatencies(), p); err == nil {
-		t.Error("inverted jitter range accepted")
+	for _, pers := range personalities {
+		t.Run(pers.String(), func(t *testing.T) {
+			p := testParams()
+			p.VMExitMax = p.VMExitMin - 1
+			if _, err := New(pers, testGeo(), nand.DefaultLatencies(), p); err == nil {
+				t.Error("inverted jitter range accepted")
+			}
+			p = testParams()
+			p.VMExitMin = -1
+			if _, err := New(pers, testGeo(), nand.DefaultLatencies(), p); err == nil {
+				t.Error("negative jitter accepted")
+			}
+		})
 	}
-	p = testParams()
-	p.VMExitMin = -1
-	if _, err := New(testGeo(), nand.DefaultLatencies(), p); err == nil {
-		t.Error("negative jitter accepted")
+	if _, err := New(ConfZNS+1, testGeo(), nand.DefaultLatencies(), testParams()); err == nil {
+		t.Error("personality outside {Stock, ConfZNS} accepted")
 	}
 }
 
 func TestDimensions(t *testing.T) {
-	d := newTestDevice(t)
-	if d.NumZones() != 10 || d.ZoneCapSectors() != 384 {
-		t.Errorf("zones = %d x %d", d.NumZones(), d.ZoneCapSectors())
-	}
-	if d.TotalSectors() != 3840 {
-		t.Errorf("TotalSectors = %d", d.TotalSectors())
-	}
-	// The channel model must be disabled regardless of input geometry.
-	if d.Array().Geometry().ChannelMiBps != 0 {
-		t.Error("channel bandwidth not overridden")
+	for _, pers := range personalities {
+		t.Run(pers.String(), func(t *testing.T) {
+			d := newTestDevice(t, pers)
+			if d.NumZones() != 10 || d.ZoneCapSectors() != 384 {
+				t.Errorf("zones = %d x %d", d.NumZones(), d.ZoneCapSectors())
+			}
+			if d.TotalSectors() != 3840 {
+				t.Errorf("TotalSectors = %d", d.TotalSectors())
+			}
+			// The channel model must be disabled regardless of input
+			// geometry (FEMU lineage).
+			if d.Array().Geometry().ChannelMiBps != 0 {
+				t.Error("channel bandwidth not overridden")
+			}
+		})
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	d := newTestDevice(t)
-	if _, err := d.Write(0, 0, payloadsFor(0, 96)); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := d.Read(0, 0, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 96; i++ {
-		if !bytes.Equal(out[i], payloadFor(i)) {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-	if d.Stats().PUPrograms != 4 {
-		t.Errorf("PUPrograms = %d", d.Stats().PUPrograms)
+	for _, pers := range personalities {
+		t.Run(pers.String(), func(t *testing.T) {
+			d := newTestDevice(t, pers)
+			if _, err := d.Write(0, 0, payloadsFor(0, 96)); err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := d.Read(0, 0, 96)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 96; i++ {
+				if !bytes.Equal(out[i], payloadFor(i)) {
+					t.Fatalf("mismatch at %d", i)
+				}
+			}
+			if d.Stats().Programs != 4 {
+				t.Errorf("Programs = %d", d.Stats().Programs)
+			}
+		})
 	}
 }
 
 func TestVMExitLatencyAdded(t *testing.T) {
-	d := newTestDevice(t)
+	d := newTestDevice(t, Stock)
 	if _, err := d.Write(0, 0, payloadsFor(0, 24)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +132,11 @@ func TestVMExitLatencyAdded(t *testing.T) {
 }
 
 func TestPartialDataStaysBuffered(t *testing.T) {
-	d := newTestDevice(t)
+	d := newTestDevice(t, Stock)
 	if _, err := d.Write(0, 0, payloadsFor(0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats().PUPrograms != 0 {
+	if d.Stats().Programs != 0 {
 		t.Error("partial unit programmed")
 	}
 	// Data readable from the buffer.
@@ -139,37 +158,45 @@ func TestPartialDataStaysBuffered(t *testing.T) {
 }
 
 func TestSequentialWriteValidation(t *testing.T) {
-	d := newTestDevice(t)
-	if _, err := d.Write(0, 5, payloadsFor(5, 1)); err == nil {
-		t.Error("write off WP accepted")
+	for _, pers := range personalities {
+		t.Run(pers.String(), func(t *testing.T) {
+			d := newTestDevice(t, pers)
+			if _, err := d.Write(0, 5, payloadsFor(5, 1)); err == nil {
+				t.Error("write off WP accepted")
+			}
+		})
 	}
 }
 
 func TestResetZone(t *testing.T) {
-	d := newTestDevice(t)
-	if _, err := d.Write(0, 0, payloadsFor(0, 96)); err != nil {
-		t.Fatal(err)
-	}
-	done, err := d.ResetZone(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := d.Read(done, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range out {
-		if p != nil {
-			t.Error("data survived reset")
-		}
-	}
-	if _, err := d.Write(done, 0, payloadsFor(0, 24)); err != nil {
-		t.Errorf("write after reset: %v", err)
+	for _, pers := range personalities {
+		t.Run(pers.String(), func(t *testing.T) {
+			d := newTestDevice(t, pers)
+			if _, err := d.Write(0, 0, payloadsFor(0, 96)); err != nil {
+				t.Fatal(err)
+			}
+			done, err := d.ResetZone(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := d.Read(done, 0, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range out {
+				if p != nil {
+					t.Error("data survived reset")
+				}
+			}
+			if _, err := d.Write(done, 0, payloadsFor(0, 24)); err != nil {
+				t.Errorf("write after reset: %v", err)
+			}
+		})
 	}
 }
 
 func TestWriteUnthrottledFasterThanConZoneWouldBe(t *testing.T) {
-	d := newTestDevice(t)
+	d := newTestDevice(t, Stock)
 	// A full superpage takes ~tPROG with no transfer cost; the engine's
 	// observed time after 4 parallel PU programs should be close to one
 	// tPROG (937.5us), well under tPROG + transfer.
@@ -183,8 +210,8 @@ func TestWriteUnthrottledFasterThanConZoneWouldBe(t *testing.T) {
 }
 
 func TestDeterministicJitter(t *testing.T) {
-	d1, _ := New(testGeo(), nand.DefaultLatencies(), testParams())
-	d2, _ := New(testGeo(), nand.DefaultLatencies(), testParams())
+	d1 := newTestDevice(t, Stock)
+	d2 := newTestDevice(t, Stock)
 	_, _ = d1.Write(0, 0, payloadsFor(0, 24))
 	_, _ = d2.Write(0, 0, payloadsFor(0, 24))
 	_, t1, _ := d1.Read(0, 0, 1)

@@ -297,7 +297,7 @@ type FTL struct {
 	// Reused scratch storage for the single-entrant write path (the FTL's
 	// re-entrancy contract above makes plain fields safe): per-call slices
 	// here would otherwise dominate steady-state allocations.
-	wsScratch  []slc.Write   // stage{Sectors,Conventional,TailSectors} builds
+	wsScratch  []slc.Write   // appendStaged builds
 	combineIdx []int64       // combine: pending staged indices
 	combineBuf [][]byte      // combine: merged program-unit sector views
 	readRuns   nand.PageRuns // ReadInto: per-page media read batching

@@ -3,22 +3,21 @@ package ftl
 import "testing"
 
 // TestHeadTabMatchesStripingFormula checks the incrementally built head
-// table against the closed form it tabulates, entry by entry.
+// table against nand.Array.StripeAddr, the one statement of the striping
+// rule it tabulates, entry by entry.
 func TestHeadTabMatchesStripingFormula(t *testing.T) {
 	f := newTestFTL(t)
-	chips := int64(f.geo.Chips())
 	if int64(len(f.headTab)) != f.sbSectors {
 		t.Fatalf("head table holds %d entries, want %d", len(f.headTab), f.sbSectors)
 	}
 	for off := int64(0); off < f.sbSectors; off++ {
-		k, rem := off/f.puSectors, off%f.puSectors
-		want := headEntry{
-			chip:   uint16(k % chips),
-			page:   uint16((k/chips)*int64(f.pagesPerPU) + rem/int64(f.spp)),
-			sector: uint16(rem % int64(f.spp)),
-		}
+		a := f.arr.StripeAddr(0, off)
+		want := headEntry{chip: uint16(a.Chip), page: uint16(a.Page), sector: uint16(a.Sector)}
 		if f.headTab[off] != want {
 			t.Fatalf("offset %d: %+v, want %+v", off, f.headTab[off], want)
+		}
+		if a.Block != f.firstNormal {
+			t.Fatalf("offset %d: superblock 0 on block %d, want %d", off, a.Block, f.firstNormal)
 		}
 	}
 }

@@ -426,21 +426,9 @@ func (f *FTL) programPU(at sim.Time, zone int, puStart int64, sectors [][]byte) 
 func (f *FTL) stageSectors(at sim.Time, zone int, off int64, seg [][]byte) (release, done sim.Time, err error) {
 	zs := &f.zstate[zone]
 	z, _ := f.zones.Zone(zone)
-	ws := f.stageWrites(z.Start+off, seg)
-	start := at
-	if !f.staging.HasSpace(int64(len(ws))) {
-		d, err := f.staging.EnsureSpace(at, int64(len(ws)), relocator{f})
-		if err != nil {
-			return at, at, fmt.Errorf("ftl: staging GC: %w", f.stagingErr(err))
-		}
-		start = d
-	}
-	gidxs, release, done, err := f.staging.Append(start, ws)
+	gidxs, release, done, err := f.appendStaged(at, z.Start+off, seg)
 	if err != nil {
-		return at, at, f.stagingErr(err)
-	}
-	if done < start {
-		done = start
+		return at, at, err
 	}
 	for i, g := range gidxs {
 		lpa := z.Start + off + int64(i)
@@ -463,21 +451,9 @@ func (f *FTL) stageSectors(at sim.Time, zone int, off int64, seg [][]byte) (rele
 // are dropped.
 func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads [][]byte) (release, done sim.Time, err error) {
 	zs := &f.zstate[zone]
-	ws := f.stageWrites(startLBA, payloads)
-	start := at
-	if !f.staging.HasSpace(int64(len(ws))) {
-		d, err := f.staging.EnsureSpace(at, int64(len(ws)), relocator{f})
-		if err != nil {
-			return at, at, fmt.Errorf("ftl: staging GC: %w", f.stagingErr(err))
-		}
-		start = d
-	}
-	gidxs, release, done, err := f.staging.Append(start, ws)
+	gidxs, release, done, err := f.appendStaged(at, startLBA, payloads)
 	if err != nil {
-		return at, at, f.stagingErr(err)
-	}
-	if done < start {
-		done = start
+		return at, at, err
 	}
 	for i, g := range gidxs {
 		lpa := startLBA + int64(i)
@@ -497,8 +473,8 @@ func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads 
 		f.cache.InvalidateRange(lpa, 1)
 		zs.staged[g] = struct{}{}
 	}
-	f.noteMapUpdates(int64(len(ws)))
-	f.stats.StagedSectors += int64(len(ws))
+	f.noteMapUpdates(int64(len(payloads)))
+	f.stats.StagedSectors += int64(len(payloads))
 	return release, done, nil
 }
 
@@ -509,21 +485,9 @@ func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads 
 func (f *FTL) stageTailSectors(at sim.Time, zone int, off int64, seg [][]byte) (release, done sim.Time, err error) {
 	zs := &f.zstate[zone]
 	z, _ := f.zones.Zone(zone)
-	ws := f.stageWrites(z.Start+off, seg)
-	start := at
-	if !f.staging.HasSpace(int64(len(ws))) {
-		d, err := f.staging.EnsureSpace(at, int64(len(ws)), relocator{f})
-		if err != nil {
-			return at, at, fmt.Errorf("ftl: staging GC: %w", f.stagingErr(err))
-		}
-		start = d
-	}
-	gidxs, release, done, err := f.staging.Append(start, ws)
+	gidxs, release, done, err := f.appendStaged(at, z.Start+off, seg)
 	if err != nil {
-		return at, at, f.stagingErr(err)
-	}
-	if done < start {
-		done = start
+		return at, at, err
 	}
 
 	// Contiguity: the run must be internally consecutive and continue the
@@ -603,17 +567,28 @@ func (f *FTL) aggregateAfterWrite(zone int, off, n int64) {
 	}
 }
 
-// stageWrites builds the staging write list for consecutive LPAs starting
-// at base, one entry per payload, in the FTL's reused scratch slice. The
-// result is valid until the next stage* call — the staging region consumes
-// it synchronously.
-func (f *FTL) stageWrites(base int64, payloads [][]byte) []slc.Write {
+// appendStaged is the one way data enters the SLC staging region: the write
+// list for consecutive LPAs starting at base, one entry per payload, is
+// built in the FTL's reused scratch slice (the region consumes it
+// synchronously), staging is collected first when it cannot take the run,
+// and the run is appended. done is never earlier than the collection's end.
+func (f *FTL) appendStaged(at sim.Time, base int64, payloads [][]byte) (gidxs []int64, release, done sim.Time, err error) {
 	ws := f.wsScratch[:0]
 	for i := range payloads {
 		ws = append(ws, slc.Write{LPA: base + int64(i), Payload: payloads[i]})
 	}
 	f.wsScratch = ws
-	return ws
+	start := at
+	if !f.staging.HasSpace(int64(len(ws))) {
+		if start, err = f.staging.EnsureSpace(at, int64(len(ws)), relocator{f}); err != nil {
+			return nil, at, at, fmt.Errorf("ftl: staging GC: %w", f.stagingErr(err))
+		}
+	}
+	gidxs, release, done, err = f.staging.Append(start, ws)
+	if err != nil {
+		return nil, at, at, f.stagingErr(err)
+	}
+	return gidxs, release, sim.Max(done, start), nil
 }
 
 // relocator adapts the FTL to the staging region's GC callback. A staged

@@ -141,20 +141,6 @@ func (c *Controller) DebugDuplicateCompletion(tag Tag) bool {
 	return false
 }
 
-// DebugDropCompletion removes the queued completion without reaping it —
-// the command's queue slot stays consumed, as if the controller lost the
-// completion. Test-only corruption hook; reports whether the tag was found.
-func (c *Controller) DebugDropCompletion(tag Tag) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for q := range c.cqs {
-		if _, ok := c.cqs[q].takeTag(tag); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // DebugLoseSyncCompletions arms the dispatcher to swallow the next n
 // completions bound for the internal sync queue, reproducing the
 // bookkeeping corruption execSync's lost-completion recovery guards

@@ -158,9 +158,6 @@ const maxDirectIndex = 1 << 16
 // Capacity returns the byte budget.
 func (c *Cache) Capacity() int64 { return c.capBytes }
 
-// UsedBytes returns the bytes currently occupied.
-func (c *Cache) UsedBytes() int64 { return c.used }
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.n }
 

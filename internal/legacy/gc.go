@@ -64,11 +64,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 		// Read them (page-grouped).
 		d.pages.Reset()
 		for _, off := range offs {
-			addr, err := d.physLoc(phys(int64(victim)*d.sbSectors + off))
-			if err != nil {
-				return at, err
-			}
-			d.pages.Add(addr)
+			d.pages.Add(d.arr.StripeAddr(victim, off))
 		}
 		for _, r := range d.pages.Runs() {
 			end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
@@ -84,27 +80,16 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 		lpas := make([]int64, 0, len(offs))
 		payloads := make([][]byte, 0, len(offs))
 		for _, off := range offs {
-			p := phys(int64(victim)*d.sbSectors + off)
-			addr, _ := d.physLoc(p)
 			lpas = append(lpas, sb.lpa[off])
-			payloads = append(payloads, d.arr.Payload(d.arr.PPAOf(addr)))
+			payloads = append(payloads, d.arr.Payload(d.arr.PPAOf(d.arr.StripeAddr(victim, off))))
 			sb.valid[off] = false
 			sb.validCount--
 		}
-		var i int64
 		n := int64(len(lpas))
-		for ; i+d.puSectors <= n; i += d.puSectors {
-			newPhys, dn, err := d.programPUAt(done, lpas[i:i+d.puSectors], payloads[i:i+d.puSectors])
-			if err != nil {
-				return at, err
-			}
-			for j, p := range newPhys {
-				d.table[lpas[i+int64(j)]] = p
-				d.cache.update(lpas[i+int64(j)])
-			}
-			if dn > done {
-				done = dn
-			}
+		var i int64
+		var err error
+		if i, done, err = d.programRun(done, lpas, payloads, true); err != nil {
+			return at, err
 		}
 		if i < n {
 			ws := make([]stagedWrite, 0, n-i)
@@ -132,7 +117,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 	}
 
 	// Erase the victim on every chip and free it.
-	block := d.firstNorm + victim
+	block := d.arr.StripeAddr(victim, 0).Block
 	for chip := 0; chip < d.chips; chip++ {
 		end, err := d.arr.Erase(done, chip, block)
 		if err != nil {
@@ -214,25 +199,17 @@ func (d *Device) drainStaging(at sim.Time, need int64) (sim.Time, error) {
 				lpas[i] = lpa
 				payloads[i] = d.staging.Payload(idx)
 			}
-			for i := int64(0); i+d.puSectors <= n; i += d.puSectors {
-				newPhys, dn, err := d.programPUAt(at, lpas[i:i+d.puSectors], payloads[i:i+d.puSectors])
-				if err != nil {
+			placed, dn, err := d.programRun(at, lpas, payloads, true)
+			if err != nil {
+				return at, err
+			}
+			at = dn
+			for _, idx := range idxs[:placed] {
+				if err := d.staging.Invalidate(idx); err != nil {
 					return at, err
 				}
-				for j, p := range newPhys {
-					d.table[lpas[i+int64(j)]] = p
-					d.cache.update(lpas[i+int64(j)])
-				}
-				if dn > at {
-					at = dn
-				}
-				for j := int64(0); j < d.puSectors; j++ {
-					if err := d.staging.Invalidate(idxs[i+j]); err != nil {
-						return at, err
-					}
-				}
 			}
-			d.stats.GCMigratedPages += (n / d.puSectors) * d.puSectors
+			d.stats.GCMigratedPages += placed
 		}
 		done, err := d.staging.Collect(at, victim, &tableRelocator{d: d})
 		if err != nil {

@@ -66,10 +66,7 @@ type Device struct {
 	table      []phys // lpa -> phys
 	sbSectors  int64
 	puSectors  int64
-	spp        int
-	pagesPerPU int
 	chips      int // geo.Chips()
-	firstNorm  int // geo.FirstNormalBlock()
 	numSB      int
 	stagedBase phys
 
@@ -114,16 +111,13 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 		return nil, fmt.Errorf("legacy: OverprovisionSB %d must be in [1,%d)", p.OverprovisionSB, numSB)
 	}
 	d := &Device{
-		arr:        arr,
-		params:     p,
-		chips:      geo.Chips(),
-		firstNorm:  geo.FirstNormalBlock(),
-		sbSectors:  geo.SuperblockBytes() / units.Sector,
-		puSectors:  geo.ProgramUnit / units.Sector,
-		spp:        geo.SectorsPerPage(),
-		pagesPerPU: geo.PagesPerPU(),
-		numSB:      numSB,
-		cur:        -1,
+		arr:       arr,
+		params:    p,
+		chips:     geo.Chips(),
+		sbSectors: geo.SuperblockBytes() / units.Sector,
+		puSectors: geo.ProgramUnit / units.Sector,
+		numSB:     numSB,
+		cur:       -1,
 	}
 	d.stagedBase = int64(numSB) * d.sbSectors
 	d.totalSectors = int64(numSB-p.OverprovisionSB) * d.sbSectors
@@ -182,16 +176,7 @@ func (d *Device) physLoc(p phys) (nand.Addr, error) {
 	if p >= d.stagedBase {
 		return d.staging.AddrOf(p - d.stagedBase)
 	}
-	sb := int(p / d.sbSectors)
-	off := p % d.sbSectors
-	k := off / d.puSectors
-	chips := int64(d.chips)
-	return nand.Addr{
-		Chip:   int(k % chips),
-		Block:  d.firstNorm + sb,
-		Page:   int(k/chips)*d.pagesPerPU + int(off%d.puSectors)/d.spp,
-		Sector: int(off % d.puSectors % int64(d.spp)),
-	}, nil
+	return d.arr.StripeAddr(int(p/d.sbSectors), p%d.sbSectors), nil
 }
 
 // invalidateOld marks the previous location of lpa dead, wherever it is.
@@ -230,38 +215,41 @@ func (d *Device) bindSB() error {
 	return nil
 }
 
-// programPUAt writes one full program unit of (lpa, payload) pairs at the
-// device write pointer and returns the new physical indices.
-func (d *Device) programPUAt(at sim.Time, lpas []int64, sectors [][]byte) ([]phys, sim.Time, error) {
-	if int64(len(lpas)) != d.puSectors {
-		return nil, at, fmt.Errorf("legacy: programPUAt with %d sectors, want %d", len(lpas), d.puSectors)
-	}
-	if d.cur < 0 || d.pos == d.sbSectors {
-		if err := d.bindSB(); err != nil {
-			return nil, at, err
+// programRun places the whole program units of a run of (lpa, payload)
+// pairs at the device write pointer, re-pointing the page table at each
+// sector as its unit lands, and returns how many sectors it placed — the
+// sub-unit remainder is the caller's to stage. A host flush issues every
+// unit at 'at' and the chips program side by side; device-internal movement
+// is chained, each unit issued when the previous one is done.
+func (d *Device) programRun(at sim.Time, lpas []int64, payloads [][]byte, chained bool) (placed int64, done sim.Time, err error) {
+	done = at
+	for n := int64(len(lpas)); placed+d.puSectors <= n; placed += d.puSectors {
+		if d.cur < 0 || d.pos == d.sbSectors {
+			if err := d.bindSB(); err != nil {
+				return placed, at, err
+			}
+		}
+		addr := d.arr.StripeAddr(d.cur, d.pos)
+		_, dn, err := d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page, payloads[placed:placed+d.puSectors])
+		if err != nil {
+			return placed, at, err
+		}
+		sb := &d.sbs[d.cur]
+		for _, lpa := range lpas[placed : placed+d.puSectors] {
+			sb.valid[d.pos] = true
+			sb.lpa[d.pos] = lpa
+			sb.validCount++
+			d.table[lpa] = phys(int64(d.cur)*d.sbSectors + d.pos)
+			d.cache.update(lpa)
+			d.pos++
+		}
+		d.stats.DirectPUs++
+		done = sim.Max(done, dn)
+		if chained {
+			at = done
 		}
 	}
-	base := phys(int64(d.cur)*d.sbSectors + d.pos)
-	addr, err := d.physLoc(base)
-	if err != nil {
-		return nil, at, err
-	}
-	_, done, err := d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page-addr.Page%d.pagesPerPU, sectors)
-	if err != nil {
-		return nil, at, err
-	}
-	out := make([]phys, len(lpas))
-	sb := &d.sbs[d.cur]
-	for i := range lpas {
-		off := d.pos + int64(i)
-		sb.valid[off] = true
-		sb.lpa[off] = lpas[i]
-		sb.validCount++
-		out[i] = base + phys(i)
-	}
-	d.pos += d.puSectors
-	d.stats.DirectPUs++
-	return out, done, nil
+	return placed, done, nil
 }
 
 // Write accepts a host write of len(payloads) sectors at lba; unlike the
@@ -339,26 +327,16 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 	}
 	at = done
 	n := int64(len(payloads))
-	var i int64
-	for ; i+d.puSectors <= n; i += d.puSectors {
-		lpas := make([]int64, d.puSectors)
-		for j := int64(0); j < d.puSectors; j++ {
-			lpas[j] = startLBA + i + j
-			if err := d.invalidateOld(lpas[j]); err != nil {
-				return at, err
-			}
-		}
-		newPhys, dn, err := d.programPUAt(at, lpas, payloads[i:i+d.puSectors])
-		if err != nil {
+	lpas := make([]int64, n-n%d.puSectors)
+	for j := range lpas {
+		lpas[j] = startLBA + int64(j)
+		if err := d.invalidateOld(lpas[j]); err != nil {
 			return at, err
 		}
-		for j, p := range newPhys {
-			d.table[lpas[j]] = p
-			d.cache.update(lpas[j])
-		}
-		if dn > done {
-			done = dn
-		}
+	}
+	i, done, err := d.programRun(at, lpas, payloads, false)
+	if err != nil {
+		return at, err
 	}
 	if i < n {
 		ws := make([]slc.Write, 0, n-i)

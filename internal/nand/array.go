@@ -151,6 +151,26 @@ func (a *Array) Geometry() Geometry { return a.geo }
 // per-sector paths of the layers above use.
 func (a *Array) PPAOf(ad Addr) PPA { return a.geo.ppaOf(ad) }
 
+// StripeAddr is the one statement of the superblock striping rule: sector
+// offset off of normal superblock sb lives in program unit k = off div
+// unit-sectors, and unit k stripes to chip k mod chips, unit row k div
+// chips of block FirstNormalBlock+sb. Every layer that places data
+// zone-linearly in a superblock goes through it (the FTL's head table
+// tabulates it).
+func (a *Array) StripeAddr(sb int, off int64) Addr {
+	g := &a.geo
+	pu, spp := g.ProgramUnit/units.Sector, int64(g.sectorsPerPage())
+	k, in := off/pu, off%pu
+	chips := int64(len(a.chips))
+	lin := (k/chips)*pu + in // sector within the chip's block: unit rows are contiguous
+	return Addr{
+		Chip:   int(k % chips),
+		Block:  g.SLCBlocks + g.MapBlocks + sb,
+		Page:   int(lin / spp),
+		Sector: int(lin % spp),
+	}
+}
+
 // Latencies returns the timing table in use.
 func (a *Array) Latencies() LatencyTable { return a.lat }
 
@@ -308,83 +328,111 @@ func (a *Array) ChargeMapRead(at sim.Time, chip int) (sim.Time, error) {
 	return done, nil
 }
 
-// ProgramPU programs one full program unit (geo.ProgramUnit bytes spanning
-// PagesPerPU pages) on a normal-media block, starting at startPage. The
-// payload is given per sector: sectors, if non-nil, must hold exactly one
-// entry per 4 KiB sector of the unit, each entry either nil (that sector is
-// programmed without recorded payload, as workloads that do not verify data
-// do) or a 4 KiB buffer, which is copied into pooled media storage — the
-// caller's buffers are never retained. Programming must continue where the
-// block left off (NAND pages are written in order), and the block must
-// cover the full unit.
+// chargeProgram is the timing half of every program operation: wait for the
+// chip's cache register (it frees when the previous program starts), move
+// xfer bytes over the chip's channel, reserve tProg on the chip, then gate on
+// the power cut. On a gate error nothing else has changed — a torn program
+// leaves the register model where it was.
+func (a *Array) chargeProgram(at sim.Time, chip int, xfer int64, tProg time.Duration) (xferEnd, progEnd sim.Time, err error) {
+	xferEnd = a.transfer(sim.Max(at, a.lastProgStart[chip]), chip, xfer)
+	progStart, progEnd := a.chips[chip].Reserve(xferEnd, tProg)
+	if err := a.gate(progEnd); err != nil {
+		return xferEnd, progEnd, err
+	}
+	a.lastProgStart[chip] = progStart
+	return xferEnd, progEnd, nil
+}
+
+// programSectors is the one program operation behind ProgramPU,
+// ProgramSLCSector and ProgramSLCPage, which only validate their own
+// addressing. It programs n sectors of an in-range block starting at the
+// block's linear sector lin, which must be the block's append point (NAND
+// pages are written in order). sectors is nil (nothing recorded) or holds n
+// entries, each nil or a 4 KiB buffer that is copied into pooled media
+// storage, never retained. counter is the operation's media counter.
 //
 // Two instants are returned: release, when the data has been transferred
 // into the chip's page register (the source buffer may be reused), and
 // done, when the program operation finishes. The transfer waits for both
 // the channel and the chip's register (a chip mid-program cannot accept
-// data), which is what creates write-path backpressure.
+// data), which is what creates write-path backpressure. A program torn by
+// the power cut, or one that ends with status FAIL after its full tPROG,
+// stores nothing and leaves the append point where it was; the caller of a
+// failed program must relocate.
+func (a *Array) programSectors(at sim.Time, chip, block, lin, n int, sectors [][]byte, counter *int64) (release, done sim.Time, err error) {
+	if sectors != nil && len(sectors) != n {
+		return at, at, fmt.Errorf("nand: program payload %d sectors, want %d", len(sectors), n)
+	}
+	for _, s := range sectors {
+		if s != nil && int64(len(s)) != units.Sector {
+			return at, at, fmt.Errorf("nand: program sector payload %d bytes, want %d", len(s), units.Sector)
+		}
+	}
+	bs := &a.blocks[chip][block]
+	if bs.nextSector != lin {
+		return at, at, fmt.Errorf("nand: out-of-order program: block %d/%d expects sector %d, got %d",
+			chip, block, bs.nextSector, lin)
+	}
+	bm := &a.meta[block]
+	bytes := int64(n) * units.Sector
+	xferEnd, progEnd, err := a.chargeProgram(at, chip, bytes, bm.lat.Program)
+	if err != nil {
+		return xferEnd, progEnd, err
+	}
+	if a.faults != nil && a.faults.ProgramFails(bm.media, chip, block, bs.eraseCount) {
+		a.engine.Observe(progEnd)
+		a.record(obs.StageNANDProgram, at, progEnd, chip, bytes)
+		return xferEnd, progEnd, fmt.Errorf("nand: program %d/%d sector %d: %w", chip, block, lin, ErrProgramFail)
+	}
+
+	base := int64(a.PPAOf(Addr{Chip: chip, Block: block})) + int64(lin)
+	for i := 0; i < n; i++ {
+		var src []byte
+		if sectors != nil {
+			src = sectors[i]
+		}
+		a.program(base+int64(i), src)
+	}
+	bs.nextSector = lin + n
+
+	*counter++
+	a.counters.BytesProgrammed += bytes
+	a.engine.Observe(progEnd)
+	a.record(obs.StageNANDProgram, at, progEnd, chip, bytes)
+	return xferEnd, progEnd, nil
+}
+
+// ProgramPU programs one full program unit (geo.ProgramUnit bytes spanning
+// PagesPerPU pages) on a normal-media block, starting at startPage, which
+// must be unit-aligned with the whole unit inside the block. Payload,
+// ordering and the two returned instants are programSectors'.
 func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]byte) (release, done sim.Time, err error) {
 	if err := a.checkAddr(chip, block); err != nil {
 		return at, at, err
 	}
-	media := a.meta[block].media
-	if media == SLCMode {
+	if a.meta[block].media == SLCMode {
 		return at, at, fmt.Errorf("nand: ProgramPU on SLC-mode block %d", block)
 	}
 	ppu := a.geo.pagesPerPU()
 	if startPage%ppu != 0 || startPage+ppu > a.geo.PagesPerBlock {
 		return at, at, fmt.Errorf("nand: PU at page %d not aligned or out of block", startPage)
 	}
-	nsect := int(a.geo.ProgramUnit / units.Sector)
-	if sectors != nil && len(sectors) != nsect {
-		return at, at, fmt.Errorf("nand: PU payload %d sectors, want %d", len(sectors), nsect)
-	}
-	for _, s := range sectors {
-		if s != nil && int64(len(s)) != units.Sector {
-			return at, at, fmt.Errorf("nand: PU sector payload %d bytes, want %d", len(s), units.Sector)
-		}
-	}
-	bs := &a.blocks[chip][block]
 	spp := a.geo.sectorsPerPage()
-	startSector := startPage * spp
-	if bs.nextSector != startSector {
-		return at, at, fmt.Errorf("nand: out-of-order program: block %d/%d expects sector %d, got %d",
-			chip, block, bs.nextSector, startSector)
-	}
-	lat := a.meta[block].lat
-	// The chip's cache register must be free before data can stream in:
-	// it frees when the previous program starts.
-	xferEnd := a.transfer(sim.Max(at, a.lastProgStart[chip]), chip, a.geo.ProgramUnit)
-	progStart, progEnd := a.chips[chip].Reserve(xferEnd, lat.Program)
-	if err := a.gate(progEnd); err != nil {
-		// Torn multi-plane program: the cut struck mid-tPROG, so the whole
-		// wordline stays unprogrammed and the write point does not move.
-		return xferEnd, progEnd, err
-	}
-	a.lastProgStart[chip] = progStart
-	if a.faults != nil && a.faults.ProgramFails(media, chip, block, bs.eraseCount) {
-		// Status FAIL after the full program time: nothing is stored and
-		// the write point does not advance; the caller must relocate.
-		a.engine.Observe(progEnd)
-		a.record(obs.StageNANDProgram, at, progEnd, chip, a.geo.ProgramUnit)
-		return xferEnd, progEnd, fmt.Errorf("nand: program %d/%d page %d: %w", chip, block, startPage, ErrProgramFail)
-	}
+	return a.programSectors(at, chip, block, startPage*spp, ppu*spp, sectors, &a.counters.PUPrograms)
+}
 
-	base := a.PPAOf(Addr{Chip: chip, Block: block, Page: startPage})
-	for i := 0; i < nsect; i++ {
-		var src []byte
-		if sectors != nil {
-			src = sectors[i]
-		}
-		a.program(int64(base)+int64(i), src)
+// checkSLCPage validates the addressing the two SLC front doors share.
+func (a *Array) checkSLCPage(chip, block, page int) error {
+	if err := a.checkAddr(chip, block); err != nil {
+		return err
 	}
-	bs.nextSector = startSector + nsect
-
-	a.counters.PUPrograms++
-	a.counters.BytesProgrammed += a.geo.ProgramUnit
-	a.engine.Observe(progEnd)
-	a.record(obs.StageNANDProgram, at, progEnd, chip, a.geo.ProgramUnit)
-	return xferEnd, progEnd, nil
+	if a.meta[block].media != SLCMode {
+		return fmt.Errorf("nand: SLC program on non-SLC block %d", block)
+	}
+	if page < 0 || page >= a.geo.SLCPagesPerBlock {
+		return fmt.Errorf("nand: page %d out of SLC block range [0,%d)", page, a.geo.SLCPagesPerBlock)
+	}
+	return nil
 }
 
 // ProgramSLCSector partially programs one 4 KiB sector of an SLC-mode page
@@ -392,49 +440,15 @@ func (a *Array) ProgramPU(at sim.Time, chip, block, startPage int, sectors [][]b
 // partially with a programming unit of 4KiB"). Sectors within a block must
 // be programmed in order.
 func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, payload []byte) (release, done sim.Time, err error) {
-	if err := a.checkAddr(chip, block); err != nil {
+	if err := a.checkSLCPage(chip, block, page); err != nil {
 		return at, at, err
-	}
-	if a.meta[block].media != SLCMode {
-		return at, at, fmt.Errorf("nand: partial program on non-SLC block %d", block)
-	}
-	if page < 0 || page >= a.geo.SLCPagesPerBlock {
-		return at, at, fmt.Errorf("nand: page %d out of SLC block range [0,%d)", page, a.geo.SLCPagesPerBlock)
 	}
 	spp := a.geo.sectorsPerPage()
 	if sector < 0 || sector >= spp {
 		return at, at, fmt.Errorf("nand: sector %d out of page range [0,%d)", sector, spp)
 	}
-	if payload != nil && int64(len(payload)) != units.Sector {
-		return at, at, fmt.Errorf("nand: SLC partial payload %d bytes, want %d", len(payload), units.Sector)
-	}
-	bs := &a.blocks[chip][block]
-	lin := page*spp + sector
-	if bs.nextSector != lin {
-		return at, at, fmt.Errorf("nand: out-of-order partial program: block %d/%d expects sector %d, got %d",
-			chip, block, bs.nextSector, lin)
-	}
-	lat := a.lat.For(SLCMode)
-	xferEnd := a.transfer(sim.Max(at, a.lastProgStart[chip]), chip, units.Sector)
-	progStart, progEnd := a.chips[chip].Reserve(xferEnd, lat.Program)
-	if err := a.gate(progEnd); err != nil {
-		return xferEnd, progEnd, err
-	}
-	a.lastProgStart[chip] = progStart
-	if a.faults != nil && a.faults.ProgramFails(SLCMode, chip, block, bs.eraseCount) {
-		a.engine.Observe(progEnd)
-		a.record(obs.StageNANDProgram, at, progEnd, chip, units.Sector)
-		return xferEnd, progEnd, fmt.Errorf("nand: partial program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
-	}
-
-	a.program(int64(a.PPAOf(Addr{Chip: chip, Block: block, Page: page, Sector: sector})), payload)
-	bs.nextSector = lin + 1
-
-	a.counters.PartialPrograms++
-	a.counters.BytesProgrammed += units.Sector
-	a.engine.Observe(progEnd)
-	a.record(obs.StageNANDProgram, at, progEnd, chip, units.Sector)
-	return xferEnd, progEnd, nil
+	one := [1][]byte{payload}
+	return a.programSectors(at, chip, block, page*spp+sector, 1, one[:], &a.counters.PartialPrograms)
 }
 
 // ChargeMapProgram models persisting one L2P-log page into the map region:
@@ -442,18 +456,16 @@ func (a *Array) ProgramSLCSector(at sim.Time, chip, block, page, sector int, pay
 // ChargeMapRead it is timing-only — the map region's content is kept in
 // host memory by the FTL (the paper defers real map persistence layout to
 // future work, §III-E), but the bus/die time and the blocking it causes
-// are real.
+// are real. It shares chargeProgram with the data programs and nothing
+// else: there is no block, no append point and no fault verdict.
 func (a *Array) ChargeMapProgram(at sim.Time, chip int) (sim.Time, error) {
 	if chip < 0 || chip >= len(a.chips) {
 		return at, fmt.Errorf("nand: chip %d out of range", chip)
 	}
-	lat := a.lat.For(SLCMode)
-	xferEnd := a.transfer(sim.Max(at, a.lastProgStart[chip]), chip, a.geo.PageSize)
-	progStart, progEnd := a.chips[chip].Reserve(xferEnd, lat.Program)
-	if err := a.gate(progEnd); err != nil {
+	_, progEnd, err := a.chargeProgram(at, chip, a.geo.PageSize, a.lat.For(SLCMode).Program)
+	if err != nil {
 		return progEnd, err
 	}
-	a.lastProgStart[chip] = progStart
 	a.counters.MapPrograms++
 	a.counters.BytesProgrammed += a.geo.PageSize
 	a.engine.Observe(progEnd)
@@ -465,61 +477,13 @@ func (a *Array) ChargeMapProgram(at sim.Time, chip int) (sim.Time, error) {
 // single program operation. Staging layers use it when a full page of data
 // is available: one tPROG covers the page, which is why aggregating evicted
 // buffer data at page granularity is so much cheaper than 4 KiB partials.
-// The page must be the block's next unprogrammed one. The payload is given
-// per sector (one entry per sector of the page, entries nil or 4 KiB, as in
-// ProgramPU); sector data is copied, never retained.
+// The page must be the block's next unprogrammed one.
 func (a *Array) ProgramSLCPage(at sim.Time, chip, block, page int, sectors [][]byte) (release, done sim.Time, err error) {
-	if err := a.checkAddr(chip, block); err != nil {
+	if err := a.checkSLCPage(chip, block, page); err != nil {
 		return at, at, err
 	}
-	if a.meta[block].media != SLCMode {
-		return at, at, fmt.Errorf("nand: SLC page program on non-SLC block %d", block)
-	}
-	if page < 0 || page >= a.geo.SLCPagesPerBlock {
-		return at, at, fmt.Errorf("nand: page %d out of SLC block range [0,%d)", page, a.geo.SLCPagesPerBlock)
-	}
 	spp := a.geo.sectorsPerPage()
-	if sectors != nil && len(sectors) != spp {
-		return at, at, fmt.Errorf("nand: SLC page payload %d sectors, want %d", len(sectors), spp)
-	}
-	for _, s := range sectors {
-		if s != nil && int64(len(s)) != units.Sector {
-			return at, at, fmt.Errorf("nand: SLC sector payload %d bytes, want %d", len(s), units.Sector)
-		}
-	}
-	bs := &a.blocks[chip][block]
-	if bs.nextSector != page*spp {
-		return at, at, fmt.Errorf("nand: out-of-order page program: block %d/%d expects sector %d, got %d",
-			chip, block, bs.nextSector, page*spp)
-	}
-	lat := a.lat.For(SLCMode)
-	xferEnd := a.transfer(sim.Max(at, a.lastProgStart[chip]), chip, a.geo.PageSize)
-	progStart, progEnd := a.chips[chip].Reserve(xferEnd, lat.Program)
-	if err := a.gate(progEnd); err != nil {
-		return xferEnd, progEnd, err
-	}
-	a.lastProgStart[chip] = progStart
-	if a.faults != nil && a.faults.ProgramFails(SLCMode, chip, block, bs.eraseCount) {
-		a.engine.Observe(progEnd)
-		a.record(obs.StageNANDProgram, at, progEnd, chip, a.geo.PageSize)
-		return xferEnd, progEnd, fmt.Errorf("nand: page program %d/%d page %d: %w", chip, block, page, ErrProgramFail)
-	}
-
-	base := a.PPAOf(Addr{Chip: chip, Block: block, Page: page})
-	for s := 0; s < spp; s++ {
-		var src []byte
-		if sectors != nil {
-			src = sectors[s]
-		}
-		a.program(int64(base)+int64(s), src)
-	}
-	bs.nextSector = (page + 1) * spp
-
-	a.counters.PageProgramsSLC++
-	a.counters.BytesProgrammed += a.geo.PageSize
-	a.engine.Observe(progEnd)
-	a.record(obs.StageNANDProgram, at, progEnd, chip, a.geo.PageSize)
-	return xferEnd, progEnd, nil
+	return a.programSectors(at, chip, block, page*spp, spp, sectors, &a.counters.PageProgramsSLC)
 }
 
 // Erase erases one per-chip block, clearing programmed state and payloads.

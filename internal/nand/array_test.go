@@ -2,10 +2,13 @@ package nand
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/conzone/conzone/internal/obs"
+	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -513,5 +516,205 @@ func TestCacheRegisterPipeline(t *testing.T) {
 	// The second transfer finished before the first program completed.
 	if rel2 >= d1 {
 		t.Errorf("transfer 2 (%v) did not overlap program 1 (ends %v)", rel2, d1)
+	}
+}
+
+// paperGeometry and qlcGeometry are the media of config.Paper() and
+// config.QLC() (this package cannot import config).
+func paperGeometry() Geometry {
+	g := testGeometry()
+	g.BlocksPerChip, g.PagesPerBlock, g.SLCPagesPerBlock, g.SLCBlocks = 108, 252, 84, 10
+	return g
+}
+
+func qlcGeometry() Geometry {
+	g := paperGeometry()
+	g.NormalMedia, g.ProgramUnit, g.PagesPerBlock, g.SLCPagesPerBlock = QLC, 64*units.KiB, 256, 64
+	return g
+}
+
+// TestStripeAddrMatchesClosedForm checks every offset of a superblock
+// against the striping rule's closed form — program unit k on chip k mod
+// chips, unit row k div chips — which is written out here and nowhere else.
+func TestStripeAddrMatchesClosedForm(t *testing.T) {
+	for name, g := range map[string]Geometry{"small": testGeometry(), "paper": paperGeometry(), "qlc": qlcGeometry()} {
+		a, err := NewArray(g, DefaultLatencies(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		chips, pu, spp := int64(g.Chips()), g.ProgramUnit/units.Sector, int64(g.SectorsPerPage())
+		sb := g.NormalBlocks() - 1
+		for off := int64(0); off < g.SuperblockBytes()/units.Sector; off++ {
+			k, rem := off/pu, off%pu
+			want := Addr{
+				Chip:   int(k % chips),
+				Block:  g.FirstNormalBlock() + sb,
+				Page:   int((k/chips)*int64(g.PagesPerPU()) + rem/spp),
+				Sector: int(rem % spp),
+			}
+			if got := a.StripeAddr(sb, off); got != want {
+				t.Fatalf("%s: offset %d stripes to %+v, want %+v", name, off, got, want)
+			}
+		}
+	}
+}
+
+// failNextProgram is a fault injector whose next program verdict is FAIL.
+type failNextProgram struct{ armed bool }
+
+func (f *failNextProgram) ProgramFails(Media, int, int, int64) bool {
+	fail := f.armed
+	f.armed = false
+	return fail
+}
+func (f *failNextProgram) EraseFails(Media, int, int, int64) bool       { return false }
+func (f *failNextProgram) ReadFault(Media, int, int, int64) (int, bool) { return 0, false }
+
+// TestProgramFrontDoors runs the three program front doors through the one
+// operation behind them: each must refuse an out-of-order target and a
+// malformed payload before charging anything, stay untouched by a torn or
+// failed program, and on success move the append point, store the payload,
+// count itself and record one span.
+func TestProgramFrontDoors(t *testing.T) {
+	g := testGeometry()
+	spp := g.SectorsPerPage()
+	normal := g.FirstNormalBlock()
+	doors := []struct {
+		name   string
+		block  int
+		n      int // sectors per operation
+		tProg  time.Duration
+		landed Counters // counters after one program, BytesProgrammed aside
+		// program issues the door's idx-th operation in block order.
+		program func(a *Array, at sim.Time, idx int, sectors [][]byte) (sim.Time, sim.Time, error)
+	}{
+		{"ProgramPU", normal, g.PagesPerPU() * spp, 937500 * time.Nanosecond,
+			Counters{PUPrograms: 1},
+			func(a *Array, at sim.Time, idx int, sectors [][]byte) (sim.Time, sim.Time, error) {
+				return a.ProgramPU(at, 1, normal, idx*g.PagesPerPU(), sectors)
+			}},
+		{"ProgramSLCSector", 0, 1, 75 * time.Microsecond,
+			Counters{PartialPrograms: 1},
+			func(a *Array, at sim.Time, idx int, sectors [][]byte) (sim.Time, sim.Time, error) {
+				var p []byte
+				if len(sectors) > 0 {
+					p = sectors[0]
+				}
+				return a.ProgramSLCSector(at, 1, 0, idx/spp, idx%spp, p)
+			}},
+		{"ProgramSLCPage", 0, spp, 75 * time.Microsecond,
+			Counters{PageProgramsSLC: 1},
+			func(a *Array, at sim.Time, idx int, sectors [][]byte) (sim.Time, sim.Time, error) {
+				return a.ProgramSLCPage(at, 1, 0, idx, sectors)
+			}},
+	}
+	payload := func(n int, b byte) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = bytes.Repeat([]byte{b}, int(units.Sector))
+		}
+		return out
+	}
+	for _, d := range doors {
+		t.Run(d.name, func(t *testing.T) {
+			a := newTestArray(t)
+			rec := obs.NewRecorder(16)
+			a.SetRecorder(rec)
+			inj := &failNextProgram{}
+			a.SetFaultInjector(inj)
+			bytesN := int64(d.n) * units.Sector
+			// untouched asserts that a refused, torn or failed program stored
+			// nothing and left the append point and the counters alone
+			// (a failed program's tPROG is checked by the caller).
+			untouched := func(what string, wantNext int, before Counters) {
+				t.Helper()
+				if got := a.NextProgramSector(1, d.block); got != wantNext {
+					t.Errorf("%s: append point %d, want %d", what, got, wantNext)
+				}
+				if a.IsWritten(g.PPAOf(Addr{Chip: 1, Block: d.block}) + PPA(wantNext)) {
+					t.Errorf("%s: sector %d stored", what, wantNext)
+				}
+				if c := a.Counters(); c != before {
+					t.Errorf("%s: counters %+v, want %+v", what, c, before)
+				}
+			}
+
+			// Refusals charge nothing: the chip stays idle.
+			if _, _, err := d.program(a, 0, 1, nil); err == nil {
+				t.Error("out-of-order target accepted")
+			}
+			if d.n > 1 { // a single-sector door has no count to get wrong
+				if _, _, err := d.program(a, 0, 0, payload(d.n-1, 1)); err == nil {
+					t.Error("wrong payload count accepted")
+				}
+			}
+			short := payload(d.n, 1)
+			short[d.n-1] = []byte{1}
+			if _, _, err := d.program(a, 0, 0, short); err == nil {
+				t.Error("wrong payload size accepted")
+			}
+			untouched("refusals", 0, Counters{})
+			if a.chips[1].Ops() != 0 || rec.Recorded() != 0 {
+				t.Errorf("refusals charged %d chip ops, recorded %d spans", a.chips[1].Ops(), rec.Recorded())
+			}
+
+			// Success: release when the data is in the register, done one
+			// tPROG later; counter, bytes, append point, payload and span.
+			pay := payload(d.n, 0xA5)
+			release, done, err := d.program(a, 0, 0, pay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sim.Time(0).Add(units.TransferTime(bytesN, g.ChannelMiBps)); release != want {
+				t.Errorf("release = %v, want %v", release, want)
+			}
+			if want := release.Add(d.tProg); done != want {
+				t.Errorf("done = %v, want %v", done, want)
+			}
+			landed := d.landed
+			landed.BytesProgrammed = bytesN
+			if c := a.Counters(); c != landed {
+				t.Errorf("counters after one program = %+v, want %+v", c, landed)
+			}
+			if got := a.NextProgramSector(1, d.block); got != d.n {
+				t.Errorf("append point %d after one program, want %d", got, d.n)
+			}
+			base := g.PPAOf(Addr{Chip: 1, Block: d.block})
+			for i := 0; i < d.n; i++ {
+				if !a.IsWritten(base+PPA(i)) || !bytes.Equal(a.Payload(base+PPA(i)), pay[i]) {
+					t.Fatalf("sector %d not stored", i)
+				}
+			}
+			ev := rec.Events()
+			if len(ev) != 1 || ev[0].Stage != obs.StageNANDProgram || ev[0].Begin != 0 || ev[0].End != done || ev[0].N != bytesN || ev[0].Actor != 1 {
+				t.Errorf("recorded spans = %v", ev)
+			}
+
+			// Injected program fail: full tPROG charged, nothing stored.
+			inj.armed = true
+			_, failed, err := d.program(a, done, 1, payload(d.n, 0x5A))
+			if !errors.Is(err, ErrProgramFail) {
+				t.Fatalf("injected fail: %v", err)
+			}
+			if want := done.Add(units.TransferTime(bytesN, g.ChannelMiBps) + d.tProg); failed != want {
+				t.Errorf("failed program done = %v, want %v (tPROG charged)", failed, want)
+			}
+			untouched("program fail", d.n, landed)
+
+			// Torn by an armed power cut: nothing stored, no fault verdict
+			// consumed, and the array is dead.
+			inj.armed = true
+			a.ArmPowerCut(failed.Add(1))
+			if _, _, err := d.program(a, failed, 1, payload(d.n, 0x5A)); !errors.Is(err, power.ErrPowerLoss) {
+				t.Fatalf("torn program: %v", err)
+			}
+			untouched("torn program", d.n, landed)
+			if !inj.armed {
+				t.Error("torn program consumed a fault verdict")
+			}
+			if !a.PowerLost() {
+				t.Error("array alive after a torn program")
+			}
+		})
 	}
 }

@@ -45,6 +45,3 @@ type FaultInjector interface {
 // SetFaultInjector attaches a fault injector to the array; nil restores the
 // never-failing default.
 func (a *Array) SetFaultInjector(fi FaultInjector) { a.faults = fi }
-
-// FaultInjectorAttached reports whether a fault injector is active.
-func (a *Array) FaultInjectorAttached() bool { return a.faults != nil }

@@ -240,16 +240,6 @@ func (r *Region) IndexOf(addr nand.Addr) (int64, error) {
 	return int64(sb)*r.sbCap + pos, nil
 }
 
-// OwnsBlock reports whether the per-chip block index belongs to the region.
-func (r *Region) OwnsBlock(block int) bool {
-	for _, b := range r.blocks {
-		if b == block {
-			return true
-		}
-	}
-	return false
-}
-
 // BlockOf returns the per-chip block index backing superblock sb.
 func (r *Region) BlockOf(sb int) (int, error) {
 	if sb < 0 || sb >= len(r.blocks) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"time"
 )
 
@@ -300,71 +299,10 @@ type WAFTracker struct {
 	NANDBytes int64
 }
 
-// AddHost records bytes accepted from the host.
-func (w *WAFTracker) AddHost(n int64) { w.HostBytes += n }
-
-// AddNAND records bytes programmed to flash media.
-func (w *WAFTracker) AddNAND(n int64) { w.NANDBytes += n }
-
 // WAF returns NAND/host, or 0 if nothing was written by the host.
 func (w *WAFTracker) WAF() float64 {
 	if w.HostBytes == 0 {
 		return 0
 	}
 	return float64(w.NANDBytes) / float64(w.HostBytes)
-}
-
-// Reset zeroes the tracker.
-func (w *WAFTracker) Reset() { *w = WAFTracker{} }
-
-// Counter is a named monotonically increasing counter.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// CounterSet is an ordered collection of named counters, used for device
-// statistic dumps that should print in a stable order.
-type CounterSet struct {
-	order []string
-	vals  map[string]int64
-}
-
-// NewCounterSet returns an empty set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{vals: make(map[string]int64)}
-}
-
-// Add increments the named counter, creating it on first use.
-func (c *CounterSet) Add(name string, delta int64) {
-	if _, ok := c.vals[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.vals[name] += delta
-}
-
-// Get returns the counter value (0 if absent).
-func (c *CounterSet) Get(name string) int64 { return c.vals[name] }
-
-// Snapshot returns the counters in insertion order.
-func (c *CounterSet) Snapshot() []Counter {
-	out := make([]Counter, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, Counter{Name: n, Value: c.vals[n]})
-	}
-	return out
-}
-
-// SortedSnapshot returns the counters sorted by name.
-func (c *CounterSet) SortedSnapshot() []Counter {
-	out := c.Snapshot()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Reset zeroes every counter but keeps the name registry.
-func (c *CounterSet) Reset() {
-	for k := range c.vals {
-		c.vals[k] = 0
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/conzone/conzone/internal/obs"
+	"github.com/conzone/conzone/internal/sim"
 )
 
 // conflictRounds drives the Fig. 6(b) pathology: alternating 48 KiB writes
@@ -146,12 +147,9 @@ func TestFetchStrategySpanCounts(t *testing.T) {
 			}
 			zb := dev.ZoneBytes()
 			written := int64(24) * (48 << 10) / SectorSize
-			state := uint64(0x9E3779B97F4A7C15)
+			rng := sim.NewRand(0)
 			for i := 0; i < 200; i++ {
-				state ^= state >> 12
-				state ^= state << 25
-				state ^= state >> 27
-				sector := int64(state*0x2545F4914F6CDD1D>>1) % written
+				sector := int64(rng.Uint64()>>1) % written
 				if _, err := dev.Read(zb+sector*SectorSize, int(SectorSize)); err != nil {
 					t.Fatal(err)
 				}
