@@ -58,7 +58,7 @@ func TestAsyncDeterminismAcrossQueueDepths(t *testing.T) {
 
 	// Bit-identical read-back of the whole written region.
 	total := 2 * c1.ZoneCapSectors()
-	at1, at16 := c1.MaxDone(), c16.MaxDone()
+	at1, at16 := c1.Kick(), c16.Kick()
 	const chunk = int64(64)
 	for lba := int64(0); lba < total; lba += chunk {
 		n := chunk

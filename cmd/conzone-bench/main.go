@@ -9,17 +9,15 @@
 //	conzone-bench -faults [-fault-seed 7] [-quick]
 //	conzone-bench -crash [-crash-seeds 8] [-crash-ops 600] [-fault-seed 7] [-quick]
 //	conzone-bench -timeseries [-sample-interval 5ms] [-series-jsonl s.jsonl] [-series-csv s.csv] [-quick]
-//	conzone-bench -serve :9090 [-quick]
 //	conzone-bench -selfbench [-json BENCH_emulator.json]
-//	conzone-bench -selfbench -compare BENCH_emulator.json [-regress-pct 25]
 //
 // Any mode accepts -cpuprofile/-memprofile to write pprof profiles of the
 // run. -selfbench measures the emulator's own wall-clock throughput (ns per
 // emulated 4 KiB I/O) over the internal/emubench workload family; the JSON
-// output is the schema of the repo-root BENCH_emulator.json baseline.
-// -compare prints ns/op and MiB/s deltas against a committed baseline and
-// exits non-zero when any benchmark regresses past -regress-pct (the CI
-// perf-smoke gate).
+// output is the schema of the repo-root BENCH_emulator.json trajectory file.
+// Regressions are judged on bench/ (interleaved parent/change pairs on one
+// machine), not against that file. The live scrape endpoint is
+// cmd/conzone-serve.
 package main
 
 import (
@@ -54,14 +52,11 @@ func main() {
 	crashSeeds := flag.Int("crash-seeds", 8, "with -crash: how many seeds to run")
 	crashOps := flag.Int("crash-ops", 600, "with -crash: ops per generated sequence")
 	timeseries := flag.Bool("timeseries", false, "sample a sustained random-write workload on the virtual clock and print the WAF/GC series")
-	serve := flag.String("serve", "", "with -timeseries (implied): serve /metrics, /timeseries.json, /zones.json and /debug/pprof on this address (e.g. :9090)")
 	sampleEvery := flag.Duration("sample-interval", 5*time.Millisecond, "with -timeseries: virtual-time sample interval")
 	seriesJSONL := flag.String("series-jsonl", "", "with -timeseries: write the sample series as JSON Lines to this file")
 	seriesCSV := flag.String("series-csv", "", "with -timeseries: write the sample series as CSV to this file")
 	selfbench := flag.Bool("selfbench", false, "measure the emulator's own wall-clock throughput (ns per emulated I/O)")
 	jsonOut := flag.String("json", "", "with -selfbench: write the results to this file (e.g. BENCH_emulator.json)")
-	compare := flag.String("compare", "", "with -selfbench: compare against this baseline JSON and exit non-zero on regression")
-	regressPct := flag.Float64("regress-pct", 25, "with -compare: ns/op regression percentage that fails the comparison")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
@@ -91,18 +86,8 @@ func main() {
 	}
 
 	if *selfbench {
-		report, err := runSelfBench(*jsonOut)
-		if err != nil {
+		if err := runSelfBench(*jsonOut); err != nil {
 			fatal(err)
-		}
-		if *compare != "" {
-			base, err := loadBaseline(*compare)
-			if err != nil {
-				fatal(err)
-			}
-			if err := compareReports(report, base, *regressPct); err != nil {
-				fatal(err)
-			}
 		}
 		return
 	}
@@ -121,9 +106,8 @@ func main() {
 		}
 		return
 	}
-	if *timeseries || *serve != "" {
+	if *timeseries {
 		err := runTimeseries(cfg, tsOptions{
-			serve:    *serve,
 			jsonl:    *seriesJSONL,
 			csv:      *seriesCSV,
 			interval: *sampleEvery,

@@ -27,9 +27,9 @@ type selfBenchResult struct {
 }
 
 // selfBenchReport is the schema of BENCH_emulator.json: environment header
-// plus one entry per benchmark. Future performance PRs regenerate the file
-// with `conzone-bench -selfbench -json BENCH_emulator.json` and compare
-// against the committed baseline.
+// plus one entry per benchmark. Performance PRs regenerate the file with
+// `conzone-bench -selfbench -json BENCH_emulator.json`; it is a trajectory
+// across machines, not a gate.
 type selfBenchReport struct {
 	Date      string            `json:"date"`
 	GoVersion string            `json:"go_version"`
@@ -61,8 +61,8 @@ func runBenchmark(spec emubench.Spec) selfBenchResult {
 // runSelfBench measures the emulator's own wall-clock throughput: every
 // emubench spec (seqwrite, randread, randwrite, gcheavy at QD 1 and 16) is
 // run through testing.Benchmark, printed as a table, and optionally written
-// to jsonPath as the machine-readable baseline.
-func runSelfBench(jsonPath string) (*selfBenchReport, error) {
+// to jsonPath as the machine-readable trajectory file.
+func runSelfBench(jsonPath string) error {
 	report := &selfBenchReport{
 		Date:      time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -79,19 +79,19 @@ func runSelfBench(jsonPath string) (*selfBenchReport, error) {
 			r.Name, r.Iterations, r.NsPerOp, r.MiBPerSec, r.BytesPerOp, r.AllocsPerOp)
 	}
 	if err := tw.Flush(); err != nil {
-		return nil, err
+		return err
 	}
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	return report, nil
+	return nil
 }

@@ -31,7 +31,7 @@ import (
 
 	"github.com/conzone/conzone"
 	"github.com/conzone/conzone/internal/config"
-	"github.com/conzone/conzone/internal/sim"
+	"github.com/conzone/conzone/internal/workload"
 )
 
 func main() {
@@ -80,36 +80,17 @@ func main() {
 	fatal(http.Serve(ln, dev.ObservabilityHandler()))
 }
 
-// drive runs the sustained random-write workload forever: sub-PU bursts to
-// random zones of a working set, resetting each zone as it fills. Device
-// methods lock internally, so scrapes interleave safely with the drive
-// loop; a write failure (e.g. the device degrading to read-only) stops the
-// workload but not the endpoint.
+// drive runs the sustained random-write workload forever. Device methods
+// lock internally, so scrapes interleave safely with the drive loop; a write
+// failure (e.g. the device degrading to read-only) stops the workload but
+// not the endpoint.
 func drive(dev *conzone.Device) {
-	const burst = 48 << 10
-	zb := dev.ZoneBytes()
-	base := dev.NumZones() / 2
-	n := 8
-	if base+n > dev.NumZones() {
-		n = dev.NumZones() - base
-	}
-	offs := make([]int64, n)
-	buf := make([]byte, burst)
-	rng := sim.NewRand(0)
+	w := workload.NewZoneBurst(dev, 8)
 	for {
-		i := int(rng.Uint64() % uint64(n))
-		if offs[i]+burst > zb {
-			if err := dev.ResetZone(base + i); err != nil {
-				fmt.Fprintln(os.Stderr, "conzone-serve: workload stopped:", err)
-				return
-			}
-			offs[i] = 0
-		}
-		if err := dev.Write(int64(base+i)*zb+offs[i], buf); err != nil {
+		if err := w.Step(); err != nil {
 			fmt.Fprintln(os.Stderr, "conzone-serve: workload stopped:", err)
 			return
 		}
-		offs[i] += burst
 		// Throttle to ~2000 bursts/s of wall time: the virtual clock still
 		// outruns it by orders of magnitude, and the process stays polite.
 		time.Sleep(500 * time.Microsecond)

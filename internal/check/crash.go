@@ -8,7 +8,7 @@ import (
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/ftl"
-	"github.com/conzone/conzone/internal/power"
+	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
 	"github.com/conzone/conzone/internal/zns"
@@ -120,7 +120,7 @@ func (r *crashRun) ackReset(zone int) {
 }
 
 // step executes one op against the live (pre-crash) device. It returns
-// power.ErrPowerLoss unwrapped when the cut fired.
+// nand.ErrPowerLoss unwrapped when the cut fired.
 func (r *crashRun) step(op Op) error {
 	nz := r.f.NumZones()
 	zone := op.Zone % nz
@@ -153,7 +153,7 @@ func (r *crashRun) step(op Op) error {
 		}
 		done, err := r.f.Write(r.now, lba, payloads)
 		if err != nil {
-			if errors.Is(err, power.ErrPowerLoss) {
+			if errors.Is(err, nand.ErrPowerLoss) {
 				// The torn write's landed prefix is acceptable.
 				r.tornWriteLBA, r.tornWriteN, r.tornWriteVer = lba, n, r.seq
 			}
@@ -207,7 +207,7 @@ func (r *crashRun) step(op Op) error {
 		}
 		done, err := r.f.ResetZone(r.now, zone)
 		if err != nil {
-			if errors.Is(err, power.ErrPowerLoss) {
+			if errors.Is(err, nand.ErrPowerLoss) {
 				r.tornReset = zone // each sector may survive or read zero
 			}
 			return err
@@ -399,11 +399,7 @@ func RunCrashSequence(seed uint64, nOps, auditEvery int, withFaults bool) (crash
 	}
 
 	// Pass 2: fresh device, cut armed at a seeded instant inside the run.
-	plan, err := power.NewPlan(seed^0xC4A54, 1, dry.now)
-	if err != nil {
-		return false, err
-	}
-	cut := plan.Next()
+	cut := sim.Time(1 + sim.NewRand(seed^0xC4A54).Int63n(int64(dry.now)))
 	r, err := newCrashRun(cfg)
 	if err != nil {
 		return false, err
@@ -420,7 +416,7 @@ func RunCrashSequence(seed uint64, nOps, auditEvery int, withFaults bool) (crash
 			}
 			continue
 		}
-		if errors.Is(err, power.ErrPowerLoss) {
+		if errors.Is(err, nand.ErrPowerLoss) {
 			crashedAt = i
 			break
 		}

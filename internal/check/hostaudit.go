@@ -29,7 +29,7 @@ import (
 // When the backend has a lifecycle recorder attached, violations carry the
 // flight recorder's tail, like Audit's.
 func AuditHost(c *host.Controller) error {
-	err := auditHost(c)
+	err := auditHostState(c.DebugSnapshot(), c.ZoneCapSectors())
 	if err == nil {
 		return nil
 	}
@@ -40,24 +40,26 @@ func AuditHost(c *host.Controller) error {
 	return err
 }
 
-func auditHost(c *host.Controller) error {
-	st := c.DebugSnapshot()
+// auditHostState is the audit proper: a pure function of one snapshot and
+// the zone capacity, so the corruption tests corrupt a snapshot value and the
+// live controller carries no mutators.
+func auditHostState(st host.DebugState, zoneCap int64) error {
 	if st.LostCompletions > 0 {
 		return fmt.Errorf("audit[host-lost]: controller lost %d completions (internal bookkeeping corrupt)", st.LostCompletions)
 	}
-	if err := auditHostTags(c, st); err != nil {
+	if err := auditHostTags(st); err != nil {
 		return err
 	}
-	if err := auditHostZoneLocks(c, st); err != nil {
+	if err := auditHostZoneLocks(st); err != nil {
 		return err
 	}
-	return auditHostAppends(c, st)
+	return auditHostAppends(st, zoneCap)
 }
 
 // auditHostTags checks the in-flight tag accounting: every tag unique,
 // every tag below the issue watermark, and each queue's outstanding
 // counter equal to its pending commands plus unreaped completions.
-func auditHostTags(c *host.Controller, st host.DebugState) error {
+func auditHostTags(st host.DebugState) error {
 	seen := make(map[host.Tag]string)
 	note := func(tag host.Tag, where string) error {
 		if tag == 0 || tag >= st.NextTag {
@@ -113,7 +115,7 @@ type flightSpan struct {
 	begin, end int64
 }
 
-func auditHostZoneLocks(c *host.Controller, st host.DebugState) error {
+func auditHostZoneLocks(st host.DebugState) error {
 	perZone := make(map[int][]flightSpan)
 	for _, cq := range st.Completions {
 		for _, comp := range cq {
@@ -156,8 +158,7 @@ func auditHostZoneLocks(c *host.Controller, st host.DebugState) error {
 // lie inside the target zone with the whole payload, and no two unreaped
 // appends of one zone may claim overlapping sector ranges (each append's
 // assignment is unique — the point of the command).
-func auditHostAppends(c *host.Controller, st host.DebugState) error {
-	zoneCap := c.ZoneCapSectors()
+func auditHostAppends(st host.DebugState, zoneCap int64) error {
 	type extent struct {
 		tag      host.Tag
 		lba, end int64

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -49,10 +48,12 @@ func newAuditHost(t *testing.T) *host.Controller {
 	return c
 }
 
-// wantViolation asserts the audit fails naming the invariant slug.
-func wantHostViolation(t *testing.T, c *host.Controller, slug string) {
+// wantHostViolation asserts the state audit fails naming the invariant slug.
+// The corruption tests below take a snapshot of a healthy controller and
+// corrupt the value: auditHostState is a pure function of it.
+func wantHostViolation(t *testing.T, st host.DebugState, zoneCap int64, slug string) {
 	t.Helper()
-	err := AuditHost(c)
+	err := auditHostState(st, zoneCap)
 	if err == nil {
 		t.Fatalf("corruption not detected, want audit[%s]", slug)
 	}
@@ -61,19 +62,22 @@ func wantHostViolation(t *testing.T, c *host.Controller, slug string) {
 	}
 }
 
-// firstOf returns the tag of the first unreaped completion matching op.
-func firstOf(t *testing.T, c *host.Controller, op host.Op) host.Completion {
-	t.Helper()
-	st := c.DebugSnapshot()
-	for _, cq := range st.Completions {
-		for _, comp := range cq {
-			if comp.Op == op {
-				return comp
+// completionsOf returns pointers into the snapshot to every unreaped
+// completion matching the predicate, so a test can rewrite them in place.
+func completionsOf(st host.DebugState, match func(host.Completion) bool) []*host.Completion {
+	var out []*host.Completion
+	for q := range st.Completions {
+		for i := range st.Completions[q] {
+			if match(st.Completions[q][i]) {
+				out = append(out, &st.Completions[q][i])
 			}
 		}
 	}
-	t.Fatalf("no unreaped %v completion", op)
-	return host.Completion{}
+	return out
+}
+
+func opIs(op host.Op) func(host.Completion) bool {
+	return func(c host.Completion) bool { return c.Op == op }
 }
 
 func TestAuditHostCleanAfterReap(t *testing.T) {
@@ -90,22 +94,12 @@ func TestAuditHostDetectsZoneLockOverlap(t *testing.T) {
 	// Rewrite the second zone-0 write's in-flight interval so it overlaps
 	// the first: two concurrent write-class commands in one zone.
 	st := c.DebugSnapshot()
-	var zone0 []host.Completion
-	for _, cq := range st.Completions {
-		for _, comp := range cq {
-			if comp.Op == host.OpWrite && comp.Zone == 0 {
-				zone0 = append(zone0, comp)
-			}
-		}
-	}
+	zone0 := completionsOf(st, func(c host.Completion) bool { return c.Op == host.OpWrite && c.Zone == 0 })
 	if len(zone0) != 2 {
 		t.Fatalf("want 2 unreaped zone-0 writes, have %d", len(zone0))
 	}
-	first := zone0[0]
-	if !c.DebugSetCompletionTimes(zone0[1].Tag, first.Dispatched, first.Done+1) {
-		t.Fatal("corruption hook missed the completion")
-	}
-	wantHostViolation(t, c, "host-zone-lock")
+	zone0[1].Dispatched, zone0[1].Done = zone0[0].Dispatched, zone0[0].Done+1
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-zone-lock")
 }
 
 func TestAuditHostDetectsStaleZoneLock(t *testing.T) {
@@ -113,17 +107,16 @@ func TestAuditHostDetectsStaleZoneLock(t *testing.T) {
 	// A zone's write lock freeing before its own completion means the next
 	// write could dispatch mid-flight. Buffered writes complete at their
 	// dispatch instant, so only a horizon strictly before that trips.
-	c.DebugSetZoneFree(0, -1)
-	wantHostViolation(t, c, "host-zone-lock")
+	st := c.DebugSnapshot()
+	st.ZoneFree[0] = -1
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-zone-lock")
 }
 
 func TestAuditHostDetectsAppendOutsideZone(t *testing.T) {
 	c := newAuditHost(t)
-	comp := firstOf(t, c, host.OpAppend)
-	if !c.DebugSetCompletionLBA(comp.Tag, c.ZoneCapSectors()*4) {
-		t.Fatal("corruption hook missed the completion")
-	}
-	wantHostViolation(t, c, "host-append")
+	st := c.DebugSnapshot()
+	completionsOf(st, opIs(host.OpAppend))[0].LBA = c.ZoneCapSectors() * 4
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-append")
 }
 
 func TestAuditHostDetectsAppendCollision(t *testing.T) {
@@ -131,53 +124,55 @@ func TestAuditHostDetectsAppendCollision(t *testing.T) {
 	// Assign both zone-1 appends the same LBA: the uniqueness the command
 	// exists to guarantee is gone.
 	st := c.DebugSnapshot()
-	var appends []host.Completion
-	for _, cq := range st.Completions {
-		for _, comp := range cq {
-			if comp.Op == host.OpAppend {
-				appends = append(appends, comp)
-			}
-		}
-	}
+	appends := completionsOf(st, opIs(host.OpAppend))
 	if len(appends) != 2 {
 		t.Fatalf("want 2 unreaped appends, have %d", len(appends))
 	}
-	if !c.DebugSetCompletionLBA(appends[1].Tag, appends[0].LBA) {
-		t.Fatal("corruption hook missed the completion")
-	}
-	wantHostViolation(t, c, "host-append")
+	appends[1].LBA = appends[0].LBA
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-append")
 }
 
 func TestAuditHostDetectsOutstandingSkew(t *testing.T) {
 	c := newAuditHost(t)
-	c.DebugAddOutstanding(0, 1)
-	wantHostViolation(t, c, "host-tags")
+	st := c.DebugSnapshot()
+	st.Outstanding[0]++
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-tags")
 }
 
 func TestAuditHostDetectsDuplicateTag(t *testing.T) {
 	c := newAuditHost(t)
-	comp := firstOf(t, c, host.OpRead)
-	if !c.DebugDuplicateCompletion(comp.Tag) {
-		t.Fatal("corruption hook missed the completion")
-	}
-	wantHostViolation(t, c, "host-tags")
+	// A double completion: the same tag queued twice, the counter in step.
+	st := c.DebugSnapshot()
+	read := *completionsOf(st, opIs(host.OpRead))[0]
+	st.Completions[read.Queue] = append(st.Completions[read.Queue], read)
+	st.Outstanding[read.Queue]++
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-tags")
+}
+
+// A completion parked in a queue other than the one it names would be reaped
+// by the wrong poller. The per-queue counters are moved with it, so only the
+// queue identity check can catch it.
+func TestAuditHostDetectsCompletionInWrongQueue(t *testing.T) {
+	c := newAuditHost(t)
+	st := c.DebugSnapshot()
+	from, to := 0, 1
+	n := len(st.Completions[from])
+	moved := st.Completions[from][n-1]
+	st.Completions[from] = st.Completions[from][:n-1]
+	st.Completions[to] = append(st.Completions[to], moved)
+	st.Outstanding[from]--
+	st.Outstanding[to]++
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-tags")
 }
 
 func TestAuditHostDetectsLostCompletion(t *testing.T) {
 	c := newAuditHost(t)
-	// Arm the dispatcher to swallow the next sync completion: the write must
-	// come back as a synthesized internal-error completion (not a panic),
-	// and the audit must flag the controller as having lost one.
-	c.DebugLoseSyncCompletions(1)
-	payloads := [][]byte{payloadFor(16, 1)}
-	_, err := c.Write(c.MaxDone(), 16, payloads)
-	if !errors.Is(err, host.ErrLostCompletion) {
-		t.Fatalf("lost sync completion returned %v, want ErrLostCompletion", err)
-	}
-	if got := c.LostCompletions(); got != 1 {
-		t.Fatalf("LostCompletions = %d, want 1", got)
-	}
-	wantHostViolation(t, c, "host-lost")
+	// The live path — a swallowed sync completion comes back as a
+	// synthesized internal error and bumps the counter — is pinned by
+	// host.TestExecSyncLostCompletion; any nonzero count is a violation.
+	st := c.DebugSnapshot()
+	st.LostCompletions = 1
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-lost")
 }
 
 func TestAuditHostDetectsFlushAllBarrierViolation(t *testing.T) {
@@ -203,30 +198,21 @@ func TestAuditHostDetectsFlushAllBarrierViolation(t *testing.T) {
 	// A flush-all is a barrier against every zone; pulling its interval
 	// under the preceding write breaks host-zone-lock on the write's zone.
 	st := c.DebugSnapshot()
-	var wr, fl host.Completion
-	for _, comp := range st.Completions[0] {
-		switch comp.Op {
-		case host.OpWrite:
-			wr = comp
-		case host.OpFlush:
-			fl = comp
-		}
-	}
-	if wr.Tag == 0 || fl.Tag == 0 {
+	writes, flushes := completionsOf(st, opIs(host.OpWrite)), completionsOf(st, opIs(host.OpFlush))
+	if len(writes) != 1 || len(flushes) != 1 {
 		t.Fatal("missing unreaped write or flush completion")
 	}
+	wr, fl := writes[0], flushes[0]
 	if fl.Done <= fl.Dispatched {
 		t.Fatal("flush-all should take virtual time (it drains a buffered run)")
 	}
 	// Stretch the write's in-flight interval over the flush-all's: the
 	// barrier and a zone-0 write now fly concurrently.
-	if !c.DebugSetCompletionTimes(wr.Tag, fl.Dispatched, fl.Done) {
-		t.Fatal("corruption hook missed the completion")
-	}
+	wr.Dispatched, wr.Done = fl.Dispatched, fl.Done
 	// Keep zoneFree consistent with the moved write so only the overlap
 	// trips, not the horizon check.
-	for z := 0; z < c.NumZones(); z++ {
-		c.DebugSetZoneFree(z, sim.Time(1<<60))
+	for z := range st.ZoneFree {
+		st.ZoneFree[z] = sim.Time(1 << 60)
 	}
-	wantHostViolation(t, c, "host-zone-lock")
+	wantHostViolation(t, st, c.ZoneCapSectors(), "host-zone-lock")
 }

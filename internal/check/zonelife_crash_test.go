@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/conzone/conzone/internal/power"
+	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/zns"
 )
@@ -55,7 +55,7 @@ func crashAt(t *testing.T, ops []Op, cut sim.Time) *crashRun {
 		if err == nil {
 			continue
 		}
-		if !errors.Is(err, power.ErrPowerLoss) {
+		if !errors.Is(err, nand.ErrPowerLoss) {
 			t.Fatalf("op %d (%s): %v", i, op, err)
 		}
 		crashed = true

@@ -4,12 +4,6 @@
 // FEMU delay-emulation model — no real sleeping — so the emulator's wall
 // clock is the ceiling on how large a workload can be replayed, and this
 // package is the benchmark gate that keeps that ceiling from regressing.
-//
-// The driver intentionally speaks only the stable host-controller surface
-// (Submit/Poll/Wait) and probes the allocation-free fast paths (PollInto,
-// Recycle) through interface assertions, so the same file compiles and runs
-// against older trees; before/after comparisons of one benchmark binary
-// against two checkouts are therefore apples-to-apples.
 package emubench
 
 import (
@@ -53,25 +47,12 @@ func Specs() []Spec {
 // serialization at QD1) behave as in the real workloads.
 const opOverhead = sim.Duration(1000) // 1 µs
 
-// pollOneInto is the allocation-free reap fast path, probed by assertion so
-// the driver still runs (via Poll) on trees that predate it.
-type pollOneInto interface {
-	PollInto(q, max int, dst []host.Completion) []host.Completion
-}
-
-// recycler is the read-buffer return fast path, probed by assertion.
-type recycler interface {
-	Recycle(data [][]byte)
-}
-
 // runner drives one device through one workload, one step per benchmark
 // iteration, keeping up to QD commands outstanding.
 type runner struct {
 	tb   testing.TB
 	f    *ftl.FTL
 	ctrl *host.Controller
-	pi   pollOneInto // nil when the controller has no PollInto
-	rec  recycler    // nil when the controller has no Recycle
 
 	qd       int
 	now      sim.Time
@@ -139,8 +120,6 @@ func newRunner(tb testing.TB, spec Spec) *runner {
 		compBuf:    make([]host.Completion, 0, 4),
 		nilPayload: make([][]byte, 1),
 	}
-	r.pi, _ = any(ctrl).(pollOneInto)
-	r.rec, _ = any(ctrl).(recycler)
 	r.sbCap = f.Geometry().SuperblockBytes() / units.Sector
 
 	if spec.Workload == "randread" || spec.Workload == "burstread" {
@@ -167,12 +146,7 @@ func newRunner(tb testing.TB, spec Spec) *runner {
 // driver clock to its completion (the submitter cannot run ahead of its
 // oldest completion once the window is full).
 func (r *runner) reapOne() {
-	var comps []host.Completion
-	if r.pi != nil {
-		comps = r.pi.PollInto(0, 1, r.compBuf[:0])
-	} else {
-		comps = r.ctrl.Poll(0, 1)
-	}
+	comps := r.ctrl.PollInto(0, 1, r.compBuf[:0])
 	if len(comps) == 0 {
 		r.tb.Fatalf("emubench: no completion with %d commands in flight", r.inflight)
 	}
@@ -184,8 +158,8 @@ func (r *runner) reapOne() {
 		if c.Done > r.now {
 			r.now = c.Done
 		}
-		if c.Data != nil && r.rec != nil {
-			r.rec.Recycle(c.Data)
+		if c.Data != nil {
+			r.ctrl.Recycle(c.Data)
 		}
 		r.inflight--
 	}

@@ -150,19 +150,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the config can produce any fault at all.
-func (c Config) Enabled() bool {
-	if len(c.Scripts) > 0 {
-		return true
-	}
-	for _, p := range [...]Probabilities{c.SLC, c.TLC, c.QLC} {
-		if p.ProgramFail > 0 || p.EraseFail > 0 || p.ReadFail > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Stats counts the faults the injector produced.
 type Stats struct {
 	ProgramFails  int64 // program operations that returned status FAIL
@@ -232,9 +219,6 @@ func New(cfg Config) (*Injector, error) {
 
 // Stats returns a snapshot of the fault counters.
 func (i *Injector) Stats() Stats { return i.stats }
-
-// ReadRetryBudget returns the normalized retry-round budget K.
-func (i *Injector) ReadRetryBudget() int { return i.retries }
 
 // probs returns the configured rates for a media type.
 func (i *Injector) probs(m nand.Media) Probabilities {

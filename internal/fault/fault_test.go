@@ -135,21 +135,12 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	if (Config{}).Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	if !(Config{Scripts: []Script{{Block: 1}}}).Enabled() {
-		t.Error("scripted config reports disabled")
-	}
-	if !(Config{QLC: Probabilities{EraseFail: 0.1}}).Enabled() {
-		t.Error("probabilistic config reports disabled")
-	}
 	inj, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.ReadRetryBudget() != DefaultReadRetryRounds {
+	if inj.retries != DefaultReadRetryRounds {
 		t.Errorf("zero ReadRetryRounds normalized to %d, want %d",
-			inj.ReadRetryBudget(), DefaultReadRetryRounds)
+			inj.retries, DefaultReadRetryRounds)
 	}
 }

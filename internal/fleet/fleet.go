@@ -303,15 +303,6 @@ func LoadSpec(path string) (Spec, error) {
 	return s, nil
 }
 
-// Save writes the spec as indented JSON.
-func (s *Spec) Save(path string) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
 // DefaultSpec returns a ready-to-run two-cohort population: "fresh"
 // factory-new devices against "worn" pre-aged devices with wear-coupled
 // fault rates and occasional mid-run power cuts — the population curve

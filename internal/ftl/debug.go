@@ -9,9 +9,14 @@ import (
 )
 
 // This file exposes read-only views of the FTL's internal bookkeeping for
-// the cross-subsystem invariant auditor (internal/check), plus corruption
-// hooks (Debug* mutators) the auditor's own tests use to prove each
-// invariant actually fires. Production code never calls the mutators.
+// the cross-subsystem invariant auditor (internal/check), plus the two
+// corruption hooks (DebugRetireSB, DebugAddBadBlock) the auditor's tests use
+// to prove the bad-block invariants fire. Production code never calls them.
+// They are exported methods on the live FTL because check.Audit, unlike
+// check.AuditHost (which audits a host.DebugState value a test can corrupt),
+// cross-reads a live FTL — mapping table, zone manager, write buffers, SLC
+// region and media through the accessors below — and check's tests sit
+// outside this package, where an export_test.go cannot reach.
 
 // AggLimit returns the first staged PSN: PSNs below it are reserved
 // (zone-linear) placement, PSNs at or above it index the SLC staging region.

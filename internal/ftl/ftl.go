@@ -69,19 +69,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// ParseStrategy converts a config string to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "BITMAP", "bitmap":
-		return Bitmap, nil
-	case "MULTIPLE", "multiple":
-		return Multiple, nil
-	case "PINNED", "pinned":
-		return Pinned, nil
-	}
-	return 0, fmt.Errorf("ftl: unknown search strategy %q", s)
-}
-
 // Params configures the FTL on top of a NAND geometry.
 type Params struct {
 	NumWriteBuffers int   // shared volatile write buffers (paper: 2)

@@ -136,14 +136,6 @@ func TestStrategyString(t *testing.T) {
 	if Bitmap.String() != "BITMAP" || Multiple.String() != "MULTIPLE" || Pinned.String() != "PINNED" {
 		t.Error("strategy names wrong")
 	}
-	for _, s := range []string{"BITMAP", "multiple", "pinned"} {
-		if _, err := ParseStrategy(s); err != nil {
-			t.Errorf("ParseStrategy(%q): %v", s, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Error("bad strategy parsed")
-	}
 }
 
 func TestDirectPUWrite(t *testing.T) {

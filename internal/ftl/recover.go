@@ -7,7 +7,6 @@ import (
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/nand"
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -33,7 +32,7 @@ import (
 // that would touch no media (buffer-served reads, empty flushes).
 func (f *FTL) checkPower(at sim.Time) error {
 	if f.arr.PowerLostAt(at) {
-		return power.ErrPowerLoss
+		return nand.ErrPowerLoss
 	}
 	return nil
 }

@@ -144,9 +144,6 @@ func (f *FTL) Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time,
 	return lba, done, nil
 }
 
-// ZoneOf maps an LBA to its zone id, or -1 when out of range.
-func (f *FTL) ZoneOf(lba int64) int { return f.zones.ZoneOf(lba) }
-
 // Flush forces the zone's buffered data to media (synchronous flush /
 // cache flush command). Partial programming-unit tails detour through SLC.
 func (f *FTL) Flush(at sim.Time, zone int) (sim.Time, error) {

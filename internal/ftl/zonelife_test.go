@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/conzone/conzone/internal/power"
+	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/zns"
 )
@@ -158,10 +158,10 @@ func TestRejectedManagementChargesNoMediaTime(t *testing.T) {
 	}
 	f2.ArmPowerCut(100)
 	prog = f2.Array().Counters().BytesProgrammed
-	if _, err := f2.FinishZone(200, 0); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := f2.FinishZone(200, 0); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("finish after power loss: %v", err)
 	}
-	if _, err := f2.CloseZone(200, 0); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := f2.CloseZone(200, 0); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("close after power loss: %v", err)
 	}
 	if got := f2.Array().Counters().BytesProgrammed; got != prog {
@@ -186,7 +186,7 @@ func TestFinishDurableAcrossRemount(t *testing.T) {
 	}
 	// Unplanned cut right after the acknowledgment.
 	f.ArmPowerCut(done + 1)
-	if _, err := f.Write(done+2, zc, payloadsFor(zc, 1)); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := f.Write(done+2, zc, payloadsFor(zc, 1)); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("write after the cut: %v", err)
 	}
 	f2, done, err := Recover(f.Array(), testParams(), nil)
@@ -243,7 +243,7 @@ func TestTornFinishRecoversUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.ArmPowerCut(wdone + (fdone-wdone)/2)
-	if _, err := f.FinishZone(wdone, 0); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := f.FinishZone(wdone, 0); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("torn finish returned %v, want power loss", err)
 	}
 	f2, done, err := Recover(f.Array(), testParams(), nil)

@@ -2,11 +2,11 @@ package host
 
 import "github.com/conzone/conzone/internal/sim"
 
-// This file exposes read-only snapshots of the controller's queueing state
-// for the cross-subsystem invariant auditor (internal/check), plus Debug*
-// mutators that deliberately desynchronize that state so the auditor's
-// corruption-injection tests can prove each invariant actually fires.
-// Nothing here is part of the host API proper.
+// This file exposes a read-only snapshot of the controller's queueing state
+// for the cross-subsystem invariant auditor (internal/check). The auditor
+// checks the snapshot value, so its corruption-injection tests corrupt a copy
+// and the live controller needs no mutators. Nothing here is part of the host
+// API proper.
 
 // PendingInfo describes one submitted, not-yet-dispatched command.
 type PendingInfo struct {
@@ -67,96 +67,4 @@ func (q *complQueue) snapshot() []Completion {
 		out[i] = q.slots[k.slot]
 	}
 	return out
-}
-
-// DebugSetCompletionLBA rewrites the queued completion's assigned LBA,
-// simulating a controller that reported a bogus Zone Append result.
-// Test-only corruption hook; reports whether the tag was found queued.
-func (c *Controller) DebugSetCompletionLBA(tag Tag, lba int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for q := range c.cqs {
-		cq := &c.cqs[q]
-		for i := cq.head; i < len(cq.order); i++ {
-			if cq.order[i].tag == tag {
-				cq.slots[cq.order[i].slot].LBA = lba
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DebugSetCompletionTimes rewrites the queued completion's dispatch and
-// completion instants, simulating broken zone write-lock accounting.
-// Test-only corruption hook; reports whether the tag was found queued.
-func (c *Controller) DebugSetCompletionTimes(tag Tag, dispatched, done sim.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for q := range c.cqs {
-		cq := &c.cqs[q]
-		for i := cq.head; i < len(cq.order); i++ {
-			if cq.order[i].tag == tag {
-				s := cq.order[i].slot
-				cq.slots[s].Dispatched = dispatched
-				cq.slots[s].Done = done
-				// Done is part of the ordering key: relink the slot under it.
-				cq.removeAt(i)
-				cq.pushKey(cqKey{done: done, tag: tag, slot: s})
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DebugAddOutstanding skews queue q's outstanding counter by delta,
-// desynchronizing it from the pending set and completion queue contents.
-// Test-only corruption hook.
-func (c *Controller) DebugAddOutstanding(q, delta int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q >= 0 && q < len(c.out) {
-		c.out[q] += delta
-	}
-}
-
-// DebugDuplicateCompletion clones the queued completion under the same tag,
-// simulating a double-completion bug. Test-only corruption hook; reports
-// whether the tag was found queued.
-func (c *Controller) DebugDuplicateCompletion(tag Tag) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for q := range c.cqs {
-		cq := &c.cqs[q]
-		for i := cq.head; i < len(cq.order); i++ {
-			if cq.order[i].tag == tag {
-				comp := cq.slots[cq.order[i].slot]
-				*cq.push(comp.Done, comp.Tag) = comp
-				c.out[q]++
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// DebugLoseSyncCompletions arms the dispatcher to swallow the next n
-// completions bound for the internal sync queue, reproducing the
-// bookkeeping corruption execSync's lost-completion recovery guards
-// against. Test-only corruption hook.
-func (c *Controller) DebugLoseSyncCompletions(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.debugLoseSync = n
-}
-
-// DebugSetZoneFree rewrites one zone's write-lock horizon. Test-only
-// corruption hook.
-func (c *Controller) DebugSetZoneFree(zone int, t sim.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if zone >= 0 && zone < len(c.zoneFree) {
-		c.zoneFree[zone] = t
-	}
 }

@@ -151,8 +151,15 @@ func (c Completion) QueueDelay() sim.Duration { return c.Dispatched.Sub(c.Submit
 // Backend is the device surface the controller dispatches into. *ftl.FTL
 // implements it; the controller owns all serialization, so the backend may
 // be strictly single-entrant.
+//
+// Reads have one contract at this boundary: ReadInto fills a caller-provided
+// destination with views borrowed from the device, and the controller copies
+// them out before the next backend call. The controller never calls Read; it
+// stays in the interface only because the frozen bench/trace.go calls
+// b.be.Read through host.Backend — the next benchmark PR drops both.
 type Backend interface {
 	Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error)
+	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 	Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error)
 	Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error)
 	Flush(at sim.Time, zone int) (sim.Time, error)
@@ -230,13 +237,6 @@ func (h *pendingHeap) Pop() any {
 	return r
 }
 
-// readIntoBackend is the allocation-free read dispatch fast path: the
-// backend fills a caller-provided destination with borrowed views instead
-// of allocating a fresh container per read. *ftl.FTL implements it.
-type readIntoBackend interface {
-	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
-}
-
 // zone returns the zone the request's write lock targets (-1 for reads and
 // flush-alls, which lock nothing / everything respectively).
 func (r *request) zone(zoneCap int64) int {
@@ -265,8 +265,6 @@ type Controller struct {
 	out   []int        // per-queue outstanding (submitted - reaped)
 	unfin int          // total submitted-but-unreaped, across all queues
 
-	rb readIntoBackend // non-nil when the backend supports ReadInto
-
 	// Cached device geometry (static for the backend's lifetime): avoids an
 	// interface call per validate/readyTime/dispatch on the hot path.
 	zcap   int64
@@ -285,7 +283,7 @@ type Controller struct {
 
 	dispatched      int64 // commands dispatched for the controller's lifetime
 	lostCompletions int64 // completions the controller lost track of (invariant failures)
-	debugLoseSync   int   // test-only: sync completions to swallow at dispatch
+	debugLoseSync   int   // sync completions to swallow at dispatch; only export_test.go sets it
 }
 
 // New builds a controller over the backend. Zero Config fields take the
@@ -303,7 +301,6 @@ func New(be Backend, cfg Config) (*Controller, error) {
 		out:      make([]int, cfg.Queues+1),
 		zoneFree: make([]sim.Time, be.NumZones()),
 	}
-	c.rb, _ = be.(readIntoBackend)
 	c.zcap = be.ZoneCapSectors()
 	c.total = be.TotalSectors()
 	c.nzones = be.NumZones()
@@ -548,7 +545,7 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 
 	if c.debugLoseSync > 0 && r.queue == c.syncQueue() {
 		// Corruption hook armed: swallow this sync completion so execSync's
-		// lost-completion recovery path runs (see DebugLoseSyncCompletions).
+		// lost-completion recovery path runs (armed from export_test.go).
 		c.debugLoseSync--
 		return
 	}
@@ -572,39 +569,30 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 // fast path. Reads never hold a zone write lock, so none of dispatch's
 // lock bookkeeping applies. Must be called with c.mu held.
 func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n int64) {
-	var done sim.Time
-	var err error
-	var data [][]byte
-	if c.rb != nil {
-		// Allocation-free fast path: the backend fills a recycled
-		// container with borrowed device views, and the controller
-		// copies them into pooled sector buffers immediately — while
-		// the views are still valid — so the completion's data is
-		// owned and survives however long the reaper sits on it.
-		data = c.getContainer(int(n))
-		done, err = c.rb.ReadInto(at, lba, n, data)
-		carries := false
-		if err == nil {
-			for i, p := range data {
-				if p == nil {
-					continue
-				}
-				b := c.getSectorBuf()
-				copy(b, p)
-				data[i] = b
-				carries = true
+	// The backend fills a recycled container with borrowed device views,
+	// and the controller copies them into pooled sector buffers immediately
+	// — while the views are still valid — so the completion's data is owned
+	// and survives however long the reaper sits on it.
+	data := c.getContainer(int(n))
+	done, err := c.be.ReadInto(at, lba, n, data)
+	carries := false
+	if err == nil {
+		for i, p := range data {
+			if p == nil {
+				continue
 			}
+			b := c.getSectorBuf()
+			copy(b, p)
+			data[i] = b
+			carries = true
 		}
-		if err != nil || !carries {
-			// A failed read, or one covering only unwritten sectors
-			// (which read back as zeros), carries no payload: return the
-			// container now and complete with nil Data, so the reaper
-			// has nothing to Recycle.
-			c.contFree = append(c.contFree, data[:0])
-			data = nil
-		}
-	} else {
-		data, done, err = c.be.Read(at, lba, n)
+	}
+	if err != nil || !carries {
+		// A failed read, or one covering only unwritten sectors (which read
+		// back as zeros), carries no payload: return the container now and
+		// complete with nil Data, so the reaper has nothing to Recycle.
+		c.contFree = append(c.contFree, data[:0])
+		data = nil
 	}
 	if done < at {
 		done = at
@@ -902,29 +890,12 @@ func (c *Controller) Kick() sim.Time {
 	return c.maxDone
 }
 
-// Outstanding returns queue q's submitted-but-unreaped command count.
-func (c *Controller) Outstanding(q int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q < 0 || q > c.cfg.Queues {
-		return 0
-	}
-	return c.out[q]
-}
-
 // Idle reports whether no command is pending or awaiting reap anywhere,
 // including the internal synchronous queue.
 func (c *Controller) Idle() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pending.Len() == 0 && c.unfin == 0
-}
-
-// MaxDone returns the latest completion instant the controller produced.
-func (c *Controller) MaxDone() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxDone
 }
 
 // Dispatched returns how many commands the arbiter has dispatched over the
@@ -969,15 +940,6 @@ func (c *Controller) execSync(at sim.Time, req Request) (Completion, error) {
 		Submitted: at, Dispatched: at, Done: at,
 	}
 	return comp, comp.Err
-}
-
-// LostCompletions returns how many dispatched commands' completions the
-// controller lost track of. Always zero unless an internal invariant broke;
-// the host auditor treats any nonzero value as a violation.
-func (c *Controller) LostCompletions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lostCompletions
 }
 
 // The synchronous wrappers below make the Controller a drop-in

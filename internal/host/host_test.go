@@ -156,7 +156,7 @@ func TestZoneAppend(t *testing.T) {
 		}
 	}
 	// The appended data reads back from the assigned locations.
-	data, _, err := c.Read(c.MaxDone(), base, 32)
+	data, _, err := c.Read(c.Kick(), base, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +311,10 @@ func TestControllerAuditsCleanUnderMixedLoad(t *testing.T) {
 		if err := check.AuditHost(c); err != nil {
 			t.Fatalf("audit before dispatch round %d: %v", i, err)
 		}
-		c.Kick()
+		at = c.Kick()
 		if err := check.AuditHost(c); err != nil {
 			t.Fatalf("audit after dispatch round %d: %v", i, err)
 		}
-		at = c.MaxDone()
 	}
 	c.Poll(0, 0)
 	c.Poll(1, 0)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/nand"
-	"github.com/conzone/conzone/internal/power"
 )
 
 // Status is the NVMe-style completion status code carried alongside the
@@ -74,7 +73,7 @@ func StatusOf(err error) Status {
 		return StatusOK
 	case errors.Is(err, ErrLostCompletion):
 		return StatusInternal
-	case errors.Is(err, power.ErrPowerLoss):
+	case errors.Is(err, nand.ErrPowerLoss):
 		return StatusPowerLoss
 	case errors.Is(err, fault.ErrReadOnly):
 		return StatusReadOnly

@@ -43,16 +43,16 @@ func TestStatusOf(t *testing.T) {
 // commands still run.
 func TestExecSyncLostCompletion(t *testing.T) {
 	c := newController(t, host.Config{Queues: 1, Depth: 4})
-	c.DebugLoseSyncCompletions(1)
+	c.LoseSyncCompletions(1)
 	if _, err := c.ResetZone(0, 0); !errors.Is(err, host.ErrLostCompletion) {
 		t.Fatalf("lost completion returned %v, want ErrLostCompletion", err)
 	}
-	if got := c.LostCompletions(); got != 1 {
+	if got := c.DebugSnapshot().LostCompletions; got != 1 {
 		t.Fatalf("LostCompletions = %d, want 1", got)
 	}
 	// The slot must have been reclaimed: the next sync command succeeds and
 	// the controller drains back to idle.
-	if _, err := c.ResetZone(c.MaxDone(), 0); err != nil {
+	if _, err := c.ResetZone(c.Kick(), 0); err != nil {
 		t.Fatalf("controller wedged after lost completion: %v", err)
 	}
 	if !c.Idle() {

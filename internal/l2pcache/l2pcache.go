@@ -155,9 +155,6 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 // acceleration arrays at 512 KiB of pointers each.
 const maxDirectIndex = 1 << 16
 
-// Capacity returns the byte budget.
-func (c *Cache) Capacity() int64 { return c.capBytes }
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.n }
 
@@ -238,13 +235,6 @@ func (c *Cache) Lookup(lpa int64) (mapping.PSN, bool) {
 	}
 	c.stats.Misses++
 	return mapping.InvalidPSN, false
-}
-
-// Contains reports whether an entry of granularity g covering lpa is cached
-// without touching LRU order or statistics.
-func (c *Cache) Contains(g mapping.Gran, lpa int64) bool {
-	_, ok := c.m[c.keyFor(g, lpa)]
-	return ok
 }
 
 // Insert caches the entry (g, base LPA of lpa, psn of that base). Wider

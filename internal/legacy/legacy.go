@@ -160,14 +160,6 @@ func (d *Device) Array() *nand.Array { return d.arr }
 // Stats returns a snapshot of the counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// WAF returns NAND bytes programmed over host bytes written.
-func (d *Device) WAF() float64 {
-	if d.stats.HostWrittenBytes == 0 {
-		return 0
-	}
-	return float64(d.arr.Counters().BytesProgrammed) / float64(d.stats.HostWrittenBytes)
-}
-
 // physLoc resolves a physical index to a flash address.
 func (d *Device) physLoc(p phys) (nand.Addr, error) {
 	if p < 0 {

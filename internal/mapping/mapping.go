@@ -139,12 +139,6 @@ func NewTable(cfg Config) (*Table, error) {
 // TotalSectors returns the logical address space size.
 func (t *Table) TotalSectors() int64 { return t.total }
 
-// ChunkSectors returns the aggregation chunk size in sectors.
-func (t *Table) ChunkSectors() int64 { return t.chunk.n }
-
-// ZoneSectors returns the zone size in sectors.
-func (t *Table) ZoneSectors() int64 { return t.zone.n }
-
 func (t *Table) check(lpa int64) error {
 	if lpa < 0 || lpa >= t.total {
 		return fmt.Errorf("mapping: LPA %d out of range [0,%d)", lpa, t.total)

@@ -171,9 +171,6 @@ func (a *Array) StripeAddr(sb int, off int64) Addr {
 	}
 }
 
-// Latencies returns the timing table in use.
-func (a *Array) Latencies() LatencyTable { return a.lat }
-
 // Engine returns the simulation engine the array reserves time on.
 func (a *Array) Engine() *sim.Engine { return a.engine }
 
@@ -538,7 +535,7 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // be modified, and it is valid only until the sector is overwritten or its
 // block is erased — the slab is then recycled and may be reprogrammed with
 // unrelated data. Callers that let the bytes escape the current media
-// operation (oracles, host-boundary copies) must use PayloadCopy instead.
+// operation (oracles, host-boundary copies) must copy them first.
 func (a *Array) Payload(ppa PPA) []byte {
 	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return nil
@@ -552,18 +549,6 @@ func (a *Array) Payload(ppa PPA) []byte {
 		return nil
 	}
 	return a.slabs.buf(h)
-}
-
-// PayloadCopy returns a freshly allocated copy of the sector's stored bytes
-// (nil when none are recorded). Unlike Payload's borrowed view, the result
-// survives erases and pool reuse, so it is safe to retain or hand across
-// the host boundary.
-func (a *Array) PayloadCopy(ppa PPA) []byte {
-	p := a.Payload(ppa)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
 }
 
 // NextProgramSector returns the block's append point (linear sector offset

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/conzone/conzone/internal/obs"
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -349,13 +348,13 @@ func TestChargeMapRead(t *testing.T) {
 
 func TestIsWrittenBounds(t *testing.T) {
 	a := newTestArray(t)
-	if a.IsWritten(InvalidPPA) {
+	if a.IsWritten(PPA(-1)) {
 		t.Error("invalid PPA reported written")
 	}
 	if a.IsWritten(PPA(a.Geometry().TotalSectors())) {
 		t.Error("out-of-range PPA reported written")
 	}
-	if a.Payload(InvalidPPA) != nil {
+	if a.Payload(PPA(-1)) != nil {
 		t.Error("invalid PPA has payload")
 	}
 }
@@ -705,7 +704,7 @@ func TestProgramFrontDoors(t *testing.T) {
 			// consumed, and the array is dead.
 			inj.armed = true
 			a.ArmPowerCut(failed.Add(1))
-			if _, _, err := d.program(a, failed, 1, payload(d.n, 0x5A)); !errors.Is(err, power.ErrPowerLoss) {
+			if _, _, err := d.program(a, failed, 1, payload(d.n, 0x5A)); !errors.Is(err, ErrPowerLoss) {
 				t.Fatalf("torn program: %v", err)
 			}
 			untouched("torn program", d.n, landed)

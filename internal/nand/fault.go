@@ -14,6 +14,12 @@ var (
 	// block (grown bad block).
 	ErrProgramFail = errors.New("nand: program failed")
 
+	// ErrPowerLoss reports that the device lost power: the operation either
+	// straddled the armed cut instant (and left no trace on media) or was
+	// issued after the device died. Once raised, every subsequent media
+	// operation fails with it until the device is remounted (see power.go).
+	ErrPowerLoss = errors.New("power: device lost power")
+
 	// ErrEraseFail reports that an erase completed with status FAIL: the
 	// block's contents are unchanged and it must be retired immediately.
 	ErrEraseFail = errors.New("nand: erase failed")

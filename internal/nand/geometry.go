@@ -41,39 +41,9 @@ func (m Media) String() string {
 	}
 }
 
-// ParseMedia converts a configuration string into a Media value.
-func ParseMedia(s string) (Media, error) {
-	switch s {
-	case "SLC", "slc":
-		return SLCMode, nil
-	case "TLC", "tlc":
-		return TLC, nil
-	case "QLC", "qlc":
-		return QLC, nil
-	}
-	return 0, fmt.Errorf("nand: unknown media %q", s)
-}
-
-// BitsPerCell returns how many bits each cell stores for the media type.
-func (m Media) BitsPerCell() int {
-	switch m {
-	case SLCMode:
-		return 1
-	case TLC:
-		return 3
-	case QLC:
-		return 4
-	default:
-		return 0
-	}
-}
-
 // PPA is a linear physical sector address (4 KiB granularity) across the
 // whole array: chip-major, then block, page, sector-in-page.
 type PPA int64
-
-// InvalidPPA marks an unmapped physical address.
-const InvalidPPA PPA = -1
 
 // Addr is the structured form of a physical sector address.
 type Addr struct {
@@ -133,18 +103,10 @@ func (g Geometry) NormalBlocks() int { return g.BlocksPerChip - g.SLCBlocks - g.
 // FirstNormalBlock returns the per-chip index of the first normal block.
 func (g Geometry) FirstNormalBlock() int { return g.SLCBlocks + g.MapBlocks }
 
-// FirstMapBlock returns the per-chip index of the first map block.
-func (g Geometry) FirstMapBlock() int { return g.SLCBlocks }
-
 // SuperblockBytes returns the data capacity of one normal superblock: the
 // same block on every chip programmed with normal media.
 func (g Geometry) SuperblockBytes() int64 {
 	return int64(g.Chips()) * int64(g.PagesPerBlock) * g.PageSize
-}
-
-// SLCSuperblockBytes returns the capacity of one SLC-mode superblock.
-func (g Geometry) SLCSuperblockBytes() int64 {
-	return int64(g.Chips()) * int64(g.SLCPagesPerBlock) * g.PageSize
 }
 
 // MediaOf returns the media type of a per-chip block index.
@@ -193,20 +155,6 @@ func (g *Geometry) ppaOf(a Addr) PPA {
 	ppb := g.maxPagesPerBlock()
 	return PPA(((int64(a.Chip)*int64(g.BlocksPerChip)+int64(a.Block))*int64(ppb)+
 		int64(a.Page))*int64(spp) + int64(a.Sector))
-}
-
-// DecodePPA is the inverse of PPAOf.
-func (g Geometry) DecodePPA(p PPA) Addr {
-	spp := int64(g.SectorsPerPage())
-	ppb := int64(g.maxPagesPerBlock())
-	v := int64(p)
-	sector := v % spp
-	v /= spp
-	page := v % ppb
-	v /= ppb
-	block := v % int64(g.BlocksPerChip)
-	chip := v / int64(g.BlocksPerChip)
-	return Addr{Chip: int(chip), Block: int(block), Page: int(page), Sector: int(sector)}
 }
 
 // TotalSectors returns the linearised sector address space size.

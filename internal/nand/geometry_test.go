@@ -80,14 +80,11 @@ func TestGeometryDerived(t *testing.T) {
 	if g.SuperblockBytes() != 4*24*16*units.KiB {
 		t.Errorf("SuperblockBytes = %d", g.SuperblockBytes())
 	}
-	if g.SLCSuperblockBytes() != 4*8*16*units.KiB {
-		t.Errorf("SLCSuperblockBytes = %d", g.SLCSuperblockBytes())
-	}
 	if g.NormalBlocks() != 10 {
 		t.Errorf("NormalBlocks = %d", g.NormalBlocks())
 	}
-	if g.FirstNormalBlock() != 6 || g.FirstMapBlock() != 4 {
-		t.Errorf("region starts: normal %d map %d", g.FirstNormalBlock(), g.FirstMapBlock())
+	if g.FirstNormalBlock() != 6 {
+		t.Errorf("first normal block = %d", g.FirstNormalBlock())
 	}
 }
 

@@ -1,7 +1,6 @@
 package nand
 
 import (
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -11,7 +10,7 @@ import (
 // pass T is torn — it charges its time but stores nothing, advances no
 // write point, consumes no fault-injector randomness — and the array is
 // dead from then on, failing every further operation with
-// power.ErrPowerLoss. Because the firmware issues media operations
+// ErrPowerLoss. Because the firmware issues media operations
 // synchronously in program order, the surviving media state is always a
 // program-order prefix of the issued operations, which is what recovery
 // (internal/ftl's Recover) relies on.
@@ -80,11 +79,11 @@ func (a *Array) PowerLostAt(at sim.Time) bool {
 // but before consuming fault-injector randomness or mutating media state.
 func (a *Array) gate(end sim.Time) error {
 	if a.dead {
-		return power.ErrPowerLoss
+		return ErrPowerLoss
 	}
 	if a.cutArmed && end > a.cutAt {
 		a.die()
-		return power.ErrPowerLoss
+		return ErrPowerLoss
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -62,7 +61,7 @@ func TestTornProgramPU(t *testing.T) {
 	// The second PU would complete after the cut: torn.
 	a.ArmPowerCut(done.Add(1))
 	_, _, err = a.ProgramPU(done, 0, blk, g.PagesPerPU(), puPayload(g, 0x22))
-	if !errors.Is(err, power.ErrPowerLoss) {
+	if !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn program: err = %v, want ErrPowerLoss", err)
 	}
 	if !a.PowerLost() {
@@ -95,13 +94,13 @@ func TestTornProgramPU(t *testing.T) {
 		t.Fatal("pre-cut program corrupted by the torn one")
 	}
 	// Dead array: everything fails, nothing draws randomness.
-	if _, _, err := a.ProgramPU(done, 1, blk, 0, puPayload(g, 0x33)); !errors.Is(err, power.ErrPowerLoss) {
+	if _, _, err := a.ProgramPU(done, 1, blk, 0, puPayload(g, 0x33)); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("program on dead array: %v", err)
 	}
-	if _, err := a.ReadPage(done, 0, blk, 0, g.PageSize); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := a.ReadPage(done, 0, blk, 0, g.PageSize); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("read on dead array: %v", err)
 	}
-	if _, err := a.Erase(done, 0, blk); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := a.Erase(done, 0, blk); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("erase on dead array: %v", err)
 	}
 	if inj.programs != 1 || inj.erases != 0 || inj.reads != 0 {
@@ -127,7 +126,7 @@ func TestTornProgramLastPUOfBlock(t *testing.T) {
 	}
 	want := (g.PUsPerBlock() - 1) * g.PagesPerPU() * g.SectorsPerPage()
 	a.ArmPowerCut(at.Add(1))
-	if _, _, err := a.ProgramPU(at, 0, blk, (g.PUsPerBlock()-1)*g.PagesPerPU(), puPayload(g, 0xFF)); !errors.Is(err, power.ErrPowerLoss) {
+	if _, _, err := a.ProgramPU(at, 0, blk, (g.PUsPerBlock()-1)*g.PagesPerPU(), puPayload(g, 0xFF)); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn last PU: %v", err)
 	}
 	if got := a.NextProgramSector(0, blk); got != want {
@@ -151,7 +150,7 @@ func TestTornSLCPageProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ArmPowerCut(done.Add(1))
-	if _, _, err := a.ProgramSLCPage(done, 0, 0, 1, slcPagePayload(g, 0x55)); !errors.Is(err, power.ErrPowerLoss) {
+	if _, _, err := a.ProgramSLCPage(done, 0, 0, 1, slcPagePayload(g, 0x55)); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn SLC page: %v", err)
 	}
 	for s := 0; s < g.SectorsPerPage(); s++ {
@@ -183,7 +182,7 @@ func TestTornProgramQLC(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ArmPowerCut(done.Add(1))
-	if _, _, err := a.ProgramPU(done, 0, blk, g.PagesPerPU(), puPayload(g, 0x77)); !errors.Is(err, power.ErrPowerLoss) {
+	if _, _, err := a.ProgramPU(done, 0, blk, g.PagesPerPU(), puPayload(g, 0x77)); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn QLC program: %v", err)
 	}
 	for pg := g.PagesPerPU(); pg < 2*g.PagesPerPU(); pg++ {
@@ -215,7 +214,7 @@ func TestTornEraseKeepsContents(t *testing.T) {
 	wear := a.EraseCount(0, blk)
 
 	a.ArmPowerCut(done.Add(1))
-	if _, err := a.Erase(done, 0, blk); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := a.Erase(done, 0, blk); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn erase: %v", err)
 	}
 	if !a.IsWritten(ppa) || !bytes.Equal(a.Payload(ppa), puPayload(g, 0x88)[0]) {
@@ -257,7 +256,7 @@ func TestTornRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ArmPowerCut(done.Add(1))
-	if _, err := a.ReadPage(done, 0, blk, 0, g.PageSize); !errors.Is(err, power.ErrPowerLoss) {
+	if _, err := a.ReadPage(done, 0, blk, 0, g.PageSize); !errors.Is(err, ErrPowerLoss) {
 		t.Fatalf("torn read: %v", err)
 	}
 	if inj.reads != 0 {

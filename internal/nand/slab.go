@@ -39,7 +39,7 @@ import (
 //
 // The flip side is a borrow discipline: Array.Payload returns the live slab,
 // and once the sector's block is erased the slab is recycled and may be
-// reprogrammed with unrelated data. See Payload and PayloadCopy.
+// reprogrammed with unrelated data. See Payload.
 
 // chunkSectors is the number of linear sectors one state chunk covers; 64
 // makes the programmed flags of a chunk one machine word.

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -175,7 +174,7 @@ func TestSparseMediaMatchesDenseModel(t *testing.T) {
 				a.CopyOOB(PPA(dst), PPA(src))
 				ref.oobLPA[dst], ref.oobSeq[dst] = ref.oobLPA[src], ref.oobSeq[src]
 			}
-			if opErr != nil && !(torn && errors.Is(opErr, power.ErrPowerLoss)) {
+			if opErr != nil && !(torn && errors.Is(opErr, ErrPowerLoss)) {
 				t.Fatalf("seed %d step %d: %v", seed, step, opErr)
 			}
 			if a.PowerLost() {

@@ -248,9 +248,6 @@ func NewRecorder(ringSize int) *Recorder {
 	return r
 }
 
-// Enabled reports whether events are being collected.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Record stores one event. Nil-safe and allocation-free: the event is
 // copied into a preallocated ring slot and folded into fixed-size
 // aggregates. e.Seq is assigned by the recorder.
@@ -288,30 +285,6 @@ func (r *Recorder) Dropped() int64 {
 	return int64(r.seq - uint64(len(r.ring)))
 }
 
-// StageCount returns the recorded spans of one stage.
-func (r *Recorder) StageCount(s Stage) int64 {
-	if r == nil || s >= NumStages {
-		return 0
-	}
-	return r.counts[s]
-}
-
-// CauseCount returns the recorded spans of one (stage, cause) pair.
-func (r *Recorder) CauseCount(s Stage, c Cause) int64 {
-	if r == nil || s >= NumStages || c >= NumCauses {
-		return 0
-	}
-	return r.causes[s][c]
-}
-
-// StageLatency returns the latency summary of one stage.
-func (r *Recorder) StageLatency(s Stage) stats.Summary {
-	if r == nil || s >= NumStages {
-		return stats.Summary{}
-	}
-	return r.hist[s].Summarize()
-}
-
 // Events returns the retained events, oldest first. The slice is a copy.
 func (r *Recorder) Events() []Event {
 	return r.Tail(int(^uint(0) >> 1))
@@ -335,19 +308,6 @@ func (r *Recorder) Tail(n int) []Event {
 		out = append(out, r.ring[i%size])
 	}
 	return out
-}
-
-// Reset clears all recorded events and aggregates, keeping the ring size.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.seq = 0
-	r.counts = [NumStages]int64{}
-	r.causes = [NumStages][NumCauses]int64{}
-	for i := range r.hist {
-		r.hist[i].Reset()
-	}
 }
 
 // FormatTail renders the last n events, one per line, for post-mortem

@@ -26,12 +26,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Max returns the later of the two instants.
 func Max(a, b Time) Time {
 	if a > b {
@@ -75,13 +69,6 @@ func (r *Resource) Reserve(at Time, dur Duration) (start, end Time) {
 	r.ops++
 	return start, end
 }
-
-// PeekStart returns when an operation arriving at 'at' would start, without
-// reserving anything.
-func (r *Resource) PeekStart(at Time) Time { return Max(at, r.busyUntil) }
-
-// BusyUntil returns the current busy horizon.
-func (r *Resource) BusyUntil() Time { return r.busyUntil }
 
 // BusyTime returns the total virtual time this resource has been occupied.
 func (r *Resource) BusyTime() Duration { return r.busyTime }
@@ -161,14 +148,6 @@ func (e *Engine) Usage() []ResourceUsage {
 		})
 	}
 	return out
-}
-
-// Reset returns the engine and every registered resource to time zero.
-func (e *Engine) Reset() {
-	e.now = 0
-	for _, r := range e.resources {
-		r.Reset()
-	}
 }
 
 // Rand is a small deterministic pseudo-random source (xorshift64*) used for

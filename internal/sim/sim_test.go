@@ -12,9 +12,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if t1.Sub(t0) != 5*time.Microsecond {
 		t.Errorf("Sub = %v", t1.Sub(t0))
 	}
-	if !t0.Before(t1) || !t1.After(t0) {
-		t.Error("ordering broken")
-	}
 	if Max(t0, t1) != t1 || Max(t1, t0) != t1 {
 		t.Error("Max broken")
 	}

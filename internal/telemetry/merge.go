@@ -29,18 +29,6 @@ func Add(a, b Stats) Stats {
 	return out
 }
 
-// Sum folds a slice of snapshots with Add. Integer summation is associative
-// and commutative and the ratios are recomputed from the final sums, so the
-// result is identical under any merge order — the property fleet
-// determinism across worker-pool sizes rests on.
-func Sum(snaps []Stats) Stats {
-	var out Stats
-	for _, s := range snaps {
-		out = Add(out, s)
-	}
-	return out
-}
-
 // addInto recursively adds src into dst: ints sum, bools OR, floats are
 // left to the caller (Add recomputes the ratio gauges from the sums).
 func addInto(dst, src reflect.Value) {

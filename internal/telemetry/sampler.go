@@ -181,21 +181,3 @@ func (s *Sampler) Samples() []Sample {
 	}
 	return out
 }
-
-// Last returns the most recent sample (zero Sample when none).
-func (s *Sampler) Last() (Sample, bool) {
-	if s == nil || s.seq == 0 {
-		return Sample{}, false
-	}
-	return s.ring[(s.seq-1)%uint64(len(s.ring))], true
-}
-
-// Reset clears the series, keeping the interval and ring size.
-func (s *Sampler) Reset() {
-	if s == nil {
-		return
-	}
-	s.seq = 0
-	s.havePrev = false
-	s.prev = Stats{}
-}

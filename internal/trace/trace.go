@@ -125,9 +125,6 @@ func (tw *Writer) Flush() error {
 	return tw.w.Flush()
 }
 
-// Count returns the records written so far.
-func (tw *Writer) Count() int64 { return tw.count }
-
 // Reader decodes the binary format.
 type Reader struct {
 	r      *bufio.Reader

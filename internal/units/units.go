@@ -24,13 +24,6 @@ const (
 // L2P mapping table (4 KiB), matching the paper's logical page size.
 const Sector = 4 * KiB
 
-// FlashPage is the physical flash page size used by consumer devices
-// (paper §II-A: "the size of a flash page is 16KiB").
-const FlashPage = 16 * KiB
-
-// SectorsPerFlashPage is the number of 4 KiB sectors in one 16 KiB page.
-const SectorsPerFlashPage = FlashPage / Sector
-
 // FormatBytes renders a byte count using the largest exact binary unit,
 // falling back to a two-decimal representation for inexact values.
 func FormatBytes(n int64) string {
@@ -110,11 +103,6 @@ func AlignDown(n, align int64) int64 {
 		panic("units: AlignDown with non-positive alignment")
 	}
 	return n - n%align
-}
-
-// IsPow2 reports whether n is a positive power of two.
-func IsPow2(n int64) bool {
-	return n > 0 && n&(n-1) == 0
 }
 
 // NextPow2 returns the smallest power of two >= n (n >= 1).

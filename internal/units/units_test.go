@@ -195,7 +195,7 @@ func TestIOPS(t *testing.T) {
 
 func TestTransferTime(t *testing.T) {
 	// 3200 MiB/s moving 16 KiB: 16KiB/3200MiB = 4.768 us.
-	d := TransferTime(FlashPage, 3200)
+	d := TransferTime(16*KiB, 3200)
 	if d < 4*time.Microsecond || d > 6*time.Microsecond {
 		t.Errorf("TransferTime(16KiB, 3200MiB/s) = %v, want ~4.77us", d)
 	}

@@ -131,12 +131,6 @@ func New(nbuf int, capSectors int64) (*Manager, error) {
 	return m, nil
 }
 
-// NumBuffers returns the buffer count.
-func (m *Manager) NumBuffers() int { return len(m.bufs) }
-
-// CapacitySectors returns the per-buffer capacity.
-func (m *Manager) CapacitySectors() int64 { return m.cap }
-
 // Stats returns a snapshot of the event counters.
 func (m *Manager) Stats() Stats { return m.stats }
 

@@ -20,6 +20,8 @@ type Async interface {
 	Device
 	Submit(at sim.Time, q int, req host.Request) (host.Tag, error)
 	Wait(tag host.Tag) (host.Completion, bool)
+	// Recycle returns a reaped read's Data to the device's buffer pools.
+	Recycle(data [][]byte)
 	Queues() int
 	Depth() int
 }
@@ -71,9 +73,6 @@ func runAsync(dev Async, job Job) (Result, error) {
 	for i := range windows {
 		windows[i] = make([]inflightOp, 0, depth+1)
 	}
-	// The host controller pools read buffers behind Recycle; probe for it by
-	// assertion so plain synchronous devices still satisfy Async.
-	rec, _ := dev.(interface{ Recycle(data [][]byte) })
 	// Data-less writes share one nil-entry payload container: the backend
 	// only ever reads the entries, so every in-flight request may alias it.
 	var nilPayloads [][]byte
@@ -92,8 +91,8 @@ func runAsync(dev Async, job Job) (Result, error) {
 		if !ok {
 			return fmt.Errorf("workload %s: completion of tag %d vanished", job.Name, op.tag)
 		}
-		if comp.Data != nil && rec != nil {
-			rec.Recycle(comp.Data)
+		if comp.Data != nil {
+			dev.Recycle(comp.Data)
 		}
 		if comp.Err != nil {
 			if !job.ContinueOnError {

@@ -4,66 +4,8 @@ import (
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
-	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
-
-func TestMixValidate(t *testing.T) {
-	if err := (Mix{}).Validate(); err == nil {
-		t.Error("empty mix validated")
-	}
-	if err := (Mix{{Weight: 0, Job: Job{Name: "a"}}}).Validate(); err == nil {
-		t.Error("zero-weight entry validated")
-	}
-	m := Mix{{Weight: 3, Job: Job{Name: "a"}}, {Weight: 1, Job: Job{Name: "b"}}}
-	if err := m.Validate(); err != nil {
-		t.Errorf("good mix rejected: %v", err)
-	}
-}
-
-func TestMixPick(t *testing.T) {
-	m := Mix{
-		{Weight: 3, Job: Job{Name: "heavy"}},
-		{Weight: 1, Job: Job{Name: "light"}},
-	}
-
-	// Deterministic: same seed, same sequence of picks.
-	a, b := sim.NewRand(5), sim.NewRand(5)
-	for i := 0; i < 50; i++ {
-		ja, ia := m.Pick(a)
-		jb, ib := m.Pick(b)
-		if ia != ib || ja.Name != jb.Name {
-			t.Fatalf("pick %d diverged: (%s, %d) vs (%s, %d)", i, ja.Name, ia, jb.Name, ib)
-		}
-	}
-
-	// Weighted: both entries appear, the heavy one more often.
-	counts := map[int]int{}
-	r := sim.NewRand(9)
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		_, idx := m.Pick(r)
-		counts[idx]++
-	}
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("an entry was never picked: %v", counts)
-	}
-	if counts[0] <= counts[1] {
-		t.Errorf("weight-3 entry picked %d times, weight-1 %d", counts[0], counts[1])
-	}
-
-	// Exactly one RNG draw per pick: a sibling RNG advanced one draw per
-	// round stays in lockstep.
-	p, q := sim.NewRand(33), sim.NewRand(33)
-	for i := 0; i < 20; i++ {
-		m.Pick(p)
-		q.Int63n(1 << 30)
-		if p.Uint64() != q.Uint64() {
-			t.Fatal("Pick consumed more than one RNG draw")
-		}
-		// The check consumed one extra draw from each; they remain aligned.
-	}
-}
 
 // TestZoneRandWriteOnFake checks the new pattern against the
 // write-pointer-enforcing fake: every write must land on the zone's WP and

@@ -104,9 +104,6 @@ type Zone struct {
 // Written returns the number of sectors written since the last reset.
 func (z Zone) Written() int64 { return z.WP - z.Start }
 
-// Remaining returns the writable sectors left before the zone is full.
-func (z Zone) Remaining() int64 { return z.Start + z.Capacity - z.WP }
-
 // Manager owns the zone table and enforces the state machine.
 type Manager struct {
 	zones     []Zone
@@ -194,12 +191,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // NumZones returns the zone count.
 func (m *Manager) NumZones() int { return len(m.zones) }
 
-// ZoneSize returns the LBA stride between zone starts, in sectors.
-func (m *Manager) ZoneSize() int64 { return m.zoneSize }
-
-// ZoneCapacity returns the writable sectors per zone.
-func (m *Manager) ZoneCapacity() int64 { return m.zoneCap }
-
 // TotalLBAs returns the namespace size in sectors.
 func (m *Manager) TotalLBAs() int64 { return m.total }
 
@@ -226,17 +217,6 @@ func (m *Manager) Zone(id int) (Zone, error) {
 func (m *Manager) Report() []Zone {
 	out := make([]Zone, len(m.zones))
 	copy(out, m.zones)
-	return out
-}
-
-// OpenZones returns the ids of currently open zones, ascending.
-func (m *Manager) OpenZones() []int {
-	var out []int
-	for i := range m.zones {
-		if m.zones[i].State.open() {
-			out = append(out, i)
-		}
-	}
 	return out
 }
 

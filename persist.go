@@ -7,7 +7,6 @@ import (
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/host"
 	"github.com/conzone/conzone/internal/nand"
-	"github.com/conzone/conzone/internal/power"
 	"github.com/conzone/conzone/internal/telemetry"
 )
 
@@ -24,7 +23,7 @@ import (
 // pointer matches its durable data.
 
 // ErrPowerLoss reports a command issued at or after an armed power cut.
-var ErrPowerLoss = power.ErrPowerLoss
+var ErrPowerLoss = nand.ErrPowerLoss
 
 // StatusPowerLoss classifies a completion that failed to power loss.
 const StatusPowerLoss = host.StatusPowerLoss
