@@ -11,6 +11,7 @@ package conzone
 // The same experiments are printed in table form by cmd/conzone-bench.
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -360,6 +361,46 @@ func BenchmarkSequentialFill(b *testing.B) {
 			}
 			b.ReportMetric(float64(timed.Nanoseconds())/float64(sectors), "ns/sector")
 		})
+	}
+}
+
+// BenchmarkImageSave and BenchmarkImageOpen give the persistence layer its
+// own number outside bench/: MB/s of host data for saving, and for loading
+// and recovering, a paper-scale device with imageBenchMiB written (what
+// bench/'s crashmount reports as persist.save/open_mib_per_s, without the
+// fill, the power cut and the read-back around it).
+const imageBenchMiB = 64
+
+func BenchmarkImageSave(b *testing.B) {
+	dev := writtenDevice(b, imageBenchMiB)
+	path := filepath.Join(b.TempDir(), "bench.img")
+	b.SetBytes(imageBenchMiB << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dev.SaveImage(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkImageOpen(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.img")
+	if err := writtenDevice(b, imageBenchMiB).SaveImage(path); err != nil {
+		b.Fatal(err)
+	}
+	cfg := PaperConfig()
+	b.SetBytes(imageBenchMiB << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev, err := OpenImage(cfg, path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 && dev.FTL().Zones().Report()[0].Written() == 0 {
+			b.Fatal("the reopened device lost zone 0")
+		}
 	}
 }
 

@@ -104,7 +104,13 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 				finishSeq[rec.Zone] = rec.Seq
 			}
 		case nand.MetaRetireSB:
-			if rec.SB >= 0 && rec.SB < f.geo.NormalBlocks() && !retiredSet[rec.SB] {
+			// A retirement this geometry cannot have made is not skipped:
+			// the media is not this device's, or its journal is damaged.
+			if rec.SB < 0 || rec.SB >= f.geo.NormalBlocks() || rec.Chip < 0 || rec.Chip >= chips ||
+				rec.Block != f.geo.FirstNormalBlock()+rec.SB {
+				return done, fmt.Errorf("ftl: recover: journal retires superblock %d for chip %d block %d, outside this geometry", rec.SB, rec.Chip, rec.Block)
+			}
+			if !retiredSet[rec.SB] {
 				retiredSet[rec.SB] = true
 				// Rebuild the table directly: retireSB would re-journal.
 				f.retiredSBs = append(f.retiredSBs, rec.SB)

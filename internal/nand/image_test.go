@@ -3,9 +3,13 @@ package nand
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/conzone/conzone/internal/units"
@@ -114,24 +118,62 @@ func sameMedia(t *testing.T, got, want *Array) {
 	}
 }
 
-// TestImageV1LayoutUnchanged pins the image format across the move to
-// sparse media state: an image this commit saves decodes to exactly the
-// file the parent commit wrote for the same media, and the parent's file
-// loads into the same array.
+// imageBytes returns what SaveImage writes for a.
+func imageBytes(t testing.TB, a *Array) []byte {
+	t.Helper()
+	b, err := a.ImageBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestImageV1LayoutUnchanged pins both formats to the fixture's media. What
+// SaveImage writes loads into the same media and is one encoding of it:
+// saving the loaded array, or the same array again, gives the same bytes
+// (v1 iterated a Go map, so two saves of one device differed). And the file
+// the commit before sparse media wrote — v1, which nothing writes any more —
+// still loads into that media.
 func TestImageV1LayoutUnchanged(t *testing.T) {
 	a := imageFixtureArray(t)
 	path := filepath.Join(t.TempDir(), "now.img")
 	if err := a.SaveImage(path); err != nil {
 		t.Fatal(err)
 	}
-	if now, parent := decodeImage(t, path), decodeImage(t, parentImage); !reflect.DeepEqual(now, parent) {
-		t.Fatal("the saved image differs from the image the parent commit wrote for the same media")
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := LoadArray(path, DefaultLatencies())
+	if err != nil {
+		t.Fatalf("the saved image does not load: %v", err)
 	}
 	loaded, err := LoadArray(parentImage, DefaultLatencies())
 	if err != nil {
 		t.Fatalf("parent-commit image no longer loads: %v", err)
 	}
-	sameMedia(t, loaded, a)
+	// Bytes first: sameMedia draws a sequence number from both its arrays.
+	if !bytes.Equal(imageBytes(t, reloaded), saved) || !bytes.Equal(imageBytes(t, a), saved) {
+		t.Fatal("save, load, save is not byte-identical")
+	}
+	if !bytes.Equal(imageBytes(t, imageFixtureArray(t)), saved) {
+		t.Fatal("two devices in the same state saved different bytes")
+	}
+	if !bytes.Equal(imageBytes(t, loaded), saved) {
+		t.Fatal("the v1 image of the fixture re-saves to different bytes than the fixture")
+	}
+	sameMedia(t, reloaded, a)
+	sameMedia(t, loaded, imageFixtureArray(t))
+}
+
+// encodeV1 writes img the way the v1 writer did.
+func encodeV1(t *testing.T, img imageFile) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestLoadArrayRefusesPayloadOnUnwrittenSector guards the invariant the
@@ -144,16 +186,100 @@ func TestLoadArrayRefusesPayloadOnUnwrittenSector(t *testing.T) {
 		t.Fatal("the fixture's last sector is programmed")
 	}
 	img.Payload[idx] = sectorOf(0xEE)
-	path := filepath.Join(t.TempDir(), "bad.img")
-	f, err := os.Create(path)
+	if _, err := ReadImage(encodeV1(t, img), DefaultLatencies()); !errors.Is(err, ErrImageCorrupt) {
+		t.Fatalf("a v1 image with a payload on an unwritten sector: %v", err)
+	}
+}
+
+// payloadOnUnwritten sets the payload bit of the chunk record's highest
+// unprogrammed sector and gives it a sector of bytes.
+func payloadOnUnwritten(t *testing.T, p *v2Parts) []byte {
+	t.Helper()
+	body, at := p.body[secChunks], p.chunkAt(0)
+	written, mask := wordAt(body, at+8).get(), wordAt(body, at+24)
+	i := 63 - bits.LeadingZeros64(^written)
+	if i < 0 || mask.get()>>uint(i) != 0 {
+		t.Fatal("the fixture's first chunk has no unprogrammed sector above its payloads")
+	}
+	end := at + chunkRecordLen + bits.OnesCount64(mask.get())*int(units.Sector)
+	mask.set(mask.get() | 1<<uint(i))
+	p.body[secChunks] = append(body[:end:end], append(sectorOf(0xEE), body[end:]...)...)
+	return p.fit().bytes()
+}
+
+// TestLoadArrayRefusesPayloadOnUnwrittenSectorV2 is the same guard on the
+// format SaveImage writes now, checksums intact.
+func TestLoadArrayRefusesPayloadOnUnwrittenSectorV2(t *testing.T) {
+	p, ok := parseV2(imageBytes(t, imageFixtureArray(t)))
+	if !ok {
+		t.Fatal("the saved image does not parse")
+	}
+	_, err := ReadImage(payloadOnUnwritten(t, p), DefaultLatencies())
+	if !errors.Is(err, ErrImageCorrupt) || !strings.Contains(err.Error(), "payload on unwritten sector") {
+		t.Fatalf("a v2 image with a payload on an unwritten sector: %v", err)
+	}
+}
+
+// failAfter passes n bytes through and then fails, like a full disk.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+var errDiskFull = errors.New("no space left on test device")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return f.w.Write(p)
+	}
+	n, _ := f.w.Write(p[:f.n])
+	f.n = 0
+	return n, errDiskFull
+}
+
+// TestFailedSaveKeepsPreviousImage: a save that fails part-way leaves the
+// file that was there byte for byte, and no temporary behind.
+func TestFailedSaveKeepsPreviousImage(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dev.img")
+	a := imageFixtureArray(t)
+	if err := a.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(f).Encode(&img); err != nil {
+	// The device moves on; saving its new state fails after n bytes.
+	g := a.Geometry()
+	if _, _, err := a.ProgramPU(0, 2, g.FirstNormalBlock(), 0, puPayload(g, 0x5A)); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	if _, err := LoadArray(path, DefaultLatencies()); err == nil {
-		t.Fatal("an image with a payload on an unwritten sector loaded")
+	for _, n := range []int{0, 1, imageHeaderLen, 5000, len(good), len(imageBytes(t, a)) - 1} {
+		err := replaceFile(path, func(w io.Writer) error { return a.writeImage(&failAfter{w: w, n: n}) })
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("save failing after %d bytes returned %v", n, err)
+		}
+		if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, good) {
+			t.Fatalf("after a save that failed at byte %d the previous image is gone or changed (%v)", n, err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("after a save that failed at byte %d the directory holds %d files, want the image alone", n, len(ents))
+		}
+	}
+	if err := a.SaveImage(filepath.Join(dir, "missing", "dev.img")); err == nil {
+		t.Fatal("saving into a directory that does not exist succeeded")
+	}
+	if err := a.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadArray(path, DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMedia(t, b, a)
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("a successful save left %d files", len(ents))
 	}
 }

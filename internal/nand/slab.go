@@ -98,6 +98,12 @@ func (a *Array) program(idx int64, src []byte) {
 	}
 }
 
+// chunkBits returns a flag word with bits [from, to) set, 0 <= from < to <=
+// chunkSectors.
+func chunkBits(from, to int64) uint64 {
+	return (^uint64(0) >> uint(chunkSectors-(to-from))) << uint(from)
+}
+
 // eraseSectors returns linear sectors [lo, hi) to the erased state,
 // releasing their slabs, and recycles every chunk that ends up all-zero.
 func (a *Array) eraseSectors(lo, hi int64) {
@@ -117,7 +123,7 @@ func (a *Array) eraseSectors(lo, hi int64) {
 			clear(c.slab[from:to])
 			clear(c.oobLPA[from:to])
 			clear(c.oobSeq[from:to])
-			mask := (^uint64(0) >> uint(chunkSectors-(to-from))) << uint(from) // bits [from,to)
+			mask := chunkBits(from, to)
 			c.written &^= mask
 			c.stamped &^= mask
 			if c.written|c.stamped == 0 {

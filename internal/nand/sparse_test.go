@@ -66,10 +66,122 @@ func (d *denseMedia) check(t *testing.T, a *Array, step int) {
 	}
 }
 
-// TestSparseMediaMatchesDenseModel drives seeded sequences of full-unit,
-// SLC page and SLC partial programs (with and without payloads), erases,
-// OOB stamps and copies, and torn operations, and checks the array sector
-// by sector against the dense reference after every step.
+// driveMediaStream runs a seeded sequence of full-unit, SLC page and SLC
+// partial programs (with and without payloads), erases, OOB stamps and
+// copies, and torn operations against a and the dense reference, calling
+// each after every step. The geometry needs an SLC block and three normal
+// blocks per chip.
+func driveMediaStream(t *testing.T, a *Array, ref *denseMedia, seed int64, steps int, each func(step int)) {
+	t.Helper()
+	g := a.Geometry()
+	rng := rand.New(rand.NewSource(seed))
+	spp := g.SectorsPerPage()
+	puSectors := int(g.ProgramUnit / units.Sector)
+	blockSectors := int64(g.maxPagesPerBlock() * spp)
+	sector := func() []byte {
+		if rng.Intn(3) == 0 {
+			return nil // timing-only sector
+		}
+		s := make([]byte, units.Sector)
+		rng.Read(s)
+		return s
+	}
+	var at sim.Time
+	for step := 0; step < steps; step++ {
+		chip := rng.Intn(g.Chips())
+		// A third of the operations run into an armed power cut: they
+		// charge their time and must leave no trace.
+		torn := rng.Intn(3) == 0
+		arm := func() {
+			if torn {
+				a.ArmPowerCut(at)
+			}
+		}
+		var opErr error
+		switch op := rng.Intn(10); {
+		case op < 3: // full program unit on a normal block
+			block := g.FirstNormalBlock() + rng.Intn(3)
+			next := a.NextProgramSector(chip, block)
+			if next+puSectors > g.PagesPerBlock*spp {
+				continue
+			}
+			var pay [][]byte
+			if rng.Intn(4) > 0 {
+				pay = make([][]byte, puSectors)
+				for i := range pay {
+					pay[i] = sector()
+				}
+			}
+			arm()
+			_, at, opErr = a.ProgramPU(at, chip, block, next/spp, pay)
+			if opErr == nil {
+				base := int64(g.PPAOf(Addr{Chip: chip, Block: block, Page: next / spp}))
+				for i := 0; i < puSectors; i++ {
+					var p []byte
+					if pay != nil {
+						p = pay[i]
+					}
+					ref.program(base+int64(i), p)
+				}
+			}
+		case op < 6: // SLC partial or whole-page program
+			block := rng.Intn(g.SLCBlocks)
+			next := a.NextProgramSector(chip, block)
+			if next >= g.SLCPagesPerBlock*spp {
+				continue
+			}
+			base := int64(g.PPAOf(Addr{Chip: chip, Block: block})) + int64(next)
+			if next%spp == 0 && rng.Intn(2) == 0 {
+				pay := make([][]byte, spp)
+				for i := range pay {
+					pay[i] = sector()
+				}
+				arm()
+				_, at, opErr = a.ProgramSLCPage(at, chip, block, next/spp, pay)
+				if opErr == nil {
+					for i, p := range pay {
+						ref.program(base+int64(i), p)
+					}
+				}
+			} else {
+				p := sector()
+				arm()
+				_, at, opErr = a.ProgramSLCSector(at, chip, block, next/spp, next%spp, p)
+				if opErr == nil {
+					ref.program(base, p)
+				}
+			}
+		case op < 7: // erase, programmed or not
+			block := rng.Intn(g.FirstNormalBlock() + 3)
+			arm()
+			at, opErr = a.Erase(at, chip, block)
+			if opErr == nil {
+				base := int64(g.PPAOf(Addr{Chip: chip, Block: block}))
+				ref.erase(base, base+blockSectors)
+			}
+		case op < 9: // stamp any sector, programmed or not
+			idx := rng.Int63n(g.TotalSectors())
+			lpa := rng.Int63n(1 << 20)
+			a.StampOOB(PPA(idx), lpa)
+			ref.seq++
+			ref.oobLPA[idx], ref.oobSeq[idx] = lpa, ref.seq
+		default: // copy a stamp, possibly an absent one
+			dst, src := rng.Int63n(g.TotalSectors()), rng.Int63n(g.TotalSectors())
+			a.CopyOOB(PPA(dst), PPA(src))
+			ref.oobLPA[dst], ref.oobSeq[dst] = ref.oobLPA[src], ref.oobSeq[src]
+		}
+		if opErr != nil && !(torn && errors.Is(opErr, ErrPowerLoss)) {
+			t.Fatalf("seed %d step %d: %v", seed, step, opErr)
+		}
+		if a.PowerLost() {
+			a.PowerOn()
+		}
+		each(step)
+	}
+}
+
+// TestSparseMediaMatchesDenseModel checks the array sector by sector
+// against the dense reference after every step of the seeded stream.
 func TestSparseMediaMatchesDenseModel(t *testing.T) {
 	for _, seed := range []int64{1, 2, 0xC0FFEE} {
 		g := testGeometry()
@@ -77,111 +189,8 @@ func TestSparseMediaMatchesDenseModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(seed))
 		ref := newDenseMedia(g.TotalSectors())
-		spp := g.SectorsPerPage()
-		puSectors := int(g.ProgramUnit / units.Sector)
-		blockSectors := int64(g.maxPagesPerBlock() * spp)
-		sector := func() []byte {
-			if rng.Intn(3) == 0 {
-				return nil // timing-only sector
-			}
-			s := make([]byte, units.Sector)
-			rng.Read(s)
-			return s
-		}
-		var at sim.Time
-		for step := 0; step < 1500; step++ {
-			chip := rng.Intn(g.Chips())
-			// A third of the operations run into an armed power cut: they
-			// charge their time and must leave no trace.
-			torn := rng.Intn(3) == 0
-			arm := func() {
-				if torn {
-					a.ArmPowerCut(at)
-				}
-			}
-			var opErr error
-			switch op := rng.Intn(10); {
-			case op < 3: // full program unit on a normal block
-				block := g.FirstNormalBlock() + rng.Intn(3)
-				next := a.NextProgramSector(chip, block)
-				if next+puSectors > g.PagesPerBlock*spp {
-					continue
-				}
-				var pay [][]byte
-				if rng.Intn(4) > 0 {
-					pay = make([][]byte, puSectors)
-					for i := range pay {
-						pay[i] = sector()
-					}
-				}
-				arm()
-				_, at, opErr = a.ProgramPU(at, chip, block, next/spp, pay)
-				if opErr == nil {
-					base := int64(g.PPAOf(Addr{Chip: chip, Block: block, Page: next / spp}))
-					for i := 0; i < puSectors; i++ {
-						var p []byte
-						if pay != nil {
-							p = pay[i]
-						}
-						ref.program(base+int64(i), p)
-					}
-				}
-			case op < 6: // SLC partial or whole-page program
-				block := rng.Intn(g.SLCBlocks)
-				next := a.NextProgramSector(chip, block)
-				if next >= g.SLCPagesPerBlock*spp {
-					continue
-				}
-				base := int64(g.PPAOf(Addr{Chip: chip, Block: block})) + int64(next)
-				if next%spp == 0 && rng.Intn(2) == 0 {
-					pay := make([][]byte, spp)
-					for i := range pay {
-						pay[i] = sector()
-					}
-					arm()
-					_, at, opErr = a.ProgramSLCPage(at, chip, block, next/spp, pay)
-					if opErr == nil {
-						for i, p := range pay {
-							ref.program(base+int64(i), p)
-						}
-					}
-				} else {
-					p := sector()
-					arm()
-					_, at, opErr = a.ProgramSLCSector(at, chip, block, next/spp, next%spp, p)
-					if opErr == nil {
-						ref.program(base, p)
-					}
-				}
-			case op < 7: // erase, programmed or not
-				block := rng.Intn(g.FirstNormalBlock() + 3)
-				arm()
-				at, opErr = a.Erase(at, chip, block)
-				if opErr == nil {
-					base := int64(g.PPAOf(Addr{Chip: chip, Block: block}))
-					ref.erase(base, base+blockSectors)
-				}
-			case op < 9: // stamp any sector, programmed or not
-				idx := rng.Int63n(g.TotalSectors())
-				lpa := rng.Int63n(1 << 20)
-				a.StampOOB(PPA(idx), lpa)
-				ref.seq++
-				ref.oobLPA[idx], ref.oobSeq[idx] = lpa, ref.seq
-			default: // copy a stamp, possibly an absent one
-				dst, src := rng.Int63n(g.TotalSectors()), rng.Int63n(g.TotalSectors())
-				a.CopyOOB(PPA(dst), PPA(src))
-				ref.oobLPA[dst], ref.oobSeq[dst] = ref.oobLPA[src], ref.oobSeq[src]
-			}
-			if opErr != nil && !(torn && errors.Is(opErr, ErrPowerLoss)) {
-				t.Fatalf("seed %d step %d: %v", seed, step, opErr)
-			}
-			if a.PowerLost() {
-				a.PowerOn()
-			}
-			ref.check(t, a, step)
-		}
+		driveMediaStream(t, a, ref, seed, 1500, func(step int) { ref.check(t, a, step) })
 
 		// Out-of-range addresses read as erased.
 		for _, ppa := range []PPA{-1, PPA(g.TotalSectors()), PPA(g.TotalSectors() + chunkSectors)} {
@@ -194,7 +203,7 @@ func TestSparseMediaMatchesDenseModel(t *testing.T) {
 		// the resident state is again that of a fresh array.
 		for chip := 0; chip < g.Chips(); chip++ {
 			for block := 0; block < g.BlocksPerChip; block++ {
-				if at, err = a.Erase(at, chip, block); err != nil {
+				if _, err = a.Erase(a.Engine().Now(), chip, block); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -25,6 +25,17 @@ import (
 // ErrPowerLoss reports a command issued at or after an armed power cut.
 var ErrPowerLoss = nand.ErrPowerLoss
 
+// The two ways OpenImage refuses a file, matchable with errors.Is; the
+// message names the section and file offset of the first broken rule.
+var (
+	// ErrImageFormat: the file is not a NAND image of a format this build
+	// reads — wrong magic, or a version it does not know.
+	ErrImageFormat = nand.ErrImageFormat
+	// ErrImageCorrupt: the file is an image and is damaged — a checksum
+	// mismatch, a truncation, or media state no device could have been in.
+	ErrImageCorrupt = nand.ErrImageCorrupt
+)
+
 // StatusPowerLoss classifies a completion that failed to power loss.
 const StatusPowerLoss = host.StatusPowerLoss
 
@@ -86,12 +97,15 @@ func (d *Device) Remount() error {
 
 // SaveImage persists the NAND media — programmed payloads, per-chip append
 // points, erase counts, OOB stamps and the metadata journal — to a
-// file-backed image. Queued asynchronous commands are dispatched first so
-// the image reflects every completion the host has seen. Volatile state
-// (write buffers, mapping table, caches) is deliberately not saved: an
-// image reopened with OpenImage goes through the same recovery scan a
-// crashed device does, so saving at an arbitrary instant is equivalent to
-// cutting power there.
+// file-backed image, atomically: the file is written beside path and moved
+// over it once complete, so a failed save leaves any previous image intact.
+// The image is sparse and deterministic — its size follows what the media
+// holds, and one device state has one encoding. Queued asynchronous
+// commands are dispatched first so the image reflects every completion the
+// host has seen. Volatile state (write buffers, mapping table, caches) is
+// deliberately not saved: an image reopened with OpenImage goes through the
+// same recovery scan a crashed device does, so saving at an arbitrary
+// instant is equivalent to cutting power there.
 func (d *Device) SaveImage(path string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -99,8 +113,10 @@ func (d *Device) SaveImage(path string) error {
 	return d.f.Array().SaveImage(path)
 }
 
-// OpenImage builds a device over a NAND image saved with SaveImage. The
-// configuration must describe the same geometry the image was taken under;
+// OpenImage builds a device over a NAND image saved with SaveImage, by this
+// build or an earlier one. The file is verified before it is believed; a
+// refusal matches ErrImageFormat or ErrImageCorrupt. The configuration
+// must describe the same geometry the image was taken under;
 // the FTL parameters and latency table may differ (they are host-side
 // state). The device recovers exactly as Remount does and starts its
 // virtual clock at zero. Fault-injector streams do not persist in the

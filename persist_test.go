@@ -2,9 +2,14 @@ package conzone
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"github.com/conzone/conzone/internal/nand"
 )
 
 // fillPattern builds n sectors of recognisable data keyed by (zone, tag).
@@ -252,5 +257,108 @@ func TestRemountPreservesQueueLayout(t *testing.T) {
 	cfg := dev.Host().Configuration()
 	if cfg.Queues != 2 || cfg.Depth != 8 {
 		t.Fatalf("queue configuration after remount = %+v, want {2 8}", cfg)
+	}
+}
+
+// writtenDevice opens a paper-scale device and writes mib MiB of patterned
+// data from the start of zone 0 on, flushing each zone it touches.
+func writtenDevice(tb testing.TB, mib int) *Device {
+	tb.Helper()
+	dev, err := Open(PaperConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const step = 256 // sectors per write
+	chunk := fillPattern(0, 3, step)
+	zb := dev.ZoneBytes()
+	left := int64(mib) << 20
+	for zone := 0; left > 0; zone++ {
+		for off := int64(0); off < zb && left > 0; off += int64(len(chunk)) {
+			n := min(int64(len(chunk)), zb-off, left)
+			if err := dev.Write(int64(zone)*zb+off, chunk[:n]); err != nil {
+				tb.Fatal(err)
+			}
+			left -= n
+		}
+		if err := dev.FlushZone(zone); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return dev
+}
+
+// TestImageCostsWhatItHolds pins the image's cost to the media's contents:
+// an untouched paper-scale device saves to a few KiB (the dense v1 form
+// wrote 1.3 MB of flags and stamps), a written one to its payload sectors
+// plus 1 % and that constant, and saving allocates a constant however much
+// was written — the writer holds no copy of the media.
+func TestImageCostsWhatItHolds(t *testing.T) {
+	const fixed = 64 << 10
+	path := filepath.Join(t.TempDir(), "dev.img")
+	for _, mib := range []int{0, 8, 64} {
+		dev := writtenDevice(t, mib)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := dev.SaveImage(path); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%d MiB written: SaveImage allocated %d bytes, want at most 4 MiB", mib, got)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr := dev.FTL().Array()
+		var payloads int64
+		for ppa := nand.PPA(0); int64(ppa) < arr.Geometry().TotalSectors(); ppa++ {
+			if arr.Payload(ppa) != nil {
+				payloads++
+			}
+		}
+		if payloads < int64(mib)<<20/SectorSize {
+			t.Fatalf("%d MiB written but only %d payload sectors on the media", mib, payloads)
+		}
+		if bound := payloads*SectorSize*101/100 + fixed; st.Size() >= bound {
+			t.Errorf("%d MiB written, %d payload sectors: image of %d bytes, want under %d", mib, payloads, st.Size(), bound)
+		}
+		t.Logf("%d MiB written: %d payload sectors, image %d bytes, SaveImage allocated %d bytes",
+			mib, payloads, st.Size(), after.TotalAlloc-before.TotalAlloc)
+	}
+}
+
+// TestOpenImageErrorClasses: both refusal classes survive OpenImage's
+// wrapping, and a refused file never yields a device.
+func TestOpenImageErrorClasses(t *testing.T) {
+	dev := writtenDevice(t, 1)
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.img")
+	if err := dev.SaveImage(good); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), img...)
+	flipped[len(flipped)/2] ^= 4
+	for _, c := range []struct {
+		name  string
+		bytes []byte
+		class error
+	}{
+		{"not an image", []byte("zone,wp\n0,512\n"), ErrImageFormat},
+		{"one flipped bit", flipped, ErrImageCorrupt},
+		{"truncated", img[:len(img)-4096], ErrImageCorrupt},
+	} {
+		path := filepath.Join(dir, "bad.img")
+		if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenImage(PaperConfig(), path)
+		if re != nil || !errors.Is(err, c.class) {
+			t.Errorf("%s: OpenImage returned %v, want %v", c.name, err, c.class)
+		}
 	}
 }
