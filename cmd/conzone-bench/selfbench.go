@@ -1,15 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"testing"
-	"text/tabwriter"
 	"time"
 
+	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/emubench"
+	"github.com/conzone/conzone/internal/experiments"
 	"github.com/conzone/conzone/internal/units"
 )
 
@@ -28,7 +28,7 @@ type selfBenchResult struct {
 
 // selfBenchReport is the schema of BENCH_emulator.json: environment header
 // plus one entry per benchmark. Performance PRs regenerate the file with
-// `conzone-bench -selfbench -json BENCH_emulator.json`; it is a trajectory
+// `conzone-bench -exp selfbench -json BENCH_emulator.json`; it is a trajectory
 // across machines, not a gate.
 type selfBenchReport struct {
 	Date      string            `json:"date"`
@@ -60,38 +60,26 @@ func runBenchmark(spec emubench.Spec) selfBenchResult {
 
 // runSelfBench measures the emulator's own wall-clock throughput: every
 // emubench spec (seqwrite, randread, randwrite, gcheavy at QD 1 and 16) is
-// run through testing.Benchmark, printed as a table, and optionally written
-// to jsonPath as the machine-readable trajectory file.
-func runSelfBench(jsonPath string) error {
-	report := &selfBenchReport{
+// run through testing.Benchmark, on emubench's own device rather than the
+// caller's configuration. The JSON artifact is the machine-readable
+// trajectory file.
+func runSelfBench(config.DeviceConfig, experiments.Options) (experiments.Report, error) {
+	doc := selfBenchReport{
 		Date:      time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 	}
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\titers\tns/op\tMiB/s\tB/op\tallocs/op")
+	t := experiments.Table{Header: []string{"benchmark", "iters", "ns/op", "MiB/s", "B/op", "allocs/op"}}
 	for _, spec := range emubench.Specs() {
 		r := runBenchmark(spec)
-		report.Results = append(report.Results, r)
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%d\t%d\n",
-			r.Name, r.Iterations, r.NsPerOp, r.MiBPerSec, r.BytesPerOp, r.AllocsPerOp)
+		doc.Results = append(doc.Results, r)
+		t.Add(r.Name, r.Iterations, fmt.Sprintf("%.1f", r.NsPerOp), fmt.Sprintf("%.1f", r.MiBPerSec), r.BytesPerOp, r.AllocsPerOp)
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return experiments.Report{
+		Title:     "Emulator self-benchmark: wall-clock cost per emulated 4 KiB I/O",
+		Tables:    []experiments.Table{t},
+		Pass:      true,
+		Artifacts: map[string]func(io.Writer) error{"json": experiments.JSON(doc)},
+	}, nil
 }

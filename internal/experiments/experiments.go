@@ -58,6 +58,11 @@ func Quick() Options {
 	return o
 }
 
+// Reduced reports whether o asks for less than paper scale. The
+// characterizations beside the paper's figures (qd, faults, crash, zonelife)
+// have two sizes, not a volume per field, and pick by it.
+func (o Options) Reduced() bool { return o.RandReadOps < Default().RandReadOps }
+
 // seqBS is the paper's sequential I/O block size (§IV-B: 512 KiB).
 const seqBS = 512 * units.KiB
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
@@ -201,5 +204,50 @@ func TestEmulatorComparison(t *testing.T) {
 		} else if r.ModelsPrematureFlush || r.ModelsSLC || r.ModelsL2PCache {
 			t.Errorf("%s claims consumer internals it lacks", r.Emulator)
 		}
+	}
+}
+
+// TestRegistry runs every entry of the registry at Quick() scale on the paper
+// configuration: whatever conzone-bench can print, this has evaluated.
+func TestRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	var suite []string
+	seen := map[string]bool{}
+	for _, e := range All(1) {
+		if seen[e.Name] {
+			t.Errorf("experiment name %q registered twice", e.Name)
+		}
+		seen[e.Name] = true
+		if e.InSuite {
+			suite = append(suite, e.Name)
+		}
+		rep, err := e.Run(config.Paper(), Quick())
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if !rep.Pass {
+			t.Errorf("%s: claims not reproduced:\n%s", e.Name, strings.Join(rep.Checks, "\n"))
+		}
+		rows := 0
+		for _, tab := range rep.Tables {
+			rows += len(tab.Rows)
+		}
+		if rep.Title == "" || rows == 0 {
+			t.Errorf("%s: report has title %q and %d table rows", e.Name, rep.Title, rows)
+		}
+		var arts []string
+		for name := range rep.Artifacts {
+			arts = append(arts, name)
+		}
+		sort.Strings(arts)
+		if !reflect.DeepEqual(arts, e.Artifacts) {
+			t.Errorf("%s: report carries artifacts %v, the entry declares %v", e.Name, arts, e.Artifacts)
+		}
+	}
+	if want := "table1 table2 fig6a fig6b fig7 fig8 ablations emulators"; strings.Join(suite, " ") != want {
+		t.Errorf("suite order = %v, want %s", suite, want)
 	}
 }

@@ -2,41 +2,12 @@ package nand
 
 import (
 	"bytes"
-	"fmt"
 
 	"github.com/conzone/conzone/internal/units"
 )
 
 // Helpers only this package's tests call: the inverse of PPAOf for the
-// round-trip property, an owning payload copy for the slab-reuse test, and
-// the media parse/bits tables whose only consumers are their own tests.
-
-// ParseMedia converts a configuration string into a Media value.
-func ParseMedia(s string) (Media, error) {
-	switch s {
-	case "SLC", "slc":
-		return SLCMode, nil
-	case "TLC", "tlc":
-		return TLC, nil
-	case "QLC", "qlc":
-		return QLC, nil
-	}
-	return 0, fmt.Errorf("nand: unknown media %q", s)
-}
-
-// BitsPerCell returns how many bits each cell stores for the media type.
-func (m Media) BitsPerCell() int {
-	switch m {
-	case SLCMode:
-		return 1
-	case TLC:
-		return 3
-	case QLC:
-		return 4
-	default:
-		return 0
-	}
-}
+// round-trip property and an owning payload copy for the slab-reuse test.
 
 // DecodePPA is the inverse of PPAOf.
 func (g Geometry) DecodePPA(p PPA) Addr {

@@ -36,30 +36,6 @@ func TestMediaString(t *testing.T) {
 	}
 }
 
-func TestParseMedia(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Media
-	}{{"SLC", SLCMode}, {"slc", SLCMode}, {"TLC", TLC}, {"qlc", QLC}} {
-		got, err := ParseMedia(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseMedia(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := ParseMedia("MLC"); err == nil {
-		t.Error("expected error for unsupported media")
-	}
-}
-
-func TestBitsPerCell(t *testing.T) {
-	if SLCMode.BitsPerCell() != 1 || TLC.BitsPerCell() != 3 || QLC.BitsPerCell() != 4 {
-		t.Error("bits per cell wrong")
-	}
-	if Media(7).BitsPerCell() != 0 {
-		t.Error("unknown media should report 0 bits")
-	}
-}
-
 func TestGeometryDerived(t *testing.T) {
 	g := testGeometry()
 	if g.Chips() != 4 {

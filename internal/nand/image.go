@@ -29,8 +29,7 @@ import (
 // CRC32C. Every byte of the file is covered by exactly one checksum, all
 // integers are little-endian, and nothing in it depends on map order or
 // slab handles: one device state has one encoding. DESIGN §13 has the byte
-// layout and the rules the loader enforces. Images written before v2 (gob,
-// dense) stay loadable through image_v1.go; nothing writes them any more.
+// layout and the rules the loader enforces.
 
 const (
 	imageMagic   = "CZNANDIM"
@@ -282,14 +281,13 @@ func (a *Array) SaveImage(path string) error {
 	return nil
 }
 
-// LoadArray rebuilds an array from an image written by SaveImage, at this
-// commit or any earlier one. The latency table is supplied by the caller
-// (timing is configuration, not media state). The file is checked against
-// its own size and checksums and against the media contract before it is
-// believed; a refusal matches ErrImageFormat or ErrImageCorrupt and names
-// the section and file offset. The returned array is powered on at virtual
-// time zero and has no fault injector attached — the caller re-attaches one
-// before mounting.
+// LoadArray rebuilds an array from an image written by SaveImage. The latency
+// table is supplied by the caller (timing is configuration, not media
+// state). The file is checked against its own size and checksums and against
+// the media contract before it is believed; a refusal matches ErrImageFormat
+// or ErrImageCorrupt and names the section and file offset. The returned
+// array is powered on at virtual time zero and has no fault injector
+// attached — the caller re-attaches one before mounting.
 func LoadArray(path string, lat LatencyTable) (*Array, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -307,12 +305,11 @@ func LoadArray(path string, lat LatencyTable) (*Array, error) {
 	return a, nil
 }
 
-// readImage loads an image of size bytes from r, choosing the format by its
-// magic.
+// readImage loads an image of size bytes from r.
 func readImage(r io.ReaderAt, size int64, lat LatencyTable) (*Array, error) {
 	var magic [len(imageMagic)]byte
 	if n, _ := r.ReadAt(magic[:], 0); string(magic[:n]) != imageMagic {
-		return readImageV1(r, size, lat)
+		return nil, fmt.Errorf("no %s magic (images written before format v2 are no longer readable): %w", imageMagic, ErrImageFormat)
 	}
 	ir := &imageReader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), imageBufSize), section: "header", left: size}
 	return ir.readArray(size, lat)
@@ -405,7 +402,7 @@ func (r *imageReader) readArray(size int64, lat LatencyTable) (*Array, error) {
 		return nil, err
 	}
 	if v := le.Uint32(hdr[len(imageMagic):]); v != imageVersion {
-		return nil, fmt.Errorf("image version %d, this build reads 1 and %d: %w", v, imageVersion, ErrImageFormat)
+		return nil, fmt.Errorf("image version %d, this build reads %d: %w", v, imageVersion, ErrImageFormat)
 	}
 	geo := getGeometry(hdr[headerGeometryAt:])
 	var lens [imageSections]int64

@@ -84,7 +84,7 @@ type refusal struct {
 // in exactly that rule with every checksum recomputed, and checks that the
 // loader names the rule, classifies it, and never panics.
 func TestLoadArrayRefusals(t *testing.T) {
-	// v2 rows edit the fixture's image; v1 rows edit the parent commit's file.
+	// Every row edits the image of a fixture.
 	v2on := func(base func(*testing.T) *Array, edit func(t *testing.T, p *v2Parts) []byte) func(*testing.T) []byte {
 		return func(t *testing.T) []byte {
 			p, ok := parseV2(imageBytes(t, base(t)))
@@ -96,13 +96,6 @@ func TestLoadArrayRefusals(t *testing.T) {
 	}
 	v2 := func(edit func(t *testing.T, p *v2Parts) []byte) func(*testing.T) []byte {
 		return v2on(imageFixtureArray, edit)
-	}
-	v1 := func(edit func(img *imageFile)) func(*testing.T) []byte {
-		return func(t *testing.T) []byte {
-			img := decodeImage(t, parentImage)
-			edit(&img)
-			return encodeV1(t, img)
-		}
 	}
 	flip := func(b []byte, at int) []byte { b[at] ^= 0x10; return b }
 	// stampedBit returns a stamped (or unstamped) sector of the first chunk.
@@ -135,10 +128,11 @@ func TestLoadArrayRefusals(t *testing.T) {
 		return a
 	}
 
+	const noMagic = "no CZNANDIM magic (images written before format v2 are no longer readable)"
 	rows := []refusal{
-		{"bad magic", v2(func(t *testing.T, p *v2Parts) []byte { return flip(p.bytes(), 0) }), ErrImageFormat, "no v2 magic"},
+		{"bad magic", v2(func(t *testing.T, p *v2Parts) []byte { return flip(p.bytes(), 0) }), ErrImageFormat, noMagic},
 		{"unknown version", v2(func(t *testing.T, p *v2Parts) []byte { p.head[len(imageMagic)] = 3; return p.bytes() }), ErrImageFormat, "version 3"},
-		{"empty file", func(*testing.T) []byte { return nil }, ErrImageFormat, "no v2 magic"},
+		{"empty file", func(*testing.T) []byte { return nil }, ErrImageFormat, noMagic},
 		{"truncated header", v2(func(t *testing.T, p *v2Parts) []byte { return p.bytes()[:100] }), ErrImageCorrupt, "shorter than"},
 		{"header checksum", v2(func(t *testing.T, p *v2Parts) []byte { return flip(p.bytes(), 20) }), ErrImageCorrupt, "header, offset 140: checksum"},
 		{"invalid geometry", v2(func(t *testing.T, p *v2Parts) []byte {
@@ -266,27 +260,6 @@ func TestLoadArrayRefusals(t *testing.T) {
 			w.set(w.get() + 1)
 			return p.bytes()
 		}), ErrImageCorrupt, "below the append point 4 is not programmed"},
-
-		{"v1 truncated", func(t *testing.T) []byte {
-			b, err := os.ReadFile(parentImage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b[:len(b)/2]
-		}, ErrImageFormat, "not a v1 image"},
-		{"v1 version", v1(func(img *imageFile) { img.Version = 7 }), ErrImageFormat, "version 7"},
-		{"v1 geometry", v1(func(img *imageFile) { img.Geo.PageSize = 100 }), ErrImageCorrupt, "PageSize"},
-		{"v1 sector-state length", v1(func(img *imageFile) { img.OOBSeq = img.OOBSeq[1:] }), ErrImageCorrupt, "length mismatch"},
-		{"v1 block-state shape", v1(func(img *imageFile) { img.Blocks[2] = img.Blocks[2][1:] }), ErrImageCorrupt, "chip 2"},
-		{"v1 payload index", v1(func(img *imageFile) { img.Payload[1<<40] = sectorOf(1) }), ErrImageCorrupt, "out of range"},
-		{"v1 short payload", v1(func(img *imageFile) {
-			for idx := range img.Payload {
-				img.Payload[idx] = img.Payload[idx][:100]
-			}
-		}), ErrImageCorrupt, "payload of 100 bytes"},
-		{"v1 sequence without address", v1(func(img *imageFile) { img.OOBSeq[len(img.OOBSeq)-1] = 1 }), ErrImageCorrupt, "is not a logical address"},
-		{"v1 append point", v1(func(img *imageFile) { img.Blocks[0][1].NextSector++ }), ErrImageCorrupt, "below the append point"},
-		{"v1 sequence counter behind the stamps", v1(func(img *imageFile) { img.Seq = 1 }), ErrImageCorrupt, "sequence"},
 	}
 	seen := map[string]bool{}
 	for _, row := range rows {
@@ -310,13 +283,11 @@ func TestLoadArrayRefusals(t *testing.T) {
 			if !strings.Contains(err.Error(), row.says) || !strings.Contains(err.Error(), path) || strings.Contains(err.Error(), "\n") {
 				t.Fatalf("got %q, want one line naming the file and %q", err, row.says)
 			}
-			// Each v2 row must reach a rule of its own (the v1 rows share them).
-			if !strings.HasPrefix(row.name, "v1 ") {
-				if seen[row.says] && row.says != "does not fit" && row.says != "no v2 magic" {
-					t.Fatalf("%q is claimed by two rows", row.says)
-				}
-				seen[row.says] = true
+			// Each row must reach a rule of its own.
+			if seen[row.says] && row.says != "does not fit" && row.says != noMagic {
+				t.Fatalf("%q is claimed by two rows", row.says)
 			}
+			seen[row.says] = true
 		})
 	}
 }

@@ -2,9 +2,10 @@ package nand_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"os"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,6 +58,16 @@ func agedSmallImage(tb testing.TB) []byte {
 	return b
 }
 
+// TestAgedImagePinned pins the bytes SaveImage writes for the aged device: one
+// device state has one encoding, the same in every process, and a change to
+// it is a new format version, not an edit.
+func TestAgedImagePinned(t *testing.T) {
+	const want = "b1f3d0fdec6716ef812489215e878a81c10bc20790cfd485ee923d73f07ce241"
+	if got := fmt.Sprintf("%x", sha256.Sum256(agedSmallImage(t))); got != want {
+		t.Fatalf("the aged config.Small() device saves to sha256 %s, pinned %s", got, want)
+	}
+}
+
 // loadAndMount is the fuzz property. Loading never panics, refuses with one
 // of the two typed classes, and allocates no more than a small multiple of
 // the input plus what the header's geometry fixes (the chunk directory and
@@ -75,11 +86,10 @@ func loadAndMount(t *testing.T, data []byte) {
 	runtime.ReadMemStats(&before)
 	arr, err := nand.ReadImage(data, cfg.Latency)
 	runtime.ReadMemStats(&after)
-	// 96 per byte: v2 needs under two, but gob sizes a slice for its declared
-	// count before decoding it — at most one element per byte left, and the
-	// largest element, a journal record, is 56 bytes. 1 MiB: the 256 KiB
-	// read buffer, gob's type tables, the fuzz worker's own goroutines.
-	if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 96*int64(len(data))+fixed+1<<20; got > bound {
+	// Two per byte: a payload is copied once into its slab and everything
+	// else in the file is smaller in memory than on disk. 1 MiB: the 256 KiB
+	// read buffer and the fuzz worker's own goroutines.
+	if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 2*int64(len(data))+fixed+1<<20; got > bound {
 		t.Fatalf("loading %d bytes allocated %d, bound %d", len(data), got, bound)
 	}
 	if err != nil {
@@ -112,12 +122,17 @@ func loadAndMount(t *testing.T, data []byte) {
 // without that the rules behind the checksums would only ever see what
 // SaveImage wrote.
 func FuzzLoadImage(f *testing.F) {
-	v1, err := os.ReadFile("testdata/v1_parent.img")
+	cfg := config.Small()
+	fresh, err := ftl.New(cfg.Geometry, cfg.Latency, cfg.FTL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	untouched, err := fresh.Array().ImageBytes()
 	if err != nil {
 		f.Fatal(err)
 	}
 	huge := binary.AppendUvarint(nil, 1<<62)
-	for _, img := range [][]byte{agedSmallImage(f), v1} {
+	for _, img := range [][]byte{agedSmallImage(f), untouched} {
 		f.Add(img)
 		for _, n := range []int{0, 7, 100, 148, len(img) / 3, len(img) - 1} {
 			f.Add(img[:n])
@@ -127,15 +142,17 @@ func FuzzLoadImage(f *testing.F) {
 			flipped[at] ^= 1 << uint(at%8)
 			f.Add(flipped)
 		}
-		// Length prefixes claiming far more than the file holds: v2's are
-		// 64-bit words in the header's table and before each section, v1's
-		// are gob's varints before each message and slice.
+		// Length prefixes claiming far more than the file holds, as 64-bit
+		// words in the header's table and before each section.
 		for _, at := range []int{0, 2, 116, 140, 148, 156, len(img) / 2} {
 			inflated := append(append(append([]byte(nil), img[:at]...), 0xf8), bytes.Repeat([]byte{0x7f}, 8)...)
 			f.Add(append(inflated, img[at+9:]...))
 			f.Add(append(append(append([]byte(nil), img[:at]...), huge...), img[at:]...))
 		}
 	}
+	// No magic at all, with enough behind it to be worth a mutation: the
+	// refusal every image written before format v2 now gets.
+	f.Add(append([]byte("not an image\x00"), untouched[:1024]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loadAndMount(t, data)
 		if sealed, ok := nand.ResealImage(data); ok && !bytes.Equal(sealed, data) {

@@ -2,7 +2,6 @@ package nand
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math/bits"
@@ -14,14 +13,6 @@ import (
 
 	"github.com/conzone/conzone/internal/units"
 )
-
-// parentImage is an image of imageFixtureArray's media written by the
-// commit before the per-sector state became sparse (4e25651), when
-// SaveImage serialized the dense arrays directly. It was built once, in a
-// checkout of that commit, by a throwaway program that ran the body of
-// imageFixtureArray and called SaveImage; nothing at this commit can or
-// should rewrite it.
-const parentImage = "testdata/v1_parent.img"
 
 // imageFixtureArray builds a small array whose media exercises every part
 // of the image: payload and timing-only sectors, SLC partial programs, OOB
@@ -74,20 +65,6 @@ func imageFixtureArray(t *testing.T) *Array {
 	return a
 }
 
-func decodeImage(t *testing.T, path string) imageFile {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var img imageFile
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
-		t.Fatal(err)
-	}
-	return img
-}
-
 // sameMedia compares two arrays through the public surface, sector by
 // sector and block by block.
 func sameMedia(t *testing.T, got, want *Array) {
@@ -128,13 +105,11 @@ func imageBytes(t testing.TB, a *Array) []byte {
 	return b
 }
 
-// TestImageV1LayoutUnchanged pins both formats to the fixture's media. What
-// SaveImage writes loads into the same media and is one encoding of it:
-// saving the loaded array, or the same array again, gives the same bytes
-// (v1 iterated a Go map, so two saves of one device differed). And the file
-// the commit before sparse media wrote — v1, which nothing writes any more —
-// still loads into that media.
-func TestImageV1LayoutUnchanged(t *testing.T) {
+// TestImageLayoutUnchanged: what SaveImage writes loads into the same media
+// and is one encoding of it — saving the loaded array, the same array again,
+// or a second device in the same state gives the same bytes. (Which bytes is
+// pinned by TestAgedImagePinned, on a device that went through the FTL.)
+func TestImageLayoutUnchanged(t *testing.T) {
 	a := imageFixtureArray(t)
 	path := filepath.Join(t.TempDir(), "now.img")
 	if err := a.SaveImage(path); err != nil {
@@ -148,10 +123,6 @@ func TestImageV1LayoutUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the saved image does not load: %v", err)
 	}
-	loaded, err := LoadArray(parentImage, DefaultLatencies())
-	if err != nil {
-		t.Fatalf("parent-commit image no longer loads: %v", err)
-	}
 	// Bytes first: sameMedia draws a sequence number from both its arrays.
 	if !bytes.Equal(imageBytes(t, reloaded), saved) || !bytes.Equal(imageBytes(t, a), saved) {
 		t.Fatal("save, load, save is not byte-identical")
@@ -159,36 +130,7 @@ func TestImageV1LayoutUnchanged(t *testing.T) {
 	if !bytes.Equal(imageBytes(t, imageFixtureArray(t)), saved) {
 		t.Fatal("two devices in the same state saved different bytes")
 	}
-	if !bytes.Equal(imageBytes(t, loaded), saved) {
-		t.Fatal("the v1 image of the fixture re-saves to different bytes than the fixture")
-	}
 	sameMedia(t, reloaded, a)
-	sameMedia(t, loaded, imageFixtureArray(t))
-}
-
-// encodeV1 writes img the way the v1 writer did.
-func encodeV1(t *testing.T, img imageFile) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadArrayRefusesPayloadOnUnwrittenSector guards the invariant the
-// chunk recycling rests on — only programmed sectors hold a slab — against
-// an image no SaveImage ever wrote.
-func TestLoadArrayRefusesPayloadOnUnwrittenSector(t *testing.T) {
-	img := decodeImage(t, parentImage)
-	idx := int64(len(img.Written) - 1)
-	if img.Written[idx] {
-		t.Fatal("the fixture's last sector is programmed")
-	}
-	img.Payload[idx] = sectorOf(0xEE)
-	if _, err := ReadImage(encodeV1(t, img), DefaultLatencies()); !errors.Is(err, ErrImageCorrupt) {
-		t.Fatalf("a v1 image with a payload on an unwritten sector: %v", err)
-	}
 }
 
 // payloadOnUnwritten sets the payload bit of the chunk record's highest
@@ -207,8 +149,9 @@ func payloadOnUnwritten(t *testing.T, p *v2Parts) []byte {
 	return p.fit().bytes()
 }
 
-// TestLoadArrayRefusesPayloadOnUnwrittenSectorV2 is the same guard on the
-// format SaveImage writes now, checksums intact.
+// TestLoadArrayRefusesPayloadOnUnwrittenSectorV2 guards the invariant the
+// chunk recycling rests on — only programmed sectors hold a slab — against
+// an image no SaveImage ever wrote, checksums intact.
 func TestLoadArrayRefusesPayloadOnUnwrittenSectorV2(t *testing.T) {
 	p, ok := parseV2(imageBytes(t, imageFixtureArray(t)))
 	if !ok {

@@ -3,10 +3,6 @@ package sim
 // Observers the package's own tests read a Resource through; nothing outside
 // the tests needs them.
 
-// PeekStart returns when an operation arriving at 'at' would start, without
-// reserving anything.
-func (r *Resource) PeekStart(at Time) Time { return Max(at, r.busyUntil) }
-
 // BusyUntil returns the current busy horizon.
 func (r *Resource) BusyUntil() Time { return r.busyUntil }
 

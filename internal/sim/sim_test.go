@@ -62,17 +62,6 @@ func TestResourceNegativeDurationPanics(t *testing.T) {
 	NewResource("x").Reserve(0, -1)
 }
 
-func TestResourcePeekStart(t *testing.T) {
-	r := NewResource("x")
-	r.Reserve(0, 100)
-	if got := r.PeekStart(40); got != 100 {
-		t.Errorf("PeekStart = %v", got)
-	}
-	if r.BusyUntil() != 100 {
-		t.Error("PeekStart must not reserve")
-	}
-}
-
 func TestResourceUtilization(t *testing.T) {
 	r := NewResource("x")
 	r.Reserve(0, 50)

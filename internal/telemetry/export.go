@@ -16,7 +16,7 @@ import (
 
 // WriteSeriesJSONL writes the samples as JSON Lines: one self-contained
 // sample object per line, the format the analysis scripts and
-// conzone-bench -timeseries emit.
+// conzone-bench -exp timeseries emit.
 func WriteSeriesJSONL(w io.Writer, samples []Sample) error {
 	enc := json.NewEncoder(w)
 	for _, s := range samples {

@@ -150,19 +150,6 @@ func TestAlignProperties(t *testing.T) {
 	}
 }
 
-func TestIsPow2(t *testing.T) {
-	for _, n := range []int64{1, 2, 4, 1024, 1 << 40} {
-		if !IsPow2(n) {
-			t.Errorf("IsPow2(%d) = false", n)
-		}
-	}
-	for _, n := range []int64{0, -1, 3, 6, 24 * MiB} {
-		if IsPow2(n) {
-			t.Errorf("IsPow2(%d) = true", n)
-		}
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := []struct{ in, want int64 }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {1023, 1024}, {1024, 1024},
