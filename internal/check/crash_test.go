@@ -18,6 +18,11 @@ func FuzzDeviceOpsCrash(f *testing.F) {
 	// the torn-finish recovery window.
 	f.Add(uint64(0xF1A6), uint16(300))
 	f.Add(uint64(0xF1A9), uint16(300))
+	// A zone fills by writing, a finish of it follows, and the cut lands
+	// before anything else drains its buffered tail (ROADMAP item 1, PR 22).
+	f.Add(uint64(0xdeadbf04), uint16(611))
+	f.Add(uint64(0xb07), uint16(546))
+	f.Add(uint64(0xdeadbf0d), uint16(422))
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16) {
 		nOps := int(n)%1024 + 16
 		if _, err := RunCrashSequence(seed, nOps, 32, false); err != nil {
@@ -45,14 +50,22 @@ func FuzzDeviceOpsCrashFaults(f *testing.F) {
 // the crash path (at least one cut fires) or it has gone stale.
 func TestCrashFuzzSeeds(t *testing.T) {
 	// 0xF1A6 and 0xF1A9 are finish-heavy (12 finishes each at 300 ops) and
-	// fire their cut in both fault modes, covering the pad-out windows.
-	seeds := []uint64{1, 2, 3, 42, 0x5EED, 0xC4A54, 0xDEADBEEF, 0xA11CE, 0xF1A6, 0xF1A9}
+	// fire their cut in both fault modes, covering the pad-out windows. The
+	// last three finish a zone that filled by writing while its tail is still
+	// buffered; before PR 22 that finish drained nothing and the acknowledged
+	// tail died at the cut ("survivor matches none of the acceptable
+	// versions").
+	seeds := []struct {
+		seed uint64
+		nOps int
+	}{{1, 300}, {2, 300}, {3, 300}, {42, 300}, {0x5EED, 300}, {0xC4A54, 300}, {0xDEADBEEF, 300},
+		{0xA11CE, 300}, {0xF1A6, 300}, {0xF1A9, 300}, {0xdeadbf04, 627}, {0xb07, 562}, {0xdeadbf0d, 438}}
 	crashes := 0
-	for _, seed := range seeds {
+	for _, s := range seeds {
 		for _, withFaults := range []bool{false, true} {
-			crashed, err := RunCrashSequence(seed, 300, 64, withFaults)
+			crashed, err := RunCrashSequence(s.seed, s.nOps, 64, withFaults)
 			if err != nil {
-				t.Errorf("seed %#x faults=%v: %v", seed, withFaults, err)
+				t.Errorf("seed %#x x%d faults=%v: %v", s.seed, s.nOps, withFaults, err)
 			}
 			if crashed {
 				crashes++

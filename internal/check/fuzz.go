@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,17 +9,19 @@ import (
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/ftl"
+	"github.com/conzone/conzone/internal/host"
+	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
 	"github.com/conzone/conzone/internal/units"
-	"github.com/conzone/conzone/internal/zns"
 )
 
 // This file is the deterministic differential fuzz harness: seeded op
-// sequences are replayed against each device personality, every read is
-// compared with a flat in-memory oracle (unwritten sectors read back as
-// zeros), and on the ConZone personality the cross-subsystem audit runs
-// every few operations. Failing sequences are shrunk to a minimal
+// sequences are replayed against each device personality by one replayer,
+// every read is compared with the oracle in crash.go (the last acknowledged
+// version of every sector, and the versions a power cut may leave), and the
+// personality's audit runs every few operations. A crash run is the same
+// replay with a cut instant armed. Failing sequences are shrunk to a minimal
 // reproducer before being reported.
 
 // OpKind enumerates the host operations the fuzzer issues.
@@ -54,10 +55,8 @@ func (k OpKind) String() string {
 }
 
 // Op is one host operation in personality-neutral coordinates: a zone, a
-// zone-relative offset and a length in sectors. Each replayer translates
-// them into its device's own geometry (sequential-zone writes land at the
-// zone's write pointer regardless of Off; the zoneless legacy device
-// flattens zone+offset into an LBA).
+// zone-relative offset and a length in sectors. The replayer translates them
+// into the device's own geometry (see locate).
 type Op struct {
 	Kind OpKind
 	Zone int
@@ -91,10 +90,14 @@ const (
 	Legacy
 	FEMU
 	ConfZNS
+	// Host is the ConZone FTL behind host.Controller's synchronous calls:
+	// every op takes the queue path (submit, arbiter, zone write lock,
+	// reap) at depth 1.
+	Host
 )
 
 // Personalities lists every device model the harness drives.
-var Personalities = []Personality{ConZone, Legacy, FEMU, ConfZNS}
+var Personalities = []Personality{ConZone, Legacy, FEMU, ConfZNS, Host}
 
 func (p Personality) String() string {
 	switch p {
@@ -106,6 +109,8 @@ func (p Personality) String() string {
 		return "femu"
 	case ConfZNS:
 		return "confzns"
+	case Host:
+		return "host"
 	}
 	return fmt.Sprintf("Personality(%d)", int(p))
 }
@@ -185,7 +190,7 @@ type device interface {
 	TotalSectors() int64
 }
 
-// zonedDevice is the zoned surface (ConZone, FEMU, ConfZNS).
+// zonedDevice is the zoned surface: every personality but Legacy.
 type zonedDevice interface {
 	device
 	NumZones() int
@@ -194,67 +199,110 @@ type zonedDevice interface {
 	Flush(at sim.Time, zone int) (sim.Time, error)
 }
 
-// replayer drives one device through a sequence while mirroring zone state
-// (write pointers, fullness) and the flat data oracle (per-sector version
-// counters).
+// zoneFinisher is the optional finish/close surface (ConZone and Host).
+type zoneFinisher interface {
+	FinishZone(at sim.Time, zone int) (sim.Time, error)
+	CloseZone(at sim.Time, zone int) (sim.Time, error)
+}
+
+// rig is what a personality builds: the device the ops reach, the audit
+// that runs at audit points (nil when the model has no auditor; mount makes
+// it a no-op), and how many leading zones are conventional (written in
+// place, no write pointer).
+type rig struct {
+	dev   device
+	audit func() error
+	conv  int
+}
+
+// conzoneRig is the bare ConZone FTL, also what a crash run remounts.
+func conzoneRig(f *ftl.FTL, cfg config.DeviceConfig) rig {
+	return rig{dev: f, audit: func() error { return Audit(f) }, conv: cfg.FTL.ConventionalZones}
+}
+
+// syncHost adapts the controller's one quirk: a read that covers only
+// unwritten sectors completes with nil Data rather than n nil sectors.
+type syncHost struct{ *host.Controller }
+
+func (h syncHost) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
+	got, done, err := h.Controller.Read(at, lba, n)
+	if err == nil && got == nil {
+		got = make([][]byte, n)
+	}
+	return got, done, err
+}
+
+// build constructs p's device on cfg. Personality is the only thing that
+// selects a device.
+func (p Personality) build(cfg config.DeviceConfig) (rig, error) {
+	switch p {
+	case ConZone, Host:
+		f, err := cfg.NewConZone()
+		if err != nil || p == ConZone {
+			return conzoneRig(f, cfg), err
+		}
+		h, err := host.New(f, host.Config{})
+		g := conzoneRig(f, cfg)
+		g.dev, g.audit = syncHost{h}, func() error {
+			if err := Audit(f); err != nil {
+				return err
+			}
+			return AuditHost(h)
+		}
+		return g, err
+	case Legacy:
+		// The flat device has no alignment tails to stage, so it runs on
+		// stock Small() geometry: FuzzConfig's 20 SLC blocks would hide the
+		// staging pressure that drives its GC.
+		cfg.Geometry = config.Small().Geometry
+		d, err := cfg.NewLegacy()
+		return rig{dev: d, audit: d.CheckInvariants}, err
+	case FEMU:
+		d, err := cfg.NewFEMU()
+		return rig{dev: d}, err
+	case ConfZNS:
+		d, err := cfg.NewConfZNS()
+		return rig{dev: d}, err
+	}
+	return rig{}, fmt.Errorf("unknown personality %d", int(p))
+}
+
+// replayer drives one device through a sequence while mirroring the zone
+// write pointers and keeping the oracle (crash.go).
 type replayer struct {
-	p    Personality
-	dev  device
-	zd   zonedDevice // nil for the legacy personality
-	f    *ftl.FTL    // non-nil only for ConZone (audit + finish/close)
+	cfg config.DeviceConfig
+	rig
+	zd   zonedDevice  // dev's zoned surface; nil on the flat legacy device
+	fin  zoneFinisher // dev's finish/close surface; nil where the model has none
 	now  sim.Time
-	vers []uint32 // oracle: 0 = never written (reads back as zeros)
-	seq  uint32   // global write sequence, the version stamped per write
-	wp   []int64  // mirror write pointer, zone-relative
-	full []bool   // mirror FULL state (finish or wp at capacity)
+	seq  uint32  // global write sequence, the version stamped per write
+	zcap int64   // sectors per zone; the whole device when it is flat
+	wp   []int64 // mirror write pointer, zone-relative; at zcap the zone is FULL
+	oracle
 }
 
 func newReplayer(p Personality, cfg config.DeviceConfig) (*replayer, error) {
-	r := &replayer{p: p}
-	var err error
-	switch p {
-	case ConZone:
-		var f *ftl.FTL
-		if f, err = cfg.NewConZone(); err == nil {
-			r.dev, r.zd, r.f = f, f, f
-		}
-	case Legacy:
-		var d device
-		if d, err = cfg.NewLegacy(); err == nil {
-			r.dev = d
-		}
-	case FEMU, ConfZNS:
-		build := cfg.NewFEMU
-		if p == ConfZNS {
-			build = cfg.NewConfZNS
-		}
-		fd, e := build()
-		err = e
-		if err == nil {
-			r.dev, r.zd = fd, fd
-		}
-	default:
-		err = fmt.Errorf("check: unknown personality %d", int(p))
-	}
+	g, err := p.build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("check: build %s device: %w", p, err)
 	}
-	r.vers = make([]uint32, r.dev.TotalSectors())
+	r := &replayer{cfg: cfg, zcap: g.dev.TotalSectors(), oracle: newOracle(g.dev.TotalSectors())}
+	r.mount(g)
 	if r.zd != nil {
+		r.zcap = r.zd.ZoneCapSectors()
 		r.wp = make([]int64, r.zd.NumZones())
-		r.full = make([]bool, r.zd.NumZones())
 	}
 	return r, nil
 }
 
-// conventional reports whether zone is a conventional zone (in-place
-// updates, no write pointer). Only the ConZone personality configures any.
-func (r *replayer) conventional(zone int) bool {
-	if r.f == nil {
-		return false
+// mount points the replayer at a (re)built device.
+func (r *replayer) mount(g rig) {
+	if g.audit == nil {
+		g.audit = func() error { return nil }
 	}
-	z, err := r.f.Zones().Zone(zone)
-	return err == nil && z.Type == zns.Conventional
+	r.rig = g
+	r.zd, _ = g.dev.(zonedDevice)
+	r.fin, _ = g.dev.(zoneFinisher)
 }
 
 func (r *replayer) observe(done sim.Time) {
@@ -263,247 +311,208 @@ func (r *replayer) observe(done sim.Time) {
 	}
 }
 
-// write issues a host write and updates the oracle. Sequential zones write
-// at the mirrored write pointer; conventional zones (and the flat legacy
-// device) write at the op's own offset.
-func (r *replayer) write(op Op) error {
-	var lba, n int64
+// locate is the one op→address mapping: the zone the op names (-1 on the
+// flat device) and the sector range a read or write of it covers. A write
+// to a sequential zone lands at the mirrored write pointer regardless of
+// Off, so a FULL zone yields n = 0; reads and conventional-zone writes use
+// the op's own offset. The flat device folds zone+offset into the first
+// third of its LBA space: multi-sector overwrites of a hot set, which is
+// what makes a page-mapping FTL collect garbage.
+func (r *replayer) locate(op Op) (zone int, lba, n int64) {
 	if r.zd == nil {
-		total := r.dev.TotalSectors()
-		lba = (int64(op.Zone)*509 + op.Off) % total
-		n = op.Len
-		if n > total-lba {
-			n = total - lba
-		}
-	} else {
-		zone := op.Zone % r.zd.NumZones()
-		zcap := r.zd.ZoneCapSectors()
-		start := int64(zone) * zcap
-		if r.conventional(zone) {
-			off := op.Off % zcap
-			lba, n = start+off, op.Len
-			if n > zcap-off {
-				n = zcap - off
-			}
-		} else {
-			if r.full[zone] || r.wp[zone] == zcap {
-				return nil // nothing to write without a reset
-			}
-			lba, n = start+r.wp[zone], op.Len
-			if n > zcap-r.wp[zone] {
-				n = zcap - r.wp[zone]
-			}
-		}
+		return -1, (int64(op.Zone)*509 + op.Off) % (r.zcap / 3), op.Len
 	}
-	if n <= 0 {
-		return nil
+	zone = op.Zone % len(r.wp)
+	off := op.Off % r.zcap
+	if op.Kind == OpWrite && zone >= r.conv {
+		off = r.wp[zone]
 	}
-	r.seq++
-	payloads := make([][]byte, n)
-	for i := int64(0); i < n; i++ {
-		payloads[i] = payloadFor(lba+i, r.seq)
-	}
-	done, err := r.dev.Write(r.now, lba, payloads)
-	if err != nil {
-		return err
-	}
-	r.observe(done)
-	for i := int64(0); i < n; i++ {
-		r.vers[lba+i] = r.seq
-	}
-	if r.zd != nil {
-		zone := op.Zone % r.zd.NumZones()
-		if !r.conventional(zone) {
-			r.wp[zone] += n
-			if r.wp[zone] == r.zd.ZoneCapSectors() {
-				r.full[zone] = true
-			}
-		}
-	}
-	return nil
+	return zone, int64(zone)*r.zcap + off, min(op.Len, r.zcap-off)
 }
 
-// read issues a host read and verifies every returned sector against the
-// oracle: version 0 must read back nil or all-zeros, anything else must be
-// exactly the payload of its last write.
-func (r *replayer) read(op Op) error {
-	var lba, n int64
-	if r.zd == nil {
-		total := r.dev.TotalSectors()
-		lba = (int64(op.Zone)*509 + op.Off) % total
-		n = op.Len
-		if n > total-lba {
-			n = total - lba
-		}
-	} else {
-		zone := op.Zone % r.zd.NumZones()
-		zcap := r.zd.ZoneCapSectors()
-		off := op.Off % zcap
-		lba, n = int64(zone)*zcap+off, op.Len
-		if n > zcap-off {
-			n = zcap - off
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	got, done, err := r.dev.Read(r.now, lba, n)
-	if err != nil {
-		return err
-	}
-	r.observe(done)
-	if int64(len(got)) != n {
-		return fmt.Errorf("read [%d,%d): got %d sectors, want %d", lba, lba+n, len(got), n)
-	}
-	for i := int64(0); i < n; i++ {
-		l := lba + i
-		if v := r.vers[l]; v == 0 {
-			if !allZero(got[i]) {
-				return fmt.Errorf("read LPA %d: unwritten sector returned data", l)
-			}
-		} else if !bytes.Equal(got[i], payloadFor(l, v)) {
-			return fmt.Errorf("read LPA %d: payload does not match write #%d", l, v)
-		}
-	}
-	return nil
+// zoneSpan is the sector range a zone-wide command covers; zone -1 is the
+// whole flat device.
+func (r *replayer) zoneSpan(zone int) (lba, n int64) {
+	return int64(max(zone, 0)) * r.zcap, r.zcap
 }
 
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// step executes one op. Personalities without an op (legacy has no zones,
-// only ConZone implements finish/close) skip it, so the same sequence
-// stays replayable everywhere.
+// step executes one op and updates the mirrors and the oracle. Ops a
+// personality does not have (legacy has no zones, the FEMU lineage no
+// finish/close) and ops that are not legal right now (a write to a FULL
+// zone, a close of an empty one) are skipped, so the same sequence stays
+// replayable everywhere. Errors come back unwrapped: nand.ErrPowerLoss
+// means the armed cut fired inside this op.
 func (r *replayer) step(op Op) error {
+	zone, lba, n := r.locate(op)
+	sequential := zone >= r.conv
+	var done sim.Time
+	var err error
 	switch op.Kind {
 	case OpWrite:
-		return r.write(op)
+		if n <= 0 {
+			return nil
+		}
+		r.seq++
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = payloadFor(lba+int64(i), r.seq)
+		}
+		if done, err = r.dev.Write(r.now, lba, payloads); err != nil {
+			r.torn = tornOp{lba, n, r.seq} // a cut write's landed prefix is acceptable
+			return err
+		}
+		r.ackWrite(lba, n, r.seq)
+		if sequential {
+			r.wp[zone] += n
+		}
 	case OpRead:
-		return r.read(op)
+		if n <= 0 {
+			return nil
+		}
+		var got [][]byte
+		if got, done, err = r.dev.Read(r.now, lba, n); err != nil {
+			return err
+		}
+		if int64(len(got)) != n {
+			return fmt.Errorf("read [%d,%d): got %d sectors, want %d", lba, lba+n, len(got), n)
+		}
+		for i, p := range got {
+			if l := lba + int64(i); !holds(l, r.vers[l], p) {
+				return fmt.Errorf("read LPA %d: payload does not match write #%d (0 = unwritten)", l, r.vers[l])
+			}
+		}
 	case OpFlush:
 		if r.zd == nil {
-			done, err := r.dev.FlushAll(r.now)
-			if err != nil {
-				return err
-			}
-			r.observe(done)
-			return nil
+			done, err = r.dev.FlushAll(r.now)
+		} else {
+			done, err = r.zd.Flush(r.now, zone)
 		}
-		zone := op.Zone % r.zd.NumZones()
-		done, err := r.zd.Flush(r.now, zone)
 		if err != nil {
 			return err
 		}
-		r.observe(done)
-		return nil
+		r.barrier(r.zoneSpan(zone))
 	case OpReset:
-		if r.zd == nil {
+		if r.zd == nil || !sequential {
 			return nil
 		}
-		zone := op.Zone % r.zd.NumZones()
-		if r.conventional(zone) {
-			return nil
-		}
-		done, err := r.zd.ResetZone(r.now, zone)
-		if err != nil {
+		lba, n = r.zoneSpan(zone)
+		if done, err = r.zd.ResetZone(r.now, zone); err != nil {
+			r.torn = tornOp{lba, n, 0} // each sector of a cut reset may survive or read zero
 			return err
 		}
-		r.observe(done)
-		start := int64(zone) * r.zd.ZoneCapSectors()
-		for l := start; l < start+r.zd.ZoneCapSectors(); l++ {
-			r.vers[l] = 0
-		}
-		r.wp[zone], r.full[zone] = 0, false
-		return nil
+		r.ackReset(lba, n)
+		r.wp[zone] = 0
 	case OpFinish:
-		if r.f == nil {
+		if r.fin == nil || !sequential {
 			return nil
 		}
-		zone := op.Zone % r.zd.NumZones()
-		if r.conventional(zone) {
-			return nil
-		}
-		done, err := r.f.FinishZone(r.now, zone)
-		if err != nil {
+		// A cut pad-out leaves zeros beyond the write pointer: version 0,
+		// which every unwritten sector's acceptable set already holds.
+		if done, err = r.fin.FinishZone(r.now, zone); err != nil {
 			return err
 		}
-		r.observe(done)
-		// The finish pads the zone to capacity; the pads read back as
-		// zeros, matching the oracle's version 0 for unwritten sectors.
-		r.wp[zone] = r.zd.ZoneCapSectors()
-		r.full[zone] = true
-		return nil
+		// The pads read back as zeros, the oracle's version 0.
+		r.barrier(r.zoneSpan(zone))
+		r.wp[zone] = r.zcap
 	case OpClose:
-		if r.f == nil {
-			return nil
-		}
-		zone := op.Zone % r.zd.NumZones()
 		// Closing is only legal from an open state; a zone with data and
 		// not FULL is implicitly open (or already closed, which is a
 		// no-op), so the guard keeps the op always-valid.
-		if r.conventional(zone) || r.wp[zone] == 0 || r.full[zone] {
+		if r.fin == nil || !sequential || r.wp[zone] == 0 || r.wp[zone] == r.zcap {
 			return nil
 		}
-		done, err := r.f.CloseZone(r.now, zone)
-		if err != nil {
+		if done, err = r.fin.CloseZone(r.now, zone); err != nil {
 			return err
 		}
-		r.observe(done)
-		return nil
+		r.barrier(r.zoneSpan(zone))
+	default:
+		return fmt.Errorf("unknown op kind %d", int(op.Kind))
 	}
-	return fmt.Errorf("unknown op kind %d", int(op.Kind))
+	r.observe(done)
+	return nil
 }
 
-// Replay drives a fresh device of personality p through ops, verifying
-// reads against the oracle and (for ConZone) running the full invariant
-// audit every auditEvery ops and once at the end. It returns how many ops
-// executed and the first divergence. A device that genuinely fills up
-// (slc.ErrNoSpace) or degrades to read-only after exhausting its spare
-// superblocks (fault.ErrReadOnly) ends the replay early without error —
-// space exhaustion or graceful degradation under a hostile schedule is an
-// outcome, not a bug. A mid-write error can leave the FTL with mapped
-// sectors ahead of the uncommitted write pointer, so the early return
-// deliberately skips the final audit.
-func Replay(p Personality, cfg config.DeviceConfig, ops []Op, auditEvery int) (executed int, err error) {
-	r, err := newReplayer(p, cfg)
+// run describes one replay: the device, the ops, how often to audit, and —
+// for a crash run — the virtual instant at which power is cut (0 = never).
+type run struct {
+	p          Personality
+	cfg        config.DeviceConfig
+	ops        []Op
+	auditEvery int
+	cut        sim.Time
+}
+
+// outcome is what a replay reports beside its error.
+type outcome struct {
+	executed  int      // ops that ran; on an error, the index of the op that failed
+	end       sim.Time // virtual time when the replay stopped
+	crashedAt int      // the op the power cut tore, -1 if it never fired
+}
+
+// replay drives a fresh device through the ops, verifying reads against the
+// oracle and running the personality's audit every auditEvery ops and once
+// at the end. When the armed cut fires (nand.ErrPowerLoss) it records the
+// torn op, remounts, verifies every sector against its acceptable set
+// (crash.go), and carries on with the rest of the sequence on the recovered
+// device. A device that genuinely fills up (slc.ErrNoSpace) or degrades to
+// read-only after exhausting its spare superblocks (fault.ErrReadOnly) ends
+// the replay early without error — space exhaustion or graceful degradation
+// under a hostile schedule is an outcome, not a bug. A mid-write error can
+// leave the FTL with mapped sectors ahead of the uncommitted write pointer,
+// so the early return deliberately skips the final audit.
+func (u run) replay() (out outcome, err error) {
+	out.crashedAt = -1
+	r, err := newReplayer(u.p, u.cfg)
 	if err != nil {
-		return 0, err
+		return out, err
 	}
-	for i, op := range ops {
-		if err := r.step(op); err != nil {
-			if errors.Is(err, slc.ErrNoSpace) || errors.Is(err, fault.ErrReadOnly) {
-				return i, nil
+	defer func() { out.end = r.now }()
+	if u.cut > 0 {
+		f, ok := r.dev.(*ftl.FTL)
+		if !ok {
+			return out, fmt.Errorf("check: %s cannot be crashed: only the bare FTL remounts", u.p)
+		}
+		f.ArmPowerCut(u.cut)
+	}
+	for i, op := range u.ops {
+		out.executed = i
+		err := r.step(op)
+		switch {
+		case errors.Is(err, nand.ErrPowerLoss):
+			out.crashedAt = i
+			if err := r.remount(); err != nil {
+				return out, fmt.Errorf("%s crash at op %d (%s): %w", u.p, i, op, err)
 			}
-			return i, fmt.Errorf("%s op %d (%s): %w", p, i, op, err)
+			continue
+		case errors.Is(err, slc.ErrNoSpace), errors.Is(err, fault.ErrReadOnly):
+			return out, nil
+		case err != nil:
+			return out, fmt.Errorf("%s op %d (%s): %w", u.p, i, op, err)
 		}
-		if r.f != nil && auditEvery > 0 && (i+1)%auditEvery == 0 {
-			if err := Audit(r.f); err != nil {
-				return i, fmt.Errorf("%s after op %d (%s): %w", p, i, op, err)
+		if u.auditEvery > 0 && (i+1)%u.auditEvery == 0 {
+			if err := r.audit(); err != nil {
+				return out, fmt.Errorf("%s after op %d (%s): %w", u.p, i, op, err)
 			}
 		}
 	}
-	if r.f != nil {
-		if err := Audit(r.f); err != nil {
-			return len(ops) - 1, fmt.Errorf("%s after final op: %w", p, err)
-		}
+	if err := r.audit(); err != nil {
+		return out, fmt.Errorf("%s after final op: %w", u.p, err)
 	}
-	return len(ops), nil
+	out.executed = len(u.ops)
+	return out, nil
 }
 
-// Shrink reduces a failing sequence to a locally minimal reproducer by
-// chunked removal (ddmin-style), bounded by a replay budget so shrinking a
-// huge sequence stays fast. The returned sequence still fails.
-func Shrink(p Personality, cfg config.DeviceConfig, ops []Op, auditEvery int) []Op {
+// shrink reduces a failing run's sequence to a locally minimal reproducer
+// by chunked removal (ddmin-style), bounded by a replay budget so shrinking
+// a huge sequence stays fast. The returned sequence still fails under the
+// same personality, configuration and cut instant.
+func (u run) shrink() []Op {
 	fails := func(seq []Op) (int, bool) {
-		idx, err := Replay(p, cfg, seq, auditEvery)
-		return idx, err != nil
+		u.ops = seq
+		out, err := u.replay()
+		return out.executed, err != nil
 	}
+	ops := u.ops
 	if idx, ok := fails(ops); ok && idx+1 < len(ops) {
 		ops = ops[:idx+1]
 	}
@@ -530,21 +539,45 @@ func Shrink(p Personality, cfg config.DeviceConfig, ops []Op, auditEvery int) []
 	return ops
 }
 
+// Replay drives a fresh device of personality p through ops (see
+// run.replay) and returns how many ops executed and the first divergence.
+func Replay(p Personality, cfg config.DeviceConfig, ops []Op, auditEvery int) (executed int, err error) {
+	out, err := run{p: p, cfg: cfg, ops: ops, auditEvery: auditEvery}.replay()
+	return out.executed, err
+}
+
+// Shrink reduces a sequence that fails Replay to a locally minimal
+// reproducer (see run.shrink).
+func Shrink(p Personality, cfg config.DeviceConfig, ops []Op, auditEvery int) []Op {
+	return run{p: p, cfg: cfg, ops: ops, auditEvery: auditEvery}.shrink()
+}
+
+// reproducer appends a shrunk sequence to the failure it still reproduces.
+func reproducer(err error, min []Op) error {
+	return fmt.Errorf("%w\nminimal reproducer (%d ops):\n%s", err, len(min), FormatOps(min))
+}
+
+// fuzzOps derives the seeded sequence for cfg's zone geometry.
+func fuzzOps(cfg config.DeviceConfig, seed uint64, nOps int) ([]Op, error) {
+	probe, err := cfg.NewConZone()
+	if err != nil {
+		return nil, err
+	}
+	return GenOps(seed, nOps, probe.NumZones(), probe.ZoneCapSectors()), nil
+}
+
 // RunSequence is the fuzz entry point: derive a seeded sequence, replay it
 // against every personality, and on any divergence shrink to a minimal
 // reproducer and report it.
 func RunSequence(seed uint64, nOps, auditEvery int) error {
 	cfg := FuzzConfig()
-	probe, err := cfg.NewConZone()
+	ops, err := fuzzOps(cfg, seed, nOps)
 	if err != nil {
 		return err
 	}
-	ops := GenOps(seed, nOps, probe.NumZones(), probe.ZoneCapSectors())
 	for _, p := range Personalities {
 		if _, err := Replay(p, cfg, ops, auditEvery); err != nil {
-			min := Shrink(p, cfg, ops, auditEvery)
-			return fmt.Errorf("seed %#x on %s: %w\nminimal reproducer (%d ops):\n%s",
-				seed, p, err, len(min), FormatOps(min))
+			return reproducer(fmt.Errorf("seed %#x on %s: %w", seed, p, err), Shrink(p, cfg, ops, auditEvery))
 		}
 	}
 	return nil
@@ -579,15 +612,12 @@ func FaultFuzzConfig(seed uint64) config.DeviceConfig {
 // The other personalities have no fault model, so this entry is ConZone-only.
 func RunSequenceFaults(seed uint64, nOps, auditEvery int) error {
 	cfg := FaultFuzzConfig(seed)
-	probe, err := cfg.NewConZone()
+	ops, err := fuzzOps(cfg, seed, nOps)
 	if err != nil {
 		return err
 	}
-	ops := GenOps(seed, nOps, probe.NumZones(), probe.ZoneCapSectors())
 	if _, err := Replay(ConZone, cfg, ops, auditEvery); err != nil {
-		min := Shrink(ConZone, cfg, ops, auditEvery)
-		return fmt.Errorf("faulty seed %#x: %w\nminimal reproducer (%d ops):\n%s",
-			seed, err, len(min), FormatOps(min))
+		return reproducer(fmt.Errorf("faulty seed %#x: %w", seed, err), Shrink(ConZone, cfg, ops, auditEvery))
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDeviceOps is the Go-native fuzz target: every (seed, length) pair
-// derives a deterministic op sequence that is replayed against all four
+// derives a deterministic op sequence that is replayed against all five
 // personalities with oracle-verified reads and periodic audits.
 //
 // Run it with:
@@ -68,21 +68,17 @@ func TestFuzzFaultSeeds(t *testing.T) {
 // erase failures on the replayed device, or the fault fuzz proves nothing.
 func TestFuzzFaultsInjectSomething(t *testing.T) {
 	cfg := FaultFuzzConfig(0xBAD1)
-	dev, err := cfg.NewConZone()
+	r, err := newReplayer(ConZone, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := GenOps(0xBAD1, 516, dev.NumZones(), dev.ZoneCapSectors())
-	r := &replayer{p: ConZone, dev: dev, zd: dev, f: dev}
-	r.vers = make([]uint32, dev.TotalSectors())
-	r.wp = make([]int64, dev.NumZones())
-	r.full = make([]bool, dev.NumZones())
+	ops := GenOps(0xBAD1, 516, r.zd.NumZones(), r.zcap)
 	for _, op := range ops {
 		if err := r.step(op); err != nil {
 			break // clean early end (read-only / no space) is fine here
 		}
 	}
-	st := dev.Stats()
+	st := r.dev.(*ftl.FTL).Stats()
 	if st.ProgramFails == 0 && st.EraseFails == 0 && st.ReadRetries == 0 {
 		t.Fatalf("fault corpus seed injected nothing: %+v", st)
 	}

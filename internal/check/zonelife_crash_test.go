@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/conzone/conzone/internal/ftl"
+	"github.com/conzone/conzone/internal/host"
 	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/zns"
@@ -25,7 +27,7 @@ func finishScript() []Op {
 // each op.
 func dryTimes(t *testing.T, ops []Op) []sim.Time {
 	t.Helper()
-	dry, err := newCrashRun(FuzzConfig())
+	dry, err := newReplayer(ConZone, FuzzConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +44,13 @@ func dryTimes(t *testing.T, ops []Op) []sim.Time {
 // crashAt replays the script on a fresh device with a cut armed at the
 // given instant, requiring the cut to fire, then remounts and verifies the
 // durability oracle. The recovered run is returned for extra assertions.
-func crashAt(t *testing.T, ops []Op, cut sim.Time) *crashRun {
+func crashAt(t *testing.T, ops []Op, cut sim.Time) *replayer {
 	t.Helper()
-	r, err := newCrashRun(FuzzConfig())
+	r, err := newReplayer(ConZone, FuzzConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.f.ArmPowerCut(cut)
+	r.dev.(*ftl.FTL).ArmPowerCut(cut)
 	crashed := false
 	for i, op := range ops {
 		err := r.step(op)
@@ -64,10 +66,20 @@ func crashAt(t *testing.T, ops []Op, cut sim.Time) *crashRun {
 	if !crashed {
 		t.Fatalf("cut at %d never fired", cut)
 	}
-	if err := r.remountAndVerify(); err != nil {
+	if err := r.remount(); err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// zoneOf reads a zone descriptor off the replayer's (remounted) FTL.
+func zoneOf(t *testing.T, r *replayer, zone int) zns.Zone {
+	t.Helper()
+	z, err := r.dev.(*ftl.FTL).Zones().Zone(zone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return z
 }
 
 // TestFinishedZoneDurableAcrossCrash pins the finish durability contract
@@ -79,20 +91,75 @@ func TestFinishedZoneDurableAcrossCrash(t *testing.T) {
 	ops := finishScript()
 	times := dryTimes(t, ops)
 	r := crashAt(t, ops, times[1]+1) // tears the zone-1 write after the finish ack
-	z, err := r.f.Zones().Zone(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := zoneOf(t, r, 0)
 	if z.State != zns.Full {
 		t.Fatalf("finished zone recovered as %v, want FULL", z.State)
 	}
 	if z.WP != z.Start+z.Capacity {
 		t.Fatalf("recovered WP = %d, want capacity %d", z.WP, z.Start+z.Capacity)
 	}
-	// remountAndVerify already checked the surviving payloads against the
-	// oracle; the mirror must agree the zone is full.
-	if !r.full[0] || r.wp[0] != r.zcap {
-		t.Fatalf("mirror after remount: full=%v wp=%d", r.full[0], r.wp[0])
+	// remount already checked the surviving payloads against the oracle;
+	// the mirror must agree the zone is full.
+	if r.wp[0] != r.zcap {
+		t.Fatalf("mirror after remount: wp=%d, want %d", r.wp[0], r.zcap)
+	}
+}
+
+// fullZoneScript fills zone 0 by writing — the last 32 sectors stay in the
+// write buffer, and the zone goes FULL around them — then finishes it and
+// keeps zone 1 busy past the acknowledgment.
+func fullZoneScript() []Op {
+	ops := make([]Op, 5, 8)
+	for i := range ops {
+		ops[i] = Op{Kind: OpWrite, Zone: 0, Len: 96}
+	}
+	return append(ops, Op{Kind: OpWrite, Zone: 0, Len: 32}, Op{Kind: OpFinish, Zone: 0}, Op{Kind: OpWrite, Zone: 1, Len: 300})
+}
+
+// TestFinishOfFullZoneDurableAcrossCrash pins that Finish is a barrier even
+// when it has nothing to pad: the buffered tail of a zone that filled by
+// writing must survive a cut right after the finish acknowledgment.
+func TestFinishOfFullZoneDurableAcrossCrash(t *testing.T) {
+	ops := fullZoneScript()
+	r := crashAt(t, ops, dryTimes(t, ops)[6]+1) // tears the zone-1 write; remount reads everything back
+	if r.vers[r.zcap-1] == 0 {
+		t.Fatal("the zone's acknowledged tail did not survive the cut")
+	}
+}
+
+// TestFinishOfFullZoneDrainsEveryPath checks the same hole where else it
+// could open: a zone filled by Zone Append, and a finish that arrives
+// through the host controller's queue path.
+func TestFinishOfFullZoneDrainsEveryPath(t *testing.T) {
+	for _, viaHost := range []bool{false, true} {
+		f, err := FuzzConfig().NewConZone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dev interface {
+			Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error)
+			zoneFinisher
+		} = f
+		if viaHost {
+			if dev, err = host.New(f, host.Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var now sim.Time
+		for _, op := range fullZoneScript()[:6] {
+			if _, now, err = dev.Append(now, 0, make([][]byte, op.Len)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, n := f.Buffers().Buffered(0); n == 0 {
+			t.Fatal("the full zone's tail is not buffered: the test proves nothing")
+		}
+		if _, err := dev.FinishZone(now, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, n := f.Buffers().Buffered(0); n != 0 {
+			t.Fatalf("host=%v: finish of a FULL zone left %d sectors in the write buffer", viaHost, n)
+		}
 	}
 }
 
@@ -105,10 +172,7 @@ func TestTornFinishCrashRecoversUnacked(t *testing.T) {
 	times := dryTimes(t, ops)
 	cut := times[0] + (times[1]-times[0])/2
 	r := crashAt(t, ops, cut)
-	z, err := r.f.Zones().Zone(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := zoneOf(t, r, 0)
 	if z.State == zns.Full {
 		t.Fatal("unacknowledged finish recovered as FULL")
 	}
@@ -121,11 +185,10 @@ func TestTornFinishCrashRecoversUnacked(t *testing.T) {
 			t.Fatalf("replay op %d (%s): %v", i+1, op, err)
 		}
 	}
-	if err := Audit(r.f); err != nil {
+	if err := r.audit(); err != nil {
 		t.Fatalf("audit after replay: %v", err)
 	}
-	z, _ = r.f.Zones().Zone(0)
-	if z.State != zns.Full {
+	if z = zoneOf(t, r, 0); z.State != zns.Full {
 		t.Fatalf("re-finish after torn recovery left zone %v", z.State)
 	}
 }

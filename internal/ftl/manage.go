@@ -142,8 +142,10 @@ func (f *FTL) CloseZone(at sim.Time, zone int) (sim.Time, error) {
 // as host-written bytes.
 //
 // Validation runs first: a rejected finish, or one against a dead or
-// degraded device, charges no media time. Finishing an already-Full zone is
-// an idempotent no-op.
+// degraded device, charges no media time. Finishing an already-Full zone
+// pads nothing and changes no state, but it is still a durability barrier:
+// a zone that filled by writing can hold its acknowledged tail in the write
+// buffer, and the finish drains it like a flush.
 func (f *FTL) FinishZone(at sim.Time, zone int) (sim.Time, error) {
 	if err := f.checkPower(at); err != nil {
 		return at, err
@@ -158,12 +160,12 @@ func (f *FTL) FinishZone(at sim.Time, zone int) (sim.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	if z.State == zns.Full {
-		return at, nil
-	}
 	done, err := f.Flush(at, zone)
 	if err != nil {
 		return at, err
+	}
+	if z.State == zns.Full {
+		return done, nil // nothing to pad or journal: the drain was the barrier
 	}
 	pad := z.Start + z.Capacity - z.WP
 	if pad > 0 {

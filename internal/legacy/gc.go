@@ -1,6 +1,7 @@
 package legacy
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/conzone/conzone/internal/sim"
@@ -10,7 +11,10 @@ import (
 // ensureGC keeps enough free normal superblocks to absorb an incoming run
 // of n sectors, running greedy garbage collection when the free pool drops
 // below the configured target (paper Fig. 1(a) E.1/E.2: legacy devices
-// must move valid pages themselves).
+// must move valid pages themselves). It is one collection at a time: a
+// victim's sub-unit remainder is staged only once the victim is erased and
+// back on the free list, so the drain that staging may trigger — and the
+// collections that drain may run — never meet a half-collected superblock.
 func (d *Device) ensureGC(at sim.Time, n int64) (sim.Time, error) {
 	for {
 		avail := int64(len(d.freeSBs)) * d.sbSectors
@@ -24,11 +28,16 @@ func (d *Device) ensureGC(at sim.Time, n int64) (sim.Time, error) {
 		if victim < 0 {
 			return at, fmt.Errorf("legacy: no GC victim with free=%d", len(d.freeSBs))
 		}
-		done, err := d.collectSB(at, victim)
+		rest, done, err := d.collectSB(at, victim)
 		if err != nil {
 			return at, err
 		}
 		at = done
+		if len(rest) > 0 {
+			if at, err = d.stage(at, rest); err != nil {
+				return at, err
+			}
+		}
 	}
 }
 
@@ -47,11 +56,13 @@ func (d *Device) victimSB() int {
 	return best
 }
 
-// collectSB migrates the victim's valid sectors to the write pointer and
-// erases it.
-func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
+// collectSB migrates the victim's valid sectors to the write pointer in
+// whole program units, erases it and frees it. The sub-unit remainder is
+// returned for the caller to stage like any small write; it owns its bytes,
+// because the erase recycles the victim's payload slabs.
+func (d *Device) collectSB(at sim.Time, victim int) (rest []slc.Write, done sim.Time, err error) {
 	sb := &d.sbs[victim]
-	done := at
+	done = at
 
 	// Gather the valid sectors.
 	var offs []int64
@@ -69,14 +80,13 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 		for _, r := range d.pages.Runs() {
 			end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 			if err != nil {
-				return at, err
+				return nil, at, err
 			}
 			if end > done {
 				done = end
 			}
 		}
-		// Rewrite them in PU-sized groups; a partial final group goes to
-		// the SLC cache like any small write.
+		// Rewrite them in PU-sized groups.
 		lpas := make([]int64, 0, len(offs))
 		payloads := make([][]byte, 0, len(offs))
 		for _, off := range offs {
@@ -85,33 +95,12 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 			sb.valid[off] = false
 			sb.validCount--
 		}
-		n := int64(len(lpas))
 		var i int64
-		var err error
 		if i, done, err = d.programRun(done, lpas, payloads, true); err != nil {
-			return at, err
+			return nil, at, err
 		}
-		if i < n {
-			ws := make([]stagedWrite, 0, n-i)
-			for ; i < n; i++ {
-				// stageForGC may recurse into GC (drainStaging → ensureGC)
-				// and erase this victim — whose now-zero valid count makes it
-				// the best next victim — before staging copies the data, so
-				// the remainder must own its bytes rather than keep borrowing
-				// the victim's pooled payload slabs.
-				var p []byte
-				if payloads[i] != nil {
-					p = append([]byte(nil), payloads[i]...)
-				}
-				ws = append(ws, stagedWrite{lpa: lpas[i], payload: p})
-			}
-			dn, err := d.stageForGC(done, ws)
-			if err != nil {
-				return at, err
-			}
-			if dn > done {
-				done = dn
-			}
+		for ; i < int64(len(lpas)); i++ {
+			rest = append(rest, slc.Write{LPA: lpas[i], Payload: bytes.Clone(payloads[i])})
 		}
 		d.stats.GCMigratedPages += int64(len(offs))
 	}
@@ -121,7 +110,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 	for chip := 0; chip < d.chips; chip++ {
 		end, err := d.arr.Erase(done, chip, block)
 		if err != nil {
-			return at, err
+			return nil, at, err
 		}
 		if end > done {
 			done = end
@@ -130,34 +119,27 @@ func (d *Device) collectSB(at sim.Time, victim int) (sim.Time, error) {
 	sb.inFree = true
 	d.freeSBs = append(d.freeSBs, victim)
 	d.stats.GCCycles++
-	return done, nil
+	return rest, done, nil
 }
 
-type stagedWrite struct {
-	lpa     int64
-	payload []byte
-}
-
-// stageForGC pushes GC leftovers smaller than a PU into the SLC cache.
-func (d *Device) stageForGC(at sim.Time, ws []stagedWrite) (sim.Time, error) {
-	if !d.staging.HasSpace(int64(len(ws))) {
-		dn, err := d.drainStaging(at, int64(len(ws)))
+// stage puts a sub-unit remainder — of a host flush or of a collection —
+// into the SLC cache, draining the cache first when it is full, and points
+// the page table at the staged copies.
+func (d *Device) stage(at sim.Time, ws []slc.Write) (sim.Time, error) {
+	if n := int64(len(ws)); !d.staging.HasSpace(n) {
+		dn, err := d.drainStaging(at, n)
 		if err != nil {
 			return at, err
 		}
 		at = dn
 	}
-	writes := make([]slc.Write, len(ws))
-	for i, w := range ws {
-		writes[i] = slc.Write{LPA: w.lpa, Payload: w.payload}
-	}
-	gidxs, _, done, err := d.staging.Append(at, writes)
+	gidxs, _, done, err := d.staging.Append(at, ws)
 	if err != nil {
 		return at, err
 	}
 	for k, g := range gidxs {
-		d.table[ws[k].lpa] = d.stagedBase + g
-		d.cache.update(ws[k].lpa)
+		d.table[ws[k].LPA] = d.stagedBase + g
+		d.cache.update(ws[k].LPA)
 	}
 	d.stats.StagedSectors += int64(len(ws))
 	return done, nil
@@ -167,15 +149,28 @@ func (d *Device) stageForGC(at sim.Time, ws []stagedWrite) (sim.Time, error) {
 // victim staging superblock into the normal area (in full program units),
 // then collecting the victim. Any sub-PU remainder stays valid in the
 // victim and is migrated within staging by Collect via the GC reserve.
+//
+// Room for a whole staging superblock is reserved in the normal area before
+// the victim is chosen: ensureGC may stage a remainder and so drain (and
+// collect) staging itself, which must never happen between gathering a
+// victim's indices and invalidating them.
 func (d *Device) drainStaging(at sim.Time, need int64) (sim.Time, error) {
+	sps := d.staging.SectorsPerSuperblock()
 	for !d.staging.HasSpace(need) {
+		var err error
+		if at, err = d.ensureGC(at, sps); err != nil {
+			return at, err
+		}
+		if d.staging.HasSpace(need) {
+			break // the reservation drained enough on its own
+		}
 		victim := d.staging.Victim()
 		if victim < 0 {
 			return at, fmt.Errorf("legacy: SLC cache exhausted")
 		}
 		var idxs []int64
-		base := int64(victim) * d.staging.SectorsPerSuperblock()
-		for off := int64(0); off < d.staging.SectorsPerSuperblock(); off++ {
+		base := int64(victim) * sps
+		for off := int64(0); off < sps; off++ {
 			if d.staging.IsValid(base + off) {
 				idxs = append(idxs, base+off)
 			}
@@ -186,9 +181,6 @@ func (d *Device) drainStaging(at sim.Time, need int64) (sim.Time, error) {
 				return at, err
 			}
 			at = done
-			if dn, err := d.ensureGC(at, n); err == nil {
-				at = dn
-			}
 			lpas := make([]int64, n)
 			payloads := make([][]byte, n)
 			for i, idx := range idxs {

@@ -160,6 +160,63 @@ func (d *Device) Array() *nand.Array { return d.arr }
 // Stats returns a snapshot of the counters.
 func (d *Device) Stats() Stats { return d.stats }
 
+// CheckInvariants verifies the device's bookkeeping between operations:
+// every superblock is exactly one of free, open or closed and the free list
+// names each free one once; a superblock's valid count is its set bits (none
+// on a free one); and the page table and the reverse maps agree — every
+// entry points at a live sector that points back, and no live sector is
+// unreferenced.
+func (d *Device) CheckInvariants() error {
+	if err := d.staging.CheckInvariants(); err != nil {
+		return err
+	}
+	listed := make([]int, len(d.sbs))
+	for _, sb := range d.freeSBs {
+		listed[sb]++
+	}
+	var live, staged int64
+	for i := range d.sbs {
+		sb := &d.sbs[i]
+		n := 0
+		for _, v := range sb.valid {
+			if v {
+				n++
+			}
+		}
+		switch {
+		case sb.inFree && (listed[i] != 1 || i == d.cur || n != 0):
+			return fmt.Errorf("legacy: free superblock %d is listed free %d times, open=%v, holds %d valid sectors", i, listed[i], i == d.cur, n)
+		case !sb.inFree && listed[i] != 0:
+			return fmt.Errorf("legacy: superblock %d is in use but listed free %d times", i, listed[i])
+		case n != sb.validCount:
+			return fmt.Errorf("legacy: superblock %d: validCount %d, %d valid bits", i, sb.validCount, n)
+		}
+		live += int64(n)
+	}
+	for lpa, p := range d.table {
+		switch {
+		case p == invalidPhys:
+			continue
+		case p >= d.stagedBase:
+			if back, err := d.staging.LPAAt(p - d.stagedBase); err != nil || !d.staging.IsValid(p-d.stagedBase) || back != int64(lpa) {
+				return fmt.Errorf("legacy: LPA %d maps to staged index %d, which is dead or holds LPA %d (%v)", lpa, p-d.stagedBase, back, err)
+			}
+			staged++
+		default:
+			sb, off := &d.sbs[p/d.sbSectors], p%d.sbSectors
+			if !sb.valid[off] || sb.lpa[off] != int64(lpa) {
+				return fmt.Errorf("legacy: LPA %d maps to %d/%d, which is dead or holds LPA %d", lpa, p/d.sbSectors, off, sb.lpa[off])
+			}
+			live--
+		}
+	}
+	if live != 0 || staged != d.staging.TotalValid() {
+		return fmt.Errorf("legacy: %d live normal sectors and %d of %d valid staged sectors have no page-table entry",
+			live, d.staging.TotalValid()-staged, d.staging.TotalValid())
+	}
+	return nil
+}
+
 // physLoc resolves a physical index to a flash address.
 func (d *Device) physLoc(p phys) (nand.Addr, error) {
 	if p < 0 {
@@ -339,25 +396,11 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 			}
 			ws = append(ws, slc.Write{LPA: lpa, Payload: payloads[i]})
 		}
-		if !d.staging.HasSpace(int64(len(ws))) {
-			dn, err := d.drainStaging(at, int64(len(ws)))
-			if err != nil {
-				return at, err
-			}
-			at = dn
-		}
-		gidxs, _, dn, err := d.staging.Append(at, ws)
+		dn, err := d.stage(at, ws)
 		if err != nil {
 			return at, err
 		}
-		for k, g := range gidxs {
-			d.table[ws[k].LPA] = d.stagedBase + g
-			d.cache.update(ws[k].LPA)
-		}
-		if dn > done {
-			done = dn
-		}
-		d.stats.StagedSectors += int64(len(ws))
+		done = sim.Max(done, dn)
 	}
 	return done, nil
 }

@@ -332,3 +332,87 @@ func TestBufferReadHit(t *testing.T) {
 		t.Errorf("BufferReads = %d", d.Stats().BufferReads)
 	}
 }
+
+// TestGCDoesNotReenter is ROADMAP item 1's stream: multi-sector overwrites
+// of a hot third keep the SLC cache under pressure while GC victims still
+// hold a sub-unit remainder. Before PR 22 staging that remainder could drain
+// the cache and collect again mid-collection; seeds 1-4 died after 1,340 /
+// 1,164 / 2,380 / 851 operations.
+func TestGCDoesNotReenter(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		d := newTestDevice(t)
+		rng := sim.NewRand(seed)
+		span := uint64(d.TotalSectors() / 3)
+		var at sim.Time
+		for op := 0; op < 3000; op++ {
+			var err error
+			switch r := rng.Uint64() % 100; {
+			case r < 70:
+				n := rng.Uint64()%200 + 1
+				at, err = d.Write(at, int64(rng.Uint64()%(span-n)), make([][]byte, n))
+			case r < 90:
+				_, at, err = d.Read(at, int64(rng.Uint64()%span), 1)
+			default:
+				at, err = d.FlushAll(at)
+			}
+			if err == nil && op%50 == 0 {
+				err = d.CheckInvariants()
+			}
+			if err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+		}
+		if d.Stats().GCCycles == 0 {
+			t.Fatalf("seed %d: GC never ran", seed)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption desyncs one piece of bookkeeping at
+// a time on a device that has collected, staged and drained.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	build := func() *Device {
+		d := newTestDevice(t)
+		var at sim.Time
+		for round := 0; round < 14; round++ {
+			for off := int64(0); off < 384; off += 100 {
+				done, err := d.Write(at, off, payloadsFor(off, 100))
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = done
+			}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("healthy device: %v", err)
+		}
+		return d
+	}
+	mapped := func(d *Device, inStaging bool) int64 {
+		for lpa, p := range d.table {
+			if p != invalidPhys && (p >= d.stagedBase) == inStaging {
+				return int64(lpa)
+			}
+		}
+		t.Fatalf("no LPA mapped with staging=%v", inStaging)
+		return -1
+	}
+	for name, corrupt := range map[string]func(d *Device){
+		"double free":       func(d *Device) { d.freeSBs = append(d.freeSBs, d.freeSBs[0]) },
+		"free but unlisted": func(d *Device) { d.freeSBs = d.freeSBs[1:] },
+		"listed but in use": func(d *Device) { d.freeSBs = append(d.freeSBs, d.cur) },
+		"valid count":       func(d *Device) { d.sbs[d.cur].validCount++ },
+		"dead target":       func(d *Device) { p := d.table[mapped(d, false)]; d.sbs[p/d.sbSectors].valid[p%d.sbSectors] = false },
+		"wrong owner":       func(d *Device) { p := d.table[mapped(d, false)]; d.sbs[p/d.sbSectors].lpa[p%d.sbSectors]++ },
+		"unreferenced":      func(d *Device) { d.table[mapped(d, false)] = invalidPhys },
+		"staged orphan":     func(d *Device) { d.table[mapped(d, true)] = invalidPhys },
+	} {
+		d := build()
+		corrupt(d)
+		if err := d.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
