@@ -51,12 +51,7 @@ func (d *Device) ConfigureQueues(queues, depth int) error {
 	if !d.h.Idle() {
 		return fmt.Errorf("conzone: cannot reconfigure queues with commands in flight")
 	}
-	h, err := host.New(d.f, host.Config{Queues: queues, Depth: depth})
-	if err != nil {
-		return err
-	}
-	d.h = h
-	return nil
+	return d.mount(d.f, host.Config{Queues: queues, Depth: depth}, d.now)
 }
 
 // QueueCount returns the number of submission queues.

@@ -19,9 +19,10 @@ import (
 // data — so bench/, a module of its own, can be checked from the root
 // package's test without building it.
 type moduleImporter struct {
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*types.Package
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	infos map[string]*types.Info // nil, or filled beside pkgs for a caller that walks the module
 }
 
 const modulePath = "github.com/conzone/conzone"
@@ -34,8 +35,11 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := m.pkgs[path]; ok {
 		return pkg, nil
 	}
-	pkg, _, err := m.check(path, "."+dir, func(name string) bool { return !strings.HasSuffix(name, "_test.go") })
+	pkg, info, err := m.check(path, "."+dir, func(name string) bool { return !strings.HasSuffix(name, "_test.go") })
 	m.pkgs[path] = pkg
+	if m.infos != nil {
+		m.infos[path] = info
+	}
 	return pkg, err
 }
 

@@ -194,11 +194,35 @@ func Open(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := host.New(f, host.Config{})
-	if err != nil {
+	d := &Device{}
+	if err := d.mount(f, host.Config{}, 0); err != nil {
 		return nil, err
 	}
-	return &Device{f: f, h: h}, nil
+	return d, nil
+}
+
+// mount is the one place a Device is assembled: f goes behind a host
+// controller of the given queue layout, and the clock moves up to ready, the
+// instant f could first take a command (it never runs backwards). When f
+// replaces another FTL the sampler's delta baseline still holds the old
+// one's counters, so the series is broken with a discontinuity marker that
+// resets the baseline to f's snapshot — not polled as a regular sample.
+// Whatever else outlives a mount is carried below this layer: the fault
+// stream by ftl.Remount, the lifecycle recorder by the NAND array.
+func (d *Device) mount(f *ftl.FTL, hc host.Config, ready sim.Time) error {
+	h, err := host.New(f, hc)
+	if err != nil {
+		return err
+	}
+	replaced := f != d.f
+	d.f, d.h = f, h
+	if ready > d.now {
+		d.now = ready
+	}
+	if replaced {
+		d.smp.Discontinuity(d.now, telemetry.Collect(f))
+	}
+	return nil
 }
 
 // FTL exposes the underlying flash translation layer for experiment
@@ -528,10 +552,13 @@ func (d *Device) DisableObservation() {
 
 // Telemetry snapshots the lifecycle recorder: per-stage span counts, cause
 // breakdowns, latency summaries, retained events and per-resource usage.
-// With observation disabled it returns a zero snapshot.
+// Queued asynchronous commands are dispatched first, so the snapshot holds
+// the spans of everything Stats counts at the same moment. With observation
+// disabled it returns a zero snapshot.
 func (d *Device) Telemetry() Telemetry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
 	return d.f.Telemetry()
 }
 

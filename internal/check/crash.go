@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/sim"
 )
@@ -125,12 +124,7 @@ func (r *replayer) remount() error {
 	if got := f.Stats().LostAckSectors; got != 0 {
 		return fmt.Errorf("crashed device lost %d acknowledged sectors before the cut", got)
 	}
-	var snap *fault.Snapshot
-	if inj := f.FaultInjector(); inj != nil {
-		s := inj.Snapshot()
-		snap = &s
-	}
-	f, done, err := ftl.Recover(f.Array(), r.cfg.FTL, snap)
+	f, done, err := f.Remount()
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}

@@ -43,7 +43,14 @@ func rescanAggregate(ref *mapping.Table, zstart, off, n, chunk, zoneCap int64, z
 	}
 }
 
-// aggOracle drives one FTL and its shadow.
+// aggOracle drives one FTL and its shadow. With mountEvery set, every
+// mountEvery-th operation is followed by a mount — flush, Remount, carry on
+// with the mounted FTL — and the mounted map bits face the rescan rule
+// applied to the mounted translations (rescanShadow). The shadow is rebuilt
+// there and not carried across, because live map bits can sit below what the
+// translations give: demoting a zone entry (staging GC moved one tail
+// sector) flattens the whole zone to page entries, the head's intact chunks
+// included, and no trace of that is on the media for a mount to find.
 type aggOracle struct {
 	t   *testing.T
 	f   *FTL
@@ -51,11 +58,23 @@ type aggOracle struct {
 	rng *sim.Rand
 	at  sim.Time
 	ops int
+
+	mountEvery, mounts int
+	unchecked          bool // drive the stream only (TestMountMatchesLive compares at its end)
 }
 
 func newAggOracle(t *testing.T, seed uint64, mut func(*Params)) *aggOracle {
 	t.Helper()
 	f := newTestFTL(t, mut)
+	return &aggOracle{t: t, f: f, ref: rescanShadow(t, f), rng: sim.NewRand(seed)}
+}
+
+// rescanShadow builds the shadow of f's translations as they stand: every
+// mapped LPA copied, each run of them promoted by the rescan rule as if it
+// had just been written. It is what the map bits of a table are when nothing
+// but the translations is known — which is all a mount can know.
+func rescanShadow(t *testing.T, f *FTL) *mapping.Table {
+	t.Helper()
 	ref, err := mapping.NewTable(mapping.Config{
 		TotalSectors: f.TotalSectors(),
 		ChunkSectors: f.params.ChunkSectors,
@@ -65,19 +84,71 @@ func newAggOracle(t *testing.T, seed uint64, mut func(*Params)) *aggOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &aggOracle{t: t, f: f, ref: ref, rng: sim.NewRand(seed)}
+	for zstart := int64(0); zstart < f.TotalSectors(); zstart += f.zoneCap {
+		runStart := int64(-1)
+		for off := int64(0); off <= f.zoneCap; off++ {
+			p, ok := f.table.Get(zstart + off)
+			if ok && off < f.zoneCap {
+				if err := ref.Set(zstart+off, p); err != nil {
+					t.Fatal(err)
+				}
+				if runStart < 0 {
+					runStart = off
+				}
+			} else if runStart >= 0 {
+				if !f.params.DisableAggregation {
+					rescanAggregate(ref, zstart, runStart, off-runStart,
+						f.params.ChunkSectors, f.zoneCap, f.params.AggregateZones)
+				}
+				runStart = -1
+			}
+		}
+	}
+	return ref
 }
 
-// sync copies every translation the last operation changed into the shadow,
-// promotes the shadow by the rescan rule, and compares the map bits.
+// sync checks the device against the shadow after one operation, and again
+// after the mount that follows it when one is due.
 func (o *aggOracle) sync(what string) {
 	o.t.Helper()
 	o.ops++
+	if o.unchecked {
+		return
+	}
+	o.check(what)
+	if o.mountEvery == 0 || o.ops%o.mountEvery != 0 {
+		return
+	}
+	d, err := o.f.FlushAll(o.at)
+	if err != nil {
+		o.t.Fatalf("op %d: flush before mount: %v", o.ops, err)
+	}
+	o.check("flush before mount")
+	f, done, err := o.f.Remount()
+	if err != nil {
+		o.t.Fatalf("op %d: mount: %v", o.ops, err)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		o.t.Fatalf("op %d: mounted state: %v", o.ops, err)
+	}
+	sameTranslations(o.t, o.f, f)
+	o.f, o.at, o.ref = f, sim.Max(d, done), rescanShadow(o.t, f)
+	o.mounts++
+	o.check("mount")
+}
+
+// check copies every translation the last operation changed into the shadow,
+// promotes the shadow by the rescan rule, and compares the map bits.
+func (o *aggOracle) check(what string) {
+	o.t.Helper()
 	f, tab := o.f, o.f.Table()
 	for zone := 0; zone < f.numZones; zone++ {
 		zstart := int64(zone) * f.zoneCap
-		if tab.MappedInRange(zstart, zstart+f.zoneCap)+o.ref.MappedInRange(zstart, zstart+f.zoneCap) == 0 {
-			continue
+		// A sequential zone maps its first sector first: skip untouched zones.
+		if _, ok := tab.Get(zstart); !ok {
+			if _, rok := o.ref.Get(zstart); !rok {
+				continue
+			}
 		}
 		runStart := int64(-1)
 		for off := int64(0); off <= f.zoneCap; off++ {
@@ -334,6 +405,11 @@ var aggGolden = map[string]string{
 	"conflict-mix/PINNED/nozone":   "2c4af74cd690f7710c51d8acddb3e2033fedf737a2844ec2",
 }
 
+// aggMountEvery is the mounted pass's interval: the shortest stream runs
+// some 40 operations and must meet a mount, the longest some 500 and meets
+// a dozen, with zones at every stage of filling.
+const aggMountEvery = 17
+
 func TestAggregationMatchesRescanOracle(t *testing.T) {
 	type variant struct {
 		name string
@@ -366,6 +442,20 @@ func TestAggregationMatchesRescanOracle(t *testing.T) {
 				}
 				if want := aggGolden[name]; digests != want {
 					t.Errorf("seeds 1-3 digest %s, the rescan write path gave %s", digests, want)
+				}
+				// The same streams with mounts spliced in. The flushes move
+				// the digests, so this pass answers to the rescan rule only:
+				// a mount must give every LPA the map bits the shadow holds.
+				for seed := uint64(1); seed <= 3; seed++ {
+					o := newAggOracle(t, seed, v.mut)
+					o.mountEvery = aggMountEvery
+					st.run(o)
+					if err := o.f.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if o.mounts == 0 {
+						t.Errorf("seed %d: %d operations and no mount", seed, o.ops)
+					}
 				}
 			})
 		}

@@ -297,25 +297,22 @@ type FTL struct {
 	compatErr  []error    // emitted and cleared by DrainStagedReads
 
 	stats Stats
-	obs   *obs.Recorder // nil when observation is off
 }
 
-// SetRecorder attaches a lifecycle recorder to the FTL and its substrates
-// (NAND array, SLC staging). Passing nil disables observation everywhere.
-func (f *FTL) SetRecorder(r *obs.Recorder) {
-	f.obs = r
-	f.arr.SetRecorder(r)
-	f.staging.SetRecorder(r)
-}
+// SetRecorder attaches a lifecycle recorder to the device: the NAND array
+// holds it, and the FTL and the SLC staging region record through the array.
+// Passing nil disables observation everywhere.
+func (f *FTL) SetRecorder(r *obs.Recorder) { f.arr.SetRecorder(r) }
 
 // Recorder returns the attached lifecycle recorder (nil when disabled).
-func (f *FTL) Recorder() *obs.Recorder { return f.obs }
+func (f *FTL) Recorder() *obs.Recorder { return f.arr.Recorder() }
 
 // Telemetry snapshots the recorder's aggregates plus per-resource usage.
 // With observation disabled it returns a zero snapshot.
 func (f *FTL) Telemetry() obs.Telemetry {
-	t := f.obs.Snapshot()
-	if f.obs != nil {
+	rec := f.Recorder()
+	t := rec.Snapshot()
+	if rec != nil {
 		t.Resources = f.arr.Engine().Usage()
 	}
 	return t
@@ -323,10 +320,11 @@ func (f *FTL) Telemetry() obs.Telemetry {
 
 // record emits one FTL-level lifecycle span (no-op when disabled).
 func (f *FTL) record(stage obs.Stage, cause obs.Cause, begin, end sim.Time, zone int, lba, n int64) {
-	if f.obs == nil {
+	rec := f.Recorder()
+	if rec == nil {
 		return
 	}
-	f.obs.Record(obs.Event{
+	rec.Record(obs.Event{
 		Stage: stage, Cause: cause, Begin: begin, End: end,
 		Zone: int32(zone), Actor: -1, LBA: lba, N: n,
 	})

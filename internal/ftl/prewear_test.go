@@ -35,7 +35,7 @@ func TestPreWearAppliesOnceNotOnRecover(t *testing.T) {
 	}
 	wearBefore := f.Wear()
 
-	f2, _, err := Recover(f.Array(), p, nil)
+	f2, _, err := Recover(f.Array(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

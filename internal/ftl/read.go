@@ -101,7 +101,7 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 			done = end
 		}
 	}
-	if len(runs) > 0 && f.obs != nil {
+	if len(runs) > 0 && f.Recorder() != nil {
 		f.record(obs.StageDataRead, obs.CauseNone, start, done, zone, lba, int64(len(runs)))
 	}
 	if fetchDone > done {
@@ -109,7 +109,7 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 	}
 	f.stats.HostReadBytes += n * units.Sector
 	f.arr.Engine().Observe(done)
-	if f.obs != nil {
+	if f.Recorder() != nil {
 		f.record(obs.StageHostRead, obs.CauseNone, at, done, zone, lba, n)
 	}
 	return done, nil
@@ -134,7 +134,7 @@ func (f *FTL) readOne(at sim.Time, lba int64, dst [][]byte) (sim.Time, error) {
 		f.stats.BufferReads++
 		f.stats.HostReadBytes += units.Sector
 		f.arr.Engine().Observe(at)
-		if f.obs != nil {
+		if f.Recorder() != nil {
 			f.record(obs.StageHostRead, obs.CauseNone, at, at, zone, lba, 1)
 		}
 		return at, nil
@@ -151,7 +151,7 @@ func (f *FTL) readOne(at sim.Time, lba int64, dst [][]byte) (sim.Time, error) {
 			// Unwritten sector: zeros, no data page to sense.
 			f.stats.HostReadBytes += units.Sector
 			f.arr.Engine().Observe(fetchDone)
-			if f.obs != nil {
+			if f.Recorder() != nil {
 				f.record(obs.StageHostRead, obs.CauseNone, at, fetchDone, zone, lba, 1)
 			}
 			return fetchDone, nil
@@ -166,12 +166,12 @@ func (f *FTL) readOne(at sim.Time, lba int64, dst [][]byte) (sim.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	if f.obs != nil {
+	if f.Recorder() != nil {
 		f.record(obs.StageDataRead, obs.CauseNone, fetchDone, done, zone, lba, 1)
 	}
 	f.stats.HostReadBytes += units.Sector
 	f.arr.Engine().Observe(done)
-	if f.obs != nil {
+	if f.Recorder() != nil {
 		f.record(obs.StageHostRead, obs.CauseNone, at, done, zone, lba, 1)
 	}
 	return done, nil
@@ -228,7 +228,7 @@ func (f *FTL) fetchMapping(at sim.Time, lpa int64) (mapping.PSN, sim.Time, bool,
 	}
 	f.stats.MapFetches++
 	f.stats.MapFetchReads += int64(reads)
-	if f.obs != nil {
+	if f.Recorder() != nil {
 		var cause obs.Cause
 		switch f.params.Search {
 		case Bitmap:
@@ -250,15 +250,6 @@ func (f *FTL) fetchMapping(at sim.Time, lpa int64) (mapping.PSN, sim.Time, bool,
 		psn += mapping.PSN(lpa - base)
 	}
 	return psn, done, true, nil
-}
-
-// ReadSector is a convenience wrapper reading a single sector.
-func (f *FTL) ReadSector(at sim.Time, lba int64) ([]byte, sim.Time, error) {
-	out, done, err := f.Read(at, lba, 1)
-	if err != nil {
-		return nil, done, err
-	}
-	return out[0], done, nil
 }
 
 // CheckInvariants runs cross-substrate consistency checks; tests call it

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/conzone/conzone/internal/fault"
-	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 )
@@ -43,45 +42,59 @@ func (f *FTL) ArmPowerCut(at sim.Time) { f.arr.ArmPowerCut(at) }
 // PowerLost reports whether the device has died to an armed power cut.
 func (f *FTL) PowerLost() bool { return f.arr.PowerLost() }
 
-// Recover mounts an FTL over the surviving media of arr after a power cut
-// (or over an image loaded from disk). The array is powered back on, the
-// FTL substrates are rebuilt fresh, and the media scan reconstructs the
-// mapping table, zone write pointers, staging allocator, superblock
-// bindings and bad-block table. injSnap, when non-nil, restores the fault
-// injector's RNG stream and script cursors so the fault sequence continues
-// exactly where the interrupted run left it. Returns the recovered FTL and
-// the completion time of any cleanup erases the mount issued.
-func Recover(arr *nand.Array, p Params, injSnap *fault.Snapshot) (*FTL, sim.Time, error) {
+// Recover mounts an FTL over the media of arr — an image loaded from disk,
+// or any array no FTL is attached to. The array is powered back on, the FTL
+// substrates are rebuilt fresh, and the media scan reconstructs the mapping
+// table with its map bits, zone write pointers, staging allocator,
+// superblock bindings and bad-block table. Returns the mounted FTL and the
+// completion time of any cleanup erases the mount issued.
+func Recover(arr *nand.Array, p Params) (*FTL, sim.Time, error) {
+	return mount(arr, p, nil)
+}
+
+// Remount mounts a fresh FTL over f's media after a power cut, carrying what
+// outlives a mount and is not on the media: the parameters and the fault
+// injector's RNG stream and script cursors, so the fault sequence continues
+// exactly where the interrupted run left it. (The lifecycle recorder needs
+// no carrying: it belongs to the array.) f must not be used afterwards.
+func (f *FTL) Remount() (*FTL, sim.Time, error) {
+	return mount(f.arr, f.params, f.inj)
+}
+
+func mount(arr *nand.Array, p Params, inj *fault.Injector) (*FTL, sim.Time, error) {
 	arr.PowerOn()
 	f, err := NewWithArray(arr, p)
 	if err != nil {
 		return nil, 0, err
 	}
-	if injSnap != nil {
-		if f.inj == nil {
-			return nil, 0, fmt.Errorf("ftl: injector snapshot given but faults are disabled")
-		}
-		f.inj.Restore(*injSnap)
+	if inj != nil {
+		f.inj.Restore(inj.Snapshot())
 	}
-	at := arr.Engine().Now()
-	done, err := f.recover(at)
+	done, err := f.recover(arr.Engine().Now())
 	if err != nil {
 		return nil, done, err
 	}
 	return f, done, nil
 }
 
-// recCand is one durable copy of a zone offset discovered by the scan.
+// recCand is the newest durable copy of one zone offset the scan has seen;
+// seq 0 means none.
 type recCand struct {
 	seq  int64
 	head bool  // lives in the zone's bound superblock (zone-linear PSN)
 	gidx int64 // staging linear index when !head
 }
 
-// sbScan is the head scan's per-superblock summary.
-type sbScan struct {
-	extent int64 // total programmed sectors across chips
-	zone   int   // zone claimed via OOB, -1 for empty or garbage
+// offer keeps c as the zone offset's candidate if it is newer than what is
+// there. cands is indexed by zone, then zone offset; a zone's row is nil
+// until its first candidate.
+func (f *FTL) offer(cands [][]recCand, zone int, off int64, c recCand) {
+	if cands[zone] == nil {
+		cands[zone] = make([]recCand, f.zoneCap)
+	}
+	if c.seq > cands[zone][off].seq {
+		cands[zone][off] = c
+	}
 }
 
 func (f *FTL) recover(at sim.Time) (sim.Time, error) {
@@ -131,11 +144,10 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 		return done, err
 	}
 
-	// --- 3. Head scan: per-superblock extents and OOB zone claims. ---
-	scans := make([]sbScan, f.geo.NormalBlocks())
-	claims := make(map[int][]int) // zone -> claiming superblocks
-	for sb := range scans {
-		scans[sb].zone = -1
+	// --- 3. Superblock extents and OOB zone claims. ---
+	extent := make([]int64, f.geo.NormalBlocks()) // programmed sectors across chips
+	claims := make(map[int][]int)                 // zone -> claiming superblocks
+	for sb := range extent {
 		if retiredSet[sb] {
 			continue
 		}
@@ -143,94 +155,73 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 		firstChip := -1
 		for c := 0; c < chips; c++ {
 			e := int64(f.arr.NextProgramSector(c, block))
-			scans[sb].extent += e
+			extent[sb] += e
 			if e > 0 && firstChip < 0 {
 				firstChip = c
 			}
 		}
-		if scans[sb].extent == 0 {
+		if extent[sb] == 0 {
 			continue
 		}
-		// The first programmed unit on chip c is always PU c (per-chip
-		// programs append in offset order), so its OOB stamp names the
-		// owning zone.
-		lpa, _ := f.arr.OOB(f.ppaOf(nand.Addr{Chip: firstChip, Block: block}))
-		if lpa >= 0 {
-			z := int(lpa / f.zoneCap)
-			wantOff := int64(firstChip) * f.puSectors
-			if z >= 0 && z < f.numZones && !f.zstate[z].conv && lpa%f.zoneCap == wantOff {
-				scans[sb].zone = z
-				claims[z] = append(claims[z], sb)
-			}
+		// The OOB stamp of a chip's first programmed sector names the zone
+		// and offset it was written for; the claim stands when the striping
+		// rule places that offset exactly there.
+		first := nand.Addr{Chip: firstChip, Block: block}
+		lpa, _ := f.arr.OOB(f.ppaOf(first))
+		if z := int(lpa / f.zoneCap); lpa >= 0 && z < f.numZones && !f.zstate[z].conv &&
+			f.arr.StripeAddr(sb, lpa%f.zoneCap) == first {
+			claims[z] = append(claims[z], sb)
 		}
 	}
 
 	// --- 4. Claim resolution: a torn relocation leaves the intact source
 	// and a partially-copied spare claiming the same zone. The larger
-	// extent is the source; the loser is erased as garbage below. (A
-	// completed relocation journals the source's retirement before any
-	// further media op can tear, so a tie cannot arise; break one by id
-	// for robustness.) ---
-	winnerSB := make([]int, f.numZones)
-	for z := range winnerSB {
-		winnerSB[z] = -1
-	}
+	// extent is the source and is bound; the loser is erased as garbage
+	// below. (A completed relocation journals the source's retirement
+	// before any further media op can tear, so a tie cannot arise; break
+	// one by id for robustness.) ---
 	for zone, sbs := range claims {
 		best := sbs[0]
 		for _, sb := range sbs[1:] {
-			if scans[sb].extent > scans[best].extent ||
-				(scans[sb].extent == scans[best].extent && sb < best) {
+			if extent[sb] > extent[best] || (extent[sb] == extent[best] && sb < best) {
 				best = sb
 			}
 		}
-		winnerSB[zone] = best
-		for _, sb := range sbs {
-			if sb != best {
-				scans[sb].zone = -1
-			}
-		}
+		f.zstate[zone].sb = best
 	}
 
 	// --- 5. Candidate collection: every durable copy of every logical
 	// sector, from the bound superblocks and the staging region. Copies
-	// stamped before their zone's last acknowledged reset are dead. ---
-	cands := make([]map[int64]recCand, f.numZones)
-	add := func(zone int, off int64, c recCand) {
-		if cands[zone] == nil {
-			cands[zone] = make(map[int64]recCand)
-		}
-		if prev, ok := cands[zone][off]; !ok || c.seq > prev.seq {
-			cands[zone][off] = c
-		}
-	}
-	for zone := range winnerSB {
-		sb := winnerSB[zone]
+	// stamped before their zone's last acknowledged reset are dead. The
+	// head scan asks the read path's own translation (headLoc) where each
+	// zone offset lives, until every programmed sector is accounted for. ---
+	cands := make([][]recCand, f.numZones)
+	for zone := range f.zstate {
+		sb := f.zstate[zone].sb
 		if sb < 0 {
 			continue
 		}
-		block := f.geo.FirstNormalBlock() + sb
-		valid := true
-	headScan:
-		for c := 0; c < chips; c++ {
-			extent := int64(f.arr.NextProgramSector(c, block))
-			for s := int64(0); s < extent; s++ {
-				// Sector s of chip c belongs to PU c + (s/puSectors)*chips.
-				k := int64(c) + (s/f.puSectors)*int64(chips)
-				off := k*f.puSectors + s%f.puSectors
-				lpa, seq := f.arr.OOB(f.ppaOf(nand.Addr{Chip: c, Block: block}) + nand.PPA(s))
-				if lpa != int64(zone)*f.zoneCap+off {
-					valid = false // not conzone-written media: treat as garbage
-					break headScan
-				}
-				if seq > resetSeq[zone] {
-					add(zone, off, recCand{seq: seq, head: true})
-				}
+		var seen int64
+		for off := int64(0); off < f.sbSectors && seen < extent[sb]; off++ {
+			addr, err := f.headLoc(zone, off)
+			if err != nil {
+				return done, err
 			}
-		}
-		if !valid {
-			scans[sb].zone = -1
-			winnerSB[zone] = -1
-			cands[zone] = nil // drop the partial head entries
+			ppa := f.ppaOf(addr)
+			if !f.arr.IsWritten(ppa) {
+				continue
+			}
+			seen++
+			lpa, seq := f.arr.OOB(ppa)
+			if lpa != int64(zone)*f.zoneCap+off {
+				// Not conzone-written media: the superblock is garbage and
+				// the partial head entries go with it.
+				f.zstate[zone].sb, cands[zone] = -1, nil
+				break
+			}
+			if seq > resetSeq[zone] {
+				f.offer(cands, zone, off, recCand{seq: seq, head: true})
+			}
 		}
 	}
 	total := f.staging.TotalSectors()
@@ -254,128 +245,78 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 		if seq <= resetSeq[zone] {
 			continue // predates the zone's last acknowledged reset
 		}
-		add(zone, lpa%f.zoneCap, recCand{seq: seq, gidx: idx})
+		f.offer(cands, zone, lpa%f.zoneCap, recCand{seq: seq, gidx: idx})
 	}
 
-	// --- 6. Per-zone application: write pointers, mappings, bindings. ---
-	bound := make([]bool, f.geo.NormalBlocks())
-	for zone := 0; zone < f.numZones; zone++ {
+	// --- 6. Per-zone application: write pointers, bindings, and the
+	// mappings — replayed through the write path's own landHead and
+	// landStaged, so map bits, pinned entries, the pending partial unit and
+	// the tail come back as the live device had them. ---
+	for zone := range f.zstate {
 		zs := &f.zstate[zone]
 		m := cands[zone]
 		z, err := f.zones.Zone(zone)
 		if err != nil {
 			return done, err
 		}
-		if zs.conv {
-			// Conventional zones are page-mapped in SLC: every surviving
-			// winner is live, no write pointer.
-			for off, c := range m {
-				if c.head {
-					return done, fmt.Errorf("ftl: recover: conventional zone %d offset %d claims a head copy", zone, off)
-				}
-				if err := f.table.Set(z.Start+off, f.aggLimit+mapping.PSN(c.gidx)); err != nil {
-					return done, err
-				}
-				if err := f.staging.MarkValid(c.gidx, z.Start+off); err != nil {
-					return done, err
-				}
-				zs.staged[c.gidx] = struct{}{}
-			}
-			continue
-		}
-
 		// Durable coverage of a sequential zone is a contiguous prefix
 		// (flushes land in write-pointer order and a torn program truncates
 		// the last one), so the recovered write pointer is the longest run
-		// of winners from offset zero.
-		var wp int64
-		for wp < f.zoneCap {
-			if _, ok := m[wp]; !ok {
-				break
+		// of winners from offset zero. Conventional zones are page-mapped
+		// in SLC: every surviving winner is live, no write pointer.
+		limit := int64(len(m))
+		if !zs.conv {
+			var headMapped int64
+			for limit = 0; limit < int64(len(m)) && m[limit].seq > 0; limit++ {
+				if m[limit].head {
+					headMapped++
+				}
 			}
-			wp++
-		}
-		var headMapped int64
-		for off := int64(0); off < wp; off++ {
-			if m[off].head {
-				headMapped++
+			if zs.sb >= 0 && headMapped != extent[zs.sb] {
+				// Survivors do not line up with the superblock's programmed
+				// extent. The only reachable cause is a torn reset (the bound
+				// superblock partially erased, chips in erase order): the reset
+				// was never acknowledged, so recovering the zone as empty is a
+				// legal outcome. Drop the zone and erase the residue below.
+				zs.sb = -1
+				continue
 			}
-		}
-		sb := winnerSB[zone]
-		var extent int64
-		if sb >= 0 {
-			extent = scans[sb].extent
-		}
-		if headMapped != extent {
-			// Survivors do not line up with the superblock's programmed
-			// extent. The only reachable cause is a torn reset (the bound
-			// superblock partially erased, chips in erase order): the reset
-			// was never acknowledged, so recovering the zone as empty is a
-			// legal outcome. Drop the zone and erase the residue below.
-			if sb >= 0 {
-				scans[sb].zone = -1
-				winnerSB[zone] = -1
-			}
-			continue
-		}
-		if sb >= 0 {
-			zs.sb = sb
-			bound[sb] = true
-		}
-		if wp > 0 {
-			if err := f.zones.Restore(zone, z.Start+wp); err != nil {
-				return done, err
-			}
-		}
-		// An acknowledged finish padded the zone to capacity, so Restore
-		// normally derives Full on its own. The journal record is the
-		// belt-and-braces: if a finish postdating the last reset is on
-		// record, the host was acked and the zone must come back Full even
-		// if the media scan stopped short of capacity.
-		if finishSeq[zone] > resetSeq[zone] {
-			if err := f.zones.RestoreFull(zone); err != nil {
-				return done, err
-			}
-		}
-		for off := int64(0); off < wp; off++ {
-			c := m[off]
-			lpa := z.Start + off
-			psn := mapping.PSN(lpa) // zone-linear: zone*zoneCap + off
-			if !c.head {
-				psn = f.aggLimit + mapping.PSN(c.gidx)
-				if err := f.staging.MarkValid(c.gidx, lpa); err != nil {
+			if limit > 0 {
+				if err := f.zones.Restore(zone, z.Start+limit); err != nil {
 					return done, err
 				}
-				zs.staged[c.gidx] = struct{}{}
 			}
-			if err := f.table.Set(lpa, psn); err != nil {
-				return done, err
+			// An acknowledged finish padded the zone to capacity, so Restore
+			// normally derives Full on its own. The journal record is the
+			// belt-and-braces: if a finish postdating the last reset is on
+			// record, the host was acked and the zone must come back Full even
+			// if the media scan stopped short of capacity.
+			if finishSeq[zone] > resetSeq[zone] {
+				if err := f.zones.RestoreFull(zone); err != nil {
+					return done, err
+				}
 			}
 		}
-		// The current partially-programmed unit's staged sectors await
-		// combining (Fig. 3 ③); rebuild the pend list the write path
-		// expects. (The alignment tail stays on staged PSNs: tailSet is
-		// left false and future tail appends simply stage page-mapped.)
-		if !f.params.DisableCombine && wp < f.sbSectors && wp%f.puSectors != 0 {
-			for off := wp - wp%f.puSectors; off < wp; off++ {
-				c := m[off]
-				if c.head {
-					return done, fmt.Errorf("ftl: recover: zone %d offset %d in a partial unit has a head copy", zone, off)
-				}
-				zs.pend = append(zs.pend, pendSector{off: off, gidx: c.gidx})
-			}
+		if err := f.landRecovered(zone, m[:limit]); err != nil {
+			return done, err
 		}
 	}
 
 	// --- 7. Garbage sweep and free-pool rebuild: unbound, unretired
 	// superblocks return to the pool, erased first if a torn reset, torn
 	// relocation or dropped zone left programmed sectors behind. ---
+	bound := make([]bool, len(extent))
+	for zone := range f.zstate {
+		if sb := f.zstate[zone].sb; sb >= 0 {
+			bound[sb] = true
+		}
+	}
 	f.freeSBs = f.freeSBs[:0]
-	for sb := range scans {
+	for sb := range extent {
 		if retiredSet[sb] || bound[sb] {
 			continue
 		}
-		if scans[sb].extent > 0 {
+		if extent[sb] > 0 {
 			block := f.geo.FirstNormalBlock() + sb
 			bad := false
 			for chip := 0; chip < chips; chip++ {
@@ -405,4 +346,51 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 
 	f.arr.Engine().Observe(done)
 	return done, nil
+}
+
+// landRecovered maps one zone's winners, by zone offset, in the order the
+// write path landed them: each maximal run of head copies through landHead,
+// each run of staged copies — re-marked live in the staging region, cut at
+// the head/tail boundary so the tail is offered to extendTail as the one run
+// it must be — through landStaged.
+func (f *FTL) landRecovered(zone int, m []recCand) error {
+	zs := &f.zstate[zone]
+	var gidxs []int64
+	for off := int64(0); off < int64(len(m)); {
+		if m[off].seq == 0 {
+			off++ // a conventional zone's never-written sector
+			continue
+		}
+		end := off + 1
+		if m[off].head {
+			if len(zs.pend) > 0 {
+				return fmt.Errorf("ftl: recover: zone %d offset %d has a head copy beyond a partial unit staged at offset %d", zone, off, zs.pend[0].off)
+			}
+			for end < int64(len(m)) && m[end].seq > 0 && m[end].head {
+				end++
+			}
+			if err := f.landHead(zone, off, end-off); err != nil {
+				return err
+			}
+		} else {
+			for end < int64(len(m)) && end != f.sbSectors && m[end].seq > 0 && !m[end].head {
+				end++
+			}
+			gidxs = gidxs[:0]
+			for o := off; o < end; o++ {
+				if err := f.staging.MarkValid(m[o].gidx, int64(zone)*f.zoneCap+o); err != nil {
+					return err
+				}
+				gidxs = append(gidxs, m[o].gidx)
+			}
+			if off >= f.sbSectors && !zs.conv {
+				f.extendTail(zone, off, gidxs)
+			}
+			if err := f.landStaged(zone, off, gidxs); err != nil {
+				return err
+			}
+		}
+		off = end
+	}
+	return nil
 }

@@ -239,12 +239,10 @@ func (f *FTL) flushRun(at sim.Time, zone int, startLBA int64, payloads [][]byte,
 	for n > 0 {
 		if off >= f.sbSectors {
 			// Alignment tail: everything left goes to reserved SLC.
-			rel, d, err := f.stageTailSectors(at, zone, off, payloads)
+			rel, d, err := f.stageSectors(at, zone, off, payloads, cause)
 			if err != nil {
 				return at, at, landed, err
 			}
-			f.stats.TailSectors += int64(len(payloads))
-			f.record(obs.StageTailStage, cause, at, d, zone, z.Start+off, int64(len(payloads)))
 			landed += int64(len(payloads))
 			if rel > release {
 				release = rel
@@ -294,11 +292,7 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 
 	if !completesPU {
 		// Fig. 3 ②: not enough data to program; stage to SLC.
-		release, done, err = f.stageSectors(at, zone, off, seg)
-		if err == nil {
-			f.record(obs.StageSLCStage, cause, at, done, zone, z.Start+off, int64(len(seg)))
-		}
-		return release, done, err
+		return f.stageSectors(at, zone, off, seg, cause)
 	}
 	if off == puStart {
 		// Fig. 3 ①: the run is exactly one full program unit.
@@ -311,11 +305,7 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 	if f.params.DisableCombine {
 		// Ablation: no read-back/merge; the completing data is staged
 		// alongside the earlier partial.
-		release, done, err = f.stageSectors(at, zone, off, seg)
-		if err == nil {
-			f.record(obs.StageSLCStage, cause, at, done, zone, z.Start+off, int64(len(seg)))
-		}
-		return release, done, err
+		return f.stageSectors(at, zone, off, seg, cause)
 	}
 	// Fig. 3 ③: staged head + new tail complete the unit. Read the staged
 	// sectors back, invalidate them, and program the merged unit.
@@ -402,43 +392,95 @@ func (f *FTL) programPU(at sim.Time, zone int, puStart int64, sectors [][]byte) 
 	for i := int64(0); i < f.puSectors; i++ {
 		f.arr.StampOOB(stampBase+nand.PPA(i), z.Start+puStart+i)
 	}
-	for i := int64(0); i < f.puSectors; i++ {
-		lpa := z.Start + puStart + i
-		if err := f.table.Set(lpa, mapping.PSN(int64(zone)*f.zoneCap+puStart+i)); err != nil {
-			return at, at, err
-		}
-	}
 	// A combine (Fig. 3 ③) re-points previously staged sectors at the
 	// normal area; cached translations of their staged PSNs are now stale
-	// and would dangle once the SLC copies are garbage-collected.
+	// and would dangle once the SLC copies are garbage-collected. They go
+	// before the unit is mapped: mapping it may pin a fresh aggregated entry.
 	f.cache.InvalidateRange(z.Start+puStart, f.puSectors)
+	if err := f.landHead(zone, puStart, f.puSectors); err != nil {
+		return at, at, err
+	}
 	f.noteMapUpdates(f.puSectors)
 	f.stats.DirectPUs++
-	f.aggregateAfterWrite(zone, puStart, f.puSectors)
 	return release, done, nil
 }
 
-// stageSectors sends a partial program unit's sectors to the SLC staging
-// region (Fig. 3 ②), recording them as pending for a later combine.
-func (f *FTL) stageSectors(at sim.Time, zone int, off int64, seg [][]byte) (release, done sim.Time, err error) {
+// landHead is the one statement of "sectors [off, off+n) of the zone landed
+// in its bound superblock": they take zone-linear PSNs, which resolve through
+// the binding (headLoc), and every map entry they complete is widened (Fig.
+// 5). The write path calls it per program unit, the mount per recovered head.
+func (f *FTL) landHead(zone int, off, n int64) error {
+	base := int64(zone)*f.zoneCap + off
+	for i := int64(0); i < n; i++ {
+		if err := f.table.Set(base+i, mapping.PSN(base+i)); err != nil {
+			return err
+		}
+	}
+	f.aggregateAfterWrite(zone, off, n)
+	return nil
+}
+
+// landStaged is the one statement of "sectors [off, off+len(gidxs)) of the
+// zone landed at staging indices gidxs": the zone owns the indices until its
+// reset, the sectors are page-mapped to them — except in an alignment tail
+// that is still one staging run (extendTail), whose sectors keep zone-linear
+// PSNs and may complete a chunk or the zone — and a head-region sector joins
+// the pending partial unit (Fig. 3 ③). A sector already pending was moved by
+// staging GC and keeps its place: pend holds consecutive offsets. Staging
+// appends, GC relocation and the mount all map through here.
+func (f *FTL) landStaged(zone int, off int64, gidxs []int64) error {
 	zs := &f.zstate[zone]
+	base := int64(zone)*f.zoneCap + off
+	linear := off >= f.sbSectors && zs.tailSet && zs.tailContig
+	pending := off < f.sbSectors && !zs.conv && !f.params.DisableCombine
+	for i, g := range gidxs {
+		psn := f.aggLimit + mapping.PSN(g)
+		if linear {
+			psn = mapping.PSN(base + int64(i))
+		}
+		if err := f.table.Set(base+int64(i), psn); err != nil {
+			return err
+		}
+		zs.staged[g] = struct{}{}
+		if !pending {
+			continue
+		}
+		o := off + int64(i)
+		if n := len(zs.pend); n > 0 && o <= zs.pend[n-1].off {
+			zs.pend[o-zs.pend[0].off].gidx = g
+		} else {
+			zs.pend = append(zs.pend, pendSector{off: o, gidx: g})
+		}
+	}
+	if linear {
+		f.aggregateAfterWrite(zone, off, int64(len(gidxs)))
+	}
+	return nil
+}
+
+// stageSectors sends a sequential zone's run that cannot be programmed in
+// place to the SLC staging region: a partial program unit (Fig. 3 ②), pending
+// a later combine, or alignment-tail sectors (paper §III-E), which keep
+// zone-linear PSNs — so the whole zone can still aggregate — as long as the
+// tail forms one contiguous staging run. cause carries why the run was
+// flushed into the recorded span.
+func (f *FTL) stageSectors(at sim.Time, zone int, off int64, seg [][]byte, cause obs.Cause) (release, done sim.Time, err error) {
 	z, _ := f.zones.Zone(zone)
 	gidxs, release, done, err := f.appendStaged(at, z.Start+off, seg)
 	if err != nil {
 		return at, at, err
 	}
-	for i, g := range gidxs {
-		lpa := z.Start + off + int64(i)
-		if err := f.table.Set(lpa, f.aggLimit+mapping.PSN(g)); err != nil {
-			return at, at, err
-		}
-		zs.staged[g] = struct{}{}
-		if !f.params.DisableCombine {
-			zs.pend = append(zs.pend, pendSector{off: off + int64(i), gidx: g})
-		}
+	stage, counter := obs.StageSLCStage, &f.stats.StagedSectors
+	if off >= f.sbSectors {
+		stage, counter = obs.StageTailStage, &f.stats.TailSectors
+		f.extendTail(zone, off, gidxs)
+	}
+	if err := f.landStaged(zone, off, gidxs); err != nil {
+		return at, at, err
 	}
 	f.noteMapUpdates(int64(len(seg)))
-	f.stats.StagedSectors += int64(len(seg))
+	*counter += int64(len(seg))
+	f.record(stage, cause, at, done, zone, z.Start+off, int64(len(seg)))
 	return release, done, nil
 }
 
@@ -452,8 +494,7 @@ func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads 
 	if err != nil {
 		return at, at, err
 	}
-	for i, g := range gidxs {
-		lpa := startLBA + int64(i)
+	for lpa := startLBA; lpa < startLBA+int64(len(gidxs)); lpa++ {
 		// Invalidate the overwritten copy, if any.
 		if old, ok := f.table.Get(lpa); ok && old >= f.aggLimit {
 			oldIdx := int64(old - f.aggLimit)
@@ -464,68 +505,32 @@ func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads 
 			}
 			delete(zs.staged, oldIdx)
 		}
-		if err := f.table.Set(lpa, f.aggLimit+mapping.PSN(g)); err != nil {
-			return at, at, err
-		}
-		f.cache.InvalidateRange(lpa, 1)
-		zs.staged[g] = struct{}{}
 	}
+	if err := f.landStaged(zone, startLBA-int64(zone)*f.zoneCap, gidxs); err != nil {
+		return at, at, err
+	}
+	f.cache.InvalidateRange(startLBA, int64(len(gidxs)))
 	f.noteMapUpdates(int64(len(payloads)))
 	f.stats.StagedSectors += int64(len(payloads))
 	return release, done, nil
 }
 
-// stageTailSectors places alignment-tail sectors (paper §III-E): they are
-// staged to SLC, and as long as the zone's tail forms one contiguous
-// staging run continuing from tailBase, the sectors keep zone-linear PSNs
-// so the whole zone can still aggregate.
-func (f *FTL) stageTailSectors(at sim.Time, zone int, off int64, seg [][]byte) (release, done sim.Time, err error) {
+// extendTail is the tail-contiguity predicate, evaluated for every run that
+// lands in a zone's alignment tail, at write time and at mount: the tail is
+// zone-linear from the run that starts it — at offset sbSectors, its first
+// index becoming tailBase — for as long as every run is internally
+// consecutive and continues that staging run.
+func (f *FTL) extendTail(zone int, off int64, gidxs []int64) {
 	zs := &f.zstate[zone]
-	z, _ := f.zones.Zone(zone)
-	gidxs, release, done, err := f.appendStaged(at, z.Start+off, seg)
-	if err != nil {
-		return at, at, err
-	}
-
-	// Contiguity: the run must be internally consecutive and continue the
-	// zone's tail base.
 	contig := true
-	for i := 1; i < len(gidxs); i++ {
-		if gidxs[i] != gidxs[0]+int64(i) {
-			contig = false
-			break
-		}
+	for i := 1; i < len(gidxs) && contig; i++ {
+		contig = gidxs[i] == gidxs[0]+int64(i)
 	}
-	if !zs.tailSet {
-		if off == f.sbSectors && contig {
-			zs.tailBase = gidxs[0]
-			zs.tailSet = true
-			zs.tailContig = true
-		} else {
-			zs.tailContig = false
-		}
-	} else if contig && zs.tailContig && gidxs[0] == zs.tailBase+(off-f.sbSectors) {
-		// Run continues the tail; nothing to update.
-	} else {
-		zs.tailContig = false
+	if !zs.tailSet && off == f.sbSectors && contig {
+		zs.tailBase, zs.tailSet, zs.tailContig = gidxs[0], true, true
+		return
 	}
-
-	for i, g := range gidxs {
-		lpa := z.Start + off + int64(i)
-		var psn mapping.PSN
-		if zs.tailSet && zs.tailContig {
-			psn = mapping.PSN(int64(zone)*f.zoneCap + off + int64(i))
-		} else {
-			psn = f.aggLimit + mapping.PSN(g)
-		}
-		if err := f.table.Set(lpa, psn); err != nil {
-			return at, at, err
-		}
-		zs.staged[g] = struct{}{}
-	}
-	f.noteMapUpdates(int64(len(seg)))
-	f.aggregateAfterWrite(zone, off, int64(len(seg)))
-	return release, done, nil
+	zs.tailContig = zs.tailContig && contig && gidxs[0] == zs.tailBase+(off-f.sbSectors)
 }
 
 // aggregateAfterWrite tries to widen map entries after [off, off+n) of the
@@ -602,13 +607,6 @@ func (r relocator) Relocate(lpa, oldIdx, newIdx int64) error {
 		return fmt.Errorf("ftl: relocate of LPA %d outside any zone", lpa)
 	}
 	zs := &f.zstate[zone]
-	delete(zs.staged, oldIdx)
-	zs.staged[newIdx] = struct{}{}
-	for i := range zs.pend {
-		if zs.pend[i].gidx == oldIdx {
-			zs.pend[i].gidx = newIdx
-		}
-	}
 	psn, ok := f.table.Get(lpa)
 	if !ok {
 		return fmt.Errorf("ftl: relocate of unmapped LPA %d", lpa)
@@ -618,7 +616,8 @@ func (r relocator) Relocate(lpa, oldIdx, newIdx int64) error {
 		// covers it after the move.
 		zs.tailContig = false
 	}
-	if err := f.table.Set(lpa, f.aggLimit+mapping.PSN(newIdx)); err != nil {
+	delete(zs.staged, oldIdx)
+	if err := f.landStaged(zone, lpa-int64(zone)*f.zoneCap, []int64{newIdx}); err != nil {
 		return err
 	}
 	f.noteMapUpdates(1)

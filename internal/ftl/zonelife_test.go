@@ -189,7 +189,7 @@ func TestFinishDurableAcrossRemount(t *testing.T) {
 	if _, err := f.Write(done+2, zc, payloadsFor(zc, 1)); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("write after the cut: %v", err)
 	}
-	f2, done, err := Recover(f.Array(), testParams(), nil)
+	f2, done, err := Recover(f.Array(), testParams())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -246,7 +246,7 @@ func TestTornFinishRecoversUnacked(t *testing.T) {
 	if _, err := f.FinishZone(wdone, 0); !errors.Is(err, nand.ErrPowerLoss) {
 		t.Fatalf("torn finish returned %v, want power loss", err)
 	}
-	f2, done, err := Recover(f.Array(), testParams(), nil)
+	f2, done, err := Recover(f.Array(), testParams())
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -67,8 +67,6 @@ const (
 	OpClose
 	// OpFinish transitions Zone to FULL, draining its buffer.
 	OpFinish
-
-	numOps
 )
 
 // String names the op as the NVMe command it models.

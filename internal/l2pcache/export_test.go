@@ -11,3 +11,6 @@ func (c *Cache) Contains(g mapping.Gran, lpa int64) bool {
 	_, ok := c.m[c.keyFor(g, lpa)]
 	return ok
 }
+
+// Len returns the number of cached entries.
+func (c *Cache) Len() int { return c.n }

@@ -155,9 +155,6 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 // acceleration arrays at 512 KiB of pointers each.
 const maxDirectIndex = 1 << 16
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return c.n }
-
 // MaxEntries returns how many entries fit in the budget.
 func (c *Cache) MaxEntries() int64 { return c.capBytes / c.entryBytes }
 

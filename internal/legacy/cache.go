@@ -115,6 +115,3 @@ func (c *pageCache) invalidate(lpa int64) {
 	c.free = i
 	c.n--
 }
-
-// len returns the resident entry count.
-func (c *pageCache) len() int { return c.n }

@@ -7,3 +7,6 @@ func (d *Device) WAF() float64 {
 	}
 	return float64(d.arr.Counters().BytesProgrammed) / float64(d.stats.HostWrittenBytes)
 }
+
+// len returns the resident entry count.
+func (c *pageCache) len() int { return c.n }

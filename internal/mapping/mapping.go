@@ -182,6 +182,9 @@ func (t *Table) Set(lpa int64, psn PSN) error {
 }
 
 // Invalidate removes the mapping for lpa, demoting any covering aggregation.
+// The device never unmaps one sector — a zone reset releases the zone's
+// table whole — so its callers are tests: this package's, and check.Audit's,
+// which corrupts a live FTL's table with it.
 func (t *Table) Invalidate(lpa int64) error {
 	if err := t.check(lpa); err != nil {
 		return err
@@ -355,36 +358,6 @@ func (t *Table) InvalidateZone(lpa int64) error {
 	}
 	return nil
 }
-
-// MappedInRange counts the valid entries in [lo, hi), clamped to the table.
-func (t *Table) MappedInRange(lo, hi int64) int64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.total {
-		hi = t.total
-	}
-	var n int64
-	for lo < hi {
-		z, off := t.locate(lo)
-		end := off + (hi - lo)
-		if end > t.zone.n {
-			end = t.zone.n
-		}
-		if z.psn != nil {
-			for _, p := range z.psn[off:end] {
-				if p != 0 {
-					n++
-				}
-			}
-		}
-		lo += end - off
-	}
-	return n
-}
-
-// ValidCount returns the number of valid entries (test/diagnostic helper).
-func (t *Table) ValidCount() int64 { return t.MappedInRange(0, t.total) }
 
 // CheckInvariants verifies internal consistency: aggregated regions are
 // uniformly marked and their runs really are contiguous and aligned. It

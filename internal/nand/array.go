@@ -74,7 +74,10 @@ type Array struct {
 	freeChunks []*sectorChunk // all-zero chunks released by erases
 	slabs      slabArena      // payload buffers by handle
 
-	obs    *obs.Recorder // nil when observation is off
+	// obs is the device's lifecycle recorder, nil when observation is off.
+	// The array is its one holder: the layers above record through Recorder,
+	// and since the array is what survives a mount, so does observation.
+	obs    *obs.Recorder
 	faults FaultInjector // nil = media never fails
 
 	// lastProgStart models each chip's cache register (cache-program
@@ -177,8 +180,11 @@ func (a *Array) Engine() *sim.Engine { return a.engine }
 // Counters returns a snapshot of the media activity counters.
 func (a *Array) Counters() Counters { return a.counters }
 
-// SetRecorder attaches a lifecycle recorder; nil disables media spans.
+// SetRecorder attaches a lifecycle recorder; nil disables observation.
 func (a *Array) SetRecorder(r *obs.Recorder) { a.obs = r }
+
+// Recorder returns the attached lifecycle recorder (nil when disabled).
+func (a *Array) Recorder() *obs.Recorder { return a.obs }
 
 // record emits one media span (nil-safe via the recorder).
 func (a *Array) record(stage obs.Stage, begin, end sim.Time, chip int, n int64) {

@@ -102,7 +102,7 @@ func loadAndMount(t *testing.T, data []byte) {
 		return
 	}
 	preWorn := arr.TotalEraseCount() > arr.Counters().Erases
-	f, _, err := ftl.Recover(arr, cfg.FTL, nil)
+	f, _, err := ftl.Recover(arr, cfg.FTL)
 	if err != nil {
 		return
 	}

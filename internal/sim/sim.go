@@ -85,14 +85,6 @@ func (r *Resource) Utilization(horizon Time) float64 {
 	return float64(r.busyTime) / float64(horizon)
 }
 
-// Reset returns the resource to the idle state at time zero, keeping its
-// name. Used when a device is reused across experiment runs.
-func (r *Resource) Reset() {
-	r.busyUntil = 0
-	r.busyTime = 0
-	r.ops = 0
-}
-
 // Engine aggregates the virtual-time bookkeeping shared by a device: a
 // monotone "now" watermark (the latest completion observed) and the set of
 // resources it has created. Devices are free to keep their own resource

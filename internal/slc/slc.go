@@ -87,7 +87,6 @@ type Region struct {
 	retiredCount int   // superblocks frozen out of service
 
 	stats Stats
-	obs   *obs.Recorder // nil when observation is off
 
 	// Reused scratch storage: the staging path runs on every premature
 	// flush, so per-call slices here would dominate the emulator's
@@ -98,9 +97,6 @@ type Region struct {
 	moveScratch []int64       // GC: victim's live indices
 	wsScratch   []Write       // GC: migration writes
 }
-
-// SetRecorder attaches a lifecycle recorder; nil disables GC spans.
-func (r *Region) SetRecorder(rec *obs.Recorder) { r.obs = rec }
 
 // NewRegion builds a region over the given per-chip block indices, which
 // must all be SLC-mode blocks of the array. At least two superblocks are
@@ -607,12 +603,10 @@ func (r *Region) Collect(at sim.Time, victim int, rel Relocator) (sim.Time, erro
 		}
 		r.stats.Migrated += int64(len(moves))
 		done = progDone
-		if r.obs != nil {
-			r.obs.Record(obs.Event{
-				Stage: obs.StageGCMigrate, Begin: at, End: progDone,
-				Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
-			})
-		}
+		r.arr.Recorder().Record(obs.Event{
+			Stage: obs.StageGCMigrate, Begin: at, End: progDone,
+			Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
+		})
 	}
 
 	// Erase the victim's block on every chip.
@@ -629,12 +623,10 @@ func (r *Region) Collect(at sim.Time, victim int, rel Relocator) (sim.Time, erro
 				}
 				r.retire(victim)
 				r.stats.Collections++
-				if r.obs != nil {
-					r.obs.Record(obs.Event{
-						Stage: obs.StageGCCollect, Begin: at, End: done,
-						Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
-					})
-				}
+				r.arr.Recorder().Record(obs.Event{
+					Stage: obs.StageGCCollect, Begin: at, End: done,
+					Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
+				})
 				return done, nil
 			}
 			return at, err
@@ -651,16 +643,15 @@ func (r *Region) Collect(at sim.Time, victim int, rel Relocator) (sim.Time, erro
 	r.free = append(r.free, victim)
 	r.stats.Collections++
 	r.stats.Erased++
-	if r.obs != nil {
-		r.obs.Record(obs.Event{
-			Stage: obs.StageGCErase, Begin: eraseStart, End: done,
-			Zone: -1, Actor: int32(victim), LBA: -1, N: int64(r.chips),
-		})
-		r.obs.Record(obs.Event{
-			Stage: obs.StageGCCollect, Begin: at, End: done,
-			Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
-		})
-	}
+	rec := r.arr.Recorder() // nil (and Record a no-op) when observation is off
+	rec.Record(obs.Event{
+		Stage: obs.StageGCErase, Begin: eraseStart, End: done,
+		Zone: -1, Actor: int32(victim), LBA: -1, N: int64(r.chips),
+	})
+	rec.Record(obs.Event{
+		Stage: obs.StageGCCollect, Begin: at, End: done,
+		Zone: -1, Actor: int32(victim), LBA: -1, N: int64(len(moves)),
+	})
 	return done, nil
 }
 

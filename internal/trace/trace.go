@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/conzone/conzone/internal/sim"
+	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
 )
 
@@ -287,11 +288,11 @@ func Replay(dev workload.Device, records []Record) (ReplayResult, error) {
 		case OpRead:
 			_, done, err = dev.Read(at, r.LBA, r.Sectors)
 			res.ReadOps++
-			res.ReadBytes += r.Sectors * 4096
+			res.ReadBytes += r.Sectors * units.Sector
 		case OpWrite:
 			done, err = dev.Write(at, r.LBA, make([][]byte, r.Sectors))
 			res.WriteOps++
-			res.WriteB += r.Sectors * 4096
+			res.WriteB += r.Sectors * units.Sector
 		case OpReset:
 			if zdev == nil {
 				return res, fmt.Errorf("trace: record %d: reset on a non-zoned device", i)

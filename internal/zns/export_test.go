@@ -21,3 +21,26 @@ func (m *Manager) OpenZones() []int {
 	}
 	return out
 }
+
+// scanOpen recounts open zones from the table, to verify the running
+// counters (the equivalence test).
+func (m *Manager) scanOpen() int {
+	n := 0
+	for i := range m.zones {
+		if m.zones[i].State.open() {
+			n++
+		}
+	}
+	return n
+}
+
+// scanActive recounts active zones from the table; see scanOpen.
+func (m *Manager) scanActive() int {
+	n := 0
+	for i := range m.zones {
+		if m.zones[i].State.active() {
+			n++
+		}
+	}
+	return n
+}

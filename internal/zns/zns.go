@@ -228,29 +228,6 @@ func (m *Manager) OpenCount() int { return m.nOpen }
 // (open or closed).
 func (m *Manager) ActiveCount() int { return m.nActive }
 
-// scanOpen recounts open zones from the table. It exists only to verify the
-// running counters (the equivalence test); no hot path calls it.
-func (m *Manager) scanOpen() int {
-	n := 0
-	for i := range m.zones {
-		if m.zones[i].State.open() {
-			n++
-		}
-	}
-	return n
-}
-
-// scanActive recounts active zones from the table; see scanOpen.
-func (m *Manager) scanActive() int {
-	n := 0
-	for i := range m.zones {
-		if m.zones[i].State.active() {
-			n++
-		}
-	}
-	return n
-}
-
 // setState is the single place a zone's state changes, keeping the running
 // open/active counters in lockstep with the table.
 func (m *Manager) setState(z *Zone, s State) {

@@ -315,3 +315,33 @@ func TestTelemetryExportEndToEnd(t *testing.T) {
 		t.Fatalf("device inconsistent after observed run: %v", err)
 	}
 }
+
+// TestTelemetryCoversSubmittedCommands: a command submitted but not yet
+// polled is dispatched by every snapshot getter before it looks, Telemetry
+// included — so the spans it reports are those of the commands Stats, taken
+// at the same moment, counts.
+func TestTelemetryCoversSubmittedCommands(t *testing.T) {
+	dev, err := Open(SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.EnableObservation(0)
+	const writes = 3
+	for i := 0; i < writes; i++ {
+		req := HostRequest{Op: OpWrite, LBA: int64(i) * 8, Payloads: make([][]byte, 8)}
+		if _, err := dev.Submit(0, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tel := dev.Telemetry()
+	st := dev.Stats()
+	if st.FTL.HostWrittenBytes != writes*8*SectorSize {
+		t.Fatalf("Stats counts %d host bytes, want the %d submitted writes' %d", st.FTL.HostWrittenBytes, writes, writes*8*SectorSize)
+	}
+	if got := tel.Stage("host_write").Count; got != writes {
+		t.Errorf("Telemetry holds %d host_write spans with %d writes submitted and counted by Stats", got, writes)
+	}
+	if got := tel.Stage("host_queue").Count; got != writes {
+		t.Errorf("Telemetry holds %d host_queue spans, want %d", got, writes)
+	}
+}

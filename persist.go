@@ -3,11 +3,9 @@ package conzone
 import (
 	"fmt"
 
-	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/host"
 	"github.com/conzone/conzone/internal/nand"
-	"github.com/conzone/conzone/internal/telemetry"
 )
 
 // Power-loss injection and crash-consistent recovery.
@@ -68,30 +66,13 @@ func (d *Device) PowerLost() bool {
 func (d *Device) Remount() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var snap *fault.Snapshot
-	if inj := d.f.FaultInjector(); inj != nil {
-		s := inj.Snapshot()
-		snap = &s
+	f, done, err := d.f.Remount()
+	if err == nil {
+		err = d.mount(f, d.h.Configuration(), done)
 	}
-	f, done, err := ftl.Recover(d.f.Array(), d.f.Params(), snap)
 	if err != nil {
 		return fmt.Errorf("conzone: remount: %w", err)
 	}
-	h, err := host.New(f, d.h.Configuration())
-	if err != nil {
-		return fmt.Errorf("conzone: remount: %w", err)
-	}
-	d.f, d.h = f, h
-	// Advance the clock directly instead of through advance(): the sampler
-	// must not record a regular sample here, because its delta baseline
-	// still holds pre-crash counters from the old FTL. The discontinuity
-	// marker below resets the baseline to the recovered snapshot and breaks
-	// the series explicitly; occupancy gauges restart from the recovered
-	// (drained) state.
-	if done > d.now {
-		d.now = done
-	}
-	d.smp.Discontinuity(d.now, telemetry.Collect(d.f))
 	return nil
 }
 
@@ -133,15 +114,13 @@ func OpenImage(cfg Config, path string) (*Device, error) {
 		return nil, fmt.Errorf("conzone: image geometry %+v does not match configuration %+v",
 			arr.Geometry(), cfg.Geometry)
 	}
-	f, done, err := ftl.Recover(arr, cfg.FTL, nil)
+	f, done, err := ftl.Recover(arr, cfg.FTL)
 	if err != nil {
 		return nil, fmt.Errorf("conzone: open image: %w", err)
 	}
-	h, err := host.New(f, host.Config{})
-	if err != nil {
+	d := &Device{}
+	if err := d.mount(f, host.Config{}, done); err != nil {
 		return nil, err
 	}
-	d := &Device{f: f, h: h}
-	d.advance(done)
 	return d, nil
 }
