@@ -404,6 +404,34 @@ func BenchmarkImageOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceRead and BenchmarkDeviceReadInto are the public read-back
+// loop of bench/'s crashmount — 64-sector (256 KiB) reads over one filled
+// config.Paper() zone — in its two synchronous forms. CI gates the allocs/op
+// column: Read allocates the slice it returns and nothing else, ReadInto
+// nothing.
+func BenchmarkDeviceRead(b *testing.B) {
+	benchDeviceRead(b, func(dev *Device, off int64, dst []byte) error {
+		_, err := dev.Read(off, len(dst))
+		return err
+	})
+}
+
+func BenchmarkDeviceReadInto(b *testing.B) { benchDeviceRead(b, (*Device).ReadInto) }
+
+func benchDeviceRead(b *testing.B, read func(dev *Device, off int64, dst []byte) error) {
+	dev := writtenDevice(b, 16) // one zone
+	dst := make([]byte, 64*SectorSize)
+	reads := dev.ZoneBytes() / int64(len(dst))
+	b.SetBytes(int64(len(dst)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := read(dev, int64(i)%reads*int64(len(dst)), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLegacyRandRead measures the wall-clock cost of Fig. 7's workload
 // shape — 4 KiB random reads over a prefilled range that outgrows the L2P
 // cache — on the Legacy comparator, where most reads miss and each miss

@@ -66,12 +66,13 @@ func runMetrics(cfg config.DeviceConfig, _ experiments.Options) (experiments.Rep
 	// Cold-cache random reads inside zone 1's written extent.
 	rng := sim.NewRand(0)
 	span := int64(rounds) * ioBytes
+	sector := make([]byte, conzone.SectorSize)
 	for i := 0; i < 256; i++ {
 		off := int64(rng.Uint64()) % (span / conzone.SectorSize)
 		if off < 0 {
 			off = -off
 		}
-		if _, err := dev.Read(1*zb+off*conzone.SectorSize, int(conzone.SectorSize)); err != nil {
+		if err := dev.ReadInto(1*zb+off*conzone.SectorSize, sector); err != nil {
 			return none, err
 		}
 	}

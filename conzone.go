@@ -23,7 +23,7 @@
 // Every operation advances the device's virtual clock by the simulated
 // hardware time; no wall-clock time is consumed. For experiment-grade
 // control (explicit virtual timestamps, multi-threaded workloads), use
-// WriteAt/ReadAt or the workload runner in this package.
+// SubmitAt and Wait, or the workload runner in this package.
 package conzone
 
 import (
@@ -294,22 +294,6 @@ func (d *Device) Write(off int64, data []byte) error {
 	return nil
 }
 
-// WriteAt performs a write at an explicit virtual time and returns the
-// completion instant (experiment-harness API).
-func (d *Device) WriteAt(at Time, off int64, data []byte) (Time, error) {
-	if err := checkAlign(off, len(data)); err != nil {
-		return at, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.Write(at, off/SectorSize, toSectors(data))
-	if err != nil {
-		return at, err
-	}
-	d.advance(done)
-	return done, nil
-}
-
 // Append performs a Zone Append: the data lands at the zone's current
 // write pointer, chosen by the device, and the assigned byte offset is
 // returned. Unlike Write, concurrent Appends to one zone never race on the
@@ -334,42 +318,29 @@ func (d *Device) Read(off int64, n int) ([]byte, error) {
 	if err := checkAlign(off, n); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sectors, done, err := d.h.Read(d.now, off/SectorSize, int64(n)/SectorSize)
-	if err != nil {
+	out := make([]byte, n)
+	if err := d.ReadInto(off, out); err != nil {
 		return nil, err
 	}
-	d.advance(done)
-	out := make([]byte, n)
-	for i, s := range sectors {
-		if s != nil {
-			copy(out[int64(i)*SectorSize:], s)
-		}
-	}
-	// The sector buffers were copied out; return them to the host
-	// controller's pool so repeated reads do not allocate.
-	d.h.Recycle(sectors)
 	return out, nil
 }
 
-// ReadAt performs a read at an explicit virtual time, returning per-sector
-// payloads (nil = unwritten) and the completion instant. A read covering
-// only unwritten sectors returns a nil slice — all zeros. The returned
-// slices are owned by the caller; handing them back via Host().Recycle
-// keeps long read loops allocation-free.
-func (d *Device) ReadAt(at Time, off int64, n int) ([][]byte, Time, error) {
-	if err := checkAlign(off, n); err != nil {
-		return nil, at, err
+// ReadInto is Read into a buffer the caller owns: it fills dst, whose
+// length is the read's, from byte offset off and allocates nothing. dst
+// need not be zeroed — unwritten sectors are cleared — and after an error
+// its contents are unspecified.
+func (d *Device) ReadInto(off int64, dst []byte) error {
+	if err := checkAlign(off, len(dst)); err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sectors, done, err := d.h.Read(at, off/SectorSize, int64(n)/SectorSize)
+	done, err := d.h.ReadInto(d.now, off/SectorSize, int64(len(dst))/SectorSize, dst)
 	if err != nil {
-		return nil, at, err
+		return err
 	}
 	d.advance(done)
-	return sectors, done, nil
+	return nil
 }
 
 // ResetZone resets the zone: its write pointer returns to the start, its

@@ -117,7 +117,8 @@ func substrates(f *ftl.FTL) error {
 // zone, and staging-resident sectors must be live, reverse-mapped to the
 // same LPA, and referenced exactly once. It returns the staging-index
 // reference map and the per-zone count of head-region (bound superblock)
-// mappings.
+// mappings. Only zones the table has allocated are walked, so the cost
+// follows the zones written, not the namespace.
 func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
 	geo := f.Geometry()
 	arr := f.Array()
@@ -127,45 +128,51 @@ func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
 	head := f.HeadSectors()
 	refs := make(map[int64]int64) // staging linear index -> owning LPA
 	headMapped := make([]int64, f.NumZones())
-	for lpa, total := int64(0), f.TotalSectors(); lpa < total; lpa++ {
-		psn, ok := table.Get(lpa)
-		if !ok {
-			continue
+	for zi := 0; zi < f.NumZones(); zi++ {
+		if !table.Allocated(zi) {
+			continue // no table, no entry: the walk costs what is mapped
 		}
-		addr, err := f.ResolvePSN(psn)
-		if err != nil {
-			return nil, nil, fmt.Errorf("audit[map-phys]: LPA %d -> PSN %d does not resolve: %w", lpa, psn, err)
-		}
-		if !arr.IsWritten(geo.PPAOf(addr)) {
-			return nil, nil, fmt.Errorf("audit[map-nand]: LPA %d -> PSN %d (%+v) points at an unprogrammed sector", lpa, psn, addr)
-		}
-		if psn < f.AggLimit() {
-			zone := int64(psn) / zoneCap
-			if zone != lpa/zoneCap {
-				return nil, nil, fmt.Errorf("audit[map-zone]: LPA %d of zone %d holds reserved PSN %d of zone %d",
-					lpa, lpa/zoneCap, psn, zone)
-			}
-			if int64(psn)%zoneCap < head {
-				headMapped[zone]++
+		start := int64(zi) * zoneCap
+		for lpa := start; lpa < start+zoneCap; lpa++ {
+			psn, ok := table.Get(lpa)
+			if !ok {
 				continue
 			}
-			// Alignment-tail PSN: resolves into staging, checked below.
+			addr, err := f.ResolvePSN(psn)
+			if err != nil {
+				return nil, nil, fmt.Errorf("audit[map-phys]: LPA %d -> PSN %d does not resolve: %w", lpa, psn, err)
+			}
+			if !arr.IsWritten(geo.PPAOf(addr)) {
+				return nil, nil, fmt.Errorf("audit[map-nand]: LPA %d -> PSN %d (%+v) points at an unprogrammed sector", lpa, psn, addr)
+			}
+			if psn < f.AggLimit() {
+				zone := int64(psn) / zoneCap
+				if zone != lpa/zoneCap {
+					return nil, nil, fmt.Errorf("audit[map-zone]: LPA %d of zone %d holds reserved PSN %d of zone %d",
+						lpa, lpa/zoneCap, psn, zone)
+				}
+				if int64(psn)%zoneCap < head {
+					headMapped[zone]++
+					continue
+				}
+				// Alignment-tail PSN: resolves into staging, checked below.
+			}
+			idx, err := reg.IndexOf(addr)
+			if err != nil {
+				return nil, nil, fmt.Errorf("audit[map-staging]: LPA %d -> PSN %d: %v", lpa, psn, err)
+			}
+			if prev, dup := refs[idx]; dup {
+				return nil, nil, fmt.Errorf("audit[map-staging]: staging index %d referenced by both LPA %d and LPA %d", idx, prev, lpa)
+			}
+			if !reg.IsValid(idx) {
+				return nil, nil, fmt.Errorf("audit[map-staging]: LPA %d maps to dead staging index %d", lpa, idx)
+			}
+			rl, err := reg.LPAAt(idx)
+			if err != nil || rl != lpa {
+				return nil, nil, fmt.Errorf("audit[map-staging]: staging index %d reverse-maps to LPA %d, but LPA %d points at it", idx, rl, lpa)
+			}
+			refs[idx] = lpa
 		}
-		idx, err := reg.IndexOf(addr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("audit[map-staging]: LPA %d -> PSN %d: %v", lpa, psn, err)
-		}
-		if prev, dup := refs[idx]; dup {
-			return nil, nil, fmt.Errorf("audit[map-staging]: staging index %d referenced by both LPA %d and LPA %d", idx, prev, lpa)
-		}
-		if !reg.IsValid(idx) {
-			return nil, nil, fmt.Errorf("audit[map-staging]: LPA %d maps to dead staging index %d", lpa, idx)
-		}
-		rl, err := reg.LPAAt(idx)
-		if err != nil || rl != lpa {
-			return nil, nil, fmt.Errorf("audit[map-staging]: staging index %d reverse-maps to LPA %d, but LPA %d points at it", idx, rl, lpa)
-		}
-		refs[idx] = lpa
 	}
 	return refs, headMapped, nil
 }
@@ -255,7 +262,13 @@ func auditZones(f *ftl.FTL, refs map[int64]int64, headMapped []int64) error {
 		if buffered && r.StartLBA+r.Sectors != z.WP {
 			return fmt.Errorf("audit[zone-wp]: zone %d buffered run ends at %d but write pointer is %d", zone, r.StartLBA+r.Sectors, z.WP)
 		}
-		for lpa := z.Start; lpa < z.Start+zoneCap; lpa++ {
+		// Beyond the write pointer only a mapping entry can be wrong, and a
+		// zone without a table has none: the scan stops at the write pointer.
+		end := z.WP
+		if table.Allocated(zone) {
+			end = z.Start + zoneCap
+		}
+		for lpa := z.Start; lpa < end; lpa++ {
 			inBuf := buffered && lpa >= r.StartLBA && lpa < r.StartLBA+r.Sectors
 			_, mapped := table.Get(lpa)
 			committed := lpa < z.WP

@@ -84,6 +84,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		if !strings.Contains(err.Error(), "audit["+slug+"]") {
 			t.Fatalf("audit reported %q, want invariant %q", err, slug)
 		}
+		agreeWithExhaustive(t, f, "injected "+slug)
 	}
 
 	t.Run("stale cache entry", func(t *testing.T) {
@@ -177,5 +178,51 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		expect(t, f, "zone-wp")
+	})
+
+	t.Run("mapping beyond the write pointer", func(t *testing.T) {
+		f := newAuditFTL(t)
+		// Rewind zone 1's write pointer behind the FTL's back: its mapping
+		// table stays, so every entry now lies beyond the pointer — the
+		// part of a zone the audit scans only because a table exists.
+		if err := f.Zones().Reset(1); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, f, "zone-wp")
+	})
+
+	// The two states the sparse walk could lose: it skips a zone without a
+	// mapping table, and in these two the broken zone is one the fixture
+	// never wrote.
+	t.Run("write pointer without data in an unmapped zone", func(t *testing.T) {
+		f := newAuditFTL(t)
+		const zone = 5
+		if f.Table().Allocated(zone) {
+			t.Fatalf("audit fixture wrote zone %d", zone)
+		}
+		z, err := f.Zones().Zone(zone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Zones().CommitWrite(z.WP, 4); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, f, "zone-wp")
+		if err := Audit(f); !strings.Contains(err.Error(), "committed") || !strings.Contains(err.Error(), "neither mapped nor buffered") {
+			t.Fatalf("audit reported %q, want the committed-but-nowhere message", err)
+		}
+	})
+
+	t.Run("mapping planted in an empty zone", func(t *testing.T) {
+		f := newAuditFTL(t)
+		const zone = 5
+		// One entry beyond the (unmoved) write pointer, at the zone's own
+		// reserved PSN: the table it allocates must bring the zone back
+		// into the walk, which finds nothing programmed behind it.
+		lpa := zone*f.ZoneCapSectors() + 9
+		if err := f.Table().Set(lpa, mapping.PSN(lpa)); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, f, "map-phys")
 	})
 }

@@ -101,6 +101,12 @@ type Request struct {
 	N        int64    // OpRead: sectors to read
 	Zone     int      // OpAppend/OpFlush/OpReset/OpClose/OpFinish target
 	Payloads [][]byte // OpWrite/OpAppend: one entry per sector (entries may be nil)
+
+	// Dst, when set on an OpRead, is where the bytes go: exactly N sectors,
+	// filled at dispatch (unwritten sectors as zeros), and the completion
+	// carries no Data. The submitter must leave it alone until the command
+	// is reaped; after a failed read its contents are unspecified.
+	Dst []byte
 }
 
 // Tag identifies a submitted command until its completion is reaped. Tags
@@ -121,8 +127,9 @@ type Completion struct {
 	N     int64 // sectors the command covered
 
 	// Data holds an OpRead's per-sector payloads (nil entries = unwritten).
-	// It is nil when the command carries none: writes, failed reads, and
-	// reads covering only unwritten sectors (which read back as zeros).
+	// It is nil when the command carries none: writes, failed reads, reads
+	// delivered into the request's Dst, and reads covering only unwritten
+	// sectors (which read back as zeros).
 	// The controller copies read data out of the device at completion time
 	// — the host boundary — so the slices are owned by the reaper and stay
 	// valid indefinitely. Pass them to Recycle when done to keep the
@@ -356,7 +363,7 @@ func (c *Controller) submit(at sim.Time, q int, req *Request) (Tag, error) {
 		c.nextTag++
 		c.out[q]++
 		c.unfin++
-		c.dispatchRead(tag, q, at, at, req.LBA, req.N)
+		c.dispatchRead(tag, q, at, at, req.LBA, req.N, req.Dst)
 		return tag, nil
 	}
 	tag := c.nextTag
@@ -369,7 +376,8 @@ func (c *Controller) submit(at sim.Time, q int, req *Request) (Tag, error) {
 	} else {
 		r = new(request)
 	}
-	r.tag, r.queue, r.submitted, r.req = tag, q, at, *req
+	r.tag, r.queue, r.submitted = tag, q, at
+	r.req = *req // a statement of its own: in the tuple above it is copied twice, through a temporary
 	r.zn = r.zone(c.zcap)
 	r.key = c.readyTime(r)
 	heap.Push(&c.pending, r)
@@ -390,6 +398,9 @@ func (c *Controller) validate(req *Request) error {
 		}
 		if req.LBA < 0 || req.LBA+req.N > c.total {
 			return fmt.Errorf("host: read [%d,%d) outside the namespace", req.LBA, req.LBA+req.N)
+		}
+		if req.Dst != nil && int64(len(req.Dst)) != req.N*units.Sector {
+			return fmt.Errorf("host: read of %d sectors into a %d-byte destination", req.N, len(req.Dst))
 		}
 	case OpWrite:
 		n := int64(len(req.Payloads))
@@ -481,7 +492,7 @@ func (c *Controller) advance() {
 // completion. Must be called with c.mu held.
 func (c *Controller) dispatch(r *request, at sim.Time) {
 	if r.req.Op == OpRead {
-		c.dispatchRead(r.tag, r.queue, r.submitted, at, r.req.LBA, r.req.N)
+		c.dispatchRead(r.tag, r.queue, r.submitted, at, r.req.LBA, r.req.N, r.req.Dst)
 		return
 	}
 	zone := r.zn
@@ -566,15 +577,20 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 // completion: the OpRead arm of dispatch, shared with submit's immediate
 // fast path. Reads never hold a zone write lock, so none of dispatch's
 // lock bookkeeping applies. Must be called with c.mu held.
-func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n int64) {
+func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n int64, dst []byte) {
 	// The backend fills a recycled container with borrowed device views,
-	// and the controller copies them into pooled sector buffers immediately
-	// — while the views are still valid — so the completion's data is owned
-	// and survives however long the reaper sits on it.
+	// and the controller copies them out immediately — while the views are
+	// still valid — so the completion's data is owned and survives however
+	// long the reaper sits on it: into the submitter's flat destination when
+	// the request names one, into pooled sector buffers otherwise.
 	data := c.getContainer(int(n))
 	done, err := c.be.ReadInto(at, lba, n, data)
 	carries := false
-	if err == nil {
+	if dst != nil {
+		if err == nil {
+			flatten(dst, data)
+		}
+	} else if err == nil {
 		for i, p := range data {
 			if p == nil {
 				continue
@@ -586,9 +602,10 @@ func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n
 		}
 	}
 	if err != nil || !carries {
-		// A failed read, or one covering only unwritten sectors (which read
-		// back as zeros), carries no payload: return the container now and
-		// complete with nil Data, so the reaper has nothing to Recycle.
+		// A failed read, one delivered into the request's Dst, or one
+		// covering only unwritten sectors (which read back as zeros) carries
+		// no payload: return the container now and complete with nil Data,
+		// so the reaper has nothing to Recycle.
 		c.contFree = append(c.contFree, data[:0])
 		data = nil
 	}
@@ -624,6 +641,20 @@ func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n
 	comp.Submitted = submitted
 	comp.Dispatched = at
 	comp.Done = done
+}
+
+// flatten is the flat read delivery: each borrowed view is copied into its
+// sector of dst and the sectors without one are cleared, so dst needs no
+// zeroing beforehand and the bytes are copied exactly once.
+func flatten(dst []byte, views [][]byte) {
+	for i, p := range views {
+		slot := dst[int64(i)*units.Sector : int64(i+1)*units.Sector]
+		if p == nil {
+			clear(slot)
+		} else {
+			copy(slot, p)
+		}
+	}
 }
 
 // cqKey orders one queued completion inside its queue. The queue shuffles
@@ -907,11 +938,13 @@ func (c *Controller) Dispatched() int64 {
 // execSync runs one command through the full queue path at depth 1: submit
 // on the internal queue, dispatch everything, reap this command. It is the
 // bridge that keeps the traditional synchronous API a strict special case
-// of the asynchronous one.
-func (c *Controller) execSync(at sim.Time, req Request) (Completion, error) {
+// of the asynchronous one. req is a pointer for submit's reason: at ten words
+// a Request no longer travels in registers, and a by-value hand-over here
+// cost a synchronous write 10 ns of 111.
+func (c *Controller) execSync(at sim.Time, req *Request) (Completion, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tag, err := c.submit(at, c.syncQueue(), &req)
+	tag, err := c.submit(at, c.syncQueue(), req)
 	if err != nil {
 		return Completion{}, err
 	}
@@ -947,7 +980,7 @@ func (c *Controller) execSync(at sim.Time, req Request) (Completion, error) {
 
 // Write submits a write and waits for its completion.
 func (c *Controller) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpWrite, LBA: lba, Payloads: payloads})
+	comp, err := c.execSync(at, &Request{Op: OpWrite, LBA: lba, Payloads: payloads})
 	if err != nil {
 		return at, err
 	}
@@ -956,18 +989,34 @@ func (c *Controller) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time,
 
 // Read submits a read and waits for its data. The returned slices are
 // owned by the caller; hand them to Recycle when done to keep the read
-// path allocation-free.
+// path allocation-free. Like Backend.Read it has no caller in the root
+// package any more — the public device reads through ReadInto — and stays
+// as the synchronous per-sector form the replayers and the frozen bench/
+// drive.
 func (c *Controller) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpRead, LBA: lba, N: n})
+	comp, err := c.execSync(at, &Request{Op: OpRead, LBA: lba, N: n})
 	if err != nil {
 		return nil, at, err
 	}
 	return comp.Data, comp.Done, nil
 }
 
+// ReadInto submits a read of n sectors into dst (n sectors long) and waits
+// for it: the flat form of Read, one copy and no pooled buffer.
+func (c *Controller) ReadInto(at sim.Time, lba, n int64, dst []byte) (sim.Time, error) {
+	if dst == nil {
+		return at, errors.New("host: ReadInto without a destination")
+	}
+	comp, err := c.execSync(at, &Request{Op: OpRead, LBA: lba, N: n, Dst: dst})
+	if err != nil {
+		return at, err
+	}
+	return comp.Done, nil
+}
+
 // Append submits a Zone Append and waits for the assigned LBA.
 func (c *Controller) Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpAppend, Zone: zone, Payloads: payloads})
+	comp, err := c.execSync(at, &Request{Op: OpAppend, Zone: zone, Payloads: payloads})
 	if err != nil {
 		return -1, at, err
 	}
@@ -976,7 +1025,7 @@ func (c *Controller) Append(at sim.Time, zone int, payloads [][]byte) (int64, si
 
 // Flush submits a single-zone flush and waits for it.
 func (c *Controller) Flush(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpFlush, Zone: zone})
+	comp, err := c.execSync(at, &Request{Op: OpFlush, Zone: zone})
 	if err != nil {
 		return at, err
 	}
@@ -985,7 +1034,7 @@ func (c *Controller) Flush(at sim.Time, zone int) (sim.Time, error) {
 
 // FlushAll submits a device-wide flush barrier and waits for it.
 func (c *Controller) FlushAll(at sim.Time) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpFlush, Zone: -1})
+	comp, err := c.execSync(at, &Request{Op: OpFlush, Zone: -1})
 	if err != nil {
 		return at, err
 	}
@@ -994,7 +1043,7 @@ func (c *Controller) FlushAll(at sim.Time) (sim.Time, error) {
 
 // ResetZone submits a zone reset and waits for it.
 func (c *Controller) ResetZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpReset, Zone: zone})
+	comp, err := c.execSync(at, &Request{Op: OpReset, Zone: zone})
 	if err != nil {
 		return at, err
 	}
@@ -1003,7 +1052,7 @@ func (c *Controller) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 
 // CloseZone submits a zone close and waits for it.
 func (c *Controller) CloseZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpClose, Zone: zone})
+	comp, err := c.execSync(at, &Request{Op: OpClose, Zone: zone})
 	if err != nil {
 		return at, err
 	}
@@ -1012,7 +1061,7 @@ func (c *Controller) CloseZone(at sim.Time, zone int) (sim.Time, error) {
 
 // FinishZone submits a zone finish and waits for it.
 func (c *Controller) FinishZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, Request{Op: OpFinish, Zone: zone})
+	comp, err := c.execSync(at, &Request{Op: OpFinish, Zone: zone})
 	if err != nil {
 		return at, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/conzone/conzone/internal/host"
+	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -281,4 +282,86 @@ func TestReadDataOwnedAcrossMediaReuse(t *testing.T) {
 	if data := read(2*zcap, 4); data != nil {
 		t.Fatalf("unwritten read returned a %d-entry container, want nil", len(data))
 	}
+}
+
+// instantBackend completes every command 100 virtual ns after dispatch and
+// does nothing else, so a benchmark over it times the controller alone.
+type instantBackend struct{ zones, zcap int64 }
+
+func (b instantBackend) Read(at sim.Time, _, n int64) ([][]byte, sim.Time, error) {
+	return make([][]byte, n), at + 100, nil
+}
+func (instantBackend) ReadInto(at sim.Time, _, _ int64, _ [][]byte) (sim.Time, error) {
+	return at + 100, nil
+}
+func (instantBackend) Write(at sim.Time, _ int64, _ [][]byte) (sim.Time, error) { return at + 100, nil }
+func (instantBackend) Append(at sim.Time, _ int, _ [][]byte) (int64, sim.Time, error) {
+	return 0, at + 100, nil
+}
+func (instantBackend) Flush(at sim.Time, _ int) (sim.Time, error)      { return at, nil }
+func (instantBackend) FlushAll(at sim.Time) (sim.Time, error)          { return at, nil }
+func (instantBackend) ResetZone(at sim.Time, _ int) (sim.Time, error)  { return at, nil }
+func (instantBackend) CloseZone(at sim.Time, _ int) (sim.Time, error)  { return at, nil }
+func (instantBackend) FinishZone(at sim.Time, _ int) (sim.Time, error) { return at, nil }
+func (b instantBackend) NumZones() int                                 { return int(b.zones) }
+func (b instantBackend) ZoneCapSectors() int64                         { return b.zcap }
+func (b instantBackend) TotalSectors() int64                           { return b.zones * b.zcap }
+func (instantBackend) Recorder() *obs.Recorder                         { return nil }
+
+// BenchmarkInstantBackend is the controller's own cost per command, by the
+// shape the command takes through it: a write queued behind a window of 16
+// (pooled record, heap, zone lock, completion queue), the same write through
+// the synchronous wrapper, and a read on submit's immediate path in its two
+// deliveries. host.Request is passed by value at Submit, so its size shows
+// here first (DESIGN §11, "What Dst costs a write").
+func BenchmarkInstantBackend(b *testing.B) {
+	be := instantBackend{zones: 96, zcap: 4096}
+	payload := make([][]byte, 1)
+	dst := make([]byte, 4096)
+	windowed := func(b *testing.B, req func(i int64) host.Request) {
+		c, err := host.New(be, host.Config{Queues: 1, Depth: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var comps []host.Completion
+		var now sim.Time
+		inflight := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for inflight >= 16 {
+				comps = c.PollInto(0, 1, comps[:0])
+				inflight -= len(comps)
+				now = max(now, comps[0].Done)
+			}
+			if _, err := c.Submit(now, 0, req(int64(i)%be.TotalSectors())); err != nil {
+				b.Fatal(err)
+			}
+			inflight++
+			now += 700
+		}
+	}
+	b.Run("queued-write", func(b *testing.B) {
+		windowed(b, func(lba int64) host.Request { return host.Request{Op: host.OpWrite, LBA: lba, Payloads: payload} })
+	})
+	b.Run("read", func(b *testing.B) {
+		windowed(b, func(lba int64) host.Request { return host.Request{Op: host.OpRead, LBA: lba, N: 1} })
+	})
+	b.Run("read-dst", func(b *testing.B) {
+		windowed(b, func(lba int64) host.Request { return host.Request{Op: host.OpRead, LBA: lba, N: 1, Dst: dst} })
+	})
+	b.Run("sync-write", func(b *testing.B) {
+		c, err := host.New(be, host.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var now sim.Time
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if now, err = c.Write(now, int64(i)%be.TotalSectors(), payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

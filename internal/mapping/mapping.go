@@ -226,6 +226,12 @@ func (t *Table) Get(lpa int64) (PSN, bool) {
 	return p, p != InvalidPSN
 }
 
+// Allocated reports whether the zone has a table: false means Get finds no
+// entry anywhere in it, so a walk over what is mapped may skip the zone.
+func (t *Table) Allocated(zone int) bool {
+	return zone >= 0 && zone < len(t.zones) && t.zones[zone].psn != nil
+}
+
 // Bits returns the map bits of lpa's entry.
 func (t *Table) Bits(lpa int64) Gran {
 	if t.check(lpa) != nil {
