@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -259,77 +260,78 @@ func TestDeviceZoneAppend(t *testing.T) {
 	}
 }
 
-// TestAsyncWriter exercises the convenience writer: windowed writes,
-// appends with deferred offset assignment, sticky errors.
-func TestAsyncWriter(t *testing.T) {
+// TestSubmitWindowedWrites keeps a window of sequential writes in flight on
+// one queue with Submit and Wait, then checks that a write off the zone's
+// write pointer queues fine and fails in its completion, leaving the zone
+// and the device consistent.
+func TestSubmitWindowedWrites(t *testing.T) {
 	dev, err := Open(SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := dev.NewAsyncWriter(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zb := dev.ZoneBytes()
 	data := make([]byte, 4*SectorSize)
 	for i := range data {
 		data[i] = 0xA5
 	}
-	var idxs []int
-	for i := 0; i < 24; i++ {
-		idx, err := w.Append(2, data)
+	const window = 4
+	var inflight []Tag
+	reap := func() {
+		t.Helper()
+		comp, ok := dev.Wait(inflight[0])
+		if !ok || comp.Err != nil {
+			t.Fatalf("write completion: ok=%v err=%v", ok, comp.Err)
+		}
+		inflight = inflight[1:]
+	}
+	for i := 0; i < 8; i++ {
+		if len(inflight) == window {
+			reap()
+		}
+		off := 3*zb + int64(i*len(data))
+		tag, err := dev.Submit(1, HostRequest{Op: OpWrite, LBA: off / SectorSize, Payloads: toSectors(data)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		idxs = append(idxs, idx)
+		inflight = append(inflight, tag)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	for len(inflight) > 0 {
+		reap()
 	}
-	zb := dev.ZoneBytes()
-	for i, idx := range idxs {
-		if got, want := w.AssignedOffset(idx), 2*zb+int64(i*len(data)); got != want {
-			t.Fatalf("append %d assigned offset %d, want %d", i, got, want)
-		}
-	}
-	// Sequential windowed writes to another zone.
-	w2, err := dev.NewAsyncWriter(1, 4)
+	got, err := dev.Read(3*zb, 8*len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if _, err := w2.Write(3*zb+int64(i*len(data)), data); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Equal(got, bytes.Repeat(data, 8)) {
+		t.Fatal("windowed writes did not read back")
 	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A write off the write pointer surfaces as a sticky error by Flush.
-	w3, err := dev.NewAsyncWriter(2, 4)
+
+	// A write off the write pointer is a device-side error: Submit accepts
+	// it, and its completion reports the violation.
+	tag, err := dev.Submit(2, HostRequest{Op: OpWrite, LBA: (5*zb + SectorSize) / SectorSize, Payloads: toSectors(data)})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Submit refused a well-formed write: %v", err)
 	}
-	if _, err := w3.Write(5*zb+SectorSize, data); err != nil {
-		t.Fatal(err) // queues fine; fails at dispatch
+	comp, ok := dev.Wait(tag)
+	if !ok || comp.Err == nil || comp.Status == StatusOK {
+		t.Fatalf("write off the write pointer: ok=%v status=%v err=%v, want a failed completion", ok, comp.Status, comp.Err)
 	}
-	if err := w3.Flush(); err == nil {
-		t.Fatal("want the write-pointer violation from Flush")
-	}
-	if w3.Err() == nil {
-		t.Fatal("error must stick")
+	if z, _ := dev.Zone(5); z.Written() != 0 {
+		t.Fatalf("the refused write moved zone 5's write pointer to %d", z.Written())
 	}
 	if err := dev.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAsyncWriterQueueFullRetry pins the writer's behaviour on a shared
-// full queue: another submitter holds half the slots, so once the writer's
-// own commands fill the rest, every further submit must wait for one of its
-// own completions and retry exactly once — SubmitAttempts proves there is
-// no busy resubmit loop — and a writer with an empty window (nothing of its
-// own to reap) must give up with ErrQueueFull instead of spinning.
-func TestAsyncWriterQueueFullRetry(t *testing.T) {
+// TestSubmitQueueFull pins Submit on a shared full queue: another submitter
+// holds half the slots and this one fills the rest. A refused Submit changes
+// nothing — clock, Stats, queued and completed commands, the next tag — and
+// one Wait on the submitter's own oldest tag frees exactly one slot. So the
+// windowed loop of ExampleDevice_Submit pays one reap per retry instead of
+// resubmitting forever at one virtual instant, and a submitter with nothing
+// of its own in the queue gets ErrQueueFull back.
+func TestSubmitQueueFull(t *testing.T) {
 	dev, err := Open(SmallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -347,45 +349,67 @@ func TestAsyncWriterQueueFullRetry(t *testing.T) {
 		raw = append(raw, tag)
 	}
 
-	w, err := dev.NewAsyncWriter(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	zb := dev.ZoneBytes()
 	data := make([]byte, 4*SectorSize)
 	for i := range data {
 		data[i] = byte(0xC3 ^ i)
 	}
+	write := func(i int) HostRequest {
+		return HostRequest{Op: OpWrite, LBA: (zb + int64(i*len(data))) / SectorSize, Payloads: toSectors(data)}
+	}
+	type state struct {
+		now   time.Duration
+		stats Stats
+		host  host.DebugState
+	}
+	snapshot := func() state { // Stats first: it dispatches what is queued
+		st := dev.Stats()
+		return state{dev.Now(), st, dev.Host().DebugSnapshot()}
+	}
+
 	const writes = 10
+	var own []Tag
+	attempts := 0
 	for i := 0; i < writes; i++ {
-		if _, err := w.Write(1*zb+int64(i*len(data)), data); err != nil {
+		attempts++
+		tag, err := dev.Submit(0, write(i))
+		for errors.Is(err, ErrQueueFull) {
+			if i < 4 {
+				t.Fatalf("write %d refused with %d of 8 slots taken", i, 4+i)
+			}
+			before := snapshot()
+			if _, again := dev.Submit(0, write(i)); !errors.Is(again, ErrQueueFull) {
+				t.Fatalf("write %d: a second Submit on the full queue returned %v", i, again)
+			}
+			if after := snapshot(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("write %d: a refused Submit changed the device:\nbefore %+v\nafter  %+v", i, before, after)
+			}
+			comp, ok := dev.Wait(own[0])
+			if !ok || comp.Err != nil {
+				t.Fatalf("write completion: ok=%v err=%v", ok, comp.Err)
+			}
+			own = own[1:]
+			if out := dev.Host().DebugSnapshot().Outstanding[0]; out != 7 {
+				t.Fatalf("one Wait left %d commands outstanding, want 7", out)
+			}
+			attempts++
+			tag, err = dev.Submit(0, write(i))
+		}
+		if err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
+		own = append(own, tag)
 	}
-	// The first 4 writes fit alongside the reads; each later one finds the
-	// queue full, reaps its own oldest completion, and succeeds on the one
-	// retry that slot allows.
-	if got, want := w.SubmitAttempts(), int64(4+(writes-4)*2); got != want {
-		t.Fatalf("SubmitAttempts = %d, want %d (one wait-and-retry per full-queue submit)", got, want)
-	}
-
-	// A second writer on the same full queue owns none of the occupants: it
-	// must fail fast with ErrQueueFull, not loop.
-	w2, err := dev.NewAsyncWriter(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w2.Write(2*zb, data); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("empty-window submit on a full queue returned %v, want ErrQueueFull", err)
+	// The first 4 writes fit beside the reads; each later one is refused
+	// once, and the one slot its Wait frees takes it.
+	if want := 4 + (writes-4)*2; attempts != want {
+		t.Fatalf("%d Submit calls for %d writes, want %d (one wait-and-retry per full-queue submit)", attempts, writes, want)
 	}
 
-	for _, tag := range raw {
-		if _, ok := dev.Wait(tag); !ok {
-			t.Fatalf("read completion of tag %d vanished", tag)
+	for _, tag := range append(raw, own...) {
+		if comp, ok := dev.Wait(tag); !ok || comp.Err != nil {
+			t.Fatalf("completion of tag %d: ok=%v err=%v", tag, ok, comp.Err)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	got, err := dev.Read(1*zb, writes*len(data))
 	if err != nil {
@@ -402,14 +426,15 @@ func TestAsyncWriterQueueFullRetry(t *testing.T) {
 }
 
 // TestConcurrentSubmitters hammers the device from parallel goroutines —
-// one queue and one zone each — to exercise the concurrency contract
-// under the race detector. Logical contents must come out exact.
+// one queue and one zone each, a window of Zone Appends per goroutine
+// through Submit and Wait — to exercise the concurrency contract under the
+// race detector. Logical contents must come out exact.
 func TestConcurrentSubmitters(t *testing.T) {
 	dev, err := Open(SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	queues := dev.QueueCount()
+	queues := dev.Host().Queues()
 	if dev.NumZones() < queues {
 		queues = dev.NumZones()
 	}
@@ -420,23 +445,39 @@ func TestConcurrentSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			w, err := dev.NewAsyncWriter(g, 8)
-			if err != nil {
-				errs <- err
-				return
-			}
 			data := make([]byte, 4*SectorSize)
 			for i := range data {
 				data[i] = byte(g + 1)
 			}
+			const window = 8
+			var inflight []Tag
+			reap := func() error {
+				comp, ok := dev.Wait(inflight[0])
+				inflight = inflight[1:]
+				if !ok {
+					return fmt.Errorf("goroutine %d: completion reaped elsewhere", g)
+				}
+				return comp.Err
+			}
 			for i := 0; i < 16; i++ {
-				if _, err := w.Append(g, data); err != nil {
+				if len(inflight) == window {
+					if err := reap(); err != nil {
+						errs <- err
+						return
+					}
+				}
+				tag, err := dev.Submit(g, HostRequest{Op: OpAppend, Zone: g, Payloads: toSectors(data)})
+				if err != nil {
 					errs <- fmt.Errorf("goroutine %d append %d: %w", g, i, err)
 					return
 				}
+				inflight = append(inflight, tag)
 			}
-			if err := w.Flush(); err != nil {
-				errs <- fmt.Errorf("goroutine %d flush: %w", g, err)
+			for len(inflight) > 0 {
+				if err := reap(); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(g)
 	}
@@ -470,8 +511,8 @@ func TestConfigureQueues(t *testing.T) {
 	if err := dev.ConfigureQueues(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	if dev.QueueCount() != 2 || dev.QueueDepth() != 4 {
-		t.Fatalf("got %d queues depth %d", dev.QueueCount(), dev.QueueDepth())
+	if h := dev.Host(); h.Queues() != 2 || h.Depth() != 4 {
+		t.Fatalf("got %d queues depth %d", h.Queues(), h.Depth())
 	}
 	tag, err := dev.Submit(1, HostRequest{Op: OpRead, LBA: 0, N: 1})
 	if err != nil {

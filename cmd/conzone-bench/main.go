@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"github.com/conzone/conzone/internal/config"
@@ -48,13 +47,10 @@ var outputFlags = []struct{ name, usage string }{
 	{"json", "-exp selfbench: write the results to this file (e.g. BENCH_emulator.json)"},
 }
 
-// local are the experiments that cannot live in internal/experiments:
-// metrics and timeseries drive the public conzone.Device, and the root
-// package's tests import internal/experiments; selfbench measures wall-clock
-// time through package testing.
+// local is the one experiment outside internal/experiments: selfbench spends
+// about 20 s of wall clock in testing.Benchmark and reports that wall clock,
+// not virtual time, so no test runs it.
 var local = []experiments.Experiment{
-	{Name: "metrics", Artifacts: []string{"metrics-json", "chrome"}, Run: runMetrics},
-	{Name: "timeseries", Artifacts: []string{"series-jsonl", "series-csv"}, Run: runTimeseries},
 	{Name: "selfbench", Artifacts: []string{"json"}, Run: runSelfBench},
 }
 
@@ -131,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.Name, err)
 			}
-			if err := printReport(stdout, rep); err != nil {
+			if err := rep.Print(stdout); err != nil {
 				return err
 			}
 			for _, o := range outputFlags {
@@ -160,40 +156,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	})
-}
-
-// printReport is the one printer: every experiment's Report takes this shape
-// on stdout.
-func printReport(w io.Writer, r experiments.Report) error {
-	fmt.Fprintf(w, "\n=== %s ===\n", r.Title)
-	for _, t := range r.Tables {
-		if t.Caption != "" {
-			fmt.Fprintf(w, "\n%s\n", t.Caption)
-		}
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		if t.Header != nil {
-			fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
-		}
-		for _, row := range t.Rows {
-			fmt.Fprintln(tw, strings.Join(row, "\t"))
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-		for _, n := range t.Notes {
-			fmt.Fprintln(w, n)
-		}
-	}
-	for _, c := range r.Checks {
-		fmt.Fprintln(w, " ", c)
-	}
-	switch {
-	case !r.Pass:
-		fmt.Fprintln(w, "  => SOME CLAIMS NOT REPRODUCED")
-	case len(r.Checks) > 0:
-		fmt.Fprintln(w, "  => paper claims reproduced")
-	}
-	return nil
 }
 
 func writeFile(path string, write func(io.Writer) error) error {

@@ -18,7 +18,7 @@
 //	if err != nil { ... }
 //	err = dev.Write(0, data)             // sequential, 4 KiB-aligned
 //	buf, err := dev.Read(0, len(data))
-//	fmt.Println(dev.Now(), dev.WAF())
+//	fmt.Println(dev.Now(), dev.Stats().WAF)
 //
 // Every operation advances the device's virtual clock by the simulated
 // hardware time; no wall-clock time is consumed. For experiment-grade
@@ -145,9 +145,6 @@ func QLCConfig() Config { return config.QLC() }
 // LoadConfig reads a JSON configuration saved with Config.Save.
 func LoadConfig(path string) (Config, error) { return config.Load(path) }
 
-// DefaultLatencies returns the paper's Table II timing values.
-func DefaultLatencies() LatencyTable { return nand.DefaultLatencies() }
-
 // Stats is a unified snapshot of a ConZone device's counters: every
 // subsystem's counter block (FTL, L2P cache, NAND, SLC staging, write
 // buffers, fault injector), the derived WAF and miss-ratio gauges, the
@@ -168,8 +165,8 @@ type Occupancy = telemetry.Occupancy
 // Every operation — including the traditional synchronous methods — flows
 // through the device's multi-queue host interface (internal/host): a
 // synchronous call is simply the queue-depth-1 special case. Asynchronous
-// submitters use Submit/Poll/Wait or an AsyncWriter to keep multiple
-// commands outstanding; see the "Async I/O" section of the README.
+// submitters use Submit/Poll/Wait to keep multiple commands outstanding; see
+// ExampleDevice_Submit and the "Async I/O" section of the README.
 type Device struct {
 	mu  sync.Mutex
 	f   *ftl.FTL
@@ -431,25 +428,6 @@ func (d *Device) Zone(id int) (ZoneInfo, error) {
 	return d.f.Zones().Zone(id)
 }
 
-// WAF returns the write amplification factor observed so far.
-func (d *Device) WAF() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.advance(d.h.Kick())
-	return d.f.WAF()
-}
-
-// ReadOnly reports whether the device has degraded to read-only operation:
-// grown-bad blocks consumed every spare superblock (or the SLC staging
-// region can no longer sustain writes). Write-class commands then fail with
-// ErrReadOnly; reads keep working. The transition is sticky.
-func (d *Device) ReadOnly() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.advance(d.h.Kick())
-	return d.f.ReadOnly()
-}
-
 // BadBlock is one grown-bad block record.
 type BadBlock = ftl.BadBlock
 
@@ -511,14 +489,6 @@ func (d *Device) EnableObservation(ringSize int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.f.SetRecorder(obs.NewRecorder(ringSize))
-}
-
-// DisableObservation detaches the recorder, returning the device to the
-// zero-overhead path.
-func (d *Device) DisableObservation() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.f.SetRecorder(nil)
 }
 
 // Telemetry snapshots the lifecycle recorder: per-stage span counts, cause

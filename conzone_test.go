@@ -155,7 +155,7 @@ func TestFlushAndStats(t *testing.T) {
 	if st.NAND.PageProgramsSLC != 1 || st.NAND.PartialPrograms != 1 {
 		t.Errorf("SLC programs = %d page + %d partial", st.NAND.PageProgramsSLC, st.NAND.PartialPrograms)
 	}
-	if dev.WAF() <= 0 {
+	if st.WAF <= 0 {
 		t.Error("WAF should be positive after writes")
 	}
 	if err := dev.Flush(); err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
+	"text/tabwriter"
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/units"
@@ -47,6 +49,40 @@ type Report struct {
 	Artifacts map[string]func(io.Writer) error
 }
 
+// Print is the one printer: every experiment's Report takes this shape, on
+// conzone-bench's stdout and wherever else a Report is rendered.
+func (r Report) Print(w io.Writer) error {
+	fmt.Fprintf(w, "\n=== %s ===\n", r.Title)
+	for _, t := range r.Tables {
+		if t.Caption != "" {
+			fmt.Fprintf(w, "\n%s\n", t.Caption)
+		}
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		if t.Header != nil {
+			fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
+		}
+		for _, row := range t.Rows {
+			fmt.Fprintln(tw, strings.Join(row, "\t"))
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+		for _, n := range t.Notes {
+			fmt.Fprintln(w, n)
+		}
+	}
+	for _, c := range r.Checks {
+		fmt.Fprintln(w, " ", c)
+	}
+	switch {
+	case !r.Pass:
+		fmt.Fprintln(w, "  => SOME CLAIMS NOT REPRODUCED")
+	case len(r.Checks) > 0:
+		fmt.Fprintln(w, "  => paper claims reproduced")
+	}
+	return nil
+}
+
 // JSON is the artifact that writes v as indented JSON.
 func JSON(v any) func(io.Writer) error {
 	return func(w io.Writer) error {
@@ -75,8 +111,10 @@ type Experiment struct {
 
 // All returns every experiment this package can run: the paper's tables and
 // figures first, in the order of §IV, then the characterizations of what
-// this reproduction adds. faultSeed seeds the two entries that inject
-// faults (faults, crash); the others ignore it.
+// this reproduction adds, and last the two that drive the public
+// conzone.Device to show its telemetry (metrics, timeseries). faultSeed
+// seeds the two entries that inject faults (faults, crash); the others
+// ignore it.
 func All(faultSeed uint64) []Experiment {
 	return []Experiment{
 		{Name: "table1", InSuite: true, Run: func(config.DeviceConfig, Options) (Report, error) {
@@ -99,6 +137,8 @@ func All(faultSeed uint64) []Experiment {
 			return runCrash(opt, faultSeed), nil
 		}},
 		{Name: "zonelife", Run: runZoneLife},
+		{Name: "metrics", Artifacts: []string{"chrome", "metrics-json"}, Run: runMetrics},
+		{Name: "timeseries", Artifacts: []string{"series-csv", "series-jsonl"}, Run: runTimeseries},
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
@@ -302,15 +303,6 @@ func TestTelemetryExportEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Disabling returns the device to the zero-overhead path.
-	dev.DisableObservation()
-	if err := dev.Write(4*dev.ZoneBytes(), make([]byte, 8*SectorSize)); err != nil {
-		t.Fatal(err)
-	}
-	if tel := dev.Telemetry(); tel.Recorded != 0 {
-		t.Fatalf("telemetry after disable = %+v, want zero", tel)
-	}
-
 	if err := dev.CheckInvariants(); err != nil {
 		t.Fatalf("device inconsistent after observed run: %v", err)
 	}
@@ -343,5 +335,52 @@ func TestTelemetryCoversSubmittedCommands(t *testing.T) {
 	}
 	if got := tel.Stage("host_queue").Count; got != writes {
 		t.Errorf("Telemetry holds %d host_queue spans, want %d", got, writes)
+	}
+}
+
+// TestReadoutsCoverSubmittedCommands: PowerLost, Series and SamplesRecorded
+// dispatch submitted commands before they look, as Stats does, so what they
+// report does not depend on whether an unrelated readout ran first.
+func TestReadoutsCoverSubmittedCommands(t *testing.T) {
+	submit := func(dev *Device, writes int) {
+		t.Helper()
+		for i := 0; i < writes; i++ {
+			req := HostRequest{Op: OpWrite, LBA: int64(i) * 8, Payloads: make([][]byte, 8)}
+			if _, err := dev.Submit(0, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := dev.Submit(0, HostRequest{Op: OpFlush, Zone: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A cut armed at the first instant tears the submitted flush's program.
+	dev, err := Open(SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.ArmPowerCut(1)
+	submit(dev, 1)
+	lost := dev.PowerLost()
+	dev.Stats()
+	if !lost || !dev.PowerLost() {
+		t.Errorf("PowerLost = %v before a Stats call and %v after, want true both times", lost, dev.PowerLost())
+	}
+
+	// The submitted commands cross a sample boundary of the virtual clock.
+	dev, err = Open(SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.EnableSampling(10*time.Microsecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	submit(dev, 4)
+	series := len(dev.Series())
+	recorded, _ := dev.SamplesRecorded()
+	dev.Stats()
+	if after := len(dev.Series()); series == 0 || series != after || recorded != int64(after) {
+		t.Errorf("Series holds %d samples (SamplesRecorded %d) before a Stats call and %d after, want the same non-zero count", series, recorded, after)
 	}
 }

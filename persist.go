@@ -47,10 +47,13 @@ func (d *Device) ArmPowerCut(at Time) {
 	d.f.ArmPowerCut(at)
 }
 
-// PowerLost reports whether an armed power cut has fired.
+// PowerLost reports whether an armed power cut has fired. Queued
+// asynchronous commands are dispatched first, so a cut one of them tears
+// counts.
 func (d *Device) PowerLost() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
 	return d.f.PowerLost()
 }
 

@@ -1,7 +1,10 @@
 package conzone
 
 import (
+	"go/ast"
+	"go/doc"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -9,14 +12,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// surfaceAllow lists the names declared under internal/ that no non-test
-// code uses and that stay anyway, each with the reason. A pattern is an
-// exact "internal/pkg.Name" / "internal/pkg.Recv.Name" key, a key prefix
-// ending in '*', or "*.Name" for a method name on any receiver. An entry that
-// no longer excuses anything fails the test, so the list cannot go stale.
+// surfaceAllow lists the names with no caller that stay anyway, each with the
+// reason. A pattern is an exact "internal/pkg.Name" / "internal/pkg.Recv.Name"
+// or "conzone.Name" / "conzone.Recv.Name" key, a key prefix ending in '*', or
+// "*.Name" for a method name on any receiver. An entry that no longer excuses
+// anything fails the test, so the list cannot go stale.
 var surfaceAllow = []struct{ pattern, reason string }{
 	{"*.String", "fmt.Stringer: called by fmt through an interface the module never names"},
 	{"*.MarshalJSON", "json.Marshaler: called by encoding/json"},
@@ -33,6 +37,20 @@ var surfaceAllow = []struct{ pattern, reason string }{
 	{"internal/legacy.Device.Stats", "public through conzone.LegacyDevice; TestLegacyMatchesParent digests it"},
 }
 
+// surfaceScan is what one type-checked walk of the module finds: the keys of
+// the declarations nothing uses, with their positions, and which allowlist
+// entries excused one.
+type surfaceScan struct {
+	dead      []string
+	allowUsed []bool
+}
+
+var (
+	surfaceOnce sync.Once
+	surface     surfaceScan
+	surfaceErr  error
+)
+
 // TestInternalSurfaceHasCallers is the "no surface without a caller" rule as a
 // test: every package-level func, type, const and var and every method
 // declared in a non-test file of an internal/ package — exported or not —
@@ -45,6 +63,45 @@ var surfaceAllow = []struct{ pattern, reason string }{
 // method. ftl/benchcompat.go's three methods need no entry while the frozen
 // bench/trace.go demands them of *FTL; they fall out with it.
 func TestInternalSurfaceHasCallers(t *testing.T) {
+	checkSurface(t, "internal/", "declared but used by no non-test file of the module or bench/")
+	if len(surfaceAllow) > 15 {
+		t.Errorf("allowlist has %d entries; the budget is 15", len(surfaceAllow))
+	}
+}
+
+// TestPublicSurfaceHasCallers is the same rule for the library's API: every
+// function and method declared in a non-test file of the root package must be
+// used by a non-test file of the module (the root's own files count), by
+// bench/*.go, or by a runnable Example (one with an "// Output:" comment) in
+// example_test.go, so each call a library user is offered runs somewhere.
+// Interface satisfaction counts as for internal/: *Device feeds
+// telemetry.Source and workload.ByteZoned. Type aliases, constants and
+// sentinel error variables are exempt: they are the one-line vocabulary an
+// importer outside the module needs to name what the public signatures carry.
+func TestPublicSurfaceHasCallers(t *testing.T) {
+	checkSurface(t, "conzone.", "exported but called by no non-test file of the module, bench/ or runnable Example")
+}
+
+// checkSurface reports the scan's dead keys that start with scope, and the
+// stale allowlist entries of that scope (the "*." patterns are internal/'s).
+func checkSurface(t *testing.T, scope, what string) {
+	surfaceOnce.Do(func() { surface, surfaceErr = scanSurface() })
+	if surfaceErr != nil {
+		t.Fatal(surfaceErr)
+	}
+	for _, d := range surface.dead {
+		if strings.HasPrefix(d, scope) {
+			t.Errorf("%s: %s", what, d)
+		}
+	}
+	for i, a := range surfaceAllow {
+		if (strings.HasPrefix(a.pattern, "conzone.") == (scope == "conzone.")) && !surface.allowUsed[i] {
+			t.Errorf("stale allowlist entry %q (%s): it excuses nothing", a.pattern, a.reason)
+		}
+	}
+}
+
+func scanSurface() (surfaceScan, error) {
 	m := &moduleImporter{fset: token.NewFileSet(), std: importer.Default(), pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -60,15 +117,24 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		return surfaceScan{}, err
 	}
 	_, benchInfo, err := m.check(modulePath+"/bench", "bench", func(string) bool { return true })
 	if err != nil {
-		t.Fatalf("bench/ does not type-check against this tree: %v", err)
+		return surfaceScan{}, err
 	}
 
 	// What non-test code uses, and the interfaces it names.
 	used := map[types.Object]bool{}
+	use := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
 	var ifaces []*types.Interface
 	seen := map[types.Type]bool{}
 	var named func(types.Type)
@@ -97,13 +163,7 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 	}
 	absorb := func(info *types.Info) {
 		for _, obj := range info.Uses {
-			switch o := obj.(type) {
-			case *types.Func:
-				obj = o.Origin()
-			case *types.Var:
-				obj = o.Origin()
-			}
-			used[obj] = true
+			use(obj)
 		}
 		for _, tv := range info.Types {
 			named(tv.Type)
@@ -112,6 +172,9 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 	absorb(benchInfo)
 	for _, info := range m.infos {
 		absorb(info)
+	}
+	if err := absorbExamples(m, use); err != nil {
+		return surfaceScan{}, err
 	}
 	satisfies := func(fn *types.Func, recv *types.Named) bool {
 		if recv.TypeParams().Len() > 0 {
@@ -127,7 +190,7 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 		return false
 	}
 
-	allowUsed := make([]bool, len(surfaceAllow))
+	s := surfaceScan{allowUsed: make([]bool, len(surfaceAllow))}
 	allowed := func(key, recv, name string) bool {
 		ok := false
 		for i, a := range surfaceAllow {
@@ -141,12 +204,11 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 				hit = key == a.pattern
 			}
 			if hit {
-				allowUsed[i], ok = true, true
+				s.allowUsed[i], ok = true, true
 			}
 		}
 		return ok
 	}
-	var dead []string
 	report := func(dir string, obj types.Object, recv string) {
 		if obj.Name() == "_" || obj.Name() == "init" {
 			return
@@ -156,17 +218,21 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 			key = dir + "." + recv + "." + obj.Name()
 		}
 		if !allowed(key, recv, obj.Name()) {
-			dead = append(dead, key+"  ("+m.fset.Position(obj.Pos()).String()+")")
+			s.dead = append(s.dead, key+"  ("+m.fset.Position(obj.Pos()).String()+")")
 		}
 	}
 	for pkgPath, pkg := range m.pkgs {
 		dir, ok := strings.CutPrefix(pkgPath, modulePath+"/")
-		if !ok || !strings.HasPrefix(dir, "internal/") {
+		root := pkgPath == modulePath
+		if root {
+			dir = "conzone"
+		} else if !ok || !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
-			if !used[obj] {
+			// The root's package-level names other than functions are exempt.
+			if _, fn := obj.(*types.Func); !used[obj] && (!root || fn) {
 				report(dir, obj, "")
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -184,16 +250,31 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 			}
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("declared but used by no non-test file of the module or bench/: %s", d)
+	sort.Strings(s.dead)
+	return s, nil
+}
+
+// absorbExamples type-checks example_test.go against the root package and
+// passes use every object the body of a runnable Example names.
+func absorbExamples(m *moduleImporter, use func(types.Object)) error {
+	f, err := parser.ParseFile(m.fset, "example_test.go", nil, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return err
 	}
-	for i, a := range surfaceAllow {
-		if !allowUsed[i] {
-			t.Errorf("stale allowlist entry %q (%s): it excuses nothing", a.pattern, a.reason)
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: m}).Check(modulePath+"_test", m.fset, []*ast.File{f}, info); err != nil {
+		return err
+	}
+	for _, ex := range doc.Examples(f) {
+		if ex.Output == "" && !ex.EmptyOutput {
+			continue
 		}
+		ast.Inspect(ex.Code, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+				use(info.Uses[id])
+			}
+			return true
+		})
 	}
-	if len(surfaceAllow) > 15 {
-		t.Errorf("allowlist has %d entries; the budget is 15", len(surfaceAllow))
-	}
+	return nil
 }

@@ -49,14 +49,6 @@ func (d *Device) EnableSampling(interval time.Duration, ringSize int) error {
 	return nil
 }
 
-// DisableSampling detaches the sampler, discarding the retained series and
-// returning the clock-advance path to a single nil check.
-func (d *Device) DisableSampling() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.smp = nil
-}
-
 // SampleInterval returns the sampler's virtual interval, 0 when sampling is
 // disabled.
 func (d *Device) SampleInterval() time.Duration {
@@ -66,18 +58,21 @@ func (d *Device) SampleInterval() time.Duration {
 }
 
 // Series returns the retained samples, oldest first (nil when sampling is
-// disabled or nothing has been recorded yet).
+// disabled or nothing has been recorded yet). Queued asynchronous commands
+// are dispatched first, so the series covers every boundary they cross.
 func (d *Device) Series() []Sample {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
 	return d.smp.Samples()
 }
 
 // SamplesRecorded returns how many samples were ever recorded and how many
-// the ring has overwritten.
+// the ring has overwritten, after dispatching queued commands as Series does.
 func (d *Device) SamplesRecorded() (recorded, dropped int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
 	return d.smp.Recorded(), d.smp.Dropped()
 }
 

@@ -64,16 +64,6 @@ func TestSamplingSeriesOverVirtualTime(t *testing.T) {
 	if last.Stats.WAF <= 0 {
 		t.Fatal("no WAF in the final sample")
 	}
-
-	// Disabling drops the series and future recording.
-	dev.DisableSampling()
-	if dev.Series() != nil || dev.SampleInterval() != 0 {
-		t.Fatal("series survived DisableSampling")
-	}
-	conflictRoundsFrom(t, dev, 1, 3, 96, 8)
-	if dev.Series() != nil {
-		t.Fatal("samples recorded while disabled")
-	}
 }
 
 // TestRemountEmitsDiscontinuity is the satellite regression test: a crash

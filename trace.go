@@ -7,9 +7,9 @@ import (
 	"github.com/conzone/conzone/internal/workload"
 )
 
-// I/O trace support: record device operations to a compact binary (or
-// editable text) format and replay them against any device model. See
-// cmd/conzone-trace for the command-line front end.
+// I/O trace support: record device operations to a compact binary format
+// and replay them against any device model. See cmd/conzone-trace for the
+// command-line front end, which also reads and writes an editable text form.
 type (
 	// TraceRecord is one timed device operation.
 	TraceRecord = trace.Record
@@ -36,14 +36,6 @@ func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
 // NewTraceReader wraps r with the binary trace decoder.
 func NewTraceReader(r io.Reader) *TraceReader { return trace.NewReader(r) }
-
-// EncodeTraceText writes records in the human-editable line format.
-func EncodeTraceText(w io.Writer, records []TraceRecord) error {
-	return trace.EncodeText(w, records)
-}
-
-// DecodeTraceText parses the line format.
-func DecodeTraceText(r io.Reader) ([]TraceRecord, error) { return trace.DecodeText(r) }
 
 // ReplayTrace drives a device with the records, preserving causality.
 func ReplayTrace(dev workload.Device, records []TraceRecord) (ReplayResult, error) {
