@@ -15,7 +15,7 @@
 //	map-zone        a reserved PSN belongs to a different zone than its LPA
 //	map-staging     mapping vs. staging validity / reverse-map mismatch
 //	staging-leak    valid staged sectors no mapping entry references
-//	zone-staged     a zone's staged-index ownership set is out of sync
+//	zone-staged     a zone's staged partial unit is not the one a combine expects
 //	zone-wp         write pointer vs. mapped/buffered sector disagreement
 //	wbuf-run        a buffered run is malformed (two buffers, out of zone)
 //	head-extent     bound superblock programmed extent vs. head mappings
@@ -43,6 +43,7 @@ import (
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/wbuf"
+	"github.com/conzone/conzone/internal/zns"
 )
 
 // auditTailEvents is how many flight-recorder events a violation message
@@ -71,7 +72,7 @@ func audit(f *ftl.FTL) error {
 	if err := substrates(f); err != nil {
 		return err
 	}
-	refs, headMapped, err := walkMapping(f)
+	refs, zones, err := walkMapping(f)
 	if err != nil {
 		return err
 	}
@@ -79,7 +80,7 @@ func audit(f *ftl.FTL) error {
 		return fmt.Errorf("audit[staging-leak]: staging holds %d valid sectors but the mapping references %d (%d leaked valid pages)",
 			total, len(refs), total-int64(len(refs)))
 	}
-	if err := auditZones(f, refs, headMapped); err != nil {
+	if err := auditZones(f, zones); err != nil {
 		return err
 	}
 	if err := auditSuperblocks(f); err != nil {
@@ -112,14 +113,33 @@ func substrates(f *ftl.FTL) error {
 	return nil
 }
 
+// zoneRefs is what the mapping walk saw of one zone: its entries resolving
+// into the bound superblock, and the span of its staged entries below the
+// head capacity — the partial unit a sequential zone holds for a combine.
+type zoneRefs struct {
+	head   int64 // head-region (bound superblock) mappings
+	staged int64 // staging-resident mappings below the head capacity
+	lo, hi int64 // lowest and highest zone offset among those, when staged > 0
+}
+
+// note records one staged head-region entry at zone offset off.
+func (z *zoneRefs) note(off int64) {
+	if z.staged == 0 || off < z.lo {
+		z.lo = off
+	}
+	z.hi = max(z.hi, off)
+	z.staged++
+}
+
 // walkMapping visits every mapped LPA once: each must resolve to a
 // programmed physical sector, reserved PSNs must stay inside their LPA's
 // zone, and staging-resident sectors must be live, reverse-mapped to the
 // same LPA, and referenced exactly once. It returns the staging-index
-// reference map and the per-zone count of head-region (bound superblock)
-// mappings. Only zones the table has allocated are walked, so the cost
-// follows the zones written, not the namespace.
-func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
+// reference map — the staged sectors each zone owns, since a zone owns what
+// its LPAs map — and per zone the head-region mappings and staged partial
+// unit. Only zones the table has allocated are walked, so the cost follows
+// the zones written, not the namespace.
+func walkMapping(f *ftl.FTL) (map[int64]int64, []zoneRefs, error) {
 	geo := f.Geometry()
 	arr := f.Array()
 	reg := f.Staging()
@@ -127,7 +147,7 @@ func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
 	zoneCap := f.ZoneCapSectors()
 	head := f.HeadSectors()
 	refs := make(map[int64]int64) // staging linear index -> owning LPA
-	headMapped := make([]int64, f.NumZones())
+	zones := make([]zoneRefs, f.NumZones())
 	for zi := 0; zi < f.NumZones(); zi++ {
 		if !table.Allocated(zi) {
 			continue // no table, no entry: the walk costs what is mapped
@@ -152,10 +172,12 @@ func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
 						lpa, lpa/zoneCap, psn, zone)
 				}
 				if int64(psn)%zoneCap < head {
-					headMapped[zone]++
+					zones[zone].head++
 					continue
 				}
 				// Alignment-tail PSN: resolves into staging, checked below.
+			} else if off := lpa - start; off < head {
+				zones[zi].note(off)
 			}
 			idx, err := reg.IndexOf(addr)
 			if err != nil {
@@ -174,21 +196,23 @@ func walkMapping(f *ftl.FTL) (map[int64]int64, []int64, error) {
 			refs[idx] = lpa
 		}
 	}
-	return refs, headMapped, nil
+	return refs, zones, nil
 }
 
-// auditZones checks, per zone: the staged-index ownership set against the
-// mapping's references, pend-run contiguity, the bound superblock's
-// programmed extent against head mappings, and — for sequential zones —
-// that every sector below the write pointer is exactly one of mapped or
-// write-buffered, that nothing at or beyond the write pointer is mapped,
-// and that a buffered run ends exactly at the write pointer.
-func auditZones(f *ftl.FTL, refs map[int64]int64, headMapped []int64) error {
+// auditZones checks, per zone: the staged partial unit's shape, the bound
+// superblock's programmed extent against head mappings, and — for
+// sequential zones — that every sector below the write pointer is exactly
+// one of mapped or write-buffered, that nothing at or beyond the write
+// pointer is mapped, and that a buffered run ends exactly at the write
+// pointer.
+func auditZones(f *ftl.FTL, zones []zoneRefs) error {
 	geo := f.Geometry()
 	arr := f.Array()
 	table := f.Table()
 	zm := f.Zones()
 	zoneCap := f.ZoneCapSectors()
+	puSectors := geo.ProgramUnit / units.Sector
+	combine := !f.Params().DisableCombine
 
 	runByZone := make(map[int]wbuf.Run)
 	for _, r := range f.Buffers().Runs() {
@@ -198,54 +222,45 @@ func auditZones(f *ftl.FTL, refs map[int64]int64, headMapped []int64) error {
 		runByZone[r.Zone] = r
 	}
 
-	owned := make(map[int64]int) // staging index -> owning zone
-	var ownedTotal int64
 	for zone := 0; zone < f.NumZones(); zone++ {
 		z, err := zm.Zone(zone)
 		if err != nil {
 			return err
 		}
-		zd, err := f.ZoneDebugInfo(zone)
-		if err != nil {
-			return err
-		}
-
-		for _, g := range zd.Staged {
-			if prev, dup := owned[g]; dup {
-				return fmt.Errorf("audit[zone-staged]: staging index %d owned by zones %d and %d", g, prev, zone)
-			}
-			owned[g] = zone
-			lpa, ok := refs[g]
-			if !ok {
-				return fmt.Errorf("audit[zone-staged]: zone %d owns staging index %d that no mapping entry references", zone, g)
-			}
-			if lpa < z.Start || lpa >= z.Start+zoneCap {
-				return fmt.Errorf("audit[zone-staged]: zone %d owns staging index %d, mapped by LPA %d outside the zone", zone, g, lpa)
-			}
-		}
-		ownedTotal += int64(len(zd.Staged))
-
-		for i, off := range zd.PendOffsets {
-			if i > 0 && off != zd.PendOffsets[i-1]+1 {
-				return fmt.Errorf("audit[zone-staged]: zone %d pend run discontinuity at offset %d", zone, off)
-			}
-		}
-
-		if zd.SB >= 0 {
-			block := geo.FirstNormalBlock() + zd.SB
-			var programmed int64
+		sb, conv, zr := f.ZoneSB(zone), z.Type == zns.Conventional, zones[zone]
+		var programmed int64
+		if sb >= 0 {
+			block := geo.FirstNormalBlock() + sb
 			for chip := 0; chip < geo.Chips(); chip++ {
 				programmed += int64(arr.NextProgramSector(chip, block))
 			}
-			if programmed != headMapped[zone] {
-				return fmt.Errorf("audit[head-extent]: zone %d superblock %d holds %d programmed sectors but %d head-mapped entries",
-					zone, zd.SB, programmed, headMapped[zone])
+		}
+		// With combining on, a sequential zone stages a head sector only
+		// while its unit is incomplete, and the combine that completes the
+		// unit reads [unit start, write) back from these entries: one run,
+		// shorter than a unit, starting where the superblock's programmed
+		// extent ends.
+		if combine && !conv && zr.staged > 0 {
+			switch {
+			case zr.hi-zr.lo+1 != zr.staged:
+				return fmt.Errorf("audit[zone-staged]: zone %d stages %d head sectors spread over offsets [%d,%d], not one run",
+					zone, zr.staged, zr.lo, zr.hi)
+			case zr.lo != programmed || zr.lo%puSectors != 0 || zr.staged >= puSectors:
+				return fmt.Errorf("audit[zone-staged]: zone %d stages head sectors [%d,%d] but a partial unit starts at the programmed extent %d, on a %d-sector unit boundary, and is shorter than one",
+					zone, zr.lo, zr.hi, programmed, puSectors)
 			}
-		} else if headMapped[zone] != 0 {
-			return fmt.Errorf("audit[head-extent]: zone %d has %d head-mapped entries without a bound superblock", zone, headMapped[zone])
 		}
 
-		if zd.Conventional {
+		if sb >= 0 {
+			if programmed != zr.head {
+				return fmt.Errorf("audit[head-extent]: zone %d superblock %d holds %d programmed sectors but %d head-mapped entries",
+					zone, sb, programmed, zr.head)
+			}
+		} else if zr.head != 0 {
+			return fmt.Errorf("audit[head-extent]: zone %d has %d head-mapped entries without a bound superblock", zone, zr.head)
+		}
+
+		if conv {
 			if r, ok := runByZone[zone]; ok {
 				if r.StartLBA < z.Start || r.StartLBA+r.Sectors > z.Start+zoneCap {
 					return fmt.Errorf("audit[wbuf-run]: conventional zone %d buffers run [%d,%d) outside the zone",
@@ -282,9 +297,6 @@ func auditZones(f *ftl.FTL, refs map[int64]int64, headMapped []int64) error {
 			}
 		}
 	}
-	if ownedTotal != int64(len(refs)) {
-		return fmt.Errorf("audit[zone-staged]: zones own %d staging indices but the mapping references %d", ownedTotal, len(refs))
-	}
 	return nil
 }
 
@@ -298,17 +310,14 @@ func auditSuperblocks(f *ftl.FTL) error {
 	retired := f.RetiredSBList()
 	boundTo := make(map[int]int)
 	for zone := 0; zone < f.NumZones(); zone++ {
-		zd, err := f.ZoneDebugInfo(zone)
-		if err != nil {
-			return err
-		}
-		if zd.SB < 0 {
+		sb := f.ZoneSB(zone)
+		if sb < 0 {
 			continue
 		}
-		if prev, dup := boundTo[zd.SB]; dup {
-			return fmt.Errorf("audit[sb-binding]: superblock %d bound to zones %d and %d", zd.SB, prev, zone)
+		if prev, dup := boundTo[sb]; dup {
+			return fmt.Errorf("audit[sb-binding]: superblock %d bound to zones %d and %d", sb, prev, zone)
 		}
-		boundTo[zd.SB] = zone
+		boundTo[sb] = zone
 	}
 	retiredSet := make(map[int]bool, len(retired))
 	for _, sb := range retired {

@@ -11,22 +11,25 @@ import (
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
+	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/wbuf"
+	"github.com/conzone/conzone/internal/zns"
 )
 
 // The exhaustive auditor, kept as the oracle for the sparse one. Audit walks
 // the zones mapping.Table has a table for (walkMapping) and, in a zone
 // without one, only the sectors below the write pointer (auditZones); these
 // three functions are the auditor as it was before that (d14beee, PR 23),
-// verbatim: every one of TotalSectors() LPAs asked of Table.Get, twice. The
-// tests below require the two to agree — the same refs and headMapped, the
-// same verdict, the same message — wherever an audit runs.
+// with zone ownership since taken from the walk's refs instead of a per-zone
+// staged set: every one of TotalSectors() LPAs asked of Table.Get, twice. The
+// tests below require the two to agree — the same refs and per-zone
+// summaries, the same verdict, the same message — wherever an audit runs.
 
 func auditExhaustive(f *ftl.FTL) error {
 	if err := substrates(f); err != nil {
 		return err
 	}
-	refs, headMapped, err := walkMappingExhaustive(f)
+	refs, zones, err := walkMappingExhaustive(f)
 	if err != nil {
 		return err
 	}
@@ -34,7 +37,7 @@ func auditExhaustive(f *ftl.FTL) error {
 		return fmt.Errorf("audit[staging-leak]: staging holds %d valid sectors but the mapping references %d (%d leaked valid pages)",
 			total, len(refs), total-int64(len(refs)))
 	}
-	if err := auditZonesExhaustive(f, refs, headMapped); err != nil {
+	if err := auditZonesExhaustive(f, zones); err != nil {
 		return err
 	}
 	if err := auditSuperblocks(f); err != nil {
@@ -52,7 +55,7 @@ func auditExhaustive(f *ftl.FTL) error {
 	return auditStats(f)
 }
 
-func walkMappingExhaustive(f *ftl.FTL) (map[int64]int64, []int64, error) {
+func walkMappingExhaustive(f *ftl.FTL) (map[int64]int64, []zoneRefs, error) {
 	geo := f.Geometry()
 	arr := f.Array()
 	reg := f.Staging()
@@ -60,7 +63,7 @@ func walkMappingExhaustive(f *ftl.FTL) (map[int64]int64, []int64, error) {
 	zoneCap := f.ZoneCapSectors()
 	head := f.HeadSectors()
 	refs := make(map[int64]int64) // staging linear index -> owning LPA
-	headMapped := make([]int64, f.NumZones())
+	zones := make([]zoneRefs, f.NumZones())
 	for lpa, total := int64(0), f.TotalSectors(); lpa < total; lpa++ {
 		psn, ok := table.Get(lpa)
 		if !ok {
@@ -80,10 +83,12 @@ func walkMappingExhaustive(f *ftl.FTL) (map[int64]int64, []int64, error) {
 					lpa, lpa/zoneCap, psn, zone)
 			}
 			if int64(psn)%zoneCap < head {
-				headMapped[zone]++
+				zones[zone].head++
 				continue
 			}
 			// Alignment-tail PSN: resolves into staging, checked below.
+		} else if lpa%zoneCap < head {
+			zones[lpa/zoneCap].note(lpa % zoneCap)
 		}
 		idx, err := reg.IndexOf(addr)
 		if err != nil {
@@ -101,15 +106,17 @@ func walkMappingExhaustive(f *ftl.FTL) (map[int64]int64, []int64, error) {
 		}
 		refs[idx] = lpa
 	}
-	return refs, headMapped, nil
+	return refs, zones, nil
 }
 
-func auditZonesExhaustive(f *ftl.FTL, refs map[int64]int64, headMapped []int64) error {
+func auditZonesExhaustive(f *ftl.FTL, zones []zoneRefs) error {
 	geo := f.Geometry()
 	arr := f.Array()
 	table := f.Table()
 	zm := f.Zones()
 	zoneCap := f.ZoneCapSectors()
+	puSectors := geo.ProgramUnit / units.Sector
+	combine := !f.Params().DisableCombine
 
 	runByZone := make(map[int]wbuf.Run)
 	for _, r := range f.Buffers().Runs() {
@@ -119,54 +126,40 @@ func auditZonesExhaustive(f *ftl.FTL, refs map[int64]int64, headMapped []int64) 
 		runByZone[r.Zone] = r
 	}
 
-	owned := make(map[int64]int) // staging index -> owning zone
-	var ownedTotal int64
 	for zone := 0; zone < f.NumZones(); zone++ {
 		z, err := zm.Zone(zone)
 		if err != nil {
 			return err
 		}
-		zd, err := f.ZoneDebugInfo(zone)
-		if err != nil {
-			return err
-		}
-
-		for _, g := range zd.Staged {
-			if prev, dup := owned[g]; dup {
-				return fmt.Errorf("audit[zone-staged]: staging index %d owned by zones %d and %d", g, prev, zone)
-			}
-			owned[g] = zone
-			lpa, ok := refs[g]
-			if !ok {
-				return fmt.Errorf("audit[zone-staged]: zone %d owns staging index %d that no mapping entry references", zone, g)
-			}
-			if lpa < z.Start || lpa >= z.Start+zoneCap {
-				return fmt.Errorf("audit[zone-staged]: zone %d owns staging index %d, mapped by LPA %d outside the zone", zone, g, lpa)
-			}
-		}
-		ownedTotal += int64(len(zd.Staged))
-
-		for i, off := range zd.PendOffsets {
-			if i > 0 && off != zd.PendOffsets[i-1]+1 {
-				return fmt.Errorf("audit[zone-staged]: zone %d pend run discontinuity at offset %d", zone, off)
-			}
-		}
-
-		if zd.SB >= 0 {
-			block := geo.FirstNormalBlock() + zd.SB
-			var programmed int64
+		sb, conv, zr := f.ZoneSB(zone), z.Type == zns.Conventional, zones[zone]
+		var programmed int64
+		if sb >= 0 {
+			block := geo.FirstNormalBlock() + sb
 			for chip := 0; chip < geo.Chips(); chip++ {
 				programmed += int64(arr.NextProgramSector(chip, block))
 			}
-			if programmed != headMapped[zone] {
-				return fmt.Errorf("audit[head-extent]: zone %d superblock %d holds %d programmed sectors but %d head-mapped entries",
-					zone, zd.SB, programmed, headMapped[zone])
+		}
+		if combine && !conv && zr.staged > 0 {
+			switch {
+			case zr.hi-zr.lo+1 != zr.staged:
+				return fmt.Errorf("audit[zone-staged]: zone %d stages %d head sectors spread over offsets [%d,%d], not one run",
+					zone, zr.staged, zr.lo, zr.hi)
+			case zr.lo != programmed || zr.lo%puSectors != 0 || zr.staged >= puSectors:
+				return fmt.Errorf("audit[zone-staged]: zone %d stages head sectors [%d,%d] but a partial unit starts at the programmed extent %d, on a %d-sector unit boundary, and is shorter than one",
+					zone, zr.lo, zr.hi, programmed, puSectors)
 			}
-		} else if headMapped[zone] != 0 {
-			return fmt.Errorf("audit[head-extent]: zone %d has %d head-mapped entries without a bound superblock", zone, headMapped[zone])
 		}
 
-		if zd.Conventional {
+		if sb >= 0 {
+			if programmed != zr.head {
+				return fmt.Errorf("audit[head-extent]: zone %d superblock %d holds %d programmed sectors but %d head-mapped entries",
+					zone, sb, programmed, zr.head)
+			}
+		} else if zr.head != 0 {
+			return fmt.Errorf("audit[head-extent]: zone %d has %d head-mapped entries without a bound superblock", zone, zr.head)
+		}
+
+		if conv {
 			if r, ok := runByZone[zone]; ok {
 				if r.StartLBA < z.Start || r.StartLBA+r.Sectors > z.Start+zoneCap {
 					return fmt.Errorf("audit[wbuf-run]: conventional zone %d buffers run [%d,%d) outside the zone",
@@ -197,9 +190,6 @@ func auditZonesExhaustive(f *ftl.FTL, refs map[int64]int64, headMapped []int64) 
 			}
 		}
 	}
-	if ownedTotal != int64(len(refs)) {
-		return fmt.Errorf("audit[zone-staged]: zones own %d staging indices but the mapping references %d", ownedTotal, len(refs))
-	}
 	return nil
 }
 
@@ -207,11 +197,11 @@ func auditZonesExhaustive(f *ftl.FTL, refs map[int64]int64, headMapped []int64) 
 // agree on f: the same mapping walk and the same verdict, word for word.
 func agreeWithExhaustive(t testing.TB, f *ftl.FTL, where string) {
 	t.Helper()
-	refs, head, err := walkMapping(f)
-	xrefs, xhead, xerr := walkMappingExhaustive(f)
-	if fmt.Sprint(err) != fmt.Sprint(xerr) || !reflect.DeepEqual(refs, xrefs) || !reflect.DeepEqual(head, xhead) {
-		t.Fatalf("%s: sparse walk (%d refs, head %v, %v) != exhaustive walk (%d refs, head %v, %v)",
-			where, len(refs), head, err, len(xrefs), xhead, xerr)
+	refs, zones, err := walkMapping(f)
+	xrefs, xzones, xerr := walkMappingExhaustive(f)
+	if fmt.Sprint(err) != fmt.Sprint(xerr) || !reflect.DeepEqual(refs, xrefs) || !reflect.DeepEqual(zones, xzones) {
+		t.Fatalf("%s: sparse walk (%d refs, zones %v, %v) != exhaustive walk (%d refs, zones %v, %v)",
+			where, len(refs), zones, err, len(xrefs), xzones, xerr)
 	}
 	if got, want := audit(f), auditExhaustive(f); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: sparse audit says %v, exhaustive audit says %v", where, got, want)

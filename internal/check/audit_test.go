@@ -9,6 +9,7 @@ import (
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/sim"
+	"github.com/conzone/conzone/internal/slc"
 )
 
 // newAuditFTL builds a ConZone device in a busy, audit-clean state: direct
@@ -114,9 +115,8 @@ func TestAuditCatchesCorruption(t *testing.T) {
 
 	t.Run("leaked valid staging page", func(t *testing.T) {
 		f := newAuditFTL(t)
-		lpa, _ := stagedLPA(t, f)
-		// Drop the mapping but leave the staged copy valid: a leak.
-		if err := f.Table().Invalidate(lpa); err != nil {
+		// Stage a valid copy that no mapping entry points at: a leak.
+		if _, _, _, err := f.Staging().Append(0, []slc.Write{{LPA: 3}}); err != nil {
 			t.Fatal(err)
 		}
 		expect(t, f, "staging-leak")
@@ -130,6 +130,22 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		expect(t, f, "map-staging")
+	})
+
+	t.Run("staged head sector outside the partial unit", func(t *testing.T) {
+		f := newAuditFTL(t)
+		// Zone 0 programmed 96 head sectors and staged [96,106) for a
+		// combine. Stage a live copy of LPA 3 and map it there: mapping and
+		// staging agree, but a combine at offset 106 would read a unit
+		// that is not one run from the programmed extent.
+		idxs, _, _, err := f.Staging().Append(0, []slc.Write{{LPA: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Table().Set(3, f.AggLimit()+mapping.PSN(idxs[0])); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, f, "zone-staged")
 	})
 
 	t.Run("retired superblock still free", func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/conzone/conzone/internal/l2pcache"
 	"github.com/conzone/conzone/internal/mapping"
+	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -61,12 +62,18 @@ type aggOracle struct {
 
 	mountEvery, mounts int
 	unchecked          bool // drive the stream only (TestMountMatchesLive compares at its end)
+
+	base           int   // zones the streams skip: a conventional prefix
+	resets, killed int64 // resets checked against the staging region, and the staged sectors they killed
 }
 
 func newAggOracle(t *testing.T, seed uint64, mut func(*Params)) *aggOracle {
 	t.Helper()
-	f := newTestFTL(t, mut)
-	return &aggOracle{t: t, f: f, ref: rescanShadow(t, f), rng: sim.NewRand(seed)}
+	return newAggOracleOn(t, newTestFTL(t, mut), seed)
+}
+
+func newAggOracleOn(t *testing.T, f *FTL, seed uint64) *aggOracle {
+	return &aggOracle{t: t, f: f, ref: rescanShadow(t, f), rng: sim.NewRand(seed), base: f.params.ConventionalZones}
 }
 
 // rescanShadow builds the shadow of f's translations as they stand: every
@@ -185,7 +192,10 @@ func (o *aggOracle) check(what string) {
 	}
 }
 
-func (o *aggOracle) wp(zone int) int64 {
+// wp returns the write pointer of the stream's zone; wpAt takes a device zone.
+func (o *aggOracle) wp(zone int) int64 { return o.wpAt(zone + o.base) }
+
+func (o *aggOracle) wpAt(zone int) int64 {
 	z, err := o.f.Zones().Zone(zone)
 	if err != nil {
 		o.t.Fatal(err)
@@ -197,7 +207,8 @@ func (o *aggOracle) wp(zone int) int64 {
 // many it wrote (0 when the zone is full).
 func (o *aggOracle) write(zone int, n int64) int64 {
 	o.t.Helper()
-	off := o.wp(zone)
+	zone += o.base
+	off := o.wpAt(zone)
 	if room := o.f.zoneCap - off; n > room {
 		n = room
 	}
@@ -216,6 +227,7 @@ func (o *aggOracle) write(zone int, n int64) int64 {
 
 func (o *aggOracle) flush(zone int) {
 	o.t.Helper()
+	zone += o.base
 	d, err := o.f.Flush(o.at, zone)
 	if err != nil {
 		o.t.Fatalf("op %d: flush zone %d: %v", o.ops, zone, err)
@@ -224,12 +236,34 @@ func (o *aggOracle) flush(zone int) {
 	o.sync(fmt.Sprintf("flush z%d", zone))
 }
 
+// reset resets the zone and checks what the reset did to the staging
+// region against its reverse map: the live staged sectors whose LPA lies in
+// the zone all die, and nothing else does.
 func (o *aggOracle) reset(zone int) {
 	o.t.Helper()
+	zone += o.base
+	reg := o.f.Staging()
+	var owned []int64
+	for idx := int64(0); idx < reg.TotalSectors(); idx++ {
+		if lpa, err := reg.LPAAt(idx); err == nil && lpa/o.f.zoneCap == int64(zone) {
+			owned = append(owned, idx)
+		}
+	}
+	before := reg.TotalValid()
 	d, err := o.f.ResetZone(o.at, zone)
 	if err != nil {
 		o.t.Fatalf("op %d: reset zone %d: %v", o.ops, zone, err)
 	}
+	for _, idx := range owned {
+		if reg.IsValid(idx) {
+			o.t.Fatalf("op %d: reset of zone %d left its staged sector %d live", o.ops, zone, idx)
+		}
+	}
+	if got, want := reg.TotalValid(), before-int64(len(owned)); got != want {
+		o.t.Fatalf("op %d: reset of zone %d killed %d staged sectors, the zone owned %d", o.ops, zone, before-got, len(owned))
+	}
+	o.resets++
+	o.killed += int64(len(owned))
 	o.at = d
 	if err := o.ref.InvalidateZone(int64(zone) * o.f.zoneCap); err != nil {
 		o.t.Fatal(err)
@@ -241,7 +275,8 @@ func (o *aggOracle) reset(zone int) {
 // fetches and — under Pinned — the entries the write path inserted.
 func (o *aggOracle) read(zone int) {
 	o.t.Helper()
-	w := o.wp(zone)
+	zone += o.base
+	w := o.wpAt(zone)
 	if w == 0 {
 		return
 	}
@@ -463,4 +498,97 @@ func TestAggregationMatchesRescanOracle(t *testing.T) {
 	if !promoted {
 		t.Error("no stream ever promoted a chunk: the oracle compared nothing")
 	}
+}
+
+// lastRowStream stages partial units, and with combining off whole ones,
+// only in the last row of units of a zone's head — a unit per chip, none
+// programmed after it on the same chip: two zones into their tails, a reset
+// and a partial refill of one, the other filled to capacity, and resets.
+var lastRowStream = struct {
+	name string
+	run  func(o *aggOracle)
+}{"last-row", func(o *aggOracle) {
+	lastRow := o.f.sbSectors - int64(o.f.geo.Chips())*o.f.puSectors
+	for zone := 0; zone < 2; zone++ {
+		o.write(zone, lastRow)
+		for o.write(zone, 1+o.rng.Int63n(23)) > 0 && o.wp(zone) < o.f.sbSectors+16 {
+			o.flush(zone)
+		}
+	}
+	o.reset(1)
+	o.write(1, lastRow+o.rng.Int63n(o.f.puSectors))
+	o.flush(1)
+	o.reset(1)
+	o.fill(0, 40, 50)
+	o.reset(0)
+}}
+
+// TestResetInvalidatesTheZonesStaging: a reset reads the zone's staging from
+// its mapping entries — staged PSNs and a zone-linear tail. Over the oracle
+// streams, in seven configurations
+// (the three search strategies, page mapping, no zone aggregation, no
+// combining, and two conventional zones holding in-place updates ahead of
+// the streams' zones), each reset must kill exactly the live staged sectors
+// the staging region's reverse map places in the zone (aggOracle.reset).
+//
+// With combining off, a staged unit leaves its place in the superblock
+// unprogrammed, and the next unit the same chip programs there is refused as
+// out of order (ROADMAP item 16). So that configuration runs the streams
+// that never program past a staged unit: seqfill and lastRowStream.
+func TestResetInvalidatesTheZonesStaging(t *testing.T) {
+	variants := []struct {
+		name string
+		mut  func(*Params)
+		geo  func() nand.Geometry
+	}{
+		{"BITMAP", func(p *Params) { p.Search = Bitmap }, testGeo},
+		{"MULTIPLE", func(p *Params) { p.Search = Multiple }, testGeo},
+		{"PINNED", func(p *Params) { p.Search = Pinned }, testGeo},
+		{"BITMAP/noagg", func(p *Params) { p.DisableAggregation = true }, testGeo},
+		{"PINNED/nozone", func(p *Params) { p.Search, p.AggregateZones = Pinned, false }, testGeo},
+		{"BITMAP/nocombine", func(p *Params) { p.DisableCombine = true }, testGeo},
+		{"BITMAP/conv", func(p *Params) { p.ConventionalZones = 2 }, convGeo},
+	}
+	var resets, killed int64
+	for _, st := range append(aggStreams[:len(aggStreams):len(aggStreams)], lastRowStream) {
+		for _, v := range variants {
+			p := testParams()
+			v.mut(&p)
+			if p.DisableCombine && st.name != "seqfill" && st.name != lastRowStream.name {
+				continue
+			}
+			t.Run(st.name+"/"+v.name, func(t *testing.T) {
+				for seed := uint64(1); seed <= 3; seed++ {
+					f, err := New(v.geo(), nand.DefaultLatencies(), p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o := newAggOracleOn(t, f, seed)
+					// In-place updates of the conventional zones: staged
+					// sectors of other zones, which no reset may touch.
+					for i := 0; i < 3*o.base; i++ {
+						lba := int64(i%o.base)*f.zoneCap + o.rng.Int63n(f.zoneCap-32)
+						d, err := f.Write(o.at, lba, make([][]byte, 1+o.rng.Int63n(32)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if o.at, err = f.Flush(d, i%o.base); err != nil {
+							t.Fatal(err)
+						}
+						o.sync("conventional write")
+					}
+					st.run(o)
+					if err := o.f.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					resets += o.resets
+					killed += o.killed
+				}
+			})
+		}
+	}
+	if resets == 0 || killed == 0 {
+		t.Fatalf("%d resets killed %d staged sectors: the check compared nothing", resets, killed)
+	}
+	t.Logf("%d resets killed %d staged sectors", resets, killed)
 }

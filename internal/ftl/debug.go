@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/nand"
@@ -53,22 +52,27 @@ func (f *FTL) SpareRemaining() int {
 }
 
 // ZoneCounts returns one zone's media-placement summary without allocating:
-// the bound normal superblock (-1 when unbound), how many SLC staging
-// sectors the zone owns, how many of those are still valid, and how many
-// belong to the pending partially-programmed unit. The per-zone heatmap
-// collector (internal/telemetry) is the intended caller.
-func (f *FTL) ZoneCounts(zone int) (sb int, staged, validStaged, pend int64, err error) {
+// the bound normal superblock (-1 when unbound), how many of its sectors live
+// in the SLC staging region, and how many of those a sequential zone holds
+// below the head capacity — the partial unit awaiting a combine (Fig. 3 ③),
+// or with combining off every staged partial. Both are read from the zone's
+// mapping entries. The per-zone heatmap (internal/telemetry) is the caller.
+func (f *FTL) ZoneCounts(zone int) (sb int, staged, pend int64, err error) {
 	if zone < 0 || zone >= f.numZones {
-		return -1, 0, 0, 0, fmt.Errorf("ftl: zone %d out of range [0,%d)", zone, f.numZones)
+		return -1, 0, 0, fmt.Errorf("ftl: zone %d out of range [0,%d)", zone, f.numZones)
 	}
 	zs := &f.zstate[zone]
-	for g := range zs.staged {
-		staged++
-		if f.staging.IsValid(g) {
-			validStaged++
-		}
+	if !f.table.Allocated(zone) {
+		return zs.sb, 0, 0, nil
 	}
-	return zs.sb, staged, validStaged, int64(len(zs.pend)), nil
+	_ = f.stagedOf(zone, func(off, _ int64) error { // fn never fails, so neither does the walk
+		staged++
+		if off < f.sbSectors && !zs.conv {
+			pend++
+		}
+		return nil
+	})
+	return zs.sb, staged, pend, nil
 }
 
 // SBEraseMean returns the mean per-chip erase count of one normal
@@ -78,13 +82,7 @@ func (f *FTL) SBEraseMean(sb int) float64 {
 	if sb < 0 || sb >= f.geo.NormalBlocks() {
 		return 0
 	}
-	chips := f.geo.Chips()
-	block := f.geo.FirstNormalBlock() + sb
-	var sum int64
-	for c := 0; c < chips; c++ {
-		sum += f.arr.EraseCount(c, block)
-	}
-	return float64(sum) / float64(chips)
+	return f.eraseMean(f.geo.FirstNormalBlock() + sb)
 }
 
 // SLCEraseMean returns the mean per-chip erase count of one SLC staging
@@ -93,12 +91,16 @@ func (f *FTL) SLCEraseMean(sb int) float64 {
 	if sb < 0 || sb >= f.geo.SLCBlocks {
 		return 0
 	}
-	chips := f.geo.Chips()
+	return f.eraseMean(sb)
+}
+
+// eraseMean returns the mean erase count of per-chip block index block.
+func (f *FTL) eraseMean(block int) float64 {
 	var sum int64
-	for c := 0; c < chips; c++ {
-		sum += f.arr.EraseCount(c, sb)
+	for c := 0; c < f.geo.Chips(); c++ {
+		sum += f.arr.EraseCount(c, block)
 	}
-	return float64(sum) / float64(chips)
+	return float64(sum) / float64(f.geo.Chips())
 }
 
 // DebugRetireSB is a corruption hook: it records superblock sb as retired
@@ -110,38 +112,12 @@ func (f *FTL) DebugRetireSB(sb int, bb BadBlock) { f.retireSB(sb, bb) }
 // no matching retired superblock.
 func (f *FTL) DebugAddBadBlock(bb BadBlock) { f.badBlocks = append(f.badBlocks, bb) }
 
-// ZoneDebug is a read-only snapshot of one zone's FTL bookkeeping.
-type ZoneDebug struct {
-	SB           int  // bound normal superblock id, -1 when unbound
-	Conventional bool //
-	TailBase     int64
-	TailSet      bool
-	TailContig   bool
-	PendOffsets  []int64 // zone-relative offsets of the pending partial unit
-	PendIndices  []int64 // their staging linear indices, same order
-	Staged       []int64 // staging indices owned by the zone, ascending
-}
-
-// ZoneDebugInfo captures the zone's internal state for auditing.
-func (f *FTL) ZoneDebugInfo(zone int) (ZoneDebug, error) {
+// ZoneSB returns the normal superblock bound to the zone, -1 when it is
+// unbound or the zone does not exist: the zone bookkeeping the auditor needs
+// that no other layer holds (which sectors are staged, the mapping holds).
+func (f *FTL) ZoneSB(zone int) int {
 	if zone < 0 || zone >= f.numZones {
-		return ZoneDebug{}, fmt.Errorf("ftl: zone %d out of range [0,%d)", zone, f.numZones)
+		return -1
 	}
-	zs := &f.zstate[zone]
-	d := ZoneDebug{
-		SB:           zs.sb,
-		Conventional: zs.conv,
-		TailBase:     zs.tailBase,
-		TailSet:      zs.tailSet,
-		TailContig:   zs.tailContig,
-	}
-	for _, p := range zs.pend {
-		d.PendOffsets = append(d.PendOffsets, p.off)
-		d.PendIndices = append(d.PendIndices, p.gidx)
-	}
-	for g := range zs.staged {
-		d.Staged = append(d.Staged, g)
-	}
-	sort.Slice(d.Staged, func(i, j int) bool { return d.Staged[i] < d.Staged[j] })
-	return d, nil
+	return f.zstate[zone].sb
 }

@@ -1,11 +1,13 @@
 package ftl_test
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/ftl"
+	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -53,12 +55,12 @@ func TestDeviceCostsWhatItWrites(t *testing.T) {
 	runtime.KeepAlive(keep)
 
 	// Growth: k timing-only sectors written sequentially from the start of
-	// a zone and flushed. What a sector costs: its share of a 64-sector
-	// media chunk (21 B), its mapping entry (9 B, allocated a zone at a
-	// time) and staging bookkeeping for a partial tail. The fixed part
-	// covers the zone's mapping table, scratch slices and the first
-	// chunk of each chip.
-	const perSector, fixed = 32, 96 * units.KiB
+	// a zone and flushed. What a sector costs is its share of a 64-sector
+	// media chunk (~21 B). Its mapping entry (4 B; the map bits are one byte
+	// per chunk) comes with the zone's table, allocated whole on the first
+	// write, so it sits in the fixed part beside the scratch slices, the
+	// staging tables of a partial tail and the first chunk of each chip.
+	const perSector, fixed = 24, 40 * units.KiB
 	for _, k := range []int64{96, 960, 3840} {
 		f := build(t, config.Paper())
 		zone := f.ZoneCapSectors()
@@ -79,6 +81,31 @@ func TestDeviceCostsWhatItWrites(t *testing.T) {
 			t.Errorf("writing %d sectors allocates %d bytes, limit %d", k, got, limit)
 		}
 	}
+}
+
+// TestPSNSpaceRefused: a mapping entry holds its PSN in 32 bits, so a
+// geometry whose zone-linear and staging sectors do not fit in them — here
+// config.Paper() grown to 16 TiB of zones — is refused with
+// mapping.ErrPSNSpace when the FTL is built, by ftl.New and by
+// config.Validate alike, before anything the size of the geometry exists.
+func TestPSNSpaceRefused(t *testing.T) {
+	c := config.Paper()
+	zoneCap := units.NextPow2(c.Geometry.SuperblockBytes() / units.Sector)
+	c.Geometry.BlocksPerChip = int(int64(mapping.MaxPSN)/zoneCap) + 1 + c.Geometry.SLCBlocks + c.Geometry.MapBlocks
+	var errNew, errValidate error
+	bytes, _ := allocated(func() {
+		_, errNew = ftl.New(c.Geometry, c.Latency, c.FTL)
+		errValidate = c.Validate()
+	})
+	for _, err := range []error{errNew, errValidate} {
+		if !errors.Is(err, mapping.ErrPSNSpace) {
+			t.Errorf("%d blocks per chip: got %v, want %v", c.Geometry.BlocksPerChip, err, mapping.ErrPSNSpace)
+		}
+	}
+	if bytes > 64*units.KiB {
+		t.Errorf("refusing the geometry allocated %d bytes", bytes)
+	}
+	t.Log(errNew)
 }
 
 // TestZoneResetLapAllocatesNothing is the seqwrite loop — stamped 4 KiB

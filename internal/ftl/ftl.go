@@ -190,18 +190,13 @@ func (s Stats) Delta(prev Stats) Stats {
 	}
 }
 
-type pendSector struct {
-	off  int64 // zone-relative sector offset
-	gidx int64 // staging linear index
-}
-
+// zoneState is what the FTL knows of a zone that no other layer holds. Which
+// of its sectors sit in the SLC staging region, and which of those wait for
+// a combine (Fig. 3 ③), the zone's mapping entries say (stagedOf,
+// writeHeadSegment).
 type zoneState struct {
 	sb   int  // bound normal superblock, -1 when unbound
 	conv bool // conventional zone: in-place updates, SLC-resident
-
-	// pend are staged sectors of the current partially-programmed unit,
-	// waiting to be combined (Fig. 3 ③). All lie within one PU.
-	pend []pendSector
 
 	// Alignment-tail bookkeeping (paper §III-E). tailBase is the staging
 	// linear index where offset sbSectors landed; the tail keeps
@@ -209,10 +204,6 @@ type zoneState struct {
 	tailBase   int64
 	tailSet    bool
 	tailContig bool
-
-	// staged holds the staging linear indices currently owned by the zone
-	// (pend + tail + any stale staged sectors), for invalidation on reset.
-	staged map[int64]struct{}
 }
 
 // FTL is the ConZone flash translation layer.
@@ -285,7 +276,7 @@ type FTL struct {
 	// re-entrancy contract above makes plain fields safe): per-call slices
 	// here would otherwise dominate steady-state allocations.
 	wsScratch  []slc.Write   // appendStaged builds
-	combineIdx []int64       // combine: pending staged indices
+	combineIdx []int64       // combine: the unit's staged indices
 	combineBuf [][]byte      // combine: merged program-unit sector views
 	readRuns   nand.PageRuns // ReadInto: per-page media read batching
 	padScratch [][]byte      // FinishZone: all-nil payload views for pad-out
@@ -385,10 +376,7 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 		f.inj = inj
 		arr.SetFaultInjector(inj)
 	}
-	f.zoneCap = f.sbSectors
-	if p.AlignZones {
-		f.zoneCap = units.NextPow2(f.sbSectors)
-	}
+	f.zoneCap = zoneCapOf(geo, p)
 	if f.zoneCap%p.ChunkSectors != 0 {
 		return nil, fmt.Errorf("ftl: zone capacity %d sectors not a multiple of chunk %d; "+
 			"use AlignZones or a pow2 geometry", f.zoneCap, p.ChunkSectors)
@@ -435,7 +423,7 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 	f.zstate = make([]zoneState, f.numZones)
 	f.freeSBs = make([]int, 0, geo.NormalBlocks())
 	for i := range f.zstate {
-		f.zstate[i] = zoneState{sb: -1, conv: i < p.ConventionalZones, staged: make(map[int64]struct{})}
+		f.zstate[i] = zoneState{sb: -1, conv: i < p.ConventionalZones}
 		// Conventional zones never bind a reserved superblock; their
 		// blocks stay in the free pool (usable as future spares).
 		f.freeSBs = append(f.freeSBs, i)
@@ -541,7 +529,24 @@ func validateParams(geo nand.Geometry, p Params) error {
 			return err
 		}
 	}
+	// Mapping entries hold a PSN in 32 bits: the zone-linear space and the
+	// staging space behind it must both fit, or no write could be mapped.
+	linear := int64(geo.NormalBlocks()-p.SpareSuperblocks) * zoneCapOf(geo, p)
+	staged := int64(geo.SLCBlocks) * int64(geo.Chips()) * int64(geo.SLCPagesPerBlock) * int64(geo.SectorsPerPage())
+	if mapping.PSN(linear+staged) > mapping.MaxPSN+1 {
+		return fmt.Errorf("ftl: %d zone-linear + %d staging sectors: %w", linear, staged, mapping.ErrPSNSpace)
+	}
 	return nil
+}
+
+// zoneCapOf returns a zone's logical sectors: a superblock's, rounded up to
+// a power of two when AlignZones patches the tail to SLC (paper §III-E).
+func zoneCapOf(geo nand.Geometry, p Params) int64 {
+	n := geo.SuperblockBytes() / units.Sector
+	if p.AlignZones {
+		n = units.NextPow2(n)
+	}
+	return n
 }
 
 // Geometry returns the underlying NAND geometry.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/conzone/conzone/internal/fault"
+	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/nand"
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
@@ -36,18 +37,16 @@ func (f *FTL) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 		f.stats.ResetDiscards += fl.Sectors()
 	}
 
-	// Invalidate the zone's staged SLC sectors (pend + tail + stale). The
-	// set is emptied with clear, not key by key: deletions leave tombstones
-	// that make the map reallocate every few resets.
-	for g := range zs.staged {
-		if f.staging.IsValid(g) {
-			if err := f.staging.Invalidate(g); err != nil {
-				return at, err
-			}
+	// Invalidate the zone's staged SLC sectors: a partial unit awaiting a
+	// combine, the alignment tail, whatever else its entries point into SLC.
+	if err := f.stagedOf(zone, func(_, g int64) error {
+		if !f.staging.IsValid(g) {
+			return nil
 		}
+		return f.staging.Invalidate(g)
+	}); err != nil {
+		return at, err
 	}
-	clear(zs.staged)
-	zs.pend = zs.pend[:0]
 	zs.tailSet = false
 	zs.tailContig = false
 
@@ -101,6 +100,38 @@ func (f *FTL) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	f.arr.Engine().Observe(done)
 	f.record(obs.StageZoneReset, obs.CauseNone, at, done, zone, z.Start, f.zoneCap)
 	return done, nil
+}
+
+// stagedOf calls fn with the zone offset and staging index of every sector of
+// the zone that lives in the SLC staging region: each entry holding a staged
+// PSN, then each alignment-tail entry that keeps a zone-linear PSN through
+// tailBase (extendTail). A combine and staging GC re-point the entries of what
+// they move, so these are the live staged sectors whose LPA lies in the zone.
+func (f *FTL) stagedOf(zone int, fn func(off, idx int64) error) error {
+	start := int64(zone) * f.zoneCap
+	end := start + f.zoneCap
+	for lpa := start; ; lpa++ {
+		var psn mapping.PSN
+		var ok bool
+		if lpa, psn, ok = f.table.NextStaged(lpa, end); !ok {
+			break
+		}
+		if err := fn(lpa-start, int64(psn-f.aggLimit)); err != nil {
+			return err
+		}
+	}
+	zs := &f.zstate[zone]
+	if !zs.tailSet {
+		return nil
+	}
+	for off := f.sbSectors; off < f.zoneCap; off++ {
+		if psn, ok := f.table.Get(start + off); ok && psn < f.aggLimit {
+			if err := fn(off, zs.tailBase+off-f.sbSectors); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // OpenZone explicitly opens a zone.
@@ -241,21 +272,11 @@ type WearReport struct {
 // Wear returns the current wear report.
 func (f *FTL) Wear() WearReport {
 	var r WearReport
-	chips := f.geo.Chips()
 	for sb := 0; sb < f.geo.NormalBlocks(); sb++ {
-		var sum int64
-		block := f.geo.FirstNormalBlock() + sb
-		for c := 0; c < chips; c++ {
-			sum += f.arr.EraseCount(c, block)
-		}
-		r.NormalSB = append(r.NormalSB, float64(sum)/float64(chips))
+		r.NormalSB = append(r.NormalSB, f.SBEraseMean(sb))
 	}
 	for sb := 0; sb < f.geo.SLCBlocks; sb++ {
-		var sum int64
-		for c := 0; c < chips; c++ {
-			sum += f.arr.EraseCount(c, sb)
-		}
-		r.SLCSB = append(r.SLCSB, float64(sum)/float64(chips))
+		r.SLCSB = append(r.SLCSB, f.SLCEraseMean(sb))
 	}
 	return r
 }

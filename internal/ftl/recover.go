@@ -355,6 +355,10 @@ func (f *FTL) recover(at sim.Time) (sim.Time, error) {
 // it must be — through landStaged.
 func (f *FTL) landRecovered(zone int, m []recCand) error {
 	zs := &f.zstate[zone]
+	// pendAt is the first offset of a staged partial unit awaiting a combine
+	// (Fig. 3 ③), -1 while none landed: the write path never programs a head
+	// unit beyond one.
+	pendAt := int64(-1)
 	var gidxs []int64
 	for off := int64(0); off < int64(len(m)); {
 		if m[off].seq == 0 {
@@ -363,8 +367,8 @@ func (f *FTL) landRecovered(zone int, m []recCand) error {
 		}
 		end := off + 1
 		if m[off].head {
-			if len(zs.pend) > 0 {
-				return fmt.Errorf("ftl: recover: zone %d offset %d has a head copy beyond a partial unit staged at offset %d", zone, off, zs.pend[0].off)
+			if pendAt >= 0 {
+				return fmt.Errorf("ftl: recover: zone %d offset %d has a head copy beyond a partial unit staged at offset %d", zone, off, pendAt)
 			}
 			for end < int64(len(m)) && m[end].seq > 0 && m[end].head {
 				end++
@@ -385,6 +389,9 @@ func (f *FTL) landRecovered(zone int, m []recCand) error {
 			}
 			if off >= f.sbSectors && !zs.conv {
 				f.extendTail(zone, off, gidxs)
+			}
+			if off < f.sbSectors && !zs.conv && !f.params.DisableCombine && pendAt < 0 {
+				pendAt = off
 			}
 			if err := f.landStaged(zone, off, gidxs); err != nil {
 				return err

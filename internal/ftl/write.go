@@ -286,7 +286,6 @@ func (f *FTL) flushRun(at sim.Time, zone int, startLBA int64, payloads [][]byte,
 // completesPU tells whether the run ends exactly at the unit boundary.
 // cause carries why the run was flushed into the recorded spans.
 func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, completesPU bool, cause obs.Cause) (release, done sim.Time, err error) {
-	zs := &f.zstate[zone]
 	z, _ := f.zones.Zone(zone)
 	puStart := off - off%f.puSectors
 
@@ -308,23 +307,23 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 		return f.stageSectors(at, zone, off, seg, cause)
 	}
 	// Fig. 3 ③: staged head + new tail complete the unit. Read the staged
-	// sectors back, invalidate them, and program the merged unit.
-	if int64(len(zs.pend)) != off-puStart {
-		return at, at, fmt.Errorf("ftl: zone %d pend %d sectors, expected %d",
-			zone, len(zs.pend), off-puStart)
-	}
+	// sectors back, invalidate them, and program the merged unit. Where they
+	// sit is what the unit's mapping entries say: [puStart, off) was staged
+	// by earlier flushes, and staging GC re-points an entry when it moves one.
 	// The merged unit borrows the staged sectors' payload slabs plus the
 	// incoming segment's host buffers; programPU copies every view into
 	// pooled media storage before the staged copies are invalidated, so
 	// nothing below retains either.
 	idxs := f.combineIdx[:0]
 	merged := f.combineBuf
-	for i, p := range zs.pend {
-		if p.off != puStart+int64(i) {
-			return at, at, fmt.Errorf("ftl: zone %d pend discontinuity at %d", zone, p.off)
+	for o := puStart; o < off; o++ {
+		psn, ok := f.table.Get(z.Start + o)
+		if !ok || psn < f.aggLimit {
+			return at, at, fmt.Errorf("ftl: zone %d offset %d is not staged ahead of the combine at %d", zone, o, off)
 		}
-		idxs = append(idxs, p.gidx)
-		merged[i] = f.staging.Payload(p.gidx)
+		g := int64(psn - f.aggLimit)
+		idxs = append(idxs, g)
+		merged[o-puStart] = f.staging.Payload(g)
 	}
 	f.combineIdx = idxs
 	copy(merged[off-puStart:], seg)
@@ -340,13 +339,11 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 	if err != nil {
 		return at, at, err
 	}
-	for _, p := range zs.pend {
-		if err := f.staging.Invalidate(p.gidx); err != nil {
+	for _, g := range idxs {
+		if err := f.staging.Invalidate(g); err != nil {
 			return at, at, err
 		}
-		delete(zs.staged, p.gidx)
 	}
-	zs.pend = zs.pend[:0]
 	f.stats.Combines++
 	f.record(obs.StageCombine, cause, at, done, zone, z.Start+puStart, f.puSectors)
 	// The combine runs asynchronously: the controller copies the new
@@ -421,18 +418,17 @@ func (f *FTL) landHead(zone int, off, n int64) error {
 }
 
 // landStaged is the one statement of "sectors [off, off+len(gidxs)) of the
-// zone landed at staging indices gidxs": the zone owns the indices until its
-// reset, the sectors are page-mapped to them — except in an alignment tail
-// that is still one staging run (extendTail), whose sectors keep zone-linear
-// PSNs and may complete a chunk or the zone — and a head-region sector joins
-// the pending partial unit (Fig. 3 ③). A sector already pending was moved by
-// staging GC and keeps its place: pend holds consecutive offsets. Staging
-// appends, GC relocation and the mount all map through here.
+// zone landed at staging indices gidxs": the sectors are page-mapped to them
+// — except in an alignment tail that is still one staging run (extendTail),
+// whose sectors keep zone-linear PSNs and may complete a chunk or the zone.
+// Those entries are the zone's whole claim on the staging region: a reset
+// invalidates what they point at (stagedOf), and a combine (Fig. 3 ③) reads
+// its unit's staged sectors from them. Staging appends, GC relocation and the
+// mount all map through here.
 func (f *FTL) landStaged(zone int, off int64, gidxs []int64) error {
 	zs := &f.zstate[zone]
 	base := int64(zone)*f.zoneCap + off
 	linear := off >= f.sbSectors && zs.tailSet && zs.tailContig
-	pending := off < f.sbSectors && !zs.conv && !f.params.DisableCombine
 	for i, g := range gidxs {
 		psn := f.aggLimit + mapping.PSN(g)
 		if linear {
@@ -440,16 +436,6 @@ func (f *FTL) landStaged(zone int, off int64, gidxs []int64) error {
 		}
 		if err := f.table.Set(base+int64(i), psn); err != nil {
 			return err
-		}
-		zs.staged[g] = struct{}{}
-		if !pending {
-			continue
-		}
-		o := off + int64(i)
-		if n := len(zs.pend); n > 0 && o <= zs.pend[n-1].off {
-			zs.pend[o-zs.pend[0].off].gidx = g
-		} else {
-			zs.pend = append(zs.pend, pendSector{off: o, gidx: g})
 		}
 	}
 	if linear {
@@ -489,7 +475,6 @@ func (f *FTL) stageSectors(at sim.Time, zone int, off int64, seg [][]byte, cause
 // is invalidated, the new copy is page-mapped, and covering cache entries
 // are dropped.
 func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads [][]byte) (release, done sim.Time, err error) {
-	zs := &f.zstate[zone]
 	gidxs, release, done, err := f.appendStaged(at, startLBA, payloads)
 	if err != nil {
 		return at, at, err
@@ -503,7 +488,6 @@ func (f *FTL) stageConventional(at sim.Time, zone int, startLBA int64, payloads 
 					return at, at, err
 				}
 			}
-			delete(zs.staged, oldIdx)
 		}
 	}
 	if err := f.landStaged(zone, startLBA-int64(zone)*f.zoneCap, gidxs); err != nil {
@@ -616,7 +600,6 @@ func (r relocator) Relocate(lpa, oldIdx, newIdx int64) error {
 		// covers it after the move.
 		zs.tailContig = false
 	}
-	delete(zs.staged, oldIdx)
 	if err := f.landStaged(zone, lpa-int64(zone)*f.zoneCap, []int64{newIdx}); err != nil {
 		return err
 	}

@@ -1,9 +1,10 @@
 // Package mapping implements ConZone's hybrid L2P mapping table (paper
 // §III-C, Fig. 5). The FTL keeps a full page-granularity table — one entry
 // per 4 KiB logical sector — and marks runs that became physically
-// contiguous with two reserved "map bits" per entry: page, chunk (4 MiB) or
-// zone aggregation. Aggregated runs can be represented by a single L2P
-// cache entry.
+// contiguous with two reserved "map bits": page, chunk (4 MiB) or zone
+// aggregation. Aggregated runs can be represented by a single L2P cache
+// entry. Every promotion and every demotion covers a whole chunk or the
+// whole zone, so the bits are stored once per chunk, not once per entry.
 //
 // Physical locations are abstract physical sector numbers (PSNs) assigned
 // by the FTL in write order, so "physically contiguous" reduces to
@@ -14,7 +15,9 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -48,7 +51,14 @@ type PSN int64
 // InvalidPSN marks an unmapped logical sector.
 const InvalidPSN PSN = -1
 
-// Table is the page-granularity mapping table with per-entry map bits.
+// MaxPSN is the largest PSN an entry can hold: entries store PSN+1 in 32
+// bits, with 0 meaning unmapped.
+const MaxPSN PSN = math.MaxUint32 - 1
+
+// ErrPSNSpace reports a PSN space wider than the 32-bit entries hold.
+var ErrPSNSpace = errors.New("mapping: PSN space exceeds 32-bit entries")
+
+// Table is the page-granularity mapping table with per-chunk map bits.
 //
 // The table is sparse by zone: a zone's entries are allocated on the zone's
 // first Set and released as a whole by InvalidateZone, so an all-invalid
@@ -67,10 +77,12 @@ type Table struct {
 	aggLimit PSN   // PSNs >= aggLimit (SLC/staging space) never aggregate
 }
 
-// zoneMap holds one zone's entries, indexed by zone offset.
+// zoneMap holds one zone's entries, indexed by zone offset, and the map bits
+// of its chunks, indexed by chunk. A zone-aggregated zone marks every chunk
+// Zone.
 type zoneMap struct {
-	psn  []PSN  // PSN + 1; 0 = unmapped
-	bits []Gran // map bits
+	psn  []uint32 // PSN + 1; 0 = unmapped
+	bits []Gran   // map bits, one per chunk
 }
 
 // span is a sector count with a shift/mask fast path for powers of two,
@@ -127,6 +139,9 @@ func NewTable(cfg Config) (*Table, error) {
 	if cfg.AggLimit < 0 {
 		return nil, fmt.Errorf("mapping: negative AggLimit %d", cfg.AggLimit)
 	}
+	if cfg.AggLimit > MaxPSN || PSN(cfg.TotalSectors) > MaxPSN+1 {
+		return nil, fmt.Errorf("%w: %d sectors, AggLimit %d", ErrPSNSpace, cfg.TotalSectors, cfg.AggLimit)
+	}
 	return &Table{
 		zones:    make([]zoneMap, cfg.TotalSectors/cfg.ZoneSectors),
 		total:    cfg.TotalSectors,
@@ -160,7 +175,7 @@ func (t *Table) Set(lpa int64, psn PSN) error {
 	if err := t.check(lpa); err != nil {
 		return err
 	}
-	if psn < 0 {
+	if psn < 0 || psn > MaxPSN {
 		return fmt.Errorf("mapping: Set with invalid PSN %d", psn)
 	}
 	z, off := t.locate(lpa)
@@ -171,46 +186,24 @@ func (t *Table) Set(lpa int64, psn PSN) error {
 			clear(z.psn)
 			clear(z.bits)
 		} else {
-			*z = zoneMap{psn: make([]PSN, t.zone.n), bits: make([]Gran, t.zone.n)}
+			*z = zoneMap{psn: make([]uint32, t.zone.n), bits: make([]Gran, t.zone.n/t.chunk.n)}
 		}
 	}
-	if z.bits[off] != Page {
-		t.demote(z, off)
+	if c, _ := t.chunk.split(off); z.bits[c] != Page {
+		t.demote(z, c)
 	}
-	z.psn[off] = psn + 1
+	z.psn[off] = uint32(psn + 1)
 	return nil
 }
 
-// Invalidate removes the mapping for lpa, demoting any covering aggregation.
-// The device never unmaps one sector — a zone reset releases the zone's
-// table whole — so its callers are tests: this package's, and check.Audit's,
-// which corrupts a live FTL's table with it.
-func (t *Table) Invalidate(lpa int64) error {
-	if err := t.check(lpa); err != nil {
-		return err
+// demote clears the aggregation covering chunk c down to page granularity:
+// the chunk's own, or the whole zone's.
+func (t *Table) demote(z *zoneMap, c int64) {
+	if z.bits[c] == Zone {
+		clear(z.bits)
+		return
 	}
-	z, off := t.locate(lpa)
-	if z.psn == nil {
-		return nil
-	}
-	if z.bits[off] != Page {
-		t.demote(z, off)
-	}
-	z.psn[off] = 0
-	return nil
-}
-
-// demote clears the aggregation covering zone offset off down to page
-// granularity.
-func (t *Table) demote(z *zoneMap, off int64) {
-	run := z.bits
-	if z.bits[off] != Zone {
-		_, r := t.chunk.split(off)
-		run = z.bits[off-r : off-r+t.chunk.n]
-	}
-	for i := range run {
-		run[i] = Page
-	}
+	z.bits[c] = Page
 }
 
 // Get returns the page-granularity translation of lpa.
@@ -222,8 +215,29 @@ func (t *Table) Get(lpa int64) (PSN, bool) {
 	if z.psn == nil {
 		return InvalidPSN, false
 	}
-	p := z.psn[off] - 1
+	p := PSN(z.psn[off]) - 1
 	return p, p != InvalidPSN
+}
+
+// NextStaged returns the first LPA in [lpa, end) whose entry holds a staged
+// PSN — one at or above the aggregation limit — and that PSN. The range must
+// lie within lpa's zone; ok is false when no entry in it is staged.
+func (t *Table) NextStaged(lpa, end int64) (next int64, psn PSN, ok bool) {
+	if t.check(lpa) != nil || end <= lpa {
+		return 0, InvalidPSN, false
+	}
+	z, off := t.locate(lpa)
+	if z.psn == nil {
+		return 0, InvalidPSN, false
+	}
+	stop := min(off+end-lpa, t.zone.n)
+	lim := uint32(t.aggLimit) + 1 // the stored form of the first staged PSN
+	for i, p := range z.psn[off:stop] {
+		if p >= lim {
+			return lpa + int64(i), PSN(p) - 1, true
+		}
+	}
+	return 0, InvalidPSN, false
 }
 
 // Allocated reports whether the zone has a table: false means Get finds no
@@ -241,7 +255,8 @@ func (t *Table) Bits(lpa int64) Gran {
 	if z.bits == nil {
 		return Page
 	}
-	return z.bits[off]
+	c, _ := t.chunk.split(off)
+	return z.bits[c]
 }
 
 // aggregatableRun reports whether the n entries from zone offset base are
@@ -256,14 +271,14 @@ func (t *Table) Bits(lpa int64) Gran {
 // the mismatch is strictly inside.
 func (t *Table) aggregatableRun(z *zoneMap, base, n int64) bool {
 	first := z.psn[base]
-	if first == 0 || first-1 >= t.aggLimit || int64(first-1)%n != 0 {
+	if first == 0 || PSN(first)-1 >= t.aggLimit || int64(first-1)%n != 0 {
 		return false
 	}
-	if z.psn[base+n-1] != first+PSN(n-1) {
+	if z.psn[base+n-1] != first+uint32(n-1) {
 		return false
 	}
 	for i, p := range z.psn[base : base+n] {
-		if p != first+PSN(i) {
+		if p != first+uint32(i) {
 			return false
 		}
 	}
@@ -281,17 +296,14 @@ func (t *Table) TryAggregateChunk(lpa int64) bool {
 	if z.psn == nil {
 		return false
 	}
-	_, r := t.chunk.split(off)
-	base := off - r
-	if z.bits[base] >= Chunk {
+	c, r := t.chunk.split(off)
+	if z.bits[c] >= Chunk {
 		return true
 	}
-	if !t.aggregatableRun(z, base, t.chunk.n) {
+	if !t.aggregatableRun(z, off-r, t.chunk.n) {
 		return false
 	}
-	for i := base; i < base+t.chunk.n; i++ {
-		z.bits[i] = Chunk
-	}
+	z.bits[c] = Chunk
 	return true
 }
 
@@ -328,14 +340,14 @@ func (t *Table) Effective(lpa int64) (baseLPA int64, g Gran, base PSN, ok bool) 
 	if z.psn == nil || z.psn[off] == 0 {
 		return lpa, Page, InvalidPSN, false
 	}
-	switch z.bits[off] {
+	c, r := t.chunk.split(off)
+	switch z.bits[c] {
 	case Zone:
-		return lpa - off, Zone, z.psn[0] - 1, true
+		return lpa - off, Zone, PSN(z.psn[0]) - 1, true
 	case Chunk:
-		_, r := t.chunk.split(off)
-		return lpa - r, Chunk, z.psn[off-r] - 1, true
+		return lpa - r, Chunk, PSN(z.psn[off-r]) - 1, true
 	default:
-		return lpa, Page, z.psn[off] - 1, true
+		return lpa, Page, PSN(z.psn[off]) - 1, true
 	}
 }
 
@@ -365,9 +377,9 @@ func (t *Table) InvalidateZone(lpa int64) error {
 	return nil
 }
 
-// CheckInvariants verifies internal consistency: aggregated regions are
-// uniformly marked and their runs really are contiguous and aligned. It
-// returns the first violation found, or nil. Tests call this after random
+// CheckInvariants verifies internal consistency: a zone mark covers every
+// chunk of its zone, and aggregated runs really are contiguous and aligned.
+// It returns the first violation found, or nil. Tests call this after random
 // operation sequences.
 func (t *Table) CheckInvariants() error {
 	for zi := range t.zones {
@@ -376,29 +388,19 @@ func (t *Table) CheckInvariants() error {
 			continue
 		}
 		zbase := int64(zi) * t.zone.n
-		for base := int64(0); base < t.zone.n; base += t.chunk.n {
-			g := z.bits[base]
+		for c, g := range z.bits {
+			base := int64(c) * t.chunk.n
 			n := t.chunk.n
+			if (g == Zone) != (z.bits[0] == Zone) {
+				return fmt.Errorf("mapping: non-uniform bits in zone at %d (chunk %d %v, first chunk %v)", zbase, c, g, z.bits[0])
+			}
 			if g == Zone {
+				if c != 0 {
+					continue // the zone's run is checked from its first chunk
+				}
 				n = t.zone.n
-				if base != 0 {
-					// Zone marks are checked from the zone base; interior
-					// chunks are validated there.
-					if z.bits[0] != Zone {
-						return fmt.Errorf("mapping: chunk %d marked zone but zone base is not", zbase+base)
-					}
-					continue
-				}
 			}
-			if g == Page {
-				continue
-			}
-			for i := base; i < base+n; i++ {
-				if z.bits[i] != g {
-					return fmt.Errorf("mapping: non-uniform bits in run at %d (gran %v)", zbase+base, g)
-				}
-			}
-			if !t.aggregatableRun(z, base, n) {
+			if g != Page && !t.aggregatableRun(z, base, n) {
 				return fmt.Errorf("mapping: run at %d marked %v but not contiguous/aligned", zbase+base, g)
 			}
 		}

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -168,10 +169,48 @@ func TestSparseTableMatchesFlatModel(t *testing.T) {
 			if got := tbl.MappedInRange(lo, hi); got != inRange {
 				t.Fatalf("step %d: MappedInRange(%d,%d) = %d, reference %d", step, lo, hi, got, inRange)
 			}
+			from := rng.Int63n(cfg.TotalSectors)
+			end := from + rng.Int63n(from-from%cfg.ZoneSectors+cfg.ZoneSectors-from+1)
+			want := int64(-1)
+			for l := from; l < end && want < 0; l++ {
+				if ref.psn[l] >= cfg.AggLimit {
+					want = l
+				}
+			}
+			if next, p, ok := tbl.NextStaged(from, end); ok != (want >= 0) || ok && (next != want || p != ref.psn[want]) {
+				t.Fatalf("step %d: NextStaged(%d,%d) = (%d,%d,%v), reference LPA %d", step, from, end, next, p, ok, want)
+			}
 			if err := tbl.CheckInvariants(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
+	}
+}
+
+// TestEntriesHoldPSNsIn32Bits: an entry stores PSN+1 in 32 bits. MaxPSN
+// round-trips, a wider PSN is refused by Set, and a table whose PSN space
+// cannot fit is refused when it is built.
+func TestEntriesHoldPSNsIn32Bits(t *testing.T) {
+	cfg := Config{TotalSectors: 4 * 64, ChunkSectors: 16, ZoneSectors: 64, AggLimit: 4 * 64}
+	tbl, err := NewTable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Set(70, MaxPSN); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := tbl.Get(70); !ok || p != MaxPSN {
+		t.Fatalf("Get = (%d,%v), want (%d,true)", p, ok, MaxPSN)
+	}
+	if next, p, ok := tbl.NextStaged(64, 128); !ok || next != 70 || p != MaxPSN {
+		t.Fatalf("NextStaged = (%d,%d,%v), want (70,%d,true)", next, p, ok, MaxPSN)
+	}
+	if err := tbl.Set(71, MaxPSN+1); err == nil {
+		t.Fatalf("Set accepted PSN %d", MaxPSN+1)
+	}
+	cfg.AggLimit = MaxPSN + 1
+	if _, err := NewTable(cfg); !errors.Is(err, ErrPSNSpace) {
+		t.Fatalf("AggLimit %d: got %v, want %v", cfg.AggLimit, err, ErrPSNSpace)
 	}
 }
 

@@ -390,6 +390,10 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			done = end
 		}
 		sb := &r.sbs[r.cur]
+		// OOB stamps for recovery: each staged copy's logical address and its
+		// position in global program order. The program's sectors are
+		// consecutive in one page, so they follow its address.
+		ppa := r.arr.PPAOf(addr)
 		for k := int64(0); k < took; k++ {
 			idx := int64(r.cur)*r.sbCap + r.pos
 			sb.valid[r.pos] = true
@@ -397,11 +401,7 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			sb.validCount++
 			r.pos++
 			idxs = append(idxs, idx)
-			// OOB stamp for recovery: the staged copy's logical address and
-			// its position in global program order.
-			if a, err := r.AddrOf(idx); err == nil {
-				r.arr.StampOOB(r.arr.PPAOf(a), ws[i+int(k)].LPA)
-			}
+			r.arr.StampOOB(ppa+nand.PPA(k), ws[i+int(k)].LPA)
 		}
 		i += int(took)
 	}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/sim"
+	"github.com/conzone/conzone/internal/zns"
 )
 
 // ZoneHeat is one row of the per-zone heatmap: the host-visible zone
@@ -15,13 +16,14 @@ type ZoneHeat struct {
 	State string `json:"state"`
 
 	WP       int64 `json:"wp"`       // absolute write-pointer LBA
-	Written  int64 `json:"written"`  // sectors written since reset
+	Written  int64 `json:"written"`  // sectors written since reset; a conventional zone's staged sectors
 	Capacity int64 `json:"capacity"` // writable sectors
 
 	// Media placement. SB is the bound normal superblock (-1 when the
 	// zone lives entirely in SLC staging or is empty). Staged counts the
-	// zone's SLC-resident sectors; ValidStaged the still-live subset;
-	// Pending the partially-programmed unit awaiting completion.
+	// zone's SLC-resident sectors, every one of them live, so ValidStaged
+	// repeats it; Pending is the staged part of the head region, the
+	// partially-programmed unit awaiting completion.
 	SB          int   `json:"sb"`
 	Staged      int64 `json:"staged"`
 	ValidStaged int64 `json:"valid_staged"`
@@ -29,7 +31,8 @@ type ZoneHeat struct {
 
 	// FillFrac is Written/Capacity. ValidFrac estimates the live-data
 	// fraction: head-resident sectors (always live under sequential-write
-	// semantics) plus still-valid staged sectors, over capacity.
+	// semantics) plus staged sectors, over capacity. A conventional zone
+	// has no write pointer, so what it holds is its fill.
 	FillFrac  float64 `json:"fill_frac"`
 	ValidFrac float64 `json:"valid_frac"`
 
@@ -88,16 +91,21 @@ func CollectZones(f *ftl.FTL, now sim.Time) ZoneTable {
 			Capacity: z.Capacity,
 			SB:       -1,
 		}
-		sb, staged, valid, pend, err := f.ZoneCounts(id)
+		sb, staged, pend, err := f.ZoneCounts(id)
 		if err == nil {
 			h.SB = sb
 			h.Staged = staged
-			h.ValidStaged = valid
+			h.ValidStaged = staged
 			h.Pending = pend
 		}
-		live := valid
+		if z.Type == zns.Conventional {
+			h.Written = staged
+		}
+		live := staged
 		if h.SB >= 0 {
-			live += min(h.Written, headCap)
+			// The head's written sectors, less the staged ones already
+			// counted: a partial unit is in Written and in Staged.
+			live += min(h.Written, headCap) - pend
 			h.EraseMean = f.SBEraseMean(h.SB)
 		}
 		if z.Capacity > 0 {

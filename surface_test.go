@@ -30,7 +30,6 @@ var surfaceAllow = []struct{ pattern, reason string }{
 	{"internal/zns.Manager.SetReadOnly", "the only way a zone reaches ReadOnly; the state is audited and persisted, a device-side failure model will call it"},
 	{"internal/check.RunSequence*", "oracle drivers: the fuzz targets and seed-corpus tests are their callers by design"},
 	{"internal/ftl.FTL.Debug*", "corruption injectors for check.Audit's tests, which audit a live FTL (see ftl/debug.go)"},
-	{"internal/mapping.Table.Invalidate", "corruption injector of the same kind: check.Audit's staging-leak test unmaps one sector of a live FTL"},
 	{"internal/femu.Device.Array", "public through conzone.FEMUDevice; TestComparatorsMatchParent digests the media counters through it"},
 	{"internal/femu.Device.Stats", "public through conzone.FEMUDevice; TestComparatorsMatchParent digests it"},
 	{"internal/legacy.Device.Array", "public through conzone.LegacyDevice; TestLegacyMatchesParent digests the media counters through it"},
