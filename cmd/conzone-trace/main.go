@@ -14,11 +14,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/trace"
@@ -52,7 +54,7 @@ func main() {
 			fatal(err)
 		}
 	case *replay != "":
-		if err := doReplay(cfg, *replay, *device, *observe, *chromeOut); err != nil {
+		if err := doReplay(os.Stdout, cfg, *replay, *device, *observe, *chromeOut); err != nil {
 			fatal(err)
 		}
 	case *convert != "":
@@ -140,7 +142,10 @@ func generate(cfg config.DeviceConfig, kind string, ops int, path string) error 
 	return nil
 }
 
-func doReplay(cfg config.DeviceConfig, path, device string, observe bool, chromePath string) error {
+// doReplay replays a trace file on the named device and writes the replay
+// summary to w; with observe, the FTL's telemetry follows as Prometheus
+// text exposition.
+func doReplay(w io.Writer, cfg config.DeviceConfig, path, device string, observe bool, chromePath string) error {
 	recs, err := readTrace(path)
 	if err != nil {
 		return err
@@ -149,7 +154,7 @@ func doReplay(cfg config.DeviceConfig, path, device string, observe bool, chrome
 		return fmt.Errorf("-observe is only supported by the conzone device, not %q", device)
 	}
 	var dev workload.Device
-	var rec *obs.Recorder
+	var observed *ftl.FTL
 	switch device {
 	case "conzone":
 		f, e := cfg.NewConZone()
@@ -157,8 +162,8 @@ func doReplay(cfg config.DeviceConfig, path, device string, observe bool, chrome
 			return e
 		}
 		if observe {
-			rec = obs.NewRecorder(0)
-			f.SetRecorder(rec)
+			f.SetRecorder(obs.NewRecorder(0))
+			observed = f
 		}
 		dev = f
 	case "legacy":
@@ -175,17 +180,18 @@ func doReplay(cfg config.DeviceConfig, path, device string, observe bool, chrome
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d records on %s: %d reads (%s), %d writes (%s), %d resets, %d flushes\n",
+	fmt.Fprintf(w, "replayed %d records on %s: %d reads (%s), %d writes (%s), %d resets, %d flushes\n",
 		res.Records, device, res.ReadOps, units.FormatBytes(res.ReadBytes),
 		res.WriteOps, units.FormatBytes(res.WriteB), res.Resets, res.Flushes)
-	fmt.Printf("virtual completion time: %v\n", time.Duration(res.LastDone))
-	if rec != nil {
-		tel := rec.Snapshot()
-		fmt.Println()
-		if err := tel.WritePrometheus(os.Stdout); err != nil {
+	fmt.Fprintf(w, "virtual completion time: %v\n", time.Duration(res.LastDone))
+	if observed != nil {
+		tel := observed.Telemetry()
+		fmt.Fprintln(w)
+		if err := obs.WriteExposition(w, tel.Expose); err != nil {
 			return err
 		}
 		if chromePath != "" {
+			tel.Events = observed.Recorder().Events()
 			o, err := os.Create(chromePath)
 			if err != nil {
 				return err
@@ -194,7 +200,7 @@ func doReplay(cfg config.DeviceConfig, path, device string, observe bool, chrome
 			if err := tel.WriteChromeTrace(o); err != nil {
 				return err
 			}
-			fmt.Printf("wrote Chrome trace (%d events) to %s — open via chrome://tracing or https://ui.perfetto.dev\n",
+			fmt.Fprintf(w, "wrote Chrome trace (%d events) to %s — open via chrome://tracing or https://ui.perfetto.dev\n",
 				len(tel.Events), chromePath)
 		}
 	}

@@ -500,7 +500,9 @@ func (d *Device) Telemetry() Telemetry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.advance(d.h.Kick())
-	return d.f.Telemetry()
+	t := d.f.Telemetry()
+	t.Events = d.f.Recorder().Events()
+	return t
 }
 
 // Stats returns a unified counter snapshot.

@@ -7,6 +7,7 @@ import (
 
 	"github.com/conzone/conzone"
 	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -83,7 +84,7 @@ func runMetrics(cfg config.DeviceConfig, _ Options) (Report, error) {
 
 	tel := dev.Telemetry()
 	var prom strings.Builder
-	if err := tel.WritePrometheus(&prom); err != nil {
+	if err := obs.WriteExposition(&prom, tel.Expose); err != nil {
 		return none, err
 	}
 	return Report{

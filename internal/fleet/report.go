@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/telemetry"
 )
 
@@ -25,12 +26,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 	fmt.Fprintf(&b, "%-12s %8s %6s %6s %6s %10s %12s %8s  %-42s %8s\n",
 		"cohort", "devices", "fail", "plost", "rdonly", "ops", "bytes", "ioerr",
 		"latency p50/p99/p99.9/max", "waf")
-	rows := make([]*CohortResult, 0, len(r.Cohorts)+1)
-	for i := range r.Cohorts {
-		rows = append(rows, &r.Cohorts[i])
-	}
-	rows = append(rows, &r.Fleet)
-	for _, c := range rows {
+	for _, c := range r.rows() {
 		fmt.Fprintf(&b, "%-12s %8d %6d %6d %6d %10d %12d %8d  %-42s %8.4f\n",
 			c.Name, c.Devices, c.Failed, c.PowerLost, c.ReadOnly,
 			c.Ops, c.Bytes, c.IOErrors,
@@ -55,59 +51,49 @@ func fmtDur(d time.Duration) string {
 }
 
 // WriteMetrics writes the Prometheus exposition: fleet-level population
-// gauges per cohort, then every telemetry counter with per-cohort labels
-// plus the unlabeled-equivalent fleet sum (cohort="fleet").
+// gauges and the population latency summary per cohort, then every
+// telemetry counter with per-cohort labels plus the unlabeled-equivalent
+// fleet sum (cohort="fleet").
 func (r *Result) WriteMetrics(w io.Writer) error {
-	var b strings.Builder
+	rows := r.rows()
+	names := make([]string, len(rows))
+	sets := make([]telemetry.Stats, len(rows))
+	for i, c := range rows {
+		names[i], sets[i] = c.Name, c.Telemetry
+	}
+	population := func(e *obs.Exposition) {
+		for _, m := range []struct {
+			name, help string
+			val        func(*CohortResult) int64
+		}{
+			{"conzone_fleet_devices", "Devices simulated.", func(c *CohortResult) int64 { return int64(c.Devices) }},
+			{"conzone_fleet_devices_failed", "Devices that failed to build or run.", func(c *CohortResult) int64 { return int64(c.Failed) }},
+			{"conzone_fleet_devices_power_lost", "Devices whose power cut fired.", func(c *CohortResult) int64 { return int64(c.PowerLost) }},
+			{"conzone_fleet_devices_read_only", "Devices that ended read-only.", func(c *CohortResult) int64 { return int64(c.ReadOnly) }},
+			{"conzone_fleet_io_errors", "Failed host operations.", func(c *CohortResult) int64 { return c.IOErrors }},
+		} {
+			e.Family(m.name, "gauge", m.help)
+			for _, c := range rows {
+				e.Int(m.val(c), "cohort", c.Name)
+			}
+		}
+		e.Family("conzone_fleet_latency_seconds", "summary", "Population latency in simulated seconds.")
+		for _, c := range rows {
+			e.Summary(c.Lat, "cohort", c.Name)
+		}
+	}
+	return obs.WriteExposition(w, population, func(e *obs.Exposition) {
+		telemetry.ExposeStats(e, "cohort", names, sets...)
+	})
+}
+
+// rows returns the cohorts, then the whole-fleet row.
+func (r *Result) rows() []*CohortResult {
 	rows := make([]*CohortResult, 0, len(r.Cohorts)+1)
 	for i := range r.Cohorts {
 		rows = append(rows, &r.Cohorts[i])
 	}
-	rows = append(rows, &r.Fleet)
-
-	pop := []struct {
-		name, help string
-		val        func(*CohortResult) string
-	}{
-		{"conzone_fleet_devices", "Devices simulated.",
-			func(c *CohortResult) string { return fmt.Sprintf("%d", c.Devices) }},
-		{"conzone_fleet_devices_failed", "Devices that failed to build or run.",
-			func(c *CohortResult) string { return fmt.Sprintf("%d", c.Failed) }},
-		{"conzone_fleet_devices_power_lost", "Devices whose power cut fired.",
-			func(c *CohortResult) string { return fmt.Sprintf("%d", c.PowerLost) }},
-		{"conzone_fleet_devices_read_only", "Devices that ended read-only.",
-			func(c *CohortResult) string { return fmt.Sprintf("%d", c.ReadOnly) }},
-		{"conzone_fleet_io_errors", "Failed host operations.",
-			func(c *CohortResult) string { return fmt.Sprintf("%d", c.IOErrors) }},
-		{"conzone_fleet_lat_p50_seconds", "Population median latency.",
-			func(c *CohortResult) string { return fmtSeconds(c.Lat.P50) }},
-		{"conzone_fleet_lat_p99_seconds", "Population p99 latency.",
-			func(c *CohortResult) string { return fmtSeconds(c.Lat.P99) }},
-		{"conzone_fleet_lat_p999_seconds", "Population p99.9 latency.",
-			func(c *CohortResult) string { return fmtSeconds(c.Lat.P999) }},
-	}
-	for _, m := range pop {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name)
-		for _, c := range rows {
-			fmt.Fprintf(&b, "%s{cohort=%q} %s\n", m.name, c.Name, m.val(c))
-		}
-	}
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-
-	sets := make([]telemetry.LabeledStats, 0, len(rows))
-	for _, c := range rows {
-		sets = append(sets, telemetry.LabeledStats{
-			Labels: fmt.Sprintf("cohort=%q", c.Name),
-			Stats:  c.Telemetry,
-		})
-	}
-	return telemetry.WritePrometheusLabeled(w, sets)
-}
-
-func fmtSeconds(d time.Duration) string {
-	return fmt.Sprintf("%.9f", d.Seconds())
+	return append(rows, &r.Fleet)
 }
 
 // Digest returns the SHA-256 over the report and metrics bytes — the value

@@ -298,8 +298,9 @@ func (f *FTL) SetRecorder(r *obs.Recorder) { f.arr.SetRecorder(r) }
 // Recorder returns the attached lifecycle recorder (nil when disabled).
 func (f *FTL) Recorder() *obs.Recorder { return f.arr.Recorder() }
 
-// Telemetry snapshots the recorder's aggregates plus per-resource usage.
-// With observation disabled it returns a zero snapshot.
+// Telemetry snapshots the recorder's aggregates plus per-resource usage,
+// without the flight-recorder ring (Recorder().Events() is that). With
+// observation disabled it returns a zero snapshot.
 func (f *FTL) Telemetry() obs.Telemetry {
 	rec := f.Recorder()
 	t := rec.Snapshot()

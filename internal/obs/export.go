@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/stats"
@@ -21,8 +20,9 @@ type StageStats struct {
 
 // Telemetry is a self-contained snapshot of a device's observation state:
 // per-stage span counts and latency histogram summaries, cause breakdowns,
-// flight-recorder contents and hardware-resource usage. It marshals to
-// JSON directly and renders itself as Prometheus text exposition or a
+// hardware-resource usage and, for a reader that renders a timeline, the
+// flight-recorder contents. It marshals to JSON directly and declares its
+// Prometheus families through Expose; with Events filled it renders a
 // Chrome Trace Event file.
 type Telemetry struct {
 	Stages    []StageStats        `json:"stages"`
@@ -30,14 +30,15 @@ type Telemetry struct {
 	Dropped   int64               `json:"events_dropped"`
 	Resources []sim.ResourceUsage `json:"resources,omitempty"`
 
-	// Events is the retained flight-recorder window, oldest first. It
-	// feeds WriteChromeTrace and is excluded from the JSON metrics
-	// snapshot (a timeline is not a metric).
+	// Events is the retained flight-recorder window, oldest first
+	// (Recorder.Events). Snapshot leaves it empty: it feeds
+	// WriteChromeTrace only and is excluded from the JSON metrics snapshot
+	// (a timeline is not a metric).
 	Events []Event `json:"-"`
 }
 
-// Snapshot captures the recorder's current aggregates and ring contents.
-// Nil-safe: a nil recorder yields a zero Telemetry.
+// Snapshot captures the recorder's current aggregates, without copying the
+// ring. Nil-safe: a nil recorder yields a zero Telemetry.
 func (r *Recorder) Snapshot() Telemetry {
 	if r == nil {
 		return Telemetry{}
@@ -45,7 +46,6 @@ func (r *Recorder) Snapshot() Telemetry {
 	t := Telemetry{
 		Recorded: r.Recorded(),
 		Dropped:  r.Dropped(),
-		Events:   r.Events(),
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		if r.counts[s] == 0 {
@@ -86,27 +86,16 @@ func (t Telemetry) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// seconds renders a virtual duration in Prometheus' base unit.
-func seconds(d time.Duration) float64 { return d.Seconds() }
-
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4): per-stage span counters, latency summaries with
-// the usual quantiles, cause-qualified counters, flight-recorder gauges
-// and per-resource busy time. All durations are virtual (simulated) time.
-func (t Telemetry) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# HELP conzone_stage_spans_total Lifecycle spans recorded per stage.\n")
-	p("# TYPE conzone_stage_spans_total counter\n")
+// Expose declares the telemetry's families: per-stage span counters,
+// cause-qualified counters, per-stage latency summaries, flight-recorder
+// counters and, when the snapshot carries them, per-resource busy time,
+// operations and utilization. All durations are virtual (simulated) time.
+func (t Telemetry) Expose(e *Exposition) {
+	e.Family("conzone_stage_spans_total", "counter", "Lifecycle spans recorded per stage.")
 	for _, s := range t.Stages {
-		p("conzone_stage_spans_total{stage=%q} %d\n", s.Stage, s.Count)
+		e.Int(s.Count, "stage", s.Stage)
 	}
-	p("# HELP conzone_stage_cause_total Lifecycle spans per stage and cause.\n")
-	p("# TYPE conzone_stage_cause_total counter\n")
+	e.Family("conzone_stage_cause_total", "counter", "Lifecycle spans per stage and cause.")
 	for _, s := range t.Stages {
 		causes := make([]string, 0, len(s.ByCause))
 		for c := range s.ByCause {
@@ -114,46 +103,32 @@ func (t Telemetry) WritePrometheus(w io.Writer) error {
 		}
 		sort.Strings(causes)
 		for _, c := range causes {
-			p("conzone_stage_cause_total{stage=%q,cause=%q} %d\n", s.Stage, c, s.ByCause[c])
+			e.Int(s.ByCause[c], "stage", s.Stage, "cause", c)
 		}
 	}
-	p("# HELP conzone_stage_latency_seconds Per-stage latency in simulated seconds.\n")
-	p("# TYPE conzone_stage_latency_seconds summary\n")
+	e.Family("conzone_stage_latency_seconds", "summary", "Per-stage latency in simulated seconds.")
 	for _, s := range t.Stages {
-		l := s.Latency
-		for _, q := range []struct {
-			q string
-			v time.Duration
-		}{{"0.5", l.P50}, {"0.95", l.P95}, {"0.99", l.P99}, {"0.999", l.P999}} {
-			p("conzone_stage_latency_seconds{stage=%q,quantile=%q} %g\n", s.Stage, q.q, seconds(q.v))
-		}
-		p("conzone_stage_latency_seconds_sum{stage=%q} %g\n", s.Stage, seconds(l.Sum))
-		p("conzone_stage_latency_seconds_count{stage=%q} %d\n", s.Stage, l.Count)
+		e.Summary(s.Latency, "stage", s.Stage)
 	}
-	p("# HELP conzone_events_recorded_total Events ever recorded.\n")
-	p("# TYPE conzone_events_recorded_total counter\n")
-	p("conzone_events_recorded_total %d\n", t.Recorded)
-	p("# HELP conzone_events_dropped_total Events overwritten in the flight-recorder ring.\n")
-	p("# TYPE conzone_events_dropped_total counter\n")
-	p("conzone_events_dropped_total %d\n", t.Dropped)
-	if len(t.Resources) > 0 {
-		p("# HELP conzone_resource_busy_seconds Simulated busy time per hardware resource.\n")
-		p("# TYPE conzone_resource_busy_seconds counter\n")
-		for _, r := range t.Resources {
-			p("conzone_resource_busy_seconds{resource=%q} %g\n", r.Name, seconds(r.BusyTime))
-		}
-		p("# HELP conzone_resource_ops_total Operations reserved per hardware resource.\n")
-		p("# TYPE conzone_resource_ops_total counter\n")
-		for _, r := range t.Resources {
-			p("conzone_resource_ops_total{resource=%q} %d\n", r.Name, r.Ops)
-		}
-		p("# HELP conzone_resource_utilization Busy fraction of the simulated horizon.\n")
-		p("# TYPE conzone_resource_utilization gauge\n")
-		for _, r := range t.Resources {
-			p("conzone_resource_utilization{resource=%q} %g\n", r.Name, r.Utilization)
-		}
+	e.Family("conzone_events_recorded_total", "counter", "Events ever recorded.")
+	e.Int(t.Recorded)
+	e.Family("conzone_events_dropped_total", "counter", "Events overwritten in the flight-recorder ring.")
+	e.Int(t.Dropped)
+	if len(t.Resources) == 0 {
+		return
 	}
-	return err
+	e.Family("conzone_resource_busy_seconds", "counter", "Simulated busy time per hardware resource.")
+	for _, r := range t.Resources {
+		e.Float(r.BusyTime.Seconds(), "resource", r.Name)
+	}
+	e.Family("conzone_resource_ops_total", "counter", "Operations reserved per hardware resource.")
+	for _, r := range t.Resources {
+		e.Int(r.Ops, "resource", r.Name)
+	}
+	e.Family("conzone_resource_utilization", "gauge", "Busy fraction of the simulated horizon.")
+	for _, r := range t.Resources {
+		e.Float(r.Utilization, "resource", r.Name)
+	}
 }
 
 // chromeTrack maps a stage to a Chrome Trace tid so that overlapping

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
+
+	"github.com/conzone/conzone/internal/obs"
 )
 
-// Series and snapshot exporters. The Prometheus exporter walks the unified
-// Stats struct with reflection, deriving metric names from field names, so
-// a counter added to any subsystem's Stats shows up on /metrics without
-// touching this file — the drift between "counters we keep" and "counters
-// we export" that ISSUE 7 closes cannot reopen.
+// Series and snapshot exporters. The Prometheus families of the unified
+// Stats come from a reflective walk that derives metric names from field
+// names, so a counter added to any subsystem's Stats shows up on /metrics
+// without touching this file: the counters kept and the counters exported
+// cannot drift apart. Every family is written through obs.Exposition.
 
 // WriteSeriesJSONL writes the samples as JSON Lines: one self-contained
 // sample object per line, the format the analysis scripts and
@@ -111,170 +114,96 @@ func jsonName(f reflect.StructField) string {
 	return snakeCase(f.Name)
 }
 
-// promMetric is one resolved sample of a snapshot walk: final metric name
-// (the _total suffix already applied), Prometheus type, and value.
-type promMetric struct {
-	name    string
-	typ     string // "counter" or "gauge"
-	isFloat bool
-	intVal  int64
-	fltVal  float64
-}
+// Expose declares the unified snapshot's families, unlabeled. See
+// ExposeStats for the naming rules.
+func (s Stats) Expose(e *obs.Exposition) { ExposeStats(e, "", nil, s) }
 
-// promMetrics flattens the unified snapshot into exportable samples.
-// Integer counter fields become conzone_<group>_<field>_total counters;
-// float ratios, booleans and the occupancy block become gauges. The walk is
-// reflective so every field of every subsystem's Stats — including the
-// fault, bad-block and power-loss counters — is exported by construction.
-func (s Stats) promMetrics() []promMetric {
-	var out []promMetric
-	addInt := func(name, typ string, v int64) {
-		out = append(out, promMetric{name: name, typ: typ, intVal: v})
+// ExposeStats declares one family per numeric field of the unified
+// snapshot and writes one sample per set under it, in set order — metric
+// major, as the exposition format requires of a labelled family. Sample i
+// carries the label label=values[i]; with label "" the samples are
+// unlabeled, which is how a single device exposes itself. Integer counter
+// fields become conzone_<group>_<field>_total counters; float ratios,
+// booleans and the occupancy block become gauges. The walk is reflective,
+// so every field of every subsystem's Stats — the fault, bad-block and
+// power-loss counters included — is exported by construction.
+func ExposeStats(e *obs.Exposition, label string, values []string, sets ...Stats) {
+	family := func(name string, gauge bool, field reflect.StructField, index ...int) {
+		switch field.Type.Kind() {
+		case reflect.Float64, reflect.Bool:
+			gauge = true
+		case reflect.Int64, reflect.Int:
+		default:
+			return
+		}
+		typ := "gauge"
+		if !gauge {
+			name, typ = name+"_total", "counter"
+		}
+		e.Family(name, typ, "Unified device snapshot field "+name+".")
+		for i := range sets {
+			var labels []string
+			if label != "" {
+				labels = []string{label, values[i]}
+			}
+			switch f := reflect.ValueOf(sets[i]).FieldByIndex(index); f.Kind() {
+			case reflect.Float64:
+				e.Float(f.Float(), labels...)
+			case reflect.Bool:
+				var b int64
+				if f.Bool() {
+					b = 1
+				}
+				e.Int(b, labels...)
+			default:
+				e.Int(f.Int(), labels...)
+			}
+		}
 	}
-	addFloat := func(name string, v float64) {
-		out = append(out, promMetric{name: name, typ: "gauge", isFloat: true, fltVal: v})
-	}
-
-	v := reflect.ValueOf(s)
-	t := v.Type()
+	t := reflect.TypeOf(Stats{})
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		fv := v.Field(i)
 		base := "conzone_" + jsonName(f)
-		switch fv.Kind() {
-		case reflect.Struct:
-			// Occupancy fields are gauges; every other nested struct is a
-			// block of monotonic counters.
-			gauge := f.Type == reflect.TypeOf(Occupancy{})
-			ft := fv.Type()
-			for j := 0; j < ft.NumField(); j++ {
-				name := base + "_" + jsonName(ft.Field(j))
-				sub := fv.Field(j)
-				switch sub.Kind() {
-				case reflect.Int64, reflect.Int:
-					if gauge {
-						addInt(name, "gauge", sub.Int())
-					} else {
-						addInt(name+"_total", "counter", sub.Int())
-					}
-				case reflect.Float64:
-					addFloat(name, sub.Float())
-				case reflect.Bool:
-					var b int64
-					if sub.Bool() {
-						b = 1
-					}
-					addInt(name, "gauge", b)
-				}
-			}
-		case reflect.Int64, reflect.Int:
-			addInt(base+"_total", "counter", fv.Int())
-		case reflect.Float64:
-			addFloat(base, fv.Float())
+		if f.Type.Kind() != reflect.Struct {
+			family(base, false, f, i)
+			continue
+		}
+		// Occupancy fields are gauges; every other nested struct is a
+		// block of monotonic counters.
+		gauge := f.Type == reflect.TypeOf(Occupancy{})
+		for j := 0; j < f.Type.NumField(); j++ {
+			family(base+"_"+jsonName(f.Type.Field(j)), gauge, f.Type.Field(j), i, j)
 		}
 	}
-	return out
 }
 
-// WritePrometheus writes the unified snapshot in the Prometheus text
-// exposition format (version 0.0.4). See promMetrics for the naming rules.
-func (s Stats) WritePrometheus(w io.Writer) error {
-	return WritePrometheusLabeled(w, []LabeledStats{{Stats: s}})
-}
-
-// LabeledStats pairs a snapshot with a Prometheus label set, e.g.
-// `cohort="worn-qlc"` (no surrounding braces). Fleet exports use one entry
-// per cohort plus the grand total.
-type LabeledStats struct {
-	Labels string
-	Stats  Stats
-}
-
-// WritePrometheusLabeled writes many labelled snapshots as one valid
-// exposition: samples are grouped metric-major (one HELP/TYPE header per
-// metric, then one labelled sample per snapshot), which is what Prometheus
-// requires and what a single-device WritePrometheus degenerates to.
-func WritePrometheusLabeled(w io.Writer, sets []LabeledStats) error {
-	if len(sets) == 0 {
-		return nil
-	}
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	walks := make([][]promMetric, len(sets))
-	for i, set := range sets {
-		walks[i] = set.Stats.promMetrics()
-	}
-	// Every walk of the same Stats type yields the same metric sequence;
-	// iterate it once and emit each metric's samples across all label sets.
-	for m := range walks[0] {
-		p("# HELP %s Unified device snapshot field %s.\n", walks[0][m].name, walks[0][m].name)
-		p("# TYPE %s %s\n", walks[0][m].name, walks[0][m].typ)
-		for i := range sets {
-			met := walks[i][m]
-			name := met.name
-			if sets[i].Labels != "" {
-				name += "{" + sets[i].Labels + "}"
-			}
-			if met.isFloat {
-				p("%s %g\n", name, met.fltVal)
-			} else {
-				p("%s %d\n", name, met.intVal)
-			}
-		}
-	}
-	return err
-}
-
-// WriteJSON writes the spatial snapshot as indented JSON (the /zones.json
-// payload).
-func (t ZoneTable) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
-}
-
-// WritePrometheus writes the spatial snapshot as zone- and
+// Expose declares the spatial snapshot's zone- and
 // superblock-labelled gauges.
-func (t ZoneTable) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	head := func(name, help string) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s gauge\n", name)
-	}
-	head("conzone_zone_fill_frac", "Write-pointer fill fraction per zone.")
+func (t ZoneTable) Expose(e *obs.Exposition) {
+	e.Family("conzone_zone_fill_frac", "gauge", "Write-pointer fill fraction per zone.")
 	for _, z := range t.Zones {
-		p("conzone_zone_fill_frac{zone=\"%d\",state=%q} %g\n", z.Zone, z.State, z.FillFrac)
+		e.Float(z.FillFrac, "zone", strconv.Itoa(z.Zone), "state", z.State)
 	}
-	head("conzone_zone_valid_frac", "Estimated live-data fraction per zone.")
+	e.Family("conzone_zone_valid_frac", "gauge", "Estimated live-data fraction per zone.")
 	for _, z := range t.Zones {
-		p("conzone_zone_valid_frac{zone=\"%d\"} %g\n", z.Zone, z.ValidFrac)
+		e.Float(z.ValidFrac, "zone", strconv.Itoa(z.Zone))
 	}
-	head("conzone_zone_staged_sectors", "SLC-resident sectors per zone.")
+	e.Family("conzone_zone_staged_sectors", "gauge", "SLC-resident sectors per zone.")
 	for _, z := range t.Zones {
-		p("conzone_zone_staged_sectors{zone=\"%d\"} %d\n", z.Zone, z.Staged)
+		e.Int(z.Staged, "zone", strconv.Itoa(z.Zone))
 	}
-	head("conzone_zone_erase_mean", "Mean per-chip erase count of the zone's bound superblock.")
+	e.Family("conzone_zone_erase_mean", "gauge", "Mean per-chip erase count of the zone's bound superblock.")
 	for _, z := range t.Zones {
-		p("conzone_zone_erase_mean{zone=\"%d\"} %g\n", z.Zone, z.EraseMean)
+		e.Float(z.EraseMean, "zone", strconv.Itoa(z.Zone))
 	}
-	head("conzone_slc_sb_valid_frac", "Live-sector fraction per SLC staging superblock.")
+	e.Family("conzone_slc_sb_valid_frac", "gauge", "Live-sector fraction per SLC staging superblock.")
 	for _, b := range t.SLC {
-		p("conzone_slc_sb_valid_frac{sb=\"%d\"} %g\n", b.SB, b.ValidFrac)
+		e.Float(b.ValidFrac, "sb", strconv.Itoa(b.SB))
 	}
-	head("conzone_slc_sb_erase_mean", "Mean per-chip erase count per SLC staging superblock.")
+	e.Family("conzone_slc_sb_erase_mean", "gauge", "Mean per-chip erase count per SLC staging superblock.")
 	for _, b := range t.SLC {
-		p("conzone_slc_sb_erase_mean{sb=\"%d\"} %g\n", b.SB, b.EraseMean)
+		e.Float(b.EraseMean, "sb", strconv.Itoa(b.SB))
 	}
-	return err
 }
 
 // shades maps a [0,1] fraction to a density glyph for the textual heatmap.
@@ -305,48 +234,32 @@ func (t ZoneTable) WriteHeatmap(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	grid := func(title string, frac func(ZoneHeat) float64) {
-		p("%s (one glyph per zone, scale \"%s\" = 0..1)\n", title, shades)
+	grid := func(header string, frac func(ZoneHeat) float64) {
+		p("%s\n", header)
 		for row := 0; row < len(t.Zones); row += heatmapCols {
-			end := row + heatmapCols
-			if end > len(t.Zones) {
-				end = len(t.Zones)
-			}
 			p("  %4d  ", row)
-			for _, z := range t.Zones[row:end] {
+			for _, z := range t.Zones[row:min(row+heatmapCols, len(t.Zones))] {
 				p("%c", shade(frac(z)))
 			}
 			p("\n")
 		}
 	}
+	scale := fmt.Sprintf(" (one glyph per zone, scale \"%s\" = 0..1)", shades)
 	p("zones: %d   virtual time: %.3fs\n\n", len(t.Zones), float64(t.At)/1e9)
-	grid("zone fill (write pointer / capacity)", func(z ZoneHeat) float64 { return z.FillFrac })
+	grid("zone fill (write pointer / capacity)"+scale, func(z ZoneHeat) float64 { return z.FillFrac })
 	p("\n")
-	grid("zone live data (valid / capacity)", func(z ZoneHeat) float64 { return z.ValidFrac })
+	grid("zone live data (valid / capacity)"+scale, func(z ZoneHeat) float64 { return z.ValidFrac })
 	p("\n")
-
 	var maxErase float64
 	for _, z := range t.Zones {
-		if z.EraseMean > maxErase {
-			maxErase = z.EraseMean
-		}
+		maxErase = max(maxErase, z.EraseMean)
 	}
-	p("zone wear (erase mean / max=%.1f)\n", maxErase)
-	for row := 0; row < len(t.Zones); row += heatmapCols {
-		end := row + heatmapCols
-		if end > len(t.Zones) {
-			end = len(t.Zones)
+	grid(fmt.Sprintf("zone wear (erase mean / max=%.1f)", maxErase), func(z ZoneHeat) float64 {
+		if maxErase == 0 {
+			return 0
 		}
-		p("  %4d  ", row)
-		for _, z := range t.Zones[row:end] {
-			f := 0.0
-			if maxErase > 0 {
-				f = z.EraseMean / maxErase
-			}
-			p("%c", shade(f))
-		}
-		p("\n")
-	}
+		return z.EraseMean / maxErase
+	})
 
 	p("\nslc staging superblocks (valid/capacity, erase mean)\n")
 	for _, b := range t.SLC {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/conzone/conzone/internal/obs"
 )
 
 func TestAddSumsCountersRecomputesRatios(t *testing.T) {
@@ -59,16 +61,15 @@ func TestSumOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusLabeledGroupsByMetric checks the multi-cohort
-// exposition stays valid: exactly one HELP/TYPE header per metric, with
-// one labelled sample per set under it.
-func TestWritePrometheusLabeledGroupsByMetric(t *testing.T) {
-	sets := []LabeledStats{
-		{Labels: `cohort="fresh"`, Stats: mkStats(1)},
-		{Labels: `cohort="worn"`, Stats: mkStats(2)},
-	}
+// TestExposeStatsGroupsByMetric checks the multi-cohort exposition stays
+// valid: exactly one HELP/TYPE header per metric, with one labelled sample
+// per set under it, in set order.
+func TestExposeStatsGroupsByMetric(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheusLabeled(&buf, sets); err != nil {
+	err := obs.WriteExposition(&buf, func(e *obs.Exposition) {
+		ExposeStats(e, "cohort", []string{"fresh", "worn"}, mkStats(1), mkStats(2))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -98,22 +99,35 @@ func TestWritePrometheusLabeledGroupsByMetric(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusSingleUnlabeledUnchanged pins that the unlabeled
-// single-set path produces the same bytes WritePrometheus always has —
-// existing scrapes and the CI greps depend on the exact format.
+// TestWritePrometheusSingleUnlabeledUnchanged pins that a single device's
+// unlabeled exposition is the one-set, label-free case of ExposeStats and
+// keeps the sample format scrapes and the CI greps depend on.
 func TestWritePrometheusSingleUnlabeledUnchanged(t *testing.T) {
 	s := mkStats(2)
-	var direct, viaLabeled bytes.Buffer
-	if err := s.WritePrometheus(&direct); err != nil {
+	var direct, viaSets bytes.Buffer
+	if err := obs.WriteExposition(&direct, s.Expose); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheusLabeled(&viaLabeled, []LabeledStats{{Stats: s}}); err != nil {
+	err := obs.WriteExposition(&viaSets, func(e *obs.Exposition) {
+		ExposeStats(e, "", nil, s)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.String() != viaLabeled.String() {
-		t.Fatal("single unlabeled exposition differs from WritePrometheus")
+	if direct.String() != viaSets.String() {
+		t.Fatal("single unlabeled exposition differs from the one-set ExposeStats path")
 	}
-	if !strings.Contains(direct.String(), "conzone_ftl_host_written_bytes_total 2000\n") {
-		t.Fatal("unlabeled sample format changed")
+	out := direct.String()
+	for _, want := range []string{
+		"# HELP conzone_ftl_host_written_bytes_total Unified device snapshot field conzone_ftl_host_written_bytes_total.\n",
+		"# TYPE conzone_ftl_host_written_bytes_total counter\n",
+		"conzone_ftl_host_written_bytes_total 2000\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("unlabeled exposition format changed: missing %q", want)
+		}
+	}
+	if strings.Contains(out, "{") {
+		t.Fatal("unlabeled exposition carries a label set")
 	}
 }

@@ -18,15 +18,20 @@ func writeJSON(w io.Writer, v any) {
 	_ = enc.Encode(v)
 }
 
-// Source is what the scrape endpoint needs from a device: the unified
-// snapshot, the per-stage observation telemetry, the retained virtual-time
-// series and the spatial snapshot. *conzone.Device satisfies it.
+// Source is what the scrape endpoint needs from a device, one method per
+// endpoint. Each answers from one instant: a device reads everything a
+// method returns under one hold of its lock, so the families of one /metrics
+// body agree with each other.
 type Source interface {
-	Stats() Stats
-	Telemetry() obs.Telemetry
-	Series() []Sample
+	// Metrics returns the /metrics sections: the unified snapshot, the
+	// per-stage observation telemetry (its event ring left empty) and
+	// the spatial snapshot.
+	Metrics() (Stats, obs.Telemetry, ZoneTable)
+	// Timeseries returns the sample interval (0 when sampling is
+	// disabled) and the retained samples, oldest first.
+	Timeseries() (sim.Duration, []Sample)
+	// Heatmap returns the spatial snapshot.
 	Heatmap() ZoneTable
-	SampleInterval() sim.Duration
 }
 
 // timeseriesPayload is the /timeseries.json response shape.
@@ -44,8 +49,9 @@ type timeseriesPayload struct {
 //	/debug/pprof/     the device process's own live Go profiles
 //	/                 a plain-text index of the above
 //
-// Every read takes a fresh snapshot under the device's own lock, so
-// scraping a device mid-workload is safe; it observes, never mutates. The
+// Every request calls the source once, and the source answers under the
+// device's own lock, so scraping a device mid-workload is safe and each
+// body describes one instant; it observes, never mutates. The
 // pprof handlers profile the emulator process itself (wall time, real
 // allocations), complementing the virtual-time metrics.
 func Handler(src Source) *http.ServeMux {
@@ -53,26 +59,19 @@ func Handler(src Source) *http.ServeMux {
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := src.Stats().WritePrometheus(w); err != nil {
-			return
-		}
-		if err := src.Telemetry().WritePrometheus(w); err != nil {
-			return
-		}
-		_ = src.Heatmap().WritePrometheus(w)
+		stats, tel, zones := src.Metrics()
+		_ = obs.WriteExposition(w, stats.Expose, tel.Expose, zones.Expose)
 	})
 
 	mux.HandleFunc("/timeseries.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, timeseriesPayload{
-			IntervalNs: src.SampleInterval(),
-			Samples:    src.Series(),
-		})
+		interval, samples := src.Timeseries()
+		writeJSON(w, timeseriesPayload{IntervalNs: interval, Samples: samples})
 	})
 
 	mux.HandleFunc("/zones.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = src.Heatmap().WriteJSON(w)
+		writeJSON(w, src.Heatmap())
 	})
 
 	mux.HandleFunc("/zones.txt", func(w http.ResponseWriter, r *http.Request) {

@@ -3,11 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/ftl"
+	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
 )
@@ -185,19 +187,41 @@ func newSmallFTL(t *testing.T) *ftl.FTL {
 	return f
 }
 
-// TestCollectZeroAlloc pins the sampler hot path: assembling the unified
-// snapshot and recording it must not allocate, so sampling can run from
-// the per-I/O clock advance without disturbing the PR 4 alloc budget.
+// TestCollectZeroAlloc pins the sampler's input: assembling the unified
+// snapshot does not allocate.
 func TestCollectZeroAlloc(t *testing.T) {
 	f := newSmallFTL(t)
+	var s Stats
+	if allocs := testing.AllocsPerRun(200, func() { s = Collect(f) }); allocs != 0 {
+		t.Fatalf("Collect allocates %.1f per op, want 0", allocs)
+	}
+	if s.FTL.HostWrittenBytes == 0 {
+		t.Fatal("Collect saw no writes")
+	}
+}
+
+// TestSamplerZeroAlloc pins steady-state sampling as the device runs it
+// from every clock advance: Due, then Collect and Record when a boundary
+// has been crossed, allocates nothing — so sampling cannot disturb the
+// issue path's zero-allocation budget.
+func TestSamplerZeroAlloc(t *testing.T) {
+	f := newSmallFTL(t)
 	smp, _ := NewSampler(1000, 64)
+	smp.Prime(0, Collect(f))
 	var now sim.Time
+	crossed := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		now += 1000
-		smp.Record(now, Collect(f))
+		now += 600 // every other advance crosses a boundary
+		if smp.Due(now) {
+			smp.Record(now, Collect(f))
+			crossed++
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Collect+Record allocates %.1f per op, want 0", allocs)
+		t.Fatalf("Due+Collect+Record allocates %.1f per run, want 0", allocs)
+	}
+	if crossed == 0 || smp.Recorded() != int64(crossed) {
+		t.Fatalf("%d boundaries crossed, %d samples recorded", crossed, smp.Recorded())
 	}
 }
 
@@ -265,12 +289,12 @@ func TestSnakeCase(t *testing.T) {
 	}
 }
 
-// TestPrometheusCoversEveryCounter: the reflective walker must emit one
-// metric per numeric field of the unified snapshot — including the fault,
-// bad-block and power-loss counters ISSUE 7 folds in.
+// TestPrometheusCoversEveryCounter: the reflective walk must declare one
+// family per numeric field of the unified snapshot — the fault, bad-block
+// and power-loss counters included.
 func TestPrometheusCoversEveryCounter(t *testing.T) {
 	var buf bytes.Buffer
-	if err := mkStats(2).WritePrometheus(&buf); err != nil {
+	if err := obs.WriteExposition(&buf, mkStats(2).Expose); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -289,15 +313,27 @@ func TestPrometheusCoversEveryCounter(t *testing.T) {
 			t.Errorf("missing %q in exposition", want)
 		}
 	}
-	// Spot-check exposition syntax: every non-comment line is NAME VALUE.
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
+	numeric := func(k reflect.Kind) bool {
+		return k == reflect.Int64 || k == reflect.Int || k == reflect.Float64 || k == reflect.Bool
+	}
+	fields := 0
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i).Type
+		if f.Kind() != reflect.Struct {
+			if numeric(f.Kind()) {
+				fields++
+			}
 			continue
 		}
-		parts := strings.Fields(line)
-		if len(parts) != 2 {
-			t.Fatalf("malformed line %q", line)
+		for j := 0; j < f.NumField(); j++ {
+			if numeric(f.Field(j).Type.Kind()) {
+				fields++
+			}
 		}
+	}
+	if families := strings.Count(out, "# TYPE "); families != fields {
+		t.Fatalf("%d families for %d numeric Stats fields", families, fields)
 	}
 }
 
@@ -350,12 +386,12 @@ func TestZoneTableWriters(t *testing.T) {
 	f := newSmallFTL(t)
 	tab := CollectZones(f, 1e6)
 
-	var js bytes.Buffer
-	if err := tab.WriteJSON(&js); err != nil {
+	js, err := json.Marshal(tab)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back ZoneTable
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
+	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Zones) != len(tab.Zones) || len(back.SLC) != len(tab.SLC) {
@@ -363,7 +399,7 @@ func TestZoneTableWriters(t *testing.T) {
 	}
 
 	var prom bytes.Buffer
-	if err := tab.WritePrometheus(&prom); err != nil {
+	if err := obs.WriteExposition(&prom, tab.Expose); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(prom.String(), "conzone_zone_fill_frac{zone=\"0\"") {

@@ -256,7 +256,7 @@ func TestTelemetryExportEndToEnd(t *testing.T) {
 	}
 
 	var prom bytes.Buffer
-	if err := tel.WritePrometheus(&prom); err != nil {
+	if err := obs.WriteExposition(&prom, tel.Expose); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

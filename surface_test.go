@@ -73,8 +73,8 @@ func TestInternalSurfaceHasCallers(t *testing.T) {
 // used by a non-test file of the module (the root's own files count), by
 // bench/*.go, or by a runnable Example (one with an "// Output:" comment) in
 // example_test.go, so each call a library user is offered runs somewhere.
-// Interface satisfaction counts as for internal/: *Device feeds
-// telemetry.Source and workload.ByteZoned. Type aliases, constants and
+// Interface satisfaction counts as for internal/: the scrape endpoint's
+// adapter feeds telemetry.Source and *Device feeds workload.ByteZoned. Type aliases, constants and
 // sentinel error variables are exempt: they are the one-line vocabulary an
 // importer outside the module needs to name what the public signatures carry.
 func TestPublicSurfaceHasCallers(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/telemetry"
 )
 
@@ -49,14 +50,6 @@ func (d *Device) EnableSampling(interval time.Duration, ringSize int) error {
 	return nil
 }
 
-// SampleInterval returns the sampler's virtual interval, 0 when sampling is
-// disabled.
-func (d *Device) SampleInterval() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.smp.Interval()
-}
-
 // Series returns the retained samples, oldest first (nil when sampling is
 // disabled or nothing has been recorded yet). Queued asynchronous commands
 // are dispatched first, so the series covers every boundary they cross.
@@ -97,11 +90,31 @@ func (d *Device) Heatmap() ZoneTable {
 //	/zones.txt        textual heatmaps
 //	/debug/pprof/     live Go profiles of the emulator process
 //
-// Handlers snapshot under the device lock per request; serving while a
-// workload runs is safe.
+// Each request reads the device once, under the device lock; serving while
+// a workload runs is safe, and every body describes one instant.
 func (d *Device) ObservabilityHandler() *http.ServeMux {
-	return telemetry.Handler(d)
+	return telemetry.Handler(endpoint{d})
 }
 
-// Compile-time check that Device feeds the scrape endpoint.
-var _ telemetry.Source = (*Device)(nil)
+// endpoint answers the scrape endpoint: each method dispatches queued
+// commands once and reads everything it returns under one hold of the
+// device lock.
+type endpoint struct{ d *Device }
+
+func (e endpoint) Metrics() (Stats, obs.Telemetry, ZoneTable) {
+	d := e.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
+	return telemetry.Collect(d.f), d.f.Telemetry(), telemetry.CollectZones(d.f, d.now)
+}
+
+func (e endpoint) Timeseries() (time.Duration, []Sample) {
+	d := e.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.advance(d.h.Kick())
+	return d.smp.Interval(), d.smp.Samples()
+}
+
+func (e endpoint) Heatmap() ZoneTable { return e.d.Heatmap() }
