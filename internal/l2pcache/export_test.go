@@ -8,8 +8,7 @@ func (c *Cache) Capacity() int64 { return c.capBytes }
 // Contains reports whether an entry of granularity g covering lpa is cached
 // without touching LRU order or statistics.
 func (c *Cache) Contains(g mapping.Gran, lpa int64) bool {
-	_, ok := c.m[c.keyFor(g, lpa)]
-	return ok
+	return c.find(c.keyFor(g, lpa)) != nil
 }
 
 // Len returns the number of cached entries.

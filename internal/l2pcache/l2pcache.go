@@ -1,23 +1,27 @@
 // Package l2pcache implements the limited volatile L2P cache of a
 // consumer-grade device (paper §III-C). Entries carry three domains —
-// logical address, mapping granularity, physical address — and are stored
-// in hash buckets for fast probing. The cache is byte-budgeted: a 12 KiB
-// cache with 4-byte entries holds 3072 entries regardless of granularity,
-// which is precisely why aggregation pays off.
+// logical address, mapping granularity, physical address — and are indexed
+// by one open-addressed hash table for fast probing. The cache is
+// byte-budgeted: a 12 KiB cache with 4-byte entries holds 3072 entries
+// regardless of granularity, which is precisely why aggregation pays off.
 //
 // Lookup probes LZA (zone), LCA (chunk) and LPA (page) keys in turn, as the
 // paper's read path does. Eviction is LRU; entries inserted pinned (the
 // PINNED search strategy) are never evicted by capacity pressure, and when
 // a wider entry is inserted the narrower entries it covers are dropped.
 //
-// The LRU list is intrusive (prev/next fields inside the entry nodes) and
-// removed nodes go on a freelist for reuse, so the steady-state
-// lookup/insert/evict cycle on the device's read path allocates nothing.
+// The table is a power-of-two array of node pointers, probed linearly from
+// a multiplicative hash of the key. It starts at 16 slots and doubles when
+// half full, so a device that barely uses its cache pays for 16 pointers;
+// a delete shifts the rest of its probe run back instead of leaving a
+// tombstone, so a probe never walks past entries that are gone. The LRU
+// list is intrusive (prev/next fields inside the entry nodes) and removed
+// nodes go on a freelist for reuse, so the steady-state lookup/insert/evict
+// cycle on the device's read path allocates nothing.
 package l2pcache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/conzone/conzone/internal/mapping"
 )
@@ -26,7 +30,7 @@ import (
 type Stats struct {
 	Hits      int64
 	Misses    int64
-	Probes    int64 // individual bucket probes (≥ lookups)
+	Probes    int64 // granularities probed (≥ lookups)
 	Inserts   int64
 	Evictions int64
 	Covered   int64 // entries evicted because a wider entry covered them
@@ -44,10 +48,9 @@ func (s Stats) Delta(prev Stats) Stats {
 	}
 }
 
-// key packs (granularity, aligned base LPA) into one word so the hash
-// buckets use the runtime's fast integer-keyed map path. Base LPAs are
-// sector indices well below 2^56, so the granularity tag in the top bits
-// never collides with them.
+// key packs (granularity, aligned base LPA) into one word, so a slot probe
+// compares one integer. Base LPAs are sector indices well below 2^56, so
+// the granularity tag in the top bits never collides with them.
 type key int64
 
 func makeKey(g mapping.Gran, base int64) key {
@@ -70,16 +73,16 @@ type node struct {
 // lookupOrder is the paper's probe sequence: widest granularity first.
 var lookupOrder = [...]mapping.Gran{mapping.Zone, mapping.Chunk, mapping.Page}
 
-// Cache is a byte-budgeted, hash-bucketed LRU of L2P entries.
+// Cache is a byte-budgeted, hash-indexed LRU of L2P entries.
 type Cache struct {
 	capBytes   int64
 	entryBytes int64
-	table      *mapping.Table // for granularity spans
 
-	m    map[key]*node
-	root node // sentinel: root.next = MRU, root.prev = LRU
-	n    int  // resident entries
-	free *node
+	slots     []*node // open-addressed table; nil = empty; len a power of two
+	slotShift uint    // 64 - log2(len(slots)): the hash's top bits pick the home slot
+	root      node    // sentinel: root.next = MRU, root.prev = LRU
+	n         int     // resident entries
+	free      *node
 
 	victims []*node // scratch for bounded scans
 
@@ -88,23 +91,11 @@ type Cache struct {
 	// alignment) and resident-entry counts per granularity, so Lookup can
 	// skip the hash probe for a granularity with no resident entries — the
 	// probe still counts in the statistics, it just costs a counter bump
-	// instead of a map access. Indexed by mapping.Gran.
+	// instead of a table probe. Indexed by mapping.Gran.
 	span  [3]int64
 	mask  [3]int64
 	pow2  [3]bool
-	shift [3]uint
 	granN [3]int
-
-	// ix direct-indexes resident nodes by base/span for granularities
-	// whose base count (TotalSectors/span) is small enough, turning
-	// Lookup's hash probe into an array load. The map remains the source
-	// of truth — ix is maintained alongside it on insert and remove and
-	// never holds a node the map lacks. ixLen is the index size, 0 for
-	// unindexed granularities; the index itself is allocated on the
-	// granularity's first insert, so a cache that never holds a page entry
-	// never pays for the page index.
-	ix    [3][]*node
-	ixLen [3]int64
 
 	used  int64 // bytes of unpinned+pinned entries
 	stats Stats
@@ -128,32 +119,23 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 	c := &Cache{
 		capBytes:   capBytes,
 		entryBytes: entryBytes,
-		table:      table,
-		m:          make(map[key]*node),
+		slots:      make([]*node, 1<<minSlotsLog2),
+		slotShift:  64 - minSlotsLog2,
 	}
 	c.root.prev, c.root.next = &c.root, &c.root
-	total := table.TotalSectors()
 	for _, g := range lookupOrder {
 		s := table.SectorsOf(g)
 		c.span[g] = s
 		if s > 0 && s&(s-1) == 0 {
 			c.pow2[g] = true
 			c.mask[g] = s - 1
-			c.shift[g] = uint(bits.TrailingZeros64(uint64(s)))
-		}
-		if s > 0 {
-			if n := total / s; n > 0 && n <= maxDirectIndex {
-				c.ixLen[g] = n
-			}
 		}
 	}
 	return c, nil
 }
 
-// maxDirectIndex caps the per-granularity direct-index size: a granularity
-// with more bases than this keeps the plain hash probe, bounding the
-// acceleration arrays at 512 KiB of pointers each.
-const maxDirectIndex = 1 << 16
+// minSlotsLog2 sizes the slot table a new cache starts with: 16 slots.
+const minSlotsLog2 = 4
 
 // MaxEntries returns how many entries fit in the budget.
 func (c *Cache) MaxEntries() int64 { return c.capBytes / c.entryBytes }
@@ -166,6 +148,53 @@ func (c *Cache) keyFor(g mapping.Gran, lpa int64) key {
 		return makeKey(g, lpa&^c.mask[g])
 	}
 	return makeKey(g, lpa-lpa%c.span[g])
+}
+
+// slot returns the index of k's slot: the one holding k, or the empty slot
+// that ends k's probe run.
+func (c *Cache) slot(k key) int {
+	mask := len(c.slots) - 1
+	i := c.home(k)
+	for {
+		if nd := c.slots[i]; nd == nil || nd.key == k {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// home is k's first probe slot: the top bits of a multiplicative
+// (Fibonacci) hash, which spreads the arithmetic runs of aligned bases.
+func (c *Cache) home(k key) int { return int(uint64(k) * 0x9E3779B97F4A7C15 >> c.slotShift) }
+
+// find returns the resident node of k, or nil.
+func (c *Cache) find(k key) *node { return c.slots[c.slot(k)] }
+
+// grow doubles the slot table and rehashes every resident node into it.
+func (c *Cache) grow() {
+	old := c.slots
+	c.slots = make([]*node, 2*len(old))
+	c.slotShift--
+	for _, nd := range old {
+		if nd != nil {
+			c.slots[c.slot(nd.key)] = nd
+		}
+	}
+}
+
+// unslot empties nd's slot, then shifts back each later node of the probe
+// run whose home slot does not lie cyclically in (hole, its own slot], so
+// every resident key stays reachable from its home without tombstones.
+func (c *Cache) unslot(nd *node) {
+	mask := len(c.slots) - 1
+	hole := c.slot(nd.key)
+	for j := (hole + 1) & mask; c.slots[j] != nil; j = (j + 1) & mask {
+		if (j-c.home(c.slots[j].key))&mask >= (j-hole)&mask {
+			c.slots[hole] = c.slots[j]
+			hole = j
+		}
+	}
+	c.slots[hole] = nil
 }
 
 // unlink detaches nd from the LRU ring.
@@ -210,21 +239,7 @@ func (c *Cache) Lookup(lpa int64) (mapping.PSN, bool) {
 		if c.granN[g] == 0 {
 			continue // no resident entry of this granularity: guaranteed miss
 		}
-		var nd *node
-		if ix := c.ix[g]; ix != nil {
-			var i int64
-			if c.pow2[g] {
-				i = lpa >> c.shift[g]
-			} else {
-				i = lpa / c.span[g]
-			}
-			if uint64(i) < uint64(len(ix)) {
-				nd = ix[i]
-			}
-		} else if n, ok := c.m[c.keyFor(g, lpa)]; ok {
-			nd = n
-		}
-		if nd != nil {
+		if nd := c.find(c.keyFor(g, lpa)); nd != nil {
 			c.moveToFront(nd)
 			c.stats.Hits++
 			return nd.psn + mapping.PSN(lpa-nd.key.base()), true
@@ -242,7 +257,7 @@ func (c *Cache) Lookup(lpa int64) (mapping.PSN, bool) {
 // inserts always succeed. Returns whether the entry resides in the cache.
 func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bool) bool {
 	k := c.keyFor(g, lpa)
-	if nd, ok := c.m[k]; ok {
+	if nd := c.find(k); nd != nil {
 		nd.psn = basePSN
 		nd.pinned = nd.pinned || pinned
 		c.moveToFront(nd)
@@ -259,18 +274,13 @@ func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bo
 			break // pinned entries may transiently exceed the budget
 		}
 	}
+	if 2*(c.n+1) > len(c.slots) {
+		c.grow()
+	}
 	nd := c.newNode()
 	nd.key, nd.psn, nd.pinned = k, basePSN, pinned
 	c.pushFront(nd)
-	c.m[k] = nd
-	if n := c.ixLen[g]; n > 0 {
-		if c.ix[g] == nil {
-			c.ix[g] = make([]*node, n)
-		}
-		if i := k.base() / c.span[g]; i < n {
-			c.ix[g][i] = nd
-		}
-	}
+	c.slots[c.slot(k)] = nd
 	c.n++
 	c.granN[k.gran()]++
 	c.used += c.entryBytes
@@ -284,10 +294,10 @@ func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bo
 // would probe thousands of page bases) or walking the resident entries
 // (at most MaxEntries).
 func (c *Cache) dropCovered(g mapping.Gran, base int64) {
-	span := c.table.SectorsOf(g)
+	span := c.span[g]
 	probes := span // page-granularity bases in the span
 	if g == mapping.Zone {
-		probes += span / c.table.SectorsOf(mapping.Chunk)
+		probes += span / c.span[mapping.Chunk]
 	}
 	if int64(c.n) < probes {
 		victims := c.victims[:0]
@@ -311,9 +321,8 @@ func (c *Cache) dropCovered(g mapping.Gran, base int64) {
 		ngrans = narrower[:2]
 	}
 	for _, ng := range ngrans {
-		nspan := c.table.SectorsOf(ng)
-		for b := base; b < base+span; b += nspan {
-			if nd, ok := c.m[makeKey(ng, b)]; ok {
+		for b := base; b < base+span; b += c.span[ng] {
+			if nd := c.find(makeKey(ng, b)); nd != nil {
 				c.remove(nd)
 				c.stats.Covered++
 			}
@@ -334,14 +343,9 @@ func (c *Cache) evictLRU() bool {
 	return false
 }
 
-// remove detaches the node from the map, index and ring and recycles it.
+// remove detaches the node from the table and ring and recycles it.
 func (c *Cache) remove(nd *node) {
-	delete(c.m, nd.key)
-	if g := nd.key.gran(); c.ix[g] != nil {
-		if i := nd.key.base() / c.span[g]; uint64(i) < uint64(len(c.ix[g])) {
-			c.ix[g][i] = nil
-		}
-	}
+	c.unslot(nd)
 	nd.unlink()
 	c.n--
 	c.granN[nd.key.gran()]--
@@ -360,11 +364,11 @@ func (c *Cache) InvalidateRange(lpa, n int64) {
 	if n <= 0 {
 		return
 	}
-	probes := n + n/c.table.SectorsOf(mapping.Chunk) + n/c.table.SectorsOf(mapping.Zone) + 3
+	probes := n + n/c.span[mapping.Chunk] + n/c.span[mapping.Zone] + 3
 	if int64(c.n) < probes {
 		victims := c.victims[:0]
 		for nd := c.root.next; nd != &c.root; nd = nd.next {
-			span := c.table.SectorsOf(nd.key.gran())
+			span := c.span[nd.key.gran()]
 			if nd.key.base() < lpa+n && nd.key.base()+span > lpa {
 				victims = append(victims, nd)
 			}
@@ -377,10 +381,9 @@ func (c *Cache) InvalidateRange(lpa, n int64) {
 		return
 	}
 	for _, g := range lookupOrder {
-		span := c.table.SectorsOf(g)
-		first := lpa - lpa%span
-		for b := first; b < lpa+n; b += span {
-			if nd, ok := c.m[makeKey(g, b)]; ok {
+		span := c.span[g]
+		for b := lpa - lpa%span; b < lpa+n; b += span {
+			if nd := c.find(makeKey(g, b)); nd != nil {
 				c.remove(nd)
 			}
 		}
@@ -418,7 +421,7 @@ func (c *Cache) MissRatio() float64 {
 // ResetStats zeroes the counters but keeps contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// CheckInvariants verifies the byte accounting and map/list agreement.
+// CheckInvariants verifies the byte accounting and table/ring agreement.
 func (c *Cache) CheckInvariants() error {
 	ringLen := 0
 	for nd := c.root.next; nd != &c.root; nd = nd.next {
@@ -430,33 +433,27 @@ func (c *Cache) CheckInvariants() error {
 	if int64(c.n)*c.entryBytes != c.used {
 		return fmt.Errorf("l2pcache: used %d != %d entries * %d", c.used, c.n, c.entryBytes)
 	}
-	if len(c.m) != c.n {
-		return fmt.Errorf("l2pcache: map %d != list %d", len(c.m), c.n)
+	if 2*c.n > len(c.slots) {
+		return fmt.Errorf("l2pcache: %d entries in %d slots, over half load", c.n, len(c.slots))
+	}
+	inTable := 0
+	for _, nd := range c.slots {
+		if nd != nil {
+			inTable++
+		}
+	}
+	if inTable != c.n {
+		return fmt.Errorf("l2pcache: table holds %d entries, ring %d", inTable, c.n)
 	}
 	var granN [3]int
 	for nd := c.root.next; nd != &c.root; nd = nd.next {
 		granN[nd.key.gran()]++
+		if c.find(nd.key) != nd {
+			return fmt.Errorf("l2pcache: ring entry %d not reachable in the table", nd.key)
+		}
 	}
 	if granN != c.granN {
 		return fmt.Errorf("l2pcache: per-granularity counts %v, counted %v", c.granN, granN)
-	}
-	for g := range c.ix {
-		live := 0
-		for i, nd := range c.ix[g] {
-			if nd == nil {
-				continue
-			}
-			live++
-			if want := c.m[nd.key]; want != nd {
-				return fmt.Errorf("l2pcache: index gran %d slot %d disagrees with map", g, i)
-			}
-			if nd.key.gran() != mapping.Gran(g) || nd.key.base()/c.span[g] != int64(i) {
-				return fmt.Errorf("l2pcache: index gran %d slot %d holds misfiled key %d", g, i, nd.key)
-			}
-		}
-		if c.ix[g] != nil && live != c.granN[g] {
-			return fmt.Errorf("l2pcache: index gran %d holds %d entries, counted %d resident", g, live, c.granN[g])
-		}
 	}
 	if c.used > c.capBytes {
 		// Over budget is legal only if everything resident is pinned.

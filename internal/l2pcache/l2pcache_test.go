@@ -321,3 +321,116 @@ func BenchmarkInvalidateRangeZoneReset(b *testing.B) {
 		c.InvalidateRange(int64(i%96)*4096, 4096)
 	}
 }
+
+// newGiBCache builds a paper-sized cache (12 KiB, 3072 entries) over 1 GiB
+// of paper geometry, with 4096 LPAs spread over it for the lookups.
+func newGiBCache(tb testing.TB) (*Cache, []int64) {
+	tb.Helper()
+	tbl, err := mapping.NewTable(mapping.Config{
+		TotalSectors: gibSectors, ChunkSectors: 1024, ZoneSectors: 4096, AggLimit: gibSectors,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(12*1024, 4, tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lpas := make([]int64, 4096)
+	x := uint64(0x5EED)
+	for i := range lpas {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		lpas[i] = int64(x % gibSectors)
+	}
+	return c, lpas
+}
+
+const gibSectors = 1 << 18 // 1 GiB of 4 KiB sectors
+
+// fillPages fills c with page entries at lpas' addresses until it is full.
+func fillPages(c *Cache, lpas []int64) {
+	for _, l := range lpas {
+		if int64(c.Len()) == c.MaxEntries() {
+			return
+		}
+		c.Insert(mapping.Page, l, mapping.PSN(l), false)
+	}
+}
+
+// TestSteadyStateZeroAlloc pins that a full cache's lookup hit and its
+// miss-insert-evict cycle allocate nothing: the slot table has grown to its
+// size and every evicted node is reused.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	c, lpas := newGiBCache(t)
+	fillPages(c, lpas)
+	i := 0
+	missInsertEvict := func() {
+		l := lpas[i&4095] ^ 1<<17 // outside the cached set: a miss
+		i++
+		if _, ok := c.Lookup(l); !ok {
+			c.Insert(mapping.Page, l, mapping.PSN(l), false)
+		}
+	}
+	for range 2 * c.MaxEntries() {
+		missInsertEvict() // the table reaches its steady size
+	}
+	if a := testing.AllocsPerRun(1000, missInsertEvict); a != 0 {
+		t.Errorf("miss-insert-evict allocates %v times per cycle", a)
+	}
+	hot := lpas[(i-1)&4095] ^ 1<<17
+	if a := testing.AllocsPerRun(1000, func() { c.Lookup(hot) }); a != 0 {
+		t.Errorf("lookup hit allocates %v times", a)
+	}
+	if c.Stats().Evictions == 0 {
+		t.Error("the cycle never evicted")
+	}
+}
+
+// BenchmarkLookupHit measures a lookup that hits at each granularity in a
+// paper-sized cache: every zone, or every chunk, of 1 GiB resident, or a
+// full cache of page entries probed at their own addresses.
+func BenchmarkLookupHit(b *testing.B) {
+	for _, g := range []mapping.Gran{mapping.Zone, mapping.Chunk, mapping.Page} {
+		b.Run(g.String(), func(b *testing.B) {
+			c, lpas := newGiBCache(b)
+			if g == mapping.Page {
+				fillPages(c, lpas)
+				lpas = lpas[:c.Len()]
+			} else {
+				for base := int64(0); base < gibSectors; base += c.span[g] {
+					c.Insert(g, base, mapping.PSN(base), false)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				psn, ok := c.Lookup(lpas[i%len(lpas)])
+				if !ok {
+					b.Fatal("miss")
+				}
+				psnSink += psn
+			}
+		})
+	}
+}
+
+// psnSink keeps the benchmarked lookups' results live.
+var psnSink mapping.PSN
+
+// BenchmarkMissInsertEvict measures the page-mapped read path's cache work
+// on a miss: a lookup of an LPA spread over 1 GiB misses a full 3072-entry
+// cache, and the fetched entry is inserted over the LRU one.
+func BenchmarkMissInsertEvict(b *testing.B) {
+	c, lpas := newGiBCache(b)
+	fillPages(c, lpas)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := lpas[i&4095] ^ int64(i>>12)&(gibSectors-1)
+		if _, ok := c.Lookup(l); !ok {
+			c.Insert(mapping.Page, l, mapping.PSN(l), false)
+		}
+	}
+}

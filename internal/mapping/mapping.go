@@ -151,9 +151,6 @@ func NewTable(cfg Config) (*Table, error) {
 	}, nil
 }
 
-// TotalSectors returns the logical address space size.
-func (t *Table) TotalSectors() int64 { return t.total }
-
 func (t *Table) check(lpa int64) error {
 	if lpa < 0 || lpa >= t.total {
 		return fmt.Errorf("mapping: LPA %d out of range [0,%d)", lpa, t.total)

@@ -535,7 +535,8 @@ func (a *Array) IsWritten(ppa PPA) bool {
 }
 
 // Payload returns the stored bytes of one written sector, or nil when the
-// sector was programmed without a recorded payload.
+// sector was programmed without a recorded payload. An array that never
+// stored a payload answers without loading the sector's state chunk.
 //
 // The returned slice is a borrow of the live pooled media slab: it must not
 // be modified, and it is valid only until the sector is overwritten or its
@@ -543,7 +544,7 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // unrelated data. Callers that let the bytes escape the current media
 // operation (oracles, host-boundary copies) must copy them first.
 func (a *Array) Payload(ppa PPA) []byte {
-	if ppa < 0 || int64(ppa) >= a.nsectors {
+	if ppa < 0 || int64(ppa) >= a.nsectors || a.slabs.issued == 0 {
 		return nil
 	}
 	c := a.chunkOf(int64(ppa))

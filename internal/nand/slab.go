@@ -140,10 +140,12 @@ func (a *Array) eraseSectors(lo, hi int64) {
 // with arithmetic on a table small enough to stay in cache — a per-slab
 // pointer table costs every payload read a second cache miss — and a device
 // storing payloads allocates once per block, not once per sector. Released
-// handles wait on the free stack. Handle 0 is never issued.
+// handles wait on the free stack. Handle 0 is never issued. Every handle,
+// an opened image's included, comes from get: while issued is 0 (a
+// timing-only device) no sector holds a payload and Payload reads no chunk.
 type slabArena struct {
 	blocks [][]byte // slabsPerBlock sector buffers each
-	issued int32    // handles 1..issued exist
+	issued int32    // handles 1..issued exist; 0 = no payload was ever stored
 	free   []int32  // released handles
 }
 

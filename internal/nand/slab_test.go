@@ -2,6 +2,7 @@ package nand
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"github.com/conzone/conzone/internal/sim"
@@ -188,5 +189,88 @@ func TestSlabProgramSteadyStateAllocs(t *testing.T) {
 	// allocation regressions (24 sectors per PU would show as >= 24).
 	if allocs > 2 {
 		t.Fatalf("program/erase cycle allocates %.1f times per op", allocs)
+	}
+}
+
+// TestPayloadTimingOnlyReadsNil: an array that was only ever programmed
+// without payloads answers nil for every sector, programmed or not.
+func TestPayloadTimingOnlyReadsNil(t *testing.T) {
+	a := newTestArray(t)
+	g := a.Geometry()
+	block := g.FirstNormalBlock()
+	if _, _, err := a.ProgramPU(0, 1, block, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	base := g.PPAOf(Addr{Chip: 1, Block: block})
+	nsect := g.ProgramUnit / units.Sector
+	for i := int64(0); i < 2*nsect; i++ {
+		if p := a.Payload(base + PPA(i)); p != nil {
+			t.Fatalf("sector %d of a timing-only array has a payload", i)
+		}
+	}
+	if !a.IsWritten(base) || a.IsWritten(base+PPA(nsect)) {
+		t.Fatal("programmed flags do not follow the program")
+	}
+	if a.Payload(-1) != nil || a.Payload(PPA(g.TotalSectors())) != nil {
+		t.Fatal("out-of-range sector has a payload")
+	}
+}
+
+// TestPayloadAfterTimingOnlyPhase: an array that stores its first payload
+// after a long timing-only phase returns those bytes, and nil for the
+// sectors programmed before it.
+func TestPayloadAfterTimingOnlyPhase(t *testing.T) {
+	a := newTestArray(t)
+	g := a.Geometry()
+	for chip := 0; chip < g.Chips(); chip++ {
+		for block := g.FirstNormalBlock(); block < g.BlocksPerChip; block++ {
+			for page := 0; page < g.PagesPerBlock; page += g.PagesPerPU() {
+				if _, _, err := a.ProgramPU(0, chip, block, page, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	first := g.PPAOf(Addr{Chip: 0, Block: g.FirstNormalBlock()})
+	if _, err := a.Erase(0, 0, g.FirstNormalBlock()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.ProgramPU(0, 0, g.FirstNormalBlock(), 0, puPayload(g, 0x5A)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Payload(first), sectorOf(0x5A)) || !bytes.Equal(a.Payload(first+PPA(g.ProgramUnit/units.Sector-1)), sectorOf(0x5A)) {
+		t.Fatal("the first stored payload does not read back")
+	}
+	if p := a.Payload(g.PPAOf(Addr{Chip: 1, Block: g.FirstNormalBlock()})); p != nil {
+		t.Fatal("a timing-only sector reads a payload once another sector stores one")
+	}
+}
+
+// TestPayloadFromLoadedImage: an array opened from an image whose media
+// carries payloads returns the stored bytes, although nothing was
+// programmed through it.
+func TestPayloadFromLoadedImage(t *testing.T) {
+	src := newTestArray(t)
+	g := src.Geometry()
+	block := g.FirstNormalBlock()
+	pay := make([][]byte, g.ProgramUnit/units.Sector)
+	pay[3] = sectorOf(0xC3)
+	if _, _, err := src.ProgramPU(0, 2, block, 0, pay); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "payload.img")
+	if err := src.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadArray(path, DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := g.PPAOf(Addr{Chip: 2, Block: block})
+	if !bytes.Equal(a.Payload(base+3), sectorOf(0xC3)) {
+		t.Fatal("a loaded image's payload does not read back")
+	}
+	if a.Payload(base+2) != nil || !a.IsWritten(base+2) {
+		t.Fatal("a loaded timing-only sector reads a payload, or reads unwritten")
 	}
 }
