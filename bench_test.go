@@ -10,79 +10,9 @@ import (
 	"time"
 
 	"github.com/conzone/conzone/internal/config"
-	"github.com/conzone/conzone/internal/l2pcache"
-	"github.com/conzone/conzone/internal/mapping"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
 )
-
-// BenchmarkEmulatorSeqWrite measures the emulator's wall-clock cost of
-// pushing sequential writes through the full ConZone write path.
-func BenchmarkEmulatorSeqWrite(b *testing.B) {
-	cfg := config.Small()
-	f, err := cfg.NewConZone()
-	if err != nil {
-		b.Fatal(err)
-	}
-	zc := f.ZoneCapSectors()
-	// Stay within each zone's head region: the alignment tails would
-	// otherwise accumulate in SLC across iterations and exhaust staging.
-	headSectors := cfg.Geometry.SuperblockBytes() / units.Sector
-	payloads := make([][]byte, 96)
-	var at Time
-	var lba int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if lba%zc+96 > headSectors {
-			lba += zc - lba%zc // move to the next zone's start
-		}
-		if lba >= int64(f.NumZones())*zc {
-			b.StopTimer()
-			for z := 0; z < f.NumZones(); z++ {
-				if _, err := f.ResetZone(at, z); err != nil {
-					b.Fatal(err)
-				}
-			}
-			lba = 0
-			b.StartTimer()
-		}
-		d, err := f.Write(at, lba, payloads)
-		if err != nil {
-			b.Fatal(err)
-		}
-		at = d
-		lba += 96
-	}
-	b.SetBytes(96 * units.Sector)
-}
-
-// BenchmarkEmulatorRandRead measures the wall-clock cost of 4 KiB random
-// reads through the hybrid-mapping read path.
-func BenchmarkEmulatorRandRead(b *testing.B) {
-	cfg := config.Small()
-	f, err := cfg.NewConZone()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Two full zones: the small config's SLC region can hold exactly two
-	// zones' alignment tails.
-	region := int64(2) * f.ZoneCapSectors() * units.Sector
-	at, err := workload.Prefill(f, 0, 0, region, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rngSectors := region / units.Sector
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lba := (int64(i) * 2654435761) % rngSectors
-		_, d, err := f.Read(at, lba, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		at = d
-	}
-	b.SetBytes(units.Sector)
-}
 
 // BenchmarkSequentialFill measures the wall-clock cost of filling one
 // paper-scale zone with timing-only writes, per 4 KiB sector. "zone" is
@@ -253,44 +183,4 @@ func BenchmarkLegacyRandRead(b *testing.B) {
 		at = d
 	}
 	b.SetBytes(units.Sector)
-}
-
-// BenchmarkL2PCacheLookup measures the cache's probe cost.
-func BenchmarkL2PCacheLookup(b *testing.B) {
-	tbl, err := mapping.NewTable(mapping.Config{
-		TotalSectors: 1 << 20, ChunkSectors: 1024, ZoneSectors: 4096, AggLimit: 1 << 30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := l2pcache.New(12*units.KiB, 4, tbl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for lpa := int64(0); lpa < 3000; lpa++ {
-		c.Insert(mapping.Page, lpa, mapping.PSN(lpa), false)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(int64(i) % 4000)
-	}
-}
-
-// BenchmarkMappingAggregation measures chunk-aggregation checks.
-func BenchmarkMappingAggregation(b *testing.B) {
-	tbl, err := mapping.NewTable(mapping.Config{
-		TotalSectors: 1 << 16, ChunkSectors: 1024, ZoneSectors: 4096, AggLimit: 1 << 30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for lpa := int64(0); lpa < 1<<16; lpa++ {
-		if err := tbl.Set(lpa, mapping.PSN(lpa)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.TryAggregateChunk(int64(i) % (1 << 16))
-	}
 }

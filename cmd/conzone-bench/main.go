@@ -12,14 +12,11 @@
 //	zonelife    finish latency vs fullness, reset/read interference
 //	metrics     instrumented workload as Prometheus text            [-metrics-json F] [-chrome F]
 //	timeseries  WAF/GC series, sampled every 5 ms of virtual time   [-series-jsonl F] [-series-csv F]
-//	selfbench   the emulator's wall-clock ns per emulated I/O       [-json BENCH_emulator.json]
 //
 // An experiment is a value that returns a Report (internal/experiments); this
 // command selects, runs and prints them, and exits non-zero when a Report's
 // claims did not hold or an output flag names what the selected experiment
 // does not produce. -cpuprofile/-memprofile write pprof profiles of the run.
-// selfbench's JSON is a trajectory across machines: regressions are judged on
-// bench/ (interleaved parent/change pairs on one machine), not against it.
 // The live scrape endpoint is cmd/conzone-serve.
 package main
 
@@ -44,14 +41,6 @@ var outputFlags = []struct{ name, usage string }{
 	{"chrome", "-exp metrics: write the simulated timeline as a Chrome Trace Event file (chrome://tracing, https://ui.perfetto.dev)"},
 	{"series-jsonl", "-exp timeseries: write the sample series as JSON Lines to this file"},
 	{"series-csv", "-exp timeseries: write the sample series as CSV to this file"},
-	{"json", "-exp selfbench: write the results to this file (e.g. BENCH_emulator.json)"},
-}
-
-// local is the one experiment outside internal/experiments: selfbench spends
-// about 20 s of wall clock in testing.Benchmark and reports that wall clock,
-// not virtual time, so no test runs it.
-var local = []experiments.Experiment{
-	{Name: "selfbench", Artifacts: []string{"json"}, Run: runSelfBench},
 }
 
 func main() {
@@ -87,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var selected []experiments.Experiment
 	names, produced := []string{"all"}, map[string]bool{}
-	for _, e := range append(experiments.All(*faultSeed), local...) {
+	for _, e := range experiments.All(*faultSeed) {
 		names = append(names, e.Name)
 		if e.Name == *exp || (*exp == "all" && e.InSuite) {
 			selected = append(selected, e)

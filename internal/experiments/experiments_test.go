@@ -208,8 +208,8 @@ func TestEmulatorComparison(t *testing.T) {
 }
 
 // TestRegistry runs every entry of the registry at Quick() scale on the paper
-// configuration: whatever conzone-bench can print, this has evaluated, bar
-// the wall-clock selfbench. An entry declares its artifact keys sorted.
+// configuration: whatever conzone-bench can print, this has evaluated. An
+// entry declares its artifact keys sorted.
 func TestRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")

@@ -1,0 +1,83 @@
+package ftl_test
+
+// Wall-clock cost of the FTL alone, called directly with no host interface
+// in front of it.
+
+import (
+	"testing"
+
+	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/sim"
+	"github.com/conzone/conzone/internal/units"
+	"github.com/conzone/conzone/internal/workload"
+)
+
+// BenchmarkEmulatorSeqWrite measures the emulator's wall-clock cost of
+// pushing sequential writes through the full ConZone write path.
+func BenchmarkEmulatorSeqWrite(b *testing.B) {
+	cfg := config.Small()
+	f, err := cfg.NewConZone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	zc := f.ZoneCapSectors()
+	// Stay within each zone's head region: the alignment tails would
+	// otherwise accumulate in SLC across iterations and exhaust staging.
+	headSectors := cfg.Geometry.SuperblockBytes() / units.Sector
+	payloads := make([][]byte, 96)
+	var at sim.Time
+	var lba int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lba%zc+96 > headSectors {
+			lba += zc - lba%zc // move to the next zone's start
+		}
+		if lba >= int64(f.NumZones())*zc {
+			b.StopTimer()
+			for z := 0; z < f.NumZones(); z++ {
+				if _, err := f.ResetZone(at, z); err != nil {
+					b.Fatal(err)
+				}
+			}
+			lba = 0
+			b.StartTimer()
+		}
+		d, err := f.Write(at, lba, payloads)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at = d
+		lba += 96
+	}
+	b.SetBytes(96 * units.Sector)
+}
+
+// BenchmarkEmulatorRandRead measures the wall-clock cost of 4 KiB random
+// reads through the hybrid-mapping read path.
+func BenchmarkEmulatorRandRead(b *testing.B) {
+	cfg := config.Small()
+	f, err := cfg.NewConZone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Two full zones: the small config's SLC region can hold exactly two
+	// zones' alignment tails.
+	region := int64(2) * f.ZoneCapSectors() * units.Sector
+	at, err := workload.Prefill(f, 0, 0, region, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rngSectors := region / units.Sector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lba := (int64(i) * 2654435761) % rngSectors
+		_, d, err := f.Read(at, lba, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at = d
+	}
+	b.SetBytes(units.Sector)
+}

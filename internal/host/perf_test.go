@@ -313,7 +313,8 @@ func (instantBackend) Recorder() *obs.Recorder                         { return 
 // (pooled record, heap, zone lock, completion queue), the same write through
 // the synchronous wrapper, and a read on submit's immediate path in its two
 // deliveries. host.Request is passed by value at Submit, so its size shows
-// here first (DESIGN §11, "What Dst costs a write").
+// here first (DESIGN §11, "What Dst costs a write"). The windowed shapes run
+// on BenchmarkEmulatorThroughput's driver.
 func BenchmarkInstantBackend(b *testing.B) {
 	be := instantBackend{zones: 96, zcap: 4096}
 	payload := make([][]byte, 1)
@@ -323,22 +324,11 @@ func BenchmarkInstantBackend(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var comps []host.Completion
-		var now sim.Time
-		inflight := 0
+		w := newWindow(b, c, 16)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for inflight >= 16 {
-				comps = c.PollInto(0, 1, comps[:0])
-				inflight -= len(comps)
-				now = max(now, comps[0].Done)
-			}
-			if _, err := c.Submit(now, 0, req(int64(i)%be.TotalSectors())); err != nil {
-				b.Fatal(err)
-			}
-			inflight++
-			now += 700
+			w.submit(req(int64(i) % be.TotalSectors()))
 		}
 	}
 	b.Run("queued-write", func(b *testing.B) {

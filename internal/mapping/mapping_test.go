@@ -430,3 +430,23 @@ func TestAggregationMatchesFullWalk(t *testing.T) {
 		t.Error("no run ever qualified: the comparison is vacuous")
 	}
 }
+
+// BenchmarkMappingAggregation measures chunk-aggregation checks.
+func BenchmarkMappingAggregation(b *testing.B) {
+	tbl, err := NewTable(Config{
+		TotalSectors: 1 << 16, ChunkSectors: 1024, ZoneSectors: 4096, AggLimit: 1 << 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lpa := int64(0); lpa < 1<<16; lpa++ {
+		if err := tbl.Set(lpa, PSN(lpa)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.TryAggregateChunk(int64(i) % (1 << 16))
+	}
+}
