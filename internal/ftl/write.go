@@ -386,9 +386,7 @@ func (f *FTL) programPU(at sim.Time, zone int, puStart int64, sectors [][]byte) 
 	// OOB stamps for recovery: every sector of the landed unit records its
 	// logical address and position in global program order.
 	stampBase := f.ppaOf(nand.Addr{Chip: addr.Chip, Block: addr.Block, Page: addr.Page - addr.Page%f.pagesPerPU})
-	for i := int64(0); i < f.puSectors; i++ {
-		f.arr.StampOOB(stampBase+nand.PPA(i), z.Start+puStart+i)
-	}
+	f.arr.StampOOB(stampBase, z.Start+puStart, f.puSectors)
 	// A combine (Fig. 3 ③) re-points previously staged sectors at the
 	// normal area; cached translations of their staged PSNs are now stale
 	// and would dangle once the SLC copies are garbage-collected. They go
@@ -408,10 +406,8 @@ func (f *FTL) programPU(at sim.Time, zone int, puStart int64, sectors [][]byte) 
 // 5). The write path calls it per program unit, the mount per recovered head.
 func (f *FTL) landHead(zone int, off, n int64) error {
 	base := int64(zone)*f.zoneCap + off
-	for i := int64(0); i < n; i++ {
-		if err := f.table.Set(base+i, mapping.PSN(base+i)); err != nil {
-			return err
-		}
+	if err := f.table.SetRun(base, mapping.PSN(base), n); err != nil {
+		return err
 	}
 	f.aggregateAfterWrite(zone, off, n)
 	return nil
@@ -428,18 +424,17 @@ func (f *FTL) landHead(zone int, off, n int64) error {
 func (f *FTL) landStaged(zone int, off int64, gidxs []int64) error {
 	zs := &f.zstate[zone]
 	base := int64(zone)*f.zoneCap + off
-	linear := off >= f.sbSectors && zs.tailSet && zs.tailContig
-	for i, g := range gidxs {
-		psn := f.aggLimit + mapping.PSN(g)
-		if linear {
-			psn = mapping.PSN(base + int64(i))
-		}
-		if err := f.table.Set(base+int64(i), psn); err != nil {
+	if off >= f.sbSectors && zs.tailSet && zs.tailContig {
+		if err := f.table.SetRun(base, mapping.PSN(base), int64(len(gidxs))); err != nil {
 			return err
 		}
-	}
-	if linear {
 		f.aggregateAfterWrite(zone, off, int64(len(gidxs)))
+		return nil
+	}
+	for i, g := range gidxs {
+		if err := f.table.Set(base+int64(i), f.aggLimit+mapping.PSN(g)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

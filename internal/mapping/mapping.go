@@ -167,29 +167,51 @@ func (t *Table) locate(lpa int64) (*zoneMap, int64) {
 
 // Set records lpa -> psn at page granularity. If the covering chunk or zone
 // was aggregated, the aggregation is demoted first so map bits always
-// describe the true layout.
-func (t *Table) Set(lpa int64, psn PSN) error {
+// describe the true layout. It is SetRun of one entry.
+func (t *Table) Set(lpa int64, psn PSN) error { return t.SetRun(lpa, psn, 1) }
+
+// SetRun records the n consecutive mappings lpa+i -> psn+i at page
+// granularity, as n Sets would, with one demotion per touched chunk and one
+// store loop. The run must lie inside one zone and end at or below MaxPSN;
+// a refused run changes nothing. A run of zero entries is a no-op.
+func (t *Table) SetRun(lpa int64, psn PSN, n int64) error {
+	if n < 0 {
+		return fmt.Errorf("mapping: run of %d entries", n)
+	}
+	if n == 0 {
+		return nil
+	}
 	if err := t.check(lpa); err != nil {
 		return err
 	}
-	if psn < 0 || psn > MaxPSN {
-		return fmt.Errorf("mapping: Set with invalid PSN %d", psn)
+	if psn < 0 || psn > MaxPSN || PSN(n-1) > MaxPSN-psn {
+		return fmt.Errorf("mapping: Set with invalid PSN %d (run of %d)", psn, n)
 	}
 	z, off := t.locate(lpa)
+	if n > t.zone.n-off {
+		return fmt.Errorf("mapping: run of %d at LPA %d crosses its zone's end", n, lpa)
+	}
 	if z.psn == nil {
-		if n := len(t.free); n > 0 {
-			*z = t.free[n-1]
-			t.free = t.free[:n-1]
+		if k := len(t.free); k > 0 {
+			*z = t.free[k-1]
+			t.free = t.free[:k-1]
 			clear(z.psn)
 			clear(z.bits)
 		} else {
 			*z = zoneMap{psn: make([]uint32, t.zone.n), bits: make([]Gran, t.zone.n/t.chunk.n)}
 		}
 	}
-	if c, _ := t.chunk.split(off); z.bits[c] != Page {
-		t.demote(z, c)
+	first, _ := t.chunk.split(off)
+	last, _ := t.chunk.split(off + n - 1)
+	for c := first; c <= last; c++ {
+		if z.bits[c] != Page {
+			t.demote(z, c)
+		}
 	}
-	z.psn[off] = uint32(psn + 1)
+	run, v := z.psn[off:off+n], uint32(psn+1)
+	for i := range run {
+		run[i] = v + uint32(i)
+	}
 	return nil
 }
 

@@ -352,7 +352,9 @@ func (a *Array) chargeProgram(at sim.Time, chip int, xfer int64, tProg time.Dura
 // block's linear sector lin, which must be the block's append point (NAND
 // pages are written in order). sectors is nil (nothing recorded) or holds n
 // entries, each nil or a 4 KiB buffer that is copied into pooled media
-// storage, never retained. counter is the operation's media counter.
+// storage, never retained. counter is the operation's media counter. The
+// sectors land as one run (programRun): the state they leave is per sector,
+// the work is per state chunk plus one copy per stored payload.
 //
 // Two instants are returned: release, when the data has been transferred
 // into the chip's page register (the source buffer may be reused), and
@@ -388,14 +390,7 @@ func (a *Array) programSectors(at sim.Time, chip, block, lin, n int, sectors [][
 		return xferEnd, progEnd, fmt.Errorf("nand: program %d/%d sector %d: %w", chip, block, lin, ErrProgramFail)
 	}
 
-	base := int64(a.PPAOf(Addr{Chip: chip, Block: block})) + int64(lin)
-	for i := 0; i < n; i++ {
-		var src []byte
-		if sectors != nil {
-			src = sectors[i]
-		}
-		a.program(base+int64(i), src)
-	}
+	a.programRun(int64(a.PPAOf(Addr{Chip: chip, Block: block}))+int64(lin), int64(n), sectors)
 	bs.nextSector = lin + n
 
 	*counter++

@@ -25,7 +25,7 @@ func imageFixtureArray(t *testing.T) *Array {
 	nb := g.FirstNormalBlock()
 	stamp := func(base PPA, n int, lpa int64) {
 		for i := 0; i < n; i++ {
-			a.StampOOB(base+PPA(i), lpa+int64(i))
+			a.StampOOB(base+PPA(i), lpa+int64(i), 1)
 		}
 	}
 	nsect := int(g.ProgramUnit / units.Sector)

@@ -95,11 +95,24 @@ func (a *Array) gate(end sim.Time) error {
 // them beside the payload; StampOOB assigns sequence numbers itself so
 // every stamped sector is globally ordered by program time.
 
-// StampOOB records the logical address of one just-programmed sector and
-// assigns it the next program sequence number.
-func (a *Array) StampOOB(ppa PPA, lpa int64) {
-	a.seq++
-	a.stamp(int64(ppa), lpa, a.seq)
+// StampOOB records the logical addresses of a just-programmed run: the n
+// sectors from ppa take lpa, lpa+1, … and the next n program sequence
+// numbers, in order. A program unit is stamped with one call and one touch
+// of each state chunk it covers; a single sector is the run of one.
+func (a *Array) StampOOB(ppa PPA, lpa, n int64) {
+	for idx, end := int64(ppa), int64(ppa)+n; idx < end; {
+		c := a.touch(idx)
+		from := idx & chunkMask
+		to := min(chunkSectors, from+end-idx)
+		c.stamped |= chunkBits(from, to)
+		for i := from; i < to; i++ {
+			a.seq++
+			c.oobLPA[i] = lpa + 1
+			c.oobSeq[i] = a.seq
+			lpa++
+		}
+		idx += to - from
+	}
 }
 
 // stamp stores an OOB stamp on linear sector idx.

@@ -210,7 +210,7 @@ func TestTornEraseKeepsContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	ppa := g.PPAOf(Addr{Chip: 0, Block: blk})
-	a.StampOOB(ppa, 1234)
+	a.StampOOB(ppa, 1234, 1)
 	wear := a.EraseCount(0, blk)
 
 	a.ArmPowerCut(done.Add(1))
@@ -280,8 +280,8 @@ func TestOOBAndJournal(t *testing.T) {
 	p1 := g.PPAOf(Addr{Chip: 0, Block: g.FirstNormalBlock()})
 	p2 := p1 + 1
 	p3 := p1 + 2
-	a.StampOOB(p1, 100)
-	a.StampOOB(p2, 101)
+	a.StampOOB(p1, 100, 1)
+	a.StampOOB(p2, 101, 1)
 	l1, s1 := a.OOB(p1)
 	l2, s2 := a.OOB(p2)
 	if l1 != 100 || l2 != 101 || s2 <= s1 {

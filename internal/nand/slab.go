@@ -18,7 +18,10 @@ import (
 // zero value is "never stamped". All-zero is thus the erased state, a fresh
 // or recycled chunk needs no fill loop, and Erase restores it with clear.
 // Two flag words summarize the chunk — which sectors are programmed, which
-// carry a stamp — so Erase knows it emptied a chunk without reading it.
+// carry a stamp — so Erase knows it emptied a chunk without reading it, and
+// a program or a stamp of a run sets a chunk's share of them with one mask:
+// a 24-sector (96 KiB) program unit costs one or two chunk steps, not 24
+// sector steps. Only a stored payload is copied sector by sector.
 //
 // Nothing the media model releases goes back to the garbage collector:
 // an erase that leaves a chunk all-zero moves it to freeChunks, where the
@@ -80,21 +83,39 @@ func (a *Array) touch(idx int64) *sectorChunk {
 	return c
 }
 
-// program marks linear sector idx programmed and stores its payload: the
-// previous slab, if any, is released (overwrite release), and a non-nil src
-// is copied into a slab so the caller's buffer is never retained.
-func (a *Array) program(idx int64, src []byte) {
-	c := a.touch(idx)
-	i := idx & chunkMask
-	c.written |= 1 << uint(i)
-	if old := c.slab[i]; old != 0 {
-		a.slabs.put(old)
-		c.slab[i] = 0
-	}
-	if src != nil {
-		h := a.slabs.get()
-		copy(a.slabs.buf(h), src)
-		c.slab[i] = h
+// programRun marks the n linear sectors from idx programmed and stores
+// their payloads, one state chunk at a time: each chunk the run covers is
+// touched and has its programmed flags set once, not once per sector.
+// sectors is nil or holds n entries; each non-nil one is copied into a
+// slab, so the caller's buffer is never retained — that copy is the one
+// per-sector step.
+// A slab a sector still holds is released first (overwrite release); while
+// no slab was ever issued (a timing-only device) there is none to look for.
+func (a *Array) programRun(idx, n int64, sectors [][]byte) {
+	for end := idx + n; idx < end; {
+		c := a.touch(idx)
+		from := idx & chunkMask
+		to := min(chunkSectors, from+end-idx)
+		c.written |= chunkBits(from, to)
+		if a.slabs.issued != 0 {
+			for i, h := range c.slab[from:to] {
+				if h != 0 {
+					a.slabs.put(h)
+					c.slab[from+int64(i)] = 0
+				}
+			}
+		}
+		if sectors != nil {
+			for i, src := range sectors[:to-from] {
+				if src != nil {
+					h := a.slabs.get()
+					copy(a.slabs.buf(h), src)
+					c.slab[from+int64(i)] = h
+				}
+			}
+			sectors = sectors[to-from:]
+		}
+		idx += to - from
 	}
 }
 

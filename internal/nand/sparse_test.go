@@ -162,7 +162,7 @@ func driveMediaStream(t *testing.T, a *Array, ref *denseMedia, seed int64, steps
 		case op < 9: // stamp any sector, programmed or not
 			idx := rng.Int63n(g.TotalSectors())
 			lpa := rng.Int63n(1 << 20)
-			a.StampOOB(PPA(idx), lpa)
+			a.StampOOB(PPA(idx), lpa, 1)
 			ref.seq++
 			ref.oobLPA[idx], ref.oobSeq[idx] = lpa, ref.seq
 		default: // copy a stamp, possibly an absent one

@@ -401,7 +401,7 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			sb.validCount++
 			r.pos++
 			idxs = append(idxs, idx)
-			r.arr.StampOOB(ppa+nand.PPA(k), ws[i+int(k)].LPA)
+			r.arr.StampOOB(ppa+nand.PPA(k), ws[i+int(k)].LPA, 1)
 		}
 		i += int(took)
 	}

@@ -239,12 +239,16 @@ func (m *Manager) Append(zone int, lba int64, payloads [][]byte) ([]*Flush, erro
 	}
 
 	out := m.outFlush[:0]
-	for _, p := range payloads {
-		b.payloads = append(b.payloads, p)
-		if len(b.payloads) == 1 {
+	for len(payloads) > 0 {
+		// Take what fits before the buffer fills, and at least one sector:
+		// a Restore may have left it at or above capacity.
+		k := min(int64(len(payloads)), max(m.cap-int64(len(b.payloads)), 1))
+		if len(b.payloads) == 0 {
 			m.occupied++
 		}
-		m.stats.Appended++
+		b.payloads = append(b.payloads, payloads[:k]...)
+		payloads = payloads[k:]
+		m.stats.Appended += k
 		if int64(len(b.payloads)) >= m.cap {
 			m.stats.FullDrain++
 			f := m.drain(i, ReasonFull)
