@@ -25,7 +25,7 @@ func TestReplayObservePrintsResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, family := range []string{"conzone_resource_busy_seconds", "conzone_resource_ops_total", "conzone_resource_utilization"} {
+	for _, family := range []string{"conzone_resource_busy_seconds_total", "conzone_resource_ops_total", "conzone_resource_utilization"} {
 		if !strings.Contains(got, "\n"+family+`{resource="chip0"} `) {
 			t.Errorf("replay output has no %s{resource=\"chip0\"} sample:\n%s", family, got)
 		}

@@ -19,12 +19,6 @@ import (
 // promSample matches one sample line: name, optional {labels}, value.
 var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[-+]Inf|[-+]?[0-9.eE+-]+)$`)
 
-// counterWithoutTotal lists the counters exempt from the _total suffix
-// rule, each with the reason it keeps its name.
-var counterWithoutTotal = map[string]string{
-	"conzone_resource_busy_seconds": "scraped under this name since observation began; a rename moves every /metrics body",
-}
-
 // expoFamily is one family as checkExposition parsed it.
 type expoFamily struct {
 	typ     string
@@ -60,7 +54,7 @@ func checkExposition(t *testing.T, what, body string) map[string]*expoFamily {
 			default:
 				t.Fatalf("%s line %d: family %s has type %q", what, i+1, name, typ)
 			}
-			if typ == "counter" && !strings.HasSuffix(name, "_total") && counterWithoutTotal[name] == "" {
+			if typ == "counter" && !strings.HasSuffix(name, "_total") {
 				t.Fatalf("%s line %d: counter %s does not end in _total", what, i+1, name)
 			}
 			cur = name
@@ -127,7 +121,7 @@ func TestExpositionGrammar(t *testing.T) {
 		for _, want := range []string{
 			"conzone_ftl_host_written_bytes_total", // unified stats
 			"conzone_stage_latency_seconds",        // stage telemetry
-			"conzone_resource_busy_seconds",
+			"conzone_resource_busy_seconds_total",
 			"conzone_zone_fill_frac", // zone heat
 			"conzone_slc_sb_valid_frac",
 		} {

@@ -58,8 +58,8 @@ func TestReadOnlyDegradationAuditClean(t *testing.T) {
 	if st.LostAckSectors != 0 {
 		t.Fatalf("lost %d acknowledged sectors", st.LostAckSectors)
 	}
-	if st.EraseFails == 0 || st.RetiredSuperblocks == 0 {
-		t.Fatalf("degradation without failures? stats = %+v", st)
+	if fs := dev.FTL().FaultInjector().Stats(); fs.EraseFails == 0 || st.RetiredSuperblocks == 0 {
+		t.Fatalf("degradation without failures? stats = %+v, faults = %+v", st, fs)
 	}
 
 	// Reads keep working; writes are rejected with the typed sentinel.

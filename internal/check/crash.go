@@ -133,9 +133,6 @@ func (r *replayer) remount() error {
 	if err := r.audit(); err != nil {
 		return fmt.Errorf("audit after remount: %w", err)
 	}
-	if err := f.CheckInvariants(); err != nil {
-		return fmt.Errorf("invariants after remount: %w", err)
-	}
 	if got := f.Stats().LostAckSectors; got != 0 {
 		return fmt.Errorf("remount reports %d lost acknowledged sectors", got)
 	}

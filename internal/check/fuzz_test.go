@@ -78,7 +78,7 @@ func TestFuzzFaultsInjectSomething(t *testing.T) {
 			break // clean early end (read-only / no space) is fine here
 		}
 	}
-	st := r.dev.(*ftl.FTL).Stats()
+	st := r.dev.(*ftl.FTL).FaultInjector().Stats()
 	if st.ProgramFails == 0 && st.EraseFails == 0 && st.ReadRetries == 0 {
 		t.Fatalf("fault corpus seed injected nothing: %+v", st)
 	}

@@ -86,12 +86,12 @@ func runFaults(cfg config.DeviceConfig, opt Options, seed uint64) (Report, error
 	}
 
 	rep := Report{Title: fmt.Sprintf("Fault injection (seed %d): healthy vs faulty device", seed), Pass: true}
-	st := faulty.Stats()
+	st, fs := faulty.Stats(), faulty.FaultInjector().Stats()
 	counters := Table{Caption: "Fault and recovery counters:"}
-	counters.Add("program fails", st.ProgramFails)
-	counters.Add("erase fails", st.EraseFails)
-	counters.Add("read retry rounds", st.ReadRetries)
-	counters.Add("uncorrectable reads", st.UncorrectableReads)
+	counters.Add("program fails", fs.ProgramFails)
+	counters.Add("erase fails", fs.EraseFails)
+	counters.Add("read retry rounds", fs.ReadRetries)
+	counters.Add("uncorrectable reads", fs.Uncorrectable)
 	counters.Add("superblock relocations", fmt.Sprintf("%d (%d sectors copied)", st.Relocations, st.RelocatedSectors))
 	counters.Add("retired superblocks", fmt.Sprintf("%d (normal) + %d (SLC staging)",
 		st.RetiredSuperblocks, faulty.Staging().RetiredSuperblocks()))

@@ -7,6 +7,7 @@ import (
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/ftl"
 	"github.com/conzone/conzone/internal/refdata"
+	"github.com/conzone/conzone/internal/telemetry"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
 )
@@ -132,7 +133,7 @@ func runRandRead(cfg config.DeviceConfig, opt Options, mode string, rng int64,
 		}
 		at = at.Add(w.Elapsed)
 	}
-	f.Cache().ResetStats()
+	before := telemetry.Stats{Cache: f.Cache().Stats()}
 	r, err := workload.Run(f, workload.Job{
 		Name: "randread", Pattern: workload.RandRead,
 		BlockBytes: randBS, NumJobs: 1,
@@ -150,7 +151,7 @@ func runRandRead(cfg config.DeviceConfig, opt Options, mode string, rng int64,
 		Range:     rng,
 		KIOPS:     r.KIOPS(),
 		P99:       r.Lat.P99,
-		MissRatio: f.Cache().MissRatio(),
+		MissRatio: telemetry.Stats{Cache: f.Cache().Stats()}.Delta(before).L2PMissRatio,
 	}
 	return point, nil
 }

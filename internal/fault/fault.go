@@ -159,17 +159,6 @@ type Stats struct {
 	Uncorrectable int64 // reads that stayed uncorrectable after the budget
 }
 
-// Delta returns the counter changes from prev to s (interval reporting).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		ProgramFails:  s.ProgramFails - prev.ProgramFails,
-		EraseFails:    s.EraseFails - prev.EraseFails,
-		ReadRetries:   s.ReadRetries - prev.ReadRetries,
-		RetriedReads:  s.RetriedReads - prev.RetriedReads,
-		Uncorrectable: s.Uncorrectable - prev.Uncorrectable,
-	}
-}
-
 // scriptKey addresses occurrence counters per (chip, block, op).
 type scriptKey struct {
 	chip, block int

@@ -3,6 +3,7 @@ package ftl
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/conzone/conzone/internal/l2pcache"
@@ -318,7 +319,13 @@ func (o *aggOracle) digest() string {
 		fmt.Fprintf(h, "%+v ", e)
 		return true
 	})
-	fmt.Fprintf(h, "%+v %+v %d", o.f.Stats(), o.f.Cache().Stats(), o.at)
+	// The digests were recorded while ftl.Stats still mirrored four fault
+	// counters between L2PLogPages and Relocations; they live in fault.Stats
+	// now and are always 0 here (no injector), so they are hashed where the
+	// recorded rendering had them.
+	st := strings.Replace(fmt.Sprintf("%+v", o.f.Stats()), " Relocations:",
+		" ProgramFails:0 EraseFails:0 ReadRetries:0 UncorrectableReads:0 Relocations:", 1)
+	fmt.Fprintf(h, "%s %+v %d", st, o.f.Cache().Stats(), o.at)
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 

@@ -36,10 +36,6 @@ func (f *FTL) FreeSBList() []int { return append([]int(nil), f.freeSBs...) }
 // without copying it (telemetry hot path).
 func (f *FTL) FreeSuperblockCount() int { return len(f.freeSBs) }
 
-// GrownBadBlocks returns the size of the grown-bad block table without
-// copying it (telemetry hot path).
-func (f *FTL) GrownBadBlocks() int { return len(f.badBlocks) }
-
 // SpareRemaining returns how many of the configured spare superblocks are
 // still unconsumed by retirement. Retirements beyond the reserve (the
 // read-only degradation case) clamp to zero.

@@ -17,3 +17,17 @@ func MaxMin(series []float64) (max, min float64) {
 	}
 	return max, min
 }
+
+// CheckInvariants runs the three substrate self-checks — mapping table, L2P
+// cache, SLC staging region — that check.Audit runs first as
+// audit[substrate]; this package's tests, which cannot import check, call it
+// after operation sequences.
+func (f *FTL) CheckInvariants() error {
+	if err := f.table.CheckInvariants(); err != nil {
+		return err
+	}
+	if err := f.cache.CheckInvariants(); err != nil {
+		return err
+	}
+	return f.staging.CheckInvariants()
+}

@@ -43,8 +43,8 @@ func TestScriptedProgramFailRelocates(t *testing.T) {
 	verifyRead(t, f, now, 0, 192)
 
 	st := f.Stats()
-	if st.ProgramFails != 1 || st.Relocations != 1 || st.RetiredSuperblocks != 1 {
-		t.Fatalf("stats = %+v, want 1 program fail, 1 relocation, 1 retired superblock", st)
+	if fs := f.FaultInjector().Stats(); fs.ProgramFails != 1 || st.Relocations != 1 || st.RetiredSuperblocks != 1 {
+		t.Fatalf("stats = %+v, faults = %+v, want 1 program fail, 1 relocation, 1 retired superblock", st, fs)
 	}
 	if st.RelocatedSectors != 96 {
 		t.Fatalf("RelocatedSectors = %d, want 96 (four programmed units moved)", st.RelocatedSectors)
@@ -76,8 +76,8 @@ func TestScriptedEraseFailRetires(t *testing.T) {
 		t.Fatalf("reset with a failing erase must still succeed: %v", err)
 	}
 	st := f.Stats()
-	if st.EraseFails != 1 || st.RetiredSuperblocks != 1 {
-		t.Fatalf("stats = %+v, want 1 erase fail and 1 retired superblock", st)
+	if fs := f.FaultInjector().Stats(); fs.EraseFails != 1 || st.RetiredSuperblocks != 1 {
+		t.Fatalf("stats = %+v, faults = %+v, want 1 erase fail and 1 retired superblock", st, fs)
 	}
 	bbt := f.BadBlockTable()
 	if len(bbt) != 1 || bbt[0].Chip != 1 || bbt[0].Block != fn || bbt[0].Op != fault.OpErase {

@@ -33,7 +33,6 @@ import (
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
-	"github.com/conzone/conzone/internal/stats"
 	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/wbuf"
 	"github.com/conzone/conzone/internal/zns"
@@ -146,48 +145,12 @@ type Stats struct {
 	L2PLogFlushes    int64 // L2P log persistence events (blocking)
 	L2PLogPages      int64 // map-region pages those flushes programmed
 
-	// Fault-model and bad-block-management counters. All zero with faults
-	// disabled; the NAND-level ones are mirrored from the fault injector.
-	ProgramFails       int64 // NAND program operations that returned status FAIL
-	EraseFails         int64 // NAND erase operations that returned status FAIL
-	ReadRetries        int64 // extra ECC sense rounds charged across all reads
-	UncorrectableReads int64 // reads that exhausted the ECC retry budget
+	// Bad-block-management counters, all zero with faults disabled. The
+	// NAND-level fault counters live in the injector (fault.Stats).
 	Relocations        int64 // program-fail recoveries: superblock re-bound to a spare
 	RelocatedSectors   int64 // sectors copied old-superblock -> spare during recoveries
 	RetiredSuperblocks int64 // normal superblocks retired (grown bad)
 	LostAckSectors     int64 // acknowledged sectors a failed flush could not restore (must stay 0)
-}
-
-// Delta returns the counter changes from prev to s, so interval reporting
-// does not need manual field-by-field subtraction.
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		HostReadBytes:    s.HostReadBytes - prev.HostReadBytes,
-		HostWrittenBytes: s.HostWrittenBytes - prev.HostWrittenBytes,
-		DirectPUs:        s.DirectPUs - prev.DirectPUs,
-		StagedSectors:    s.StagedSectors - prev.StagedSectors,
-		Combines:         s.Combines - prev.Combines,
-		PrematureFlushes: s.PrematureFlushes - prev.PrematureFlushes,
-		MapFetches:       s.MapFetches - prev.MapFetches,
-		MapFetchReads:    s.MapFetchReads - prev.MapFetchReads,
-		ZoneResets:       s.ZoneResets - prev.ZoneResets,
-		ZoneFinishes:     s.ZoneFinishes - prev.ZoneFinishes,
-		PadSectors:       s.PadSectors - prev.PadSectors,
-		ResetDiscards:    s.ResetDiscards - prev.ResetDiscards,
-		TailSectors:      s.TailSectors - prev.TailSectors,
-		BufferReads:      s.BufferReads - prev.BufferReads,
-		L2PLogFlushes:    s.L2PLogFlushes - prev.L2PLogFlushes,
-		L2PLogPages:      s.L2PLogPages - prev.L2PLogPages,
-
-		ProgramFails:       s.ProgramFails - prev.ProgramFails,
-		EraseFails:         s.EraseFails - prev.EraseFails,
-		ReadRetries:        s.ReadRetries - prev.ReadRetries,
-		UncorrectableReads: s.UncorrectableReads - prev.UncorrectableReads,
-		Relocations:        s.Relocations - prev.Relocations,
-		RelocatedSectors:   s.RelocatedSectors - prev.RelocatedSectors,
-		RetiredSuperblocks: s.RetiredSuperblocks - prev.RetiredSuperblocks,
-		LostAckSectors:     s.LostAckSectors - prev.LostAckSectors,
-	}
 }
 
 // zoneState is what the FTL knows of a zone that no other layer holds. Which
@@ -583,20 +546,8 @@ func (f *FTL) ZoneCapSectors() int64 { return f.zoneCap }
 // TotalSectors returns the logical capacity in sectors.
 func (f *FTL) TotalSectors() int64 { return int64(f.numZones) * f.zoneCap }
 
-// Stats returns a snapshot of FTL-level counters. The NAND-level fault
-// counters are mirrored in from the injector, so one snapshot covers the
-// whole robustness picture.
-func (f *FTL) Stats() Stats {
-	s := f.stats
-	if f.inj != nil {
-		fs := f.inj.Stats()
-		s.ProgramFails = fs.ProgramFails
-		s.EraseFails = fs.EraseFails
-		s.ReadRetries = fs.ReadRetries
-		s.UncorrectableReads = fs.Uncorrectable
-	}
-	return s
-}
+// Stats returns a snapshot of FTL-level counters.
+func (f *FTL) Stats() Stats { return f.stats }
 
 // ReadOnly reports whether the device has degraded to read-only operation
 // (spare superblocks exhausted or the SLC staging region unable to sustain
@@ -610,8 +561,10 @@ func (f *FTL) FaultInjector() *fault.Injector { return f.inj }
 // WAF returns the write amplification factor observed so far: NAND bytes
 // programmed over host bytes written.
 func (f *FTL) WAF() float64 {
-	w := stats.WAFTracker{HostBytes: f.stats.HostWrittenBytes, NANDBytes: f.arr.Counters().BytesProgrammed}
-	return w.WAF()
+	if f.stats.HostWrittenBytes == 0 {
+		return 0
+	}
+	return float64(f.arr.Counters().BytesProgrammed) / float64(f.stats.HostWrittenBytes)
 }
 
 // flushPipelineDepth is how many flushes of one buffer may be draining

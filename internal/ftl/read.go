@@ -251,15 +251,3 @@ func (f *FTL) fetchMapping(at sim.Time, lpa int64) (mapping.PSN, sim.Time, bool,
 	}
 	return psn, done, true, nil
 }
-
-// CheckInvariants runs cross-substrate consistency checks; tests call it
-// after operation sequences.
-func (f *FTL) CheckInvariants() error {
-	if err := f.table.CheckInvariants(); err != nil {
-		return err
-	}
-	if err := f.cache.CheckInvariants(); err != nil {
-		return err
-	}
-	return f.staging.CheckInvariants()
-}

@@ -36,18 +36,6 @@ type Stats struct {
 	Covered   int64 // entries evicted because a wider entry covered them
 }
 
-// Delta returns the counter changes from prev to s (interval reporting).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Hits:      s.Hits - prev.Hits,
-		Misses:    s.Misses - prev.Misses,
-		Probes:    s.Probes - prev.Probes,
-		Inserts:   s.Inserts - prev.Inserts,
-		Evictions: s.Evictions - prev.Evictions,
-		Covered:   s.Covered - prev.Covered,
-	}
-}
-
 // key packs (granularity, aligned base LPA) into one word, so a slot probe
 // compares one integer. Base LPAs are sector indices well below 2^56, so
 // the granularity tag in the top bits never collides with them.
@@ -408,18 +396,6 @@ func (c *Cache) ForEach(fn func(Entry) bool) {
 		}
 	}
 }
-
-// MissRatio returns misses / lookups observed so far, or 0 when idle.
-func (c *Cache) MissRatio() float64 {
-	total := c.stats.Hits + c.stats.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.stats.Misses) / float64(total)
-}
-
-// ResetStats zeroes the counters but keeps contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // CheckInvariants verifies the byte accounting and table/ring agreement.
 func (c *Cache) CheckInvariants() error {

@@ -198,20 +198,18 @@ func TestInvalidateRangePartialOverlap(t *testing.T) {
 	}
 }
 
+// TestMissRatio checks the two counts the miss ratio is derived from
+// (telemetry computes it from Stats): one lookup that hits, one that misses.
 func TestMissRatio(t *testing.T) {
 	c, _ := newTestCache(t, 64)
-	if c.MissRatio() != 0 {
-		t.Error("idle ratio should be 0")
+	if c.Stats() != (Stats{}) {
+		t.Errorf("idle stats = %+v, want zero", c.Stats())
 	}
 	c.Insert(mapping.Page, 0, 0, false)
 	c.Lookup(0)
 	c.Lookup(1)
-	if got := c.MissRatio(); got != 0.5 {
-		t.Errorf("MissRatio = %v", got)
-	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("ResetStats incomplete")
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("hits = %d, misses = %d, want 1 and 1", st.Hits, st.Misses)
 	}
 }
 

@@ -39,20 +39,6 @@ type Counters struct {
 	BytesProgrammed int64 // payload bytes programmed into media
 }
 
-// Delta returns the counter changes from prev to c (interval reporting).
-func (c Counters) Delta(prev Counters) Counters {
-	return Counters{
-		PageReads:       c.PageReads - prev.PageReads,
-		PUPrograms:      c.PUPrograms - prev.PUPrograms,
-		PartialPrograms: c.PartialPrograms - prev.PartialPrograms,
-		PageProgramsSLC: c.PageProgramsSLC - prev.PageProgramsSLC,
-		MapPrograms:     c.MapPrograms - prev.MapPrograms,
-		Erases:          c.Erases - prev.Erases,
-		BytesRead:       c.BytesRead - prev.BytesRead,
-		BytesProgrammed: c.BytesProgrammed - prev.BytesProgrammed,
-	}
-}
-
 // Array is the flash media model: per-chip and per-channel timing resources
 // plus programmed-state and payload storage.
 type Array struct {

@@ -117,7 +117,7 @@ func (t Telemetry) Expose(e *Exposition) {
 	if len(t.Resources) == 0 {
 		return
 	}
-	e.Family("conzone_resource_busy_seconds", "counter", "Simulated busy time per hardware resource.")
+	e.Family("conzone_resource_busy_seconds_total", "counter", "Simulated busy time per hardware resource.")
 	for _, r := range t.Resources {
 		e.Float(r.BusyTime.Seconds(), "resource", r.Name)
 	}

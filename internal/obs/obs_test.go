@@ -279,7 +279,7 @@ func TestWritePrometheus(t *testing.T) {
 		`conzone_stage_latency_seconds_count{stage="nand_program"} 1`,
 		`conzone_events_recorded_total 3`,
 		`conzone_events_dropped_total 0`,
-		`conzone_resource_busy_seconds{resource="chan0"} 0.003`,
+		`conzone_resource_busy_seconds_total{resource="chan0"} 0.003`,
 		`conzone_resource_ops_total{resource="chan0"} 7`,
 		`conzone_resource_utilization{resource="chan0"} 0.5`,
 	} {

@@ -43,18 +43,6 @@ type Stats struct {
 	Retired     int64 // superblocks retired after program/erase failures
 }
 
-// Delta returns the counter changes from prev to s (interval reporting).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Staged:      s.Staged - prev.Staged,
-		Migrated:    s.Migrated - prev.Migrated,
-		Invalidated: s.Invalidated - prev.Invalidated,
-		Collections: s.Collections - prev.Collections,
-		Erased:      s.Erased - prev.Erased,
-		Retired:     s.Retired - prev.Retired,
-	}
-}
-
 type superblock struct {
 	validCount int
 	inFree     bool

@@ -249,20 +249,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v p99.9=%v max=%v",
 		s.Count, s.Mean.Round(time.Microsecond), s.P50, s.P95, s.P99, s.P999, s.Max.Round(time.Microsecond))
 }
-
-// WAFTracker accumulates host-written and media-written byte counts and
-// reports the write-amplification factor. Media bytes include every program
-// operation: direct flushes, SLC staging, SLC→normal combines, GC
-// migrations, and alignment padding.
-type WAFTracker struct {
-	HostBytes int64
-	NANDBytes int64
-}
-
-// WAF returns NAND/host, or 0 if nothing was written by the host.
-func (w *WAFTracker) WAF() float64 {
-	if w.HostBytes == 0 {
-		return 0
-	}
-	return float64(w.NANDBytes) / float64(w.HostBytes)
-}

@@ -165,17 +165,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestWAFTracker(t *testing.T) {
-	var w WAFTracker
-	if w.WAF() != 0 {
-		t.Error("empty WAF should be 0")
-	}
-	w = WAFTracker{HostBytes: 100, NANDBytes: 150}
-	if w.WAF() != 1.5 {
-		t.Errorf("WAF = %v", w.WAF())
-	}
-}
-
 func TestHistogramLargeValues(t *testing.T) {
 	h := NewHistogram()
 	h.Record(10 * time.Second)

@@ -67,7 +67,7 @@ func WriteSeriesCSV(w io.Writer, samples []Sample) error {
 			s.Delta.Staging.Migrated, s.Delta.Staging.Collections, s.Delta.NAND.Erases,
 			o.SLCValidSectors, o.SLCFreeSuperblocks, o.BufferedSectors,
 			o.FreeSuperblocks, o.SpareRemaining, o.OpenZones, o.ActiveZones,
-			s.Delta.L2PMissRatio, s.Stats.GrownBadBlocks, s.Stats.PowerCuts, s.Stats.Recoveries,
+			s.Delta.L2PMissRatio, s.Stats.FTL.RetiredSuperblocks, s.Stats.PowerCuts, s.Stats.Recoveries,
 			b(o.ReadOnly))
 	}
 	return err

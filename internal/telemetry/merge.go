@@ -2,11 +2,11 @@ package telemetry
 
 import "reflect"
 
-// Fleet roll-up support: merging many devices' snapshots into one
-// population snapshot. The merge walks the Stats struct reflectively, like
-// the Prometheus exporter does, so a counter added to any subsystem's Stats
-// block is summed across the fleet by construction — the exporter and the
-// merger can never disagree about which counters exist.
+// Every snapshot derived from others — a population sum, an interval —
+// comes from one reflective fold over the Stats struct, like the Prometheus
+// exporter's walk, so a counter added to any subsystem's Stats block is
+// summed across a fleet and differenced over an interval by construction:
+// the counters kept, derived and exported can never disagree.
 
 // Add returns the population sum of two snapshots: every integer counter
 // and gauge field is summed recursively (occupancy gauges sum to population
@@ -16,30 +16,42 @@ import "reflect"
 // from the summed bytes and lookups, so the merged WAF is the population
 // WAF rather than a mean of per-device ratios.
 func Add(a, b Stats) Stats {
-	out := a
-	addInto(reflect.ValueOf(&out).Elem(), reflect.ValueOf(b))
-	out.WAF = 0
-	if out.FTL.HostWrittenBytes > 0 {
-		out.WAF = float64(out.NAND.BytesProgrammed) / float64(out.FTL.HostWrittenBytes)
-	}
-	out.L2PMissRatio = 0
-	if lookups := out.Cache.Hits + out.Cache.Misses; lookups > 0 {
-		out.L2PMissRatio = float64(out.Cache.Misses) / float64(lookups)
-	}
-	return out
+	fold(&a, &b, false)
+	return a
 }
 
-// addInto recursively adds src into dst: ints sum, bools OR, floats are
-// left to the caller (Add recomputes the ratio gauges from the sums).
-func addInto(dst, src reflect.Value) {
+// occupancyType is the block a difference leaves at its current reading.
+var occupancyType = reflect.TypeOf(Occupancy{})
+
+// fold combines src into dst in place: integers are summed, or subtracted
+// when sub is set; booleans OR on a sum; on a difference the occupancy block
+// (and any boolean) keeps dst's reading; floats are skipped and setRatios
+// recomputes them from the folded counters. Both operands are pointers, so
+// folding into memory the caller already holds — the sampler's ring slot —
+// allocates nothing.
+func fold(dst, src *Stats, sub bool) {
+	foldValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(), sub)
+	dst.setRatios()
+}
+
+func foldValue(dst, src reflect.Value, sub bool) {
 	switch dst.Kind() {
 	case reflect.Struct:
+		if sub && dst.Type() == occupancyType {
+			return
+		}
 		for i := 0; i < dst.NumField(); i++ {
-			addInto(dst.Field(i), src.Field(i))
+			foldValue(dst.Field(i), src.Field(i), sub)
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		dst.SetInt(dst.Int() + src.Int())
+		if sub {
+			dst.SetInt(dst.Int() - src.Int())
+		} else {
+			dst.SetInt(dst.Int() + src.Int())
+		}
 	case reflect.Bool:
-		dst.SetBool(dst.Bool() || src.Bool())
+		if !sub {
+			dst.SetBool(dst.Bool() || src.Bool())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestAddSumsCountersRecomputesRatios(t *testing.T) {
 	if m.Cache.Hits != 120 || m.Cache.Misses != 40 {
 		t.Fatalf("cache counters not summed: %+v", m.Cache)
 	}
-	if m.GrownBadBlocks != 4 || m.PowerCuts != 4 || m.Recoveries != 4 {
+	if m.FTL.RetiredSuperblocks != 4 || m.PowerCuts != 4 || m.Recoveries != 4 {
 		t.Fatal("top-level counters not summed")
 	}
 	if m.Occupancy.BufferedSectors != 20 {
@@ -35,6 +36,82 @@ func TestAddSumsCountersRecomputesRatios(t *testing.T) {
 	}
 	if want := 40.0 / 160.0; m.L2PMissRatio != want {
 		t.Fatalf("L2PMissRatio = %v, want %v", m.L2PMissRatio, want)
+	}
+}
+
+// TestFoldCoversEveryField gives every numeric field of two snapshots a
+// value of its own and checks Delta and Add field by field: Delta subtracts
+// every counter, copies the occupancy block and recomputes both ratios; Add
+// sums every integer, ORs the booleans and recomputes both ratios. A field
+// the fold skipped, or folded into its neighbour, fails here by name.
+func TestFoldCoversEveryField(t *testing.T) {
+	var a, b Stats
+	var n int64
+	var fill func(va, vb reflect.Value)
+	fill = func(va, vb reflect.Value) {
+		switch va.Kind() {
+		case reflect.Struct:
+			for i := 0; i < va.NumField(); i++ {
+				fill(va.Field(i), vb.Field(i))
+			}
+		case reflect.Int, reflect.Int64:
+			n++
+			va.SetInt(1000 + 7*n*n)
+			vb.SetInt(n)
+		case reflect.Float64: // stale ratios the fold must overwrite
+			va.SetFloat(-1)
+			vb.SetFloat(-2)
+		case reflect.Bool:
+			vb.SetBool(true)
+		}
+	}
+	fill(reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem())
+	d, sum := a.Delta(b), Add(a, b)
+
+	ints, bools := 0, 0
+	var check func(path string, va, vb, vd, vs reflect.Value, occupancy bool)
+	check = func(path string, va, vb, vd, vs reflect.Value, occupancy bool) {
+		switch va.Kind() {
+		case reflect.Struct:
+			for i := 0; i < va.NumField(); i++ {
+				check(path+"."+va.Type().Field(i).Name, va.Field(i), vb.Field(i), vd.Field(i), vs.Field(i),
+					occupancy || va.Type() == reflect.TypeOf(Occupancy{}))
+			}
+		case reflect.Int, reflect.Int64:
+			ints++
+			want := va.Int() - vb.Int()
+			if occupancy {
+				want = va.Int()
+			}
+			if vd.Int() != want {
+				t.Errorf("Delta%s = %d, want %d", path, vd.Int(), want)
+			}
+			if vs.Int() != va.Int()+vb.Int() {
+				t.Errorf("Add%s = %d, want %d", path, vs.Int(), va.Int()+vb.Int())
+			}
+		case reflect.Bool:
+			bools++
+			if vd.Bool() != va.Bool() {
+				t.Errorf("Delta%s = %v, want the current %v", path, vd.Bool(), va.Bool())
+			}
+			if !vs.Bool() {
+				t.Errorf("Add%s = false, want false OR true", path)
+			}
+		}
+	}
+	check("", reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(d), reflect.ValueOf(sum), false)
+	if ints < 40 || bools == 0 {
+		t.Fatalf("walked %d integer and %d boolean fields; the fill missed the struct", ints, bools)
+	}
+	for _, s := range []struct {
+		name string
+		st   Stats
+	}{{"Delta", d}, {"Add", sum}} {
+		waf := float64(s.st.NAND.BytesProgrammed) / float64(s.st.FTL.HostWrittenBytes)
+		miss := float64(s.st.Cache.Misses) / float64(s.st.Cache.Hits+s.st.Cache.Misses)
+		if s.st.WAF != waf || s.st.L2PMissRatio != miss {
+			t.Errorf("%s ratios = WAF %v, miss %v; want %v and %v from its counters", s.name, s.st.WAF, s.st.L2PMissRatio, waf, miss)
+		}
 	}
 }
 

@@ -108,13 +108,11 @@ func (s *Sampler) Record(now sim.Time, cum Stats) {
 	if s == nil {
 		return
 	}
-	smp := Sample{Seq: s.seq, At: now, Stats: cum}
+	smp := s.push(now, cum, false)
 	if s.havePrev {
-		smp.Delta = cum.Delta(s.prev)
-	} else {
-		smp.Delta.Occupancy = cum.Occupancy
+		smp.Delta = cum
+		fold(&smp.Delta, &s.prev, true)
 	}
-	s.push(smp)
 	s.prev = cum
 	s.havePrev = true
 	s.next += sim.Time(s.interval)
@@ -133,9 +131,7 @@ func (s *Sampler) Discontinuity(now sim.Time, cum Stats) {
 	if s == nil {
 		return
 	}
-	smp := Sample{Seq: s.seq, At: now, Discontinuity: true, Stats: cum}
-	smp.Delta.Occupancy = cum.Occupancy
-	s.push(smp)
+	s.push(now, cum, true)
 	s.prev = cum
 	s.havePrev = true
 	if next := now + sim.Time(s.interval); next > s.next {
@@ -143,10 +139,15 @@ func (s *Sampler) Discontinuity(now sim.Time, cum Stats) {
 	}
 }
 
-// push copies one sample into its ring slot and advances the sequence.
-func (s *Sampler) push(smp Sample) {
-	s.ring[s.seq%uint64(len(s.ring))] = smp
+// push writes one sample into its ring slot — the cumulative snapshot, and
+// a delta of zero counters carrying the current occupancy — advances the
+// sequence and returns the slot, so Record can fold the interval in place.
+func (s *Sampler) push(now sim.Time, cum Stats, discontinuity bool) *Sample {
+	smp := &s.ring[s.seq%uint64(len(s.ring))]
+	*smp = Sample{Seq: s.seq, At: now, Discontinuity: discontinuity, Stats: cum}
+	smp.Delta.Occupancy = cum.Occupancy
 	s.seq++
+	return smp
 }
 
 // Recorded returns how many samples have ever been recorded.

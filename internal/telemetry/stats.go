@@ -57,13 +57,12 @@ type Stats struct {
 	WAF          float64 `json:"waf"`
 	L2PMissRatio float64 `json:"l2p_miss_ratio"`
 
-	// Robustness and power-loss counters (PRs 5-6). GrownBadBlocks and
-	// RetiredSuperblocks (inside FTL) are monotonic; PowerCuts counts
-	// fired power cuts and Recoveries counts recovery mounts, both
-	// surviving remounts because the NAND array does.
-	GrownBadBlocks int64 `json:"grown_bad_blocks"`
-	PowerCuts      int64 `json:"power_cuts"`
-	Recoveries     int64 `json:"recoveries"`
+	// Power-loss counters: PowerCuts counts fired power cuts and
+	// Recoveries counts recovery mounts, both surviving remounts because
+	// the NAND array does. Grown bad blocks are FTL.RetiredSuperblocks:
+	// every retirement records exactly one.
+	PowerCuts  int64 `json:"power_cuts"`
+	Recoveries int64 `json:"recoveries"`
 
 	Occupancy Occupancy `json:"occupancy"`
 }
@@ -75,27 +74,23 @@ type Stats struct {
 // reporters snapshot Stats per tick and call Delta instead of subtracting
 // fields by hand.
 func (s Stats) Delta(prev Stats) Stats {
-	d := Stats{
-		FTL:     s.FTL.Delta(prev.FTL),
-		Cache:   s.Cache.Delta(prev.Cache),
-		NAND:    s.NAND.Delta(prev.NAND),
-		Staging: s.Staging.Delta(prev.Staging),
-		Buffers: s.Buffers.Delta(prev.Buffers),
-		Fault:   s.Fault.Delta(prev.Fault),
+	fold(&s, &prev, true)
+	return s
+}
 
-		GrownBadBlocks: s.GrownBadBlocks - prev.GrownBadBlocks,
-		PowerCuts:      s.PowerCuts - prev.PowerCuts,
-		Recoveries:     s.Recoveries - prev.Recoveries,
-
-		Occupancy: s.Occupancy,
+// setRatios derives the two ratio gauges from the snapshot's own counters:
+// WAF is NAND bytes programmed over host bytes written, the miss ratio is
+// misses over lookups, each 0 over an empty denominator. Collect, Add and
+// Delta all end here, so a device reading, a population sum and an
+// interval share one rule.
+func (s *Stats) setRatios() {
+	s.WAF, s.L2PMissRatio = 0, 0
+	if s.FTL.HostWrittenBytes > 0 {
+		s.WAF = float64(s.NAND.BytesProgrammed) / float64(s.FTL.HostWrittenBytes)
 	}
-	if d.FTL.HostWrittenBytes > 0 {
-		d.WAF = float64(d.NAND.BytesProgrammed) / float64(d.FTL.HostWrittenBytes)
+	if lookups := s.Cache.Hits + s.Cache.Misses; lookups > 0 {
+		s.L2PMissRatio = float64(s.Cache.Misses) / float64(lookups)
 	}
-	if lookups := d.Cache.Hits + d.Cache.Misses; lookups > 0 {
-		d.L2PMissRatio = float64(d.Cache.Misses) / float64(lookups)
-	}
-	return d
 }
 
 // Collect assembles the unified snapshot from a live FTL. It performs no
@@ -112,12 +107,8 @@ func Collect(f *ftl.FTL) Stats {
 		Staging: staging.Stats(),
 		Buffers: f.Buffers().Stats(),
 
-		WAF:          f.WAF(),
-		L2PMissRatio: f.Cache().MissRatio(),
-
-		GrownBadBlocks: int64(f.GrownBadBlocks()),
-		PowerCuts:      arr.PowerCuts(),
-		Recoveries:     arr.Recoveries(),
+		PowerCuts:  arr.PowerCuts(),
+		Recoveries: arr.Recoveries(),
 
 		Occupancy: Occupancy{
 			SLCValidSectors:      staging.TotalValid(),
@@ -134,5 +125,6 @@ func Collect(f *ftl.FTL) Stats {
 	if inj := f.FaultInjector(); inj != nil {
 		s.Fault = inj.Stats()
 	}
+	s.setRatios()
 	return s
 }

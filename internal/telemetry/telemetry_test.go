@@ -23,7 +23,7 @@ func mkStats(k int64) Stats {
 	s.Cache.Misses = 10 * k
 	s.Staging.Migrated = 7 * k
 	s.Fault.ReadRetries = 2 * k
-	s.GrownBadBlocks = k
+	s.FTL.RetiredSuperblocks = k
 	s.PowerCuts = k
 	s.Recoveries = k
 	s.Occupancy.BufferedSectors = 5 * k
@@ -42,7 +42,7 @@ func TestDeltaSubtractsCountersCopiesGauges(t *testing.T) {
 	if d.L2PMissRatio != 0.25 {
 		t.Fatalf("interval miss ratio = %v, want 0.25", d.L2PMissRatio)
 	}
-	if d.Fault.ReadRetries != 4 || d.GrownBadBlocks != 2 || d.PowerCuts != 2 || d.Recoveries != 2 {
+	if d.Fault.ReadRetries != 4 || d.FTL.RetiredSuperblocks != 2 || d.PowerCuts != 2 || d.Recoveries != 2 {
 		t.Fatalf("robustness deltas: %+v", d)
 	}
 	// Occupancy gauges are the *current* readings, not differences.
@@ -302,7 +302,7 @@ func TestPrometheusCoversEveryCounter(t *testing.T) {
 		"conzone_ftl_host_written_bytes_total 2000",
 		"conzone_nand_bytes_programmed_total 3000",
 		"conzone_fault_read_retries_total 4",
-		"conzone_grown_bad_blocks_total 2",
+		"conzone_ftl_retired_superblocks_total 2",
 		"conzone_power_cuts_total 2",
 		"conzone_recoveries_total 2",
 		"conzone_occupancy_buffered_sectors 10",

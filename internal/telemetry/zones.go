@@ -21,13 +21,12 @@ type ZoneHeat struct {
 
 	// Media placement. SB is the bound normal superblock (-1 when the
 	// zone lives entirely in SLC staging or is empty). Staged counts the
-	// zone's SLC-resident sectors, every one of them live, so ValidStaged
-	// repeats it; Pending is the staged part of the head region, the
-	// partially-programmed unit awaiting completion.
-	SB          int   `json:"sb"`
-	Staged      int64 `json:"staged"`
-	ValidStaged int64 `json:"valid_staged"`
-	Pending     int64 `json:"pending"`
+	// zone's SLC-resident sectors, every one of them live; Pending is the
+	// staged part of the head region, the partially-programmed unit
+	// awaiting completion.
+	SB      int   `json:"sb"`
+	Staged  int64 `json:"staged"`
+	Pending int64 `json:"pending"`
 
 	// FillFrac is Written/Capacity. ValidFrac estimates the live-data
 	// fraction: head-resident sectors (always live under sequential-write
@@ -95,7 +94,6 @@ func CollectZones(f *ftl.FTL, now sim.Time) ZoneTable {
 		if err == nil {
 			h.SB = sb
 			h.Staged = staged
-			h.ValidStaged = staged
 			h.Pending = pend
 		}
 		if z.Type == zns.Conventional {

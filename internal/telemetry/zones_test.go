@@ -49,9 +49,9 @@ func TestHeatmapValidFracNeverExceedsFill(t *testing.T) {
 		3: {0, 0, 0},
 	} {
 		h := tab.Zones[zone]
-		if h.Written != want.written || h.Staged != want.staged || h.ValidStaged != want.staged || h.Pending != want.pending {
-			t.Errorf("zone %d: written %d, staged %d (valid %d), pending %d; want %d, %d, %d",
-				zone, h.Written, h.Staged, h.ValidStaged, h.Pending, want.written, want.staged, want.pending)
+		if h.Written != want.written || h.Staged != want.staged || h.Pending != want.pending {
+			t.Errorf("zone %d: written %d, staged %d, pending %d; want %d, %d, %d",
+				zone, h.Written, h.Staged, h.Pending, want.written, want.staged, want.pending)
 		}
 	}
 	for _, h := range tab.Zones {

@@ -79,18 +79,6 @@ type Stats struct {
 	Trimmed   int64 // unacknowledged sectors dropped after a failed write
 }
 
-// Delta returns the counter changes from prev to s (interval reporting).
-func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Appended:  s.Appended - prev.Appended,
-		FullDrain: s.FullDrain - prev.FullDrain,
-		Evictions: s.Evictions - prev.Evictions,
-		TakeDrain: s.TakeDrain - prev.TakeDrain,
-		Restored:  s.Restored - prev.Restored,
-		Trimmed:   s.Trimmed - prev.Trimmed,
-	}
-}
-
 type buffer struct {
 	zone     int // -1 when empty
 	startLBA int64

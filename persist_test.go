@@ -200,11 +200,12 @@ func TestFaultStreamDeterministicAcrossRemount(t *testing.T) {
 		}
 	}
 	sa, sb := devA.FTL().Stats(), devB.FTL().Stats()
-	if sa.ProgramFails != sb.ProgramFails || sa.EraseFails != sb.EraseFails ||
+	fa, fb := devA.FTL().FaultInjector().Stats(), devB.FTL().FaultInjector().Stats()
+	if fa.ProgramFails != fb.ProgramFails || fa.EraseFails != fb.EraseFails ||
 		sa.RetiredSuperblocks != sb.RetiredSuperblocks {
 		t.Fatalf("fault counters diverged:\n  uninterrupted: pf=%d ef=%d retired=%d\n  remounted:     pf=%d ef=%d retired=%d",
-			sa.ProgramFails, sa.EraseFails, sa.RetiredSuperblocks,
-			sb.ProgramFails, sb.EraseFails, sb.RetiredSuperblocks)
+			fa.ProgramFails, fa.EraseFails, sa.RetiredSuperblocks,
+			fb.ProgramFails, fb.EraseFails, sb.RetiredSuperblocks)
 	}
 	if sb.LostAckSectors != 0 {
 		t.Fatalf("remounted run lost %d acknowledged sectors", sb.LostAckSectors)
