@@ -80,7 +80,7 @@ func (d *Device) SubmitAt(at Time, q int, req HostRequest) (Tag, error) {
 func (d *Device) Poll(q, max int) []HostCompletion {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	comps := d.h.Poll(q, max)
+	comps := d.h.PollInto(q, max, nil)
 	for _, c := range comps {
 		d.advance(c.Done)
 	}

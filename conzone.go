@@ -275,20 +275,28 @@ func toSectors(data []byte) [][]byte {
 	return out
 }
 
+// exec runs one synchronous command through the host controller at the
+// device clock — the queue-depth-1 round trip every synchronous method
+// makes — and advances the clock to its completion when it succeeds.
+func (d *Device) exec(req *host.Request) (host.Completion, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	comp, err := d.h.Exec(d.now, req)
+	if err != nil {
+		return comp, err
+	}
+	d.advance(comp.Done)
+	return comp, nil
+}
+
 // Write appends data at byte offset off, which must equal the target
 // zone's write pointer. The device clock advances by the simulated time.
 func (d *Device) Write(off int64, data []byte) error {
 	if err := checkAlign(off, len(data)); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.Write(d.now, off/SectorSize, toSectors(data))
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpWrite, LBA: off / SectorSize, Payloads: toSectors(data)})
+	return err
 }
 
 // Append performs a Zone Append: the data lands at the zone's current
@@ -299,14 +307,11 @@ func (d *Device) Append(zone int, data []byte) (int64, error) {
 	if err := checkAlign(0, len(data)); err != nil {
 		return -1, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lba, done, err := d.h.Append(d.now, zone, toSectors(data))
+	comp, err := d.exec(&host.Request{Op: host.OpAppend, Zone: zone, Payloads: toSectors(data)})
 	if err != nil {
 		return -1, err
 	}
-	d.advance(done)
-	return lba * SectorSize, nil
+	return comp.LBA * SectorSize, nil
 }
 
 // Read returns n bytes from byte offset off. Unwritten sectors read as
@@ -330,27 +335,15 @@ func (d *Device) ReadInto(off int64, dst []byte) error {
 	if err := checkAlign(off, len(dst)); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.ReadInto(d.now, off/SectorSize, int64(len(dst))/SectorSize, dst)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpRead, LBA: off / SectorSize, N: int64(len(dst)) / SectorSize, Dst: dst})
+	return err
 }
 
 // ResetZone resets the zone: its write pointer returns to the start, its
 // flash blocks are erased, and its mapping entries are dropped.
 func (d *Device) ResetZone(zone int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.ResetZone(d.now, zone)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpReset, Zone: zone})
+	return err
 }
 
 // OpenZone explicitly opens a zone.
@@ -363,52 +356,28 @@ func (d *Device) OpenZone(zone int) error {
 
 // CloseZone closes a zone, draining its write buffer.
 func (d *Device) CloseZone(zone int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.CloseZone(d.now, zone)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpClose, Zone: zone})
+	return err
 }
 
 // FinishZone transitions a zone to FULL.
 func (d *Device) FinishZone(zone int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.FinishZone(d.now, zone)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpFinish, Zone: zone})
+	return err
 }
 
 // FlushZone forces the zone's buffered data to media (synchronous write
 // semantics; sub-unit data detours through SLC).
 func (d *Device) FlushZone(zone int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.Flush(d.now, zone)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpFlush, Zone: zone})
+	return err
 }
 
 // Flush drains every write buffer (a device-wide write barrier: it waits
 // for every queued write-class command before dispatching).
 func (d *Device) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	done, err := d.h.FlushAll(d.now)
-	if err != nil {
-		return err
-	}
-	d.advance(done)
-	return nil
+	_, err := d.exec(&host.Request{Op: host.OpFlush, Zone: -1})
+	return err
 }
 
 // Zones returns the zone report (as NVMe Report Zones would). Queued

@@ -14,6 +14,7 @@ import (
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/slc"
 	"github.com/conzone/conzone/internal/units"
+	"github.com/conzone/conzone/internal/workload"
 )
 
 // This file is the deterministic differential fuzz harness: seeded op
@@ -182,23 +183,6 @@ func payloadFor(lpa int64, ver uint32) []byte {
 	return b
 }
 
-// device is the op surface every personality shares.
-type device interface {
-	Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error)
-	Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error)
-	FlushAll(at sim.Time) (sim.Time, error)
-	TotalSectors() int64
-}
-
-// zonedDevice is the zoned surface: every personality but Legacy.
-type zonedDevice interface {
-	device
-	NumZones() int
-	ZoneCapSectors() int64
-	ResetZone(at sim.Time, zone int) (sim.Time, error)
-	Flush(at sim.Time, zone int) (sim.Time, error)
-}
-
 // zoneFinisher is the optional finish/close surface (ConZone and Host).
 type zoneFinisher interface {
 	FinishZone(at sim.Time, zone int) (sim.Time, error)
@@ -210,7 +194,7 @@ type zoneFinisher interface {
 // it a no-op), and how many leading zones are conventional (written in
 // place, no write pointer).
 type rig struct {
-	dev   device
+	dev   workload.Device
 	audit func() error
 	conv  int
 }
@@ -272,8 +256,8 @@ func (p Personality) build(cfg config.DeviceConfig) (rig, error) {
 type replayer struct {
 	cfg config.DeviceConfig
 	rig
-	zd   zonedDevice  // dev's zoned surface; nil on the flat legacy device
-	fin  zoneFinisher // dev's finish/close surface; nil where the model has none
+	zd   workload.Zoned // dev's zoned surface; nil on the flat legacy device
+	fin  zoneFinisher   // dev's finish/close surface; nil where the model has none
 	now  sim.Time
 	seq  uint32  // global write sequence, the version stamped per write
 	zcap int64   // sectors per zone; the whole device when it is flat
@@ -301,7 +285,7 @@ func (r *replayer) mount(g rig) {
 		g.audit = func() error { return nil }
 	}
 	r.rig = g
-	r.zd, _ = g.dev.(zonedDevice)
+	r.zd, _ = g.dev.(workload.Zoned)
 	r.fin, _ = g.dev.(zoneFinisher)
 }
 
@@ -385,7 +369,7 @@ func (r *replayer) step(op Op) error {
 		if r.zd == nil {
 			done, err = r.dev.FlushAll(r.now)
 		} else {
-			done, err = r.zd.Flush(r.now, zone)
+			done, err = r.zd.(workload.ZoneFlusher).Flush(r.now, zone) // every zoned personality flushes one zone
 		}
 		if err != nil {
 			return err

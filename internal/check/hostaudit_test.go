@@ -82,8 +82,8 @@ func opIs(op host.Op) func(host.Completion) bool {
 
 func TestAuditHostCleanAfterReap(t *testing.T) {
 	c := newAuditHost(t)
-	c.Poll(0, 0)
-	c.Poll(1, 0)
+	c.PollInto(0, 0, nil)
+	c.PollInto(1, 0, nil)
 	if err := AuditHost(c); err != nil {
 		t.Fatalf("drained controller should audit clean: %v", err)
 	}

@@ -136,25 +136,28 @@ func TestFinishOfFullZoneDrainsEveryPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dev interface {
-			Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error)
-			zoneFinisher
-		} = f
+		appendAt, finish := f.Append, f.FinishZone
 		if viaHost {
-			if dev, err = host.New(f, host.Config{}); err != nil {
+			h, err := host.New(f, host.Config{})
+			if err != nil {
 				t.Fatal(err)
 			}
+			appendAt = func(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error) {
+				comp, err := h.Exec(at, &host.Request{Op: host.OpAppend, Zone: zone, Payloads: payloads})
+				return comp.LBA, comp.Done, err
+			}
+			finish = h.FinishZone
 		}
 		var now sim.Time
 		for _, op := range fullZoneScript()[:6] {
-			if _, now, err = dev.Append(now, 0, make([][]byte, op.Len)); err != nil {
+			if _, now, err = appendAt(now, 0, make([][]byte, op.Len)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if _, n := f.Buffers().Buffered(0); n == 0 {
 			t.Fatal("the full zone's tail is not buffered: the test proves nothing")
 		}
-		if _, err := dev.FinishZone(now, 0); err != nil {
+		if _, err := finish(now, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, n := f.Buffers().Buffered(0); n != 0 {

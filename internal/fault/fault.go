@@ -261,55 +261,6 @@ func (i *Injector) scripted(chip, block int, op Op) bool {
 	return false
 }
 
-// CursorState is one scripted (chip, block, op) occurrence counter in a
-// Snapshot, exported so snapshots can be serialized alongside NAND images.
-type CursorState struct {
-	Chip, Block int
-	Op          Op
-	Count       int
-}
-
-// Snapshot captures everything that makes the injector's future decisions
-// path-dependent: the RNG stream position, the scripted-occurrence cursors,
-// and the fault counters. Restoring a snapshot into an injector built from
-// the same Config resumes the exact fault sequence — the crash/remount path
-// uses this so a fixed seed replays identical faults whether or not a power
-// cut interrupted the run.
-type Snapshot struct {
-	RNG     uint64
-	Cursors []CursorState
-	Stats   Stats
-}
-
-// Snapshot returns the injector's current stream state.
-func (i *Injector) Snapshot() Snapshot {
-	s := Snapshot{RNG: i.rng.State(), Stats: i.stats}
-	for k, n := range i.seen {
-		s.Cursors = append(s.Cursors, CursorState{Chip: k.chip, Block: k.block, Op: k.op, Count: n})
-	}
-	return s
-}
-
-// Restore overwrites the injector's stream state with a snapshot. The
-// injector must have been built from the same Config the snapshot was taken
-// under; script cursors for addresses the config does not script are
-// ignored.
-func (i *Injector) Restore(s Snapshot) {
-	i.rng.SetState(s.RNG)
-	i.stats = s.Stats
-	if i.seen != nil {
-		for k := range i.seen {
-			delete(i.seen, k)
-		}
-		for _, c := range s.Cursors {
-			k := scriptKey{chip: c.Chip, block: c.Block, op: c.Op}
-			if _, scripted := i.scripts[k]; scripted {
-				i.seen[k] = c.Count
-			}
-		}
-	}
-}
-
 // ProgramFails implements nand.FaultInjector.
 func (i *Injector) ProgramFails(m nand.Media, chip, block int, eraseCount int64) bool {
 	fail := i.scripted(chip, block, OpProgram)

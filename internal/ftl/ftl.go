@@ -332,13 +332,12 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 		spp:        geo.SectorsPerPage(),
 		pagesPerPU: geo.PagesPerPU(),
 	}
+	var err error
 	if p.Faults != nil {
-		inj, err := fault.New(*p.Faults)
-		if err != nil {
+		if f.inj, err = fault.New(*p.Faults); err != nil {
 			return nil, err
 		}
-		f.inj = inj
-		arr.SetFaultInjector(inj)
+		arr.SetFaultInjector(f.inj)
 	}
 	f.zoneCap = zoneCapOf(geo, p)
 	if f.zoneCap%p.ChunkSectors != 0 {
@@ -347,7 +346,6 @@ func NewWithArray(arr *nand.Array, p Params) (*FTL, error) {
 	}
 	f.aggLimit = mapping.PSN(int64(f.numZones) * f.zoneCap)
 
-	var err error
 	f.zones, err = zns.NewManager(zns.Config{
 		NumZones:     f.numZones,
 		ZoneSize:     f.zoneCap,

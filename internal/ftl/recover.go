@@ -54,9 +54,9 @@ func Recover(arr *nand.Array, p Params) (*FTL, sim.Time, error) {
 
 // Remount mounts a fresh FTL over f's media after a power cut, carrying what
 // outlives a mount and is not on the media: the parameters and the fault
-// injector's RNG stream and script cursors, so the fault sequence continues
-// exactly where the interrupted run left it. (The lifecycle recorder needs
-// no carrying: it belongs to the array.) f must not be used afterwards.
+// injector itself, so the fault sequence continues exactly where the
+// interrupted run left it. (The lifecycle recorder needs no carrying: it
+// belongs to the array.) f must not be used afterwards.
 func (f *FTL) Remount() (*FTL, sim.Time, error) {
 	return mount(f.arr, f.params, f.inj)
 }
@@ -67,8 +67,9 @@ func mount(arr *nand.Array, p Params, inj *fault.Injector) (*FTL, sim.Time, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	if inj != nil {
-		f.inj.Restore(inj.Snapshot())
+	if inj != nil { // re-attached before the recovery scan touches the media
+		f.inj = inj
+		arr.SetFaultInjector(inj)
 	}
 	done, err := f.recover(arr.Engine().Now())
 	if err != nil {

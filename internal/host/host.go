@@ -322,7 +322,7 @@ func (c *Controller) Configuration() Config { return c.cfg }
 // Depth returns the per-queue outstanding-command limit.
 func (c *Controller) Depth() int { return c.cfg.Depth }
 
-// syncQueue is the internal queue index used by the synchronous wrappers;
+// syncQueue is the internal queue index Exec submits on;
 // it has no depth limit, like an admin queue.
 func (c *Controller) syncQueue() int { return c.cfg.Queues }
 
@@ -523,7 +523,6 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 	if done < at {
 		done = at
 	}
-	c.dispatched++
 
 	// Release the zone write lock at command completion: the next
 	// write-class command of the zone may dispatch then, and no earlier —
@@ -538,39 +537,11 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 	} else if zone >= 0 && zone < len(c.zoneFree) && done > c.zoneFree[zone] {
 		c.zoneFree[zone] = done
 	}
-	if done > c.maxDone {
-		c.maxDone = done
-	}
-
-	// The queueing-delay span: submission to dispatch. Guarded so the
-	// event struct is not even built when observation is off.
-	if rec := c.be.Recorder(); rec != nil {
-		rec.Record(obs.Event{
-			Stage: obs.StageHostQueue, Cause: obs.CauseNone,
-			Begin: r.submitted, End: at,
-			Zone: int32(zone), Actor: int32(r.queue), LBA: lba, N: n,
-		})
-	}
-
-	if c.debugLoseSync > 0 && r.queue == c.syncQueue() {
-		// Corruption hook armed: swallow this sync completion so execSync's
-		// lost-completion recovery path runs (armed from export_test.go).
-		c.debugLoseSync--
-		return
-	}
-	comp := c.cqs[r.queue].push(done, r.tag)
-	comp.Tag = r.tag
-	comp.Queue = r.queue
-	comp.Op = r.req.Op
-	comp.Zone = zone
-	comp.LBA = lba
-	comp.N = n
-	comp.Data = nil
-	comp.Err = err
-	comp.Status = StatusOf(err)
-	comp.Submitted = r.submitted
-	comp.Dispatched = at
-	comp.Done = done
+	c.complete(&Completion{
+		Tag: r.tag, Queue: r.queue, Op: r.req.Op, Zone: zone, LBA: lba, N: n,
+		Err: err, Status: StatusOf(err),
+		Submitted: r.submitted, Dispatched: at, Done: done,
+	})
 }
 
 // dispatchRead executes one read at its dispatch instant and queues the
@@ -612,35 +583,36 @@ func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n
 	if done < at {
 		done = at
 	}
+	c.complete(&Completion{
+		Tag: tag, Queue: q, Op: OpRead, Zone: -1, LBA: lba, N: n,
+		Data: data, Err: err, Status: StatusOf(err),
+		Submitted: submitted, Dispatched: at, Done: done,
+	})
+}
+
+// complete is the one completion tail of dispatch and dispatchRead: it
+// counts the dispatch, records the host-queue span (submission to dispatch;
+// the event is not even built when observation is off) and files comp in its
+// queue's completion queue. Must be called with c.mu held.
+func (c *Controller) complete(comp *Completion) {
 	c.dispatched++
-	if done > c.maxDone {
-		c.maxDone = done
+	if comp.Done > c.maxDone {
+		c.maxDone = comp.Done
 	}
 	if rec := c.be.Recorder(); rec != nil {
 		rec.Record(obs.Event{
 			Stage: obs.StageHostQueue, Cause: obs.CauseNone,
-			Begin: submitted, End: at,
-			Zone: -1, Actor: int32(q), LBA: lba, N: n,
+			Begin: comp.Submitted, End: comp.Dispatched,
+			Zone: int32(comp.Zone), Actor: int32(comp.Queue), LBA: comp.LBA, N: comp.N,
 		})
 	}
-	if c.debugLoseSync > 0 && q == c.syncQueue() {
-		// See dispatch: the corruption hook swallows sync completions.
+	if c.debugLoseSync > 0 && comp.Queue == c.syncQueue() {
+		// Corruption hook armed: swallow this sync completion so Exec's
+		// lost-completion recovery path runs (armed from export_test.go).
 		c.debugLoseSync--
 		return
 	}
-	comp := c.cqs[q].push(done, tag)
-	comp.Tag = tag
-	comp.Queue = q
-	comp.Op = OpRead
-	comp.Zone = -1
-	comp.LBA = lba
-	comp.N = n
-	comp.Data = data
-	comp.Err = err
-	comp.Status = StatusOf(err)
-	comp.Submitted = submitted
-	comp.Dispatched = at
-	comp.Done = done
+	*c.cqs[comp.Queue].push(comp.Done, comp.Tag) = *comp
 }
 
 // flatten is the flat read delivery: each borrowed view is copied into its
@@ -779,25 +751,12 @@ func (q *complQueue) removeAt(i int) {
 	}
 }
 
-// Poll dispatches everything pending and reaps up to max completions from
-// queue q's completion queue, in virtual completion-time order (ties by
-// tag). Reaping frees the commands' submission-queue slots. max <= 0 reaps
-// everything available.
-func (c *Controller) Poll(q, max int) []Completion {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if q < 0 || q >= c.cfg.Queues {
-		return nil
-	}
-	c.advance()
-	if c.cqs[q].len() == 0 {
-		return nil
-	}
-	return c.reapInto(q, max, nil)
-}
-
-// PollInto is Poll appending into a caller-provided slice, so a reap loop
-// that reuses its buffer (and Recycles read data) runs without allocating.
+// PollInto dispatches everything pending and appends up to max completions
+// from queue q's completion queue to dst, in virtual completion-time order
+// (ties by tag). Reaping frees the commands' submission-queue slots. max <= 0
+// reaps everything available. A reap loop that reuses its buffer (and
+// Recycles read data) runs without allocating; a nil dst returns nil when
+// nothing is reaped.
 func (c *Controller) PollInto(q, max int, dst []Completion) []Completion {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -935,13 +894,13 @@ func (c *Controller) Dispatched() int64 {
 	return c.dispatched
 }
 
-// execSync runs one command through the full queue path at depth 1: submit
-// on the internal queue, dispatch everything, reap this command. It is the
-// bridge that keeps the traditional synchronous API a strict special case
-// of the asynchronous one. req is a pointer for submit's reason: at ten words
-// a Request no longer travels in registers, and a by-value hand-over here
-// cost a synchronous write 10 ns of 111.
-func (c *Controller) execSync(at sim.Time, req *Request) (Completion, error) {
+// Exec runs one command through the full queue path at depth 1: submit on
+// the internal queue, dispatch everything, reap this command. It is the one
+// synchronous entry, which keeps the traditional synchronous API a strict
+// special case of the asynchronous one. req is a pointer for submit's
+// reason: at ten words a Request no longer travels in registers, and a
+// by-value hand-over here cost a synchronous write 10 ns of 111.
+func (c *Controller) Exec(at sim.Time, req *Request) (Completion, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	tag, err := c.submit(at, c.syncQueue(), req)
@@ -978,94 +937,58 @@ func (c *Controller) execSync(at sim.Time, req *Request) (Completion, error) {
 // QD=1 special case of the queue path, so experiments comparing sync and
 // async traffic exercise the same arbiter, zone locks and instrumentation.
 
-// Write submits a write and waits for its completion.
-func (c *Controller) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpWrite, LBA: lba, Payloads: payloads})
+// execDone runs req through Exec and returns its completion instant, or at
+// and the error when it failed.
+func (c *Controller) execDone(at sim.Time, req *Request) (sim.Time, error) {
+	comp, err := c.Exec(at, req)
 	if err != nil {
 		return at, err
 	}
 	return comp.Done, nil
 }
 
+// Write submits a write and waits for its completion.
+func (c *Controller) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error) {
+	return c.execDone(at, &Request{Op: OpWrite, LBA: lba, Payloads: payloads})
+}
+
 // Read submits a read and waits for its data. The returned slices are
 // owned by the caller; hand them to Recycle when done to keep the read
 // path allocation-free. Like Backend.Read it has no caller in the root
-// package any more — the public device reads through ReadInto — and stays
-// as the synchronous per-sector form the replayers and the frozen bench/
-// drive.
+// package — the public device reads into a flat destination through Exec —
+// and stays as the synchronous per-sector form the replayers and the frozen
+// bench/ drive.
 func (c *Controller) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpRead, LBA: lba, N: n})
+	comp, err := c.Exec(at, &Request{Op: OpRead, LBA: lba, N: n})
 	if err != nil {
 		return nil, at, err
 	}
 	return comp.Data, comp.Done, nil
 }
 
-// ReadInto submits a read of n sectors into dst (n sectors long) and waits
-// for it: the flat form of Read, one copy and no pooled buffer.
-func (c *Controller) ReadInto(at sim.Time, lba, n int64, dst []byte) (sim.Time, error) {
-	if dst == nil {
-		return at, errors.New("host: ReadInto without a destination")
-	}
-	comp, err := c.execSync(at, &Request{Op: OpRead, LBA: lba, N: n, Dst: dst})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
-}
-
-// Append submits a Zone Append and waits for the assigned LBA.
-func (c *Controller) Append(at sim.Time, zone int, payloads [][]byte) (int64, sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpAppend, Zone: zone, Payloads: payloads})
-	if err != nil {
-		return -1, at, err
-	}
-	return comp.LBA, comp.Done, nil
-}
-
 // Flush submits a single-zone flush and waits for it.
 func (c *Controller) Flush(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpFlush, Zone: zone})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
+	return c.execDone(at, &Request{Op: OpFlush, Zone: zone})
 }
 
 // FlushAll submits a device-wide flush barrier and waits for it.
 func (c *Controller) FlushAll(at sim.Time) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpFlush, Zone: -1})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
+	return c.execDone(at, &Request{Op: OpFlush, Zone: -1})
 }
 
 // ResetZone submits a zone reset and waits for it.
 func (c *Controller) ResetZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpReset, Zone: zone})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
+	return c.execDone(at, &Request{Op: OpReset, Zone: zone})
 }
 
 // CloseZone submits a zone close and waits for it.
 func (c *Controller) CloseZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpClose, Zone: zone})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
+	return c.execDone(at, &Request{Op: OpClose, Zone: zone})
 }
 
 // FinishZone submits a zone finish and waits for it.
 func (c *Controller) FinishZone(at sim.Time, zone int) (sim.Time, error) {
-	comp, err := c.execSync(at, &Request{Op: OpFinish, Zone: zone})
-	if err != nil {
-		return at, err
-	}
-	return comp.Done, nil
+	return c.execDone(at, &Request{Op: OpFinish, Zone: zone})
 }
 
 // Recorder returns the backend's lifecycle recorder (nil when disabled).

@@ -85,7 +85,7 @@ func TestZoneWriteSerialization(t *testing.T) {
 	// A read of another zone's range queued behind them must NOT wait.
 	t4, _ := c.Submit(0, 0, host.Request{Op: host.OpRead, LBA: c.ZoneCapSectors(), N: 1})
 
-	comps := c.Poll(0, 0)
+	comps := c.PollInto(0, 0, nil)
 	if len(comps) != 4 {
 		t.Fatalf("want 4 completions, got %d", len(comps))
 	}
@@ -123,7 +123,7 @@ func TestCrossZoneWritesOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, comp := range c.Poll(0, 0) {
+	for _, comp := range c.PollInto(0, 0, nil) {
 		if comp.Err != nil {
 			t.Fatal(comp.Err)
 		}
@@ -175,7 +175,7 @@ func TestOutOfOrderCompletions(t *testing.T) {
 	c.Submit(0, 0, host.Request{Op: host.OpWrite, LBA: 0, Payloads: payloads(0, 8)})
 	slow, _ := c.Submit(0, 0, host.Request{Op: host.OpFlush, Zone: 0})
 	fast, _ := c.Submit(0, 0, host.Request{Op: host.OpWrite, LBA: c.ZoneCapSectors(), Payloads: payloads(c.ZoneCapSectors(), 8)})
-	comps := c.Poll(0, 0)
+	comps := c.PollInto(0, 0, nil)
 	if len(comps) != 3 {
 		t.Fatalf("want 3 completions, got %d", len(comps))
 	}
@@ -206,7 +206,7 @@ func TestQueueFull(t *testing.T) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	// Reaping frees the slot.
-	if comps := c.Poll(0, 1); len(comps) != 1 {
+	if comps := c.PollInto(0, 1, nil); len(comps) != 1 {
 		t.Fatalf("want 1 reaped completion, got %d", len(comps))
 	}
 	if _, err := c.Submit(0, 0, host.Request{Op: host.OpRead, LBA: 2, N: 1}); err != nil {
@@ -267,7 +267,7 @@ func TestDeterministicDispatchAcrossControllers(t *testing.T) {
 		c.Submit(0, 1, host.Request{Op: host.OpAppend, Zone: 1, Payloads: payloads(zc, 8)})
 		c.Submit(0, 0, host.Request{Op: host.OpFlush, Zone: -1})
 		c.Submit(0, 1, host.Request{Op: host.OpRead, LBA: 0, N: 8})
-		out := append(c.Poll(0, 0), c.Poll(1, 0)...)
+		out := append(c.PollInto(0, 0, nil), c.PollInto(1, 0, nil)...)
 		return out
 	}
 	a, b := run(), run()
@@ -291,7 +291,7 @@ func TestWaitLeavesOtherCompletionsQueued(t *testing.T) {
 	if _, ok := c.Wait(t2); ok {
 		t.Fatal("double-wait on a reaped tag succeeded")
 	}
-	comps := c.Poll(0, 0)
+	comps := c.PollInto(0, 0, nil)
 	if len(comps) != 1 || comps[0].Tag != t1 {
 		t.Fatalf("want tag %d still queued, got %v", t1, comps)
 	}
@@ -316,8 +316,8 @@ func TestControllerAuditsCleanUnderMixedLoad(t *testing.T) {
 			t.Fatalf("audit after dispatch round %d: %v", i, err)
 		}
 	}
-	c.Poll(0, 0)
-	c.Poll(1, 0)
+	c.PollInto(0, 0, nil)
+	c.PollInto(1, 0, nil)
 	if !c.Idle() {
 		t.Fatal("controller should drain idle")
 	}

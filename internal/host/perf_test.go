@@ -61,7 +61,7 @@ func TestHeapArbiterMatchesLinearScan(t *testing.T) {
 		refs = append(refs, r)
 	}
 
-	comps := append(c.Poll(0, 0), c.Poll(1, 0)...)
+	comps := append(c.PollInto(0, 0, nil), c.PollInto(1, 0, nil)...)
 	if len(comps) != len(refs) {
 		t.Fatalf("got %d completions, want %d", len(comps), len(refs))
 	}

@@ -158,20 +158,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// State returns the generator's internal state, so a consumer can snapshot
-// the stream position and later resume it with SetState — used to carry
-// fault-injection streams across a crash/remount boundary.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state with a snapshot taken
-// by State. A zero state is replaced the same way a zero seed is.
-func (r *Rand) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	r.state = s
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	x := r.state

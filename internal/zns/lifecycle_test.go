@@ -30,7 +30,7 @@ func TestRunningCountersMatchScan(t *testing.T) {
 		id := int(r.Int63n(int64(m.NumZones())))
 		z, _ := m.Zone(id)
 		var opName string
-		switch r.Int63n(7) {
+		switch r.Int63n(6) {
 		case 0:
 			opName = "open"
 			m.Open(id)
@@ -55,12 +55,6 @@ func TestRunningCountersMatchScan(t *testing.T) {
 		case 5:
 			opName = "restore"
 			m.Restore(id, z.Start+r.Int63n(z.Capacity+1))
-		case 6:
-			opName = "read_only"
-			// Rare, or the table degrades to all-ReadOnly too quickly.
-			if r.Int63n(50) == 0 {
-				m.SetReadOnly(id)
-			}
 		}
 		check(i, opName)
 	}

@@ -25,8 +25,6 @@ const (
 	ExplicitOpen
 	Closed
 	Full
-	ReadOnly
-	Offline
 )
 
 // String names the state as in NVMe ZNS.
@@ -42,10 +40,6 @@ func (s State) String() string {
 		return "CLOSED"
 	case Full:
 		return "FULL"
-	case ReadOnly:
-		return "READ_ONLY"
-	case Offline:
-		return "OFFLINE"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}
@@ -66,7 +60,6 @@ var (
 	ErrBoundary          = errors.New("zns: write crosses the zone capacity")
 	ErrTooManyOpenZones  = errors.New("zns: open zone limit exceeded")
 	ErrTooManyActive     = errors.New("zns: active zone limit exceeded")
-	ErrZoneReadOnly      = errors.New("zns: zone is read-only or offline")
 	ErrNotOpen           = errors.New("zns: zone is not open")
 	ErrConventional      = errors.New("zns: operation not supported on a conventional zone")
 )
@@ -272,10 +265,7 @@ func (m *Manager) ValidateWrite(lba, n int64) (int, error) {
 		return -1, ErrInvalidZone
 	}
 	z := &m.zones[id]
-	switch z.State {
-	case ReadOnly, Offline:
-		return id, ErrZoneReadOnly
-	case Full:
+	if z.State == Full {
 		return id, ErrZoneFull
 	}
 	if z.Type == Conventional {
@@ -355,19 +345,15 @@ func (m *Manager) Open(id int) error {
 	switch z.State {
 	case ExplicitOpen:
 		return nil
-	case Empty, Closed, ImplicitOpen:
-		if !z.State.open() {
-			if err := m.canTakeResources(z.State); err != nil {
-				return err
-			}
-		}
-		m.setState(z, ExplicitOpen)
-		return nil
 	case Full:
 		return ErrZoneFull
-	default:
-		return ErrZoneReadOnly
+	case Empty, Closed:
+		if err := m.canTakeResources(z.State); err != nil {
+			return err
+		}
 	}
+	m.setState(z, ExplicitOpen)
+	return nil
 }
 
 // CanClose validates the Close transition without changing any state, so
@@ -416,12 +402,7 @@ func (m *Manager) CanFinish(id int) error {
 	if z.Type == Conventional {
 		return ErrConventional
 	}
-	switch z.State {
-	case ReadOnly, Offline:
-		return ErrZoneReadOnly
-	case Full:
-		return nil
-	case Empty:
+	if z.State == Empty {
 		// Padding an empty zone transiently takes its resources; refuse a
 		// finish the limits could not admit as a write.
 		return m.canTakeResources(z.State)
@@ -455,10 +436,6 @@ func (m *Manager) Reset(id int) error {
 	z := &m.zones[id]
 	if z.Type == Conventional {
 		return ErrConventional
-	}
-	switch z.State {
-	case ReadOnly, Offline:
-		return ErrZoneReadOnly
 	}
 	z.WP = z.Start
 	m.setState(z, Empty)
@@ -514,15 +491,6 @@ func (m *Manager) RestoreFull(id int) error {
 	return nil
 }
 
-// SetReadOnly marks a zone read-only (failure injection for tests).
-func (m *Manager) SetReadOnly(id int) error {
-	if id < 0 || id >= len(m.zones) {
-		return ErrInvalidZone
-	}
-	m.setState(&m.zones[id], ReadOnly)
-	return nil
-}
-
 // ValidateRead checks a read of n sectors at lba. Reads may span the
 // unwritten tail (the device returns zeros there) but not the namespace
 // boundary, and a read must stay inside one zone's LBA range to keep the
@@ -536,9 +504,6 @@ func (m *Manager) ValidateRead(lba, n int64) (int, error) {
 		return -1, ErrInvalidZone
 	}
 	z := &m.zones[id]
-	if z.State == Offline {
-		return id, ErrZoneReadOnly
-	}
 	if lba+n > z.Start+z.Size {
 		return id, fmt.Errorf("%w: read crosses zone %d end", ErrBoundary, id)
 	}

@@ -259,26 +259,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestReadOnlyZone(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.SetReadOnly(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CommitWrite(4096, 8); !errors.Is(err, ErrZoneReadOnly) {
-		t.Errorf("write to RO zone error = %v", err)
-	}
-	if err := m.Reset(1); !errors.Is(err, ErrZoneReadOnly) {
-		t.Errorf("reset of RO zone error = %v", err)
-	}
-	if err := m.Finish(1); !errors.Is(err, ErrZoneReadOnly) {
-		t.Errorf("finish of RO zone error = %v", err)
-	}
-	// Reads of a read-only zone still validate.
-	if _, err := m.ValidateRead(4096, 8); err != nil {
-		t.Errorf("read of RO zone: %v", err)
-	}
-}
-
 func TestValidateRead(t *testing.T) {
 	m := newTestManager(t)
 	if id, err := m.ValidateRead(0, 8); err != nil || id != 0 {
@@ -302,7 +282,7 @@ func TestValidateRead(t *testing.T) {
 func TestStateStrings(t *testing.T) {
 	for s, want := range map[State]string{
 		Empty: "EMPTY", ImplicitOpen: "IMPLICIT_OPEN", ExplicitOpen: "EXPLICIT_OPEN",
-		Closed: "CLOSED", Full: "FULL", ReadOnly: "READ_ONLY", Offline: "OFFLINE",
+		Closed: "CLOSED", Full: "FULL",
 	} {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)

@@ -171,14 +171,19 @@ func runDeterministicOps(t *testing.T, dev *Device, nOps, remountAt int) []strin
 // TestFaultStreamDeterministicAcrossRemount: with a seeded fault injector,
 // a run that crashes at a barrier and remounts must see exactly the fault
 // sequence an uninterrupted run sees — same per-op results, same fault
-// counters, same final media state. This is what fault.Snapshot/Restore
-// across ftl.Recover buys.
+// counters, same final media state. This is what carrying the injector
+// across ftl.Remount buys: its RNG stream and, through the scripted fault,
+// its script cursors.
 func TestFaultStreamDeterministicAcrossRemount(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.FTL.SpareSuperblocks = 2
 	cfg.FTL.Faults = &FaultConfig{
 		Seed: 0xD373,
 		TLC:  FaultProbabilities{ProgramFail: 0.15},
+		// Chip 1 block 1 is programmed four times before the remount and
+		// thirteen times after it: its fifteenth program fails only if the
+		// occurrence count is carried across the mount.
+		Scripts: []FaultScript{{Chip: 1, Block: 1, Op: FaultProgram, N: 15}},
 	}
 	const nOps = 50
 	devA, err := Open(cfg)

@@ -88,7 +88,7 @@ func burstWorkload(t *testing.T, gmp int) burstTrace {
 	inflight := 0
 	drainAll := func() {
 		for inflight > 0 {
-			comps := ctrl.Poll(0, inflight)
+			comps := ctrl.PollInto(0, inflight, nil)
 			if len(comps) == 0 {
 				t.Fatalf("no completion with %d in flight", inflight)
 			}
@@ -199,7 +199,7 @@ func burstWorkload(t *testing.T, gmp int) burstTrace {
 			}
 			submit(host.Request{Op: host.OpRead, LBA: int64(z)*zoneCap + off, N: n})
 			for inflight > 0 {
-				comps := ctrl.Poll(0, inflight)
+				comps := ctrl.PollInto(0, inflight, nil)
 				for i := range comps {
 					c := &comps[i]
 					if c.Err != nil {

@@ -27,7 +27,6 @@ var surfaceAllow = []struct{ pattern, reason string }{
 	{"*.UnmarshalJSON", "json.Unmarshaler: called by encoding/json"},
 	{"internal/obs.Recorder.Fingerprint", "determinism oracle: TestReadBurstDeterminism compares it across runs and GOMAXPROCS"},
 	{"internal/obs.Telemetry.Stage", "lookup on the public conzone.Telemetry alias; the root and trace tests are its consumers"},
-	{"internal/zns.Manager.SetReadOnly", "the only way a zone reaches ReadOnly; the state is audited and persisted, a device-side failure model will call it"},
 	{"internal/check.RunSequence*", "oracle drivers: the fuzz targets and seed-corpus tests are their callers by design"},
 	{"internal/ftl.FTL.Debug*", "corruption injectors for check.Audit's tests, which audit a live FTL (see ftl/debug.go)"},
 	{"internal/femu.Device.Array", "public through conzone.FEMUDevice; TestComparatorsMatchParent digests the media counters through it"},
