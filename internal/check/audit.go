@@ -10,6 +10,7 @@
 // which subsystem pair drifted apart:
 //
 //	substrate       a substrate's own self-check failed
+//	slab-refs       a payload slab's count, holders or free stack disagree
 //	map-phys        a mapped PSN does not resolve to a physical address
 //	map-nand        a mapped sector points at unprogrammed flash
 //	map-zone        a reserved PSN belongs to a different zone than its LPA
@@ -99,7 +100,7 @@ func audit(f *ftl.FTL) error {
 }
 
 // substrates runs each substrate's own self-check first, so deeper checks
-// can trust basic accounting.
+// can trust basic accounting; the media's slab accounting is named apart.
 func substrates(f *ftl.FTL) error {
 	if err := f.Table().CheckInvariants(); err != nil {
 		return fmt.Errorf("audit[substrate]: %w", err)
@@ -109,6 +110,9 @@ func substrates(f *ftl.FTL) error {
 	}
 	if err := f.Staging().CheckInvariants(); err != nil {
 		return fmt.Errorf("audit[substrate]: %w", err)
+	}
+	if err := f.Array().CheckSlabRefs(); err != nil {
+		return fmt.Errorf("audit[slab-refs]: %w", err)
 	}
 	return nil
 }

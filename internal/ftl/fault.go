@@ -104,10 +104,6 @@ func (f *FTL) relocateZoneSB(at sim.Time, zone, failedChip int) (sim.Time, error
 		return at, fmt.Errorf("ftl: relocation of unbound zone %d", zone)
 	}
 	oldBlock := f.geo.FirstNormalBlock() + oldSB
-	nsect := int(f.puSectors)
-	if f.relocBuf == nil {
-		f.relocBuf = make([][]byte, nsect)
-	}
 	for {
 		if len(f.freeSBs) == 0 {
 			f.readOnly = true
@@ -161,16 +157,9 @@ func (f *FTL) copySB(at sim.Time, srcBlock, dstBlock int) (done sim.Time, copied
 					rd = d
 				}
 			}
-			base := f.ppaOf(nand.Addr{Chip: chip, Block: srcBlock, Page: page0})
-			for k := 0; k < nsect; k++ {
-				// Borrowed slab views; ProgramPU copies them into pooled
-				// storage before returning, and src is never erased here.
-				f.relocBuf[k] = f.arr.Payload(base + nand.PPA(k))
-			}
-			_, d, perr := f.arr.ProgramPU(rd, chip, dstBlock, page0, f.relocBuf)
-			for k := range f.relocBuf {
-				f.relocBuf[k] = nil
-			}
+			// The media already holds the bytes, so the unit is programmed
+			// without data.
+			_, d, perr := f.arr.ProgramPU(rd, chip, dstBlock, page0, nil)
 			if perr != nil {
 				if errors.Is(perr, nand.ErrProgramFail) {
 					if d > done {
@@ -180,11 +169,14 @@ func (f *FTL) copySB(at sim.Time, srcBlock, dstBlock int) (done sim.Time, copied
 				}
 				return at, 0, 0, false, perr
 			}
-			// The relocated copies keep their original OOB stamps: same
-			// logical addresses, same positions in global program order.
+			// The relocated copies keep their original OOB stamps (same
+			// logical addresses, same positions in global program order)
+			// and share their source's payload slabs.
+			base := f.ppaOf(nand.Addr{Chip: chip, Block: srcBlock, Page: page0})
 			dstBase := f.ppaOf(nand.Addr{Chip: chip, Block: dstBlock, Page: page0})
 			for k := 0; k < nsect; k++ {
 				f.arr.CopyOOB(dstBase+nand.PPA(k), base+nand.PPA(k))
+				f.arr.SharePayload(dstBase+nand.PPA(k), base+nand.PPA(k))
 			}
 			t = d
 			copied += int64(nsect)

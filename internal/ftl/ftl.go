@@ -224,7 +224,6 @@ type FTL struct {
 	retiredSBs []int           // normal superblock ids frozen out of service
 	badBlocks  []BadBlock      // grown-bad per-chip blocks, discovery order
 	readOnly   bool            // sticky: spares exhausted, writes rejected
-	relocBuf   [][]byte        // lazily sized scratch for relocation copies
 
 	// bufFlush holds the release times of each buffer's most recent
 	// flushes, one fixed ring per buffer. A write waits until fewer than
@@ -240,7 +239,7 @@ type FTL struct {
 	// here would otherwise dominate steady-state allocations.
 	wsScratch  []slc.Write   // appendStaged builds
 	combineIdx []int64       // combine: the unit's staged indices
-	combineBuf [][]byte      // combine: merged program-unit sector views
+	combineBuf [][]byte      // combine: the unit's sector views, nil where staged
 	readRuns   nand.PageRuns // ReadInto: per-page media read batching
 	padScratch [][]byte      // FinishZone: all-nil payload views for pad-out
 

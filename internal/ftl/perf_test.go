@@ -81,3 +81,66 @@ func BenchmarkEmulatorRandRead(b *testing.B) {
 	}
 	b.SetBytes(units.Sector)
 }
+
+// BenchmarkCombine is the cost of one Fig. 3 ③ combine with stamped data:
+// a zone flush stages the first 8 sectors of a program unit in SLC, and
+// flushing the 16 that complete it reads them back and programs the merged
+// unit. An op is one combined unit, its staging flush included; the staged
+// copies die with the combine, so staging GC only erases.
+func BenchmarkCombine(b *testing.B) {
+	cfg := config.Small()
+	f, err := cfg.NewConZone()
+	if err != nil {
+		b.Fatal(err)
+	}
+	zc := f.ZoneCapSectors()
+	headSectors := cfg.Geometry.SuperblockBytes() / units.Sector
+	pu := cfg.Geometry.ProgramUnit / units.Sector
+	stamped := make([][]byte, pu)
+	for i := range stamped {
+		stamped[i] = make([]byte, units.Sector)
+		stamped[i][0] = byte(i)
+	}
+	var at sim.Time
+	var lba int64
+	do := func(d sim.Time, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		at = max(at, d)
+	}
+	combine := func() {
+		if lba%zc+pu > headSectors {
+			lba += zc - lba%zc // the next zone: alignment tails stay out of it
+		}
+		if lba >= int64(f.NumZones())*zc {
+			b.StopTimer()
+			for z := 0; z < f.NumZones(); z++ {
+				do(f.ResetZone(at, z))
+			}
+			lba = 0
+			b.StartTimer()
+		}
+		zone := int(lba / zc)
+		do(f.Write(at, lba, stamped[:8]))
+		do(f.Flush(at, zone))
+		do(f.Write(at, lba+8, stamped[8:]))
+		do(f.Flush(at, zone))
+		lba += pu
+	}
+	// Warm up over three cycles through every zone and its reset, so the
+	// media pools hold what the steady state needs.
+	for n := 3 * int64(f.NumZones()) * (headSectors / pu); n >= 0; n-- {
+		combine()
+	}
+	before := f.Stats().Combines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		combine()
+	}
+	b.StopTimer()
+	if got := f.Stats().Combines - before; got != int64(b.N) {
+		b.Fatalf("%d ops ran %d combines", b.N, got)
+	}
+}

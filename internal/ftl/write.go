@@ -307,25 +307,24 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 		return f.stageSectors(at, zone, off, seg, cause)
 	}
 	// Fig. 3 ③: staged head + new tail complete the unit. Read the staged
-	// sectors back, invalidate them, and program the merged unit. Where they
-	// sit is what the unit's mapping entries say: [puStart, off) was staged
-	// by earlier flushes, and staging GC re-points an entry when it moves one.
-	// The merged unit borrows the staged sectors' payload slabs plus the
-	// incoming segment's host buffers; programPU copies every view into
-	// pooled media storage before the staged copies are invalidated, so
-	// nothing below retains either.
+	// sectors back, program the merged unit, and invalidate the staged
+	// copies. Where they sit is what the unit's mapping entries say:
+	// [puStart, off) was staged by earlier flushes, and staging GC re-points
+	// an entry when it moves one. The media already holds the staged bytes,
+	// so the unit is programmed with the incoming segment's host buffers
+	// only; once it has landed, at the unit's final place (a relocate and
+	// retry may have moved it), each staged position shares its staged
+	// copy's slab instead of copying it.
 	idxs := f.combineIdx[:0]
-	merged := f.combineBuf
 	for o := puStart; o < off; o++ {
 		psn, ok := f.table.Get(z.Start + o)
 		if !ok || psn < f.aggLimit {
 			return at, at, fmt.Errorf("ftl: zone %d offset %d is not staged ahead of the combine at %d", zone, o, off)
 		}
-		g := int64(psn - f.aggLimit)
-		idxs = append(idxs, g)
-		merged[o-puStart] = f.staging.Payload(g)
+		idxs = append(idxs, int64(psn-f.aggLimit))
 	}
 	f.combineIdx = idxs
+	merged := f.combineBuf // the staged positions [0, off-puStart) stay nil
 	copy(merged[off-puStart:], seg)
 
 	readDone, err := f.staging.ReadSectors(at, idxs)
@@ -333,11 +332,21 @@ func (f *FTL) writeHeadSegment(at sim.Time, zone int, off int64, seg [][]byte, c
 		return at, at, err
 	}
 	_, done, err = f.programPU(readDone, zone, puStart, merged)
-	for i := range merged {
-		merged[i] = nil // drop borrowed views; scratch is reused next combine
-	}
+	clear(merged[off-puStart:]) // drop the host views; scratch is reused next combine
 	if err != nil {
 		return at, at, err
+	}
+	unit, err := f.headLoc(zone, puStart)
+	if err != nil {
+		return at, at, err
+	}
+	base := f.ppaOf(unit)
+	for i, g := range idxs {
+		src, err := f.staging.AddrOf(g)
+		if err != nil {
+			return at, at, err
+		}
+		f.arr.SharePayload(base+nand.PPA(i), f.ppaOf(src))
 	}
 	for _, g := range idxs {
 		if err := f.staging.Invalidate(g); err != nil {

@@ -78,8 +78,8 @@ type Array struct {
 	// fired cuts and recoveries counts PowerOn calls; both accumulate
 	// across remounts because the array itself survives them.
 	cutArmed   bool
-	cutAt      sim.Time
 	dead       bool
+	cutAt      sim.Time
 	powerCuts  int64
 	recoveries int64
 
@@ -338,7 +338,8 @@ func (a *Array) chargeProgram(at sim.Time, chip int, xfer int64, tProg time.Dura
 // block's linear sector lin, which must be the block's append point (NAND
 // pages are written in order). sectors is nil (nothing recorded) or holds n
 // entries, each nil or a 4 KiB buffer that is copied into pooled media
-// storage, never retained. counter is the operation's media counter. The
+// storage, never retained; a device-internal move programs nil entries and
+// shares the source slabs afterwards (SharePayload). counter is the operation's media counter. The
 // sectors land as one run (programRun): the state they leave is per sector,
 // the work is per state chunk plus one copy per stored payload.
 //
@@ -520,10 +521,12 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // stored a payload answers without loading the sector's state chunk.
 //
 // The returned slice is a borrow of the live pooled media slab: it must not
-// be modified, and it is valid only until the sector is overwritten or its
-// block is erased — the slab is then recycled and may be reprogrammed with
-// unrelated data. Callers that let the bytes escape the current media
-// operation (oracles, host-boundary copies) must copy them first.
+// be modified — other sectors may hold the same slab (SharePayload) — and
+// it is valid only until the sector is overwritten or its block is erased.
+// The slab is recycled once every sector holding it is erased, and may then
+// be reprogrammed with unrelated data. Callers that let the bytes escape
+// the current media operation (oracles, host-boundary copies) must copy
+// them first.
 func (a *Array) Payload(ppa PPA) []byte {
 	if ppa < 0 || int64(ppa) >= a.nsectors || a.slabs.issued == 0 {
 		return nil

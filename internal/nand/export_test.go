@@ -76,3 +76,33 @@ func ImageFixedAlloc(b []byte) int64 {
 	}
 	return 8 * (n>>chunkShift + g.ProgramUnit/units.Sector + 2)
 }
+
+// What the slab-accounting tests read of the arena, and the three ways they
+// corrupt it the way a reference-counting bug would.
+
+// SlabOf returns the handle of the slab the sector holds, 0 when none.
+func (a *Array) SlabOf(ppa PPA) int32 {
+	if c := a.chunkOf(int64(ppa)); c != nil {
+		return c.slab[ppa&chunkMask]
+	}
+	return 0
+}
+
+// SlabRefs returns how many sectors handle h counts as holding it.
+func (a *Array) SlabRefs(h int32) int32 { return a.slabs.refs[h-1] }
+
+// SlabFree reports whether handle h is on the free stack.
+func (a *Array) SlabFree(h int32) bool {
+	for _, f := range a.slabs.free {
+		if f == h {
+			return true
+		}
+	}
+	return false
+}
+
+// AddSlabRef adds delta to handle h's count and nothing else.
+func (a *Array) AddSlabRef(h, delta int32) { a.slabs.refs[h-1] += delta }
+
+// PushFreeSlab pushes handle h onto the free stack, whoever holds it.
+func (a *Array) PushFreeSlab(h int32) { a.slabs.free = append(a.slabs.free, h) }

@@ -290,7 +290,9 @@ func (r *Region) bind() error {
 		return ErrNoSpace
 	}
 	r.cur = r.free[0]
-	r.free = r.free[1:]
+	// Shift rather than reslice: the FIFO keeps its backing array, so a
+	// collection's append of the freed victim never reallocates it.
+	r.free = r.free[:copy(r.free, r.free[1:])]
 	r.sbs[r.cur].inFree = false
 	r.tables(r.cur)
 	r.pos = 0
@@ -304,18 +306,24 @@ func (r *Region) bind() error {
 // region — it is valid only until the next Append or Collect call, so
 // callers must consume it immediately (they all do: the indices go straight
 // into mapping-table entries). Callers must check HasSpace (and garbage
-// collect) first; Append fails rather than consume the GC reserve... unless
-// the region is collecting, in which case reserveOK is set by the collector.
+// collect) first; Append fails rather than consume the GC reserve, which
+// only the collector's migration may use.
 func (r *Region) Append(at sim.Time, ws []Write) (idxs []int64, release, done sim.Time, err error) {
-	return r.append(at, ws, false)
+	return r.append(at, ws, nil)
 }
 
-func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.Time, sim.Time, error) {
+// append is Append and the collector's migration. from is nil for Append;
+// the collector passes the staged index each write moves from, which lets
+// it use the GC reserve. A moved sector's write carries no payload: each
+// program that lands shares its sectors' source slabs at once (SharePayload),
+// so whatever prefix of a migration a power cut leaves durable holds its
+// bytes.
+func (r *Region) append(at sim.Time, ws []Write, from []int64) ([]int64, sim.Time, sim.Time, error) {
 	if len(ws) == 0 {
 		return nil, at, at, nil
 	}
 	need := int64(len(ws))
-	if r.available(useReserve) < need {
+	if r.available(from != nil) < need {
 		return nil, at, at, ErrNoSpace
 	}
 	for _, w := range ws {
@@ -347,8 +355,8 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 		if addr.Sector == 0 && remaining >= spp {
 			// A whole page of data starting at a page boundary: one
 			// full-page program covers all its sectors. The per-sector views
-			// are passed through scratch; the array copies them into its
-			// pooled storage before returning.
+			// are passed through scratch; the array copies the non-nil ones
+			// into its pooled storage before returning.
 			for k := int64(0); k < spp; k++ {
 				r.pageScratch[k] = ws[i+int(k)].Payload
 			}
@@ -390,6 +398,9 @@ func (r *Region) append(at sim.Time, ws []Write, useReserve bool) ([]int64, sim.
 			r.pos++
 			idxs = append(idxs, idx)
 			r.arr.StampOOB(ppa+nand.PPA(k), ws[i+int(k)].LPA, 1)
+			if from != nil {
+				r.arr.SharePayload(ppa+nand.PPA(k), r.ppaOf(from[i+int(k)]))
+			}
 		}
 		i += int(took)
 	}
@@ -474,6 +485,13 @@ func (r *Region) Payload(idx int64) []byte {
 		return nil
 	}
 	return r.arr.Payload(r.arr.PPAOf(addr))
+}
+
+// ppaOf is AddrOf for an index the region itself took from its tables,
+// resolved to the array's linear sector.
+func (r *Region) ppaOf(idx int64) nand.PPA {
+	addr, _ := r.AddrOf(idx)
+	return r.arr.PPAOf(addr)
 }
 
 // ReadSectors charges the flash reads needed to fetch the given staged
@@ -562,23 +580,18 @@ func (r *Region) Collect(at sim.Time, victim int, rel Relocator) (sim.Time, erro
 		if err != nil {
 			return at, err
 		}
-		// The migration writes borrow the victim's live payload slabs; the
-		// re-append below copies them into fresh slabs before the victim is
-		// erased (and its slabs recycled), so the borrow never dangles.
+		// The migration writes carry no payload: the re-append shares each
+		// victim sector's slab with its new copy, so the erase below drops
+		// the victim's references and no byte is copied.
 		ws := r.wsScratch[:0]
 		for _, idx := range moves {
-			pos := idx % r.sbCap
-			ws = append(ws, Write{LPA: sb.lpa[pos], Payload: r.Payload(idx)})
+			ws = append(ws, Write{LPA: sb.lpa[idx%r.sbCap]})
 		}
-		newIdxs, _, progDone, err := r.append(readDone, ws, true)
+		r.wsScratch = ws
+		newIdxs, _, progDone, err := r.append(readDone, ws, moves)
 		if err != nil {
-			r.wsScratch = ws[:0]
 			return at, fmt.Errorf("slc: GC migration: %w", err)
 		}
-		for i := range ws {
-			ws[i].Payload = nil // drop slab borrows before the erase recycles them
-		}
-		r.wsScratch = ws[:0]
 		for i, idx := range moves {
 			pos := idx % r.sbCap
 			if rel != nil {
