@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/conzone/conzone/internal/check"
 )
@@ -26,14 +25,12 @@ func runCrash(opt Options, baseSeed uint64) Report {
 	}
 	rep := Report{Title: fmt.Sprintf("Crash-remount differential fuzz: %d seeds x %d ops", crashSeeds, nOps), Pass: true}
 
-	t := Table{Header: []string{"seed", "faults", "crashed", "result", "wall"}}
+	t := Table{Header: []string{"seed", "faults", "crashed", "result"}}
 	crashes, failures := 0, 0
 	for i := 0; i < crashSeeds; i++ {
 		seed := baseSeed + uint64(i)
 		withFaults := i%2 == 1
-		start := time.Now()
 		crashed, err := check.RunCrashSequence(seed, nOps, 64, withFaults)
-		wall := time.Since(start).Round(time.Millisecond)
 		result := "ok"
 		if err != nil {
 			result = err.Error()
@@ -42,7 +39,7 @@ func runCrash(opt Options, baseSeed uint64) Report {
 		if crashed {
 			crashes++
 		}
-		t.Add(fmt.Sprintf("%#x", seed), withFaults, crashed, result, wall)
+		t.Add(fmt.Sprintf("%#x", seed), withFaults, crashed, result)
 	}
 	t.Notes = []string{"", fmt.Sprintf("%d/%d runs crashed and remounted, %d failed", crashes, crashSeeds, failures)}
 	switch {

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -210,10 +214,18 @@ func TestEmulatorComparison(t *testing.T) {
 // TestRegistry runs every entry of the registry at Quick() scale on the paper
 // configuration: whatever conzone-bench can print, this has evaluated. An
 // entry declares its artifact keys sorted.
+// virtualTimeGolden holds every registry Report at Quick() on config.Paper(),
+// rendered by Report.Print in registry order: the virtual-time output a
+// refactor must leave byte-identical. -update rewrites it.
+const virtualTimeGolden = "../../testdata/virtual_time.golden"
+
+var update = flag.Bool("update", false, "TestRegistry rewrites "+virtualTimeGolden)
+
 func TestRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")
 	}
+	var rendered bytes.Buffer
 	var suite []string
 	seen := map[string]bool{}
 	for _, e := range All(1) {
@@ -231,6 +243,9 @@ func TestRegistry(t *testing.T) {
 		}
 		if !rep.Pass {
 			t.Errorf("%s: claims not reproduced:\n%s", e.Name, strings.Join(rep.Checks, "\n"))
+		}
+		if err := rep.Print(&rendered); err != nil {
+			t.Fatal(err)
 		}
 		lines := 0 // rows and notes: metrics reports in notes only
 		for _, tab := range rep.Tables {
@@ -251,4 +266,68 @@ func TestRegistry(t *testing.T) {
 	if want := "table1 table2 fig6a fig6b fig7 fig8 ablations emulators"; strings.Join(suite, " ") != want {
 		t.Errorf("suite order = %v, want %s", suite, want)
 	}
+	compareGolden(t, rendered.Bytes())
+}
+
+// compareGolden holds the rendered registry to virtualTimeGolden, or
+// rewrites the file under -update. A mismatch names every report whose
+// text moved and the first line that differs.
+func compareGolden(t *testing.T, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(virtualTimeGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	// Go may fuse x*y+z into one rounding (FMA) on arm64, ppc64 and s390x,
+	// so float results there can differ in the last bit from amd64's, where
+	// the file was recorded.
+	if runtime.GOOS+"/"+runtime.GOARCH != "linux/amd64" {
+		t.Skipf("%s is recorded on linux/amd64; %s/%s may fuse multiply-adds", virtualTimeGolden, runtime.GOOS, runtime.GOARCH)
+	}
+	want, err := os.ReadFile(virtualTimeGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotReports, wantReports := reportTexts(string(got)), reportTexts(string(want))
+	var moved []string
+	for title, text := range wantReports {
+		if gotReports[title] != text {
+			moved = append(moved, title)
+		}
+	}
+	for title := range gotReports {
+		if _, ok := wantReports[title]; !ok {
+			moved = append(moved, title)
+		}
+	}
+	sort.Strings(moved)
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
+		line++
+	}
+	g, w := "<end>", "<end>"
+	if line < len(gotLines) {
+		g = gotLines[line]
+	}
+	if line < len(wantLines) {
+		w = wantLines[line]
+	}
+	t.Fatalf("registry output differs from %s (go test -run TestRegistry -update rewrites it); reports that moved: %s\nfirst difference, line %d:\n got %q\nwant %q",
+		virtualTimeGolden, strings.Join(moved, "; "), line+1, g, w)
+}
+
+// reportTexts splits rendered reports by their "=== title ===" lines.
+func reportTexts(rendered string) map[string]string {
+	texts := map[string]string{}
+	for _, rep := range strings.Split(rendered, "\n=== ")[1:] {
+		title, _, _ := strings.Cut(rep, " ===\n")
+		texts[title] = rep
+	}
+	return texts
 }
