@@ -16,9 +16,9 @@ import (
 )
 
 // TestAsyncDeterminismAcrossQueueDepths runs the same seeded sequential
-// write workload at queue depth 1 (the synchronous driver) and queue depth
-// 16 (the queued driver) and requires identical logical media state: depth
-// changes submission overlap, never what lands where.
+// write workload at queue depth 1 (direct calls) and queue depth 16
+// (submissions to the controller's queues) and requires identical logical
+// media state: depth changes submission overlap, never what lands where.
 func TestAsyncDeterminismAcrossQueueDepths(t *testing.T) {
 	run := func(depth int) (*host.Controller, workload.Result) {
 		t.Helper()

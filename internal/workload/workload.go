@@ -1,16 +1,17 @@
 // Package workload is the emulator's FIO analogue: it drives a device
 // model with multi-threaded micro-benchmark jobs in virtual time and
 // collects bandwidth, IOPS and latency distributions. Threads are virtual:
-// a deterministic event loop issues the operation of whichever thread has
-// the earliest clock, so results are exactly reproducible.
+// one deterministic event loop (run.go) lets whichever thread has the
+// earliest clock act next, at every queue depth, so results are exactly
+// reproducible. Queue depth changes how a command is issued — a direct
+// Device call at depth 1, a submission to the device's queues above it —
+// never the loop or the operation stream.
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"github.com/conzone/conzone/internal/fault"
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/stats"
 	"github.com/conzone/conzone/internal/units"
@@ -26,8 +27,8 @@ type Device interface {
 }
 
 // ReaderInto is the optional allocation-free read surface: the device fills
-// dst (exactly n entries) with the borrowed views Read would return. The
-// synchronous driver reads through it where a device offers it.
+// dst (exactly n entries) with the borrowed views Read would return. A
+// depth-1 job reads through it where a device offers it.
 type ReaderInto interface {
 	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 }
@@ -106,15 +107,17 @@ type Job struct {
 	PerOpOverhead time.Duration
 
 	// SyncWrites flushes the written zone after every write (O_SYNC), the
-	// consumer-device behaviour the paper highlights. Incompatible with
-	// QueueDepth > 1: O_SYNC serializes by definition.
+	// consumer-device behaviour the paper highlights. It needs a device that
+	// is both Zoned and a ZoneFlusher, and is incompatible with QueueDepth
+	// > 1: O_SYNC serializes by definition.
 	SyncWrites bool
 
 	// QueueDepth is each thread's outstanding-command window (fio iodepth).
-	// 0 and 1 both mean synchronous issue; values above 1 require a device
-	// implementing Async and drive its submission queues. The operation
-	// stream of each thread is a pure function of the seed, identical at
-	// every depth — only the submission overlap changes.
+	// 0 and 1 both mean a window of one: each command is a direct Device
+	// call, finished before the thread moves on. Values above 1 require a
+	// device implementing Async and drive its submission queues. The
+	// operation stream of each thread is a pure function of the seed,
+	// identical at every depth — only the submission overlap changes.
 	QueueDepth int
 
 	// Queues is how many host submission queues the threads spread over
@@ -138,17 +141,11 @@ type Job struct {
 	StartAt    sim.Time
 }
 
-// depth normalises QueueDepth: 0 and 1 are both the synchronous case.
-func (j *Job) depth() int {
-	if j.QueueDepth <= 1 {
-		return 1
-	}
-	return j.QueueDepth
-}
-
 // Validate rejects inconsistent jobs.
 func (j *Job) Validate(dev Device) error {
 	total := dev.TotalSectors() * units.Sector
+	z, zoned := dev.(Zoned)
+	_, flushes := dev.(ZoneFlusher)
 	switch {
 	case j.BlockBytes <= 0 || j.BlockBytes%units.Sector != 0:
 		return fmt.Errorf("workload: block size %d must be a positive multiple of %d", j.BlockBytes, units.Sector)
@@ -176,10 +173,11 @@ func (j *Job) Validate(dev Device) error {
 		return fmt.Errorf("workload: negative queue count %d", j.Queues)
 	case j.QueueDepth > 1 && j.SyncWrites:
 		return fmt.Errorf("workload: SyncWrites (O_SYNC) cannot run at queue depth %d", j.QueueDepth)
+	case j.SyncWrites && !(zoned && flushes):
+		return fmt.Errorf("workload: SyncWrites needs a device that flushes one zone, %T does not", dev)
 	}
 	if j.Pattern == ZoneRandWrite {
-		z, ok := dev.(Zoned)
-		if !ok {
+		if !zoned {
 			return fmt.Errorf("workload: zonerandwrite needs a zoned device, %T is not", dev)
 		}
 		if len(j.ThreadOffsets) > 0 {
@@ -196,7 +194,7 @@ func (j *Job) Validate(dev Device) error {
 type Result struct {
 	Job     string
 	Threads int
-	Depth   int // queue depth the job ran at (1 = synchronous)
+	Depth   int // queue depth the job ran at (1 = direct Device calls)
 	Bytes   int64
 	Ops     int64
 	Elapsed time.Duration // virtual time from StartAt to the last completion
@@ -235,15 +233,23 @@ func (r Result) String() string {
 	return s
 }
 
+// thread is one virtual thread: its operation stream (position and RNG)
+// and its place in the event loop (clock, window, pending operation).
 type thread struct {
-	now       sim.Time
-	issued    int64 // bytes
-	seqPos    int64 // next byte offset for sequential patterns
-	seqStart  int64 // slice start
-	seqEnd    int64 // slice end (exclusive)
-	wrapped   bool  // sequential position looped back to seqStart
-	rng       *sim.Rand
-	doneAtSim sim.Time
+	now      sim.Time
+	issued   int64 // bytes
+	seqPos   int64 // next byte offset for sequential patterns
+	seqStart int64 // slice start
+	seqEnd   int64 // slice end (exclusive)
+	wrapped  bool  // sequential position looped back to seqStart
+	blocks   int64 // block-size slots in the job's range (random patterns)
+	rng      *sim.Rand
+
+	queue  int          // the submission queue the thread uses above depth 1
+	window []inflightOp // submitted, unreaped commands, oldest first
+	// opLBA and opBytes hold a drawn write not yet issued (opBytes 0: none),
+	// left waiting for room by a wrap reset that took the window's last slot.
+	opLBA, opBytes int64
 
 	// wps tracks per-zone write positions (byte offset within the zone)
 	// for ZoneRandWrite, indexed by zone relative to the thread's slice.
@@ -256,8 +262,7 @@ type thread struct {
 // wrapped sequential writer re-entering a filled zone resets it first, as
 // fio's zonemode=zbd does). It mutates only the thread's position and RNG
 // state, never its clock, so the operation stream is a pure function of
-// the seed: the synchronous and queued drivers replay identical streams at
-// any queue depth.
+// the seed: the event loop replays an identical stream at any queue depth.
 func (th *thread) next(job *Job, zdev Zoned) (lba, opBytes int64, resetZone int) {
 	resetZone = -1
 	opBytes = job.BlockBytes
@@ -282,8 +287,7 @@ func (th *thread) next(job *Job, zdev Zoned) (lba, opBytes int64, resetZone int)
 		}
 		th.seqPos += opBytes
 	case RandRead, RandWrite:
-		blocks := job.RangeBytes / job.BlockBytes
-		lba = (job.OffsetBytes + th.rng.Int63n(blocks)*job.BlockBytes) / units.Sector
+		lba = (job.OffsetBytes + th.rng.Int63n(th.blocks)*job.BlockBytes) / units.Sector
 	case ZoneRandWrite:
 		// Zoned random write: a random zone of the thread's slice, at that
 		// zone's tracked write position; a full zone is reset first and
@@ -309,17 +313,23 @@ func (th *thread) next(job *Job, zdev Zoned) (lba, opBytes int64, resetZone int)
 	return lba, opBytes, resetZone
 }
 
-// makeThreads builds the per-thread position state shared by both drivers.
-func makeThreads(job *Job, zoneBytes int64) ([]*thread, error) {
+// makeThreads builds each thread: its position state and, above depth 1,
+// its window on queue i mod queues.
+func makeThreads(job *Job, zdev Zoned, depth, queues int) ([]*thread, error) {
 	threads := make([]*thread, job.NumJobs)
 	for i := range threads {
-		th := &thread{now: job.StartAt, rng: sim.NewRand(job.Seed + uint64(i)*7919 + 1)}
+		th := &thread{now: job.StartAt, blocks: job.RangeBytes / job.BlockBytes, queue: i % queues}
+		th.rng = sim.NewRand(job.Seed + uint64(i)*7919 + 1)
+		if depth > 1 {
+			th.window = make([]inflightOp, 0, depth)
+		}
 		if len(job.ThreadOffsets) > 0 {
 			th.seqStart = job.ThreadOffsets[i]
 			th.seqEnd = job.OffsetBytes + job.RangeBytes
 		} else {
 			slice := job.RangeBytes / int64(job.NumJobs)
-			if (job.Pattern == SeqWrite || job.Pattern == ZoneRandWrite) && zoneBytes > 0 {
+			if (job.Pattern == SeqWrite || job.Pattern == ZoneRandWrite) && zdev != nil {
+				zoneBytes := zdev.ZoneCapSectors() * units.Sector
 				// Zoned writers must start at a zone's write pointer, so
 				// thread slices are zone-aligned (as fio's zonemode=zbd job
 				// splitting requires); boundary clamping keeps every write
@@ -347,194 +357,6 @@ func makeThreads(job *Job, zoneBytes int64) ([]*thread, error) {
 	return threads, nil
 }
 
-// Run executes the job against the device and returns its result. Jobs
-// with QueueDepth > 1 require a device implementing Async and run through
-// the queued driver in runAsync; everything else uses the synchronous
-// driver below (itself the queue-depth-1 case).
-func Run(dev Device, job Job) (Result, error) {
-	if err := job.Validate(dev); err != nil {
-		return Result{}, err
-	}
-	if job.depth() > 1 {
-		adev, ok := dev.(Async)
-		if !ok {
-			return Result{}, fmt.Errorf("workload %s: QueueDepth %d needs an async device, %T is synchronous",
-				job.Name, job.QueueDepth, dev)
-		}
-		return runAsync(adev, job)
-	}
-	var zoneBytes int64
-	if z, ok := dev.(Zoned); ok {
-		zoneBytes = z.ZoneCapSectors() * units.Sector
-	}
-	threads, err := makeThreads(&job, zoneBytes)
-	if err != nil {
-		return Result{}, err
-	}
-
-	lat := stats.NewHistogram()
-	var totalOps, totalBytes, ioErrors int64
-	var readOnly bool
-	var zdev Zoned
-	if z, ok := dev.(Zoned); ok {
-		zdev = z
-	}
-	zf, _ := dev.(ZoneFlusher)
-	ri, _ := dev.(ReaderInto)
-	// One payload container serves every operation of the job: devices copy
-	// the entries of a write out before returning, and a read's views are
-	// dropped before the next operation.
-	container := make([][]byte, job.BlockBytes/units.Sector)
-
-	// failed decides what an operation error means for the job: abort
-	// (ContinueOnError unset), stop early (read-only degradation — every
-	// remaining write would fail identically), or count it and move on.
-	failed := func(err error) (stop bool) {
-		ioErrors++
-		if errors.Is(err, fault.ErrReadOnly) {
-			readOnly = true
-			return true
-		}
-		return false
-	}
-
-	for !readOnly {
-		// Pick the unfinished thread with the earliest clock.
-		ti := -1
-		for i, th := range threads {
-			if th.issued >= job.TotalBytesPerJob {
-				continue
-			}
-			if ti < 0 || th.now < threads[ti].now {
-				ti = i
-			}
-		}
-		if ti < 0 {
-			break
-		}
-		th := threads[ti]
-		submit := th.now
-
-		// The operation is charged to the thread whether it succeeds or is
-		// counted as an error: position, volume and clock always advance.
-		lba, opBytes, resetZone := th.next(&job, zdev)
-		finish := func(complete sim.Time, failedOp bool) {
-			next := complete
-			if h := submit.Add(job.PerOpOverhead); h > next {
-				next = h
-			}
-			th.now = next
-			th.issued += opBytes
-			th.doneAtSim = next
-			if !failedOp {
-				lat.Record(complete.Sub(submit))
-				totalOps++
-				totalBytes += opBytes
-			}
-		}
-		if resetZone >= 0 {
-			d, err := zdev.ResetZone(submit, resetZone)
-			if err != nil {
-				if !job.ContinueOnError {
-					return Result{}, fmt.Errorf("workload %s: wrap reset zone %d: %w", job.Name, resetZone, err)
-				}
-				failed(err)
-				finish(submit, true)
-				continue
-			}
-			if d > submit {
-				submit = d
-			}
-			th.now = submit
-		}
-
-		var complete sim.Time
-		var err error
-		if job.Pattern.IsWrite() {
-			payloads := container[:opBytes/units.Sector]
-			if job.WithData {
-				for s := range payloads {
-					payloads[s] = fillPayload(lba + int64(s))
-				}
-			}
-			complete, err = dev.Write(submit, lba, payloads)
-			if err != nil {
-				if !job.ContinueOnError {
-					return Result{}, fmt.Errorf("workload %s: write lba %d: %w", job.Name, lba, err)
-				}
-				failed(err)
-				finish(submit, true)
-				continue
-			}
-			if job.SyncWrites && zf != nil && zdev != nil {
-				zone := int(lba / zdev.ZoneCapSectors())
-				complete2, err := zf.Flush(complete, zone)
-				if err != nil {
-					if !job.ContinueOnError {
-						return Result{}, fmt.Errorf("workload %s: sync flush zone %d: %w", job.Name, zone, err)
-					}
-					failed(err)
-					finish(complete, true)
-					continue
-				}
-				if complete2 > complete {
-					complete = complete2
-				}
-			}
-		} else {
-			n := opBytes / units.Sector
-			if ri != nil {
-				complete, err = ri.ReadInto(submit, lba, n, container[:n])
-			} else {
-				_, complete, err = dev.Read(submit, lba, n)
-			}
-			if err != nil {
-				if !job.ContinueOnError {
-					return Result{}, fmt.Errorf("workload %s: read lba %d: %w", job.Name, lba, err)
-				}
-				failed(err)
-				finish(submit, true)
-				continue
-			}
-		}
-		finish(complete, false)
-	}
-
-	end := job.StartAt
-	for _, th := range threads {
-		if th.doneAtSim > end {
-			end = th.doneAtSim
-		}
-	}
-	if job.FlushAtEnd && job.Pattern.IsWrite() && !readOnly {
-		d, err := dev.FlushAll(end)
-		if err != nil {
-			if !job.ContinueOnError {
-				return Result{}, err
-			}
-			failed(err)
-		}
-		if d > end {
-			end = d
-		}
-	}
-	elapsed := end.Sub(job.StartAt)
-	return Result{
-		Job:            job.Name,
-		Threads:        job.NumJobs,
-		Depth:          1,
-		Bytes:          totalBytes,
-		Ops:            totalOps,
-		Elapsed:        elapsed,
-		IOErrors:       ioErrors,
-		ReadOnly:       readOnly,
-		BandwidthMiBps: units.BandwidthMiBps(totalBytes, elapsed),
-		IOPS:           units.IOPS(totalOps, elapsed),
-		Lat:            lat.Summarize(),
-		Hist:           lat,
-	}, nil
-}
-
 // fillPayload builds a deterministic sector payload for integrity checks.
 func fillPayload(lba int64) []byte {
 	p := make([]byte, units.Sector)
@@ -542,6 +364,13 @@ func fillPayload(lba int64) []byte {
 		p[i] = byte((lba*13 + int64(i)) % 251)
 	}
 	return p
+}
+
+// fillPayloads fills dst with the payloads of the sectors from lba on.
+func fillPayloads(dst [][]byte, lba int64) {
+	for s := range dst {
+		dst[s] = fillPayload(lba + int64(s))
+	}
 }
 
 // Prefill writes the byte region sequentially in large blocks so read
@@ -573,9 +402,7 @@ func Prefill(dev Device, at sim.Time, offsetBytes, rangeBytes int64, withData bo
 		}
 		payloads := container[:n/units.Sector]
 		if withData {
-			for s := range payloads {
-				payloads[s] = fillPayload(pos/units.Sector + int64(s))
-			}
+			fillPayloads(payloads, pos/units.Sector)
 		}
 		d, err := dev.Write(at, pos/units.Sector, payloads)
 		if err != nil {

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +87,14 @@ func TestValidateRejections(t *testing.T) {
 	j := baseJob()
 	if err := j.Validate(dev); err != nil {
 		t.Errorf("base job rejected: %v", err)
+	}
+	// O_SYNC needs a device that flushes one zone.
+	j.Pattern, j.SyncWrites = SeqWrite, true
+	if err := j.Validate(dev); err == nil || !strings.Contains(err.Error(), "*workload.fakeDevice") {
+		t.Errorf("SyncWrites on a device without zone flushes: %v, want an error naming the device type", err)
+	}
+	if err := j.Validate(&syncDevice{fakeDevice: fakeDevice{total: 4096}}); err != nil {
+		t.Errorf("SyncWrites on a zoned device that flushes zones rejected: %v", err)
 	}
 }
 
@@ -472,5 +482,44 @@ func TestSeqWriteWrapOnConZone(t *testing.T) {
 	}
 	if f.Stats().ZoneResets < 2 {
 		t.Errorf("ZoneResets = %d, want the wrap to reset both zones", f.Stats().ZoneResets)
+	}
+}
+
+// refusingResetDevice is a zoned device whose zone resets all fail.
+type refusingResetDevice struct{ syncDevice }
+
+func (d *refusingResetDevice) ResetZone(at sim.Time, zone int) (sim.Time, error) {
+	return at, errors.New("reset refused")
+}
+
+// TestDepthOneFollowsQueuedRules pins the two rules a depth-1 job shares
+// with a queued one: Elapsed ends at the last completion, not at the last
+// operation's trailing PerOpOverhead, and under ContinueOnError a write is
+// still issued after its wrap reset failed.
+func TestDepthOneFollowsQueuedRules(t *testing.T) {
+	dev := &fakeDevice{total: 1 << 20, readLat: time.Microsecond}
+	j := baseJob()
+	j.PerOpOverhead = 10 * time.Microsecond
+	res, err := Run(dev, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 reads submitted 10 µs apart; the last completes 1 µs after it is
+	// submitted at 150 µs.
+	if res.Elapsed != 151*time.Microsecond {
+		t.Errorf("Elapsed = %v, want 151µs", res.Elapsed)
+	}
+
+	zdev := &refusingResetDevice{syncDevice{fakeDevice: fakeDevice{total: 8 * 256}}}
+	j = baseJob()
+	j.Pattern = SeqWrite
+	j.TotalBytesPerJob = 2 * units.MiB // two passes over the 1 MiB zone 0
+	j.ContinueOnError = true
+	if res, err = Run(zdev, j); err != nil {
+		t.Fatal(err)
+	}
+	if len(zdev.writes) != 128 || res.Ops != 128 || res.IOErrors != 1 {
+		t.Errorf("%d writes issued, %d ops, %d errors; want 128 writes and ops around the one failed reset",
+			len(zdev.writes), res.Ops, res.IOErrors)
 	}
 }
