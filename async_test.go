@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -497,6 +499,158 @@ func TestConcurrentSubmitters(t *testing.T) {
 			}
 		}
 	}
+	if err := dev.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneLockContract pins the ownership rule: the host controller takes no
+// lock, and Device.mu alone makes the public API safe to share. Several
+// goroutines drive one device at once through every kind of entry — Submit,
+// Poll and Wait on queues of their own; synchronous Write, ReadInto and
+// ResetZone; the Series, Heatmap and CheckInvariants readouts; a /metrics
+// scrape — so `go test -race` sees every path into the controller
+// concurrently. Data must come back exact and the final audit, host queues
+// included, must be clean.
+func TestOneLockContract(t *testing.T) {
+	dev := openSmall(t)
+	dev.EnableObservation(0)
+	if err := dev.EnableSampling(50*time.Microsecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	zb := dev.ZoneBytes()
+	const chunk = 4 * SectorSize
+	var wg sync.WaitGroup
+
+	// Two asynchronous submitters, one queue and one zone each: a window of
+	// Zone Appends reaped alternately by Poll and by Wait, a final drain by
+	// Poll, then a read-back of every append through a queued read into a
+	// flat destination.
+	start := make(chan struct{})
+	for q := 0; q < 2; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			<-start
+			const appends, window = 64, 4
+			lbas := make(map[Tag]int64, appends)
+			inflight := make(map[Tag]bool, window)
+			var order []Tag
+			reaped := func(c HostCompletion) {
+				if c.Err != nil {
+					t.Errorf("queue %d: %v", q, c.Err)
+				}
+				delete(inflight, c.Tag)
+				lbas[c.Tag] = c.LBA
+			}
+			oldest := 0
+			for i := 0; i < appends; i++ {
+				if len(inflight) == window {
+					if i%2 == 0 {
+						for _, c := range dev.Poll(q, 1) {
+							reaped(c)
+						}
+					} else {
+						for !inflight[order[oldest]] {
+							oldest++
+						}
+						c, ok := dev.Wait(order[oldest])
+						if !ok {
+							t.Errorf("queue %d: tag %d reaped elsewhere", q, order[oldest])
+							return
+						}
+						reaped(c)
+					}
+				}
+				tag, err := dev.Submit(q, HostRequest{Op: OpAppend, Zone: q, Payloads: toSectors(pattern(int64(q*appends+i), int(chunk)))})
+				if err != nil {
+					t.Errorf("queue %d append %d: %v", q, i, err)
+					return
+				}
+				inflight[tag] = true
+				order = append(order, tag)
+			}
+			for _, c := range dev.Poll(q, 0) {
+				reaped(c)
+			}
+			if len(inflight) > 0 {
+				t.Errorf("queue %d: %d appends never completed", q, len(inflight))
+				return
+			}
+			for i, tag := range order {
+				dst := make([]byte, chunk)
+				rt, err := dev.Submit(q, HostRequest{Op: OpRead, LBA: lbas[tag], N: chunk / SectorSize, Dst: dst})
+				if err != nil {
+					t.Errorf("queue %d read %d: %v", q, i, err)
+					return
+				}
+				if c, ok := dev.Wait(rt); !ok || c.Err != nil {
+					t.Errorf("queue %d read %d: reaped %v, err %v", q, i, ok, c.Err)
+					return
+				}
+				if !bytes.Equal(dst, pattern(int64(q*appends+i), int(chunk))) {
+					t.Errorf("queue %d: append %d read back wrong", q, i)
+				}
+			}
+		}(q)
+	}
+
+	// A synchronous writer on zone 2: fill, read each write back, reset.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		base := 2 * zb
+		got := make([]byte, chunk)
+		for round := 0; round < 3; round++ {
+			for i := int64(0); i < 16; i++ {
+				off := base + i*chunk
+				if err := dev.Write(off, pattern(off+int64(round), int(chunk))); err != nil {
+					t.Errorf("round %d write %d: %v", round, i, err)
+					return
+				}
+				if err := dev.ReadInto(off, got); err != nil || !bytes.Equal(got, pattern(off+int64(round), int(chunk))) {
+					t.Errorf("round %d read %d: err %v or wrong bytes", round, i, err)
+					return
+				}
+			}
+			if err := dev.ResetZone(2); err != nil {
+				t.Errorf("round %d reset: %v", round, err)
+				return
+			}
+		}
+	}()
+
+	// Readouts and a scrape, interleaved with the I/O above.
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < 20; i++ {
+			_ = dev.Series()
+			if rows := dev.Heatmap().Zones; len(rows) != dev.NumZones() {
+				t.Errorf("heatmap has %d zone rows, want %d", len(rows), dev.NumZones())
+			}
+			if err := dev.CheckInvariants(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-start
+		h := dev.ObservabilityHandler()
+		for i := 0; i < 10; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+			if rec.Code != 200 || !strings.Contains(rec.Body.String(), "conzone_ftl_host_written_bytes_total ") {
+				t.Errorf("scrape %d: status %d", i, rec.Code)
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
 	if err := dev.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

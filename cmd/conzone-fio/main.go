@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,19 +22,37 @@ import (
 )
 
 func main() {
-	device := flag.String("device", "conzone", "device model: conzone, legacy, femu, confzns")
-	rw := flag.String("rw", "read", "pattern: read, write, randread, randwrite")
-	bs := flag.String("bs", "4k", "block size")
-	numjobs := flag.Int("numjobs", 1, "virtual threads")
-	offset := flag.String("offset", "0", "region start")
-	rng := flag.String("range", "", "region size (default: whole device)")
-	size := flag.String("size", "64m", "I/O volume per thread")
-	prefill := flag.Bool("prefill", false, "sequentially fill the region before the job")
-	overhead := flag.Duration("overhead", 6*time.Microsecond, "host-side per-op cost")
-	seed := flag.Uint64("seed", 1, "random seed")
-	cfgPath := flag.String("config", "", "device configuration JSON")
-	quickCfg := flag.Bool("small", false, "use the scaled-down Small configuration")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, errFlags) {
+			fmt.Fprintln(os.Stderr, "conzone-fio:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// errFlags is a command line the flag package refused and has already
+// reported on stderr.
+var errFlags = errors.New("bad command line")
+
+// run is main with its arguments and streams as values.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("conzone-fio", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	device := fs.String("device", "conzone", "device model: conzone, legacy, femu, confzns")
+	rw := fs.String("rw", "read", "pattern: read, write, randread, randwrite")
+	bs := fs.String("bs", "4k", "block size")
+	numjobs := fs.Int("numjobs", 1, "virtual threads")
+	offset := fs.String("offset", "0", "region start")
+	rng := fs.String("range", "", "region size (default: whole device)")
+	size := fs.String("size", "64m", "I/O volume per thread")
+	prefill := fs.Bool("prefill", false, "sequentially fill the region before the job")
+	overhead := fs.Duration("overhead", 6*time.Microsecond, "host-side per-op cost")
+	seed := fs.Uint64("seed", 1, "random seed")
+	cfgPath := fs.String("config", "", "device configuration JSON")
+	quickCfg := fs.Bool("small", false, "use the scaled-down Small configuration")
+	if err := fs.Parse(args); err != nil {
+		return errFlags
+	}
 
 	cfg := config.Paper()
 	if *quickCfg {
@@ -42,15 +62,19 @@ func main() {
 		var err error
 		cfg, err = config.Load(*cfgPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
+	// conventional is how many leading zones accept writes at any offset;
+	// it is read only when the device is zoned.
 	var dev workload.Device
 	var err error
+	conventional := 0
 	switch *device {
 	case "conzone":
 		dev, err = cfg.NewConZone()
+		conventional = cfg.FTL.ConventionalZones
 	case "legacy":
 		dev, err = cfg.NewLegacy()
 	case "femu":
@@ -61,34 +85,40 @@ func main() {
 		err = fmt.Errorf("unknown device %q", *device)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	pattern, err := parsePattern(*rw)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bsB, err := units.ParseBytes(*bs)
 	if err != nil {
-		fatal(fmt.Errorf("bs: %w", err))
+		return fmt.Errorf("bs: %w", err)
 	}
 	offB, err := units.ParseBytes(*offset)
 	if err != nil {
-		fatal(fmt.Errorf("offset: %w", err))
+		return fmt.Errorf("offset: %w", err)
 	}
 	capBytes := dev.TotalSectors() * units.Sector
 	rngB := capBytes - offB
 	if *rng != "" {
 		rngB, err = units.ParseBytes(*rng)
 		if err != nil {
-			fatal(fmt.Errorf("range: %w", err))
+			return fmt.Errorf("range: %w", err)
 		}
 	}
 	sizeB, err := units.ParseBytes(*size)
 	if err != nil {
-		fatal(fmt.Errorf("size: %w", err))
+		return fmt.Errorf("size: %w", err)
 	}
 	sizeB = units.AlignUp(sizeB, bsB)
+	if zd, ok := dev.(workload.Zoned); ok && pattern == workload.RandWrite {
+		if z := firstSequentialZone(zd, conventional, offB, rngB); z >= 0 {
+			return fmt.Errorf("%s: randwrite region [%s,+%s) touches sequential zone %d, where a random write does not begin at the write pointer (the device has %d conventional zones)",
+				*device, units.FormatBytes(offB), units.FormatBytes(rngB), z, conventional)
+		}
+	}
 
 	job := workload.Job{
 		Name:             fmt.Sprintf("%s-%s", *device, *rw),
@@ -104,24 +134,40 @@ func main() {
 	}
 
 	if *prefill {
-		fmt.Fprintf(os.Stderr, "prefilling [%s, +%s)...\n", units.FormatBytes(offB), units.FormatBytes(rngB))
+		fmt.Fprintf(stderr, "prefilling [%s, +%s)...\n", units.FormatBytes(offB), units.FormatBytes(rngB))
 		done, err := workload.Prefill(dev, 0, offB, rngB, false)
 		if err != nil {
-			fatal(fmt.Errorf("prefill: %w", err))
+			return fmt.Errorf("prefill: %w", err)
 		}
 		job.StartAt = done
 	}
 
 	res, err := workload.Run(dev, job)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s: bs=%s jobs=%d region=[%s,+%s) volume=%s/thread\n",
+	fmt.Fprintf(stdout, "%s: bs=%s jobs=%d region=[%s,+%s) volume=%s/thread\n",
 		job.Name, units.FormatBytes(bsB), *numjobs, units.FormatBytes(offB),
 		units.FormatBytes(rngB), units.FormatBytes(sizeB))
-	fmt.Printf("  bw=%.1f MiB/s  iops=%.0f (%.1f KIOPS)  elapsed=%v (virtual)\n",
+	fmt.Fprintf(stdout, "  bw=%.1f MiB/s  iops=%.0f (%.1f KIOPS)  elapsed=%v (virtual)\n",
 		res.BandwidthMiBps, res.IOPS, res.KIOPS(), res.Elapsed.Round(time.Microsecond))
-	fmt.Printf("  lat: %v\n", res.Lat)
+	fmt.Fprintf(stdout, "  lat: %v\n", res.Lat)
+	return nil
+}
+
+// firstSequentialZone returns the first zone at or after the conventional
+// ones that the byte region [off, off+n) touches, or -1 when the region
+// stays inside the conventional zones.
+func firstSequentialZone(dev workload.Zoned, conventional int, off, n int64) int {
+	zoneBytes := dev.ZoneCapSectors() * units.Sector
+	first, last := int(off/zoneBytes), int((off+n-1)/zoneBytes)
+	if first < conventional {
+		first = conventional
+	}
+	if n <= 0 || first > last || first >= dev.NumZones() {
+		return -1
+	}
+	return first
 }
 
 func parsePattern(s string) (workload.Pattern, error) {
@@ -136,9 +182,4 @@ func parsePattern(s string) (workload.Pattern, error) {
 		return workload.RandWrite, nil
 	}
 	return 0, fmt.Errorf("unknown rw %q", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "conzone-fio:", err)
-	os.Exit(1)
 }

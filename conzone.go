@@ -167,6 +167,9 @@ type Occupancy = telemetry.Occupancy
 // synchronous call is simply the queue-depth-1 special case. Asynchronous
 // submitters use Submit/Poll/Wait to keep multiple commands outstanding; see
 // ExampleDevice_Submit and the "Async I/O" section of the README.
+//
+// mu serializes every caller and is the only lock on an I/O path: the host
+// controller below it is single-owner and takes none.
 type Device struct {
 	mu  sync.Mutex
 	f   *ftl.FTL
@@ -228,6 +231,8 @@ func (d *Device) FTL() *ftl.FTL { return d.f }
 
 // Host exposes the underlying multi-queue host controller for experiment
 // harnesses that drive queues directly with explicit virtual timestamps.
+// The controller takes no lock of its own — the Device's is the one lock on
+// an I/O — so it must not be used while other goroutines call the Device.
 func (d *Device) Host() *host.Controller { return d.h }
 
 // Capacity returns the device capacity in bytes.

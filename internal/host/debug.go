@@ -32,8 +32,6 @@ type DebugState struct {
 
 // DebugSnapshot copies the controller's queueing state for auditing.
 func (c *Controller) DebugSnapshot() DebugState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := DebugState{
 		NextTag:         c.nextTag,
 		Outstanding:     append([]int(nil), c.out...),
@@ -53,18 +51,4 @@ func (c *Controller) DebugSnapshot() DebugState {
 		st.Completions[q] = c.cqs[q].snapshot()
 	}
 	return st
-}
-
-// snapshot returns the queued completions in reap order — (Done, Tag)
-// ascending, which is exactly the live key order. Debug/audit use only.
-func (q *complQueue) snapshot() []Completion {
-	live := q.order[q.head:]
-	if len(live) == 0 {
-		return nil
-	}
-	out := make([]Completion, len(live))
-	for i, k := range live {
-		out[i] = q.slots[k.slot]
-	}
-	return out
 }

@@ -26,17 +26,21 @@
 // ties break by tag, never by goroutine schedule. A deterministic submitter
 // (the workload runner, or any single-threaded loop) therefore produces
 // bit-identical media state, completion times and statistics on every run
-// and under every GOMAXPROCS. Concurrent goroutine submitters are safe —
-// the controller is fully locked — but their tag assignment order follows
-// the goroutine schedule, so cross-zone timing may vary run to run; per-zone
-// write ordering is still enforced by the zone locks.
+// and under every GOMAXPROCS.
+//
+// # Ownership
+//
+// A Controller is used by one goroutine at a time and takes no lock of its
+// own. conzone.Device serializes its callers and is the type to share:
+// concurrent submitters through it are safe, but their tag assignment order
+// follows the goroutine schedule, so cross-zone timing may vary run to run;
+// per-zone write ordering is still enforced by the zone locks.
 package host
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/conzone/conzone/internal/obs"
 	"github.com/conzone/conzone/internal/sim"
@@ -255,11 +259,11 @@ func (r *request) zone(zoneCap int64) int {
 	}
 }
 
-// Controller is the multi-queue host interface over one backend device.
-// All methods are safe for concurrent use; see the package comment for the
-// determinism contract.
+// Controller is the multi-queue host interface over one backend device. It
+// is used by one goroutine at a time: it holds no lock, and conzone.Device
+// is the type to share. See the package comment for the determinism
+// contract.
 type Controller struct {
-	mu  sync.Mutex
 	be  Backend
 	cfg Config
 
@@ -333,8 +337,6 @@ func (c *Controller) syncQueue() int { return c.cfg.Queues }
 // device itself would report (write-pointer mismatch, full zone, ...)
 // arrive asynchronously in the command's Completion.
 func (c *Controller) Submit(at sim.Time, q int, req Request) (Tag, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if q < 0 || q >= c.cfg.Queues {
 		return 0, fmt.Errorf("host: queue %d out of range [0,%d)", q, c.cfg.Queues)
 	}
@@ -344,8 +346,8 @@ func (c *Controller) Submit(at sim.Time, q int, req Request) (Tag, error) {
 	return c.submit(at, q, &req)
 }
 
-// submit validates and enqueues with c.mu held. req is a pointer only to
-// spare the hot path two struct copies; it is never retained.
+// submit validates and enqueues. req is a pointer only to spare the hot
+// path two struct copies; it is never retained.
 func (c *Controller) submit(at sim.Time, q int, req *Request) (Tag, error) {
 	if err := c.validate(req); err != nil {
 		return 0, err
@@ -461,8 +463,7 @@ func (c *Controller) readyTime(r *request) sim.Time {
 
 // advance is the arbiter: it drains the pending set in deterministic
 // (ready time, tag) order, dispatching each command into the backend and
-// sorting its completion into the owning completion queue. Must be called
-// with c.mu held.
+// sorting its completion into the owning completion queue.
 //
 // The pending set is a min-heap on (key, tag) where keys are lazily stale:
 // dispatching a write-class command pushes its zone's lock horizon forward,
@@ -489,7 +490,7 @@ func (c *Controller) advance() {
 }
 
 // dispatch executes one command at its dispatch instant and queues the
-// completion. Must be called with c.mu held.
+// completion.
 func (c *Controller) dispatch(r *request, at sim.Time) {
 	if r.req.Op == OpRead {
 		c.dispatchRead(r.tag, r.queue, r.submitted, at, r.req.LBA, r.req.N, r.req.Dst)
@@ -537,17 +538,13 @@ func (c *Controller) dispatch(r *request, at sim.Time) {
 	} else if zone >= 0 && zone < len(c.zoneFree) && done > c.zoneFree[zone] {
 		c.zoneFree[zone] = done
 	}
-	c.complete(&Completion{
-		Tag: r.tag, Queue: r.queue, Op: r.req.Op, Zone: zone, LBA: lba, N: n,
-		Err: err, Status: StatusOf(err),
-		Submitted: r.submitted, Dispatched: at, Done: done,
-	})
+	c.complete(r.tag, r.queue, r.req.Op, zone, lba, n, nil, err, r.submitted, at, done)
 }
 
 // dispatchRead executes one read at its dispatch instant and queues the
 // completion: the OpRead arm of dispatch, shared with submit's immediate
 // fast path. Reads never hold a zone write lock, so none of dispatch's
-// lock bookkeeping applies. Must be called with c.mu held.
+// lock bookkeeping applies.
 func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n int64, dst []byte) {
 	// The backend fills a recycled container with borrowed device views,
 	// and the controller copies them out immediately — while the views are
@@ -583,36 +580,36 @@ func (c *Controller) dispatchRead(tag Tag, q int, submitted, at sim.Time, lba, n
 	if done < at {
 		done = at
 	}
-	c.complete(&Completion{
-		Tag: tag, Queue: q, Op: OpRead, Zone: -1, LBA: lba, N: n,
-		Data: data, Err: err, Status: StatusOf(err),
-		Submitted: submitted, Dispatched: at, Done: done,
-	})
+	c.complete(tag, q, OpRead, -1, lba, n, data, err, submitted, at, done)
 }
 
 // complete is the one completion tail of dispatch and dispatchRead: it
 // counts the dispatch, records the host-queue span (submission to dispatch;
-// the event is not even built when observation is off) and files comp in its
-// queue's completion queue. Must be called with c.mu held.
-func (c *Controller) complete(comp *Completion) {
+// the event is not even built when observation is off) and writes the
+// completion's fields straight into its slot in queue q's completion queue,
+// so the value is stored once and copied once more only when reaped.
+func (c *Controller) complete(tag Tag, q int, op Op, zone int, lba, n int64, data [][]byte, err error, submitted, at, done sim.Time) {
 	c.dispatched++
-	if comp.Done > c.maxDone {
-		c.maxDone = comp.Done
+	if done > c.maxDone {
+		c.maxDone = done
 	}
 	if rec := c.be.Recorder(); rec != nil {
 		rec.Record(obs.Event{
 			Stage: obs.StageHostQueue, Cause: obs.CauseNone,
-			Begin: comp.Submitted, End: comp.Dispatched,
-			Zone: int32(comp.Zone), Actor: int32(comp.Queue), LBA: comp.LBA, N: comp.N,
+			Begin: submitted, End: at,
+			Zone: int32(zone), Actor: int32(q), LBA: lba, N: n,
 		})
 	}
-	if c.debugLoseSync > 0 && comp.Queue == c.syncQueue() {
+	if c.debugLoseSync > 0 && q == c.syncQueue() {
 		// Corruption hook armed: swallow this sync completion so Exec's
 		// lost-completion recovery path runs (armed from export_test.go).
 		c.debugLoseSync--
 		return
 	}
-	*c.cqs[comp.Queue].push(comp.Done, comp.Tag) = *comp
+	comp := c.cqs[q].push(done, tag)
+	comp.Tag, comp.Queue, comp.Op, comp.Zone, comp.LBA, comp.N = tag, q, op, zone, lba, n
+	comp.Data, comp.Err, comp.Status = data, err, StatusOf(err)
+	comp.Submitted, comp.Dispatched, comp.Done = submitted, at, done
 }
 
 // flatten is the flat read delivery: each borrowed view is copied into its
@@ -629,128 +626,6 @@ func flatten(dst []byte, views [][]byte) {
 	}
 }
 
-// cqKey orders one queued completion inside its queue. The queue shuffles
-// these 24-byte keys instead of the much larger Completion values, which
-// sit still in the queue's slot arena until reaped — so an insert memmoves
-// a handful of small keys and exactly one Completion ever crosses into the
-// reaper's buffer.
-type cqKey struct {
-	done sim.Time
-	tag  Tag
-	slot int32
-}
-
-func (k cqKey) less(o cqKey) bool {
-	return k.done < o.done || (k.done == o.done && k.tag < o.tag)
-}
-
-// complQueue is one completion queue: keys sorted ascending on (Done, Tag)
-// over a slot arena of Completion values. The minimum sits at head, so
-// popping in virtual completion-time order (ties by tag) is a head bump;
-// pushing is usually an append, because dispatch instants advance with
-// virtual time and most completions finish after everything already queued.
-// An out-of-order push binary-searches its position and memmoves only the
-// 24-byte keys above it — typically the last few.
-type complQueue struct {
-	order []cqKey      // ascending on (done, tag) from head; dead prefix before
-	head  int          // index of the live minimum within order
-	slots []Completion // value arena indexed by cqKey.slot
-	free  []int32      // recycled arena slots
-}
-
-// cqCompactAt bounds the dead prefix popMin leaves behind: once head passes
-// it, the live keys are copied down so the slice stops growing. At most
-// liveLen keys move per cqCompactAt pops — amortized O(1).
-const cqCompactAt = 64
-
-func (q *complQueue) len() int { return len(q.order) - q.head }
-
-// push allocates a slot, links it into the heap under (done, tag), and
-// returns the slot's Completion for the caller to fill in place.
-func (q *complQueue) push(done sim.Time, tag Tag) *Completion {
-	var s int32
-	if n := len(q.free); n > 0 {
-		s = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		q.slots = append(q.slots, Completion{})
-		s = int32(len(q.slots) - 1)
-	}
-	q.pushKey(cqKey{done: done, tag: tag, slot: s})
-	return &q.slots[s]
-}
-
-// pushKey links an already-allocated arena slot's key into the ascending
-// order. Fast path: the key belongs at the tail. Otherwise binary search
-// the live region and shift the larger keys up one position.
-func (q *complQueue) pushKey(k cqKey) {
-	if n := len(q.order); n == q.head || !k.less(q.order[n-1]) {
-		q.order = append(q.order, k)
-		return
-	}
-	lo, hi := q.head, len(q.order)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if k.less(q.order[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	q.order = append(q.order, cqKey{})
-	copy(q.order[lo+1:], q.order[lo:])
-	q.order[lo] = k
-}
-
-// popMin unlinks the earliest (done, tag) completion and returns its slot.
-// The caller copies the value out and then calls release.
-func (q *complQueue) popMin() int32 {
-	s := q.order[q.head].slot
-	q.head++
-	if q.head == len(q.order) {
-		q.order = q.order[:0] // drained: reclaim the dead prefix
-		q.head = 0
-	} else if q.head >= cqCompactAt {
-		m := copy(q.order, q.order[q.head:])
-		q.order = q.order[:m]
-		q.head = 0
-	}
-	return s
-}
-
-// release recycles a popped slot, dropping its reference fields so reaped
-// Data is not retained by the arena.
-func (q *complQueue) release(s int32) {
-	q.slots[s].Data = nil
-	q.slots[s].Err = nil
-	q.free = append(q.free, s)
-}
-
-// takeTag removes and returns the completion with the given tag, wherever
-// it sits in the queue.
-func (q *complQueue) takeTag(tag Tag) (Completion, bool) {
-	for i := q.head; i < len(q.order); i++ {
-		if q.order[i].tag == tag {
-			s := q.order[i].slot
-			comp := q.slots[s]
-			q.removeAt(i)
-			q.release(s)
-			return comp, true
-		}
-	}
-	return Completion{}, false
-}
-
-// removeAt deletes the key at index i, preserving the ascending order.
-func (q *complQueue) removeAt(i int) {
-	copy(q.order[i:], q.order[i+1:])
-	q.order = q.order[:len(q.order)-1]
-	if q.head == len(q.order) {
-		q.order = q.order[:0]
-		q.head = 0
-	}
-}
-
 // PollInto dispatches everything pending and appends up to max completions
 // from queue q's completion queue to dst, in virtual completion-time order
 // (ties by tag). Reaping frees the commands' submission-queue slots. max <= 0
@@ -758,8 +633,6 @@ func (q *complQueue) removeAt(i int) {
 // Recycles read data) runs without allocating; a nil dst returns nil when
 // nothing is reaped.
 func (c *Controller) PollInto(q, max int, dst []Completion) []Completion {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if q < 0 || q >= c.cfg.Queues {
 		return dst
 	}
@@ -767,8 +640,8 @@ func (c *Controller) PollInto(q, max int, dst []Completion) []Completion {
 	return c.reapInto(q, max, dst)
 }
 
-// reapInto appends up to max completions from queue q to dst with c.mu
-// held, popping them from the queue's heap in (Done, Tag) order.
+// reapInto appends up to max completions from queue q to dst, popping them
+// in (Done, Tag) order.
 func (c *Controller) reapInto(q, max int, dst []Completion) []Completion {
 	cq := &c.cqs[q]
 	n := cq.len()
@@ -797,8 +670,6 @@ func (c *Controller) Recycle(data [][]byte) {
 	if data == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, p := range data {
 		if p != nil && int64(len(p)) == units.Sector {
 			c.bufFree = append(c.bufFree, p)
@@ -809,7 +680,7 @@ func (c *Controller) Recycle(data [][]byte) {
 }
 
 // getContainer returns an n-entry container with all entries nil, reusing a
-// recycled one when available. Must be called with c.mu held.
+// recycled one when available.
 func (c *Controller) getContainer(n int) [][]byte {
 	if k := len(c.contFree); k > 0 {
 		d := c.contFree[k-1]
@@ -827,7 +698,7 @@ func (c *Controller) getContainer(n int) [][]byte {
 }
 
 // getSectorBuf returns a sector-sized payload buffer, reusing a recycled
-// one when available. Must be called with c.mu held.
+// one when available.
 func (c *Controller) getSectorBuf() []byte {
 	if k := len(c.bufFree); k > 0 {
 		b := c.bufFree[k-1]
@@ -842,8 +713,6 @@ func (c *Controller) getSectorBuf() []byte {
 // completion, leaving every other completion queued for its poller. It
 // reports false for a tag that was never submitted or was already reaped.
 func (c *Controller) Wait(tag Tag) (Completion, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advance()
 	// After advance every unreaped command sits in some completion queue,
 	// so an exhaustive scan is authoritative: a missing tag was never
@@ -856,7 +725,7 @@ func (c *Controller) Wait(tag Tag) (Completion, bool) {
 	return Completion{}, false
 }
 
-// take removes the tagged completion from queue q with c.mu held.
+// take removes the tagged completion from queue q.
 func (c *Controller) take(q int, tag Tag) (Completion, bool) {
 	comp, ok := c.cqs[q].takeTag(tag)
 	if !ok {
@@ -872,8 +741,6 @@ func (c *Controller) take(q int, tag Tag) (Completion, bool) {
 // Management paths use it as a barrier before touching device state
 // directly.
 func (c *Controller) Kick() sim.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.advance()
 	return c.maxDone
 }
@@ -881,16 +748,12 @@ func (c *Controller) Kick() sim.Time {
 // Idle reports whether no command is pending or awaiting reap anywhere,
 // including the internal synchronous queue.
 func (c *Controller) Idle() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.pending.Len() == 0 && c.unfin == 0
 }
 
 // Dispatched returns how many commands the arbiter has dispatched over the
 // controller's lifetime.
 func (c *Controller) Dispatched() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.dispatched
 }
 
@@ -901,8 +764,6 @@ func (c *Controller) Dispatched() int64 {
 // reason: at ten words a Request no longer travels in registers, and a
 // by-value hand-over here cost a synchronous write 10 ns of 111.
 func (c *Controller) Exec(at sim.Time, req *Request) (Completion, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	tag, err := c.submit(at, c.syncQueue(), req)
 	if err != nil {
 		return Completion{}, err

@@ -717,3 +717,38 @@ func TestProgramFrontDoors(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkReadPage measures one page sense plus a 4 KiB transfer on the
+// paper geometry — the media work of a random 4 KiB read — at a chip and
+// normal-block page chosen by a seeded xorshift, one read per virtual
+// microsecond.
+func BenchmarkReadPage(b *testing.B) {
+	g := paperGeometry()
+	a, err := NewArray(g, DefaultLatencies(), sim.NewEngine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	chips, first := g.Chips(), g.FirstNormalBlock()
+	blocks := g.BlocksPerChip - first
+	x := uint64(0x5EED)
+	var at sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		chip := int(x % uint64(chips))
+		block := first + int(x>>8%uint64(blocks))
+		page := int(x >> 24 % uint64(g.PagesPerBlock))
+		done, err := a.ReadPage(at, chip, block, page, units.Sector)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at += sim.Time(time.Microsecond)
+		readPageSink += done
+	}
+}
+
+// readPageSink keeps the benchmarked reads' results live.
+var readPageSink sim.Time

@@ -340,3 +340,30 @@ func TestNoLimits(t *testing.T) {
 		t.Errorf("open zones = %d", got)
 	}
 }
+
+// BenchmarkValidateRead measures the zone check of a random 4 KiB read over
+// the paper's zone table (96 zones of 4096 sectors), at LBAs drawn by a
+// seeded xorshift.
+func BenchmarkValidateRead(b *testing.B) {
+	const zones, zoneSectors = 96, 4096
+	m, err := NewManager(Config{NumZones: zones, ZoneSize: zoneSectors, ZoneCapacity: zoneSectors})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := uint64(0x5EED)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		id, err := m.ValidateRead(int64(x%(zones*zoneSectors)), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zoneSink += id
+	}
+}
+
+// zoneSink keeps the benchmarked checks' results live.
+var zoneSink int
