@@ -12,12 +12,13 @@
 //	zonelife    finish latency vs fullness, reset/read interference
 //	metrics     instrumented workload as Prometheus text            [-metrics-json F] [-chrome F]
 //	timeseries  WAF/GC series, sampled every 5 ms of virtual time   [-series-jsonl F] [-series-csv F]
+//	f2fs        F2FS's six open logs with fsyncs on 2, 3 and 6 write buffers
 //
 // An experiment is a value that returns a Report (internal/experiments); this
 // command selects, runs and prints them, and exits non-zero when a Report's
 // claims did not hold or an output flag names what the selected experiment
-// does not produce. -cpuprofile/-memprofile write pprof profiles of the run.
-// The live scrape endpoint is cmd/conzone-serve.
+// does not produce. -cpuprofile/-memprofile profile the run (pprof); the live
+// scrape endpoint is cmd/conzone-serve.
 package main
 
 import (
@@ -52,8 +53,7 @@ func main() {
 	}
 }
 
-// errFlags is a command line the flag package refused and has already
-// reported on stderr.
+// errFlags is a command line the flag package refused and reported on stderr.
 var errFlags = errors.New("bad command line")
 
 // run is main with its arguments and streams as values.

@@ -16,8 +16,8 @@ func TestRunRefusals(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"unknown experiment", []string{"-exp", "fig9"}, `unknown experiment "fig9" (have: all table1 table2 fig6a fig6b fig7 fig8 ablations emulators qd faults crash zonelife metrics timeseries)`},
-		{"the wall-clock self-benchmark, now a test of internal/host", []string{"-exp", "selfbench"}, `unknown experiment "selfbench" (have: all table1 table2 fig6a fig6b fig7 fig8 ablations emulators qd faults crash zonelife metrics timeseries)`},
+		{"unknown experiment", []string{"-exp", "fig9"}, `unknown experiment "fig9" (have: all table1 table2 fig6a fig6b fig7 fig8 ablations emulators qd faults crash zonelife metrics timeseries f2fs)`},
+		{"the wall-clock self-benchmark, now a test of internal/host", []string{"-exp", "selfbench"}, `unknown experiment "selfbench" (have: all table1 table2 fig6a fig6b fig7 fig8 ablations emulators qd faults crash zonelife metrics timeseries f2fs)`},
 		{"output nothing selected produces", []string{"-exp", "table1", "-chrome", filepath.Join(t.TempDir(), "t.json")}, "-chrome: -exp table1 does not produce it"},
 		{"output of an experiment outside all", []string{"-series-csv", filepath.Join(t.TempDir(), "s.csv")}, "-series-csv: -exp all does not produce it"},
 		{"a mode boolean of the old command line", []string{"-zonelife"}, errFlags.Error()},

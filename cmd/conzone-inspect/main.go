@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -25,47 +27,69 @@ import (
 )
 
 func main() {
-	cfgPath := flag.String("config", "", "device configuration JSON to describe")
-	writeCfg := flag.String("write-config", "", "write a configuration template to this path and exit")
-	preset := flag.String("preset", "paper", "template preset: paper, small, qlc")
-	zones := flag.Bool("zones", false, "print the full zone report")
-	image := flag.String("image", "", "recover a NAND image saved with SaveImage and describe what survived")
-	flag.Parse()
-
-	cfg, err := pick(*preset)
-	if err != nil {
-		fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, errFlags) {
+			fmt.Fprintln(os.Stderr, "conzone-inspect:", err)
+		}
+		os.Exit(1)
 	}
+}
+
+// presets are the configurations -preset names.
+var presets = map[string]func() config.DeviceConfig{"paper": config.Paper, "small": config.Small, "qlc": config.QLC}
+
+// errFlags is a command line the flag package refused and reported on stderr.
+var errFlags = errors.New("bad command line")
+
+// run is main with its arguments and streams as values.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("conzone-inspect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgPath := fs.String("config", "", "device configuration JSON to describe")
+	writeCfg := fs.String("write-config", "", "write a configuration template to this path and exit")
+	preset := fs.String("preset", "paper", "template preset: paper, small, qlc")
+	zones := fs.Bool("zones", false, "print the full zone report")
+	image := fs.String("image", "", "recover a NAND image saved with SaveImage and describe what survived")
+	if err := fs.Parse(args); err != nil {
+		return errFlags
+	}
+
+	newCfg, ok := presets[*preset]
+	if !ok {
+		return fmt.Errorf("unknown preset %q", *preset)
+	}
+	cfg := newCfg()
 	if *writeCfg != "" {
 		if err := cfg.Save(*writeCfg); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s preset to %s\n", *preset, *writeCfg)
-		return
+		fmt.Fprintf(stdout, "wrote %s preset to %s\n", *preset, *writeCfg)
+		return nil
 	}
 	if *cfgPath != "" {
-		cfg, err = config.Load(*cfgPath)
-		if err != nil {
-			fatal(err)
+		var err error
+		if cfg, err = config.Load(*cfgPath); err != nil {
+			return err
 		}
 	}
-
 	if *image != "" {
-		if err := inspectImage(cfg, *image, *zones); err != nil {
-			fatal(err)
-		}
-		return
+		return inspectImage(stdout, cfg, *image, *zones)
 	}
+	return describe(stdout, cfg, *zones)
+}
 
+// describe prints the configuration's geometry and derived layout, and with
+// zones set the zone report and heatmaps of a fresh device.
+func describe(stdout io.Writer, cfg config.DeviceConfig, zones bool) error {
 	f, err := cfg.NewConZone()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g := cfg.Geometry
-	fmt.Println("Geometry:", g)
-	fmt.Println("FTL:     ", f.Describe())
+	fmt.Fprintln(stdout, "Geometry:", g)
+	fmt.Fprintln(stdout, "FTL:     ", f.Describe())
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "logical capacity\t%s\n", units.FormatBytes(f.TotalSectors()*units.Sector))
 	fmt.Fprintf(w, "zones\t%d x %s\n", f.NumZones(), units.FormatBytes(f.ZoneCapSectors()*units.Sector))
 	fmt.Fprintf(w, "superblock\t%s (%d program units)\n",
@@ -101,40 +125,39 @@ func main() {
 		fmt.Fprintf(w, "fault injection\tdisabled\n")
 	}
 	if err := w.Flush(); err != nil {
-		fatal(err)
+		return err
+	}
+	if !zones {
+		return nil
 	}
 
-	if *zones {
-		fmt.Println("\nZone report:")
-		zw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(zw, "zone\tstart LBA\tcap (sectors)\tWP\tstate")
-		for _, z := range f.Zones().Report() {
-			fmt.Fprintf(zw, "%d\t%d\t%d\t%d\t%v\n", z.ID, z.Start, z.Capacity, z.WP, z.State)
-		}
-		if err := zw.Flush(); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if err := telemetry.CollectZones(f, 0).WriteHeatmap(os.Stdout); err != nil {
-			fatal(err)
-		}
+	fmt.Fprintln(stdout, "\nZone report:")
+	zw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(zw, "zone\tstart LBA\tcap (sectors)\tWP\tstate")
+	for _, z := range f.Zones().Report() {
+		fmt.Fprintf(zw, "%d\t%d\t%d\t%d\t%v\n", z.ID, z.Start, z.Capacity, z.WP, z.State)
 	}
+	if err := zw.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout)
+	return telemetry.CollectZones(f, 0).WriteHeatmap(stdout)
 }
 
 // inspectImage recovers a file-backed NAND image exactly as a crashed
 // device's mount path would and reports the durable state that survived:
 // zone write pointers, the metadata journal, wear and the bad-block table.
 // With zones set it also renders the recovered state's textual heatmaps.
-func inspectImage(cfg config.DeviceConfig, path string, zones bool) error {
+func inspectImage(stdout io.Writer, cfg config.DeviceConfig, path string, zones bool) error {
 	dev, err := conzone.OpenImage(cfg, path)
 	if err != nil {
 		return err
 	}
 	f := dev.FTL()
 	arr := f.Array()
-	fmt.Printf("Image %s: recovered cleanly\n\n", path)
+	fmt.Fprintf(stdout, "Image %s: recovered cleanly\n\n", path)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	c := arr.Counters()
 	fmt.Fprintf(w, "media programs\t%d PU, %d SLC page, %d SLC partial, %d map\n",
 		c.PUPrograms, c.PageProgramsSLC, c.PartialPrograms, c.MapPrograms)
@@ -143,65 +166,41 @@ func inspectImage(cfg config.DeviceConfig, path string, zones bool) error {
 	st := f.Stats()
 	fmt.Fprintf(w, "retired superblocks\t%d (spares left: %d)\n", st.RetiredSuperblocks, f.SpareSuperblocks())
 	fmt.Fprintf(w, "grown bad blocks\t%d\n", len(f.BadBlockTable()))
-	if err := w.Flush(); err != nil {
-		return err
-	}
 
+	// One writer serves every section: a line without a tab ends the
+	// column blocks above it, so each section aligns on its own.
+	fmt.Fprintln(w, "\nRecovered zones (non-empty):\nzone\tstart LBA\twritten (sectors)\tstate")
 	written := 0
-	fmt.Println("\nRecovered zones (non-empty):")
-	zw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(zw, "zone\tstart LBA\twritten (sectors)\tstate")
 	for _, z := range f.Zones().Report() {
 		if z.Written() == 0 {
 			continue
 		}
 		written++
-		fmt.Fprintf(zw, "%d\t%d\t%d\t%v\n", z.ID, z.Start, z.Written(), z.State)
-	}
-	if err := zw.Flush(); err != nil {
-		return err
+		fmt.Fprintf(w, "%d\t%d\t%d\t%v\n", z.ID, z.Start, z.Written(), z.State)
 	}
 	if written == 0 {
-		fmt.Println("  (none)")
+		fmt.Fprintln(w, "  (none)")
 	}
 
 	j := arr.MetaJournal()
-	fmt.Printf("\nMetadata journal: %d records\n", len(j))
-	jw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "\nMetadata journal: %d records\n", len(j))
 	for i, rec := range j {
 		switch rec.Kind {
 		case nand.MetaZoneReset:
-			fmt.Fprintf(jw, "%d\t%v\tzone %d\tseq %d\n", i, rec.Kind, rec.Zone, rec.Seq)
+			fmt.Fprintf(w, "%d\t%v\tzone %d\tseq %d\n", i, rec.Kind, rec.Zone, rec.Seq)
 		case nand.MetaRetireSB:
-			fmt.Fprintf(jw, "%d\t%v\tsuperblock %d\tchip %d block %d op %d\n",
+			fmt.Fprintf(w, "%d\t%v\tsuperblock %d\tchip %d block %d op %d\n",
 				i, rec.Kind, rec.SB, rec.Chip, rec.Block, rec.Op)
 		case nand.MetaSLCRetire:
-			fmt.Fprintf(jw, "%d\t%v\tstaging superblock %d\n", i, rec.Kind, rec.SB)
+			fmt.Fprintf(w, "%d\t%v\tstaging superblock %d\n", i, rec.Kind, rec.SB)
 		}
 	}
-	if err := jw.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return err
 	}
 	if zones {
-		fmt.Println()
-		return dev.Heatmap().WriteHeatmap(os.Stdout)
+		fmt.Fprintln(stdout)
+		return dev.Heatmap().WriteHeatmap(stdout)
 	}
 	return nil
-}
-
-func pick(preset string) (config.DeviceConfig, error) {
-	switch preset {
-	case "paper":
-		return config.Paper(), nil
-	case "small":
-		return config.Small(), nil
-	case "qlc":
-		return config.QLC(), nil
-	}
-	return config.DeviceConfig{}, fmt.Errorf("unknown preset %q", preset)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "conzone-inspect:", err)
-	os.Exit(1)
 }

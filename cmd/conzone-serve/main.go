@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -35,55 +36,59 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":9090", "listen address")
-	cfgPath := flag.String("config", "", "device configuration JSON (default: the paper's §IV-A setup)")
-	image := flag.String("image", "", "open this NAND image (conzone-inspect/SaveImage format) instead of a fresh device")
-	interval := flag.Duration("sample-interval", 5*time.Millisecond, "virtual-time sample interval")
-	ring := flag.Int("ring", 0, "sample ring size (<= 0: default 4096)")
-	idle := flag.Bool("idle", false, "serve a quiescent device instead of driving a background workload")
-	flag.Parse()
+	ln, h, err := listen(os.Args[1:], os.Stdout)
+	if err == nil {
+		err = http.Serve(ln, h)
+	}
+	fmt.Fprintln(os.Stderr, "conzone-serve:", err)
+	os.Exit(1)
+}
+
+// listen is main up to http.Serve; without -idle it starts the workload.
+func listen(args []string, stdout io.Writer) (net.Listener, http.Handler, error) {
+	fs := flag.NewFlagSet("conzone-serve", flag.ExitOnError)
+	addr := fs.String("addr", ":9090", "listen address")
+	cfgPath := fs.String("config", "", "device configuration JSON (default: the paper's §IV-A setup)")
+	image := fs.String("image", "", "open this NAND image (conzone-inspect/SaveImage format) instead of a fresh device")
+	interval := fs.Duration("sample-interval", 5*time.Millisecond, "virtual-time sample interval")
+	ring := fs.Int("ring", 0, "sample ring size (<= 0: default 4096)")
+	idle := fs.Bool("idle", false, "serve a quiescent device instead of driving a background workload")
+	_ = fs.Parse(args) // flag.ExitOnError: a bad command line exits in Parse
 
 	cfg := config.Paper()
+	var err error
 	if *cfgPath != "" {
-		var err error
-		cfg, err = config.Load(*cfgPath)
-		if err != nil {
-			fatal(err)
+		if cfg, err = config.Load(*cfgPath); err != nil {
+			return nil, nil, err
 		}
 	}
-
-	var dev *conzone.Device
-	var err error
+	open := conzone.Open
 	if *image != "" {
-		dev, err = conzone.OpenImage(cfg, *image)
-	} else {
-		dev, err = conzone.Open(cfg)
+		open = func(cfg conzone.Config) (*conzone.Device, error) { return conzone.OpenImage(cfg, *image) }
 	}
+	dev, err := open(cfg)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	dev.EnableObservation(0)
 	if err := dev.EnableSampling(*interval, *ring); err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	fmt.Printf("conzone-serve: http://%s/ (device: %d zones x %d MiB, sampling every %v of virtual time)\n",
+	fmt.Fprintf(stdout, "conzone-serve: http://%s/ (device: %d zones x %d MiB, sampling every %v of virtual time)\n",
 		ln.Addr(), dev.NumZones(), dev.ZoneBytes()>>20, *interval)
-
 	if !*idle {
 		go drive(dev)
 	}
-	fatal(http.Serve(ln, dev.ObservabilityHandler()))
+	return ln, dev.ObservabilityHandler(), nil
 }
 
-// drive runs the sustained random-write workload forever. Device methods
-// lock internally, so scrapes interleave safely with the drive loop; a write
-// failure (e.g. the device degrading to read-only) stops the workload but
-// not the endpoint.
+// drive runs the sustained random-write workload forever; scrapes interleave
+// with it under the Device's lock. A write failure (say, the device degrading
+// to read-only) stops the workload, not the endpoint.
 func drive(dev *conzone.Device) {
 	w := workload.NewZoneBurst(dev, 8)
 	for {
@@ -95,9 +100,4 @@ func drive(dev *conzone.Device) {
 		// outruns it by orders of magnitude, and the process stays polite.
 		time.Sleep(500 * time.Microsecond)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "conzone-serve:", err)
-	os.Exit(1)
 }

@@ -139,9 +139,6 @@ func PaperConfig() Config { return config.Paper() }
 // examples.
 func SmallConfig() Config { return config.Small() }
 
-// QLCConfig returns a QLC variant whose zones are naturally power-of-two.
-func QLCConfig() Config { return config.QLC() }
-
 // LoadConfig reads a JSON configuration saved with Config.Save.
 func LoadConfig(path string) (Config, error) { return config.Load(path) }
 
@@ -234,9 +231,6 @@ func (d *Device) FTL() *ftl.FTL { return d.f }
 // The controller takes no lock of its own — the Device's is the one lock on
 // an I/O — so it must not be used while other goroutines call the Device.
 func (d *Device) Host() *host.Controller { return d.h }
-
-// Capacity returns the device capacity in bytes.
-func (d *Device) Capacity() int64 { return d.f.TotalSectors() * SectorSize }
 
 // ZoneBytes returns the writable bytes per zone.
 func (d *Device) ZoneBytes() int64 { return d.f.ZoneCapSectors() * SectorSize }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -30,14 +31,14 @@ func pattern(off int64, n int) []byte {
 
 func TestOpenConfigs(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"paper": PaperConfig(), "small": SmallConfig(), "qlc": QLCConfig(),
+		"paper": PaperConfig(), "small": SmallConfig(), "qlc": config.QLC(),
 	} {
 		dev, err := Open(cfg)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if dev.Capacity() <= 0 || dev.NumZones() <= 0 || dev.ZoneBytes() <= 0 {
+		if dev.NumZones() <= 0 || dev.ZoneBytes() <= 0 {
 			t.Errorf("%s: degenerate device", name)
 		}
 	}

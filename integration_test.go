@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/conzone/conzone/internal/config"
+	"github.com/conzone/conzone/internal/trace"
 	"github.com/conzone/conzone/internal/zns"
 )
 
@@ -92,24 +94,24 @@ func TestIntegrationL2PLogPublicAPI(t *testing.T) {
 // replay is accepted everywhere and that ConZone reports the consumer-
 // specific events FEMU cannot model.
 func TestIntegrationTraceAcrossModels(t *testing.T) {
-	var recs []TraceRecord
+	var recs []trace.Record
 	at := time.Duration(0)
 	off := map[int32]int64{}
 	for i := 0; i < 240; i++ {
 		// Zones 0 and 2 share write buffer 0: alternating between them
 		// evicts on every switch.
 		zone := int32(i%2) * 2
-		recs = append(recs, TraceRecord{
-			At: at, Op: TraceWrite,
+		recs = append(recs, trace.Record{
+			At: at, Op: trace.OpWrite,
 			LBA: int64(zone)*4096 + off[zone], Sectors: 12,
 		})
 		off[zone] += 12
 		at += 40 * time.Microsecond
 	}
-	recs = append(recs, TraceRecord{At: at, Op: TraceFlush})
-	recs = append(recs, TraceRecord{At: at, Op: TraceRead, LBA: 0, Sectors: 128})
+	recs = append(recs, trace.Record{At: at, Op: trace.OpFlush})
+	recs = append(recs, trace.Record{At: at, Op: trace.OpRead, LBA: 0, Sectors: 128})
 
-	cfg := QLCConfig()
+	cfg := config.QLC()
 	cz, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +120,11 @@ func TestIntegrationTraceAcrossModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := ReplayTrace(cz.FTL(), recs)
+	rc, err := trace.Replay(cz.FTL(), recs)
 	if err != nil {
 		t.Fatalf("conzone replay: %v", err)
 	}
-	rf, err := ReplayTrace(fm, recs)
+	rf, err := trace.Replay(fm, recs)
 	if err != nil {
 		t.Fatalf("femu replay: %v", err)
 	}

@@ -211,6 +211,24 @@ func TestEmulatorComparison(t *testing.T) {
 	}
 }
 
+// TestF2FSDefault holds the f2fs claim at Default() scale, 64 MiB per arm;
+// TestRegistry holds it, and pins the rendered report, at Quick().
+func TestF2FSDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run")
+	}
+	rep, err := runF2FS(config.Paper(), Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rep.Tables[0].Rows {
+		t.Log(strings.Join(row, "  "))
+	}
+	if !rep.Pass {
+		t.Errorf("f2fs claims not reproduced at Default():\n%s", strings.Join(rep.Checks, "\n"))
+	}
+}
+
 // TestRegistry runs every entry of the registry at Quick() scale on the paper
 // configuration: whatever conzone-bench can print, this has evaluated. An
 // entry declares its artifact keys sorted.

@@ -111,8 +111,9 @@ type Experiment struct {
 
 // All returns every experiment this package can run: the paper's tables and
 // figures first, in the order of §IV, then the characterizations of what
-// this reproduction adds, and last the two that drive the public
-// conzone.Device to show its telemetry (metrics, timeseries). faultSeed
+// this reproduction adds, then the two that drive the public conzone.Device
+// to show its telemetry (metrics, timeseries), and last the paper's
+// motivating file system on that Device (f2fs). faultSeed
 // seeds the two entries that inject faults (faults, crash); the others
 // ignore it.
 func All(faultSeed uint64) []Experiment {
@@ -139,6 +140,7 @@ func All(faultSeed uint64) []Experiment {
 		{Name: "zonelife", Run: runZoneLife},
 		{Name: "metrics", Artifacts: []string{"chrome", "metrics-json"}, Run: runMetrics},
 		{Name: "timeseries", Artifacts: []string{"series-csv", "series-jsonl"}, Run: runTimeseries},
+		{Name: "f2fs", Run: runF2FS},
 	}
 }
 

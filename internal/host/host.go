@@ -223,9 +223,9 @@ type request struct {
 	key sim.Time
 }
 
-// pendingHeap orders undispatched requests by (key, tag) — the same
-// deterministic (ready time, tag) order the former linear min-scan used,
-// at O(log n) per dispatch instead of O(n).
+// pendingHeap orders undispatched requests by (key, tag): earliest stored
+// ready time first, and among equal times the lower tag, i.e. the earlier
+// submission. Ties thus break the same way on every run.
 type pendingHeap []*request
 
 func (h pendingHeap) Len() int { return len(h) }
@@ -465,15 +465,15 @@ func (c *Controller) readyTime(r *request) sim.Time {
 // (ready time, tag) order, dispatching each command into the backend and
 // sorting its completion into the owning completion queue.
 //
-// The pending set is a min-heap on (key, tag) where keys are lazily stale:
-// dispatching a write-class command pushes its zone's lock horizon forward,
-// which can invalidate the stored ready times of queued commands — but only
-// ever upward, so each stored key remains a lower bound. Before trusting
+// The pending set is a min-heap on (key, tag) whose keys may be stale, but
+// only low: dispatching a write-class command pushes its zone's lock horizon
+// forward, which can only raise the ready time of a queued command, so every
+// stored key is a lower bound on its command's ready time. Before trusting
 // the root, advance recomputes its ready time; if it moved, the key is
 // updated and the root sifted down (heap.Fix), and the new root is checked
-// in turn. When the root's key is fresh it is no larger than every other
-// element's lower bound, so the root is the true (ready, tag) minimum and
-// dispatch order is identical to the former linear scan's.
+// in turn. A root whose key is fresh is no later than any other command's
+// lower bound, hence no later than its ready time: it is the (ready time,
+// tag) minimum, and dispatching it keeps the order exact.
 func (c *Controller) advance() {
 	for c.pending.Len() > 0 {
 		r := c.pending[0]

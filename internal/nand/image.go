@@ -563,7 +563,7 @@ func (r *imageReader) readChunks(a *Array) error {
 	return nil
 }
 
-// The media contract, shared by both loaders. Each check returns a plain
+// The media contract of a loaded image. Each check returns a plain
 // description; the loader adds where in the file it was and the class.
 
 // checkTables checks what is not per-sector state: counters, the sequence
