@@ -2,12 +2,50 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
+
+// TestRunPinned pins the stdout of a read job over a prefilled region and of
+// a sequential-write job that wraps its region, both on the Small
+// configuration: testdata/<name>.golden, which -update rewrites. Every
+// number the report prints is virtual time, so the output repeats exactly.
+func TestRunPinned(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"read", []string{"-small", "-rw", "read", "-bs", "128k", "-range", "4m", "-size", "4m", "-prefill"}},
+		{"seqwrite", []string{"-small", "-rw", "write", "-bs", "128k", "-range", "4m", "-size", "8m"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(c.args, &stdout, &stderr); err != nil {
+			t.Errorf("%v: %v", c.args, err)
+			continue
+		}
+		path := filepath.Join("testdata", c.golden+".golden")
+		if *update {
+			if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Errorf("%v: stdout differs from %s (-update rewrites it):\n%s", c.args, path, stdout.Bytes())
+		}
+	}
+}
 
 // TestRunRefusals: a random-write job over a sequential zone fails before
 // its first I/O with one line that names the zone, and prints no report.

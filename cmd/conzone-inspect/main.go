@@ -6,6 +6,7 @@
 //	conzone-inspect                      # describe the paper configuration
 //	conzone-inspect -config my.json      # describe a saved configuration
 //	conzone-inspect -write-config my.json -preset qlc
+//	conzone-inspect -config my.json -write-config copy.json
 //	conzone-inspect -image dev.img        # recover a saved NAND image and
 //	                                      # print its zones, journal and wear
 package main
@@ -46,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("conzone-inspect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	cfgPath := fs.String("config", "", "device configuration JSON to describe")
-	writeCfg := fs.String("write-config", "", "write a configuration template to this path and exit")
+	writeCfg := fs.String("write-config", "", "write the configuration (-config, else -preset) to this path and exit")
 	preset := fs.String("preset", "paper", "template preset: paper, small, qlc")
 	zones := fs.Bool("zones", false, "print the full zone report")
 	image := fs.String("image", "", "recover a NAND image saved with SaveImage and describe what survived")
@@ -58,19 +59,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown preset %q", *preset)
 	}
-	cfg := newCfg()
-	if *writeCfg != "" {
-		if err := cfg.Save(*writeCfg); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s preset to %s\n", *preset, *writeCfg)
-		return nil
-	}
+	cfg, source := newCfg(), *preset+" preset"
 	if *cfgPath != "" {
 		var err error
 		if cfg, err = config.Load(*cfgPath); err != nil {
 			return err
 		}
+		source = "configuration " + *cfgPath
+	}
+	if *writeCfg != "" {
+		if err := cfg.Save(*writeCfg); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s to %s\n", source, *writeCfg)
+		return nil
 	}
 	if *image != "" {
 		return inspectImage(stdout, cfg, *image, *zones)

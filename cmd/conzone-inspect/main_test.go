@@ -120,10 +120,43 @@ func TestRunWriteConfig(t *testing.T) {
 	}
 }
 
-// TestRunRefusals: a command line that cannot be served returns an error
-// and prints nothing on stdout.
+// TestRunWriteLoadedConfig: with -config, -write-config writes the loaded
+// configuration, not the preset, and says which file it came from.
+func TestRunWriteLoadedConfig(t *testing.T) {
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "mine.json"), filepath.Join(dir, "out.json")
+	mine := config.Small()
+	mine.FTL.NumWriteBuffers++
+	if err := mine.Save(in); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-preset", "qlc", "-config", in, "-write-config", out}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if want := "wrote configuration " + in + " to " + out + "\n"; stdout.String() != want {
+		t.Errorf("stdout %q, want %q", stdout.String(), want)
+	}
+	got, err := config.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, mine) {
+		t.Errorf("wrote %+v, want the loaded configuration %+v", got, mine)
+	}
+}
+
+// TestRunRefusals: a command line that cannot be served returns an error,
+// prints nothing on stdout and writes no file.
 func TestRunRefusals(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.img")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.img")
+	missingCfg := filepath.Join(dir, "missing.json")
+	malformed := filepath.Join(dir, "malformed.json")
+	if err := os.WriteFile(malformed, []byte(`{"Geometry": `), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.json")
 	for _, c := range []struct {
 		name string
 		args []string
@@ -132,6 +165,8 @@ func TestRunRefusals(t *testing.T) {
 		{"unknown preset", []string{"-preset", "tlc"}, `unknown preset "tlc"`},
 		{"missing image", []string{"-image", missing}, "open " + missing + ": no such file or directory"},
 		{"unknown flag", []string{"-heatmap"}, errFlags.Error()},
+		{"missing config", []string{"-config", missingCfg, "-write-config", out}, missingCfg},
+		{"malformed config", []string{"-config", malformed, "-write-config", out}, "config: parse " + malformed},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(c.args, &stdout, &stderr)
@@ -140,6 +175,9 @@ func TestRunRefusals(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: printed %q before refusing", c.name, stdout.String())
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: wrote %s (stat: %v)", c.name, out, err)
 		}
 	}
 }

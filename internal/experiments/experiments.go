@@ -8,6 +8,9 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/conzone/conzone/internal/config"
@@ -86,4 +89,33 @@ func fitRegion(cfg config.DeviceConfig, want int64) (int64, error) {
 		return 0, fmt.Errorf("experiments: region %d does not fit device of %d", want, capBytes)
 	}
 	return region, nil
+}
+
+// each runs fn(0) … fn(n-1) on up to runtime.GOMAXPROCS(0) goroutines and
+// returns the error of the lowest-indexed call that failed, or nil. The
+// calls are a figure's independent arms: each builds its own device and
+// writes its result only into its own slot i of a slice the caller sized,
+// and no package keeps mutable global state, so what the caller collects by
+// index afterwards is what a serial loop would have produced, at any
+// GOMAXPROCS.
+func each(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/refdata"
@@ -106,21 +107,27 @@ func RunFig6a(cfg config.DeviceConfig, opt Options) (Fig6aResult, error) {
 		return row, nil
 	}
 
-	cz, err := measure(func() (workload.Device, error) { return cfg.NewConZone() })
-	if err != nil {
-		return res, fmt.Errorf("conzone: %w", err)
+	series := []struct {
+		name  string
+		build func() (workload.Device, error)
+	}{
+		{"ConZone", func() (workload.Device, error) { return cfg.NewConZone() }},
+		{"Legacy", func() (workload.Device, error) { return cfg.NewLegacy() }},
+		{"FEMU", func() (workload.Device, error) { return cfg.NewFEMU() }},
 	}
-	cz.Series = "ConZone"
-	lg, err := measure(func() (workload.Device, error) { return cfg.NewLegacy() })
-	if err != nil {
-		return res, fmt.Errorf("legacy: %w", err)
+	rows := make([]Fig6aRow, len(series))
+	if err := each(len(series), func(i int) error {
+		row, err := measure(series[i].build)
+		if err != nil {
+			return fmt.Errorf("%s: %w", strings.ToLower(series[i].name), err)
+		}
+		row.Series = series[i].name
+		rows[i] = row
+		return nil
+	}); err != nil {
+		return res, err
 	}
-	lg.Series = "Legacy"
-	fm, err := measure(func() (workload.Device, error) { return cfg.NewFEMU() })
-	if err != nil {
-		return res, fmt.Errorf("femu: %w", err)
-	}
-	fm.Series = "FEMU"
+	cz, lg, fm := rows[0], rows[1], rows[2]
 
 	// Synthesised ZMS reference (see function comment and DESIGN.md).
 	zms := Fig6aRow{

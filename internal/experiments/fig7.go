@@ -38,14 +38,18 @@ var Fig7Ranges = []int64{1 * units.MiB, 16 * units.MiB, 1 * units.GiB}
 // cache; hybrid mapping's chunk/zone entries keep everything resident.
 func RunFig7(cfg config.DeviceConfig, opt Options) (Fig7Result, error) {
 	var res Fig7Result
-	for _, mode := range []string{"page", "hybrid"} {
-		for _, rng := range Fig7Ranges {
-			p, err := runRandRead(cfg, opt, mode, rng, cfg.FTL.Search, cfg.FTL.L2PCacheBytes)
-			if err != nil {
-				return res, fmt.Errorf("fig7 %s/%s: %w", mode, units.FormatBytes(rng), err)
-			}
-			res.Points = append(res.Points, p)
+	modes := []string{"page", "hybrid"}
+	res.Points = make([]Fig7Point, len(modes)*len(Fig7Ranges))
+	if err := each(len(res.Points), func(i int) error {
+		mode, rng := modes[i/len(Fig7Ranges)], Fig7Ranges[i%len(Fig7Ranges)]
+		p, err := runRandRead(cfg, opt, mode, rng, cfg.FTL.Search, cfg.FTL.L2PCacheBytes)
+		if err != nil {
+			return fmt.Errorf("fig7 %s/%s: %w", mode, units.FormatBytes(rng), err)
 		}
+		res.Points[i] = p
+		return nil
+	}); err != nil {
+		return res, err
 	}
 
 	byKey := func(mapping string, rng int64) Fig7Point {

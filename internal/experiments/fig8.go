@@ -51,17 +51,23 @@ func RunFig8(cfg config.DeviceConfig, opt Options) (Fig8Result, error) {
 		cacheBytes = c.FTL.L2PEntryBytes
 	}
 
-	for _, s := range []ftl.Strategy{ftl.Bitmap, ftl.Multiple, ftl.Pinned} {
+	strategies := []ftl.Strategy{ftl.Bitmap, ftl.Multiple, ftl.Pinned}
+	res.Points = make([]Fig8Point, len(strategies))
+	if err := each(len(strategies), func(i int) error {
+		s := strategies[i]
 		p, err := runRandRead(c, opt, "hybrid", rng, s, cacheBytes)
 		if err != nil {
-			return res, fmt.Errorf("fig8 %v: %w", s, err)
+			return fmt.Errorf("fig8 %v: %w", s, err)
 		}
-		res.Points = append(res.Points, Fig8Point{
+		res.Points[i] = Fig8Point{
 			Strategy:  s.String(),
 			KIOPS:     p.KIOPS,
 			P99:       p.P99,
 			MissRatio: p.MissRatio,
-		})
+		}
+		return nil
+	}); err != nil {
+		return res, err
 	}
 
 	byName := func(name string) Fig8Point {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
@@ -64,6 +65,43 @@ func TestFig6aComparatorReadsRepeat(t *testing.T) {
 				t.Errorf("%s %d-thread read cell differs between two runs of one seed:\n first  %+v\n second %+v",
 					c.name, first[i].Threads, first[i], second[i])
 			}
+		}
+	}
+}
+
+// TestFigureArmsIndependentOfProcs runs the three figures whose arms run
+// side by side — Fig. 6(a)'s emulator series, Fig. 7's mapping × range
+// points, Fig. 8's strategies — with one processor and with four, and
+// requires deeply equal results: rows, points, checks and verdict. Each arm
+// builds its own device and writes only its own slot, so the schedule must
+// not show; under -race the four-processor run also checks that no arm
+// touches another's state.
+func TestFigureArmsIndependentOfProcs(t *testing.T) {
+	cfg, opt := config.Paper(), Quick()
+	run := func(procs int) (Fig6aResult, Fig7Result, Fig8Result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f6, err := RunFig6a(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f7, err := RunFig7(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f8, err := RunFig8(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f6, f7, f8
+	}
+	s6, s7, s8 := run(1)
+	p6, p7, p8 := run(4)
+	for _, c := range []struct {
+		name           string
+		serial, shared any
+	}{{"fig6a", s6, p6}, {"fig7", s7, p7}, {"fig8", s8, p8}} {
+		if !reflect.DeepEqual(c.serial, c.shared) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\n 1: %+v\n 4: %+v", c.name, c.serial, c.shared)
 		}
 	}
 }

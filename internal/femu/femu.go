@@ -223,16 +223,24 @@ func (d *Device) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, err
 	}
 	b.payloads = append(b.payloads, payloads...)
 	release, done := at, at
-	for int64(len(b.payloads)) >= d.puSectors {
-		addr := d.arr.StripeAddr(sb, b.start-z.Start)
-		rel, dn, err := d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page, b.payloads[:d.puSectors])
-		if err != nil {
-			return at, err
+	var k int64 // sectors of b.payloads programmed by this write
+	for ; int64(len(b.payloads))-k >= d.puSectors; k += d.puSectors {
+		addr := d.arr.StripeAddr(sb, b.start+k-z.Start)
+		var rel, dn sim.Time
+		if rel, dn, err = d.arr.ProgramPU(at, addr.Chip, addr.Block, addr.Page, b.payloads[k:k+d.puSectors]); err != nil {
+			break
 		}
 		d.stats.Programs++
-		b.start += d.puSectors
-		b.payloads = b.payloads[d.puSectors:]
 		release, done = sim.Max(release, rel), sim.Max(done, dn)
+	}
+	// Compact in place: reslicing past the programmed units would leave
+	// append no room to grow into and make it reallocate on the next write.
+	b.start += k
+	rest := copy(b.payloads, b.payloads[k:])
+	clear(b.payloads[rest:])
+	b.payloads = b.payloads[:rest]
+	if err != nil {
+		return at, err
 	}
 	ack := at
 	if d.pers.writeBuffer() {
@@ -283,21 +291,37 @@ func (d *Device) FlushAll(at sim.Time) (sim.Time, error) {
 
 // Read serves a host read: arithmetic translation (through the zone map
 // where there is one, one lookup per request), no mapping cost, unthrottled
-// transfer, plus VM-exit latency.
+// transfer, plus VM-exit latency. The returned payload entries are borrowed
+// views of the media or the zone buffer, stable until the next device
+// operation.
 func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	zone, err := d.zones.ValidateRead(lba, n)
+	out := make([][]byte, max(n, 0)) // ReadInto rejects n <= 0
+	done, err := d.ReadInto(at, lba, n, out)
 	if err != nil {
 		return nil, at, err
+	}
+	return out, done, nil
+}
+
+// ReadInto is Read with caller-provided payload storage: out must hold
+// exactly n entries.
+func (d *Device) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, error) {
+	zone, err := d.zones.ValidateRead(lba, n)
+	if err != nil {
+		return at, err
+	}
+	if int64(len(out)) != n {
+		return at, fmt.Errorf("%v: ReadInto dst holds %d entries, want %d", d.pers, len(out), n)
 	}
 	z, err := d.zones.Zone(zone)
 	if err != nil {
-		return nil, at, err
+		return at, err
 	}
 	sb := d.superblock(zone)
-	out := make([][]byte, n)
 	d.pages.Reset()
 	for i := int64(0); i < n; i++ {
 		l := lba + i
+		out[i] = nil
 		if l >= z.WP || sb < 0 {
 			continue // unwritten tail reads as zeros
 		}
@@ -314,7 +338,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	for _, r := range d.pages.Runs() {
 		end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
 		if end > done {
 			done = end
@@ -323,7 +347,7 @@ func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	d.stats.HostReadBytes += n * units.Sector
 	done = done.Add(d.jitter())
 	d.arr.Engine().Observe(done)
-	return out, done, nil
+	return done, nil
 }
 
 // ResetZone resets a zone: erase its superblock, drop its buffered data
@@ -332,7 +356,10 @@ func (d *Device) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	if err := d.zones.Reset(zone); err != nil {
 		return at, err
 	}
-	delete(d.bufs, zone)
+	if b := d.bufs[zone]; b != nil {
+		clear(b.payloads)
+		*b = zoneBuf{payloads: b.payloads[:0]} // empty, its storage kept for the zone's next life
+	}
 	sb := zone
 	if d.pers.zoneMap() {
 		sb = d.zoneMap[zone]

@@ -220,3 +220,76 @@ func TestDeterministicJitter(t *testing.T) {
 		t.Error("same seed must give identical timing")
 	}
 }
+
+// BenchmarkWrite is the zone write path in steady state: 128 KiB
+// sequential writes carrying payloads fill a zone, which is reset and
+// filled again, so the zone's buffer and the media's chunks and slabs are
+// reused lap after lap.
+// One op is one write; it allocates nothing.
+func BenchmarkWrite(b *testing.B) {
+	for _, pers := range personalities {
+		b.Run(pers.String(), func(b *testing.B) {
+			d, err := New(pers, testGeo(), nand.DefaultLatencies(), testParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			const n = 32
+			payloads := payloadsFor(0, n)
+			zoneCap := d.ZoneCapSectors()
+			var at sim.Time
+			var off int64
+			write := func() {
+				if off == zoneCap {
+					if at, err = d.ResetZone(at, 0); err != nil {
+						b.Fatal(err)
+					}
+					off = 0
+				}
+				if at, err = d.Write(at, off, payloads); err != nil {
+					b.Fatal(err)
+				}
+				off += n
+			}
+			for i := int64(0); i < 2*zoneCap/n; i++ { // two laps: every freelist is primed
+				write()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				write()
+			}
+		})
+	}
+}
+
+// BenchmarkReadInto is the read path in steady state: 32-sector reads
+// cycling over a written zone, half of whose last unit is still in the
+// zone buffer, into one caller-owned slice. It allocates nothing.
+func BenchmarkReadInto(b *testing.B) {
+	for _, pers := range personalities {
+		b.Run(pers.String(), func(b *testing.B) {
+			d, err := New(pers, testGeo(), nand.DefaultLatencies(), testParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			const n = 32
+			written := d.ZoneCapSectors() - 12
+			at, err := d.Write(0, 0, payloadsFor(0, written))
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := make([][]byte, n)
+			var lba int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if at, err = d.ReadInto(at, lba, n, out); err != nil {
+					b.Fatal(err)
+				}
+				if lba += n; lba+n > written {
+					lba = 0
+				}
+			}
+		})
+	}
+}

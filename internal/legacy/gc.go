@@ -138,7 +138,7 @@ func (d *Device) stage(at sim.Time, ws []slc.Write) (sim.Time, error) {
 		return at, err
 	}
 	for k, g := range gidxs {
-		d.table[ws[k].LPA] = d.stagedBase + g
+		d.table.set(ws[k].LPA, d.stagedBase+g)
 		d.cache.update(ws[k].LPA)
 	}
 	d.stats.StagedSectors += int64(len(ws))
@@ -221,10 +221,10 @@ func (r *tableRelocator) Relocate(lpa, oldIdx, newIdx int64) error {
 	if lpa < 0 || lpa >= d.totalSectors {
 		return fmt.Errorf("legacy: relocate of out-of-range LPA %d", lpa)
 	}
-	if d.table[lpa] != d.stagedBase+oldIdx {
+	if d.table.get(lpa) != d.stagedBase+oldIdx {
 		return fmt.Errorf("legacy: relocate mismatch for LPA %d", lpa)
 	}
-	d.table[lpa] = d.stagedBase + newIdx
+	d.table.set(lpa, d.stagedBase+newIdx)
 	d.cache.update(lpa)
 	return nil
 }

@@ -48,6 +48,51 @@ type phys = int64
 
 const invalidPhys phys = -1
 
+// pageTable maps an LPA to its physical index. The logical space is cut
+// into tableChunk-entry chunks allocated on the first mapping into them, so
+// a device holds table for the logical space it has written, not for all of
+// it. An entry stores phys+1: 0, the zero value of a fresh chunk, is
+// unmapped, and no fill loop runs.
+type pageTable struct {
+	chunks [][]phys
+	n      int64 // entries, the logical capacity in sectors
+}
+
+const (
+	tableShift = 16
+	tableChunk = 1 << tableShift // 64 Ki entries, 512 KiB
+)
+
+func newPageTable(n int64) pageTable {
+	return pageTable{chunks: make([][]phys, (n+tableChunk-1)/tableChunk), n: n}
+}
+
+// get returns lpa's physical index, or invalidPhys when it is unmapped.
+func (t *pageTable) get(lpa int64) phys {
+	c := t.chunks[lpa>>tableShift]
+	if c == nil {
+		return invalidPhys
+	}
+	return c[lpa&(tableChunk-1)] - 1
+}
+
+// set maps lpa to p; invalidPhys unmaps it.
+func (t *pageTable) set(lpa int64, p phys) {
+	c := t.chunks[lpa>>tableShift]
+	if c == nil {
+		if p == invalidPhys {
+			return
+		}
+		base := lpa &^ (tableChunk - 1)
+		c = make([]phys, min(tableChunk, t.n-base))
+		t.chunks[lpa>>tableShift] = c
+	}
+	c[lpa&(tableChunk-1)] = p + 1
+}
+
+// sbState is a normal superblock's reverse map. valid and lpa are
+// allocated when the superblock is first bound for writing, so a device
+// holds them only for the superblocks it has written.
 type sbState struct {
 	valid      []bool
 	lpa        []int64
@@ -63,7 +108,7 @@ type Device struct {
 	staging *slc.Region
 	cache   *pageCache
 
-	table      []phys // lpa -> phys
+	table      pageTable
 	sbSectors  int64
 	puSectors  int64
 	chips      int // geo.Chips()
@@ -80,6 +125,7 @@ type Device struct {
 	stats        Stats
 
 	pages nand.PageRuns // page batching of the current read or GC pass
+	lpas  []int64       // flushRun's scratch: the LPAs of a run's whole program units
 }
 
 // New builds a legacy device over a fresh array with the given geometry.
@@ -121,10 +167,7 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 	}
 	d.stagedBase = int64(numSB) * d.sbSectors
 	d.totalSectors = int64(numSB-p.OverprovisionSB) * d.sbSectors
-	d.table = make([]phys, d.totalSectors)
-	for i := range d.table {
-		d.table[i] = invalidPhys
-	}
+	d.table = newPageTable(d.totalSectors)
 	var err error
 	d.bufs, err = wbuf.New(1, geo.SuperpageBytes()/units.Sector)
 	if err != nil {
@@ -141,11 +184,7 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 	d.cache = newPageCache(p.L2PCacheBytes/p.L2PEntryBytes, d.totalSectors)
 	d.sbs = make([]sbState, numSB)
 	for i := range d.sbs {
-		d.sbs[i] = sbState{
-			valid:  make([]bool, d.sbSectors),
-			lpa:    make([]int64, d.sbSectors),
-			inFree: true,
-		}
+		d.sbs[i].inFree = true
 		d.freeSBs = append(d.freeSBs, i)
 	}
 	return d, nil
@@ -193,18 +232,18 @@ func (d *Device) CheckInvariants() error {
 		}
 		live += int64(n)
 	}
-	for lpa, p := range d.table {
-		switch {
+	for lpa := int64(0); lpa < d.totalSectors; lpa++ {
+		switch p := d.table.get(lpa); {
 		case p == invalidPhys:
 			continue
 		case p >= d.stagedBase:
-			if back, err := d.staging.LPAAt(p - d.stagedBase); err != nil || !d.staging.IsValid(p-d.stagedBase) || back != int64(lpa) {
+			if back, err := d.staging.LPAAt(p - d.stagedBase); err != nil || !d.staging.IsValid(p-d.stagedBase) || back != lpa {
 				return fmt.Errorf("legacy: LPA %d maps to staged index %d, which is dead or holds LPA %d (%v)", lpa, p-d.stagedBase, back, err)
 			}
 			staged++
 		default:
 			sb, off := &d.sbs[p/d.sbSectors], p%d.sbSectors
-			if !sb.valid[off] || sb.lpa[off] != int64(lpa) {
+			if !sb.valid[off] || sb.lpa[off] != lpa {
 				return fmt.Errorf("legacy: LPA %d maps to %d/%d, which is dead or holds LPA %d", lpa, p/d.sbSectors, off, sb.lpa[off])
 			}
 			live--
@@ -230,7 +269,7 @@ func (d *Device) physLoc(p phys) (nand.Addr, error) {
 
 // invalidateOld marks the previous location of lpa dead, wherever it is.
 func (d *Device) invalidateOld(lpa int64) error {
-	old := d.table[lpa]
+	old := d.table.get(lpa)
 	if old == invalidPhys {
 		return nil
 	}
@@ -248,7 +287,7 @@ func (d *Device) invalidateOld(lpa int64) error {
 			d.sbs[sb].validCount--
 		}
 	}
-	d.table[lpa] = invalidPhys
+	d.table.set(lpa, invalidPhys)
 	d.cache.invalidate(lpa)
 	return nil
 }
@@ -259,7 +298,12 @@ func (d *Device) bindSB() error {
 	}
 	d.cur = d.freeSBs[0]
 	d.freeSBs = d.freeSBs[1:]
-	d.sbs[d.cur].inFree = false
+	sb := &d.sbs[d.cur]
+	sb.inFree = false
+	if sb.valid == nil {
+		sb.valid = make([]bool, d.sbSectors)
+		sb.lpa = make([]int64, d.sbSectors)
+	}
 	d.pos = 0
 	return nil
 }
@@ -288,7 +332,7 @@ func (d *Device) programRun(at sim.Time, lpas []int64, payloads [][]byte, chaine
 			sb.valid[d.pos] = true
 			sb.lpa[d.pos] = lpa
 			sb.validCount++
-			d.table[lpa] = phys(int64(d.cur)*d.sbSectors + d.pos)
+			d.table.set(lpa, phys(int64(d.cur)*d.sbSectors+d.pos))
 			d.cache.update(lpa)
 			d.pos++
 		}
@@ -376,14 +420,14 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 	}
 	at = done
 	n := int64(len(payloads))
-	lpas := make([]int64, n-n%d.puSectors)
-	for j := range lpas {
-		lpas[j] = startLBA + int64(j)
-		if err := d.invalidateOld(lpas[j]); err != nil {
+	d.lpas = d.lpas[:0]
+	for lpa := startLBA; lpa < startLBA+n-n%d.puSectors; lpa++ {
+		if err := d.invalidateOld(lpa); err != nil {
 			return at, err
 		}
+		d.lpas = append(d.lpas, lpa)
 	}
-	i, done, err := d.programRun(at, lpas, payloads, false)
+	i, done, err := d.programRun(at, d.lpas, payloads, false)
 	if err != nil {
 		return at, err
 	}
@@ -455,7 +499,7 @@ func (d *Device) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, er
 		} else {
 			d.stats.CacheHits++
 		}
-		p := d.table[l]
+		p := d.table.get(l)
 		if p == invalidPhys {
 			continue
 		}

@@ -389,9 +389,9 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		return d
 	}
 	mapped := func(d *Device, inStaging bool) int64 {
-		for lpa, p := range d.table {
-			if p != invalidPhys && (p >= d.stagedBase) == inStaging {
-				return int64(lpa)
+		for lpa := int64(0); lpa < d.totalSectors; lpa++ {
+			if p := d.table.get(lpa); p != invalidPhys && (p >= d.stagedBase) == inStaging {
+				return lpa
 			}
 		}
 		t.Fatalf("no LPA mapped with staging=%v", inStaging)
@@ -402,10 +402,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		"free but unlisted": func(d *Device) { d.freeSBs = d.freeSBs[1:] },
 		"listed but in use": func(d *Device) { d.freeSBs = append(d.freeSBs, d.cur) },
 		"valid count":       func(d *Device) { d.sbs[d.cur].validCount++ },
-		"dead target":       func(d *Device) { p := d.table[mapped(d, false)]; d.sbs[p/d.sbSectors].valid[p%d.sbSectors] = false },
-		"wrong owner":       func(d *Device) { p := d.table[mapped(d, false)]; d.sbs[p/d.sbSectors].lpa[p%d.sbSectors]++ },
-		"unreferenced":      func(d *Device) { d.table[mapped(d, false)] = invalidPhys },
-		"staged orphan":     func(d *Device) { d.table[mapped(d, true)] = invalidPhys },
+		"dead target":       func(d *Device) { p := d.table.get(mapped(d, false)); d.sbs[p/d.sbSectors].valid[p%d.sbSectors] = false },
+		"wrong owner":       func(d *Device) { p := d.table.get(mapped(d, false)); d.sbs[p/d.sbSectors].lpa[p%d.sbSectors]++ },
+		"unreferenced":      func(d *Device) { d.table.set(mapped(d, false), invalidPhys) },
+		"staged orphan":     func(d *Device) { d.table.set(mapped(d, true), invalidPhys) },
 	} {
 		d := build()
 		corrupt(d)
@@ -414,5 +414,40 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		} else {
 			t.Logf("%s: %v", name, err)
 		}
+	}
+}
+
+// BenchmarkFlush is a premature flush in steady state: one program unit
+// written and flushed, walking the logical space sequentially and wrapping,
+// so every superblock is wholly overwritten before GC picks it and a
+// collection only erases. One op is the write and the flush; it allocates
+// nothing.
+func BenchmarkFlush(b *testing.B) {
+	d, err := New(testGeo(), nand.DefaultLatencies(), testParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pu := d.puSectors
+	payloads := payloadsFor(0, pu)
+	var at sim.Time
+	var lba int64
+	flush := func() {
+		if _, err = d.Write(at, lba, payloads); err != nil {
+			b.Fatal(err)
+		}
+		if at, err = d.Flush(at); err != nil {
+			b.Fatal(err)
+		}
+		if lba += pu; lba+pu > d.TotalSectors() {
+			lba = 0
+		}
+	}
+	for i := int64(0); i < 2*d.TotalSectors()/pu; i++ { // two passes: GC and every freelist are primed
+		flush()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flush()
 	}
 }

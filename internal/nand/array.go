@@ -1,7 +1,9 @@
 package nand
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/conzone/conzone/internal/obs"
@@ -58,7 +60,7 @@ type Array struct {
 	nsectors   int64          // geo.TotalSectors()
 	chunks     []*sectorChunk // by linear sector >> chunkShift
 	freeChunks []*sectorChunk // all-zero chunks released by erases
-	slabs      slabArena      // payload buffers by handle
+	slabs      slabArena      // payload buffers by handle, and each chunk's handles
 
 	// obs is the device's lifecycle recorder, nil when observation is off.
 	// The array is its one holder: the layers above record through Recorder,
@@ -91,10 +93,17 @@ type Array struct {
 	journal []MetaRecord
 }
 
+// ErrLPASpace reports a geometry with more linear sectors than a state
+// chunk's 32-bit OOB logical address can number (see slab.go).
+var ErrLPASpace = errors.New("nand: linear sector space exceeds 32-bit OOB logical addresses")
+
 // NewArray builds an array for a validated geometry and latency table.
 func NewArray(geo Geometry, lat LatencyTable, engine *sim.Engine) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
+	}
+	if n := geo.TotalSectors(); n >= math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d sectors", ErrLPASpace, n)
 	}
 	if err := lat.Validate(); err != nil {
 		return nil, err
@@ -517,8 +526,9 @@ func (a *Array) IsWritten(ppa PPA) bool {
 }
 
 // Payload returns the stored bytes of one written sector, or nil when the
-// sector was programmed without a recorded payload. An array that never
-// stored a payload answers without loading the sector's state chunk.
+// sector was programmed without a recorded payload. It reads the sector's
+// slab set, never its state chunk; an array that never stored a payload
+// has no set to read.
 //
 // The returned slice is a borrow of the live pooled media slab: it must not
 // be modified — other sectors may hold the same slab (SharePayload) — and
@@ -528,18 +538,14 @@ func (a *Array) IsWritten(ppa PPA) bool {
 // the current media operation (oracles, host-boundary copies) must copy
 // them first.
 func (a *Array) Payload(ppa PPA) []byte {
-	if ppa < 0 || int64(ppa) >= a.nsectors || a.slabs.issued == 0 {
+	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return nil
 	}
-	c := a.chunkOf(int64(ppa))
-	if c == nil {
+	s := a.setOf(int64(ppa) >> chunkShift)
+	if s == nil || s[ppa&chunkMask] == 0 {
 		return nil
 	}
-	h := c.slab[ppa&chunkMask]
-	if h == 0 {
-		return nil
-	}
-	return a.slabs.buf(h)
+	return a.slabs.buf(s[ppa&chunkMask])
 }
 
 // NextProgramSector returns the block's append point (linear sector offset

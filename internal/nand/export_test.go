@@ -82,8 +82,8 @@ func ImageFixedAlloc(b []byte) int64 {
 
 // SlabOf returns the handle of the slab the sector holds, 0 when none.
 func (a *Array) SlabOf(ppa PPA) int32 {
-	if c := a.chunkOf(int64(ppa)); c != nil {
-		return c.slab[ppa&chunkMask]
+	if s := a.setOf(int64(ppa) >> chunkShift); s != nil {
+		return s[ppa&chunkMask]
 	}
 	return 0
 }
@@ -106,3 +106,10 @@ func (a *Array) AddSlabRef(h, delta int32) { a.slabs.refs[h-1] += delta }
 
 // PushFreeSlab pushes handle h onto the free stack, whoever holds it.
 func (a *Array) PushFreeSlab(h int32) { a.slabs.free = append(a.slabs.free, h) }
+
+// PlantSlab makes the sector at ppa hold handle h, programmed or not, and
+// counts it.
+func (a *Array) PlantSlab(ppa PPA, h int32) {
+	a.storeSet(int64(ppa) >> chunkShift)[ppa&chunkMask] = h
+	a.slabs.refs[h-1]++
+}

@@ -132,9 +132,13 @@ func (a *Array) counterWords() [countersLen / 8]*int64 {
 		&c.MapPrograms, &c.Erases, &c.BytesRead, &c.BytesProgrammed, &a.seq}
 }
 
-// payloadMask returns which of the chunk's sectors hold a payload slab.
-func (c *sectorChunk) payloadMask() (m uint64) {
-	for i, h := range c.slab {
+// payloadMask returns which sectors of a slab set (nil: none) hold a
+// payload slab.
+func (s *slabSet) payloadMask() (m uint64) {
+	if s == nil {
+		return 0
+	}
+	for i, h := range s {
 		if h != 0 {
 			m |= 1 << uint(i)
 		}
@@ -181,10 +185,10 @@ func (a *Array) writeImage(w io.Writer) error {
 	// A chunk that CopyOOB left without any flag is skipped, as if recycled.
 	var chunks uint64
 	chunksLen := int64(8)
-	for _, c := range a.chunks {
+	for ci, c := range a.chunks {
 		if c != nil && c.written|c.stamped != 0 {
 			chunks++
-			chunksLen += chunkRecordLen + int64(bits.OnesCount64(c.payloadMask()))*units.Sector
+			chunksLen += chunkRecordLen + int64(bits.OnesCount64(a.setOf(int64(ci)).payloadMask()))*units.Sector
 		}
 	}
 	lens := [imageSections]int64{
@@ -229,7 +233,8 @@ func (a *Array) writeImage(w io.Writer) error {
 		if c == nil || c.written|c.stamped == 0 {
 			continue
 		}
-		mask := c.payloadMask()
+		set := a.setOf(int64(ci))
+		mask := set.payloadMask()
 		rec := iw.buf[:chunkRecordLen]
 		le.PutUint64(rec[0:], uint64(ci))
 		le.PutUint64(rec[8:], c.written)
@@ -241,7 +246,7 @@ func (a *Array) writeImage(w io.Writer) error {
 		}
 		iw.write(rec)
 		for ; mask != 0; mask &= mask - 1 {
-			iw.write(a.slabs.buf(c.slab[bits.TrailingZeros64(mask)]))
+			iw.write(a.slabs.buf(set[bits.TrailingZeros64(mask)]))
 		}
 	}
 	iw.sum()
@@ -546,7 +551,12 @@ func (r *imageReader) readChunks(a *Array) error {
 		c := a.touch(ci << chunkShift)
 		c.written, c.stamped = written, stamped
 		for i := 0; i < chunkSectors; i++ {
-			c.oobLPA[i] = int64(le.Uint64(rec[chunkLPAAt+8*i:]))
+			// The file keeps 8 bytes per logical address; the chunk, 4.
+			lpa := le.Uint64(rec[chunkLPAAt+8*i:])
+			if lpa > math.MaxUint32 {
+				return r.corrupt("sector %d: stamped logical address %d exceeds the 32-bit bound", ci<<chunkShift+int64(i), int64(lpa)-1)
+			}
+			c.oobLPA[i] = uint32(lpa)
 			c.oobSeq[i] = int64(le.Uint64(rec[chunkSeqAt+8*i:]))
 		}
 		if err := a.checkChunk(ci); err != nil {
@@ -554,7 +564,7 @@ func (r *imageReader) readChunks(a *Array) error {
 		}
 		for ; mask != 0; mask &= mask - 1 {
 			h := a.slabs.get()
-			c.slab[bits.TrailingZeros64(mask)] = h
+			a.storeSet(ci)[bits.TrailingZeros64(mask)] = h
 			if err := r.take(a.slabs.buf(h)); err != nil {
 				return err
 			}
@@ -610,10 +620,10 @@ func (a *Array) checkChunk(ci int64) error {
 		lpa, seq := c.oobLPA[i], c.oobSeq[i]
 		if c.stamped>>uint(i)&1 == 0 {
 			if lpa != 0 || seq != 0 {
-				return fmt.Errorf("sector %d: OOB (%d, %d) without a stamp flag", base+int64(i), lpa-1, seq)
+				return fmt.Errorf("sector %d: OOB (%d, %d) without a stamp flag", base+int64(i), int64(lpa)-1, seq)
 			}
-		} else if lpa <= 0 || seq <= 0 || seq > a.seq {
-			return fmt.Errorf("sector %d: stamp (%d, %d) is not a logical address and a sequence in [1, %d]", base+int64(i), lpa-1, seq, a.seq)
+		} else if lpa == 0 || seq <= 0 || seq > a.seq {
+			return fmt.Errorf("sector %d: stamp (%d, %d) is not a logical address and a sequence in [1, %d]", base+int64(i), int64(lpa)-1, seq, a.seq)
 		}
 	}
 	return nil

@@ -240,6 +240,11 @@ func TestLoadArrayRefusals(t *testing.T) {
 			wordAt(p.body[secChunks], lpaAt(at, i)).set(0)
 			return p.bytes()
 		}), ErrImageCorrupt, "is not a logical address"},
+		{"stamped address past 32 bits", v2(func(t *testing.T, p *v2Parts) []byte {
+			at, i := sectorWith(t, p, true)
+			wordAt(p.body[secChunks], lpaAt(at, i)).set(1 << 32) // LPA 2^32-1, stored plus one
+			return p.bytes()
+		}), ErrImageCorrupt, "exceeds the 32-bit bound"},
 		{"address without a stamp flag", v2(func(t *testing.T, p *v2Parts) []byte {
 			at, i := sectorWith(t, p, false)
 			wordAt(p.body[secChunks], lpaAt(at, i)).set(6)

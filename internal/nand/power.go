@@ -107,7 +107,7 @@ func (a *Array) StampOOB(ppa PPA, lpa, n int64) {
 		c.stamped |= chunkBits(from, to)
 		for i := from; i < to; i++ {
 			a.seq++
-			c.oobLPA[i] = lpa + 1
+			c.oobLPA[i] = uint32(lpa + 1)
 			c.oobSeq[i] = a.seq
 			lpa++
 		}
@@ -120,7 +120,7 @@ func (a *Array) stamp(idx, lpa, seq int64) {
 	c := a.touch(idx)
 	i := idx & chunkMask
 	c.stamped |= 1 << uint(i)
-	c.oobLPA[i] = lpa + 1
+	c.oobLPA[i] = uint32(lpa + 1)
 	c.oobSeq[i] = seq
 }
 
@@ -131,7 +131,7 @@ func (a *Array) stamp(idx, lpa, seq int64) {
 // dst unstamped.
 func (a *Array) CopyOOB(dst, src PPA) {
 	if sc := a.chunkOf(int64(src)); sc != nil && sc.stamped>>uint(src&chunkMask)&1 != 0 {
-		a.stamp(int64(dst), sc.oobLPA[src&chunkMask]-1, sc.oobSeq[src&chunkMask])
+		a.stamp(int64(dst), int64(sc.oobLPA[src&chunkMask])-1, sc.oobSeq[src&chunkMask])
 		return
 	}
 	if c := a.chunkOf(int64(dst)); c != nil {
@@ -151,7 +151,7 @@ func (a *Array) OOB(ppa PPA) (lpa int64, seq int64) {
 	if c == nil {
 		return -1, 0
 	}
-	return c.oobLPA[ppa&chunkMask] - 1, c.oobSeq[ppa&chunkMask]
+	return int64(c.oobLPA[ppa&chunkMask]) - 1, c.oobSeq[ppa&chunkMask]
 }
 
 // NextSeq consumes and returns the next program sequence number without

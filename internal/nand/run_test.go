@@ -17,14 +17,14 @@ func (a *Array) refProgram(idx int64, src []byte) {
 	c := a.touch(idx)
 	i := idx & chunkMask
 	c.written |= 1 << uint(i)
-	if old := c.slab[i]; old != 0 {
-		a.slabs.put(old)
-		c.slab[i] = 0
+	if s := a.setOf(idx >> chunkShift); s != nil && s[i] != 0 {
+		a.slabs.put(s[i])
+		s[i] = 0
 	}
 	if src != nil {
 		h := a.slabs.get()
 		copy(a.slabs.buf(h), src)
-		c.slab[i] = h
+		a.storeSet(idx >> chunkShift)[i] = h
 	}
 }
 

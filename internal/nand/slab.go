@@ -14,11 +14,17 @@ import (
 // stamp. Building an array therefore costs one pointer per chunk, and a
 // device that programs k sectors holds O(k) bytes of media state.
 //
-// A chunk's state is pointer-free — the garbage collector never scans it:
-// payloads are referenced by an int32 handle into the array's slab arena
-// (0 = none), and the OOB logical address is stored plus one so that the
-// zero value is "never stamped". All-zero is thus the erased state, a fresh
-// or recycled chunk needs no fill loop, and Erase restores it with clear.
+// A chunk's state is pointer-free — the garbage collector never scans it —
+// and holds only what every stamped or timing-only sector needs: two flag
+// words and the OOB stamp, whose logical address is a uint32 stored plus
+// one so that the zero value is "never stamped" (NewArray refuses a
+// geometry whose sectors a uint32 cannot number). That is 784 bytes, Go's
+// 896-byte size class. Payloads are referenced by int32 handles into the
+// array's slab arena (0 = none), kept in a slabSet beside the chunk rather
+// than in it: an array allocates a chunk's set when one of its sectors
+// first stores a payload, so a timing-only device, which never does, pays
+// nothing for handles. All-zero is the erased state of both, a fresh or
+// recycled one needs no fill loop, and Erase restores it with clear.
 // Two flag words summarize the chunk — which sectors are programmed, which
 // carry a stamp — so Erase knows it emptied a chunk without reading it, and
 // a program or a stamp of a run sets a chunk's share of them with one mask:
@@ -67,11 +73,43 @@ const (
 // sectorChunk is the state of chunkSectors consecutive linear sectors. The
 // zero value is the erased state.
 type sectorChunk struct {
-	written uint64              // bit i: sector i programmed since its last erase
-	stamped uint64              // bit i: sector i carries an OOB stamp
-	slab    [chunkSectors]int32 // payload slab handle; 0 = no stored payload; only programmed sectors hold one
-	oobLPA  [chunkSectors]int64 // stamped logical address + 1; 0 = never stamped
-	oobSeq  [chunkSectors]int64 // program sequence number of the stamp
+	written uint64               // bit i: sector i programmed since its last erase
+	stamped uint64               // bit i: sector i carries an OOB stamp
+	oobLPA  [chunkSectors]uint32 // stamped logical address + 1; 0 = never stamped
+	oobSeq  [chunkSectors]int64  // program sequence number of the stamp
+}
+
+// slabSet holds the payload slab handles of one state chunk's sectors; 0 =
+// no stored payload, and only programmed sectors hold one.
+type slabSet [chunkSectors]int32
+
+// setOf returns the slab handles of state chunk ci, or nil when no sector
+// of it holds a payload.
+func (a *Array) setOf(ci int64) *slabSet {
+	if a.slabs.sets == nil {
+		return nil
+	}
+	return a.slabs.sets[ci]
+}
+
+// storeSet is setOf for a store: it gives chunk ci a set, from the freelist
+// or new, when the chunk stores its first payload.
+func (a *Array) storeSet(ci int64) *slabSet {
+	if a.slabs.sets == nil {
+		a.slabs.sets = make([]*slabSet, len(a.chunks))
+	}
+	s := a.slabs.sets[ci]
+	if s == nil {
+		if n := len(a.slabs.freeSets); n > 0 {
+			s = a.slabs.freeSets[n-1]
+			a.slabs.freeSets[n-1] = nil
+			a.slabs.freeSets = a.slabs.freeSets[:n-1]
+		} else {
+			s = new(slabSet)
+		}
+		a.slabs.sets[ci] = s
+	}
+	return s
 }
 
 // chunkOf returns the state chunk holding linear sector idx, or nil when
@@ -102,19 +140,19 @@ func (a *Array) touch(idx int64) *sectorChunk {
 // slab, so the caller's buffer is never retained — that copy is the one
 // per-sector step.
 // A slab a sector still holds loses that sector's reference first
-// (overwrite release); while no slab was ever issued (a timing-only device)
-// there is none to look for.
+// (overwrite release); a chunk without a slab set (every chunk of a
+// timing-only device) has none to look for.
 func (a *Array) programRun(idx, n int64, sectors [][]byte) {
 	for end := idx + n; idx < end; {
-		c := a.touch(idx)
+		c, ci := a.touch(idx), idx>>chunkShift
 		from := idx & chunkMask
 		to := min(chunkSectors, from+end-idx)
 		c.written |= chunkBits(from, to)
-		if a.slabs.issued != 0 {
-			for i, h := range c.slab[from:to] {
+		if s := a.setOf(ci); s != nil {
+			for i, h := range s[from:to] {
 				if h != 0 {
 					a.slabs.put(h)
-					c.slab[from+int64(i)] = 0
+					s[from+int64(i)] = 0
 				}
 			}
 		}
@@ -123,7 +161,7 @@ func (a *Array) programRun(idx, n int64, sectors [][]byte) {
 				if src != nil {
 					h := a.slabs.get()
 					copy(a.slabs.buf(h), src)
-					c.slab[from+int64(i)] = h
+					a.storeSet(ci)[from+int64(i)] = h
 				}
 			}
 			sectors = sectors[to-from:]
@@ -150,20 +188,28 @@ func (a *Array) eraseSectors(lo, hi int64) {
 		}
 		if c := a.chunks[ci]; c != nil {
 			from, to := lo&chunkMask, (end-1)&chunkMask+1
-			for _, h := range c.slab[from:to] {
-				if h != 0 {
-					a.slabs.put(h)
+			s := a.setOf(ci)
+			if s != nil {
+				for _, h := range s[from:to] {
+					if h != 0 {
+						a.slabs.put(h)
+					}
 				}
+				clear(s[from:to])
 			}
-			clear(c.slab[from:to])
 			clear(c.oobLPA[from:to])
 			clear(c.oobSeq[from:to])
 			mask := chunkBits(from, to)
 			c.written &^= mask
 			c.stamped &^= mask
 			if c.written|c.stamped == 0 {
+				// No sector is programmed, so the set holds no handle.
 				a.chunks[ci] = nil
 				a.freeChunks = append(a.freeChunks, c)
+				if s != nil {
+					a.slabs.sets[ci] = nil
+					a.slabs.freeSets = append(a.slabs.freeSets, s)
+				}
 			}
 		}
 		lo = end
@@ -188,35 +234,47 @@ func (a *Array) SharePayload(dst, src PPA) {
 		return
 	}
 	var h int32
-	if sc := a.chunkOf(int64(src)); sc != nil {
-		h = sc.slab[src&chunkMask]
+	if ss := a.setOf(int64(src) >> chunkShift); ss != nil {
+		h = ss[src&chunkMask]
 	}
+	ds := a.setOf(int64(dst) >> chunkShift)
 	if h != 0 {
 		a.slabs.refs[h-1]++ // before the release below: dst may already hold h
+		ds = a.storeSet(int64(dst) >> chunkShift)
 	}
-	if old := dc.slab[i]; old != 0 {
+	if ds == nil {
+		return // nothing held, nothing to share
+	}
+	if old := ds[i]; old != 0 {
 		a.slabs.put(old)
 	}
-	dc.slab[i] = h
+	ds[i] = h
 }
 
 // CheckSlabRefs is the slab arena's accounting identity: every handle's
 // count equals the number of sectors holding it, the free stack holds
-// exactly the handles no sector holds, each once, and no sector holds a
-// freed handle. An array that never stored a payload has nothing to check.
+// exactly the handles no sector holds, each once, no sector holds a freed
+// handle, and only a programmed sector holds one (what lets an erase that
+// empties a chunk recycle its slab set without reading it). An array that
+// never stored a payload has nothing to check.
 func (a *Array) CheckSlabRefs() error {
 	p := &a.slabs
 	if p.issued == 0 {
 		return nil
 	}
 	held := make([]int32, p.issued+1)
-	for ci, c := range a.chunks {
-		if c == nil {
+	for ci, s := range a.slabs.sets {
+		if s == nil {
 			continue
 		}
-		for i, h := range c.slab {
-			if h < 0 || h > p.issued {
-				return fmt.Errorf("nand: sector %d holds slab %d, outside the %d issued", int64(ci)<<chunkShift+int64(i), h, p.issued)
+		c := a.chunks[ci]
+		for i, h := range s {
+			sector := int64(ci)<<chunkShift + int64(i)
+			switch {
+			case h < 0 || h > p.issued:
+				return fmt.Errorf("nand: sector %d holds slab %d, outside the %d issued", sector, h, p.issued)
+			case h != 0 && (c == nil || c.written>>uint(i)&1 == 0):
+				return fmt.Errorf("nand: sector %d holds slab %d but is not programmed", sector, h)
 			}
 			held[h]++
 		}
@@ -251,13 +309,17 @@ func (a *Array) CheckSlabRefs() error {
 // storing payloads allocates once per block, not once per sector. A handle
 // counts the sectors holding it; one that no sector holds waits on the free
 // stack. Handle 0 is never issued. Every handle, an opened image's
-// included, comes from get: while issued is 0 (a timing-only device) no
-// sector holds a payload and Payload reads no chunk.
+// included, comes from get. The arena also keeps which sector holds which
+// handle, one slabSet per state chunk that stored a payload: while none
+// did (a timing-only device) sets is nil and Payload reads nothing but it.
 type slabArena struct {
 	blocks [][]byte // slabsPerBlock sector buffers each
 	issued int32    // handles 1..issued exist; 0 = no payload was ever stored
 	refs   []int32  // refs[h-1]: how many sectors hold handle h
 	free   []int32  // handles no sector holds
+
+	sets     []*slabSet // by state chunk; nil until the first stored payload
+	freeSets []*slabSet // all-zero sets released with their chunks
 }
 
 const (

@@ -250,6 +250,10 @@ func TestCheckSlabRefsCatchesCorruption(t *testing.T) {
 		{"count one too high", func(a *Array, h int32) { a.AddSlabRef(h, 1) }, "counts 3 holders, 2 sectors hold it"},
 		{"count one too low", func(a *Array, h int32) { a.AddSlabRef(h, -1) }, "counts 1 holders, 2 sectors hold it"},
 		{"held handle freed", func(a *Array, h int32) { a.PushFreeSlab(h) }, "on the free stack but 2 sectors hold it"},
+		{"held by an unprogrammed sector", func(a *Array, h int32) {
+			g := a.Geometry()
+			a.PlantSlab(g.PPAOf(Addr{Chip: 0, Block: g.FirstNormalBlock(), Page: g.PagesPerPU()}), h)
+		}, "is not programmed"},
 	} {
 		a := newTestArray(t)
 		g := a.Geometry()

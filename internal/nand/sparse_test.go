@@ -3,9 +3,12 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/conzone/conzone/internal/sim"
 	"github.com/conzone/conzone/internal/units"
@@ -249,9 +252,43 @@ func TestArrayCostsWhatItPrograms(t *testing.T) {
 	if got, max := resident(), nsect/chunkSectors+2; got > max {
 		t.Fatalf("one timing-only program unit (%d sectors) made %d chunks resident, want at most %d", nsect, got, max)
 	}
-	if a.slabs.issued != 0 {
-		t.Fatalf("a program without payload allocated %d slabs", a.slabs.issued)
+	if a.slabs.issued != 0 || a.slabs.sets != nil {
+		t.Fatalf("a program without payload allocated %d slabs and slab sets %v", a.slabs.issued, a.slabs.sets != nil)
 	}
+}
+
+// TestChunkStaysSmall pins the state chunk at 784 bytes or less — two flag
+// words, 32-bit OOB addresses and 64-bit sequence numbers, with the payload
+// handles kept beside it in a slab set — which is Go's 896-byte size class
+// rather than the 1,408-byte one a chunk holding handles and 64-bit
+// addresses took. Every timing-only device's media state is these chunks.
+func TestChunkStaysSmall(t *testing.T) {
+	if size := unsafe.Sizeof(sectorChunk{}); size > 784 {
+		t.Fatalf("sectorChunk is %d bytes, want at most 784", size)
+	}
+}
+
+// TestLPASpaceRefused: a chunk stores a stamped logical address plus one in
+// 32 bits, so NewArray refuses a geometry of 2^32-1 or more linear sectors
+// with ErrLPASpace before it allocates the chunk directory.
+func TestLPASpaceRefused(t *testing.T) {
+	g := testGeometry()
+	perBlock := g.TotalSectors() / int64(g.BlocksPerChip)
+	g.BlocksPerChip = int((math.MaxUint32 + perBlock - 1) / perBlock)
+	if g.TotalSectors() < math.MaxUint32 {
+		t.Fatalf("%d sectors is inside the bound", g.TotalSectors())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewArray(g, DefaultLatencies(), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrLPASpace) {
+		t.Fatalf("%d sectors: got %v, want %v", g.TotalSectors(), err, ErrLPASpace)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64*uint64(units.KiB) {
+		t.Errorf("refusing the geometry allocated %d bytes", got)
+	}
+	t.Log(err)
 }
 
 // TestImageRoundTripKeepsUntouchedRegionsAbsent saves and reloads an array
