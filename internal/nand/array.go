@@ -91,6 +91,11 @@ type Array struct {
 
 	// Durable metadata journal: resets and retirements (see power.go).
 	journal []MetaRecord
+
+	// wideSeqs holds the 64-bit sequence numbers of the chunks whose
+	// stamps do not fit a 32-bit offset from their base (see slab.go), by
+	// chunk index; nil until one does.
+	wideSeqs map[int64]*[chunkSectors]int64
 }
 
 // ErrLPASpace reports a geometry with more linear sectors than a state

@@ -241,8 +241,12 @@ func (a *Array) writeImage(w io.Writer) error {
 		le.PutUint64(rec[16:], c.stamped)
 		le.PutUint64(rec[24:], mask)
 		for i := 0; i < chunkSectors; i++ {
+			var seq int64
+			if c.stamped>>uint(i)&1 != 0 {
+				seq = a.seqOf(c, int64(ci), int64(i))
+			}
 			le.PutUint64(rec[chunkLPAAt+8*i:], uint64(c.oobLPA[i]))
-			le.PutUint64(rec[chunkSeqAt+8*i:], uint64(c.oobSeq[i]))
+			le.PutUint64(rec[chunkSeqAt+8*i:], uint64(seq))
 		}
 		iw.write(rec)
 		for ; mask != 0; mask &= mask - 1 {
@@ -548,19 +552,14 @@ func (r *imageReader) readChunks(a *Array) error {
 			return r.corrupt("chunk %d: %d payload sectors, %d bytes left", ci, bits.OnesCount64(mask), r.left)
 		}
 		prev = ci
-		c := a.touch(ci << chunkShift)
-		c.written, c.stamped = written, stamped
-		for i := 0; i < chunkSectors; i++ {
-			// The file keeps 8 bytes per logical address; the chunk, 4.
-			lpa := le.Uint64(rec[chunkLPAAt+8*i:])
-			if lpa > math.MaxUint32 {
-				return r.corrupt("sector %d: stamped logical address %d exceeds the 32-bit bound", ci<<chunkShift+int64(i), int64(lpa)-1)
-			}
-			c.oobLPA[i] = uint32(lpa)
-			c.oobSeq[i] = int64(le.Uint64(rec[chunkSeqAt+8*i:]))
-		}
-		if err := a.checkChunk(ci); err != nil {
+		if err := a.checkChunk(ci, written, stamped, rec); err != nil {
 			return r.corrupt("%v", err)
+		}
+		c := a.touch(ci << chunkShift)
+		c.written = written
+		for m := stamped; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			a.stamp(ci<<chunkShift+int64(i), int64(le.Uint64(rec[chunkLPAAt+8*i:]))-1, int64(le.Uint64(rec[chunkSeqAt+8*i:])))
 		}
 		for ; mask != 0; mask &= mask - 1 {
 			h := a.slabs.get()
@@ -607,22 +606,27 @@ func (a *Array) checkTables() error {
 	return nil
 }
 
-// checkChunk checks one resident chunk's flags and OOB arrays: no state
-// beyond the last sector, a stamp bit exactly where a logical address is
-// recorded, and no stamp newer than the sequence counter — a later program
-// must outrank every copy already on the media.
-func (a *Array) checkChunk(ci int64) error {
-	c, base := a.chunks[ci], ci<<chunkShift
-	if over := a.nsectors - base; over < chunkSectors && (c.written|c.stamped)>>uint(over) != 0 {
+// checkChunk checks one chunk record's flags and OOB fields before the
+// chunk is built: no state beyond the last sector, a stamp bit exactly
+// where a logical address is recorded, every address within the 32 bits a
+// chunk holds, and no stamp newer than the sequence counter — a later
+// program must outrank every copy already on the media.
+func (a *Array) checkChunk(ci int64, written, stamped uint64, rec []byte) error {
+	base := ci << chunkShift
+	if over := a.nsectors - base; over < chunkSectors && (written|stamped)>>uint(over) != 0 {
 		return fmt.Errorf("chunk %d: state beyond the last sector %d", ci, a.nsectors-1)
 	}
 	for i := 0; i < chunkSectors; i++ {
-		lpa, seq := c.oobLPA[i], c.oobSeq[i]
-		if c.stamped>>uint(i)&1 == 0 {
+		// The file keeps 8 bytes per field; the chunk, 4 for the address.
+		lpa, seq := le.Uint64(rec[chunkLPAAt+8*i:]), int64(le.Uint64(rec[chunkSeqAt+8*i:]))
+		switch {
+		case stamped>>uint(i)&1 == 0:
 			if lpa != 0 || seq != 0 {
 				return fmt.Errorf("sector %d: OOB (%d, %d) without a stamp flag", base+int64(i), int64(lpa)-1, seq)
 			}
-		} else if lpa == 0 || seq <= 0 || seq > a.seq {
+		case lpa > math.MaxUint32:
+			return fmt.Errorf("sector %d: stamped logical address %d exceeds the 32-bit bound", base+int64(i), int64(lpa)-1)
+		case lpa == 0 || seq <= 0 || seq > a.seq:
 			return fmt.Errorf("sector %d: stamp (%d, %d) is not a logical address and a sequence in [1, %d]", base+int64(i), int64(lpa)-1, seq, a.seq)
 		}
 	}

@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"math"
+
 	"github.com/conzone/conzone/internal/sim"
 )
 
@@ -101,15 +103,29 @@ func (a *Array) gate(end sim.Time) error {
 // of each state chunk it covers; a single sector is the run of one.
 func (a *Array) StampOOB(ppa PPA, lpa, n int64) {
 	for idx, end := int64(ppa), int64(ppa)+n; idx < end; {
-		c := a.touch(idx)
+		c, ci := a.touch(idx), idx>>chunkShift
 		from := idx & chunkMask
 		to := min(chunkSectors, from+end-idx)
+		if c.stamped == 0 {
+			c.seqBase = a.seq + 1
+		}
 		c.stamped |= chunkBits(from, to)
-		for i := from; i < to; i++ {
-			a.seq++
-			c.oobLPA[i] = uint32(lpa + 1)
-			c.oobSeq[i] = a.seq
-			lpa++
+		if off := uint64(a.seq + 1 - c.seqBase); off <= math.MaxUint32-uint64(to-from-1) && !c.wide {
+			// The run's numbers are consecutive: one check for all of them.
+			for i := from; i < to; i++ {
+				c.oobLPA[i] = uint32(lpa + 1)
+				c.oobSeq[i] = uint32(off)
+				off++
+				lpa++
+			}
+			a.seq += to - from
+		} else {
+			for i := from; i < to; i++ {
+				a.seq++
+				c.oobLPA[i] = uint32(lpa + 1)
+				a.setSeq(c, ci, i, a.seq)
+				lpa++
+			}
 		}
 		idx += to - from
 	}
@@ -117,11 +133,14 @@ func (a *Array) StampOOB(ppa PPA, lpa, n int64) {
 
 // stamp stores an OOB stamp on linear sector idx.
 func (a *Array) stamp(idx, lpa, seq int64) {
-	c := a.touch(idx)
+	c, ci := a.touch(idx), idx>>chunkShift
 	i := idx & chunkMask
+	if c.stamped == 0 {
+		c.seqBase = seq
+	}
 	c.stamped |= 1 << uint(i)
 	c.oobLPA[i] = uint32(lpa + 1)
-	c.oobSeq[i] = seq
+	a.setSeq(c, ci, i, seq)
 }
 
 // CopyOOB duplicates src's OOB stamp onto dst, keeping the original
@@ -131,13 +150,13 @@ func (a *Array) stamp(idx, lpa, seq int64) {
 // dst unstamped.
 func (a *Array) CopyOOB(dst, src PPA) {
 	if sc := a.chunkOf(int64(src)); sc != nil && sc.stamped>>uint(src&chunkMask)&1 != 0 {
-		a.stamp(int64(dst), int64(sc.oobLPA[src&chunkMask])-1, sc.oobSeq[src&chunkMask])
+		si := int64(src & chunkMask)
+		a.stamp(int64(dst), int64(sc.oobLPA[si])-1, a.seqOf(sc, int64(src)>>chunkShift, si))
 		return
 	}
 	if c := a.chunkOf(int64(dst)); c != nil {
-		i := dst & chunkMask
-		c.stamped &^= 1 << uint(i)
-		c.oobLPA[i], c.oobSeq[i] = 0, 0
+		i := int64(dst & chunkMask)
+		a.unstamp(c, int64(dst)>>chunkShift, i, i+1)
 	}
 }
 
@@ -147,11 +166,11 @@ func (a *Array) OOB(ppa PPA) (lpa int64, seq int64) {
 	if ppa < 0 || int64(ppa) >= a.nsectors {
 		return -1, 0
 	}
-	c := a.chunkOf(int64(ppa))
-	if c == nil {
+	c, i := a.chunkOf(int64(ppa)), int64(ppa&chunkMask)
+	if c == nil || c.oobLPA[i] == 0 {
 		return -1, 0
 	}
-	return int64(c.oobLPA[ppa&chunkMask]) - 1, c.oobSeq[ppa&chunkMask]
+	return int64(c.oobLPA[i]) - 1, a.seqOf(c, int64(ppa)>>chunkShift, i)
 }
 
 // NextSeq consumes and returns the next program sequence number without

@@ -2,6 +2,8 @@ package nand
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/conzone/conzone/internal/units"
 )
@@ -18,8 +20,9 @@ import (
 // and holds only what every stamped or timing-only sector needs: two flag
 // words and the OOB stamp, whose logical address is a uint32 stored plus
 // one so that the zero value is "never stamped" (NewArray refuses a
-// geometry whose sectors a uint32 cannot number). That is 784 bytes, Go's
-// 896-byte size class. Payloads are referenced by int32 handles into the
+// geometry whose sectors a uint32 cannot number) and whose sequence number
+// is a uint32 offset from a per-chunk base (see seqOf). That is 544 bytes,
+// Go's 576-byte size class. Payloads are referenced by int32 handles into the
 // array's slab arena (0 = none), kept in a slabSet beside the chunk rather
 // than in it: an array allocates a chunk's set when one of its sectors
 // first stores a payload, so a timing-only device, which never does, pays
@@ -75,8 +78,74 @@ const (
 type sectorChunk struct {
 	written uint64               // bit i: sector i programmed since its last erase
 	stamped uint64               // bit i: sector i carries an OOB stamp
+	seqBase int64                // a stamp's sequence number is seqBase + oobSeq[i]
+	wide    bool                 // the sequence numbers are in Array.wideSeqs instead
 	oobLPA  [chunkSectors]uint32 // stamped logical address + 1; 0 = never stamped
-	oobSeq  [chunkSectors]int64  // program sequence number of the stamp
+	oobSeq  [chunkSectors]uint32 // stamped sequence number - seqBase
+}
+
+// A stamp's sequence number is an int64, stored as an offset from the
+// chunk's seqBase: the first stamp a chunk takes while it holds none sets
+// the base, and the stamps after it are programs into the same 64 sectors,
+// issued after it and numbered in the same stream. An offset that does not
+// fit in 32 bits — a relocated sector keeping an older number (CopyOOB), or
+// four billion stamps elsewhere between two into one chunk — widens the
+// chunk: its numbers move to a 64-bit array beside it until it holds no
+// stamp again. The stored values are exact either way.
+
+// seqOf returns the sequence number of stamped sector i of chunk c, whose
+// index is ci.
+func (a *Array) seqOf(c *sectorChunk, ci, i int64) int64 {
+	if c.wide {
+		return a.wideSeqs[ci][i]
+	}
+	return c.seqBase + int64(c.oobSeq[i])
+}
+
+// setSeq stores seq as the sequence number of sector i of chunk c (index
+// ci), widening the chunk when the offset does not fit. A caller stamping a
+// chunk that holds no stamp sets c.seqBase first.
+func (a *Array) setSeq(c *sectorChunk, ci, i, seq int64) {
+	if !c.wide {
+		if d := uint64(seq - c.seqBase); d <= math.MaxUint32 { // d wraps above the bound when seq < seqBase
+			c.oobSeq[i] = uint32(d)
+			return
+		}
+		a.widen(c, ci)
+	}
+	a.wideSeqs[ci][i] = seq
+}
+
+// widen moves chunk ci's sequence numbers to a 64-bit array.
+func (a *Array) widen(c *sectorChunk, ci int64) {
+	if a.wideSeqs == nil {
+		a.wideSeqs = make(map[int64]*[chunkSectors]int64)
+	}
+	w := new([chunkSectors]int64)
+	for m := c.stamped; m != 0; m &= m - 1 {
+		i := int64(bits.TrailingZeros64(m))
+		w[i] = c.seqBase + int64(c.oobSeq[i])
+	}
+	a.wideSeqs[ci] = w
+	clear(c.oobSeq[:])
+	c.seqBase, c.wide = 0, true
+}
+
+// unstamp clears the stamps of sectors [from, to) of chunk c (index ci); a
+// chunk left without a stamp drops its base and any wide array, back to
+// all-zero.
+func (a *Array) unstamp(c *sectorChunk, ci, from, to int64) {
+	clear(c.oobLPA[from:to])
+	clear(c.oobSeq[from:to])
+	if c.wide {
+		clear(a.wideSeqs[ci][from:to])
+	}
+	if c.stamped &^= chunkBits(from, to); c.stamped == 0 {
+		if c.wide {
+			delete(a.wideSeqs, ci)
+		}
+		c.seqBase, c.wide = 0, false
+	}
 }
 
 // slabSet holds the payload slab handles of one state chunk's sectors; 0 =
@@ -197,11 +266,8 @@ func (a *Array) eraseSectors(lo, hi int64) {
 				}
 				clear(s[from:to])
 			}
-			clear(c.oobLPA[from:to])
-			clear(c.oobSeq[from:to])
-			mask := chunkBits(from, to)
-			c.written &^= mask
-			c.stamped &^= mask
+			a.unstamp(c, ci, from, to)
+			c.written &^= chunkBits(from, to)
 			if c.written|c.stamped == 0 {
 				// No sector is programmed, so the set holds no handle.
 				a.chunks[ci] = nil

@@ -257,14 +257,66 @@ func TestArrayCostsWhatItPrograms(t *testing.T) {
 	}
 }
 
-// TestChunkStaysSmall pins the state chunk at 784 bytes or less — two flag
-// words, 32-bit OOB addresses and 64-bit sequence numbers, with the payload
-// handles kept beside it in a slab set — which is Go's 896-byte size class
-// rather than the 1,408-byte one a chunk holding handles and 64-bit
-// addresses took. Every timing-only device's media state is these chunks.
+// TestChunkStaysSmall pins the state chunk at 576 bytes or less — two flag
+// words, 32-bit OOB addresses and 32-bit sequence offsets from a per-chunk
+// base, with the payload handles kept beside it in a slab set — which is
+// Go's 576-byte size class rather than the 1,408-byte one a chunk holding
+// handles and 64-bit addresses and sequence numbers took. Every
+// timing-only device's media state is these chunks.
 func TestChunkStaysSmall(t *testing.T) {
-	if size := unsafe.Sizeof(sectorChunk{}); size > 784 {
-		t.Fatalf("sectorChunk is %d bytes, want at most 784", size)
+	if size := unsafe.Sizeof(sectorChunk{}); size > 576 {
+		t.Fatalf("sectorChunk is %d bytes, want at most 576", size)
+	}
+}
+
+// TestSequenceNumbersStayExact stamps one chunk with sequence numbers that
+// do not fit a 32-bit offset from its base — one older than the base, as a
+// relocated copy keeps, and one 2^33 later — and requires every number
+// back exactly, through an image round trip too; an erase that empties the
+// chunk leaves it all-zero, its wide array gone.
+func TestSequenceNumbersStayExact(t *testing.T) {
+	a := newTestArray(t)
+	g := a.Geometry()
+	base := int64(g.PPAOf(Addr{Chip: 1, Block: g.FirstNormalBlock()}))
+	stamps := []struct{ lpa, seq int64 }{{5, 100}, {6, 101}, {7, 50}, {8, 100 + 1<<33}}
+	a.seq = 200 + 1<<33
+	check := func(a *Array, when string) {
+		t.Helper()
+		for k, s := range stamps {
+			if lpa, seq := a.OOB(PPA(base + int64(k))); lpa != s.lpa || seq != s.seq {
+				t.Fatalf("%s: sector %d OOB = (%d, %d), want (%d, %d)", when, k, lpa, seq, s.lpa, s.seq)
+			}
+		}
+		if lpa, seq := a.OOB(PPA(base + int64(len(stamps)))); lpa != -1 || seq != 0 {
+			t.Fatalf("%s: unstamped sector OOB = (%d, %d)", when, lpa, seq)
+		}
+	}
+	for k, s := range stamps {
+		a.stamp(base+int64(k), s.lpa, s.seq)
+		if c := a.chunkOf(base); (k >= 2) != c.wide {
+			t.Fatalf("after stamp %d the chunk is wide=%v", k, c.wide)
+		}
+	}
+	check(a, "stamped")
+	path := filepath.Join(t.TempDir(), "wide.img")
+	if err := a.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadArray(path, DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(b, "loaded")
+	if _, err := a.Erase(0, 1, g.FirstNormalBlock()); err != nil {
+		t.Fatal(err)
+	}
+	if a.chunkOf(base) != nil || len(a.wideSeqs) != 0 {
+		t.Fatalf("the erase left chunk %v and %d wide arrays", a.chunkOf(base), len(a.wideSeqs))
+	}
+	for _, c := range a.freeChunks {
+		if *c != (sectorChunk{}) {
+			t.Fatalf("a recycled chunk is not all-zero: %+v", *c)
+		}
 	}
 }
 
