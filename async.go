@@ -66,8 +66,11 @@ func (d *Device) Submit(q int, req HostRequest) (Tag, error) {
 }
 
 // SubmitAt enqueues the request with an explicit virtual submission
-// instant (experiment-harness API). Dispatch order across all queued
-// commands is by (ready time, tag), never by call order alone.
+// instant (experiment-harness API). Commands pending together dispatch by
+// (ready time, tag), never by call order alone. That order covers every
+// command only when the instants passed to successive calls never
+// decrease: a read submitted with nothing pending dispatches at once, and
+// a later call with an earlier instant dispatches after it.
 func (d *Device) SubmitAt(at Time, q int, req HostRequest) (Tag, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -140,12 +140,12 @@ func (r *replayer) remount() error {
 	// Full read-back, a chunk at a time inside each zone.
 	for lba, n := int64(0), int64(0); lba < int64(len(r.vers)); lba += n {
 		n = min(64, r.zcap-lba%r.zcap)
-		got, done, err := f.Read(r.now, lba, n)
+		done, err := f.ReadInto(r.now, lba, n, r.views(n))
 		if err != nil {
 			return fmt.Errorf("post-remount read [%d,%d): %w", lba, lba+n, err)
 		}
 		r.observe(done)
-		for i, p := range got {
+		for i, p := range r.got {
 			if err := r.adopt(lba+int64(i), p); err != nil {
 				return err
 			}

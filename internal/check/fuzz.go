@@ -204,18 +204,6 @@ func conzoneRig(f *ftl.FTL, cfg config.DeviceConfig) rig {
 	return rig{dev: f, audit: func() error { return Audit(f) }, conv: cfg.FTL.ConventionalZones}
 }
 
-// syncHost adapts the controller's one quirk: a read that covers only
-// unwritten sectors completes with nil Data rather than n nil sectors.
-type syncHost struct{ *host.Controller }
-
-func (h syncHost) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	got, done, err := h.Controller.Read(at, lba, n)
-	if err == nil && got == nil {
-		got = make([][]byte, n)
-	}
-	return got, done, err
-}
-
 // build constructs p's device on cfg. Personality is the only thing that
 // selects a device.
 func (p Personality) build(cfg config.DeviceConfig) (rig, error) {
@@ -227,7 +215,7 @@ func (p Personality) build(cfg config.DeviceConfig) (rig, error) {
 		}
 		h, err := host.New(f, host.Config{})
 		g := conzoneRig(f, cfg)
-		g.dev, g.audit = syncHost{h}, func() error {
+		g.dev, g.audit = h, func() error {
 			if err := Audit(f); err != nil {
 				return err
 			}
@@ -259,9 +247,10 @@ type replayer struct {
 	zd   workload.Zoned // dev's zoned surface; nil on the flat legacy device
 	fin  zoneFinisher   // dev's finish/close surface; nil where the model has none
 	now  sim.Time
-	seq  uint32  // global write sequence, the version stamped per write
-	zcap int64   // sectors per zone; the whole device when it is flat
-	wp   []int64 // mirror write pointer, zone-relative; at zcap the zone is FULL
+	seq  uint32   // global write sequence, the version stamped per write
+	zcap int64    // sectors per zone; the whole device when it is flat
+	wp   []int64  // mirror write pointer, zone-relative; at zcap the zone is FULL
+	got  [][]byte // the read container, reused by every read
 	oracle
 }
 
@@ -287,6 +276,15 @@ func (r *replayer) mount(g rig) {
 	r.rig = g
 	r.zd, _ = g.dev.(workload.Zoned)
 	r.fin, _ = g.dev.(zoneFinisher)
+}
+
+// views returns the read container sized to n entries.
+func (r *replayer) views(n int64) [][]byte {
+	if int64(cap(r.got)) < n {
+		r.got = make([][]byte, n)
+	}
+	r.got = r.got[:n]
+	return r.got
 }
 
 func (r *replayer) observe(done sim.Time) {
@@ -353,14 +351,10 @@ func (r *replayer) step(op Op) error {
 		if n <= 0 {
 			return nil
 		}
-		var got [][]byte
-		if got, done, err = r.dev.Read(r.now, lba, n); err != nil {
+		if done, err = r.dev.ReadInto(r.now, lba, n, r.views(n)); err != nil {
 			return err
 		}
-		if int64(len(got)) != n {
-			return fmt.Errorf("read [%d,%d): got %d sectors, want %d", lba, lba+n, len(got), n)
-		}
-		for i, p := range got {
+		for i, p := range r.got {
 			if l := lba + int64(i); !holds(l, r.vers[l], p) {
 				return fmt.Errorf("read LPA %d: payload does not match write #%d (0 = unwritten)", l, r.vers[l])
 			}

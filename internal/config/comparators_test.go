@@ -15,7 +15,7 @@ import (
 // comparator is the surface the FEMU-lineage devices share.
 type comparator interface {
 	Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error)
-	Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error)
+	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 	Flush(at sim.Time, zone int) (sim.Time, error)
 	ResetZone(at sim.Time, zone int) (sim.Time, error)
 	NumZones() int
@@ -99,8 +99,10 @@ func comparatorDigest(dev comparator, hostWritten func() int64, seed uint64, ops
 			if bad {
 				off, n = zcap-1, 2 // crosses the zone end
 			}
-			var out [][]byte
-			out, done, err = dev.Read(now, start+off, n)
+			out := make([][]byte, n)
+			if done, err = dev.ReadInto(now, start+off, n, out); err != nil {
+				out = nil // a failed read's container is unspecified
+			}
 			for _, s := range out {
 				if s == nil {
 					put(-1)

@@ -19,11 +19,12 @@ func allocated(fn func()) int64 {
 }
 
 // TestLegacyCostsWhatItWrites pins the legacy comparator's memory to what
-// it has written: a fresh device on Paper() allocates under 2 MiB (its
-// whole-device page table and reverse maps took 7.6 MiB), most of it the
-// L2P cache's per-LPA slot index, and writing k sectors grows it in
-// proportion to k — a share of a media chunk and of the superblock reverse
-// map per sector — plus, on the first write, one 512 KiB page-table chunk.
+// it has written: a fresh device on Paper() allocates under 256 KiB (its
+// whole-device page table and reverse maps took 7.6 MiB, and a dense L2P
+// cache slot index 1.5 MiB; one 256 KiB slot chunk allocated up front
+// would break the budget), and writing k sectors grows it in proportion to
+// k — a share of a media chunk and of the superblock reverse map per
+// sector — plus, on the first write, one 512 KiB page-table chunk.
 func TestLegacyCostsWhatItWrites(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation accounting")
@@ -38,8 +39,8 @@ func TestLegacyCostsWhatItWrites(t *testing.T) {
 	})
 	runtime.KeepAlive(d)
 	t.Logf("fresh device: %d bytes", fresh)
-	if fresh > 2*units.MiB {
-		t.Errorf("a fresh legacy device on Paper() allocates %d bytes, budget %d", fresh, 2*units.MiB)
+	if fresh > 256*units.KiB {
+		t.Errorf("a fresh legacy device on Paper() allocates %d bytes, budget %d", fresh, 256*units.KiB)
 	}
 
 	const perSector, fixed = 32, 640 * units.KiB

@@ -72,8 +72,10 @@ func legacyDigest(t *testing.T, cfg DeviceConfig, seed uint64, ops int, wholeUni
 			if bad {
 				lba = total
 			}
-			var out [][]byte
-			out, done, err = dev.Read(now, lba, n)
+			out := make([][]byte, n)
+			if done, err = dev.ReadInto(now, lba, n, out); err != nil {
+				out = nil // a failed read's container is unspecified
+			}
 			for _, s := range out {
 				if s == nil {
 					put(-1)

@@ -73,6 +73,7 @@ func runZoneLife(cfg config.DeviceConfig, opt Options) (Report, error) {
 	// readAfter fills zones 0 and 1, optionally starts a reset of zone 1, and
 	// times a read of zone 0 issued at the same instant.
 	const readSectors = 256
+	views := make([][]byte, readSectors)
 	readAfter := func(reset bool) (sim.Time, error) {
 		f, err := cfg.NewConZone()
 		if err != nil {
@@ -89,7 +90,7 @@ func runZoneLife(cfg config.DeviceConfig, opt Options) (Report, error) {
 				return 0, err
 			}
 		}
-		_, done, err := f.Read(at, 0, readSectors)
+		done, err := f.ReadInto(at, 0, readSectors, views)
 		return done - at, err
 	}
 	idle, err := readAfter(false)

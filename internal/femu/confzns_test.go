@@ -32,7 +32,7 @@ func TestSubUnitWritesChargedEveryTime(t *testing.T) {
 	if _, err := d.Write(at, 48, payloadsFor(48, 12)); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := d.Read(at, 48, 12)
+	out, _, err := read(d, at, 48, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestZoneMapCounts(t *testing.T) {
 	if _, err := d.Write(0, 0, payloadsFor(0, 24)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.Read(0, 0, 4); err != nil {
+	if _, _, err := read(d, 0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().ZoneMapLookups < 2 {

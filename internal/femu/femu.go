@@ -289,22 +289,11 @@ func (d *Device) FlushAll(at sim.Time) (sim.Time, error) {
 	return at, nil
 }
 
-// Read serves a host read: arithmetic translation (through the zone map
-// where there is one, one lookup per request), no mapping cost, unthrottled
-// transfer, plus VM-exit latency. The returned payload entries are borrowed
-// views of the media or the zone buffer, stable until the next device
-// operation.
-func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	out := make([][]byte, max(n, 0)) // ReadInto rejects n <= 0
-	done, err := d.ReadInto(at, lba, n, out)
-	if err != nil {
-		return nil, at, err
-	}
-	return out, done, nil
-}
-
-// ReadInto is Read with caller-provided payload storage: out must hold
-// exactly n entries.
+// ReadInto serves a host read of n sectors into out (exactly n entries):
+// arithmetic translation (through the zone map where there is one, one
+// lookup per request), no mapping cost, unthrottled transfer, plus VM-exit
+// latency. The entries are borrowed views of the media or the zone buffer
+// (nil for an unwritten sector), stable until the next device operation.
 func (d *Device) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, error) {
 	zone, err := d.zones.ValidateRead(lba, n)
 	if err != nil {

@@ -9,15 +9,9 @@ import (
 	"github.com/conzone/conzone/internal/units"
 )
 
-// Read handles a host read of n sectors at lba (paper Fig. 4). It returns
-// the per-sector payloads (nil entries when the sector was written without
-// payload or never written) and the completion time of the slowest flash
-// operation involved: data page reads plus any L2P mapping fetches.
-//
-// The returned payload entries are borrowed views — media slabs (recycled
-// when the sector is overwritten or its block erased) or write-buffer
-// slices. They are stable until the next device operation; callers keeping
-// the bytes longer must copy them at the host boundary.
+// Read is ReadInto into a fresh n-entry container: the allocating form,
+// kept because the frozen bench/ still names it through host.Backend.
+// Every other caller in the module reads through ReadInto.
 func (f *FTL) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	out := make([][]byte, n)
 	done, err := f.ReadInto(at, lba, n, out)
@@ -27,14 +21,17 @@ func (f *FTL) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	return out, done, nil
 }
 
-// ReadInto is Read with caller-provided payload storage: dst must hold
-// exactly n entries and is filled with the same borrowed views Read would
-// return. It is the allocation-free path the host interface uses for
-// steady-state reads.
+// ReadInto handles a host read of n sectors at lba (paper Fig. 4): dst must
+// hold exactly n entries and is filled with the per-sector payloads (nil
+// entries when the sector was written without payload or never written).
+// It returns the completion time of the slowest flash operation involved:
+// data page reads plus any L2P mapping fetches.
+//
+// The payload entries are borrowed views — media slabs (recycled when the
+// sector is overwritten or its block erased) or write-buffer slices. They
+// are stable until the next device operation; callers keeping the bytes
+// longer must copy them at the host boundary.
 func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error) {
-	if n == 1 && len(dst) == 1 {
-		return f.readOne(at, lba, dst)
-	}
 	if err := f.checkPower(at); err != nil {
 		return at, err
 	}
@@ -45,16 +42,13 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 	if int64(len(dst)) != n {
 		return at, fmt.Errorf("ftl: ReadInto dst holds %d entries, want %d", len(dst), n)
 	}
-	done := at
 
 	// Per-page batching of media reads: sectors that resolve to the same
 	// flash page cost one sense plus the transfer of the needed sectors.
 	f.readRuns.Reset()
 	fetchDone := at
-
-	for i := int64(0); i < n; i++ {
-		l := lba + i
-		dst[i] = nil
+	for i := range dst {
+		l := lba + int64(i)
 		// Data still in the volatile write buffer is served from RAM.
 		if p, ok := f.bufs.ReadSector(zone, l); ok {
 			dst[i] = p
@@ -71,11 +65,10 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 			if err != nil {
 				return at, err
 			}
-			if d > fetchDone {
-				fetchDone = d
-			}
+			fetchDone = max(fetchDone, d)
 			if !ok {
-				continue // unwritten sector: zeros
+				dst[i] = nil // unwritten sector: zeros
+				continue
 			}
 		}
 		addr, err := f.psnLoc(psn)
@@ -85,94 +78,27 @@ func (f *FTL) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error
 		dst[i] = f.arr.Payload(f.ppaOf(addr))
 		f.readRuns.Add(addr)
 	}
-	runs := f.readRuns.Runs()
 
 	// III: read the data pages. Reads whose mapping had to be fetched
 	// cannot start before the fetch completes; for simplicity the whole
 	// batch starts after the slowest fetch, which matches the paper's
 	// observation that misses make read latency unstable.
-	start := fetchDone
+	done := fetchDone
+	runs := f.readRuns.Runs()
 	for j := range runs {
-		end, err := f.arr.ReadPage(start, runs[j].Chip, runs[j].Block, runs[j].Page, runs[j].Bytes)
+		end, err := f.arr.ReadPage(fetchDone, runs[j].Chip, runs[j].Block, runs[j].Page, runs[j].Bytes)
 		if err != nil {
 			return at, err
 		}
-		if end > done {
-			done = end
-		}
+		done = max(done, end)
 	}
 	if len(runs) > 0 && f.Recorder() != nil {
-		f.record(obs.StageDataRead, obs.CauseNone, start, done, zone, lba, int64(len(runs)))
-	}
-	if fetchDone > done {
-		done = fetchDone
+		f.record(obs.StageDataRead, obs.CauseNone, fetchDone, done, zone, lba, int64(len(runs)))
 	}
 	f.stats.HostReadBytes += n * units.Sector
 	f.arr.Engine().Observe(done)
 	if f.Recorder() != nil {
 		f.record(obs.StageHostRead, obs.CauseNone, at, done, zone, lba, n)
-	}
-	return done, nil
-}
-
-// readOne is ReadInto specialized for single-sector requests — the
-// dominant shape of consumer random-read traffic — skipping the page-run
-// batching machinery a one-sector request can never use. Its state
-// mutations, timing math and event stream are identical to the general
-// path restricted to n=1.
-func (f *FTL) readOne(at sim.Time, lba int64, dst [][]byte) (sim.Time, error) {
-	if err := f.checkPower(at); err != nil {
-		return at, err
-	}
-	zone, err := f.zones.ValidateRead(lba, 1)
-	if err != nil {
-		return at, err
-	}
-	dst[0] = nil
-	if p, ok := f.bufs.ReadSector(zone, lba); ok {
-		dst[0] = p
-		f.stats.BufferReads++
-		f.stats.HostReadBytes += units.Sector
-		f.arr.Engine().Observe(at)
-		if f.Recorder() != nil {
-			f.record(obs.StageHostRead, obs.CauseNone, at, at, zone, lba, 1)
-		}
-		return at, nil
-	}
-	fetchDone := at
-	psn, hit := f.cache.Lookup(lba)
-	if !hit {
-		var ok bool
-		psn, fetchDone, ok, err = f.fetchMapping(at, lba)
-		if err != nil {
-			return at, err
-		}
-		if !ok {
-			// Unwritten sector: zeros, no data page to sense.
-			f.stats.HostReadBytes += units.Sector
-			f.arr.Engine().Observe(fetchDone)
-			if f.Recorder() != nil {
-				f.record(obs.StageHostRead, obs.CauseNone, at, fetchDone, zone, lba, 1)
-			}
-			return fetchDone, nil
-		}
-	}
-	addr, err := f.psnLoc(psn)
-	if err != nil {
-		return at, err
-	}
-	dst[0] = f.arr.Payload(f.ppaOf(addr))
-	done, err := f.arr.ReadPage(fetchDone, addr.Chip, addr.Block, addr.Page, units.Sector)
-	if err != nil {
-		return at, err
-	}
-	if f.Recorder() != nil {
-		f.record(obs.StageDataRead, obs.CauseNone, fetchDone, done, zone, lba, 1)
-	}
-	f.stats.HostReadBytes += units.Sector
-	f.arr.Engine().Observe(done)
-	if f.Recorder() != nil {
-		f.record(obs.StageHostRead, obs.CauseNone, at, done, zone, lba, 1)
 	}
 	return done, nil
 }

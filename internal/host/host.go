@@ -22,11 +22,16 @@
 //
 // # Determinism
 //
-// Dispatch order is a pure function of the submitted (time, tag) pairs:
-// ties break by tag, never by goroutine schedule. A deterministic submitter
-// (the workload runner, or any single-threaded loop) therefore produces
-// bit-identical media state, completion times and statistics on every run
-// and under every GOMAXPROCS.
+// Commands pending together dispatch in (ready time, tag) order: ties break
+// by tag, never by goroutine schedule. Dispatch order is a pure function of
+// the submitted (time, tag) pairs only for a submitter whose submission
+// instants never decrease. A read submitted while nothing is pending goes
+// to the device at once, and a dispatched command is never overtaken: a
+// later submission with an earlier instant dispatches after it, though its
+// (ready time, tag) key is the smaller one. A deterministic submitter (the
+// workload runner, or any single-threaded loop) produces bit-identical
+// media state, completion times and statistics on every run and under every
+// GOMAXPROCS.
 //
 // # Ownership
 //
@@ -813,12 +818,29 @@ func (c *Controller) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time,
 	return c.execDone(at, &Request{Op: OpWrite, LBA: lba, Payloads: payloads})
 }
 
+// ReadInto submits a read and waits for it, filling out (exactly n
+// entries) with the sectors read, nil for an unwritten one — the contract
+// of every device's ReadInto. The views are the controller's pooled sector
+// buffers, returned to the pool as the call ends: they stay valid until the
+// controller's next call, and a steady-state read allocates nothing.
+func (c *Controller) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, error) {
+	if int64(len(out)) != n {
+		return at, fmt.Errorf("host: ReadInto dst holds %d entries, want %d", len(out), n)
+	}
+	comp, err := c.Exec(at, &Request{Op: OpRead, LBA: lba, N: n})
+	if err != nil {
+		return at, err
+	}
+	copy(out, comp.Data)
+	clear(out[len(comp.Data):]) // a read of only unwritten sectors carries no Data
+	c.Recycle(comp.Data)
+	return comp.Done, nil
+}
+
 // Read submits a read and waits for its data. The returned slices are
-// owned by the caller; hand them to Recycle when done to keep the read
-// path allocation-free. Like Backend.Read it has no caller in the root
-// package — the public device reads into a flat destination through Exec —
-// and stays as the synchronous per-sector form the replayers and the frozen
-// bench/ drive.
+// owned by the caller; hand them to Recycle when done. It is the
+// allocating form, kept because the frozen bench/ names it; everything
+// else in the module reads through ReadInto or Exec.
 func (c *Controller) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
 	comp, err := c.Exec(at, &Request{Op: OpRead, LBA: lba, N: n})
 	if err != nil {

@@ -3,6 +3,7 @@ package host_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/conzone/conzone/internal/check"
 	"github.com/conzone/conzone/internal/config"
@@ -70,6 +71,69 @@ func TestSyncWrappersMatchDirectFTL(t *testing.T) {
 		if string(dData[i]) != string(cData[i]) {
 			t.Fatalf("read sector %d differs", i)
 		}
+	}
+}
+
+// TestControllerReadIntoMatchesDirectFTL pins the controller's depth-1
+// read: ReadInto completes at the instant the bare FTL's ReadInto does and
+// fills the same sectors — stamped bytes on media and in the write buffer,
+// nil for unwritten ones, a read of only unwritten sectors included — and
+// once its buffer pools are warm a read allocates nothing.
+func TestControllerReadIntoMatchesDirectFTL(t *testing.T) {
+	direct, err := config.Small().NewConZone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newController(t, host.Config{})
+	zc := direct.ZoneCapSectors()
+	var nowD, nowC sim.Time
+	for i := int64(0); i < 12; i++ { // 96 sectors of zone 0, the tail still buffered
+		if nowD, err = direct.Write(nowD, i*8, payloads(i*8, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if nowC, err = c.Write(nowC, i*8, payloads(i*8, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nowD != nowC {
+		t.Fatalf("writes: direct done %v, controller done %v", nowD, nowC)
+	}
+	want, got := make([][]byte, 64), make([][]byte, 64)
+	for _, r := range []struct{ lba, n int64 }{
+		{0, 64},     // on media
+		{64, 64},    // media, the write buffer, then unwritten
+		{zc, 16},    // only unwritten: the completion carries no data
+		{90, 1},     // one buffered sector
+		{zc - 1, 1}, // one unwritten sector
+	} {
+		dDone, dErr := direct.ReadInto(nowD, r.lba, r.n, want[:r.n])
+		for i := range got {
+			got[i] = []byte("stale")
+		}
+		cDone, cErr := c.ReadInto(nowC, r.lba, r.n, got[:r.n])
+		if dErr != nil || cErr != nil {
+			t.Fatalf("read [%d,+%d): direct err %v, controller err %v", r.lba, r.n, dErr, cErr)
+		}
+		if dDone != cDone {
+			t.Fatalf("read [%d,+%d): direct done %v, controller done %v", r.lba, r.n, dDone, cDone)
+		}
+		for i := range r.n {
+			if (want[i] == nil) != (got[i] == nil) || string(want[i]) != string(got[i]) {
+				t.Fatalf("read [%d,+%d): sector %d differs (direct nil %v, controller nil %v)",
+					r.lba, r.n, i, want[i] == nil, got[i] == nil)
+			}
+		}
+		nowD, nowC = dDone, cDone
+	}
+	if _, err := c.ReadInto(nowC, 0, 4, got[:3]); err == nil {
+		t.Error("ReadInto accepted a 3-entry container for a 4-sector read")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if nowC, err = c.ReadInto(nowC, 8, 16, got[:16]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm depth-1 read allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -323,5 +387,57 @@ func TestControllerAuditsCleanUnderMixedLoad(t *testing.T) {
 	}
 	if err := check.AuditHost(c); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArbiterOrderNeedsNonDecreasingInstants pins the determinism
+// contract's precondition. Two reads of one flash page are submitted on one
+// queue, one at t and one at t + 1 us. Submitted in instant order, the t
+// read reaches the chip first. Submitted the other way round, the t + 1 us
+// read is dispatched as it is submitted — nothing is pending, so a read
+// goes straight to the device — and the t read queues behind it on the
+// chip: it completes later than in instant order, although its (ready
+// time, tag) key is the smaller one.
+func TestArbiterOrderNeedsNonDecreasingInstants(t *testing.T) {
+	const later = time.Microsecond
+	readAt := func(reversed bool) host.Completion {
+		c := newController(t, host.Config{Queues: 1, Depth: 4})
+		at, err := c.Write(0, 0, payloads(0, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at, err = c.FlushAll(at); err != nil {
+			t.Fatal(err)
+		}
+		subs := []struct {
+			at  sim.Time
+			lba int64
+		}{{at, 0}, {at.Add(later), 1}}
+		if reversed {
+			subs[0], subs[1] = subs[1], subs[0]
+		}
+		var first host.Tag
+		for _, s := range subs {
+			tag, err := c.Submit(s.at, 0, host.Request{Op: host.OpRead, LBA: s.lba, N: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.lba == 0 {
+				first = tag
+			}
+		}
+		comp, ok := c.Wait(first)
+		if !ok || comp.Err != nil {
+			t.Fatalf("read at t: reaped %v, err %v", ok, comp.Err)
+		}
+		return comp
+	}
+	inOrder, reversed := readAt(false), readAt(true)
+	t.Logf("read at t completes at %v in instant order, %v submitted after the t + 1 us read", inOrder.Done, reversed.Done)
+	if inOrder.Submitted != reversed.Submitted || inOrder.Dispatched != reversed.Dispatched {
+		t.Fatalf("the t read was submitted at %v/%v and dispatched at %v/%v", inOrder.Submitted, reversed.Submitted, inOrder.Dispatched, reversed.Dispatched)
+	}
+	if reversed.Done <= inOrder.Done {
+		t.Errorf("submitted after a later-instant read, the t read completes at %v, no later than in instant order (%v)", reversed.Done, inOrder.Done)
 	}
 }

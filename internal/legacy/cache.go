@@ -6,14 +6,14 @@ package legacy
 // whether a translation would have required a flash fetch.
 //
 // The LRU list is linked by index through one node slice, and residency is
-// a dense per-LPA slot index beside the device's dense page table: a miss
-// prefetches a thousand entries, so an insert must cost neither an
-// allocation nor a hash.
+// a per-LPA slot index chunked like the page table: a miss prefetches a
+// thousand entries, so an insert must cost neither a hash nor, once its
+// chunk exists, an allocation.
 type pageCache struct {
-	slot  []int32   // per LPA: index into nodes, 0 = not cached
-	nodes []lruNode // nodes[0] is the list sentinel: next = MRU, prev = LRU
-	free  int32     // head of the unused nodes, chained through next; 0 = none
-	n     int       // resident entries
+	slot  chunked[int32] // per LPA: index into nodes, 0 = not cached
+	nodes []lruNode      // nodes[0] is the list sentinel: next = MRU, prev = LRU
+	free  int32          // head of the unused nodes, chained through next; 0 = none
+	n     int            // resident entries
 }
 
 type lruNode struct {
@@ -31,7 +31,7 @@ func newPageCache(capEntries, totalSectors int64) *pageCache {
 		capEntries = totalSectors
 	}
 	c := &pageCache{
-		slot:  make([]int32, totalSectors),
+		slot:  newChunked[int32](totalSectors),
 		nodes: make([]lruNode, capEntries+1),
 		free:  1,
 	}
@@ -66,7 +66,7 @@ func (c *pageCache) touch(i int32) {
 // lookup reports whether lpa's translation is cached, refreshing its LRU
 // position on a hit.
 func (c *pageCache) lookup(lpa int64) bool {
-	i := c.slot[lpa]
+	i := c.slot.get(lpa)
 	if i == 0 {
 		return false
 	}
@@ -76,7 +76,7 @@ func (c *pageCache) lookup(lpa int64) bool {
 
 // insert caches lpa, evicting the LRU entry if needed.
 func (c *pageCache) insert(lpa int64) {
-	if i := c.slot[lpa]; i != 0 {
+	if i := c.slot.get(lpa); i != 0 {
 		c.touch(i)
 		return
 	}
@@ -86,11 +86,11 @@ func (c *pageCache) insert(lpa int64) {
 	} else {
 		i = c.nodes[0].prev // full: the LRU node is reused in place
 		c.unlink(i)
-		c.slot[c.nodes[i].lpa] = 0
+		c.slot.set(c.nodes[i].lpa, 0)
 		c.n--
 	}
 	c.nodes[i].lpa = lpa
-	c.slot[lpa] = i
+	c.slot.set(lpa, i)
 	c.pushFront(i)
 	c.n++
 }
@@ -98,19 +98,19 @@ func (c *pageCache) insert(lpa int64) {
 // update refreshes a cached translation after the table changed; a missing
 // entry stays missing (writes do not populate the cache).
 func (c *pageCache) update(lpa int64) {
-	if i := c.slot[lpa]; i != 0 {
+	if i := c.slot.get(lpa); i != 0 {
 		c.touch(i)
 	}
 }
 
 // invalidate drops a cached translation.
 func (c *pageCache) invalidate(lpa int64) {
-	i := c.slot[lpa]
+	i := c.slot.get(lpa)
 	if i == 0 {
 		return
 	}
 	c.unlink(i)
-	c.slot[lpa] = 0
+	c.slot.set(lpa, 0)
 	c.nodes[i].next = c.free
 	c.free = i
 	c.n--

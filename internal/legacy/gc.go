@@ -28,13 +28,17 @@ func (d *Device) ensureGC(at sim.Time, n int64) (sim.Time, error) {
 		if victim < 0 {
 			return at, fmt.Errorf("legacy: no GC victim with free=%d", len(d.freeSBs))
 		}
-		rest, done, err := d.collectSB(at, victim)
+		height := len(d.rest)
+		done, err := d.collectSB(at, victim)
 		if err != nil {
 			return at, err
 		}
 		at = done
-		if len(rest) > 0 {
-			if at, err = d.stage(at, rest); err != nil {
+		if len(d.rest) > height {
+			at, err = d.stage(at, d.rest[height:])
+			clear(d.rest[height:])
+			d.rest = d.rest[:height]
+			if err != nil {
 				return at, err
 			}
 		}
@@ -58,51 +62,50 @@ func (d *Device) victimSB() int {
 
 // collectSB migrates the victim's valid sectors to the write pointer in
 // whole program units, erases it and frees it. The sub-unit remainder is
-// returned for the caller to stage like any small write; it owns its bytes,
-// because the erase recycles the victim's payload slabs.
-func (d *Device) collectSB(at sim.Time, victim int) (rest []slc.Write, done sim.Time, err error) {
+// pushed onto d.rest for the caller to stage like any small write; it owns
+// its bytes, because the erase recycles the victim's payload slabs.
+func (d *Device) collectSB(at sim.Time, victim int) (done sim.Time, err error) {
 	sb := &d.sbs[victim]
 	done = at
 
 	// Gather the valid sectors.
-	var offs []int64
+	d.idxs = d.idxs[:0]
 	for off := int64(0); off < d.sbSectors; off++ {
 		if sb.valid[off] {
-			offs = append(offs, off)
+			d.idxs = append(d.idxs, off)
 		}
 	}
-	if len(offs) > 0 {
+	if len(d.idxs) > 0 {
 		// Read them (page-grouped).
 		d.pages.Reset()
-		for _, off := range offs {
+		for _, off := range d.idxs {
 			d.pages.Add(d.arr.StripeAddr(victim, off))
 		}
 		for _, r := range d.pages.Runs() {
 			end, err := d.arr.ReadPage(at, r.Chip, r.Block, r.Page, r.Bytes)
 			if err != nil {
-				return nil, at, err
+				return at, err
 			}
 			if end > done {
 				done = end
 			}
 		}
 		// Rewrite them in PU-sized groups.
-		lpas := make([]int64, 0, len(offs))
-		payloads := make([][]byte, 0, len(offs))
-		for _, off := range offs {
-			lpas = append(lpas, sb.lpa[off])
-			payloads = append(payloads, d.arr.Payload(d.arr.PPAOf(d.arr.StripeAddr(victim, off))))
+		d.lpas, d.payloads = d.lpas[:0], d.payloads[:0]
+		for _, off := range d.idxs {
+			d.lpas = append(d.lpas, sb.lpa[off])
+			d.payloads = append(d.payloads, d.arr.Payload(d.arr.PPAOf(d.arr.StripeAddr(victim, off))))
 			sb.valid[off] = false
 			sb.validCount--
 		}
 		var i int64
-		if i, done, err = d.programRun(done, lpas, payloads, true); err != nil {
-			return nil, at, err
+		if i, done, err = d.programRun(done, d.lpas, d.payloads, true); err != nil {
+			return at, err
 		}
-		for ; i < int64(len(lpas)); i++ {
-			rest = append(rest, slc.Write{LPA: lpas[i], Payload: bytes.Clone(payloads[i])})
+		for ; i < int64(len(d.lpas)); i++ {
+			d.rest = append(d.rest, slc.Write{LPA: d.lpas[i], Payload: bytes.Clone(d.payloads[i])})
 		}
-		d.stats.GCMigratedPages += int64(len(offs))
+		d.stats.GCMigratedPages += int64(len(d.idxs))
 	}
 
 	// Erase the victim on every chip and free it.
@@ -110,7 +113,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (rest []slc.Write, done sim.
 	for chip := 0; chip < d.chips; chip++ {
 		end, err := d.arr.Erase(done, chip, block)
 		if err != nil {
-			return nil, at, err
+			return at, err
 		}
 		if end > done {
 			done = end
@@ -119,7 +122,7 @@ func (d *Device) collectSB(at sim.Time, victim int) (rest []slc.Write, done sim.
 	sb.inFree = true
 	d.freeSBs = append(d.freeSBs, victim)
 	d.stats.GCCycles++
-	return rest, done, nil
+	return done, nil
 }
 
 // stage puts a sub-unit remainder — of a host flush or of a collection —
@@ -168,35 +171,34 @@ func (d *Device) drainStaging(at sim.Time, need int64) (sim.Time, error) {
 		if victim < 0 {
 			return at, fmt.Errorf("legacy: SLC cache exhausted")
 		}
-		var idxs []int64
+		d.idxs = d.idxs[:0]
 		base := int64(victim) * sps
 		for off := int64(0); off < sps; off++ {
 			if d.staging.IsValid(base + off) {
-				idxs = append(idxs, base+off)
+				d.idxs = append(d.idxs, base+off)
 			}
 		}
-		if n := int64(len(idxs)); n >= d.puSectors {
-			done, err := d.staging.ReadSectors(at, idxs)
+		if int64(len(d.idxs)) >= d.puSectors {
+			done, err := d.staging.ReadSectors(at, d.idxs)
 			if err != nil {
 				return at, err
 			}
 			at = done
-			lpas := make([]int64, n)
-			payloads := make([][]byte, n)
-			for i, idx := range idxs {
+			d.lpas, d.payloads = d.lpas[:0], d.payloads[:0]
+			for _, idx := range d.idxs {
 				lpa, err := d.staging.LPAAt(idx)
 				if err != nil {
 					return at, err
 				}
-				lpas[i] = lpa
-				payloads[i] = d.staging.Payload(idx)
+				d.lpas = append(d.lpas, lpa)
+				d.payloads = append(d.payloads, d.staging.Payload(idx))
 			}
-			placed, dn, err := d.programRun(at, lpas, payloads, true)
+			placed, dn, err := d.programRun(at, d.lpas, d.payloads, true)
 			if err != nil {
 				return at, err
 			}
 			at = dn
-			for _, idx := range idxs[:placed] {
+			for _, idx := range d.idxs[:placed] {
 				if err := d.staging.Invalidate(idx); err != nil {
 					return at, err
 				}

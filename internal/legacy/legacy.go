@@ -48,47 +48,56 @@ type phys = int64
 
 const invalidPhys phys = -1
 
-// pageTable maps an LPA to its physical index. The logical space is cut
-// into tableChunk-entry chunks allocated on the first mapping into them, so
-// a device holds table for the logical space it has written, not for all of
-// it. An entry stores phys+1: 0, the zero value of a fresh chunk, is
-// unmapped, and no fill loop runs.
-type pageTable struct {
-	chunks [][]phys
+// chunked is a per-LPA array cut into tableChunk-entry chunks, each
+// allocated on the first non-zero store into it, so a device holds entries
+// for the logical space it has touched, not for all of it. A zero entry is
+// absent, which a fresh chunk is without a fill loop.
+type chunked[T int32 | int64] struct {
+	chunks [][]T
 	n      int64 // entries, the logical capacity in sectors
 }
 
 const (
 	tableShift = 16
-	tableChunk = 1 << tableShift // 64 Ki entries, 512 KiB
+	tableChunk = 1 << tableShift // 64 Ki entries
 )
 
-func newPageTable(n int64) pageTable {
-	return pageTable{chunks: make([][]phys, (n+tableChunk-1)/tableChunk), n: n}
+func newChunked[T int32 | int64](n int64) chunked[T] {
+	return chunked[T]{chunks: make([][]T, (n+tableChunk-1)/tableChunk), n: n}
 }
 
-// get returns lpa's physical index, or invalidPhys when it is unmapped.
-func (t *pageTable) get(lpa int64) phys {
+// get returns lpa's entry, 0 when absent.
+func (t *chunked[T]) get(lpa int64) T {
 	c := t.chunks[lpa>>tableShift]
 	if c == nil {
-		return invalidPhys
+		return 0
 	}
-	return c[lpa&(tableChunk-1)] - 1
+	return c[lpa&(tableChunk-1)]
 }
 
-// set maps lpa to p; invalidPhys unmaps it.
-func (t *pageTable) set(lpa int64, p phys) {
+// set stores v as lpa's entry; storing 0 allocates nothing.
+func (t *chunked[T]) set(lpa int64, v T) {
 	c := t.chunks[lpa>>tableShift]
 	if c == nil {
-		if p == invalidPhys {
+		if v == 0 {
 			return
 		}
 		base := lpa &^ (tableChunk - 1)
-		c = make([]phys, min(tableChunk, t.n-base))
+		c = make([]T, min(tableChunk, t.n-base))
 		t.chunks[lpa>>tableShift] = c
 	}
-	c[lpa&(tableChunk-1)] = p + 1
+	c[lpa&(tableChunk-1)] = v
 }
+
+// pageTable maps an LPA to its physical index. An entry stores phys+1, so
+// an unmapped LPA is an absent entry.
+type pageTable struct{ chunked[int64] }
+
+// get returns lpa's physical index, or invalidPhys when it is unmapped.
+func (t *pageTable) get(lpa int64) phys { return t.chunked.get(lpa) - 1 }
+
+// set maps lpa to p; invalidPhys unmaps it.
+func (t *pageTable) set(lpa int64, p phys) { t.chunked.set(lpa, p+1) }
 
 // sbState is a normal superblock's reverse map. valid and lpa are
 // allocated when the superblock is first bound for writing, so a device
@@ -125,7 +134,18 @@ type Device struct {
 	stats        Stats
 
 	pages nand.PageRuns // page batching of the current read or GC pass
-	lpas  []int64       // flushRun's scratch: the LPAs of a run's whole program units
+
+	// Scratch of the one program run in progress — a host flush's, a
+	// collection's or a staging drain's; none of them starts another
+	// before its run is placed.
+	idxs     []int64     // the valid sectors of the superblock being emptied
+	lpas     []int64     // the LPAs of the run
+	payloads [][]byte    // the run's payload views
+	ws       []slc.Write // a host flush's sub-unit remainder
+	// rest is a stack of collections' sub-unit remainders: ensureGC stages
+	// its collection's entries above the height it found, and the drain
+	// that staging may run can collect — and push — again above those.
+	rest []slc.Write
 }
 
 // New builds a legacy device over a fresh array with the given geometry.
@@ -167,7 +187,7 @@ func NewWithArray(arr *nand.Array, p Params) (*Device, error) {
 	}
 	d.stagedBase = int64(numSB) * d.sbSectors
 	d.totalSectors = int64(numSB-p.OverprovisionSB) * d.sbSectors
-	d.table = newPageTable(d.totalSectors)
+	d.table = pageTable{newChunked[int64](d.totalSectors)}
 	var err error
 	d.bufs, err = wbuf.New(1, geo.SuperpageBytes()/units.Sector)
 	if err != nil {
@@ -432,15 +452,15 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 		return at, err
 	}
 	if i < n {
-		ws := make([]slc.Write, 0, n-i)
+		d.ws = d.ws[:0]
 		for ; i < n; i++ {
 			lpa := startLBA + i
 			if err := d.invalidateOld(lpa); err != nil {
 				return at, err
 			}
-			ws = append(ws, slc.Write{LPA: lpa, Payload: payloads[i]})
+			d.ws = append(d.ws, slc.Write{LPA: lpa, Payload: payloads[i]})
 		}
-		dn, err := d.stage(at, ws)
+		dn, err := d.stage(at, d.ws)
 		if err != nil {
 			return at, err
 		}
@@ -449,20 +469,10 @@ func (d *Device) flushRun(at sim.Time, startLBA int64, payloads [][]byte) (sim.T
 	return done, nil
 }
 
-// Read serves a host read, charging map fetches with sequential prefetch
-// on cache misses. The returned payload entries are borrowed views of the
-// media or the write buffer, stable until the next device operation.
-func (d *Device) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	out := make([][]byte, max(n, 0)) // ReadInto rejects n <= 0
-	done, err := d.ReadInto(at, lba, n, out)
-	if err != nil {
-		return nil, at, err
-	}
-	return out, done, nil
-}
-
-// ReadInto is Read with caller-provided payload storage: out must hold
-// exactly n entries.
+// ReadInto serves a host read of n sectors into out (exactly n entries),
+// charging map fetches with sequential prefetch on cache misses. The
+// entries are borrowed views of the media or the write buffer (nil for an
+// unwritten sector), stable until the next device operation.
 func (d *Device) ReadInto(at sim.Time, lba, n int64, out [][]byte) (sim.Time, error) {
 	if n <= 0 || lba < 0 || lba+n > d.totalSectors {
 		return at, fmt.Errorf("legacy: read [%d,%d) out of range", lba, lba+n)

@@ -9,6 +9,14 @@ import (
 	"github.com/conzone/conzone/internal/units"
 )
 
+// read is ReadInto into a fresh container, for tests that keep what they
+// read.
+func read(d *Device, at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
+	out := make([][]byte, max(n, 0))
+	done, err := d.ReadInto(at, lba, n, out)
+	return out, done, err
+}
+
 func testGeo() nand.Geometry {
 	return nand.Geometry{
 		Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 16,
@@ -60,7 +68,7 @@ func payloadsFor(lba, n int64) [][]byte {
 
 func verifyRead(t *testing.T, d *Device, at sim.Time, lba, n int64) {
 	t.Helper()
-	out, _, err := d.Read(at, lba, n)
+	out, _, err := read(d, at, lba, n)
 	if err != nil {
 		t.Fatalf("Read(%d,%d): %v", lba, n, err)
 	}
@@ -121,7 +129,7 @@ func TestInPlaceUpdate(t *testing.T) {
 	if _, err := d.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := d.Read(0, 10, 1)
+	out, _, err := read(d, 0, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +158,7 @@ func TestSmallSyncWritesGoToSLC(t *testing.T) {
 
 func TestReadUnwritten(t *testing.T) {
 	d := newTestDevice(t)
-	out, _, err := d.Read(0, 50, 4)
+	out, _, err := read(d, 0, 50, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +171,13 @@ func TestReadUnwritten(t *testing.T) {
 
 func TestReadValidation(t *testing.T) {
 	d := newTestDevice(t)
-	if _, _, err := d.Read(0, -1, 1); err == nil {
+	if _, _, err := read(d, 0, -1, 1); err == nil {
 		t.Error("negative lba accepted")
 	}
-	if _, _, err := d.Read(0, d.TotalSectors(), 1); err == nil {
+	if _, _, err := read(d, 0, d.TotalSectors(), 1); err == nil {
 		t.Error("out-of-range read accepted")
 	}
-	if _, _, err := d.Read(0, 0, 0); err == nil {
+	if _, _, err := read(d, 0, 0, 0); err == nil {
 		t.Error("zero-length read accepted")
 	}
 	if _, err := d.Write(0, d.TotalSectors()-1, payloadsFor(0, 2)); err == nil {
@@ -189,7 +197,7 @@ func TestPrefetchReducesFetches(t *testing.T) {
 	// fetch should occur at most once per 32 sectors.
 	at := sim.Time(0)
 	for lba := int64(0); lba < 128; lba++ {
-		_, done, err := d.Read(at, lba, 1)
+		_, done, err := read(d, at, lba, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +263,7 @@ func TestFullDriveOverwriteStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lba, want := range model {
-		out, _, err := d.Read(at, lba, 1)
+		out, _, err := read(d, at, lba, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +359,7 @@ func TestGCDoesNotReenter(t *testing.T) {
 				n := rng.Uint64()%200 + 1
 				at, err = d.Write(at, int64(rng.Uint64()%(span-n)), make([][]byte, n))
 			case r < 90:
-				_, at, err = d.Read(at, int64(rng.Uint64()%span), 1)
+				_, at, err = read(d, at, int64(rng.Uint64()%span), 1)
 			default:
 				at, err = d.FlushAll(at)
 			}
@@ -449,5 +457,46 @@ func BenchmarkFlush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		flush()
+	}
+}
+
+// TestGCSteadyStateAllocs pins that garbage collection reuses the device's
+// scratch: after a warmup that has collected, staged and drained, a
+// timing-only stream of random overwrites — collections with sub-unit
+// remainders, staged flushes and staging drains among them — allocates
+// nothing.
+func TestGCSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	d := newTestDevice(t)
+	rng := sim.NewRand(3)
+	span := uint64(d.TotalSectors() / 3)
+	nilPayloads := make([][]byte, 200)
+	var at sim.Time
+	step := func() {
+		var err error
+		if rng.Uint64()%8 == 0 {
+			at, err = d.FlushAll(at)
+		} else {
+			n := rng.Uint64()%200 + 1
+			at, err = d.Write(at, int64(rng.Uint64()%(span-n)), nilPayloads[:n])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3000 {
+		step()
+	}
+	before, drainsBefore := d.Stats(), d.staging.Stats().Collections
+	allocs := testing.AllocsPerRun(2000, step)
+	after, drains := d.Stats(), d.staging.Stats().Collections-drainsBefore
+	if after.GCCycles == before.GCCycles || after.StagedSectors == before.StagedSectors || drains == 0 {
+		t.Fatalf("the measured stream did not collect, stage and drain: %d collections, %d staged sectors, %d drains",
+			after.GCCycles-before.GCCycles, after.StagedSectors-before.StagedSectors, drains)
+	}
+	if allocs != 0 {
+		t.Errorf("a GC-heavy write stream allocates %.3f times per op, want 0", allocs)
 	}
 }

@@ -1,8 +1,8 @@
 // Package trace provides an I/O trace format for the emulator: a compact
 // binary encoding and a human-editable text encoding of timed device
-// operations, plus a recorder that wraps a device and a replayer that
-// drives one. Traces make experiments portable: a workload captured from
-// one device model can be replayed bit-identically against another.
+// operations, and a replayer that drives any workload.Device with them.
+// Traces make experiments portable: the same timed operations replay
+// bit-identically against every device model.
 package trace
 
 import (
@@ -276,17 +276,24 @@ type ReplayResult struct {
 func Replay(dev workload.Device, records []Record) (ReplayResult, error) {
 	var res ReplayResult
 	var clock sim.Time
+	var views [][]byte // one read container, reused by every read
 	zdev, _ := dev.(workload.Zoned)
 	for i, r := range records {
 		at := sim.Time(0).Add(r.At)
 		if at < clock {
 			at = clock
 		}
+		if (r.Op == OpRead || r.Op == OpWrite) && (r.Sectors <= 0 || r.Sectors > dev.TotalSectors()) {
+			return res, fmt.Errorf("trace: record %d (%s lba=%d): %d sectors", i, r.Op, r.LBA, r.Sectors)
+		}
 		var done sim.Time
 		var err error
 		switch r.Op {
 		case OpRead:
-			_, done, err = dev.Read(at, r.LBA, r.Sectors)
+			if int64(cap(views)) < r.Sectors {
+				views = make([][]byte, r.Sectors)
+			}
+			done, err = dev.ReadInto(at, r.LBA, r.Sectors, views[:r.Sectors])
 			res.ReadOps++
 			res.ReadBytes += r.Sectors * units.Sector
 		case OpWrite:

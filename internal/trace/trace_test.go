@@ -181,10 +181,11 @@ func (d *replayDevice) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Tim
 	return at.Add(10 * time.Microsecond), nil
 }
 
-func (d *replayDevice) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
+func (d *replayDevice) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error) {
 	d.log = append(d.log, "R")
 	d.lastAt = at
-	return make([][]byte, n), at.Add(5 * time.Microsecond), nil
+	clear(dst)
+	return at.Add(5 * time.Microsecond), nil
 }
 
 func (d *replayDevice) FlushAll(at sim.Time) (sim.Time, error) {
@@ -241,8 +242,8 @@ func (d *flatDevice) Write(at sim.Time, lba int64, p [][]byte) (sim.Time, error)
 	return d.inner.Write(at, lba, p)
 }
 
-func (d *flatDevice) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
-	return d.inner.Read(at, lba, n)
+func (d *flatDevice) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error) {
+	return d.inner.ReadInto(at, lba, n, dst)
 }
 
 func (d *flatDevice) FlushAll(at sim.Time) (sim.Time, error) { return d.inner.FlushAll(at) }
@@ -254,5 +255,10 @@ func TestReplayErrors(t *testing.T) {
 	}
 	if _, err := Replay(&replayDevice{}, []Record{{Op: Op(9)}}); err == nil {
 		t.Error("unknown op accepted")
+	}
+	for _, r := range []Record{{Op: OpRead, Sectors: -1}, {Op: OpWrite}, {Op: OpRead, Sectors: 1<<20 + 1}} {
+		if _, err := Replay(&replayDevice{}, []Record{r}); err == nil {
+			t.Errorf("%s of %d sectors accepted", r.Op, r.Sectors)
+		}
 	}
 }

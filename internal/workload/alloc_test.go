@@ -126,3 +126,44 @@ func TestRunAllocsIndependentOfVolume(t *testing.T) {
 		}
 	}
 }
+
+// TestControllerDepthOneReadsAllocateNothing pins the controller's ReadInto
+// under the event loop: a depth-1 job reading stamped data through a host
+// controller copies every sector into the controller's pooled buffers and
+// returns them as the read ends, so a job eight times longer allocates no
+// more.
+func TestControllerDepthOneReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	f, err := config.Paper().NewConZone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := host.New(f, host.Config{Queues: 1, Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := Prefill(c, 0, 0, runRegion, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ops int64) float64 {
+		job := readJob(1, ops, at)
+		return testing.AllocsPerRun(3, func() {
+			res, err := Run(c, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops != ops {
+				t.Fatalf("%d of %d reads completed", res.Ops, ops)
+			}
+		})
+	}
+	run(8192)
+	a1, a8 := run(1024), run(8192)
+	t.Logf("%.0f allocs for 1024 reads, %.0f for 8192", a1, a8)
+	if a8 > a1 {
+		t.Errorf("8192 reads allocate %.0f, 1024 reads %.0f: a depth-1 controller read allocates", a8, a1)
+	}
+}

@@ -43,7 +43,6 @@ type runner struct {
 	adev  Async // nil at depth 1, where every command is a direct call
 	zdev  Zoned
 	zf    ZoneFlusher
-	ri    ReaderInto
 
 	threads []*thread
 	// container is the one payload container: devices copy a write's
@@ -107,8 +106,7 @@ func Run(dev Device, job Job) (Result, error) {
 		buf := r.container[:n] // a write's payloads, a read's views
 		op, failAt := host.OpRead, at
 		var done sim.Time
-		switch {
-		case write:
+		if write {
 			op = host.OpWrite
 			if job.WithData {
 				fillPayloads(buf, lba)
@@ -120,10 +118,8 @@ func Run(dev Device, job Job) (Result, error) {
 				flushed, err = r.zf.Flush(done, int(lba/r.zdev.ZoneCapSectors()))
 				done = max(done, flushed)
 			}
-		case r.ri != nil:
-			done, err = r.ri.ReadInto(at, lba, n, buf)
-		default:
-			_, done, err = dev.Read(at, lba, n)
+		} else {
+			done, err = dev.ReadInto(at, lba, n, buf)
 		}
 		if err != nil {
 			err = r.failed(th, op, lba, failAt, err)
@@ -153,7 +149,6 @@ func (r *runner) init(dev Device, job Job) error {
 	}
 	r.zdev, _ = dev.(Zoned)
 	r.zf, _ = dev.(ZoneFlusher)
-	r.ri, _ = dev.(ReaderInto)
 	queues := 1
 	if r.depth > 1 {
 		adev, ok := dev.(Async)

@@ -18,19 +18,14 @@ import (
 )
 
 // Device is the surface a workload drives. ConZone, Legacy and FEMU
-// devices all implement it.
+// devices and the host controller all implement it. ReadInto fills dst
+// (exactly n entries) with views of the sectors read, nil for an unwritten
+// one; the views stay valid until the device's next call.
 type Device interface {
 	Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time, error)
-	Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error)
+	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 	FlushAll(at sim.Time) (sim.Time, error)
 	TotalSectors() int64
-}
-
-// ReaderInto is the optional allocation-free read surface: the device fills
-// dst (exactly n entries) with the borrowed views Read would return. A
-// depth-1 job reads through it where a device offers it.
-type ReaderInto interface {
-	ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error)
 }
 
 // Zoned is the optional zoned-device surface.

@@ -28,9 +28,10 @@ func (f *fakeDevice) Write(at sim.Time, lba int64, payloads [][]byte) (sim.Time,
 	return at.Add(f.writeLat), nil
 }
 
-func (f *fakeDevice) Read(at sim.Time, lba, n int64) ([][]byte, sim.Time, error) {
+func (f *fakeDevice) ReadInto(at sim.Time, lba, n int64, dst [][]byte) (sim.Time, error) {
 	f.reads = append(f.reads, lba)
-	return make([][]byte, n), at.Add(f.readLat), nil
+	clear(dst)
+	return at.Add(f.readLat), nil
 }
 
 func (f *fakeDevice) FlushAll(at sim.Time) (sim.Time, error) {
