@@ -3,10 +3,8 @@ package host
 import "github.com/conzone/conzone/internal/sim"
 
 // cqKey orders one queued completion inside its queue. The queue shuffles
-// these 24-byte keys instead of the much larger Completion values, which
-// sit still in the queue's slot arena until reaped — so an insert memmoves
-// a handful of small keys and exactly one Completion ever crosses into the
-// reaper's buffer.
+// these 24-byte keys; the Completion values sit still in its slot arena
+// until reaped, so only one copy of each crosses into the reaper's buffer.
 type cqKey struct {
 	done sim.Time
 	tag  Tag
@@ -18,12 +16,10 @@ func (k cqKey) less(o cqKey) bool {
 }
 
 // complQueue is one completion queue: keys sorted ascending on (Done, Tag)
-// over a slot arena of Completion values. The minimum sits at head, so
-// popping in virtual completion-time order (ties by tag) is a head bump;
-// pushing is usually an append, because dispatch instants advance with
-// virtual time and most completions finish after everything already queued.
-// An out-of-order push binary-searches its position and memmoves only the
-// 24-byte keys above it — typically the last few.
+// over a slot arena of Completion values. Popping the minimum is a head
+// bump; pushing is usually an append, as most completions finish after
+// everything queued, and otherwise a binary search that memmoves only the
+// keys above it, typically the last few.
 type complQueue struct {
 	order []cqKey      // ascending on (done, tag) from head; dead prefix before
 	head  int          // index of the live minimum within order
@@ -100,28 +96,21 @@ func (q *complQueue) release(s int32) {
 }
 
 // takeTag removes and returns the completion with the given tag, wherever
-// it sits in the queue.
+// it sits in the queue, preserving the order of the rest.
 func (q *complQueue) takeTag(tag Tag) (Completion, bool) {
 	for i := q.head; i < len(q.order); i++ {
 		if q.order[i].tag == tag {
 			s := q.order[i].slot
 			comp := q.slots[s]
-			q.removeAt(i)
+			q.order = append(q.order[:i], q.order[i+1:]...)
+			if q.head == len(q.order) {
+				q.order, q.head = q.order[:0], 0
+			}
 			q.release(s)
 			return comp, true
 		}
 	}
 	return Completion{}, false
-}
-
-// removeAt deletes the key at index i, preserving the ascending order.
-func (q *complQueue) removeAt(i int) {
-	copy(q.order[i:], q.order[i+1:])
-	q.order = q.order[:len(q.order)-1]
-	if q.head == len(q.order) {
-		q.order = q.order[:0]
-		q.head = 0
-	}
 }
 
 // snapshot returns the queued completions in reap order — (Done, Tag)

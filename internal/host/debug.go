@@ -2,11 +2,9 @@ package host
 
 import "github.com/conzone/conzone/internal/sim"
 
-// This file exposes a read-only snapshot of the controller's queueing state
-// for the cross-subsystem invariant auditor (internal/check). The auditor
-// checks the snapshot value, so its corruption-injection tests corrupt a copy
-// and the live controller needs no mutators. Nothing here is part of the host
-// API proper.
+// A read-only snapshot of the controller's queueing state for the invariant
+// auditor (internal/check), which checks the value: its corruption tests
+// corrupt a copy, so the live controller needs no mutators.
 
 // PendingInfo describes one submitted, not-yet-dispatched command.
 type PendingInfo struct {
@@ -35,15 +33,14 @@ func (c *Controller) DebugSnapshot() DebugState {
 	st := DebugState{
 		NextTag:         c.nextTag,
 		Outstanding:     append([]int(nil), c.out...),
-		ZoneFree:        append([]sim.Time(nil), c.zoneFree...),
+		ZoneFree:        append([]sim.Time(nil), c.locks.free...),
 		MaxDone:         c.maxDone,
 		LostCompletions: c.lostCompletions,
 	}
-	zoneCap := c.be.ZoneCapSectors()
-	for _, r := range c.pending {
+	for _, r := range c.arb.heap {
 		st.Pending = append(st.Pending, PendingInfo{
 			Tag: r.tag, Queue: r.queue, Op: r.req.Op,
-			Zone: r.zone(zoneCap), Submitted: r.submitted,
+			Zone: r.lock.zone(), Submitted: r.submitted,
 		})
 	}
 	st.Completions = make([][]Completion, len(c.cqs))

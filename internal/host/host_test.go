@@ -197,6 +197,75 @@ func TestCrossZoneWritesOverlap(t *testing.T) {
 	}
 }
 
+// TestFlushAllBarrier pins the flush-all's semantics as a full write
+// barrier across zones and queues: it dispatches no earlier than every
+// zone's lock horizon left by the write-class commands before it, every
+// later write-class command, to any zone, dispatches no earlier than its
+// completion, and reads pass it.
+func TestFlushAllBarrier(t *testing.T) {
+	c := newController(t, host.Config{Queues: 2, Depth: 64})
+	zc := c.ZoneCapSectors()
+	submit := func(q int, req host.Request) host.Tag {
+		t.Helper()
+		tag, err := c.Submit(0, q, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tag
+	}
+	for _, lba := range []int64{0, 8, zc, 2 * zc} {
+		submit(0, host.Request{Op: host.OpWrite, LBA: lba, Payloads: payloads(lba, 8)})
+	}
+	barrier := submit(1, host.Request{Op: host.OpFlush, Zone: -1})
+	submit(0, host.Request{Op: host.OpWrite, LBA: zc + 8, Payloads: payloads(zc+8, 8)})
+	submit(1, host.Request{Op: host.OpWrite, LBA: 3 * zc, Payloads: payloads(3*zc, 8)})
+	submit(0, host.Request{Op: host.OpAppend, Zone: 2, Payloads: payloads(0, 8)})
+	submit(1, host.Request{Op: host.OpReset, Zone: 4})
+	submit(0, host.Request{Op: host.OpFlush, Zone: 0})
+	read := submit(1, host.Request{Op: host.OpRead, LBA: 5 * zc, N: 1})
+
+	comps := append(c.PollInto(0, 0, nil), c.PollInto(1, 0, nil)...)
+	if len(comps) != 11 {
+		t.Fatalf("want 11 completions, got %d", len(comps))
+	}
+	horizon := make([]sim.Time, c.NumZones())
+	var flush host.Completion
+	for _, comp := range comps {
+		if comp.Err != nil {
+			t.Fatalf("tag %d (%v): %v", comp.Tag, comp.Op, comp.Err)
+		}
+		switch {
+		case comp.Tag == barrier:
+			flush = comp
+		case comp.Tag < barrier && comp.Done > horizon[comp.Zone]:
+			horizon[comp.Zone] = comp.Done
+		}
+	}
+	if flush.Zone != -1 || flush.Done <= flush.Dispatched {
+		t.Fatalf("flush-all completion: zone %d, dispatched %v, done %v; want zone -1 and a drain that takes time",
+			flush.Zone, flush.Dispatched, flush.Done)
+	}
+	for z, h := range horizon {
+		if flush.Dispatched < h {
+			t.Errorf("flush-all dispatched at %v, before zone %d's lock frees at %v", flush.Dispatched, z, h)
+		}
+	}
+	for _, comp := range comps {
+		switch {
+		case comp.Tag == read && comp.Dispatched != 0:
+			t.Errorf("a read behind the flush-all dispatched at %v, want 0: reads pass the barrier", comp.Dispatched)
+		case comp.Tag > barrier && comp.Op.WriteClass() && comp.Dispatched < flush.Done:
+			t.Errorf("%v of zone %d (tag %d) dispatched at %v, before the flush-all completed at %v",
+				comp.Op, comp.Zone, comp.Tag, comp.Dispatched, flush.Done)
+		}
+	}
+	for z, free := range c.DebugSnapshot().ZoneFree {
+		if free < flush.Done {
+			t.Errorf("zone %d's lock frees at %v, before the flush-all's completion %v", z, free, flush.Done)
+		}
+	}
+}
+
 func TestZoneAppend(t *testing.T) {
 	c := newController(t, host.Config{Queues: 2, Depth: 16})
 	// Queue several appends to one zone with no LBAs at all: the device

@@ -143,7 +143,7 @@ func TestLoadArrayRefusals(t *testing.T) {
 		}), ErrImageCorrupt, "Channels must be positive"},
 		{"oversized geometry", v2(func(t *testing.T, p *v2Parts) []byte {
 			g := p.geometry()
-			g.PagesPerBlock = 6 << 38
+			g.PagesPerBlock = 3 << 29
 			p.setGeometry(g)
 			return p.bytes()
 		}), ErrImageCorrupt, "spans more than"},

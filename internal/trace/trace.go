@@ -194,7 +194,9 @@ func (tr *Reader) ReadAll() ([]Record, error) {
 }
 
 // EncodeText writes records in the line format
-// "<at_us> <op> <lba> <sectors|zone>".
+// "<at_us> <op> <lba> <sectors|zone>". The instant is in microseconds, with
+// three decimals (nanoseconds) only when it has a sub-µs part, so a binary
+// trace converts to text and back unchanged.
 func EncodeText(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range records {
@@ -205,7 +207,7 @@ func EncodeText(w io.Writer, records []Record) error {
 		default:
 			arg = r.Sectors
 		}
-		if _, err := fmt.Fprintf(bw, "%d %s %d %d\n", r.At.Microseconds(), r.Op, r.LBA, arg); err != nil {
+		if _, err := fmt.Fprintf(bw, "%s %s %d %d\n", formatAt(r.At), r.Op, r.LBA, arg); err != nil {
 			return err
 		}
 	}
@@ -228,7 +230,7 @@ func DecodeText(r io.Reader) ([]Record, error) {
 		if len(fields) != 4 {
 			return nil, fmt.Errorf("trace: line %d: want 4 fields, got %d", line, len(fields))
 		}
-		us, err := strconv.ParseInt(fields[0], 10, 64)
+		at, err := parseAt(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad time: %w", line, err)
 		}
@@ -244,7 +246,7 @@ func DecodeText(r io.Reader) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad arg: %w", line, err)
 		}
-		rec := Record{At: time.Duration(us) * time.Microsecond, Op: op, LBA: lba}
+		rec := Record{At: at, Op: op, LBA: lba}
 		if op == OpReset {
 			rec.Zone = int32(arg)
 		} else {
@@ -256,6 +258,41 @@ func DecodeText(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// formatAt renders an instant in whole microseconds, adding the sub-µs
+// remainder as three decimals only when there is one ("12", "12.345").
+func formatAt(at time.Duration) string {
+	us, ns := at/time.Microsecond, at%time.Microsecond
+	if ns == 0 {
+		return strconv.FormatInt(int64(us), 10)
+	}
+	sign := ""
+	if at < 0 {
+		sign, us, ns = "-", -us, -ns
+	}
+	return fmt.Sprintf("%s%d.%03d", sign, us, ns)
+}
+
+// parseAt reads formatAt's form: whole microseconds, optionally followed by
+// one to three decimals.
+func parseAt(s string) (time.Duration, error) {
+	whole, frac, dotted := strings.Cut(s, ".")
+	us, err := strconv.ParseInt(whole, 10, 64)
+	if err != nil || !dotted {
+		return time.Duration(us) * time.Microsecond, err
+	}
+	ns, err := strconv.ParseUint(frac, 10, 16)
+	if err != nil || len(frac) > 3 {
+		return 0, fmt.Errorf("%q: want at most three digits after the point", s)
+	}
+	for i := len(frac); i < 3; i++ {
+		ns *= 10
+	}
+	if strings.HasPrefix(whole, "-") {
+		return time.Duration(us)*time.Microsecond - time.Duration(ns), nil
+	}
+	return time.Duration(us)*time.Microsecond + time.Duration(ns), nil
 }
 
 // ReplayResult summarises a replay run.

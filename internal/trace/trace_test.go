@@ -150,6 +150,78 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryTextBinaryRoundTrip converts a binary trace with nanosecond
+// instants to text and back, as conzone-trace -convert does, and requires
+// the second binary to equal the first byte for byte.
+func TestBinaryTextBinaryRoundTrip(t *testing.T) {
+	var records []Record
+	for i, at := range []time.Duration{0, 1, 999, 1000, 1001, 12_345, 100 * time.Microsecond, 1<<62 + 7} {
+		records = append(records, Record{At: at, Op: Op(i % 4), LBA: int64(i), Sectors: int64(i + 1), Zone: int32(i)})
+	}
+	encode := func(records []Record) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		for _, r := range records {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	bin := encode(records)
+	decoded, err := NewReader(bytes.NewReader(bin)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := EncodeText(&text, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(text.String(), "0 R 0 1\n0.001 W 1 2\n0.999 ") {
+		t.Errorf("text form starts %q", text.String()[:30])
+	}
+	back, err := DecodeText(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Resets carry their zone, not a sector count, through text.
+	for i := range back {
+		if back[i].Op == OpReset {
+			back[i].Sectors = records[i].Sectors
+		} else {
+			back[i].Zone = records[i].Zone
+		}
+	}
+	if !bytes.Equal(encode(back), bin) {
+		t.Fatalf("binary → text → binary changed the trace:\n%+v\n%+v", back, records)
+	}
+}
+
+// TestTextInstants pins both instant forms: whole microseconds, as every
+// earlier text trace holds them, and up to three decimals.
+func TestTextInstants(t *testing.T) {
+	for s, want := range map[string]time.Duration{
+		"12": 12 * time.Microsecond, "-3": -3 * time.Microsecond, "12.345": 12_345, "12.5": 12_500,
+		"0.007": 7, "-0.500": -500, "-1.5": -1_500,
+	} {
+		got, err := parseAt(s)
+		if err != nil || got != want {
+			t.Errorf("parseAt(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if back, _ := parseAt(formatAt(want)); back != want {
+			t.Errorf("formatAt(%v) = %q reads back as %v", want, formatAt(want), back)
+		}
+	}
+	for _, bad := range []string{"12.3456", "12.", "12.-5", "1.2.3", ".5"} {
+		if _, err := parseAt(bad); err == nil {
+			t.Errorf("parseAt accepted %q", bad)
+		}
+	}
+}
+
 func TestTextCommentsAndErrors(t *testing.T) {
 	in := "# a comment\n\n0 W 0 8\n"
 	got, err := DecodeText(strings.NewReader(in))
