@@ -363,7 +363,7 @@ func (r *replayer) step(op Op) error {
 		if r.zd == nil {
 			done, err = r.dev.FlushAll(r.now)
 		} else {
-			done, err = r.zd.(workload.ZoneFlusher).Flush(r.now, zone) // every zoned personality flushes one zone
+			done, err = r.zd.Flush(r.now, zone)
 		}
 		if err != nil {
 			return err

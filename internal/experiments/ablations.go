@@ -39,14 +39,7 @@ func RunAblationChannelBW(cfg config.DeviceConfig, opt Options) (AblationResult,
 		if err != nil {
 			return res, err
 		}
-		w, err := workload.Run(f, workload.Job{
-			Name: "ablation-chan-write", Pattern: workload.SeqWrite,
-			BlockBytes: seqBS, NumJobs: 4,
-			RangeBytes:       region,
-			TotalBytesPerJob: units.AlignDown(min64(opt.WriteBytes, region)/4, seqBS),
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true, Seed: 31,
-		})
+		w, err := workload.Run(f, seqJob(workload.SeqWrite, 4, region, opt.WriteBytes, opt, 31, 0))
 		if err != nil {
 			return res, err
 		}
@@ -61,14 +54,7 @@ func RunAblationChannelBW(cfg config.DeviceConfig, opt Options) (AblationResult,
 		if err != nil {
 			return res, err
 		}
-		r, err := workload.Run(f, workload.Job{
-			Name: "ablation-chan-read", Pattern: workload.SeqRead,
-			BlockBytes: seqBS, NumJobs: 4,
-			RangeBytes:       region,
-			TotalBytesPerJob: units.AlignDown(min64(opt.ReadBytes, region)/4, seqBS),
-			PerOpOverhead:    opt.PerOpOverhead,
-			Seed:             37, StartAt: at,
-		})
+		r, err := workload.Run(f, seqJob(workload.SeqRead, 4, region, opt.ReadBytes, opt, 37, at))
 		if err != nil {
 			return res, err
 		}
@@ -94,18 +80,8 @@ func RunAblationDedicatedBuffers(cfg config.DeviceConfig, opt Options) (Ablation
 		if err != nil {
 			return res, err
 		}
-		zoneBytes := f.ZoneCapSectors() * units.Sector
-		vol := units.AlignDown(min64(opt.WriteBytes, zoneBytes), 48*units.KiB)
 		// Zones 1 and 3 conflict with 2 buffers but not with 8.
-		r, err := workload.Run(f, workload.Job{
-			Name: "ablation-bufs", Pattern: workload.SeqWrite,
-			BlockBytes: 48 * units.KiB, NumJobs: 2,
-			RangeBytes:       int64(f.NumZones()) * zoneBytes,
-			ThreadOffsets:    []int64{1 * zoneBytes, 3 * zoneBytes},
-			TotalBytesPerJob: vol,
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true, Seed: 41,
-		})
+		r, err := workload.Run(f, zoneWriteJob(f, min(opt.WriteBytes, f.ZoneCapSectors()*units.Sector), opt, 41, 1, 3))
 		if err != nil {
 			return res, err
 		}
@@ -134,20 +110,10 @@ func RunAblationCombine(cfg config.DeviceConfig, opt Options) (AblationResult, e
 		if err != nil {
 			return res, err
 		}
-		zoneBytes := f.ZoneCapSectors() * units.Sector
 		// Keep the volume inside the SLC staging budget: without the
 		// combine path nothing drains staging until a reset.
-		stagingBytes := f.Staging().TotalSectors() * units.Sector
-		vol := units.AlignDown(min64(min64(opt.WriteBytes, zoneBytes), stagingBytes/4), 48*units.KiB)
-		r, err := workload.Run(f, workload.Job{
-			Name: "ablation-combine", Pattern: workload.SeqWrite,
-			BlockBytes: 48 * units.KiB, NumJobs: 2,
-			RangeBytes:       int64(f.NumZones()) * zoneBytes,
-			ThreadOffsets:    []int64{1 * zoneBytes, 3 * zoneBytes},
-			TotalBytesPerJob: vol,
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true, Seed: 43,
-		})
+		vol := min(opt.WriteBytes, f.ZoneCapSectors()*units.Sector, f.Staging().TotalSectors()*units.Sector/4)
+		r, err := workload.Run(f, zoneWriteJob(f, vol, opt, 43, 1, 3))
 		if err != nil {
 			return res, err
 		}
@@ -210,16 +176,8 @@ func RunAblationL2PLog(cfg config.DeviceConfig, opt Options) (AblationResult, er
 		if err != nil {
 			return res, err
 		}
-		zoneBytes := f.ZoneCapSectors() * units.Sector
-		vol := units.AlignDown(min64(opt.WriteBytes, 4*zoneBytes), 48*units.KiB)
-		r, err := workload.Run(f, workload.Job{
-			Name: "ablation-l2plog", Pattern: workload.SeqWrite,
-			BlockBytes: 48 * units.KiB, NumJobs: 1,
-			RangeBytes:       int64(f.NumZones()) * zoneBytes,
-			TotalBytesPerJob: vol,
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true, Seed: 47,
-		})
+		// One thread from zone 0 on, across four zones' worth.
+		r, err := workload.Run(f, zoneWriteJob(f, min(opt.WriteBytes, 4*f.ZoneCapSectors()*units.Sector), opt, 47, 0))
 		if err != nil {
 			return res, err
 		}

@@ -45,29 +45,14 @@ func RunEmulatorComparison(cfg config.DeviceConfig, opt Options) ([]EmulatorRow,
 			return fmt.Errorf("%s is not zoned", name)
 		}
 		zoneBytes := zdev.ZoneCapSectors() * units.Sector
-		vol := units.AlignDown(min64(opt.WriteBytes/4, zoneBytes), 48*units.KiB)
-		w, err := workload.Run(dev, workload.Job{
-			Name: name + "-conflict", Pattern: workload.SeqWrite,
-			BlockBytes: 48 * units.KiB, NumJobs: 2,
-			RangeBytes:       int64(zdev.NumZones()) * zoneBytes,
-			ThreadOffsets:    []int64{1 * zoneBytes, 3 * zoneBytes},
-			TotalBytesPerJob: vol,
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true, Seed: 53,
-		})
+		wj := zoneWriteJob(zdev, min(opt.WriteBytes/4, zoneBytes), opt, 53, 1, 3)
+		w, err := workload.Run(dev, wj)
 		if err != nil {
 			return fmt.Errorf("%s write: %w", name, err)
 		}
-		r, err := workload.Run(dev, workload.Job{
-			Name: name + "-randread", Pattern: workload.RandRead,
-			BlockBytes: randBS, NumJobs: 1,
-			OffsetBytes:      1 * zoneBytes,
-			RangeBytes:       units.AlignDown(vol, randBS),
-			TotalBytesPerJob: min64(opt.RandReadOps, 4096) * randBS,
-			PerOpOverhead:    opt.ReadOverhead,
-			Seed:             59,
-			StartAt:          sim.Time(0).Add(w.Elapsed),
-		})
+		// Read back what zone 1 holds.
+		r, err := workload.Run(dev, randJob(zoneBytes, units.AlignDown(wj.TotalBytesPerJob, randBS),
+			min(opt.RandReadOps, 4096), opt, 59, sim.Time(0).Add(w.Elapsed)))
 		if err != nil {
 			return fmt.Errorf("%s read: %w", name, err)
 		}

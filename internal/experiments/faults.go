@@ -43,7 +43,7 @@ func runFaults(cfg config.DeviceConfig, opt Options, seed uint64) (Report, error
 	if opt.Reduced() {
 		zones, readVol = 4, 2*units.MiB
 	}
-	zones = min64(zones, int64(healthy.NumZones()))
+	zones = min(zones, int64(healthy.NumZones()))
 	span := zones * healthy.ZoneCapSectors() * units.Sector
 
 	jobs := []workload.Job{

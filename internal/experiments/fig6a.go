@@ -6,7 +6,6 @@ import (
 
 	"github.com/conzone/conzone/internal/config"
 	"github.com/conzone/conzone/internal/refdata"
-	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
 )
 
@@ -41,38 +40,20 @@ func RunFig6a(cfg config.DeviceConfig, opt Options) (Fig6aResult, error) {
 		if err != nil {
 			return row, err
 		}
-		writeVol := units.AlignDown(min64(opt.WriteBytes, region), seqBS)
-
-		// Write ST and MT on fresh devices.
-		for _, mt := range []bool{false, true} {
+		// Write ST and MT on fresh devices, then prefill one device and scan
+		// it ST and MT.
+		writes := []*float64{&row.WriteST, &row.WriteMT}
+		for i, jobs := range []int{1, 4} {
 			dev, err := build()
 			if err != nil {
 				return row, err
 			}
-			jobs := 1
-			if mt {
-				jobs = 4
-			}
-			r, err := workload.Run(dev, workload.Job{
-				Name: "seqwrite", Pattern: workload.SeqWrite,
-				BlockBytes: seqBS, NumJobs: jobs,
-				RangeBytes:       region,
-				TotalBytesPerJob: units.AlignDown(writeVol/int64(jobs), seqBS),
-				PerOpOverhead:    opt.PerOpOverhead,
-				FlushAtEnd:       true,
-				Seed:             11,
-			})
+			r, err := workload.Run(dev, seqJob(workload.SeqWrite, jobs, region, opt.WriteBytes, opt, 11, 0))
 			if err != nil {
-				return row, fmt.Errorf("write mt=%v: %w", mt, err)
+				return row, fmt.Errorf("write mt=%v: %w", jobs > 1, err)
 			}
-			if mt {
-				row.WriteMT = r.BandwidthMiBps
-			} else {
-				row.WriteST = r.BandwidthMiBps
-			}
+			*writes[i] = r.BandwidthMiBps
 		}
-
-		// Reads: prefill once, then ST and MT scans.
 		dev, err := build()
 		if err != nil {
 			return row, err
@@ -81,28 +62,13 @@ func RunFig6a(cfg config.DeviceConfig, opt Options) (Fig6aResult, error) {
 		if err != nil {
 			return row, fmt.Errorf("prefill: %w", err)
 		}
-		for _, mt := range []bool{false, true} {
-			jobs := 1
-			if mt {
-				jobs = 4
-			}
-			r, err := workload.Run(dev, workload.Job{
-				Name: "seqread", Pattern: workload.SeqRead,
-				BlockBytes: seqBS, NumJobs: jobs,
-				RangeBytes:       region,
-				TotalBytesPerJob: units.AlignDown(min64(opt.ReadBytes, region)/int64(jobs), seqBS),
-				PerOpOverhead:    opt.PerOpOverhead,
-				Seed:             13,
-				StartAt:          at,
-			})
+		reads := []*float64{&row.ReadST, &row.ReadMT}
+		for i, jobs := range []int{1, 4} {
+			r, err := workload.Run(dev, seqJob(workload.SeqRead, jobs, region, opt.ReadBytes, opt, 13, at))
 			if err != nil {
-				return row, fmt.Errorf("read mt=%v: %w", mt, err)
+				return row, fmt.Errorf("read mt=%v: %w", jobs > 1, err)
 			}
-			if mt {
-				row.ReadMT = r.BandwidthMiBps
-			} else {
-				row.ReadST = r.BandwidthMiBps
-			}
+			*reads[i] = r.BandwidthMiBps
 		}
 		return row, nil
 	}
@@ -139,20 +105,13 @@ func RunFig6a(cfg config.DeviceConfig, opt Options) (Fig6aResult, error) {
 	}
 	res.Rows = []Fig6aRow{zms, cz, lg, fm}
 
-	res.Pass = true
-	checksIn := refdata.Fig6a()
-	measured := map[string]float64{
+	res.Checks, res.Pass = evaluate(refdata.Fig6a(), map[string]float64{
 		"fig6a-write-vs-legacy":   ratio(cz.WriteST, lg.WriteST),
 		"fig6a-read-st-vs-legacy": ratio(cz.ReadST, lg.ReadST),
 		"fig6a-read-mt-vs-legacy": ratio(cz.ReadMT, lg.ReadMT),
 		"fig6a-femu-write-high":   ratio(fm.WriteST, cz.WriteST),
 		"fig6a-femu-read-st-low":  ratio(fm.ReadST, cz.ReadST),
-	}
-	for _, c := range checksIn {
-		ok, line := c.Check(measured[c.ID])
-		res.Checks = append(res.Checks, line)
-		res.Pass = res.Pass && ok
-	}
+	})
 	return res, nil
 }
 
@@ -163,9 +122,11 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// drop is the relative shortfall of v below base, 1 - v/base, or 0 without
+// a base.
+func drop(v, base float64) float64 {
+	if base <= 0 {
+		return 0
 	}
-	return b
+	return 1 - v/base
 }

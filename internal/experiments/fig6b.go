@@ -32,59 +32,36 @@ type Fig6bResult struct {
 // zone's capacity per thread.
 func RunFig6b(cfg config.DeviceConfig, opt Options) (Fig6bResult, error) {
 	var res Fig6bResult
-	run := func(zoneA, zoneB int) (float64, float64, int64, error) {
+	// Same parity -> same buffer -> conflicts (zones 1 and 3); different
+	// parity -> different buffers (zones 1 and 2).
+	arms := []struct {
+		name      string
+		zones     []int
+		bw, waf   *float64
+		evictions *int64
+	}{
+		{"conflict", []int{1, 3}, &res.ConflictBW, &res.ConflictWAF, &res.ConflictEvictions},
+		{"no-conflict", []int{1, 2}, &res.NoConflictBW, &res.NoConflictWAF, &res.NoConflictEvictions},
+	}
+	if err := each(len(arms), func(i int) error {
+		a := arms[i]
 		f, err := cfg.NewConZone()
 		if err != nil {
-			return 0, 0, 0, err
+			return fmt.Errorf("%s run: %w", a.name, err)
 		}
-		zoneBytes := f.ZoneCapSectors() * units.Sector
-		vol := units.AlignDown(min64(opt.WriteBytes, zoneBytes), 48*units.KiB)
-		r, err := workload.Run(f, workload.Job{
-			Name: "fig6b", Pattern: workload.SeqWrite,
-			BlockBytes: 48 * units.KiB,
-			NumJobs:    2,
-			RangeBytes: int64(f.NumZones()) * zoneBytes,
-			ThreadOffsets: []int64{
-				int64(zoneA) * zoneBytes,
-				int64(zoneB) * zoneBytes,
-			},
-			TotalBytesPerJob: vol,
-			PerOpOverhead:    opt.PerOpOverhead,
-			FlushAtEnd:       true,
-			Seed:             17,
-		})
+		r, err := workload.Run(f, zoneWriteJob(f, min(opt.WriteBytes, f.ZoneCapSectors()*units.Sector), opt, 17, a.zones...))
 		if err != nil {
-			return 0, 0, 0, err
+			return fmt.Errorf("%s run: %w", a.name, err)
 		}
-		return r.BandwidthMiBps, f.WAF(), f.Buffers().Stats().Evictions, nil
+		*a.bw, *a.waf, *a.evictions = r.BandwidthMiBps, f.WAF(), f.Buffers().Stats().Evictions
+		return nil
+	}); err != nil {
+		return res, err
 	}
 
-	// Same parity -> same buffer -> conflicts (zones 1 and 3).
-	var err error
-	res.ConflictBW, res.ConflictWAF, res.ConflictEvictions, err = run(1, 3)
-	if err != nil {
-		return res, fmt.Errorf("conflict run: %w", err)
-	}
-	// Different parity -> different buffers (zones 1 and 2).
-	res.NoConflictBW, res.NoConflictWAF, res.NoConflictEvictions, err = run(1, 2)
-	if err != nil {
-		return res, fmt.Errorf("no-conflict run: %w", err)
-	}
-
-	res.Pass = true
-	for _, c := range refdata.Fig6b() {
-		var m float64
-		switch c.ID {
-		case "fig6b-bandwidth":
-			m = ratio(res.NoConflictBW, res.ConflictBW)
-		case "fig6b-wa":
-			if res.ConflictWAF > 0 {
-				m = 1 - res.NoConflictWAF/res.ConflictWAF
-			}
-		}
-		ok, line := c.Check(m)
-		res.Checks = append(res.Checks, line)
-		res.Pass = res.Pass && ok
-	}
+	res.Checks, res.Pass = evaluate(refdata.Fig6b(), map[string]float64{
+		"fig6b-bandwidth": ratio(res.NoConflictBW, res.ConflictBW),
+		"fig6b-wa":        drop(res.NoConflictWAF, res.ConflictWAF),
+	})
 	return res, nil
 }

@@ -52,51 +52,23 @@ func RunFig7(cfg config.DeviceConfig, opt Options) (Fig7Result, error) {
 		return res, err
 	}
 
-	byKey := func(mapping string, rng int64) Fig7Point {
-		for _, p := range res.Points {
-			if p.Mapping == mapping && p.Range == rng {
-				return p
-			}
-		}
-		return Fig7Point{}
-	}
-	drop := func(mapping string, rng int64) float64 {
-		base := byKey(mapping, Fig7Ranges[0]).KIOPS
-		if base == 0 {
-			return 0
-		}
-		return 1 - byKey(mapping, rng).KIOPS/base
-	}
-
-	res.Pass = true
-	for _, c := range refdata.Fig7() {
-		var m float64
-		switch c.ID {
-		case "fig7-page-16mib":
-			m = drop("page", Fig7Ranges[1])
-		case "fig7-page-1gib":
-			m = drop("page", Fig7Ranges[2])
-		case "fig7-hybrid-flat":
-			m = drop("hybrid", Fig7Ranges[2])
-		}
-		ok, line := c.Check(m)
-		res.Checks = append(res.Checks, line)
-		res.Pass = res.Pass && ok
-	}
-	// Tail-latency observation: hybrid stays around 50us.
-	tail := byKey("hybrid", Fig7Ranges[2]).P99
-	lo := refdata.Fig7HybridTail.Target - refdata.Fig7HybridTail.Tolerance
-	hi := refdata.Fig7HybridTail.Target + refdata.Fig7HybridTail.Tolerance
-	ok := tail >= lo && tail <= hi
-	verdict := "OK"
-	if !ok {
-		verdict = "OFF"
-		res.Pass = false
-	}
-	res.Checks = append(res.Checks, fmt.Sprintf(
-		"[fig7-hybrid-tail] hybrid p99 ~%v: measured=%v (band [%v,%v]) %s",
-		refdata.Fig7HybridTail.Target, tail, lo, hi, verdict))
+	// Points are mode-major: mode m (0 page, 1 hybrid) over Fig7Ranges[r]
+	// is slot m*len(Fig7Ranges)+r.
+	point := func(m, r int) Fig7Point { return res.Points[m*len(Fig7Ranges)+r] }
+	res.Checks, res.Pass = evaluate(refdata.Fig7(), map[string]float64{
+		"fig7-page-16mib":  drop(point(0, 1).KIOPS, point(0, 0).KIOPS),
+		"fig7-page-1gib":   drop(point(0, 2).KIOPS, point(0, 0).KIOPS),
+		"fig7-hybrid-flat": drop(point(1, 2).KIOPS, point(1, 0).KIOPS),
+	}, hybridTail(point(1, 2).P99))
 	return res, nil
+}
+
+// hybridTail is Fig. 7's absolute band, the paper's tail-latency
+// observation: hybrid mapping's p99 stays around 50us.
+func hybridTail(p99 time.Duration) band {
+	t := refdata.Fig7HybridTail
+	lo, hi := t.Target-t.Tolerance, t.Target+t.Tolerance
+	return inBand(p99 >= lo && p99 <= hi, "[fig7-hybrid-tail] hybrid p99 ~%v: measured=%v (band [%v,%v])", t.Target, p99, lo, hi)
 }
 
 // runRandRead prefills a range and measures 4 KiB random reads over it.
@@ -123,30 +95,14 @@ func runRandRead(cfg config.DeviceConfig, opt Options, mode string, rng int64,
 	}
 	// Warm the cache with an unmeasured pass.
 	if opt.WarmupOps > 0 {
-		w, err := workload.Run(f, workload.Job{
-			Name: "warmup", Pattern: workload.RandRead,
-			BlockBytes: randBS, NumJobs: 1,
-			RangeBytes:       rng,
-			TotalBytesPerJob: opt.WarmupOps * randBS,
-			PerOpOverhead:    opt.ReadOverhead,
-			Seed:             23,
-			StartAt:          at,
-		})
+		w, err := workload.Run(f, randJob(0, rng, opt.WarmupOps, opt, 23, at))
 		if err != nil {
 			return point, fmt.Errorf("warmup: %w", err)
 		}
 		at = at.Add(w.Elapsed)
 	}
 	before := telemetry.Stats{Cache: f.Cache().Stats()}
-	r, err := workload.Run(f, workload.Job{
-		Name: "randread", Pattern: workload.RandRead,
-		BlockBytes: randBS, NumJobs: 1,
-		RangeBytes:       rng,
-		TotalBytesPerJob: opt.RandReadOps * randBS,
-		PerOpOverhead:    opt.ReadOverhead,
-		Seed:             29,
-		StartAt:          at,
-	})
+	r, err := workload.Run(f, randJob(0, rng, opt.RandReadOps, opt, 29, at))
 	if err != nil {
 		return point, err
 	}

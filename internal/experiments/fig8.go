@@ -70,41 +70,17 @@ func RunFig8(cfg config.DeviceConfig, opt Options) (Fig8Result, error) {
 		return res, err
 	}
 
-	byName := func(name string) Fig8Point {
-		for _, p := range res.Points {
-			if p.Strategy == name {
-				return p
-			}
-		}
-		return Fig8Point{}
-	}
-	bitmap, multiple, pinned := byName("BITMAP"), byName("MULTIPLE"), byName("PINNED")
-
-	res.Pass = true
-	for _, c := range refdata.Fig8() {
-		var m float64
-		switch c.ID {
-		case "fig8-multiple-kiops":
-			if bitmap.KIOPS > 0 {
-				m = 1 - multiple.KIOPS/bitmap.KIOPS
-			}
-		case "fig8-pinned-close":
-			m = ratio(pinned.KIOPS, bitmap.KIOPS)
-		}
-		ok, line := c.Check(m)
-		res.Checks = append(res.Checks, line)
-		res.Pass = res.Pass && ok
-	}
-	// The miss rate itself is part of the experiment's identity.
-	missOK := bitmap.MissRatio > refdata.Fig8TargetMissRate-0.12 &&
-		bitmap.MissRatio < refdata.Fig8TargetMissRate+0.12
-	verdict := "OK"
-	if !missOK {
-		verdict = "OFF"
-		res.Pass = false
-	}
-	res.Checks = append(res.Checks, fmt.Sprintf(
-		"[fig8-missrate] L2P miss rate ~%.1f%%: measured=%.1f%% %s",
-		refdata.Fig8TargetMissRate*100, bitmap.MissRatio*100, verdict))
+	bitmap, multiple, pinned := res.Points[0], res.Points[1], res.Points[2]
+	res.Checks, res.Pass = evaluate(refdata.Fig8(), map[string]float64{
+		"fig8-multiple-kiops": drop(multiple.KIOPS, bitmap.KIOPS),
+		"fig8-pinned-close":   ratio(pinned.KIOPS, bitmap.KIOPS),
+	}, missRate(bitmap.MissRatio))
 	return res, nil
+}
+
+// missRate is Fig. 8's absolute band: the L2P miss rate is part of the
+// experiment's identity, within 12 points of the paper's.
+func missRate(r float64) band {
+	return inBand(r > refdata.Fig8TargetMissRate-0.12 && r < refdata.Fig8TargetMissRate+0.12,
+		"[fig8-missrate] L2P miss rate ~%.1f%%: measured=%.1f%%", refdata.Fig8TargetMissRate*100, r*100)
 }

@@ -52,7 +52,7 @@ func runQDSweep(cfg config.DeviceConfig, opt Options) (Report, error) {
 		return Report{}, err
 	}
 	zoneBytes := probe.ZoneCapSectors() * units.Sector
-	readRange := min64(4*zoneBytes, probe.TotalSectors()*units.Sector)
+	readRange := min(4*zoneBytes, probe.TotalSectors()*units.Sector)
 	wvol := volume
 	if zoneBytes < wvol {
 		wvol = units.AlignDown(zoneBytes, seqBS)

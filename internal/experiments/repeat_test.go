@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/conzone/conzone/internal/config"
-	"github.com/conzone/conzone/internal/units"
 	"github.com/conzone/conzone/internal/workload"
 )
 
@@ -35,15 +34,7 @@ func TestFig6aComparatorReadsRepeat(t *testing.T) {
 		}
 		var out []workload.Result
 		for _, jobs := range []int{1, 4} {
-			r, err := workload.Run(dev, workload.Job{
-				Name: "seqread", Pattern: workload.SeqRead,
-				BlockBytes: seqBS, NumJobs: jobs,
-				RangeBytes:       region,
-				TotalBytesPerJob: units.AlignDown(min64(opt.ReadBytes, region)/int64(jobs), seqBS),
-				PerOpOverhead:    opt.PerOpOverhead,
-				Seed:             13,
-				StartAt:          at,
-			})
+			r, err := workload.Run(dev, seqJob(workload.SeqRead, jobs, region, opt.ReadBytes, opt, 13, at))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,18 +60,22 @@ func TestFig6aComparatorReadsRepeat(t *testing.T) {
 	}
 }
 
-// TestFigureArmsIndependentOfProcs runs the three figures whose arms run
-// side by side — Fig. 6(a)'s emulator series, Fig. 7's mapping × range
-// points, Fig. 8's strategies — with one processor and with four, and
-// requires deeply equal results: rows, points, checks and verdict. Each arm
-// builds its own device and writes only its own slot, so the schedule must
-// not show; under -race the four-processor run also checks that no arm
-// touches another's state.
+// TestFigureArmsIndependentOfProcs runs the four figures whose arms run
+// side by side — Fig. 6(a)'s emulator series, Fig. 6(b)'s conflict and
+// no-conflict arms, Fig. 7's mapping × range points, Fig. 8's strategies —
+// with one processor and with four, and requires deeply equal results: rows,
+// points, checks and verdict. Each arm builds its own device and writes only
+// its own slot, so the schedule must not show; under -race the
+// four-processor run also checks that no arm touches another's state.
 func TestFigureArmsIndependentOfProcs(t *testing.T) {
 	cfg, opt := config.Paper(), Quick()
-	run := func(procs int) (Fig6aResult, Fig7Result, Fig8Result) {
+	run := func(procs int) []any {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		f6, err := RunFig6a(cfg, opt)
+		f6a, err := RunFig6a(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f6b, err := RunFig6b(cfg, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,16 +87,12 @@ func TestFigureArmsIndependentOfProcs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f6, f7, f8
+		return []any{f6a, f6b, f7, f8}
 	}
-	s6, s7, s8 := run(1)
-	p6, p7, p8 := run(4)
-	for _, c := range []struct {
-		name           string
-		serial, shared any
-	}{{"fig6a", s6, p6}, {"fig7", s7, p7}, {"fig8", s8, p8}} {
-		if !reflect.DeepEqual(c.serial, c.shared) {
-			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\n 1: %+v\n 4: %+v", c.name, c.serial, c.shared)
+	serial, shared := run(1), run(4)
+	for i, name := range []string{"fig6a", "fig6b", "fig7", "fig8"} {
+		if !reflect.DeepEqual(serial[i], shared[i]) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4:\n 1: %+v\n 4: %+v", name, serial[i], shared[i])
 		}
 	}
 }

@@ -39,8 +39,8 @@ func (c *Controller) Exec(at sim.Time, req *Request) (Completion, error) {
 }
 
 // The synchronous wrappers below make the Controller a drop-in
-// workload.Device / workload.Zoned / workload.ZoneFlusher, each one Exec:
-// sync and async traffic exercise the same arbiter, locks and recorder.
+// workload.Device and workload.Zoned, each one Exec: sync and async traffic
+// exercise the same arbiter, locks and recorder.
 // execDone returns the completion instant, or at and the error.
 func (c *Controller) execDone(at sim.Time, req *Request) (sim.Time, error) {
 	comp, err := c.Exec(at, req)

@@ -8,10 +8,7 @@
 // reproducible in a simulator, so every claim here is relative.
 package refdata
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Capability is one row of Table I.
 type Capability struct {
@@ -51,24 +48,13 @@ func Table2() []MediaLatency {
 
 // Claim is a relative expectation: Value is the paper-reported ratio (or
 // percentage as a fraction), Tolerance the slack we accept from a
-// simulator reproduction.
+// simulator reproduction. A measured value holds the claim when it lies in
+// [Value-Tolerance, Value+Tolerance]; internal/experiments checks it there.
 type Claim struct {
 	ID        string
 	Statement string
 	Value     float64
 	Tolerance float64
-}
-
-// Check evaluates a measured ratio against the claim and returns a
-// human-readable verdict line.
-func (c Claim) Check(measured float64) (bool, string) {
-	ok := measured >= c.Value-c.Tolerance && measured <= c.Value+c.Tolerance
-	verdict := "OK"
-	if !ok {
-		verdict = "OFF"
-	}
-	return ok, fmt.Sprintf("[%s] %s: paper=%.3f measured=%.3f (±%.3f) %s",
-		c.ID, c.Statement, c.Value, measured, c.Tolerance, verdict)
 }
 
 // Fig6a returns the sequential-I/O claims of Fig. 6(a). Ratios are

@@ -1,7 +1,6 @@
 package refdata
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -35,22 +34,6 @@ func TestTable2MatchesPaper(t *testing.T) {
 	}
 	if rows[2].Read != 85*time.Microsecond {
 		t.Error("QLC read wrong")
-	}
-}
-
-func TestClaimCheck(t *testing.T) {
-	c := Claim{ID: "x", Statement: "s", Value: 1.0, Tolerance: 0.1}
-	ok, line := c.Check(1.05)
-	if !ok || !strings.Contains(line, "OK") {
-		t.Errorf("in-tolerance check failed: %s", line)
-	}
-	ok, line = c.Check(1.2)
-	if ok || !strings.Contains(line, "OFF") {
-		t.Errorf("out-of-tolerance check passed: %s", line)
-	}
-	ok, _ = c.Check(0.91)
-	if !ok {
-		t.Error("lower edge rejected")
 	}
 }
 

@@ -272,8 +272,9 @@ func (d *replayDevice) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	return at.Add(time.Millisecond), nil
 }
 
-func (d *replayDevice) NumZones() int         { return 8 }
-func (d *replayDevice) ZoneCapSectors() int64 { return 1 << 17 }
+func (d *replayDevice) NumZones() int                              { return 8 }
+func (d *replayDevice) ZoneCapSectors() int64                      { return 1 << 17 }
+func (d *replayDevice) Flush(at sim.Time, _ int) (sim.Time, error) { return at, nil }
 
 func TestReplay(t *testing.T) {
 	dev := &replayDevice{}

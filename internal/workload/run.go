@@ -42,7 +42,6 @@ type runner struct {
 	dev   Device
 	adev  Async // nil at depth 1, where every command is a direct call
 	zdev  Zoned
-	zf    ZoneFlusher
 
 	threads []*thread
 	// container is the one payload container: devices copy a write's
@@ -115,7 +114,7 @@ func Run(dev Device, job Job) (Result, error) {
 			if err == nil && job.SyncWrites {
 				var flushed sim.Time
 				op, failAt = host.OpFlush, done
-				flushed, err = r.zf.Flush(done, int(lba/r.zdev.ZoneCapSectors()))
+				flushed, err = r.zdev.Flush(done, int(lba/r.zdev.ZoneCapSectors()))
 				done = max(done, flushed)
 			}
 		} else {
@@ -148,7 +147,6 @@ func (r *runner) init(dev Device, job Job) error {
 		end:       job.StartAt,
 	}
 	r.zdev, _ = dev.(Zoned)
-	r.zf, _ = dev.(ZoneFlusher)
 	queues := 1
 	if r.depth > 1 {
 		adev, ok := dev.(Async)

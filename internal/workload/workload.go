@@ -28,17 +28,14 @@ type Device interface {
 	TotalSectors() int64
 }
 
-// Zoned is the optional zoned-device surface.
+// Zoned is the optional zoned-device surface. Flush persists one zone's
+// buffered data, as a sync-write job does after every write.
 type Zoned interface {
 	Device
 	ResetZone(at sim.Time, zone int) (sim.Time, error)
+	Flush(at sim.Time, zone int) (sim.Time, error)
 	NumZones() int
 	ZoneCapSectors() int64
-}
-
-// ZoneFlusher lets sync-write jobs flush a single zone.
-type ZoneFlusher interface {
-	Flush(at sim.Time, zone int) (sim.Time, error)
 }
 
 // Pattern is the access pattern of a job.
@@ -102,9 +99,9 @@ type Job struct {
 	PerOpOverhead time.Duration
 
 	// SyncWrites flushes the written zone after every write (O_SYNC), the
-	// consumer-device behaviour the paper highlights. It needs a device that
-	// is both Zoned and a ZoneFlusher, and is incompatible with QueueDepth
-	// > 1: O_SYNC serializes by definition.
+	// consumer-device behaviour the paper highlights. It needs a Zoned
+	// device, and is incompatible with QueueDepth > 1: O_SYNC serializes by
+	// definition.
 	SyncWrites bool
 
 	// QueueDepth is each thread's outstanding-command window (fio iodepth).
@@ -140,7 +137,6 @@ type Job struct {
 func (j *Job) Validate(dev Device) error {
 	total := dev.TotalSectors() * units.Sector
 	z, zoned := dev.(Zoned)
-	_, flushes := dev.(ZoneFlusher)
 	switch {
 	case j.BlockBytes <= 0 || j.BlockBytes%units.Sector != 0:
 		return fmt.Errorf("workload: block size %d must be a positive multiple of %d", j.BlockBytes, units.Sector)
@@ -168,8 +164,8 @@ func (j *Job) Validate(dev Device) error {
 		return fmt.Errorf("workload: negative queue count %d", j.Queues)
 	case j.QueueDepth > 1 && j.SyncWrites:
 		return fmt.Errorf("workload: SyncWrites (O_SYNC) cannot run at queue depth %d", j.QueueDepth)
-	case j.SyncWrites && !(zoned && flushes):
-		return fmt.Errorf("workload: SyncWrites needs a device that flushes one zone, %T does not", dev)
+	case j.SyncWrites && !zoned:
+		return fmt.Errorf("workload: SyncWrites needs a zoned device, %T is not", dev)
 	}
 	if j.Pattern == ZoneRandWrite {
 		if !zoned {

@@ -89,13 +89,13 @@ func TestValidateRejections(t *testing.T) {
 	if err := j.Validate(dev); err != nil {
 		t.Errorf("base job rejected: %v", err)
 	}
-	// O_SYNC needs a device that flushes one zone.
+	// O_SYNC needs a zoned device.
 	j.Pattern, j.SyncWrites = SeqWrite, true
 	if err := j.Validate(dev); err == nil || !strings.Contains(err.Error(), "*workload.fakeDevice") {
-		t.Errorf("SyncWrites on a device without zone flushes: %v, want an error naming the device type", err)
+		t.Errorf("SyncWrites on a device without zones: %v, want an error naming the device type", err)
 	}
 	if err := j.Validate(&syncDevice{fakeDevice: fakeDevice{total: 4096}}); err != nil {
-		t.Errorf("SyncWrites on a zoned device that flushes zones rejected: %v", err)
+		t.Errorf("SyncWrites on a zoned device rejected: %v", err)
 	}
 }
 
@@ -404,8 +404,9 @@ type fakeZonedDevice struct {
 	resets  []int
 }
 
-func (f *fakeZonedDevice) NumZones() int         { return len(f.wp) }
-func (f *fakeZonedDevice) ZoneCapSectors() int64 { return f.zoneCap }
+func (f *fakeZonedDevice) NumZones() int                              { return len(f.wp) }
+func (f *fakeZonedDevice) ZoneCapSectors() int64                      { return f.zoneCap }
+func (f *fakeZonedDevice) Flush(at sim.Time, _ int) (sim.Time, error) { return at, nil }
 
 func (f *fakeZonedDevice) ResetZone(at sim.Time, zone int) (sim.Time, error) {
 	f.resets = append(f.resets, zone)
