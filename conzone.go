@@ -118,7 +118,6 @@ const (
 	StatusWriteFault = host.StatusWriteFault
 	StatusMediaError = host.StatusMediaError
 	StatusReadOnly   = host.StatusReadOnly
-	StatusInternal   = host.StatusInternal
 )
 
 // Robustness sentinels, for errors.Is checks on I/O errors.

@@ -165,16 +165,6 @@ func TestAuditHostDetectsCompletionInWrongQueue(t *testing.T) {
 	wantHostViolation(t, st, c.ZoneCapSectors(), "host-tags")
 }
 
-func TestAuditHostDetectsLostCompletion(t *testing.T) {
-	c := newAuditHost(t)
-	// The live path — a swallowed sync completion comes back as a
-	// synthesized internal error and bumps the counter — is pinned by
-	// host.TestExecSyncLostCompletion; any nonzero count is a violation.
-	st := c.DebugSnapshot()
-	st.LostCompletions = 1
-	wantHostViolation(t, st, c.ZoneCapSectors(), "host-lost")
-}
-
 func TestAuditHostDetectsFlushAllBarrierViolation(t *testing.T) {
 	f, err := FuzzConfig().NewConZone()
 	if err != nil {

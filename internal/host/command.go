@@ -130,41 +130,30 @@ const (
 	// StatusReadOnly: the device has degraded to read-only operation
 	// (spare superblocks exhausted); write-class commands are rejected.
 	StatusReadOnly
-	// StatusInternal: the controller lost track of the command — an
-	// emulator invariant failure surfaced as a completion instead of a
-	// panic so the invariant auditor can report it.
-	StatusInternal
 	// StatusPowerLoss: the device lost power before the command could
-	// complete. Volatile state is gone; the device needs a remount.
-	StatusPowerLoss
+	// complete. Volatile state is gone; the device needs a remount. It
+	// stays 6 (5 is unused): digests fold a Status in as its number.
+	StatusPowerLoss Status = 6
 )
 
 var statusNames = [...]string{
 	StatusOK: "ok", StatusInvalid: "invalid", StatusWriteFault: "write_fault", StatusMediaError: "media_error",
-	StatusReadOnly: "read_only", StatusInternal: "internal", StatusPowerLoss: "power_loss",
+	StatusReadOnly: "read_only", StatusPowerLoss: "power_loss",
 }
 
 // String names the status.
 func (s Status) String() string {
-	if int(s) < len(statusNames) {
+	if int(s) < len(statusNames) && statusNames[s] != "" {
 		return statusNames[s]
 	}
 	return fmt.Sprintf("Status(%d)", uint8(s))
 }
-
-// ErrLostCompletion reports that the controller's bookkeeping lost a
-// dispatched command's completion — an internal invariant failure. It is
-// synthesized into a StatusInternal completion rather than panicking, and
-// the host auditor treats a nonzero LostCompletions count as a violation.
-var ErrLostCompletion = errors.New("host: completion vanished (internal error)")
 
 // StatusOf classifies a backend error into its completion status.
 func StatusOf(err error) Status {
 	switch {
 	case err == nil:
 		return StatusOK
-	case errors.Is(err, ErrLostCompletion):
-		return StatusInternal
 	case errors.Is(err, nand.ErrPowerLoss):
 		return StatusPowerLoss
 	case errors.Is(err, fault.ErrReadOnly):

@@ -18,24 +18,20 @@ type PendingInfo struct {
 // DebugState is a consistent snapshot of the controller's queueing state.
 type DebugState struct {
 	NextTag     Tag
-	Outstanding []int          // per queue, index Queues() = internal sync queue
+	Outstanding []int          // per queue: submitted and not yet reaped
 	Pending     []PendingInfo  // undispatched commands, submission order
 	Completions [][]Completion // per-queue completion queues, reap order
 	ZoneFree    []sim.Time     // per-zone write-lock horizon
 	MaxDone     sim.Time
-	// LostCompletions counts dispatched commands whose completions the
-	// controller lost track of — always zero unless an invariant broke.
-	LostCompletions int64
 }
 
 // DebugSnapshot copies the controller's queueing state for auditing.
 func (c *Controller) DebugSnapshot() DebugState {
 	st := DebugState{
-		NextTag:         c.nextTag,
-		Outstanding:     append([]int(nil), c.out...),
-		ZoneFree:        append([]sim.Time(nil), c.locks.free...),
-		MaxDone:         c.maxDone,
-		LostCompletions: c.lostCompletions,
+		NextTag:     c.nextTag,
+		Outstanding: append([]int(nil), c.out...),
+		ZoneFree:    append([]sim.Time(nil), c.locks.free...),
+		MaxDone:     c.maxDone,
 	}
 	for _, r := range c.arb.heap {
 		st.Pending = append(st.Pending, PendingInfo{

@@ -7,34 +7,20 @@ import (
 	"github.com/conzone/conzone/internal/sim"
 )
 
-// Exec runs one command through the full queue path at depth 1: submit on
-// the internal queue, dispatch everything, reap this command. It is the one
-// synchronous entry, which keeps the traditional synchronous API a strict
-// special case of the asynchronous one. req is a pointer for submit's
-// reason: at ten words a Request no longer travels in registers, and a
-// by-value hand-over here cost a synchronous write 10 ns of 111.
+// Exec runs one command through the full queue path at depth 1: submit it,
+// dispatch everything pending, and return its completion, which complete
+// hands back in a field of its own rather than through a completion queue.
+// It is the one synchronous entry, which keeps the traditional synchronous
+// API a strict special case of the asynchronous one. req is a pointer for
+// submit's reason: at ten words a Request no longer travels in registers,
+// and a by-value hand-over here cost a synchronous write 10 ns of 111.
 func (c *Controller) Exec(at sim.Time, req *Request) (Completion, error) {
-	tag, err := c.submit(at, c.syncQueue(), req)
-	if err != nil {
+	if _, err := c.submit(at, c.cfg.Queues, req); err != nil {
 		return Completion{}, err
 	}
 	c.advance()
-	if comp, ok := c.take(c.syncQueue(), tag); ok {
-		return comp, comp.Err
-	}
-	// advance dispatched everything, so a missing completion means corrupt
-	// bookkeeping. Rather than panic, synthesize an internal-error
-	// completion and count the invariant failure, which the host auditor
-	// (internal/check) reports with the controller's state attached.
-	c.lostCompletions++
-	c.out[c.syncQueue()]--
-	c.unfin--
-	comp := Completion{
-		Tag: tag, Queue: c.syncQueue(), Op: req.Op, Zone: -1, LBA: -1,
-		Err:       fmt.Errorf("%w: tag %d (%v)", ErrLostCompletion, tag, req.Op),
-		Status:    StatusInternal,
-		Submitted: at, Dispatched: at, Done: at,
-	}
+	comp := c.sync
+	c.sync = Completion{} // retain no Data or Err
 	return comp, comp.Err
 }
 

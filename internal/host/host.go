@@ -23,7 +23,10 @@
 // (locks.go); the read pool (reads.go), which owns read data across the
 // host boundary, so lending a read the backend's views instead of copying
 // them is a change to it alone; and the completion queues (cq.go). Exec and
-// the synchronous wrappers (exec.go) are the depth-1 case of the same path.
+// the synchronous wrappers (exec.go) are the depth-1 case of the same path:
+// a synchronous command takes a tag and its place in the arbiter like any
+// other, and its completion goes to the Controller's one sync field, not to
+// a completion queue.
 //
 // The lock-target rule, which the lock table alone applies, once at submit:
 // a read locks nothing, an OpFlush of Zone -1 locks every zone (a full write
@@ -76,6 +79,7 @@ type Controller struct {
 	cqs   []complQueue // per-queue completion queues, min-ordered on (Done, Tag)
 	out   []int        // per-queue outstanding (submitted - reaped)
 	unfin int          // total submitted-but-unreaped, across all queues
+	sync  Completion   // the in-flight synchronous command's completion (Exec)
 
 	// Device geometry, cached: it is static, and validate runs per command.
 	zcap   int64
@@ -84,9 +88,7 @@ type Controller struct {
 
 	maxDone sim.Time // latest completion the controller has produced
 
-	dispatched      int64 // commands dispatched for the controller's lifetime
-	lostCompletions int64 // completions the controller lost track of (invariant failures)
-	debugLoseSync   int   // sync completions to swallow at dispatch; only export_test.go sets it
+	dispatched int64 // commands dispatched for the controller's lifetime
 }
 
 // New builds a controller over the backend. Zero Config fields take the
@@ -106,8 +108,8 @@ func New(be Backend, cfg Config) (*Controller, error) {
 		cfg:     cfg,
 		nextTag: 1,
 		locks:   zoneLocks{free: make([]sim.Time, be.NumZones())},
-		cqs:     make([]complQueue, cfg.Queues+1), // +1: internal sync queue
-		out:     make([]int, cfg.Queues+1),
+		cqs:     make([]complQueue, cfg.Queues),
+		out:     make([]int, cfg.Queues),
 		zcap:    be.ZoneCapSectors(),
 		total:   be.TotalSectors(),
 		nzones:  be.NumZones(),
@@ -124,10 +126,6 @@ func (c *Controller) Configuration() Config { return c.cfg }
 // Depth returns the per-queue outstanding-command limit.
 func (c *Controller) Depth() int { return c.cfg.Depth }
 
-// syncQueue is the internal queue index Exec submits on;
-// it has no depth limit, like an admin queue.
-func (c *Controller) syncQueue() int { return c.cfg.Queues }
-
 // Submit enqueues the request on submission queue q with virtual submission
 // instant at, returning the command's tag. It fails fast with ErrQueueFull
 // when the queue already holds Depth unreaped commands, and with a
@@ -141,19 +139,23 @@ func (c *Controller) Submit(at sim.Time, q int, req Request) (Tag, error) {
 	if c.out[q] >= c.cfg.Depth {
 		return 0, fmt.Errorf("%w: queue %d holds %d commands", ErrQueueFull, q, c.out[q])
 	}
-	return c.submit(at, q, &req)
+	tag, err := c.submit(at, q, &req)
+	if err == nil { // only a queued command is outstanding
+		c.out[q]++
+		c.unfin++
+	}
+	return tag, err
 }
 
-// submit validates and enqueues. req is a pointer only to spare the hot
-// path two struct copies; it is never retained.
+// submit validates and enqueues on queue q; q == Queues() marks Exec's
+// synchronous command. req is a pointer only to spare the hot path two
+// struct copies; it is never retained.
 func (c *Controller) submit(at sim.Time, q int, req *Request) (Tag, error) {
 	if err := c.validate(req); err != nil {
 		return 0, err
 	}
 	tag := c.nextTag
 	c.nextTag++
-	c.out[q]++
-	c.unfin++
 	if req.Op == OpRead && c.arb.len() == 0 {
 		// Fast path: a read with nothing pending is the arbiter's next pick
 		// (it locks nothing, and later submissions carry larger tags and,
@@ -223,7 +225,8 @@ func (c *Controller) dispatch(r *request) {
 // complete is the one completion tail of dispatch and submit's read fast
 // path: it counts the dispatch, records the host-queue span (no event is
 // built when observation is off) and writes the completion once, into its
-// slot in queue q's completion queue; reaping copies it once more.
+// slot in queue q's completion queue, or for Exec's synchronous command
+// into the sync field; reaping copies it once more.
 func (c *Controller) complete(tag Tag, q int, op Op, zone int, lba, n int64, data [][]byte, err error, submitted, at, done sim.Time) {
 	c.dispatched++
 	if done > c.maxDone {
@@ -236,13 +239,10 @@ func (c *Controller) complete(tag Tag, q int, op Op, zone int, lba, n int64, dat
 			Zone: int32(zone), Actor: int32(q), LBA: lba, N: n,
 		})
 	}
-	if c.debugLoseSync > 0 && q == c.syncQueue() {
-		// Corruption hook armed: swallow this sync completion so Exec's
-		// lost-completion recovery path runs (armed from export_test.go).
-		c.debugLoseSync--
-		return
+	comp := &c.sync
+	if q < len(c.cqs) {
+		comp = c.cqs[q].push(done, tag)
 	}
-	comp := c.cqs[q].push(done, tag)
 	comp.Tag, comp.Queue, comp.Op, comp.Zone, comp.LBA, comp.N = tag, q, op, zone, lba, n
 	comp.Data, comp.Err, comp.Status = data, err, StatusOf(err)
 	comp.Submitted, comp.Dispatched, comp.Done = submitted, at, done
@@ -287,22 +287,13 @@ func (c *Controller) Recycle(data [][]byte) { c.reads.recycle(data) }
 func (c *Controller) Wait(tag Tag) (Completion, bool) {
 	c.advance() // every unreaped command now sits in some completion queue
 	for q := range c.cqs {
-		if comp, ok := c.take(q, tag); ok {
+		if comp, ok := c.cqs[q].takeTag(tag); ok {
+			c.out[q]--
+			c.unfin--
 			return comp, true
 		}
 	}
 	return Completion{}, false
-}
-
-// take removes the tagged completion from queue q.
-func (c *Controller) take(q int, tag Tag) (Completion, bool) {
-	comp, ok := c.cqs[q].takeTag(tag)
-	if !ok {
-		return Completion{}, false
-	}
-	c.out[q]--
-	c.unfin--
-	return comp, true
 }
 
 // Kick dispatches every pending command without reaping any completion,
@@ -314,8 +305,7 @@ func (c *Controller) Kick() sim.Time {
 	return c.maxDone
 }
 
-// Idle reports whether no command is pending or awaiting reap anywhere,
-// including the internal synchronous queue.
+// Idle reports whether no command is pending or awaiting reap anywhere.
 func (c *Controller) Idle() bool { return c.arb.len() == 0 && c.unfin == 0 }
 
 // Dispatched returns how many commands the arbiter has dispatched over the

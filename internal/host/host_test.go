@@ -510,3 +510,81 @@ func TestArbiterOrderNeedsNonDecreasingInstants(t *testing.T) {
 		t.Errorf("submitted after a later-instant read, the t read completes at %v, no later than in instant order (%v)", reversed.Done, inOrder.Done)
 	}
 }
+
+// TestExecKeepsArbiterOrder pins where a synchronous command sits among
+// queued ones: it takes the next tag and dispatches at its (ready time, tag)
+// place in the arbiter, here ahead of a queued write that waits on its
+// zone's lock, and it hands back its own completion while every queued one
+// stays for PollInto, in the order and at the instants it has without the
+// synchronous command.
+func TestExecKeepsArbiterOrder(t *testing.T) {
+	setup := func() (*host.Controller, host.Tag) {
+		c := newController(t, host.Config{Queues: 1, Depth: 8})
+		submit := func(req host.Request) host.Tag {
+			t.Helper()
+			tag, err := c.Submit(0, 0, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tag
+		}
+		submit(host.Request{Op: host.OpWrite, LBA: 0, Payloads: payloads(0, 8)})
+		submit(host.Request{Op: host.OpFlush, Zone: 0})
+		c.Kick()                                            // zone 0's lock now frees at the flush's completion
+		submit(host.Request{Op: host.OpRead, LBA: 0, N: 8}) // dispatched at once, left unreaped
+		waiting := submit(host.Request{Op: host.OpWrite, LBA: 8, Payloads: payloads(8, 8)})
+		return c, waiting
+	}
+
+	want := func() []host.Completion {
+		c, _ := setup()
+		return c.PollInto(0, 0, nil)
+	}()
+	c, waiting := setup()
+	comp, err := c.Exec(0, &host.Request{Op: host.OpRead, LBA: 0, N: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp.Tag != waiting+1 {
+		t.Errorf("Exec's command has tag %d, want %d", comp.Tag, waiting+1)
+	}
+	if comp.Op != host.OpRead || comp.Submitted != 0 || comp.Dispatched != 0 || comp.Done <= comp.Dispatched {
+		t.Errorf("Exec's completion: op %v, submitted %v, dispatched %v, done %v; want a read dispatched at 0 that takes time",
+			comp.Op, comp.Submitted, comp.Dispatched, comp.Done)
+	}
+	// The read covers the waiting write's first sector: had that write
+	// dispatched first, the read would return its payload there.
+	if len(comp.Data) != 9 || comp.Data[8] != nil {
+		t.Fatalf("Exec's read returned %d sectors (last %v), want 9 with the last unwritten", len(comp.Data), comp.Data[len(comp.Data)-1] != nil)
+	}
+	for i, p := range payloads(0, 8) {
+		if string(comp.Data[i]) != string(p) {
+			t.Fatalf("Exec's read: sector %d holds the wrong bytes", i)
+		}
+	}
+	next, err := c.Submit(comp.Done, 0, host.Request{Op: host.OpFlush, Zone: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != comp.Tag+1 {
+		t.Errorf("the next submission has tag %d, want %d: Exec consumes exactly one tag", next, comp.Tag+1)
+	}
+
+	got := c.PollInto(0, 0, nil)
+	if len(got) != len(want)+1 || got[len(got)-1].Tag != next {
+		t.Fatalf("PollInto reaped %d completions, want the %d queued ones and then the flush of tag %d", len(got), len(want), next)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Tag != w.Tag || g.Op != w.Op || g.Submitted != w.Submitted || g.Dispatched != w.Dispatched || g.Done != w.Done {
+			t.Errorf("completion %d: tag %d %v %v/%v/%v, want tag %d %v %v/%v/%v", i,
+				g.Tag, g.Op, g.Submitted, g.Dispatched, g.Done, w.Tag, w.Op, w.Submitted, w.Dispatched, w.Done)
+		}
+		if g.Tag == waiting && g.Dispatched <= comp.Dispatched {
+			t.Errorf("the waiting write dispatched at %v, not after Exec's read at %v", g.Dispatched, comp.Dispatched)
+		}
+	}
+	if !c.Idle() {
+		t.Error("controller not idle after every queued completion was reaped")
+	}
+}
