@@ -31,11 +31,11 @@ while read -r pkg regex benchtime seen allocs; do
 done <<'EOF'
 # package            benchmark regex                                                            benchtime  seen  allocs/op
 # disabled telemetry is one nil check
-./internal/obs       ^BenchmarkRecordDisabled$                                                  1x         1     0
+./internal/obs       ^BenchmarkRecordDisabled$                                                  200000x    1     0
 # steady-state issue path: seqwrite, randread, burstread, randwrite, gcheavy at QD 1 and 16
 ./internal/host      ^BenchmarkEmulatorThroughput$                                              5000x      10    0
-# L2P cache lookup (zone, chunk, page) and miss-insert-evict
-./internal/l2pcache  ^(BenchmarkLookupHit|BenchmarkMissInsertEvict)$                            200000x    4     0
+# L2P cache lookup (zone, chunk, page), miss-insert-evict, covered-entry drop and zone-reset invalidation
+./internal/l2pcache  ^(BenchmarkLookupHit|BenchmarkMissInsertEvict|BenchmarkInsertZoneAggregationHeavy|BenchmarkInvalidateRangeZoneReset)$  200000x    6     0
 # write path: program unit (timing, stamped) and buffer append
 ./internal/nand      ^BenchmarkProgramPU$                                                       2000x      2     0
 ./internal/wbuf      ^BenchmarkAppend$                                                          200000x    1     0

@@ -10,14 +10,21 @@
 // PINNED search strategy) are never evicted by capacity pressure, and when
 // a wider entry is inserted the narrower entries it covers are dropped.
 //
-// The table is a power-of-two array of node pointers, probed linearly from
-// a multiplicative hash of the key. It starts at 16 slots and doubles when
-// half full, so a device that barely uses its cache pays for 16 pointers;
-// a delete shifts the rest of its probe run back instead of leaving a
-// tombstone, so a probe never walks past entries that are gone. The LRU
-// list is intrusive (prev/next fields inside the entry nodes) and removed
-// nodes go on a freelist for reuse, so the steady-state lookup/insert/evict
-// cycle on the device's read path allocates nothing.
+// Resident entries live in one arena of 32-byte nodes linked by int32
+// indices: node 0 is the LRU ring's sentinel, and freed nodes chain through
+// next for reuse. The arena holds no pointer, so the cache costs no
+// per-entry allocation, no GC scan and no write barrier on an LRU move. The
+// index is a power-of-two table of int32 node indices (0 = empty), probed
+// linearly from a multiplicative hash of the key. It starts at 16 slots and
+// doubles once it is one-eighth full: a miss walks its key's probe run to
+// the end and a delete shifts the rest of its run back, so the load bound
+// sets what both cost, and at one eighth the runs are short. The int32
+// layout keeps the bytes flat at that bound: a 4-byte slot at one-eighth
+// load plus a node is about 64 bytes per entry, what an 8-byte pointer at
+// half load plus a 48-byte heap node costs. A delete leaves no tombstone,
+// so a probe never walks past entries that are gone. The arena grows with
+// the table, so the steady-state lookup/insert/evict cycle on the device's
+// read path allocates nothing.
 package l2pcache
 
 import (
@@ -48,14 +55,13 @@ func makeKey(g mapping.Gran, base int64) key {
 func (k key) gran() mapping.Gran { return mapping.Gran(k >> 56) }
 func (k key) base() int64        { return int64(k) & (1<<56 - 1) }
 
-// node is one resident entry, threaded on the intrusive LRU ring. Freed
-// nodes are chained through next on the freelist.
+// node is one resident entry, threaded on the LRU ring by arena index.
+// Freed nodes are chained through next on the freelist.
 type node struct {
-	key    key
-	psn    mapping.PSN
-	pinned bool
-
-	prev, next *node
+	key        key
+	psn        mapping.PSN
+	prev, next int32
+	pinned     bool
 }
 
 // lookupOrder is the paper's probe sequence: widest granularity first.
@@ -66,13 +72,13 @@ type Cache struct {
 	capBytes   int64
 	entryBytes int64
 
-	slots     []*node // open-addressed table; nil = empty; len a power of two
+	slots     []int32 // open-addressed table of node indices; 0 = empty; len a power of two
 	slotShift uint    // 64 - log2(len(slots)): the hash's top bits pick the home slot
-	root      node    // sentinel: root.next = MRU, root.prev = LRU
+	nodes     []node  // arena; nodes[0] is the sentinel: its next is the MRU, its prev the LRU
 	n         int     // resident entries
-	free      *node
+	free      int32   // head of the freelist; 0 = empty
 
-	victims []*node // scratch for bounded scans
+	victims []int32 // scratch for bounded scans
 
 	// Probe acceleration, derived once at construction: per-granularity
 	// spans (with a power-of-two mask fast path for keyFor's base
@@ -107,10 +113,10 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 	c := &Cache{
 		capBytes:   capBytes,
 		entryBytes: entryBytes,
-		slots:      make([]*node, 1<<minSlotsLog2),
+		slots:      make([]int32, 1<<minSlotsLog2),
 		slotShift:  64 - minSlotsLog2,
 	}
-	c.root.prev, c.root.next = &c.root, &c.root
+	c.nodes = make([]node, 1, c.arenaCap())
 	for _, g := range lookupOrder {
 		s := table.SectorsOf(g)
 		c.span[g] = s
@@ -125,6 +131,16 @@ func New(capBytes, entryBytes int64, table *mapping.Table) (*Cache, error) {
 // minSlotsLog2 sizes the slot table a new cache starts with: 16 slots.
 const minSlotsLog2 = 4
 
+// loadLog2 bounds the table's load: it doubles before holding more than
+// len(slots)>>loadLog2 entries, one eighth.
+const loadLog2 = 3
+
+// arenaCap is the arena capacity the slot table can hold within the budget:
+// its load bound or MaxEntries, whichever is lower, plus the sentinel.
+func (c *Cache) arenaCap() int {
+	return int(min(int64(len(c.slots)>>loadLog2), c.MaxEntries())) + 1
+}
+
 // MaxEntries returns how many entries fit in the budget.
 func (c *Cache) MaxEntries() int64 { return c.capBytes / c.entryBytes }
 
@@ -138,16 +154,15 @@ func (c *Cache) keyFor(g mapping.Gran, lpa int64) key {
 	return makeKey(g, lpa-lpa%c.span[g])
 }
 
-// slot returns the index of k's slot: the one holding k, or the empty slot
-// that ends k's probe run.
-func (c *Cache) slot(k key) int {
-	mask := len(c.slots) - 1
-	i := c.home(k)
-	for {
-		if nd := c.slots[i]; nd == nil || nd.key == k {
-			return i
+// slot returns the index of k's slot and what it holds: k's node, or 0 in
+// the empty slot that ends k's probe run.
+func (c *Cache) slot(k key) (int, int32) {
+	slots, nodes := c.slots, c.nodes
+	mask := len(slots) - 1
+	for i := c.home(k); ; i = (i + 1) & mask {
+		if x := slots[i]; x == 0 || nodes[x].key == k {
+			return i, x
 		}
-		i = (i + 1) & mask
 	}
 }
 
@@ -155,67 +170,90 @@ func (c *Cache) slot(k key) int {
 // (Fibonacci) hash, which spreads the arithmetic runs of aligned bases.
 func (c *Cache) home(k key) int { return int(uint64(k) * 0x9E3779B97F4A7C15 >> c.slotShift) }
 
-// find returns the resident node of k, or nil.
-func (c *Cache) find(k key) *node { return c.slots[c.slot(k)] }
+// find returns the arena index of k's resident node, or 0.
+func (c *Cache) find(k key) int32 {
+	_, x := c.slot(k)
+	return x
+}
 
-// grow doubles the slot table and rehashes every resident node into it.
+// grow doubles the slot table, rehashes every resident node into it and
+// widens the arena to what the new table holds within the budget.
 func (c *Cache) grow() {
 	old := c.slots
-	c.slots = make([]*node, 2*len(old))
+	c.slots = make([]int32, 2*len(old))
 	c.slotShift--
-	for _, nd := range old {
-		if nd != nil {
-			c.slots[c.slot(nd.key)] = nd
+	for _, x := range old {
+		if x != 0 {
+			i, _ := c.slot(c.nodes[x].key)
+			c.slots[i] = x
 		}
+	}
+	if want := c.arenaCap(); cap(c.nodes) < want {
+		nodes := make([]node, len(c.nodes), want)
+		copy(nodes, c.nodes)
+		c.nodes = nodes
 	}
 }
 
-// unslot empties nd's slot, then shifts back each later node of the probe
+// unslot empties k's slot, then shifts back each later node of the probe
 // run whose home slot does not lie cyclically in (hole, its own slot], so
 // every resident key stays reachable from its home without tombstones.
-func (c *Cache) unslot(nd *node) {
-	mask := len(c.slots) - 1
-	hole := c.slot(nd.key)
-	for j := (hole + 1) & mask; c.slots[j] != nil; j = (j + 1) & mask {
-		if (j-c.home(c.slots[j].key))&mask >= (j-hole)&mask {
-			c.slots[hole] = c.slots[j]
+func (c *Cache) unslot(k key) {
+	slots, nodes := c.slots, c.nodes
+	mask := len(slots) - 1
+	hole, _ := c.slot(k)
+	for j := (hole + 1) & mask; slots[j] != 0; j = (j + 1) & mask {
+		if (j-c.home(nodes[slots[j]].key))&mask >= (j-hole)&mask {
+			slots[hole] = slots[j]
 			hole = j
 		}
 	}
-	c.slots[hole] = nil
+	slots[hole] = 0
 }
 
-// unlink detaches nd from the LRU ring.
-func (nd *node) unlink() {
-	nd.prev.next = nd.next
-	nd.next.prev = nd.prev
-	nd.prev, nd.next = nil, nil
+// unlink detaches node x from the LRU ring.
+func (c *Cache) unlink(x int32) {
+	nodes := c.nodes
+	prev, next := nodes[x].prev, nodes[x].next
+	nodes[prev].next = next
+	nodes[next].prev = prev
 }
 
-// pushFront makes nd the MRU entry.
-func (c *Cache) pushFront(nd *node) {
-	nd.prev = &c.root
-	nd.next = c.root.next
-	nd.prev.next = nd
-	nd.next.prev = nd
+// pushFront makes node x the MRU entry.
+func (c *Cache) pushFront(x int32) {
+	nodes := c.nodes
+	mru := nodes[0].next
+	nodes[x].prev, nodes[x].next = 0, mru
+	nodes[mru].prev = x
+	nodes[0].next = x
 }
 
-func (c *Cache) moveToFront(nd *node) {
-	if c.root.next == nd {
+// moveToFront makes node x the MRU entry: unlink and pushFront in one body,
+// small enough to inline into Lookup's hit.
+func (c *Cache) moveToFront(x int32) {
+	nodes := c.nodes
+	mru := nodes[0].next
+	if mru == x {
 		return
 	}
-	nd.unlink()
-	c.pushFront(nd)
+	nd := &nodes[x]
+	nodes[nd.prev].next = nd.next
+	nodes[nd.next].prev = nd.prev
+	nd.prev, nd.next = 0, mru
+	nodes[mru].prev = x
+	nodes[0].next = x
 }
 
-// newNode takes a node off the freelist or allocates one.
-func (c *Cache) newNode() *node {
-	if nd := c.free; nd != nil {
-		c.free = nd.next
-		nd.next = nil
-		return nd
+// newNode takes a node off the freelist or appends one to the arena, which
+// grow has sized for every entry the budget admits: only a pinned insert
+// past the budget appends beyond its capacity.
+func (c *Cache) newNode() int32 {
+	if x := c.free; x != 0 {
+		c.free = c.nodes[x].next
+		return x
 	}
-	return new(node)
+	c.nodes = append(c.nodes, node{})
+	return int32(len(c.nodes) - 1)
 }
 
 // Lookup translates lpa through the cache, probing zone, chunk and page
@@ -227,10 +265,12 @@ func (c *Cache) Lookup(lpa int64) (mapping.PSN, bool) {
 		if c.granN[g] == 0 {
 			continue // no resident entry of this granularity: guaranteed miss
 		}
-		if nd := c.find(c.keyFor(g, lpa)); nd != nil {
-			c.moveToFront(nd)
+		if x := c.find(c.keyFor(g, lpa)); x != 0 {
+			nd := &c.nodes[x]
+			psn := nd.psn + mapping.PSN(lpa-nd.key.base())
+			c.moveToFront(x)
 			c.stats.Hits++
-			return nd.psn + mapping.PSN(lpa-nd.key.base()), true
+			return psn, true
 		}
 	}
 	c.stats.Misses++
@@ -245,10 +285,11 @@ func (c *Cache) Lookup(lpa int64) (mapping.PSN, bool) {
 // inserts always succeed. Returns whether the entry resides in the cache.
 func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bool) bool {
 	k := c.keyFor(g, lpa)
-	if nd := c.find(k); nd != nil {
+	if x := c.find(k); x != 0 {
+		nd := &c.nodes[x]
 		nd.psn = basePSN
 		nd.pinned = nd.pinned || pinned
-		c.moveToFront(nd)
+		c.moveToFront(x)
 		return true
 	}
 	if g != mapping.Page {
@@ -262,13 +303,15 @@ func (c *Cache) Insert(g mapping.Gran, lpa int64, basePSN mapping.PSN, pinned bo
 			break // pinned entries may transiently exceed the budget
 		}
 	}
-	if 2*(c.n+1) > len(c.slots) {
+	if (c.n+1)<<loadLog2 > len(c.slots) {
 		c.grow()
 	}
-	nd := c.newNode()
+	x := c.newNode()
+	nd := &c.nodes[x]
 	nd.key, nd.psn, nd.pinned = k, basePSN, pinned
-	c.pushFront(nd)
-	c.slots[c.slot(k)] = nd
+	c.pushFront(x)
+	i, _ := c.slot(k)
+	c.slots[i] = x
 	c.n++
 	c.granN[k.gran()]++
 	c.used += c.entryBytes
@@ -288,16 +331,15 @@ func (c *Cache) dropCovered(g mapping.Gran, base int64) {
 		probes += span / c.span[mapping.Chunk]
 	}
 	if int64(c.n) < probes {
-		victims := c.victims[:0]
-		for nd := c.root.next; nd != &c.root; nd = nd.next {
-			if nd.key.gran() < g && nd.key.base() >= base && nd.key.base() < base+span {
-				victims = append(victims, nd)
+		victims, nodes := c.victims[:0], c.nodes
+		for x := nodes[0].next; x != 0; x = nodes[x].next {
+			if k := nodes[x].key; k.gran() < g && k.base() >= base && k.base() < base+span {
+				victims = append(victims, x)
 			}
 		}
-		for i, nd := range victims {
-			c.remove(nd)
+		for _, x := range victims {
+			c.remove(x)
 			c.stats.Covered++
-			victims[i] = nil
 		}
 		c.victims = victims[:0]
 		return
@@ -310,8 +352,8 @@ func (c *Cache) dropCovered(g mapping.Gran, base int64) {
 	}
 	for _, ng := range ngrans {
 		for b := base; b < base+span; b += c.span[ng] {
-			if nd := c.find(makeKey(ng, b)); nd != nil {
-				c.remove(nd)
+			if x := c.find(makeKey(ng, b)); x != 0 {
+				c.remove(x)
 				c.stats.Covered++
 			}
 		}
@@ -321,9 +363,10 @@ func (c *Cache) dropCovered(g mapping.Gran, base int64) {
 // evictLRU removes the least recently used unpinned entry. It reports
 // whether anything was evicted.
 func (c *Cache) evictLRU() bool {
-	for nd := c.root.prev; nd != &c.root; nd = nd.prev {
-		if !nd.pinned {
-			c.remove(nd)
+	nodes := c.nodes
+	for x := nodes[0].prev; x != 0; x = nodes[x].prev {
+		if !nodes[x].pinned {
+			c.remove(x)
 			c.stats.Evictions++
 			return true
 		}
@@ -331,17 +374,16 @@ func (c *Cache) evictLRU() bool {
 	return false
 }
 
-// remove detaches the node from the table and ring and recycles it.
-func (c *Cache) remove(nd *node) {
-	c.unslot(nd)
-	nd.unlink()
+// remove detaches node x from the table and ring and recycles it.
+func (c *Cache) remove(x int32) {
+	k := c.nodes[x].key
+	c.unslot(k)
+	c.unlink(x)
 	c.n--
-	c.granN[nd.key.gran()]--
+	c.granN[k.gran()]--
 	c.used -= c.entryBytes
-	nd.key = 0
-	nd.psn, nd.pinned = 0, false
-	nd.next = c.free
-	c.free = nd
+	c.nodes[x] = node{next: c.free}
+	c.free = x
 }
 
 // InvalidateRange removes every cached entry overlapping [lpa, lpa+n),
@@ -354,16 +396,15 @@ func (c *Cache) InvalidateRange(lpa, n int64) {
 	}
 	probes := n + n/c.span[mapping.Chunk] + n/c.span[mapping.Zone] + 3
 	if int64(c.n) < probes {
-		victims := c.victims[:0]
-		for nd := c.root.next; nd != &c.root; nd = nd.next {
-			span := c.span[nd.key.gran()]
-			if nd.key.base() < lpa+n && nd.key.base()+span > lpa {
-				victims = append(victims, nd)
+		victims, nodes := c.victims[:0], c.nodes
+		for x := nodes[0].next; x != 0; x = nodes[x].next {
+			k := nodes[x].key
+			if k.base() < lpa+n && k.base()+c.span[k.gran()] > lpa {
+				victims = append(victims, x)
 			}
 		}
-		for i, nd := range victims {
-			c.remove(nd)
-			victims[i] = nil
+		for _, x := range victims {
+			c.remove(x)
 		}
 		c.victims = victims[:0]
 		return
@@ -371,8 +412,8 @@ func (c *Cache) InvalidateRange(lpa, n int64) {
 	for _, g := range lookupOrder {
 		span := c.span[g]
 		for b := lpa - lpa%span; b < lpa+n; b += span {
-			if nd := c.find(makeKey(g, b)); nd != nil {
-				c.remove(nd)
+			if x := c.find(makeKey(g, b)); x != 0 {
+				c.remove(x)
 			}
 		}
 	}
@@ -390,31 +431,40 @@ type Entry struct {
 // ForEach visits every cached entry in MRU-to-LRU order without touching
 // the LRU order or statistics. Iteration stops when fn returns false.
 func (c *Cache) ForEach(fn func(Entry) bool) {
-	for nd := c.root.next; nd != &c.root; nd = nd.next {
+	for x := c.nodes[0].next; x != 0; x = c.nodes[x].next {
+		nd := &c.nodes[x]
 		if !fn(Entry{Gran: nd.key.gran(), Base: nd.key.base(), PSN: nd.psn, Pinned: nd.pinned}) {
 			return
 		}
 	}
 }
 
-// CheckInvariants verifies the byte accounting and table/ring agreement.
+// CheckInvariants verifies the byte accounting and table/ring/arena
+// agreement.
 func (c *Cache) CheckInvariants() error {
 	ringLen := 0
-	for nd := c.root.next; nd != &c.root; nd = nd.next {
+	for x := c.nodes[0].next; x != 0; x = c.nodes[x].next {
 		ringLen++
 	}
 	if ringLen != c.n {
 		return fmt.Errorf("l2pcache: ring holds %d entries, counted %d", ringLen, c.n)
 	}
+	freeLen := 0
+	for x := c.free; x != 0; x = c.nodes[x].next {
+		freeLen++
+	}
+	if ringLen+freeLen != len(c.nodes)-1 {
+		return fmt.Errorf("l2pcache: ring %d + freelist %d nodes, arena holds %d", ringLen, freeLen, len(c.nodes)-1)
+	}
 	if int64(c.n)*c.entryBytes != c.used {
 		return fmt.Errorf("l2pcache: used %d != %d entries * %d", c.used, c.n, c.entryBytes)
 	}
-	if 2*c.n > len(c.slots) {
-		return fmt.Errorf("l2pcache: %d entries in %d slots, over half load", c.n, len(c.slots))
+	if c.n<<loadLog2 > len(c.slots) {
+		return fmt.Errorf("l2pcache: %d entries in %d slots, over one-eighth load", c.n, len(c.slots))
 	}
 	inTable := 0
-	for _, nd := range c.slots {
-		if nd != nil {
+	for _, x := range c.slots {
+		if x != 0 {
 			inTable++
 		}
 	}
@@ -422,10 +472,11 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("l2pcache: table holds %d entries, ring %d", inTable, c.n)
 	}
 	var granN [3]int
-	for nd := c.root.next; nd != &c.root; nd = nd.next {
-		granN[nd.key.gran()]++
-		if c.find(nd.key) != nd {
-			return fmt.Errorf("l2pcache: ring entry %d not reachable in the table", nd.key)
+	for x := c.nodes[0].next; x != 0; x = c.nodes[x].next {
+		k := c.nodes[x].key
+		granN[k.gran()]++
+		if c.find(k) != x {
+			return fmt.Errorf("l2pcache: ring entry %d not reachable in the table", k)
 		}
 	}
 	if granN != c.granN {
@@ -433,8 +484,8 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if c.used > c.capBytes {
 		// Over budget is legal only if everything resident is pinned.
-		for nd := c.root.next; nd != &c.root; nd = nd.next {
-			if !nd.pinned {
+		for x := c.nodes[0].next; x != 0; x = c.nodes[x].next {
+			if !c.nodes[x].pinned {
 				return fmt.Errorf("l2pcache: over budget (%d/%d) with unpinned entries", c.used, c.capBytes)
 			}
 		}

@@ -3,6 +3,7 @@ package l2pcache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/conzone/conzone/internal/mapping"
 )
@@ -299,6 +300,7 @@ func BenchmarkInsertZoneAggregationHeavy(b *testing.B) {
 	for i := int64(0); i < 64; i++ {
 		c.Insert(mapping.Page, i*31%4096, mapping.PSN(i), false)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		zone := int64(i % 96)
@@ -314,6 +316,7 @@ func BenchmarkInvalidateRangeZoneReset(b *testing.B) {
 	for i := int64(0); i < 128; i++ {
 		c.Insert(mapping.Page, i*67%(96*4096), mapping.PSN(i), false)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.InvalidateRange(int64(i%96)*4096, 4096)
@@ -383,6 +386,71 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if c.Stats().Evictions == 0 {
 		t.Error("the cycle never evicted")
+	}
+}
+
+// TestCacheArenaSteadyState pins the arena's sizing on a paper-sized cache
+// of page entries over 1 GiB: once the first fill has grown the slot table
+// and the arena, misses that insert and evict, a zone-sized invalidation
+// and a refill neither grow them nor allocate, the table stays at most one
+// eighth full, and the table plus the arena cost at most 228 KiB: 10 % over
+// the 208 KiB a half-loaded table of pointers to 48-byte heap nodes costs,
+// so the short probe runs cost no extra memory.
+func TestCacheArenaSteadyState(t *testing.T) {
+	c, lpas := newGiBCache(t)
+	check := func(phase string) {
+		t.Helper()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", phase, err)
+		}
+		if 8*c.Len() > len(c.slots) {
+			t.Fatalf("after %s: %d entries in %d slots, over one-eighth load", phase, c.Len(), len(c.slots))
+		}
+	}
+	fillPages(c, lpas)
+	check("the first fill")
+	if int64(c.Len()) != c.MaxEntries() {
+		t.Fatalf("the fill holds %d entries, want %d", c.Len(), c.MaxEntries())
+	}
+	slots, arena := len(c.slots), cap(c.nodes)
+	if bytes := slots*int(unsafe.Sizeof(int32(0))) + arena*int(unsafe.Sizeof(node{})); bytes > 228<<10 {
+		t.Errorf("%d slots and %d arena nodes take %d B, over 228 KiB", slots, arena, bytes)
+	}
+	sameSize := func(phase string) {
+		t.Helper()
+		if len(c.slots) != slots || cap(c.nodes) != arena {
+			t.Errorf("after %s: %d slots and arena capacity %d, want %d and %d", phase, len(c.slots), cap(c.nodes), slots, arena)
+		}
+	}
+	i := 0
+	cycle := func() {
+		l := lpas[i&4095] ^ 1<<17 // outside the first fill's set: a miss
+		i++
+		if _, ok := c.Lookup(l); !ok {
+			c.Insert(mapping.Page, l, mapping.PSN(l), false)
+		}
+	}
+	for range 10000 {
+		cycle()
+	}
+	check("10,000 miss-insert-evict cycles")
+	sameSize("10,000 miss-insert-evict cycles")
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Errorf("a miss-insert-evict cycle allocates %v times", a)
+	}
+	before := c.Len()
+	zone := lpas[(i-1)&4095] ^ 1<<17
+	zone -= zone % 4096
+	c.InvalidateRange(zone, 4096)
+	check("a zone-sized InvalidateRange")
+	if c.Len() >= before {
+		t.Errorf("InvalidateRange of the zone at LPA %d removed nothing", zone)
+	}
+	fillPages(c, lpas)
+	check("the refill")
+	sameSize("the refill")
+	if int64(c.Len()) != c.MaxEntries() {
+		t.Errorf("the refill holds %d entries, want %d", c.Len(), c.MaxEntries())
 	}
 }
 

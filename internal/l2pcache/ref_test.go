@@ -469,7 +469,7 @@ func TestCacheMatchesMapModel(t *testing.T) {
 					gran := [...]mapping.Gran{mapping.Page, mapping.Page, mapping.Page, mapping.Chunk, mapping.Zone}[rng.IntN(5)]
 					pinned := rng.IntN(25) == 0
 					desc = fmt.Sprintf("Insert(%v, %d, pinned=%v)", gran, lpa, pinned)
-					if gran != mapping.Page && got.find(got.keyFor(gran, lpa)) == nil {
+					if gran != mapping.Page && got.find(got.keyFor(gran, lpa)) == 0 {
 						probes := g.zone
 						if gran == mapping.Chunk {
 							probes = g.chunk
@@ -548,8 +548,8 @@ func entries(forEach func(func(Entry) bool)) []Entry {
 // wraps reports whether some resident node sits before its home slot, so
 // its probe run wraps around the end of the table.
 func (c *Cache) wraps() bool {
-	for i, nd := range c.slots {
-		if nd != nil && i < c.home(nd.key) {
+	for i, x := range c.slots {
+		if x != 0 && i < c.home(c.nodes[x].key) {
 			return true
 		}
 	}
